@@ -41,13 +41,23 @@ impl CommMatrix {
                 "row {src} has length {}, expected {p}",
                 row.len()
             );
-            for (dst, &v) in row.iter().enumerate() {
-                assert!(
-                    v.is_finite() && v >= 0.0,
-                    "cost[{src}][{dst}] = {v} must be finite and non-negative"
-                );
-                costs.push(v);
-            }
+            costs.extend_from_slice(row);
+        }
+        Self::from_flat(p, costs)
+    }
+
+    /// Builds a `p × p` matrix from its row-major cells
+    /// (`costs[src * p + dst]`), taking the storage as is. Same entry
+    /// rules as [`CommMatrix::from_rows`].
+    pub fn from_flat(p: usize, costs: Vec<f64>) -> Self {
+        assert_eq!(costs.len(), p * p, "a {p}×{p} matrix needs {} cells", p * p);
+        for (i, &v) in costs.iter().enumerate() {
+            assert!(
+                v.is_finite() && v >= 0.0,
+                "cost[{}][{}] = {v} must be finite and non-negative",
+                i / p,
+                i % p
+            );
         }
         CommMatrix { p, costs }
     }

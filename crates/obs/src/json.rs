@@ -10,6 +10,7 @@
 //! exporters emit keys in a canonical order and the round-trip tests
 //! compare documents structurally.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed or to-be-written JSON value.
@@ -119,21 +120,15 @@ impl Value {
     /// Parses one JSON document, requiring nothing but whitespace after
     /// it.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Ok(v)
-        } else {
-            Err(format!("trailing content at byte {}", p.pos))
-        }
+        let mut r = Reader::new(text);
+        let v = r.value()?;
+        r.end()?;
+        Ok(v)
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal (quotes and escapes included).
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -151,15 +146,43 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Containers may nest this deep and no deeper. [`Reader::value`]
+/// recurses once per level, so without a bound a frame of `[` bytes
+/// overflows the stack of whichever thread parses it.
+pub const MAX_DEPTH: usize = 128;
+
+/// A pull reader over one JSON document — the crate's one JSON grammar.
+/// [`Value::parse`] is [`Reader::value`] plus [`Reader::end`]; a caller
+/// that knows a field's shape walks it with [`Reader::begin`] /
+/// [`Reader::next`] and reads scalars straight into its own storage, so
+/// a `P²` array costs no [`Value`] node per cell.
+///
+/// The reader is `Copy`: copy it before a speculative read, keep the
+/// copy on success.
+#[derive(Debug, Clone, Copy)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
+            .bytes()
             .get(self.pos)
             .is_some_and(|b| b.is_ascii_whitespace())
         {
@@ -167,9 +190,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&mut self) -> Option<u8> {
+    /// The next non-whitespace byte, not consumed.
+    pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -181,8 +205,64 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Requires nothing but whitespace up to the end of the text.
+    pub fn end(&mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing content at byte {}", self.pos)),
+        }
+    }
+
+    /// Enters a container — `open` is `b'['` or `b'{'` — and says
+    /// whether it has a first element. Read that element, then ask
+    /// [`Reader::next`] for each further one.
+    pub fn begin(&mut self, open: u8) -> Result<bool, String> {
+        self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        // `open + 2` is the matching bracket for both `[` and `{`.
+        if self.peek() == Some(open + 2) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an element of a container closed by `close` (`b']'` or
+    /// `b'}'`): `true` past a comma, `false` past the closing bracket.
+    pub fn next(&mut self, close: u8) -> Result<bool, String> {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(format!(
+                "expected ',' or {:?} at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// An object member's key, up to and including its colon.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
     fn eat_lit(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -190,125 +270,114 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// Any value, as a tree.
+    pub fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             None => Err("unexpected end of input".into()),
             Some(b'n') => self.eat_lit("null", Value::Null),
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
             Some(b'[') => {
-                self.pos += 1;
                 let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
+                let mut more = self.begin(b'[')?;
+                while more {
                     items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
+                    more = self.next(b']')?;
                 }
+                Ok(Value::Arr(items))
             }
             Some(b'{') => {
-                self.pos += 1;
                 let mut pairs = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
+                let mut more = self.begin(b'{')?;
+                while more {
+                    pairs.push((self.key()?.into_owned(), self.value()?));
+                    more = self.next(b'}')?;
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    pairs.push((key, self.value()?));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
+                Ok(Value::Obj(pairs))
             }
-            Some(_) => self.number(),
+            Some(_) => self.number().map(Value::Num),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string; borrowed from the text unless it holds an escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
+        let start = self.pos;
         let mut out = String::new();
         loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            // `"` and `\\` are ASCII, so both cut the text on char
+            // boundaries.
+            let run = self.pos;
+            while !matches!(self.bytes().get(self.pos), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let Some(&stop) = self.bytes().get(self.pos) else {
                 return Err("unterminated string".into());
             };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
+            if stop == b'"' {
+                self.pos += 1;
+                return Ok(if run == start {
+                    Cow::Borrowed(&self.text[start..self.pos - 1])
+                } else {
+                    out.push_str(&self.text[run..self.pos - 1]);
+                    Cow::Owned(out)
+                });
+            }
+            out.push_str(&self.text[run..self.pos]);
+            let esc = *self
+                .bytes()
+                .get(self.pos + 1)
+                .ok_or("unterminated escape")?;
+            self.pos += 2;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes()
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed for our own
+                    // output (we only \u-escape control chars);
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                b'\\' => {
-                    let esc = rest.get(1).copied().ok_or("unterminated escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for our own
-                            // output (we only \u-escape control chars);
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(format!("unsupported escape \\{}", other as char)),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// A number. Short all-digit tokens — every index on the plan wire —
+    /// are exact in `f64` and skip the general float parser.
+    pub fn number(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E'))
-        {
+        let (mut n, mut digits_only) = (0u64, true);
+        while let Some(&b) = self.bytes().get(self.pos) {
+            match b {
+                b'0'..=b'9' => n = n.wrapping_mul(10).wrapping_add((b - b'0') as u64),
+                b'.' | b'-' | b'+' | b'e' | b'E' => digits_only = false,
+                _ => break,
+            }
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let token = &self.text[start..self.pos];
+        if digits_only && (1..=15).contains(&token.len()) {
+            return Ok(n as f64);
+        }
         token
-            .parse::<f64>()
-            .map(Value::Num)
+            .parse()
             .map_err(|_| format!("bad number {token:?} at byte {start}"))
     }
 }
@@ -354,6 +423,75 @@ mod tests {
         assert!(text.contains("\\u0001"));
         assert_eq!(Value::parse(&text).unwrap(), v);
         assert_eq!(Value::parse(r#""A\n""#).unwrap(), Value::Str("A\n".into()));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // The frame that used to overflow a 2 MiB thread stack: 200 KB
+        // of `[`, and the same depth alternating arrays and objects.
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
+        assert!(Value::parse(&"[{\"k\":".repeat(100_000)).is_err());
+        // Depth counts open containers, not containers seen: siblings
+        // past the bound in number are fine.
+        let wide = format!("[{}[]]", "[[]],".repeat(10 * MAX_DEPTH));
+        assert!(Value::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn reader_pulls_arrays_and_members_without_a_tree() {
+        let mut r = Reader::new(r#" {"m": [[1, 2.5], [], [3e2]], "s": "a\tb", "k": "plain"} "#);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut strings = Vec::new();
+        let mut more = r.begin(b'{').unwrap();
+        while more {
+            match &*r.key().unwrap() {
+                "m" => {
+                    let mut more_rows = r.begin(b'[').unwrap();
+                    while more_rows {
+                        let mut row = Vec::new();
+                        let mut more_cells = r.begin(b'[').unwrap();
+                        while more_cells {
+                            row.push(r.number().unwrap());
+                            more_cells = r.next(b']').unwrap();
+                        }
+                        rows.push(row);
+                        more_rows = r.next(b']').unwrap();
+                    }
+                }
+                _ => strings.push(r.string().unwrap()),
+            }
+            more = r.next(b'}').unwrap();
+        }
+        r.end().unwrap();
+        assert_eq!(rows, vec![vec![1.0, 2.5], vec![], vec![300.0]]);
+        // Escape-free strings borrow from the text; escaped ones own.
+        assert!(matches!(&strings[0], Cow::Owned(s) if s == "a\tb"));
+        assert!(matches!(&strings[1], Cow::Borrowed("plain")));
+    }
+
+    #[test]
+    fn numbers_take_the_same_value_on_either_path() {
+        // All-digit tokens skip the float parser; both must agree, and
+        // the long ones must fall back rather than wrap.
+        for token in [
+            "0",
+            "7",
+            "007",
+            "123456789012345",
+            "1234567890123456",
+            "18446744073709551616",
+            "99999999999999999999",
+        ] {
+            let fast = Reader::new(token).number().unwrap();
+            assert_eq!(fast, token.parse::<f64>().unwrap(), "{token}");
+        }
+        for bad in ["", "-", "1e", "--1", "1.2.3"] {
+            assert!(Reader::new(bad).number().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -218,6 +218,15 @@ impl<T> AdmissionQueue<T> {
         inner.served
     }
 
+    /// The completion sequence number of a request answered without
+    /// queueing: same counter as [`AdmissionQueue::complete`], so
+    /// `served_seq` stays unique and gap-free across both ways out.
+    pub fn serve_inline(&self) -> u64 {
+        let mut inner = self.inner.lock().expect("admission queue poisoned");
+        inner.served += 1;
+        inner.served
+    }
+
     /// Queued (not yet claimed) request count, for gauges.
     pub fn depth(&self) -> usize {
         self.inner

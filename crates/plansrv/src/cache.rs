@@ -17,27 +17,55 @@
 //!   ring is also probed — a missed nomination costs one cold solve,
 //!   never a wrong plan.
 //!
+//! An entry also retains what executing its plan on its matrix predicts
+//! (completion time, critical path, gap above `t_lb`), so an exact hit
+//! is answered without executing anything ([`PlanCache::replay`]).
+//!
 //! The cache is tenant-agnostic on purpose: plans depend only on
 //! `(algorithm, matrix)`, so tenants with congruent traffic share
 //! entries (per-tenant *dispositions* are still metered separately by
 //! the server). Capacity is bounded with FIFO eviction.
 
+use crate::proto::PlanQuality;
 use adaptcomm_core::algorithms::MatchingPlan;
+use adaptcomm_core::analyze::quality_of;
+use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// How many recent entries per `(algorithm, P)` the recency ring
 /// keeps as a backstop against bucket-boundary flips.
 const RECENCY_RING: usize = 8;
 
+/// What executing an order on a matrix predicts: the completion time
+/// and the explain-plane quality (critical path, gap above `t_lb`).
+pub type Outcome = (f64, PlanQuality);
+
+/// Executes `order` on `matrix` — the one place a reply's completion
+/// and quality come from, whether computed for a fresh solve or filled
+/// into a cache entry.
+pub fn evaluate(order: &SendOrder, matrix: &CommMatrix) -> Outcome {
+    let schedule = execute_listed(order, matrix);
+    let q = quality_of(&schedule);
+    let quality = PlanQuality {
+        lb_gap_pct: q.gap_pct(),
+        critical_path: q.critical_path,
+    };
+    (schedule.completion_time().as_ms(), quality)
+}
+
 /// A retained plan: the matrix it was computed for (to confirm
 /// near-hits by direct deviation measurement), the plan itself, and
 /// the round-1 dual potentials for cross-job warm starts.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedPlan {
-    matrix: CommMatrix,
+    matrix: Arc<CommMatrix>,
     order: SendOrder,
+    /// [`evaluate`]`(order, matrix)`, so a replay executes nothing: given
+    /// by the solve that produced the entry, else filled on first replay.
+    outcome: Option<Outcome>,
     /// Round-1 LAP potentials; empty when the producing algorithm has
     /// no duals to retain (non-matching schedulers).
     seed: Vec<f64>,
@@ -47,6 +75,17 @@ struct CachedPlan {
     /// instead of warm-starting a full build.
     plan: Option<Box<MatchingPlan>>,
     bucket: u64,
+}
+
+/// Everything an exact hit's reply is made of, none of it recomputed.
+#[derive(Debug, Clone)]
+pub struct Replay {
+    /// The cached plan.
+    pub order: SendOrder,
+    /// The matrix the plan was computed for (shared, not copied).
+    pub matrix: Arc<CommMatrix>,
+    /// [`evaluate`]`(order, matrix)`, as retained.
+    pub outcome: Outcome,
 }
 
 /// What a lookup found.
@@ -91,17 +130,25 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// One algorithm's entries and near-match indexes. Keying the cache by
+/// algorithm first lets every probe borrow the caller's `&str`.
+#[derive(Debug, Default)]
+struct Shelf {
+    entries: BTreeMap<u64, CachedPlan>,
+    /// `(P, bucket fingerprint)` → exact keys, newest last.
+    buckets: BTreeMap<(usize, u64), Vec<u64>>,
+    /// `P` → recent exact keys, newest last.
+    recent: BTreeMap<usize, VecDeque<u64>>,
+}
+
 /// The fingerprint-keyed plan cache. Not internally synchronized —
 /// the server wraps it in a mutex.
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
     near_tolerance: f64,
-    entries: BTreeMap<(String, u64), CachedPlan>,
-    /// `(algorithm, P, bucket fingerprint)` → exact keys, newest last.
-    buckets: BTreeMap<(String, usize, u64), Vec<u64>>,
-    /// `(algorithm, P)` → recent exact keys, newest last.
-    recent: BTreeMap<(String, usize), VecDeque<u64>>,
+    shelves: BTreeMap<String, Shelf>,
+    /// Every live entry, oldest first.
     fifo: VecDeque<(String, u64)>,
     stats: CacheStats,
 }
@@ -118,9 +165,7 @@ impl PlanCache {
         PlanCache {
             capacity,
             near_tolerance,
-            entries: BTreeMap::new(),
-            buckets: BTreeMap::new(),
-            recent: BTreeMap::new(),
+            shelves: BTreeMap::new(),
             fifo: VecDeque::new(),
             stats: CacheStats::default(),
         }
@@ -133,57 +178,91 @@ impl PlanCache {
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.fifo.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.fifo.is_empty()
     }
 
     /// Whether an exact entry exists, without touching the counters —
     /// the admission controller peeks this to substitute the replay
     /// cost for the solve estimate.
     pub fn contains(&self, algorithm: &str, fingerprint: u64) -> bool {
-        self.entries
-            .contains_key(&(algorithm.to_string(), fingerprint))
+        self.shelves
+            .get(algorithm)
+            .is_some_and(|shelf| shelf.entries.contains_key(&fingerprint))
     }
 
-    /// Exact-key probe without a matrix (the fingerprint-only wire
-    /// request). Returns the plan and the cached matrix so the caller
-    /// can evaluate completion time.
-    pub fn probe(&mut self, algorithm: &str, fingerprint: u64) -> Option<(SendOrder, CommMatrix)> {
-        let key = (algorithm.to_string(), fingerprint);
-        match self.entries.get(&key) {
-            Some(entry) => {
-                self.stats.exact_hits += 1;
-                Some((entry.order.clone(), entry.matrix.clone()))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+    /// The exact entry, counted as a hit when there is one.
+    fn hit(&mut self, algorithm: &str, fingerprint: u64) -> Option<&mut CachedPlan> {
+        let entry = self
+            .shelves
+            .get_mut(algorithm)?
+            .entries
+            .get_mut(&fingerprint)?;
+        self.stats.exact_hits += 1;
+        Some(entry)
+    }
+
+    /// Exact-key replay: the plan with its retained completion and
+    /// quality. `None` counts nothing — the caller goes on to
+    /// [`PlanCache::near`], or uses [`PlanCache::probe_replay`] when a
+    /// miss is final.
+    pub fn replay(&mut self, algorithm: &str, fingerprint: u64) -> Option<Replay> {
+        let entry = self.hit(algorithm, fingerprint)?;
+        let outcome = entry
+            .outcome
+            .get_or_insert_with(|| evaluate(&entry.order, &entry.matrix))
+            .clone();
+        Some(Replay {
+            order: entry.order.clone(),
+            matrix: Arc::clone(&entry.matrix),
+            outcome,
+        })
+    }
+
+    /// [`PlanCache::replay`] for a request that carries no matrix (the
+    /// fingerprint-only wire request), so a miss is final and counted.
+    pub fn probe_replay(&mut self, algorithm: &str, fingerprint: u64) -> Option<Replay> {
+        let replay = self.replay(algorithm, fingerprint);
+        self.stats.misses += u64::from(replay.is_none());
+        replay
+    }
+
+    /// Exact-key probe without a matrix: the plan and its completion
+    /// time on the matrix it was computed for.
+    pub fn probe(&mut self, algorithm: &str, fingerprint: u64) -> Option<(SendOrder, f64)> {
+        self.probe_replay(algorithm, fingerprint)
+            .map(|replay| (replay.order, replay.outcome.0))
     }
 
     /// Full lookup: exact replay, else confirmed near-hit, else miss.
     pub fn lookup(&mut self, algorithm: &str, matrix: &CommMatrix) -> CacheLookup {
-        let fp = matrix.fingerprint();
-        let key = (algorithm.to_string(), fp);
-        if let Some(entry) = self.entries.get(&key) {
-            self.stats.exact_hits += 1;
-            return CacheLookup::Hit(entry.order.clone());
+        match self.hit(algorithm, matrix.fingerprint()) {
+            Some(entry) => CacheLookup::Hit(entry.order.clone()),
+            None => self.near(algorithm, matrix),
         }
+    }
 
+    /// The near-match half of a lookup, for a matrix whose exact key
+    /// missed: a confirmed [`CacheLookup::Warm`] or
+    /// [`CacheLookup::Incremental`], else [`CacheLookup::Miss`].
+    pub fn near(&mut self, algorithm: &str, matrix: &CommMatrix) -> CacheLookup {
+        let Some(shelf) = self.shelves.get(algorithm) else {
+            self.stats.misses += 1;
+            return CacheLookup::Miss;
+        };
         // Nominate candidates: same-bucket entries first, then the
         // recency ring (guards against bucket-boundary flips).
         let p = matrix.len();
         let bucket = matrix.fingerprint_bucket();
         let mut candidates: Vec<u64> = Vec::new();
-        if let Some(fps) = self.buckets.get(&(algorithm.to_string(), p, bucket)) {
+        if let Some(fps) = shelf.buckets.get(&(p, bucket)) {
             candidates.extend(fps.iter().rev());
         }
-        if let Some(ring) = self.recent.get(&(algorithm.to_string(), p)) {
+        if let Some(ring) = shelf.recent.get(&p) {
             for &c in ring.iter().rev() {
                 if !candidates.contains(&c) {
                     candidates.push(c);
@@ -194,7 +273,7 @@ impl PlanCache {
         // Confirm by direct measurement; best (smallest deviation) wins.
         let mut best: Option<(f64, &CachedPlan)> = None;
         for c in candidates {
-            let Some(entry) = self.entries.get(&(algorithm.to_string(), c)) else {
+            let Some(entry) = shelf.entries.get(&c) else {
                 continue;
             };
             if entry.seed.is_empty() {
@@ -243,55 +322,85 @@ impl PlanCache {
         seed: Vec<f64>,
         plan: Option<Box<MatchingPlan>>,
     ) {
-        let fp = matrix.fingerprint();
-        let p = matrix.len();
-        let bucket = matrix.fingerprint_bucket();
-        let key = (algorithm.to_string(), fp);
-        if self.entries.contains_key(&key) {
+        self.insert_solved(
+            algorithm,
+            matrix.fingerprint(),
+            matrix,
+            order,
+            None,
+            seed,
+            plan,
+        );
+    }
+
+    /// [`PlanCache::insert`] for a caller that already holds the
+    /// matrix's `fingerprint` and, having executed `order` on `matrix`
+    /// for its own reply, the `outcome` ([`evaluate`]) to retain.
+    /// Without one the entry fills it on first replay — inserting never
+    /// executes the order.
+    #[allow(clippy::too_many_arguments)]
+    pub fn insert_solved(
+        &mut self,
+        algorithm: &str,
+        fingerprint: u64,
+        matrix: &CommMatrix,
+        order: SendOrder,
+        outcome: Option<Outcome>,
+        seed: Vec<f64>,
+        plan: Option<Box<MatchingPlan>>,
+    ) {
+        if self.contains(algorithm, fingerprint) {
             return; // Already cached; FIFO position unchanged.
         }
-        while self.entries.len() >= self.capacity {
+        while self.fifo.len() >= self.capacity {
             self.evict_oldest();
         }
-        self.entries.insert(
-            key.clone(),
+        let p = matrix.len();
+        let bucket = matrix.fingerprint_bucket();
+        let shelf = self.shelves.entry(algorithm.to_string()).or_default();
+        shelf.entries.insert(
+            fingerprint,
             CachedPlan {
-                matrix: matrix.clone(),
+                matrix: Arc::new(matrix.clone()),
                 order,
+                outcome,
                 seed,
                 plan,
                 bucket,
             },
         );
-        self.buckets
-            .entry((algorithm.to_string(), p, bucket))
+        shelf
+            .buckets
+            .entry((p, bucket))
             .or_default()
-            .push(fp);
-        let ring = self.recent.entry((algorithm.to_string(), p)).or_default();
-        ring.push_back(fp);
+            .push(fingerprint);
+        let ring = shelf.recent.entry(p).or_default();
+        ring.push_back(fingerprint);
         while ring.len() > RECENCY_RING {
             ring.pop_front();
         }
-        self.fifo.push_back(key);
+        self.fifo.push_back((algorithm.to_string(), fingerprint));
         self.stats.inserts += 1;
     }
 
     fn evict_oldest(&mut self) {
-        let Some(key) = self.fifo.pop_front() else {
+        let Some((algorithm, fp)) = self.fifo.pop_front() else {
             return;
         };
-        let Some(entry) = self.entries.remove(&key) else {
+        let Some(shelf) = self.shelves.get_mut(&algorithm) else {
+            return;
+        };
+        let Some(entry) = shelf.entries.remove(&fp) else {
             return;
         };
         let p = entry.matrix.len();
-        let (algo, fp) = key;
-        if let Some(fps) = self.buckets.get_mut(&(algo.clone(), p, entry.bucket)) {
+        if let Some(fps) = shelf.buckets.get_mut(&(p, entry.bucket)) {
             fps.retain(|&c| c != fp);
             if fps.is_empty() {
-                self.buckets.remove(&(algo.clone(), p, entry.bucket));
+                shelf.buckets.remove(&(p, entry.bucket));
             }
         }
-        if let Some(ring) = self.recent.get_mut(&(algo, p)) {
+        if let Some(ring) = shelf.recent.get_mut(&p) {
             ring.retain(|&c| c != fp);
         }
         self.stats.evictions += 1;
@@ -440,7 +549,58 @@ mod tests {
         let m = matrix(4, 0.0);
         cache.insert("matching-max", &m, order_for(4), Vec::new(), None);
         let fp = m.fingerprint();
-        assert!(cache.probe("matching-max", fp).is_some());
+        let (order, completion_ms) = cache.probe("matching-max", fp).expect("hit");
+        assert_eq!(order, order_for(4));
+        assert_eq!(completion_ms, evaluate(&order, &m).0);
         assert!(cache.probe("matching-max", fp ^ 1).is_none());
+        assert!(cache.probe("greedy", fp).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.exact_hits, stats.misses), (1, 2));
+    }
+
+    #[test]
+    fn replays_hand_back_the_retained_outcome_and_execute_nothing() {
+        let mut cache = PlanCache::new(4, 0.10);
+        let (a, b) = (matrix(5, 0.0), matrix(5, 30.0));
+        // An outcome no execution could produce: if a replay returns
+        // it, the replay executed nothing.
+        let sentinel = (
+            -1.0,
+            PlanQuality {
+                critical_path: vec![(4, 0)],
+                lb_gap_pct: -7.0,
+            },
+        );
+        cache.insert_solved(
+            "greedy",
+            a.fingerprint(),
+            &a,
+            order_for(5),
+            Some(sentinel.clone()),
+            Vec::new(),
+            None,
+        );
+        // The five-argument insert retains no outcome; the first replay
+        // fills it in by executing the order, once.
+        cache.insert("greedy", &b, order_for(5), Vec::new(), None);
+        for _ in 0..2 {
+            let replay = cache.replay("greedy", a.fingerprint()).expect("hit");
+            assert_eq!(replay.outcome, sentinel);
+            assert!(Arc::ptr_eq(
+                &replay.matrix,
+                &cache.replay("greedy", a.fingerprint()).unwrap().matrix
+            ));
+            let lazy = cache.replay("greedy", b.fingerprint()).expect("hit");
+            assert_eq!(lazy.outcome, evaluate(&order_for(5), &b));
+            assert_eq!(*lazy.matrix, b);
+        }
+        // An exact-key miss on `replay` counts nothing: the caller goes
+        // on to `near`, which counts what it finds.
+        assert!(cache.replay("greedy", 1).is_none());
+        assert!(cache.replay("openshop", a.fingerprint()).is_none());
+        assert_eq!(cache.stats().misses, 0);
+        assert!(matches!(cache.near("openshop", &a), CacheLookup::Miss));
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().exact_hits, 6);
     }
 }

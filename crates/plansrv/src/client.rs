@@ -92,28 +92,32 @@ impl PlanClient {
         Ok(proto::parse_response(&payload)?)
     }
 
-    /// The next request's root context, advancing the counter.
-    fn next_trace(&mut self, tenant: &str) -> TraceContext {
+    /// One traced plan request. Its root context derives from `(tenant,
+    /// per-connection seq)`, and a `plansrv.client` span (recorded into
+    /// the global registry, a no-op while observability is disabled)
+    /// brackets the wire roundtrip under it.
+    fn request(
+        &mut self,
+        tenant: &str,
+        algorithm: &str,
+        matrix: Option<CommMatrix>,
+        fingerprint: u64,
+        qos: QosSpec,
+    ) -> Result<PlanResponse, ClientError> {
         let ctx = TraceContext::root(tenant, self.next_seq);
         self.next_seq += 1;
-        ctx
-    }
-
-    /// One traced request: a `plansrv.client` span (recorded into the
-    /// global registry, a no-op while observability is disabled) brackets
-    /// the wire roundtrip under the request's root context.
-    fn traced_roundtrip(
-        &mut self,
-        ctx: TraceContext,
-        request: &Request,
-    ) -> Result<PlanResponse, ClientError> {
-        let obs = adaptcomm_obs::global();
-        let tenant = match request {
-            Request::Plan(p) => p.tenant.as_str(),
-            Request::Shutdown => "",
-        };
-        let _span = obs.span("plansrv.client").attr("tenant", tenant).trace(ctx);
-        self.roundtrip(request)
+        let _span = adaptcomm_obs::global()
+            .span("plansrv.client")
+            .attr("tenant", tenant)
+            .trace(ctx);
+        self.roundtrip(&Request::Plan(PlanRequest {
+            tenant: tenant.to_string(),
+            algorithm: algorithm.to_string(),
+            matrix,
+            fingerprint: Some(fingerprint),
+            qos,
+            trace: Some(ctx),
+        }))
     }
 
     /// Requests a plan for a full cost matrix.
@@ -124,18 +128,8 @@ impl PlanClient {
         matrix: &CommMatrix,
         qos: QosSpec,
     ) -> Result<PlanResponse, ClientError> {
-        let ctx = self.next_trace(tenant);
-        self.traced_roundtrip(
-            ctx,
-            &Request::Plan(PlanRequest {
-                tenant: tenant.to_string(),
-                algorithm: algorithm.to_string(),
-                matrix: Some(matrix.clone()),
-                fingerprint: Some(matrix.fingerprint()),
-                qos,
-                trace: Some(ctx),
-            }),
-        )
+        let fingerprint = matrix.fingerprint();
+        self.request(tenant, algorithm, Some(matrix.clone()), fingerprint, qos)
     }
 
     /// Fingerprint-only probe: asks whether the server can replay a
@@ -148,18 +142,7 @@ impl PlanClient {
         fingerprint: u64,
         qos: QosSpec,
     ) -> Result<PlanResponse, ClientError> {
-        let ctx = self.next_trace(tenant);
-        self.traced_roundtrip(
-            ctx,
-            &Request::Plan(PlanRequest {
-                tenant: tenant.to_string(),
-                algorithm: algorithm.to_string(),
-                matrix: None,
-                fingerprint: Some(fingerprint),
-                qos,
-                trace: Some(ctx),
-            }),
-        )
+        self.request(tenant, algorithm, None, fingerprint, qos)
     }
 
     /// Sends the shutdown control frame; the server acknowledges with

@@ -22,7 +22,9 @@
 //!   warm starts confirmed by direct deviation measurement and seeded
 //!   from retained LAP dual potentials.
 //! * [`server`] / [`client`] — the TCP service (sharded per-tenant
-//!   directory, worker pool, graceful drain) and its blocking client.
+//!   directory, exact hits replayed on the connection thread, a worker
+//!   pool for everything that must solve, graceful drain) and its
+//!   blocking client.
 //!
 //! # Example
 //!

@@ -11,11 +11,13 @@
 //!
 //! # Payload grammar
 //!
-//! The payload is a single-line JSON object, written by hand (the
-//! perfgate writer idiom: `{:?}` formatting for `f64`, which
-//! round-trips exactly) and parsed with the obs crate's
-//! recursive-descent [`adaptcomm_obs::json::Value`] parser — no serde
-//! anywhere. Requests:
+//! The payload is a single-line JSON object, streamed by hand into one
+//! pre-sized buffer (`{:?}` formatting for `f64`, which round-trips
+//! exactly) and read in one pass of the obs crate's pull reader
+//! ([`adaptcomm_obs::json::Reader`]): the two `P²`-sized fields,
+//! `matrix` and `plan.order`, go straight into flat storage and only
+//! the handful of small fields become [`adaptcomm_obs::json::Value`]s —
+//! no serde anywhere. Requests:
 //!
 //! ```json
 //! {"type":"plan","tenant":"alice","algorithm":"matching-max",
@@ -48,14 +50,15 @@
 //! ```
 //!
 //! Every decode failure is a typed [`ProtocolError`]; no input —
-//! truncated, oversized, garbage, or split at any byte — panics.
+//! truncated, oversized, garbage, nested past
+//! [`adaptcomm_obs::json::MAX_DEPTH`], or split at any byte — panics.
 
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
-use adaptcomm_obs::json::Value;
+use adaptcomm_obs::json::{write_string, Reader, Value};
 use adaptcomm_obs::trace::{id_from_hex, id_to_hex};
 use adaptcomm_obs::TraceContext;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Protocol version carried in every frame header's tag slot.
 pub const PROTO_VERSION: u64 = 1;
@@ -353,161 +356,210 @@ pub enum PlanResponse {
 }
 
 // ---------------------------------------------------------------------
-// Writers (hand-rolled, perfgate idiom).
+// Writers: every message streams into one pre-sized buffer.
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// `[a,b,…]`, each item written by `each`.
+fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        each(out, item);
     }
-    out.push('"');
-    out
+    out.push(']');
 }
 
-/// `{x:?}` round-trips every finite `f64` exactly.
-fn json_number(x: f64) -> String {
-    format!("{x:?}")
+/// `[[src,dst],…]`.
+fn push_pairs(out: &mut String, pairs: &[(usize, usize)]) {
+    push_array(out, pairs, |out, (s, d)| {
+        let _ = write!(out, "[{s},{d}]");
+    });
 }
 
-fn write_qos(qos: &QosSpec) -> String {
-    let mut parts = Vec::new();
-    if let Some(d) = qos.deadline_ms {
-        parts.push(format!("\"deadline_ms\":{}", json_number(d)));
-    }
-    parts.push(format!("\"priority\":{}", qos.priority));
-    if !qos.critical_links.is_empty() {
-        let links: Vec<String> = qos
-            .critical_links
-            .iter()
-            .map(|(s, d)| format!("[{s},{d}]"))
-            .collect();
-        parts.push(format!("\"critical\":[{}]", links.join(",")));
-    }
-    format!("{{{}}}", parts.join(","))
-}
-
-fn write_matrix(m: &CommMatrix) -> String {
-    let rows: Vec<String> = (0..m.len())
-        .map(|src| {
-            let cells: Vec<String> = m.row(src).iter().map(|&c| json_number(c)).collect();
-            format!("[{}]", cells.join(","))
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-/// Serializes a request payload (no frame header).
+/// Serializes a request payload (no frame header). Floats are written
+/// `{:?}`, which round-trips every finite `f64` exactly.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    match req {
-        Request::Shutdown => b"{\"type\":\"shutdown\"}".to_vec(),
-        Request::Plan(plan) => {
-            let mut out = String::from("{\"type\":\"plan\"");
-            out.push_str(&format!(",\"tenant\":{}", json_string(&plan.tenant)));
-            out.push_str(&format!(",\"algorithm\":{}", json_string(&plan.algorithm)));
-            if let Some(fp) = plan.fingerprint {
-                out.push_str(&format!(",\"fingerprint\":\"{fp:016x}\""));
-            }
-            if let Some(m) = &plan.matrix {
-                out.push_str(&format!(",\"matrix\":{}", write_matrix(m)));
-            }
-            out.push_str(&format!(",\"qos\":{}", write_qos(&plan.qos)));
-            if let Some(trace) = &plan.trace {
-                out.push_str(&format!(
-                    ",\"trace\":{{\"id\":\"{}\",\"span\":\"{}\"}}",
-                    id_to_hex(trace.trace_id),
-                    id_to_hex(trace.span_id)
-                ));
-            }
-            out.push('}');
-            out.into_bytes()
-        }
+    let Request::Plan(plan) = req else {
+        return b"{\"type\":\"shutdown\"}".to_vec();
+    };
+    // A `{:?}` cell runs to ~18 bytes; 20 per cell never regrows.
+    let cells = plan.matrix.as_ref().map_or(0, |m| m.len() * m.len());
+    let mut out = String::with_capacity(256 + plan.tenant.len() + 20 * cells);
+    out.push_str("{\"type\":\"plan\",\"tenant\":");
+    write_string(&mut out, &plan.tenant);
+    out.push_str(",\"algorithm\":");
+    write_string(&mut out, &plan.algorithm);
+    if let Some(fp) = plan.fingerprint {
+        let _ = write!(out, ",\"fingerprint\":\"{fp:016x}\"");
     }
+    if let Some(m) = &plan.matrix {
+        out.push_str(",\"matrix\":");
+        push_array(&mut out, 0..m.len(), |out, src| {
+            push_array(out, m.row(src), |out, cell| {
+                let _ = write!(out, "{cell:?}");
+            })
+        });
+    }
+    out.push_str(",\"qos\":{");
+    if let Some(d) = plan.qos.deadline_ms {
+        let _ = write!(out, "\"deadline_ms\":{d:?},");
+    }
+    let _ = write!(out, "\"priority\":{}", plan.qos.priority);
+    if !plan.qos.critical_links.is_empty() {
+        out.push_str(",\"critical\":");
+        push_pairs(&mut out, &plan.qos.critical_links);
+    }
+    out.push('}');
+    if let Some(trace) = &plan.trace {
+        let _ = write!(
+            out,
+            ",\"trace\":{{\"id\":\"{}\",\"span\":\"{}\"}}",
+            id_to_hex(trace.trace_id),
+            id_to_hex(trace.span_id)
+        );
+    }
+    out.push('}');
+    out.into_bytes()
 }
 
 /// Serializes a response payload (no frame header).
 pub fn encode_response(resp: &PlanResponse) -> Vec<u8> {
+    let mut out = String::new();
     match resp {
-        PlanResponse::Bye => b"{\"type\":\"bye\"}".to_vec(),
-        PlanResponse::NeedMatrix => b"{\"type\":\"plan\",\"status\":\"need-matrix\"}".to_vec(),
+        PlanResponse::Bye => out.push_str("{\"type\":\"bye\""),
+        PlanResponse::NeedMatrix => out.push_str("{\"type\":\"plan\",\"status\":\"need-matrix\""),
         PlanResponse::Rejected {
             retry_after_ms,
             detail,
-        } => format!(
-            "{{\"type\":\"plan\",\"status\":\"rejected\",\"retry_after_ms\":{},\"detail\":{}}}",
-            json_number(*retry_after_ms),
-            json_string(detail)
-        )
-        .into_bytes(),
-        PlanResponse::Error { detail } => format!(
-            "{{\"type\":\"plan\",\"status\":\"error\",\"detail\":{}}}",
-            json_string(detail)
-        )
-        .into_bytes(),
+        } => {
+            let _ = write!(
+                out,
+                "{{\"type\":\"plan\",\"status\":\"rejected\",\
+                 \"retry_after_ms\":{retry_after_ms:?},\"detail\":"
+            );
+            write_string(&mut out, detail);
+        }
+        PlanResponse::Error { detail } => {
+            out.push_str("{\"type\":\"plan\",\"status\":\"error\",\"detail\":");
+            write_string(&mut out, detail);
+        }
         PlanResponse::Ok(ok) => {
-            let rows: Vec<String> = ok
-                .order
-                .order
-                .iter()
-                .map(|dsts| {
-                    let cells: Vec<String> = dsts.iter().map(|d| d.to_string()).collect();
-                    format!("[{}]", cells.join(","))
-                })
-                .collect();
-            let trace_echo = ok
-                .trace_id
-                .map(|id| format!(",\"trace_id\":\"{}\"", id_to_hex(id)))
-                .unwrap_or_default();
-            let quality = ok
-                .quality
-                .as_ref()
-                .map(|q| {
-                    let hops: Vec<String> = q
-                        .critical_path
-                        .iter()
-                        .map(|(s, d)| format!("[{s},{d}]"))
-                        .collect();
-                    format!(
-                        ",\"quality\":{{\"lb_gap_pct\":{},\"critical_path\":[{}]}}",
-                        json_number(q.lb_gap_pct),
-                        hops.join(",")
-                    )
-                })
-                .unwrap_or_default();
-            format!(
+            // An index plus its comma: the digits of P, plus one.
+            let p = ok.order.processors();
+            out.reserve(512 + p * p * (p.max(1).ilog10() as usize + 2));
+            let _ = write!(
+                out,
                 "{{\"type\":\"plan\",\"status\":\"ok\",\"cache\":\"{}\",\"epoch\":{},\
-                 \"served_seq\":{},\"plan\":{{\"order\":[{}],\"completion_ms\":{}}},\
-                 \"stats\":{{\"round1_warm\":{},\"round1_col_scans\":{},\
-                 \"total_col_scans\":{},\"service_ms\":{}}}{quality}{trace_echo}}}",
+                 \"served_seq\":{},\"plan\":{{\"order\":",
                 ok.cache.as_str(),
                 ok.epoch,
                 ok.served_seq,
-                rows.join(","),
-                json_number(ok.completion_ms),
+            );
+            push_array(&mut out, &ok.order.order, |out, dsts| {
+                push_array(out, dsts, |out, d| {
+                    let _ = write!(out, "{d}");
+                })
+            });
+            let _ = write!(
+                out,
+                ",\"completion_ms\":{:?}}},\"stats\":{{\"round1_warm\":{},\
+                 \"round1_col_scans\":{},\"total_col_scans\":{},\"service_ms\":{:?}}}",
+                ok.completion_ms,
                 ok.stats.round1_warm,
                 ok.stats.round1_col_scans,
                 ok.stats.total_col_scans,
-                json_number(ok.stats.service_ms),
-            )
-            .into_bytes()
+                ok.stats.service_ms,
+            );
+            if let Some(q) = &ok.quality {
+                let _ = write!(
+                    out,
+                    ",\"quality\":{{\"lb_gap_pct\":{:?},\"critical_path\":",
+                    q.lb_gap_pct
+                );
+                push_pairs(&mut out, &q.critical_path);
+                out.push('}');
+            }
+            if let Some(id) = ok.trace_id {
+                let _ = write!(out, ",\"trace_id\":\"{}\"", id_to_hex(id));
+            }
         }
     }
+    out.push('}');
+    out.into_bytes()
 }
 
 // ---------------------------------------------------------------------
-// Parsers (obs `json::Value` recursive descent underneath).
+// Readers. One pass of the obs pull reader over the payload: the two
+// P²-sized fields (`matrix`, `plan.order`) go straight into flat
+// storage, every other field becomes a small `json::Value`.
 
-fn parse_value(payload: &[u8]) -> Result<Value, ProtocolError> {
+/// A big field as read: `None` when absent, `Some(Err)` when present
+/// but the wrong shape — raised only if the message turns out to need
+/// the field, as a lookup in a parsed tree would.
+type Big<T> = Option<Result<T, ProtocolError>>;
+
+/// Reads the document at `r`. For each member of a top-level object
+/// `big` may read the value itself and return what stands in for it;
+/// everything else is read as a tree.
+fn read_object<'a>(
+    r: &mut Reader<'a>,
+    mut big: impl FnMut(&str, &mut Reader<'a>) -> Result<Option<Value>, String>,
+) -> Result<Value, String> {
+    if r.peek() != Some(b'{') {
+        return r.value();
+    }
+    let mut pairs = Vec::new();
+    let mut more = r.begin(b'{')?;
+    while more {
+        let key = r.key()?;
+        let value = match big(&key, r)? {
+            Some(stand_in) => stand_in,
+            None => r.value()?,
+        };
+        pairs.push((key.into_owned(), value));
+        more = r.next(b'}')?;
+    }
+    Ok(Value::Obj(pairs))
+}
+
+/// Reads a whole payload with [`read_object`].
+fn read_document<'a>(
+    payload: &'a [u8],
+    big: impl FnMut(&str, &mut Reader<'a>) -> Result<Option<Value>, String>,
+) -> Result<Value, ProtocolError> {
     let text = std::str::from_utf8(payload).map_err(|e| malformed(format!("not UTF-8: {e}")))?;
-    Value::parse(text).map_err(malformed)
+    let mut r = Reader::new(text);
+    let v = read_object(&mut r, big).map_err(malformed)?;
+    r.end().map_err(malformed)?;
+    Ok(v)
+}
+
+/// Reads a big field with `read` into `slot`, first occurrence only
+/// (a tree lookup finds the first of duplicate keys). A value `read`
+/// rejects is re-read as a tree, so a syntax error still fails the
+/// whole payload and a shape error waits in the slot.
+fn read_big<'a, T>(
+    r: &mut Reader<'a>,
+    slot: &mut Big<T>,
+    read: fn(&mut Reader<'a>) -> Result<T, ProtocolError>,
+) -> Result<Option<Value>, String> {
+    if slot.is_some() {
+        return Ok(None);
+    }
+    let mut fast = *r;
+    let read = read(&mut fast);
+    if read.is_ok() {
+        *r = fast;
+    } else {
+        r.value()?;
+    }
+    *slot = Some(read);
+    Ok(Some(Value::Null))
 }
 
 fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, ProtocolError> {
@@ -522,10 +574,7 @@ fn num_field(v: &Value, key: &str) -> Result<f64, ProtocolError> {
         .ok_or_else(|| malformed(format!("missing numeric field {key:?}")))
 }
 
-fn index_field(v: &Value, what: &str) -> Result<usize, ProtocolError> {
-    let x = v
-        .as_f64()
-        .ok_or_else(|| malformed(format!("{what} must be a number")))?;
+fn index_of(x: f64, what: &str) -> Result<usize, ProtocolError> {
     if x.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&x) {
         return Err(malformed(format!(
             "{what} must be a small non-negative integer, got {x}"
@@ -534,40 +583,54 @@ fn index_field(v: &Value, what: &str) -> Result<usize, ProtocolError> {
     Ok(x as usize)
 }
 
-fn parse_matrix(v: &Value) -> Result<CommMatrix, ProtocolError> {
-    let rows = v
-        .as_arr()
-        .ok_or_else(|| malformed("matrix must be an array of rows"))?;
-    let p = rows.len();
-    if p == 0 {
-        return Err(malformed("matrix must have at least one row"));
-    }
-    let mut out: Vec<Vec<f64>> = Vec::with_capacity(p);
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| malformed(format!("matrix row {i} must be an array")))?;
-        if cells.len() != p {
-            return Err(malformed(format!(
-                "matrix row {i} has {} cells, expected {p}",
-                cells.len()
-            )));
-        }
-        let mut parsed = Vec::with_capacity(p);
-        for (j, cell) in cells.iter().enumerate() {
-            let x = cell
-                .as_f64()
-                .ok_or_else(|| malformed(format!("matrix cell ({i},{j}) must be a number")))?;
+fn index_field(v: &Value, what: &str) -> Result<usize, ProtocolError> {
+    let x = v
+        .as_f64()
+        .ok_or_else(|| malformed(format!("{what} must be a number")))?;
+    index_of(x, what)
+}
+
+fn read_matrix(r: &mut Reader<'_>) -> Result<CommMatrix, ProtocolError> {
+    let mut cells = Vec::new();
+    let (mut rows, mut width) = (0, 0);
+    let mut more = r
+        .begin(b'[')
+        .map_err(|_| malformed("matrix must be an array of rows"))?;
+    while more {
+        let mut more_cells = r
+            .begin(b'[')
+            .map_err(|_| malformed(format!("matrix row {rows} must be an array")))?;
+        while more_cells {
+            let x = r
+                .number()
+                .map_err(|_| malformed(format!("matrix row {rows} must hold numbers")))?;
             if !x.is_finite() || x < 0.0 {
                 return Err(malformed(format!(
-                    "matrix cell ({i},{j}) must be finite and non-negative, got {x}"
+                    "matrix row {rows} must be finite and non-negative, got {x}"
                 )));
             }
-            parsed.push(x);
+            cells.push(x);
+            more_cells = r.next(b']').map_err(malformed)?;
         }
-        out.push(parsed);
+        // Row 0 fixes the width; a square matrix has that many rows.
+        if rows == 0 {
+            width = cells.len();
+        }
+        rows += 1;
+        if cells.len() != rows * width {
+            return Err(malformed(format!(
+                "matrix row {} is not {width} cells wide",
+                rows - 1
+            )));
+        }
+        more = r.next(b']').map_err(malformed)?;
     }
-    Ok(CommMatrix::from_rows(&out))
+    if rows == 0 || rows != width {
+        return Err(malformed(format!(
+            "matrix must be square and non-empty, got {rows} rows of {width} cells"
+        )));
+    }
+    Ok(CommMatrix::from_flat(rows, cells))
 }
 
 fn parse_qos(v: &Value) -> Result<QosSpec, ProtocolError> {
@@ -591,23 +654,21 @@ fn parse_qos(v: &Value) -> Result<QosSpec, ProtocolError> {
         qos.priority = p as u8;
     }
     if let Some(links) = v.get("critical") {
-        let links = links
-            .as_arr()
-            .ok_or_else(|| malformed("critical must be an array of [src,dst] pairs"))?;
-        for link in links {
-            let pair = link
-                .as_arr()
-                .ok_or_else(|| malformed("critical entries must be [src,dst] pairs"))?;
-            if pair.len() != 2 {
-                return Err(malformed("critical entries must have exactly two elements"));
-            }
-            qos.critical_links.push((
-                index_field(&pair[0], "critical src")?,
-                index_field(&pair[1], "critical dst")?,
-            ));
-        }
+        qos.critical_links = parse_pairs(links, "critical")?;
     }
     Ok(qos)
+}
+
+/// `[[src,dst],…]` out of a tree.
+fn parse_pairs(v: &Value, what: &str) -> Result<Vec<(usize, usize)>, ProtocolError> {
+    v.as_arr()
+        .ok_or_else(|| malformed(format!("{what} must be an array of [src,dst] pairs")))?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([s, d]) => Ok((index_field(s, what)?, index_field(d, what)?)),
+            _ => Err(malformed(format!("{what} entries must be [src,dst] pairs"))),
+        })
+        .collect()
 }
 
 fn parse_fingerprint(s: &str) -> Result<u64, ProtocolError> {
@@ -635,7 +696,11 @@ fn parse_trace(v: &Value) -> Result<Option<TraceContext>, ProtocolError> {
 
 /// Parses a request payload.
 pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let v = parse_value(payload)?;
+    let mut matrix: Big<CommMatrix> = None;
+    let v = read_document(payload, |key, r| match key {
+        "matrix" => read_big(r, &mut matrix, read_matrix),
+        _ => Ok(None),
+    })?;
     match str_field(&v, "type")? {
         "shutdown" => Ok(Request::Shutdown),
         "plan" => {
@@ -652,7 +717,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
                     })?)?)
                 }
             };
-            let matrix = v.get("matrix").map(parse_matrix).transpose()?;
+            let matrix = matrix.transpose()?;
             if matrix.is_none() && fingerprint.is_none() {
                 return Err(malformed("a plan request needs a matrix or a fingerprint"));
             }
@@ -673,43 +738,65 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
     }
 }
 
-fn parse_order(v: &Value) -> Result<SendOrder, ProtocolError> {
-    let rows = v
-        .as_arr()
-        .ok_or_else(|| malformed("plan order must be an array"))?;
-    let p = rows.len();
-    let mut order = Vec::with_capacity(p);
-    for (src, row) in rows.iter().enumerate() {
-        let dsts = row
-            .as_arr()
-            .ok_or_else(|| malformed(format!("order row {src} must be an array")))?;
-        let mut list = Vec::with_capacity(dsts.len());
-        let mut seen = vec![false; p];
-        for d in dsts {
-            let d = index_field(d, "order destination")?;
-            if d >= p || d == src || seen[d] {
-                return Err(malformed(format!(
-                    "order row {src} is not a permutation of the other processors"
-                )));
-            }
-            seen[d] = true;
-            list.push(d);
+fn read_order(r: &mut Reader<'_>) -> Result<SendOrder, ProtocolError> {
+    let mut order: Vec<Vec<usize>> = Vec::new();
+    let mut more = r
+        .begin(b'[')
+        .map_err(|_| malformed("plan order must be an array"))?;
+    while more {
+        let src = order.len();
+        // Rows are all as long as the first (checked below), so sizing
+        // by it allocates no more than the payload already justified.
+        let width = order.first().map(Vec::len);
+        let mut list = Vec::with_capacity(width.unwrap_or(0));
+        let mut more_dsts = r
+            .begin(b'[')
+            .map_err(|_| malformed(format!("order row {src} must be an array")))?;
+        while more_dsts {
+            let d = r
+                .number()
+                .map_err(|_| malformed("order destination must be a number"))?;
+            list.push(index_of(d, "order destination")?);
+            more_dsts = r.next(b']').map_err(malformed)?;
         }
-        if list.len() != p.saturating_sub(1) {
+        if width.is_some_and(|w| w != list.len()) {
             return Err(malformed(format!(
-                "order row {src} has {} destinations, expected {}",
-                list.len(),
-                p.saturating_sub(1)
+                "order row {src} is not as long as row 0"
             )));
         }
         order.push(list);
+        more = r.next(b']').map_err(malformed)?;
     }
-    Ok(SendOrder::new(order))
+    let p = order.len();
+    // `seen[d] == src` marks `d` taken in row `src`: no clearing per row.
+    let mut seen = vec![usize::MAX; p];
+    for (src, list) in order.iter().enumerate() {
+        let distinct = list
+            .iter()
+            .all(|&d| d < p && d != src && std::mem::replace(&mut seen[d], src) != src);
+        if !distinct || list.len() != p - 1 {
+            return Err(malformed(format!(
+                "order row {src} is not a permutation of the other processors"
+            )));
+        }
+    }
+    Ok(SendOrder { order })
 }
 
 /// Parses a response payload.
 pub fn parse_response(payload: &[u8]) -> Result<PlanResponse, ProtocolError> {
-    let v = parse_value(payload)?;
+    let (mut order, mut plan_seen): (Big<SendOrder>, bool) = (None, false);
+    let v = read_document(payload, |key, r| {
+        // Only the first `plan` member counts, as in a tree lookup.
+        if key != "plan" || std::mem::replace(&mut plan_seen, true) {
+            return Ok(None);
+        }
+        read_object(r, |key, r| match key {
+            "order" => read_big(r, &mut order, read_order),
+            _ => Ok(None),
+        })
+        .map(Some)
+    })?;
     match str_field(&v, "type")? {
         "bye" => Ok(PlanResponse::Bye),
         "plan" => match str_field(&v, "status")? {
@@ -729,10 +816,7 @@ pub fn parse_response(payload: &[u8]) -> Result<PlanResponse, ProtocolError> {
                     .get("stats")
                     .ok_or_else(|| malformed("missing stats object"))?;
                 Ok(PlanResponse::Ok(Box::new(PlanOk {
-                    order: parse_order(
-                        plan.get("order")
-                            .ok_or_else(|| malformed("missing plan.order"))?,
-                    )?,
+                    order: order.ok_or_else(|| malformed("missing plan.order"))??,
                     completion_ms: num_field(plan, "completion_ms")?,
                     cache: CacheDisposition::parse(str_field(&v, "cache")?)?,
                     epoch: num_field(&v, "epoch")? as u64,
@@ -753,28 +837,14 @@ pub fn parse_response(payload: &[u8]) -> Result<PlanResponse, ProtocolError> {
                     },
                     quality: match v.get("quality") {
                         None => None,
-                        Some(q) => {
-                            let hops = q
-                                .get("critical_path")
-                                .and_then(Value::as_arr)
-                                .ok_or_else(|| malformed("quality.critical_path must be an array"))?
-                                .iter()
-                                .map(|hop| {
-                                    let pair =
-                                        hop.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
-                                            malformed("critical-path hops must be [src,dst] pairs")
-                                        })?;
-                                    Ok((
-                                        index_field(&pair[0], "critical-path src")?,
-                                        index_field(&pair[1], "critical-path dst")?,
-                                    ))
-                                })
-                                .collect::<Result<Vec<(usize, usize)>, ProtocolError>>()?;
-                            Some(PlanQuality {
-                                critical_path: hops,
-                                lb_gap_pct: num_field(q, "lb_gap_pct")?,
-                            })
-                        }
+                        Some(q) => Some(PlanQuality {
+                            critical_path: parse_pairs(
+                                q.get("critical_path")
+                                    .ok_or_else(|| malformed("missing quality.critical_path"))?,
+                                "quality.critical_path",
+                            )?,
+                            lb_gap_pct: num_field(q, "lb_gap_pct")?,
+                        }),
                     },
                 })))
             }
@@ -975,6 +1045,30 @@ mod tests {
         assert!(matches!(
             reader.finish(),
             Err(ProtocolError::Truncated { have: 10, need: 16 })
+        ));
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        // 200 KB of `[` — far under MAX_FRAME — used to recurse once per
+        // byte and overflow the connection thread's stack, aborting the
+        // whole server. Run on a thread of that default size.
+        let verdict = std::thread::spawn(|| {
+            let frame = vec![b'['; 200_000];
+            (parse_request(&frame), parse_response(&frame))
+        })
+        .join()
+        .expect("the parser must not take its thread down");
+        assert!(matches!(verdict.0, Err(ProtocolError::Malformed { .. })));
+        assert!(matches!(verdict.1, Err(ProtocolError::Malformed { .. })));
+        // The same depth inside a field the tree-free readers walk.
+        let deep = format!(
+            r#"{{"type":"plan","tenant":"t","algorithm":"a","matrix":{}}}"#,
+            "[".repeat(200_000)
+        );
+        assert!(matches!(
+            parse_request(deep.as_bytes()),
+            Err(ProtocolError::Malformed { .. })
         ));
     }
 

@@ -3,8 +3,11 @@
 //!
 //! One accept thread hands connections to per-connection handler
 //! threads; handlers parse frames with the property-tested
-//! [`crate::proto::FrameReader`], run admission, and block on a reply
-//! channel while a worker-pool thread computes (or replays) the plan.
+//! [`crate::proto::FrameReader`] and run admission. A request whose
+//! reply the cache already determines — exact key present, no critical
+//! links to pin — is answered right there, under the one cache lock
+//! that found the entry; everything else queues, and the handler blocks
+//! on a reply channel while a worker-pool thread solves.
 //! Shutdown is graceful by construction: the control frame stops the
 //! accept loop, handlers drain their in-flight requests against a
 //! still-running worker pool, and only then does the queue close and
@@ -12,15 +15,13 @@
 //! this ordering).
 
 use crate::admission::{AdmissionError, AdmissionQueue};
-use crate::cache::{CacheLookup, PlanCache};
+use crate::cache::{evaluate, CacheLookup, PlanCache, Replay};
 use crate::proto::{
-    self, CacheDisposition, PlanOk, PlanQuality, PlanRequest, PlanResponse, PlanStats,
-    ProtocolError, Request,
+    self, CacheDisposition, PlanOk, PlanRequest, PlanResponse, PlanStats, ProtocolError, Request,
 };
 use adaptcomm_core::algorithms::{
     all_schedulers, MatchingKind, MatchingPlan, MatchingScheduler, Scheduler,
 };
-use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_directory::ShardedDirectory;
@@ -32,7 +33,7 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,6 +67,33 @@ fn tenant_metric(tenant: &str, aspect: &str) -> String {
         "plansrv.tenant.{}.{aspect}",
         adaptcomm_obs::prom_name(tenant)
     )
+}
+
+/// Bumps a per-tenant counter. The key is formatted only while the
+/// registry records, so with observability off a request builds no
+/// metric names at all.
+fn tenant_add(tenant: &str, aspect: &str) {
+    let obs = adaptcomm_obs::global();
+    if obs.is_enabled() {
+        obs.add(&tenant_metric(tenant, aspect), 1);
+    }
+}
+
+/// `span` placed in the request's trace tree, when the request has one.
+fn traced(span: adaptcomm_obs::Span, ctx: Option<TraceContext>) -> adaptcomm_obs::Span {
+    match ctx {
+        Some(ctx) => span.trace(ctx),
+        None => span,
+    }
+}
+
+/// Whether `name` is a built-in scheduler, against a name list built
+/// once instead of five boxed schedulers per request.
+fn known_algorithm(name: &str) -> bool {
+    static NAMES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    NAMES
+        .get_or_init(|| all_schedulers().iter().map(|s| s.name()).collect())
+        .contains(&name)
 }
 
 /// Tuning knobs for [`PlanServer`].
@@ -105,41 +133,18 @@ impl Default for PlanServerConfig {
     }
 }
 
-/// What admission resolved a request into before queueing.
-enum Work {
-    /// Exact cache hit (possibly via fingerprint-only probe): replay.
-    Replay {
-        order: SendOrder,
-        matrix: CommMatrix,
-    },
-    /// Run the scheduler (the cache may still warm-start it).
-    Solve { matrix: CommMatrix },
-}
-
 struct Job {
     request: PlanRequest,
-    work: Work,
-    reply: mpsc::Sender<WorkerReply>,
-    /// When admission queued the job — the deadline verdict measures
-    /// queue wait plus service, which is what the client experiences.
-    submitted: Instant,
-}
-
-struct WorkerReply {
-    outcome: Result<ComputedPlan, String>,
-    served_seq: u64,
-    service_ms: f64,
-}
-
-struct ComputedPlan {
-    order: SendOrder,
-    completion_ms: f64,
-    quality: PlanQuality,
-    cache: CacheDisposition,
-    epoch: u64,
-    round1_warm: bool,
-    round1_col_scans: u64,
-    total_col_scans: u64,
+    /// The request's one fingerprint (see [`PlanService::admit`]).
+    fingerprint: u64,
+    /// Set for a fingerprint-only probe that hit but pins critical
+    /// links: the worker pins the cached plan and re-executes it on its
+    /// own matrix. Otherwise the worker looks the request's matrix up.
+    replay: Option<Replay>,
+    reply: mpsc::Sender<PlanResponse>,
+    /// When the request arrived — the deadline verdict measures queue
+    /// wait plus service, which is what the client experiences.
+    arrived: Instant,
 }
 
 /// The shared service state behind the listener: sharded directory,
@@ -201,99 +206,96 @@ impl PlanService {
     }
 
     /// Admission: resolve the request into work, estimate it, and
-    /// queue it (or answer immediately when no queueing is needed).
-    /// On `Ok`, the response arrives later on `reply`'s receiver.
-    fn admit(
-        &self,
-        request: PlanRequest,
-        reply: mpsc::Sender<WorkerReply>,
-    ) -> Result<(), PlanResponse> {
-        if !all_schedulers()
-            .iter()
-            .any(|s| s.name() == request.algorithm)
-        {
+    /// queue it — or answer immediately (`Err`) when no queueing is
+    /// needed, which includes every exact hit without critical links.
+    /// On `Ok`, a worker sends the response to the returned receiver.
+    fn admit(&self, request: PlanRequest) -> Result<mpsc::Receiver<PlanResponse>, PlanResponse> {
+        let arrived = Instant::now();
+        if !known_algorithm(&request.algorithm) {
             return Err(PlanResponse::Error {
                 detail: format!("unknown algorithm {:?}", request.algorithm),
             });
         }
         let obs = adaptcomm_obs::global();
-        obs.add(&tenant_metric(&request.tenant, "requests"), 1);
-        let _admission_span = {
-            let mut s = obs
-                .span("plansrv.admission")
+        tenant_add(&request.tenant, "requests");
+        let _admission_span = traced(
+            obs.span("plansrv.admission")
                 .attr("tenant", request.tenant.as_str())
-                .attr("algorithm", request.algorithm.as_str());
-            if let Some(ctx) = request.trace {
-                s = s.trace(ctx.child(SLOT_ADMISSION));
-            }
-            s
-        };
+                .attr("algorithm", request.algorithm.as_str()),
+            request.trace.map(|t| t.child(SLOT_ADMISSION)),
+        );
 
-        // Resolve into replay-vs-solve and estimate the service time.
-        let (work, est_ms) = match (&request.matrix, request.fingerprint) {
-            (Some(matrix), _) => {
-                let fp = matrix.fingerprint();
-                let would_hit = self
-                    .cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .contains(&request.algorithm, fp);
-                let est = if would_hit {
-                    REPLAY_EST_MS
-                } else {
-                    self.solve_estimate(&request.algorithm, matrix.len())
-                };
-                (
-                    Work::Solve {
-                        matrix: matrix.clone(),
-                    },
-                    est,
-                )
-            }
-            (None, Some(fp)) => {
-                let probe = self
-                    .cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .probe(&request.algorithm, fp);
-                match probe {
-                    Some((order, matrix)) => (Work::Replay { order, matrix }, REPLAY_EST_MS),
-                    None => return Err(PlanResponse::NeedMatrix),
-                }
-            }
+        // The request's one fingerprint, threaded through admission,
+        // lookup, insert and the tenant epoch. It comes from the cells
+        // whenever there are cells: a client's `fingerprint` field is
+        // only ever believed for a matrix-free probe.
+        let fingerprint = match (&request.matrix, request.fingerprint) {
+            (Some(matrix), _) => matrix.fingerprint(),
+            (None, Some(fp)) => fp,
             (None, None) => {
                 return Err(PlanResponse::Error {
                     detail: "a plan request needs a matrix or a fingerprint".into(),
                 })
             }
         };
+        let pinned = !request.qos.critical_links.is_empty();
 
-        let qos = &request.qos;
+        // Decide replay-vs-solve and, for an exact hit, take the whole
+        // reply out of the cache, under one lock: nothing can evict the
+        // entry between the decision and the replay.
+        let (replay, would_hit) = {
+            let mut cache = self.cache.lock().expect("cache poisoned");
+            match &request.matrix {
+                // The worker pins on the request's own matrix; only the
+                // estimate needs to know whether it will replay.
+                Some(_) if pinned => (None, cache.contains(&request.algorithm, fingerprint)),
+                Some(_) => (cache.replay(&request.algorithm, fingerprint), false),
+                None => match cache.probe_replay(&request.algorithm, fingerprint) {
+                    Some(replay) => (Some(replay), true),
+                    None => return Err(PlanResponse::NeedMatrix),
+                },
+            }
+        };
+        let replay = match replay {
+            Some(replay) if !pinned => {
+                return Err(self.replay_inline(&request, fingerprint, replay, arrived))
+            }
+            other => other,
+        };
+        let est_ms = match &request.matrix {
+            Some(matrix) if !would_hit => self.solve_estimate(&request.algorithm, matrix.len()),
+            _ => REPLAY_EST_MS,
+        };
+
+        let (priority, deadline_ms) = (request.qos.priority, request.qos.deadline_ms);
+        let tenant = request.tenant.clone();
+        let (reply, receiver) = mpsc::channel();
         let submitted = self.queue.submit(
-            qos.priority,
-            qos.deadline_ms,
+            priority,
+            deadline_ms,
             est_ms,
             Job {
-                request: request.clone(),
-                work,
+                request,
+                fingerprint,
+                replay,
                 reply,
-                submitted: Instant::now(),
+                arrived,
             },
         );
         match submitted {
             Ok(_seq) => {
                 self.reject_streak.store(0, Ordering::Relaxed);
                 obs.gauge_set("plansrv.queue_depth", self.queue.depth() as f64);
-                Ok(())
+                Ok(receiver)
             }
             Err(AdmissionError::Rejected {
                 retry_after_ms,
                 projected_ms,
             }) => {
-                obs.add(&tenant_metric(&request.tenant, "rejected"), 1);
+                tenant_add(&tenant, "rejected");
                 adaptcomm_obs::flight()
                     .note("plansrv.reject")
-                    .attr("tenant", request.tenant.as_str())
+                    .attr("tenant", tenant.as_str())
                     .attr("projected_ms", projected_ms)
                     .attr("retry_after_ms", retry_after_ms)
                     .emit();
@@ -308,7 +310,7 @@ impl PlanService {
                     retry_after_ms,
                     detail: format!(
                         "projected completion {projected_ms:.3} ms blows the {:.3} ms deadline",
-                        qos.deadline_ms.unwrap_or(f64::INFINITY)
+                        deadline_ms.unwrap_or(f64::INFINITY)
                     ),
                 })
             }
@@ -318,22 +320,81 @@ impl PlanService {
         }
     }
 
+    /// Answers an exact hit on the connection thread: no job, no
+    /// channel, no worker wake-up. It bypasses the EDF queue — a replay
+    /// is never rejected on deadline and never waits behind a solve —
+    /// but draws `served_seq` from the same counter and leaves the same
+    /// counters, latency observation and deadline verdict a worker
+    /// would.
+    fn replay_inline(
+        &self,
+        request: &PlanRequest,
+        fingerprint: u64,
+        replay: Replay,
+        arrived: Instant,
+    ) -> PlanResponse {
+        self.reject_streak.store(0, Ordering::Relaxed);
+        tenant_add(&request.tenant, "cache_hit");
+        let epoch = self.tenant_epoch(&request.tenant, fingerprint, &replay.matrix);
+        let served_seq = self.queue.serve_inline();
+        let service_ms = arrived.elapsed().as_secs_f64() * 1e3;
+        self.account(request, service_ms, service_ms);
+        let (completion_ms, quality) = replay.outcome;
+        PlanResponse::Ok(Box::new(PlanOk {
+            order: replay.order,
+            completion_ms,
+            quality: Some(quality),
+            cache: CacheDisposition::Hit,
+            epoch,
+            served_seq,
+            trace_id: request.trace.map(|t| t.trace_id),
+            stats: PlanStats {
+                service_ms,
+                ..PlanStats::default()
+            },
+        }))
+    }
+
+    /// The per-tenant record of one served request: service latency,
+    /// and the deadline verdict on `total_ms` — queue wait plus service,
+    /// what the client experiences, not service time alone.
+    fn account(&self, request: &PlanRequest, service_ms: f64, total_ms: f64) {
+        let obs = adaptcomm_obs::global();
+        if !obs.is_enabled() {
+            return;
+        }
+        obs.observe(
+            &tenant_metric(&request.tenant, "latency_ms"),
+            adaptcomm_obs::MS_BUCKETS,
+            service_ms,
+        );
+        if let Some(deadline) = request.qos.deadline_ms {
+            let aspect = if total_ms <= deadline {
+                "deadline_hit"
+            } else {
+                "deadline_miss"
+            };
+            tenant_add(&request.tenant, aspect);
+        }
+    }
+
     /// Publishes the tenant's matrix into its directory shard when the
     /// fingerprint changed; returns the tenant's snapshot epoch.
-    fn tenant_epoch(&self, tenant: &str, matrix: &CommMatrix) -> u64 {
-        let fp = matrix.fingerprint();
-        let dir = self
-            .directory
-            .tenant_or_create(tenant, || net_params_from(matrix));
+    fn tenant_epoch(&self, tenant: &str, fingerprint: u64, matrix: &CommMatrix) -> u64 {
         let mut fps = self.tenant_fp.lock().expect("tenant fingerprints poisoned");
-        match fps.get(tenant) {
-            Some(&prev) if prev == fp => {}
-            Some(_) => {
-                dir.publish(net_params_from(matrix));
-                fps.insert(tenant.to_string(), fp);
+        let create = || {
+            self.directory
+                .tenant_or_create(tenant, || net_params_from(matrix))
+        };
+        match fps.get_mut(tenant) {
+            Some(prev) if *prev == fingerprint => {}
+            Some(prev) => {
+                *prev = fingerprint;
+                create().publish(net_params_from(matrix));
             }
             None => {
-                fps.insert(tenant.to_string(), fp);
+                fps.insert(tenant.to_string(), fingerprint);
+                create();
             }
         }
         drop(fps);
@@ -342,54 +403,51 @@ impl PlanService {
 
     /// Executes one claimed job on a worker thread. `ctx` is the
     /// worker's trace context (the request root's [`SLOT_WORKER`]
-    /// child); cache lookups and solves record as its children.
-    fn compute(
-        &self,
-        request: &PlanRequest,
-        work: &Work,
-        ctx: Option<TraceContext>,
-    ) -> Result<ComputedPlan, String> {
+    /// child); cache lookups and solves record as its children. The
+    /// answer's `served_seq` and `service_ms` are the worker loop's to
+    /// stamp once the job completes.
+    fn compute(&self, job: &Job, ctx: Option<TraceContext>) -> Result<Box<PlanOk>, String> {
         let obs = adaptcomm_obs::global();
-        let (matrix, order, cache, round1_warm, round1_col_scans, total_col_scans) = match work {
-            Work::Replay { order, matrix } => {
-                obs.add(&tenant_metric(&request.tenant, "cache_hit"), 1);
-                (matrix, order.clone(), CacheDisposition::Hit, false, 0, 0)
-            }
-            Work::Solve { matrix } => {
+        let request = &job.request;
+        let hit = |replay: &Replay| {
+            tenant_add(&request.tenant, "cache_hit");
+            let stats = PlanStats::default();
+            (
+                replay.order.clone(),
+                replay.outcome.clone(),
+                CacheDisposition::Hit,
+                stats,
+            )
+        };
+        let (matrix, (order, outcome, cache, stats)) = match (&job.replay, &request.matrix) {
+            (Some(replay), _) => (&*replay.matrix, hit(replay)),
+            (None, None) => return Err("queued with nothing to replay or solve".into()),
+            (None, Some(matrix)) => {
                 let lookup = {
-                    let mut s = obs
-                        .span("plansrv.cache_lookup")
-                        .attr("algorithm", request.algorithm.as_str());
-                    if let Some(c) = ctx {
-                        s = s.trace(c.child(SLOT_CACHE));
-                    }
-                    let _guard = s;
-                    self.cache
-                        .lock()
-                        .expect("cache poisoned")
-                        .lookup(&request.algorithm, matrix)
+                    let _span = traced(
+                        obs.span("plansrv.cache_lookup")
+                            .attr("algorithm", request.algorithm.as_str()),
+                        ctx.map(|c| c.child(SLOT_CACHE)),
+                    );
+                    let mut cache = self.cache.lock().expect("cache poisoned");
+                    cache
+                        .replay(&request.algorithm, job.fingerprint)
+                        .ok_or_else(|| cache.near(&request.algorithm, matrix))
                 };
-                match lookup {
-                    CacheLookup::Hit(order) => {
-                        obs.add(&tenant_metric(&request.tenant, "cache_hit"), 1);
-                        (matrix, order, CacheDisposition::Hit, false, 0, 0)
-                    }
-                    other => {
-                        let (seed, prev) = match other {
+                let answer = match lookup {
+                    Ok(replay) => hit(&replay),
+                    Err(near) => {
+                        let (seed, prev) = match near {
                             CacheLookup::Warm { seed, .. } => (Some(seed), None),
                             CacheLookup::Incremental { plan, .. } => (None, Some(plan)),
                             _ => (None, None),
                         };
-                        let solve_span = {
-                            let mut s = obs
-                                .span("plansrv.solve")
+                        let solve_span = traced(
+                            obs.span("plansrv.solve")
                                 .attr("algorithm", request.algorithm.as_str())
-                                .attr("p", matrix.len());
-                            if let Some(c) = ctx {
-                                s = s.trace(c.child(SLOT_SOLVE));
-                            }
-                            s
-                        };
+                                .attr("p", matrix.len()),
+                            ctx.map(|c| c.child(SLOT_SOLVE)),
+                        );
                         if let Some(pace) = self.config.pace {
                             std::thread::sleep(pace);
                         }
@@ -416,53 +474,46 @@ impl PlanService {
                             CacheDisposition::Warm => "cache_warm",
                             _ => "cache_miss",
                         };
-                        obs.add(&tenant_metric(&request.tenant, name), 1);
-                        self.cache.lock().expect("cache poisoned").insert(
+                        tenant_add(&request.tenant, name);
+                        // Executed once, here, for this reply; the entry
+                        // keeps the numbers so no replay executes again.
+                        let outcome = evaluate(&solved.order, matrix);
+                        self.cache.lock().expect("cache poisoned").insert_solved(
                             &request.algorithm,
+                            job.fingerprint,
                             matrix,
                             solved.order.clone(),
+                            Some(outcome.clone()),
                             solved.seed,
                             solved.plan,
                         );
-                        (
-                            matrix,
-                            solved.order,
-                            cache,
-                            solved.round1_warm,
-                            solved.round1_col_scans,
-                            solved.total_col_scans,
-                        )
+                        (solved.order, outcome, cache, solved.stats)
                     }
-                }
+                };
+                (matrix, answer)
             }
         };
 
-        let epoch = self.tenant_epoch(&request.tenant, matrix);
-        let order = if request.qos.critical_links.is_empty() {
-            order
+        let epoch = self.tenant_epoch(&request.tenant, job.fingerprint, matrix);
+        // Retained numbers describe the cached order; a pinned order is
+        // another schedule and is always executed.
+        let (order, (completion_ms, quality)) = if request.qos.critical_links.is_empty() {
+            (order, outcome)
         } else {
-            pin_critical(&order, &request.qos.critical_links)
+            let order = pin_critical(&order, &request.qos.critical_links);
+            let outcome = evaluate(&order, matrix);
+            (order, outcome)
         };
-        let schedule = execute_listed(&order, matrix);
-        let completion_ms = schedule.completion_time().as_ms();
-        // Explain-plane quality: the plan's predicted critical path and
-        // its gap above `t_lb`, so clients see *how good* the plan is,
-        // not just how long it takes.
-        let q = adaptcomm_core::analyze::quality_of(&schedule);
-        let quality = PlanQuality {
-            lb_gap_pct: q.gap_pct(),
-            critical_path: q.critical_path,
-        };
-        Ok(ComputedPlan {
+        Ok(Box::new(PlanOk {
             order,
             completion_ms,
-            quality,
+            quality: Some(quality),
             cache,
             epoch,
-            round1_warm,
-            round1_col_scans,
-            total_col_scans,
-        })
+            served_seq: 0,
+            trace_id: request.trace.map(|t| t.trace_id),
+            stats,
+        }))
     }
 
     fn worker_loop(self: &Arc<Self>) {
@@ -471,48 +522,36 @@ impl PlanService {
             let t0 = Instant::now();
             let job = claimed.payload;
             let ctx = job.request.trace.map(|t| t.child(SLOT_WORKER));
-            let worker_span = {
-                let mut s = obs
-                    .span("plansrv.worker")
+            let worker_span = traced(
+                obs.span("plansrv.worker")
                     .attr("tenant", job.request.tenant.as_str())
-                    .attr("algorithm", job.request.algorithm.as_str());
-                if let Some(c) = ctx {
-                    s = s.trace(c);
-                }
-                s
-            };
-            let outcome = self.compute(&job.request, &job.work, ctx);
+                    .attr("algorithm", job.request.algorithm.as_str()),
+                ctx,
+            );
+            let outcome = self.compute(&job, ctx);
             drop(worker_span);
             let service_ms = t0.elapsed().as_secs_f64() * 1e3;
             let served_seq = self.queue.complete(claimed.est_ms);
             obs.gauge_set("plansrv.queue_depth", self.queue.depth() as f64);
-            obs.observe(
-                &tenant_metric(&job.request.tenant, "latency_ms"),
-                adaptcomm_obs::MS_BUCKETS,
+            self.account(
+                &job.request,
                 service_ms,
+                job.arrived.elapsed().as_secs_f64() * 1e3,
             );
-            // The deadline verdict is queue wait + service — what the
-            // client experiences — not service time alone.
-            if let Some(deadline) = job.request.qos.deadline_ms {
-                let total_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
-                let aspect = if total_ms <= deadline {
-                    "deadline_hit"
-                } else {
-                    "deadline_miss"
-                };
-                obs.add(&tenant_metric(&job.request.tenant, aspect), 1);
-            }
-            if let (Ok(plan), Work::Solve { matrix }) = (&outcome, &job.work) {
+            if let (Ok(plan), Some(matrix)) = (&outcome, &job.request.matrix) {
                 if plan.cache != CacheDisposition::Hit {
                     self.learn_estimate(&job.request.algorithm, matrix.len(), service_ms);
                 }
             }
             // A dropped receiver means the connection died mid-request;
             // the work is still done (and cached), so just move on.
-            let _ = job.reply.send(WorkerReply {
-                outcome,
-                served_seq,
-                service_ms,
+            let _ = job.reply.send(match outcome {
+                Ok(mut ok) => {
+                    ok.served_seq = served_seq;
+                    ok.stats.service_ms = service_ms;
+                    PlanResponse::Ok(ok)
+                }
+                Err(detail) => PlanResponse::Error { detail },
             });
         }
     }
@@ -521,9 +560,8 @@ impl PlanService {
 /// What one scheduler run produced, plus the reuse surface to retain.
 struct Solved {
     order: SendOrder,
-    round1_warm: bool,
-    round1_col_scans: u64,
-    total_col_scans: u64,
+    /// Solver counters (`service_ms` unset).
+    stats: PlanStats,
     /// Round-1 duals to retain (empty for non-matching algorithms).
     seed: Vec<f64>,
     /// The whole matching plan to retain for §6 incremental replans.
@@ -554,9 +592,12 @@ fn solve(
         let order = SendOrder::from_steps(matrix.len(), &plan.steps);
         return Ok(Solved {
             order,
-            round1_warm: plan.round1.warm,
-            round1_col_scans: plan.round1.col_scans,
-            total_col_scans: plan.total_col_scans,
+            stats: PlanStats {
+                round1_warm: plan.round1.warm,
+                round1_col_scans: plan.round1.col_scans,
+                total_col_scans: plan.total_col_scans,
+                service_ms: 0.0,
+            },
             seed: plan.seed_potentials.clone(),
             disposition: plan.disposition,
             plan: Some(Box::new(plan)),
@@ -568,9 +609,7 @@ fn solve(
         .ok_or_else(|| format!("unknown algorithm {algorithm:?}"))?;
     Ok(Solved {
         order: scheduler.send_order(matrix),
-        round1_warm: false,
-        round1_col_scans: 0,
-        total_col_scans: 0,
+        stats: PlanStats::default(),
         seed: Vec::new(),
         plan: None,
         disposition: "cold",
@@ -801,15 +840,6 @@ fn serve_frame(
 ) -> bool {
     let request = match proto::parse_request(payload) {
         Ok(r) => r,
-        Err(e @ ProtocolError::Malformed { .. }) => {
-            respond(
-                stream,
-                &PlanResponse::Error {
-                    detail: e.to_string(),
-                },
-            );
-            return true; // framing is intact; keep the connection
-        }
         Err(e) => {
             respond(
                 stream,
@@ -817,7 +847,9 @@ fn serve_frame(
                     detail: e.to_string(),
                 },
             );
-            return false;
+            // A malformed payload leaves the framing intact: keep the
+            // connection. Anything else closes it.
+            return matches!(e, ProtocolError::Malformed { .. });
         }
     };
     match request {
@@ -827,33 +859,11 @@ fn serve_frame(
             false
         }
         Request::Plan(plan) => {
-            let trace_id = plan.trace.map(|t| t.trace_id);
-            let (tx, rx) = mpsc::channel();
-            let response = match service.admit(plan, tx) {
+            let response = match service.admit(plan) {
                 Err(immediate) => immediate,
-                Ok(()) => match rx.recv() {
-                    Err(_) => PlanResponse::Error {
-                        detail: "worker pool shut down mid-request".into(),
-                    },
-                    Ok(reply) => match reply.outcome {
-                        Err(detail) => PlanResponse::Error { detail },
-                        Ok(plan) => PlanResponse::Ok(Box::new(PlanOk {
-                            order: plan.order,
-                            completion_ms: plan.completion_ms,
-                            quality: Some(plan.quality),
-                            cache: plan.cache,
-                            epoch: plan.epoch,
-                            served_seq: reply.served_seq,
-                            trace_id,
-                            stats: PlanStats {
-                                round1_warm: plan.round1_warm,
-                                round1_col_scans: plan.round1_col_scans,
-                                total_col_scans: plan.total_col_scans,
-                                service_ms: reply.service_ms,
-                            },
-                        })),
-                    },
-                },
+                Ok(queued) => queued.recv().unwrap_or_else(|_| PlanResponse::Error {
+                    detail: "worker pool shut down mid-request".into(),
+                }),
             };
             respond(stream, &response);
             true

@@ -1,15 +1,24 @@
 //! Property tests for the plan-server wire codec: no input —
 //! truncated, oversized, garbage, or split at arbitrary byte
 //! boundaries — may panic, and every failure is a typed
-//! [`ProtocolError`].
+//! [`ProtocolError`]. The tree-free readers are also held to the
+//! `json::Value`-tree parsers they replaced ([`tree_oracle`]): same
+//! value or same error variant on every generated payload and on every
+//! truncation and byte substitution of it.
+
+mod tree_oracle;
 
 use adaptcomm_core::matrix::CommMatrix;
+use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_obs::trace::TraceContext;
 use adaptcomm_plansrv::proto::{
-    encode_request, frame, parse_request, parse_response, FrameReader, PlanRequest, ProtocolError,
-    QosSpec, Request, MAX_FRAME, PROTO_VERSION,
+    encode_request, encode_response, frame, parse_request, parse_response, CacheDisposition,
+    FrameReader, PlanOk, PlanQuality, PlanRequest, PlanResponse, PlanStats, ProtocolError, QosSpec,
+    Request, MAX_FRAME, PROTO_VERSION,
 };
 use proptest::prelude::*;
+use std::fmt::Debug;
+use std::mem::discriminant;
 
 fn bytes(count: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u64..256, count)
@@ -63,6 +72,161 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 },
             )
     })
+}
+
+fn response_strategy() -> impl Strategy<Value = PlanResponse> {
+    (
+        (0usize..6, 0u64..5, 0u64..4),
+        proptest::collection::vec(0u64..1000, 8),
+        (0.0f64..1e6, 0.0f64..50.0),
+    )
+        .prop_map(
+            |((p, variant, cache), n, (completion_ms, x))| match variant {
+                0 => PlanResponse::NeedMatrix,
+                1 => PlanResponse::Rejected {
+                    retry_after_ms: x,
+                    detail: format!("deadline {x} \"blown\"\n"),
+                },
+                _ => PlanResponse::Ok(Box::new(PlanOk {
+                    // A rotation shifted per row: a valid order for any P.
+                    order: SendOrder::new(
+                        (0..p)
+                            .map(|s| {
+                                let mut row: Vec<usize> = (0..p).filter(|&d| d != s).collect();
+                                row.rotate_left(n[s] as usize % p.max(2).saturating_sub(1));
+                                row
+                            })
+                            .collect(),
+                    ),
+                    completion_ms,
+                    cache: [
+                        CacheDisposition::Cold,
+                        CacheDisposition::Hit,
+                        CacheDisposition::Warm,
+                        CacheDisposition::Incremental,
+                    ][cache as usize],
+                    epoch: n[6],
+                    served_seq: n[7],
+                    stats: PlanStats {
+                        round1_warm: variant == 2,
+                        round1_col_scans: n[0],
+                        total_col_scans: n[1],
+                        service_ms: x,
+                    },
+                    trace_id: (variant != 3).then_some(n[2] << 40 | 1),
+                    quality: (variant != 4).then(|| PlanQuality {
+                        critical_path: n[..3].iter().map(|&h| (h as usize, p)).collect(),
+                        lb_gap_pct: x,
+                    }),
+                })),
+            },
+        )
+}
+
+/// Same value, or the same [`ProtocolError`] variant.
+fn agree<T: PartialEq + Debug>(
+    fast: Result<T, ProtocolError>,
+    tree: Result<T, ProtocolError>,
+    payload: &[u8],
+) {
+    let shown = String::from_utf8_lossy(payload);
+    match (fast, tree) {
+        (Ok(fast), Ok(tree)) => assert_eq!(fast, tree, "on {shown}"),
+        (Err(fast), Err(tree)) => {
+            assert_eq!(discriminant(&fast), discriminant(&tree), "on {shown}")
+        }
+        (fast, tree) => panic!("readers disagree on {shown}: {fast:?} vs tree {tree:?}"),
+    }
+}
+
+/// Both codecs, both ways, on one payload.
+fn agree_on(payload: &[u8]) {
+    agree(
+        parse_request(payload),
+        tree_oracle::parse_request(payload),
+        payload,
+    );
+    agree(
+        parse_response(payload),
+        tree_oracle::parse_response(payload),
+        payload,
+    );
+}
+
+/// `payload`, every prefix of it, and every byte of it replaced in turn
+/// by its low-bit flip and by each byte the grammar gives a meaning to.
+fn agree_on_every_mutation(payload: &[u8]) {
+    agree_on(payload);
+    for cut in 0..payload.len() {
+        agree_on(&payload[..cut]);
+    }
+    let mut mutated = payload.to_vec();
+    for i in 0..payload.len() {
+        for with in [
+            payload[i] ^ 1,
+            b'[',
+            b']',
+            b'{',
+            b'}',
+            b',',
+            b'"',
+            b'-',
+            b'e',
+            b'7',
+            0x80,
+        ] {
+            mutated[i] = with;
+            agree_on(&mutated);
+        }
+        mutated[i] = payload[i];
+    }
+}
+
+/// Shapes no mutation of a well-formed payload reaches: duplicate keys,
+/// a big field of the wrong type that the message never needs, big
+/// fields out of order, nesting at the depth bound.
+#[test]
+fn tree_free_readers_agree_with_the_tree_on_handmade_payloads() {
+    let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    for payload in [
+        r#"{"matrix":"x","type":"shutdown"}"#.to_string(),
+        r#"{"matrix":[[0,1],[2,0]],"type":"plan","tenant":"t","algorithm":"a"}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1],[2,0]],"matrix":7}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":7,"matrix":[[0,1],[2,0]]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1],[2,0]] x}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1],[2,"x"]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1e999],[2,0]]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[]]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0]]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1,2],[3,4,5]]}"#.into(),
+        r#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1],[2,0],[3,3]]}"#.into(),
+        r#" { "type" : "plan" , "tenant" : "t" , "algorithm" : "a" , "matrix" : [ [ 0 , 1.5 ] , [ +2 , .5 ] ] } "#.into(),
+        r#"[{"type":"shutdown"}]"#.into(),
+        r#"{"type":"plan","status":"ok","cache":"hit","epoch":1,"served_seq":1,"plan":7,"plan":{"order":[[1],[0]],"completion_ms":1.0},"stats":{"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#.into(),
+        r#"{"type":"plan","status":"ok","cache":"hit","epoch":1,"served_seq":1,"plan":{"order":[[1],[0]],"order":7,"completion_ms":1.0},"plan":7,"stats":{"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#.into(),
+        r#"{"type":"plan","status":"ok","cache":"hit","epoch":1,"served_seq":1,"plan":{"order":[],"completion_ms":1.0},"stats":{"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#.into(),
+        r#"{"type":"plan","status":"ok","cache":"hit","epoch":1,"served_seq":1,"plan":{"order":[[]],"completion_ms":1.0},"stats":{"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#.into(),
+        r#"{"type":"plan","status":"ok","cache":"hit","epoch":1,"served_seq":1,"plan":{"order":[[1,1],[0,2],[0,1]],"completion_ms":1.0},"stats":{"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#.into(),
+        r#"{"type":"plan","status":"ok","cache":"hit","epoch":1,"served_seq":1,"plan":{"order":[[1.5],[0]],"completion_ms":1.0},"stats":{"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#.into(),
+        r#"{"type":"plan","status":"need-matrix","plan":{"order":"junk"}}"#.into(),
+        format!(r#"{{"type":"shutdown","pad":{}}}"#, deep(100)),
+    ] {
+        agree_on(payload.as_bytes());
+    }
+}
+
+proptest! {
+    // ~20k parses a case: fewer cases than the cheap properties below.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The tree-free readers and the tree parsers they replaced agree on
+    /// every generated payload and on every mutation of it.
+    #[test]
+    fn tree_free_readers_agree_with_the_tree(req in request_strategy(), resp in response_strategy()) {
+        agree_on_every_mutation(&encode_request(&req));
+        agree_on_every_mutation(&encode_response(&resp));
+    }
 }
 
 proptest! {
