@@ -7,6 +7,7 @@ use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::depgraph;
 use adaptcomm_core::execution::execute_steps;
 use adaptcomm_core::schedule::SendOrder;
+use adaptcomm_model::evolution::NetworkEvolution;
 use adaptcomm_model::generator::GeneratorConfig;
 use adaptcomm_model::units::Millis;
 use adaptcomm_model::variation::{VariationConfig, VariationTrace};
@@ -397,7 +398,7 @@ pub fn incremental_study(p: usize, cycles: usize, seed: u64) -> Vec<(&'static st
     let mut trace = VariationTrace::new(inst.network.clone(), cfg, seed * 3 + 1);
     let matrices: Vec<CommMatrix> = (1..=cycles)
         .map(|c| {
-            let snap = trace.snapshot_at(Millis::new(c as f64 * 10_000.0));
+            let snap = trace.table_at(Millis::new(c as f64 * 10_000.0));
             CommMatrix::from_model(&snap, &sizes)
         })
         .collect();

@@ -46,23 +46,21 @@ impl NetworkEvolution for ChaosEvolution {
         self.base.len()
     }
 
-    fn planning_estimates(&self) -> NetParams {
-        self.base.clone()
+    fn planning_estimates(&self) -> &NetParams {
+        &self.base
     }
 
-    fn state_at(&mut self, t: Millis) -> NetParams {
-        let plan = &self.plan;
-        let base = &self.base;
-        NetParams::from_fn(base.len(), |src, dst| {
-            let e = base.estimate(src, dst);
-            if plan.link_blocked(src, dst, t) {
-                LinkEstimate::new(e.startup, e.bandwidth.scaled(DEAD_SCALE))
-            } else if let Some(f) = plan.lying_factor(src, dst, t) {
-                LinkEstimate::new(e.startup, e.bandwidth.scaled(1.0 / f))
-            } else {
-                e
-            }
-        })
+    /// A pure function of `t` (the plan's fault windows are scanned per
+    /// read), so any query order is answered for the instant asked.
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        let e = self.base.estimate(src, dst);
+        if self.plan.link_blocked(src, dst, t) {
+            LinkEstimate::new(e.startup, e.bandwidth.scaled(DEAD_SCALE))
+        } else if let Some(f) = self.plan.lying_factor(src, dst, t) {
+            LinkEstimate::new(e.startup, e.bandwidth.scaled(1.0 / f))
+        } else {
+            e
+        }
     }
 }
 
@@ -79,10 +77,10 @@ mod tests {
     fn faults_shape_the_realized_network_for_their_window_only() {
         let plan = ChaosPlan::parse(4, "crash:1@100..200;liar:0-2@50x4").unwrap();
         let mut evo = ChaosEvolution::new(base(4), plan);
-        let before = evo.state_at(Millis::new(10.0));
+        let before = evo.table_at(Millis::new(10.0));
         assert_eq!(before.estimate(1, 3).bandwidth.as_kbps(), 1_000.0);
         assert_eq!(before.estimate(0, 2).bandwidth.as_kbps(), 1_000.0);
-        let during = evo.state_at(Millis::new(150.0));
+        let during = evo.table_at(Millis::new(150.0));
         assert!(during.estimate(1, 3).bandwidth.as_kbps() < 1e-5);
         assert!(during.estimate(3, 1).bandwidth.as_kbps() < 1e-5);
         assert_eq!(
@@ -90,7 +88,7 @@ mod tests {
             250.0,
             "a 4x liar realizes a quarter of its base bandwidth"
         );
-        let after = evo.state_at(Millis::new(250.0));
+        let after = evo.table_at(Millis::new(250.0));
         assert_eq!(after.estimate(1, 3).bandwidth.as_kbps(), 1_000.0);
         // Planning never sees the faults.
         assert_eq!(

@@ -12,6 +12,7 @@
 use crate::health::{HealthMonitor, HealthView};
 use crate::snapshot::DirectorySnapshot;
 use adaptcomm_model::cost::LinkEstimate;
+use adaptcomm_model::evolution::NetworkEvolution;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::Millis;
 use adaptcomm_model::variation::VariationTrace;
@@ -254,11 +255,7 @@ impl DirectoryService {
                 return; // not due for remeasurement yet
             }
         }
-        let params = inner
-            .trace
-            .as_mut()
-            .expect("checked above")
-            .snapshot_at(now);
+        let params = inner.trace.as_mut().expect("checked above").table_at(now);
         inner.install(params, now);
     }
 

@@ -11,8 +11,10 @@
 //! * the GUSTO testbed measurements from Tables 1 and 2 ([`gusto`]),
 //! * a hierarchical site/link topology with shared-link bandwidth
 //!   division ([`topology`]),
-//! * GUSTO-guided random parameter generation ([`generator`]), and
-//! * time-varying network performance traces ([`variation`]).
+//! * GUSTO-guided random parameter generation ([`generator`]),
+//! * time-varying network performance traces ([`variation`]), and
+//! * the per-link read every such time-varying network answers
+//!   ([`evolution`]).
 //!
 //! Everything downstream (directory service, schedulers, simulator)
 //! consumes network state exclusively through [`params::NetParams`] and
@@ -42,6 +44,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cost;
+pub mod evolution;
 pub mod generator;
 pub mod gusto;
 pub mod multinet;
@@ -52,5 +55,6 @@ pub mod units;
 pub mod variation;
 
 pub use cost::CostModel;
+pub use evolution::NetworkEvolution;
 pub use params::NetParams;
 pub use units::{Bandwidth, Bytes, Millis};

@@ -17,6 +17,7 @@
 //! ```
 
 use crate::cost::LinkEstimate;
+use crate::evolution::NetworkEvolution;
 use crate::params::NetParams;
 use crate::units::{Bandwidth, Millis};
 use std::fmt::Write as _;
@@ -171,15 +172,27 @@ impl RecordedTrace {
     /// The network state at time `t`: the latest snapshot at or before
     /// `t` (the first one for times before recording started).
     pub fn state_at(&self, t: Millis) -> &NetParams {
-        let mut current = &self.snapshots[0].1;
-        for (st, params) in &self.snapshots {
-            if *st <= t.as_ms() + 1e-12 {
-                current = params;
-            } else {
-                break;
-            }
-        }
-        current
+        // Snapshots are in time order: recorder and parser both enforce it.
+        let after = self
+            .snapshots
+            .partition_point(|(st, _)| *st <= t.as_ms() + 1e-12);
+        &self.snapshots[after.saturating_sub(1)].1
+    }
+}
+
+/// A replay is a pure function of time: it answers for the instant
+/// asked, in any order.
+impl NetworkEvolution for RecordedTrace {
+    fn processors(&self) -> usize {
+        RecordedTrace::processors(self)
+    }
+
+    fn planning_estimates(&self) -> &NetParams {
+        self.initial()
+    }
+
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.state_at(t).estimate(src, dst)
     }
 }
 

@@ -8,6 +8,8 @@
 //! consume traces, which is what makes the §6.3 checkpoint/rescheduling
 //! experiments possible.
 
+use crate::cost::LinkEstimate;
+use crate::evolution::NetworkEvolution;
 use crate::params::NetParams;
 use crate::units::Millis;
 use rand::rngs::StdRng;
@@ -39,8 +41,10 @@ impl Default for VariationConfig {
 
 /// A deterministic, seedable drift process over a base [`NetParams`].
 ///
-/// Snapshots are generated lazily and cached per step index, so queries
-/// at increasing times are `O(ΔP²)` and queries within one step are free.
+/// The walk is advanced lazily, only when a query's step index passes the
+/// last one materialized: queries at increasing times cost `O(Δ·P²)` for
+/// the `Δ` steps crossed, and a [`NetworkEvolution::link_at`] read inside
+/// a step touches one multiplier.
 #[derive(Debug)]
 pub struct VariationTrace {
     base: NetParams,
@@ -109,23 +113,28 @@ impl VariationTrace {
             self.current_step += 1;
         }
     }
+}
 
-    /// The network state at time `t`. Times must be queried in
-    /// non-decreasing order (the walk only moves forward); querying an
-    /// earlier time returns the state at the latest time already reached.
-    pub fn snapshot_at(&mut self, t: Millis) -> NetParams {
+impl NetworkEvolution for VariationTrace {
+    fn processors(&self) -> usize {
+        self.len()
+    }
+
+    fn planning_estimates(&self) -> &NetParams {
+        &self.base
+    }
+
+    /// Forward-only: a `t` inside a step already passed reads the walk
+    /// where it stands.
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
         let step = (t.as_ms() / self.config.step.as_ms()).floor().max(0.0) as u64;
         self.advance_to(step);
-        let p = self.base.len();
-        let mut out = self.base.clone();
-        for src in 0..p {
-            for dst in 0..p {
-                if src != dst {
-                    out.scale_bandwidth(src, dst, self.multipliers[src * p + dst]);
-                }
-            }
+        let e = self.base.estimate(src, dst);
+        if src == dst {
+            return e;
         }
-        out
+        let m = self.multipliers[src * self.base.len() + dst];
+        LinkEstimate::new(e.startup, e.bandwidth.scaled(m))
     }
 }
 
@@ -141,14 +150,14 @@ mod tests {
     #[test]
     fn time_zero_returns_base() {
         let mut tr = VariationTrace::new(base(), VariationConfig::default(), 1);
-        let s = tr.snapshot_at(Millis::ZERO);
+        let s = tr.table_at(Millis::ZERO);
         assert_eq!(s, base());
     }
 
     #[test]
     fn drift_changes_bandwidth_but_not_startup() {
         let mut tr = VariationTrace::new(base(), VariationConfig::default(), 2);
-        let s = tr.snapshot_at(Millis::new(10_000.0));
+        let s = tr.table_at(Millis::new(10_000.0));
         let mut changed = 0;
         for (src, dst, e) in s.pairs() {
             assert_eq!(e.startup.as_ms(), 10.0, "startup must not drift");
@@ -169,7 +178,7 @@ mod tests {
             ..Default::default()
         };
         let mut tr = VariationTrace::new(base(), cfg, 3);
-        let s = tr.snapshot_at(Millis::new(1_000_000.0)); // 1000 steps
+        let s = tr.table_at(Millis::new(1_000_000.0)); // 1000 steps
         for (_, _, e) in s.pairs() {
             let m = e.bandwidth.as_kbps() / 1_000.0;
             assert!(
@@ -184,24 +193,24 @@ mod tests {
         let mut a = VariationTrace::new(base(), VariationConfig::default(), 9);
         let mut b = VariationTrace::new(base(), VariationConfig::default(), 9);
         assert_eq!(
-            a.snapshot_at(Millis::new(5_500.0)),
-            b.snapshot_at(Millis::new(5_500.0))
+            a.table_at(Millis::new(5_500.0)),
+            b.table_at(Millis::new(5_500.0))
         );
     }
 
     #[test]
     fn queries_within_a_step_are_stable() {
         let mut tr = VariationTrace::new(base(), VariationConfig::default(), 4);
-        let s1 = tr.snapshot_at(Millis::new(3_000.0));
-        let s2 = tr.snapshot_at(Millis::new(3_999.0));
+        let s1 = tr.table_at(Millis::new(3_000.0));
+        let s2 = tr.table_at(Millis::new(3_999.0));
         assert_eq!(s1, s2);
     }
 
     #[test]
     fn earlier_query_does_not_rewind() {
         let mut tr = VariationTrace::new(base(), VariationConfig::default(), 5);
-        let late = tr.snapshot_at(Millis::new(20_000.0));
-        let earlier = tr.snapshot_at(Millis::new(1_000.0));
+        let late = tr.table_at(Millis::new(20_000.0));
+        let earlier = tr.table_at(Millis::new(1_000.0));
         assert_eq!(late, earlier, "walk is forward-only");
     }
 

@@ -34,17 +34,18 @@
 //! crossed the healed link.
 
 use crate::channel::{
-    run_shaped, CheckpointAction, FaultPolicy, FrozenNetwork, ShapedConfig, ShapedOutcome,
+    price_frozen, run_shaped, CheckpointAction, FaultPolicy, ShapedConfig, ShapedOutcome,
 };
 use crate::error::RuntimeError;
 use crate::prober::{MeasurementTamper, Prober, TrustPolicy};
 use crate::telemetry::Telemetry;
 use crate::trace::RunTrace;
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::Transport;
 use adaptcomm_core::algorithms::{MatchingScheduler, Scheduler};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_directory::DirectoryService;
+use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_obs::{Cusum, CusumConfig};
@@ -374,34 +375,28 @@ impl<'a> CheckpointedRun<'a> {
         self
     }
 
-    /// What the engine would do on a frozen network: used both for the
-    /// initial plan and for per-attempt progress baselines. Sorted
-    /// completion instants.
+    /// What the engine would do from `start_at` on a network frozen at
+    /// the directory's current view: the sorted completion instants an
+    /// attempt's progress is judged against (the first attempt's last one
+    /// is the planned makespan).
     fn plan_finishes(&self, lists: &[Vec<usize>], start_at: Millis) -> Vec<f64> {
-        let params = self.directory.snapshot().params().clone();
-        let p = params.len();
-        let mut frozen = FrozenNetwork(params);
-        let sink = ChannelTransport::new(p);
-        let config = ShapedConfig {
-            payload_cap: Some(0),
-            start_at,
-            ..Default::default()
-        };
-        let planned = run_shaped(lists, self.sizes, &mut frozen, &sink, config, |_| {
-            CheckpointAction::Continue
-        })
-        .expect("a frozen network cannot fault");
-        let mut finishes: Vec<f64> = planned.records.iter().map(|r| r.finish.as_ms()).collect();
-        finishes.sort_by(f64::total_cmp);
-        finishes
+        let snapshot = self.directory.snapshot();
+        price_frozen(lists, self.sizes, snapshot.params(), start_at)
+            .expect("a frozen network cannot fault")
+            .iter()
+            .map(|r| r.finish.as_ms())
+            .collect()
     }
 
-    /// Runs `lists` once with the live loop attached. Returns the
-    /// engine outcome plus what the loop did along the way.
+    /// Runs `lists` once with the live loop attached, judging progress
+    /// against `planned` ([`Self::plan_finishes`] of the same lists and
+    /// start). Returns the engine outcome plus what the loop did along
+    /// the way.
     fn attempt<E, T>(
         &self,
         lists: &[Vec<usize>],
         start_at: Millis,
+        planned: &[f64],
         evolution: &mut E,
         transport: &T,
         telemetry: &mut Option<Telemetry>,
@@ -413,7 +408,6 @@ impl<'a> CheckpointedRun<'a> {
         E: NetworkEvolution + Send,
         T: Transport + ?Sized,
     {
-        let planned = self.plan_finishes(lists, start_at);
         // The reference the detector judges transfers against: the
         // directory view the current plan was priced from. Replaced on
         // every replan, so "planned" always means "under the plan now
@@ -673,12 +667,10 @@ impl<'a> CheckpointedRun<'a> {
             self.settings.backoff_base_ms > 0.0 && self.settings.backoff_factor >= 1.0,
             "backoff must wait a positive, non-shrinking time"
         );
-        let planned_makespan = Millis::new(
-            self.plan_finishes(lists, Millis::ZERO)
-                .last()
-                .copied()
-                .unwrap_or(0.0),
-        );
+        let mut lists: Vec<Vec<usize>> = lists.to_vec();
+        let mut start_at = Millis::ZERO;
+        let mut planned = self.plan_finishes(&lists, start_at);
+        let planned_makespan = Millis::new(planned.last().copied().unwrap_or(0.0));
         let mut report = AdaptReport {
             trace: RunTrace::new(),
             records: Vec::new(),
@@ -699,8 +691,6 @@ impl<'a> CheckpointedRun<'a> {
             .as_ref()
             .map(|p| Telemetry::new(p, self.sizes.len()));
         let p = self.sizes.len();
-        let mut lists: Vec<Vec<usize>> = lists.to_vec();
-        let mut start_at = Millis::ZERO;
         // Checkpoints seen by earlier (failed) attempts, so
         // first_replan_checkpoint is a global ordinal across retries.
         let mut checkpoint_offset = 0usize;
@@ -711,8 +701,14 @@ impl<'a> CheckpointedRun<'a> {
         let obs = adaptcomm_obs::global();
         loop {
             report.attempts += 1;
-            let (result, stats) =
-                self.attempt(&lists, start_at, evolution, transport, &mut telemetry);
+            let (result, stats) = self.attempt(
+                &lists,
+                start_at,
+                &planned,
+                evolution,
+                transport,
+                &mut telemetry,
+            );
             report.measurements_published += stats.published;
             report.incremental_reschedules += stats.incremental;
             if report.first_replan_checkpoint.is_none() {
@@ -745,22 +741,23 @@ impl<'a> CheckpointedRun<'a> {
                         now += wait;
                         wait *= self.settings.backoff_factor;
                         probes += 1;
-                        let live = evolution.state_at(Millis::new(now));
-                        let all_alive = parked
+                        // Only the parked links matter to a heal.
+                        let at = Millis::new(now);
+                        let live: Vec<LinkEstimate> = parked
                             .iter()
-                            .all(|&(s, d)| live.estimate(s, d).bandwidth.as_kbps() > threshold);
-                        if all_alive {
+                            .map(|&(s, d)| evolution.link_at(at, s, d))
+                            .collect();
+                        if live.iter().all(|e| e.bandwidth.as_kbps() > threshold) {
                             // Publish the healed estimates so the merge
                             // replan prices them from reality, not from
                             // the dead floor.
-                            for &(s, d) in &parked {
-                                let est = live.estimate(s, d);
+                            for (&(s, d), est) in parked.iter().zip(&live) {
                                 let _ = self.directory.publish_measurement(
                                     s,
                                     d,
                                     est.startup.as_ms(),
                                     est.bandwidth.as_kbps(),
-                                    Millis::new(now),
+                                    at,
                                 );
                             }
                             healed_at = Some(now);
@@ -858,7 +855,7 @@ impl<'a> CheckpointedRun<'a> {
                     // Probe the live network at the failure instant and
                     // floor-publish every dead link, so the directory —
                     // and every replan priced from it — sees the hole.
-                    let live = evolution.state_at(failure.at);
+                    let live = evolution.table_at(failure.at);
                     let threshold = self.dead_threshold();
                     for s in 0..p {
                         for d in 0..p {
@@ -959,6 +956,7 @@ impl<'a> CheckpointedRun<'a> {
                     start_at = failure.at;
                 }
             }
+            planned = self.plan_finishes(&lists, start_at);
         }
     }
 }
@@ -966,7 +964,8 @@ impl<'a> CheckpointedRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::expected_receipts;
+    use crate::channel::FrozenNetwork;
+    use crate::transport::{expected_receipts, ChannelTransport};
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_core::matrix::CommMatrix;
     use adaptcomm_model::cost::LinkEstimate;

@@ -36,6 +36,7 @@ use crate::error::RuntimeError;
 use crate::trace::{EventKind, RunTrace, RuntimeEvent};
 use crate::transport::{fill_payload, physical_len, Transport};
 use adaptcomm_core::checkpointed::CheckpointPolicy;
+use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_sim::executor::TransferRecord;
@@ -255,7 +256,6 @@ struct Core<'a, E, H> {
     /// success path.
     refused: Vec<(usize, usize, RuntimeError)>,
     evolution: &'a mut E,
-    planning: NetParams,
     sizes: &'a [Vec<Bytes>],
     hook: H,
     config: ShapedConfig,
@@ -272,6 +272,55 @@ where
     E: NetworkEvolution,
     H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
 {
+    /// A fabric at rest: every worker out of the monitor since
+    /// `config.start_at`, nothing granted.
+    fn new(
+        lists: &[Vec<usize>],
+        sizes: &'a [Vec<Bytes>],
+        evolution: &'a mut E,
+        config: ShapedConfig,
+        hook: H,
+    ) -> Self {
+        let p = evolution.processors();
+        assert_eq!(lists.len(), p, "send lists do not match network size");
+        assert_eq!(sizes.len(), p, "sizes do not match network size");
+        for (src, l) in lists.iter().enumerate() {
+            for &dst in l {
+                assert!(
+                    dst < p && dst != src,
+                    "invalid destination {dst} for sender {src}"
+                );
+            }
+        }
+        let queues: Vec<VecDeque<usize>> =
+            lists.iter().map(|l| l.iter().copied().collect()).collect();
+        let total: usize = queues.iter().map(|q| q.len()).sum();
+        let start = config.start_at.as_ms();
+        Core {
+            p,
+            queues,
+            state: vec![WorkerState::Running { until: start }; p],
+            assignment: vec![None; p],
+            send_free_at: vec![start; p],
+            recv_free_at: vec![start; p],
+            completions: BinaryHeap::new(),
+            records: Vec::with_capacity(total),
+            trace: RunTrace::new(),
+            completed: 0,
+            total,
+            checkpoints_evaluated: 0,
+            reschedules: 0,
+            failure: None,
+            failed_at: start,
+            lost: Vec::new(),
+            refused: Vec::new(),
+            evolution,
+            sizes,
+            hook,
+            config,
+        }
+    }
+
     fn push_event(
         &mut self,
         kind: EventKind,
@@ -345,14 +394,14 @@ where
 
     fn commit_grant(&mut self, start: f64, arrival: f64, src: usize, dst: usize, epoch: &Instant) {
         let bytes = self.sizes[src][dst];
-        let net = self.evolution.state_at(Millis::new(start));
+        // One link, one read: this runs under the fabric mutex.
+        let live = self.evolution.link_at(Millis::new(start), src, dst);
         // A non-finite live estimate is a poisoned model, not a slow
         // link: it must never reach the `<=` comparison below (NaN
         // compares false against any threshold) or the calendar (a NaN
         // finish wedges the virtual clock).
-        let live = net.estimate(src, dst);
         let kbps = live.bandwidth.as_kbps();
-        let dur = net.time(src, dst, bytes).as_ms();
+        let dur = live.message_time(bytes).as_ms();
         if !kbps.is_finite() || !dur.is_finite() {
             self.fail(
                 RuntimeError::CorruptEstimate {
@@ -384,7 +433,8 @@ where
             }
         }
         if let Some(factor) = self.config.faults.late_factor {
-            let limit = self.planning.time(src, dst, bytes).as_ms() * factor;
+            let planned = self.evolution.planning_estimates().time(src, dst, bytes);
+            let limit = planned.as_ms() * factor;
             if dur > limit {
                 self.fail(
                     RuntimeError::MessageLate {
@@ -528,6 +578,103 @@ where
             }
         }
     }
+
+    /// Runs every worker's monitor steps on the calling thread, in
+    /// sender order — one legal schedule of the threads [`run_shaped`]
+    /// spawns, with deliveries that take no time and move no bytes.
+    /// Committed actions do not depend on the schedule (see the module
+    /// docs), so the timeline is the threaded one bit for bit.
+    fn drive_inline(&mut self, epoch: &Instant) {
+        let mut entered = true;
+        while entered && self.failure.is_none() {
+            entered = false;
+            for src in 0..self.p {
+                // Like `worker`: back in the monitor the instant the
+                // granted transfer finishes, asking for the next one.
+                if let WorkerState::Running { until } = self.state[src] {
+                    self.assignment[src] = None;
+                    self.state[src] = if self.queues[src].is_empty() {
+                        WorkerState::Done
+                    } else {
+                        WorkerState::Parked { arrival: until }
+                    };
+                    self.advance(epoch);
+                    entered = true;
+                }
+            }
+        }
+    }
+
+    /// The run's verdict once every worker has left the monitor.
+    #[allow(clippy::result_large_err)] // see `run_shaped`
+    fn finish(mut self) -> Result<ShapedOutcome, ShapedFailure> {
+        if let Some(error) = self.failure.take() {
+            // The workers are joined, so every committed grant has resolved:
+            // its delivery either succeeded or was refused. Settle the
+            // grants still sitting in the completion heap — successes into
+            // `records`, refusals into `lost` — so delivered bytes are never
+            // invisible to the retry driver and the ledger does not depend
+            // on which worker thread hit the fault window first.
+            let mut refused = std::mem::take(&mut self.refused);
+            let mut lost = std::mem::take(&mut self.lost);
+            let mut records = std::mem::take(&mut self.records);
+            for Reverse(c) in std::mem::take(&mut self.completions) {
+                if let Some(pos) = refused
+                    .iter()
+                    .position(|&(s, d, _)| s == c.src && d == c.dst)
+                {
+                    refused.swap_remove(pos);
+                    lost.push((c.src, c.dst));
+                } else {
+                    records.push(TransferRecord {
+                        src: c.src,
+                        dst: c.dst,
+                        bytes: c.bytes,
+                        start: Millis::new(c.start),
+                        finish: Millis::new(c.finish),
+                    });
+                }
+            }
+            return Err(ShapedFailure {
+                error,
+                trace: self.trace,
+                records,
+                remaining: self
+                    .queues
+                    .iter()
+                    .map(|q| q.iter().copied().collect())
+                    .collect(),
+                send_busy_until: self.send_free_at,
+                recv_busy_until: self.recv_free_at,
+                at: Millis::new(self.failed_at),
+                lost,
+            });
+        }
+        debug_assert_eq!(
+            self.records.len(),
+            self.total,
+            "every message must complete"
+        );
+        let mut records = self.records;
+        records.sort_by(|a, b| {
+            a.finish
+                .as_ms()
+                .total_cmp(&b.finish.as_ms())
+                .then(a.src.cmp(&b.src))
+                .then(a.dst.cmp(&b.dst))
+        });
+        let makespan = records
+            .iter()
+            .map(|r| r.finish)
+            .fold(Millis::ZERO, Millis::max);
+        Ok(ShapedOutcome {
+            trace: self.trace,
+            records,
+            makespan,
+            checkpoints_evaluated: self.checkpoints_evaluated,
+            reschedules: self.reschedules,
+        })
+    }
 }
 
 fn worker<E, T, H>(src: usize, fabric: &Fabric<'_, E, H>, transport: &T)
@@ -593,7 +740,7 @@ where
 }
 
 /// A network that never changes: wraps a parameter snapshot as a
-/// [`NetworkEvolution`], e.g. to price a plan with the engine itself.
+/// [`NetworkEvolution`].
 #[derive(Debug, Clone)]
 pub struct FrozenNetwork(pub NetParams);
 
@@ -601,12 +748,37 @@ impl NetworkEvolution for FrozenNetwork {
     fn processors(&self) -> usize {
         self.0.len()
     }
-    fn planning_estimates(&self) -> NetParams {
-        self.0.clone()
+    fn planning_estimates(&self) -> &NetParams {
+        &self.0
     }
-    fn state_at(&mut self, _t: Millis) -> NetParams {
-        self.0.clone()
+    fn link_at(&mut self, _t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.0.estimate(src, dst)
     }
+}
+
+/// What [`run_shaped`] would realize for `lists` from `start_at` on a
+/// network frozen at `params` — the records in its order, `(finish, src,
+/// dst)` — computed by the fabric's own commit engine on the calling
+/// thread: no worker threads, no transport, no payloads. This is how a
+/// *predicted* timeline is priced (the plan a run is judged against);
+/// the simulator is not a substitute, because it may order modeled-time
+/// ties differently from the fabric.
+pub fn price_frozen(
+    lists: &[Vec<usize>],
+    sizes: &[Vec<Bytes>],
+    params: &NetParams,
+    start_at: Millis,
+) -> Result<Vec<TransferRecord>, RuntimeError> {
+    let mut frozen = FrozenNetwork(params.clone());
+    let config = ShapedConfig {
+        start_at,
+        ..Default::default()
+    };
+    let mut core = Core::new(lists, sizes, &mut frozen, config, |_| {
+        CheckpointAction::Continue
+    });
+    core.drive_inline(&Instant::now());
+    core.finish().map(|o| o.records).map_err(|f| f.error)
 }
 
 /// Executes the per-sender send lists over `transport`, pricing every
@@ -639,45 +811,8 @@ where
     T: Transport + ?Sized,
     H: FnMut(&CheckpointView<'_>) -> CheckpointAction + Send,
 {
-    let p = evolution.processors();
-    assert_eq!(lists.len(), p, "send lists do not match network size");
-    assert_eq!(sizes.len(), p, "sizes do not match network size");
-    for (src, l) in lists.iter().enumerate() {
-        for &dst in l {
-            assert!(
-                dst < p && dst != src,
-                "invalid destination {dst} for sender {src}"
-            );
-        }
-    }
-    let queues: Vec<VecDeque<usize>> = lists.iter().map(|l| l.iter().copied().collect()).collect();
-    let total: usize = queues.iter().map(|q| q.len()).sum();
-    let start = config.start_at.as_ms();
-    let planning = evolution.planning_estimates();
-    let core = Core {
-        p,
-        queues,
-        state: vec![WorkerState::Running { until: start }; p],
-        assignment: vec![None; p],
-        send_free_at: vec![start; p],
-        recv_free_at: vec![start; p],
-        completions: BinaryHeap::new(),
-        records: Vec::with_capacity(total),
-        trace: RunTrace::new(),
-        completed: 0,
-        total,
-        checkpoints_evaluated: 0,
-        reschedules: 0,
-        failure: None,
-        failed_at: start,
-        lost: Vec::new(),
-        refused: Vec::new(),
-        evolution,
-        planning,
-        sizes,
-        hook,
-        config,
-    };
+    let core = Core::new(lists, sizes, evolution, config, hook);
+    let p = core.p;
     let fabric = Fabric {
         core: Mutex::new(core),
         cv: Condvar::new(),
@@ -691,69 +826,11 @@ where
         }
     });
 
-    let mut core = fabric.core.into_inner().expect("fabric mutex poisoned");
-    if let Some(error) = core.failure.take() {
-        // The workers are joined, so every committed grant has resolved:
-        // its delivery either succeeded or was refused. Settle the
-        // grants still sitting in the completion heap — successes into
-        // `records`, refusals into `lost` — so delivered bytes are never
-        // invisible to the retry driver and the ledger does not depend
-        // on which worker thread hit the fault window first.
-        let mut refused = std::mem::take(&mut core.refused);
-        let mut lost = std::mem::take(&mut core.lost);
-        let mut records = std::mem::take(&mut core.records);
-        for Reverse(c) in std::mem::take(&mut core.completions) {
-            if let Some(pos) = refused
-                .iter()
-                .position(|&(s, d, _)| s == c.src && d == c.dst)
-            {
-                refused.swap_remove(pos);
-                lost.push((c.src, c.dst));
-            } else {
-                records.push(TransferRecord {
-                    src: c.src,
-                    dst: c.dst,
-                    bytes: c.bytes,
-                    start: Millis::new(c.start),
-                    finish: Millis::new(c.finish),
-                });
-            }
-        }
-        return Err(ShapedFailure {
-            error,
-            trace: core.trace,
-            records,
-            remaining: core
-                .queues
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
-            send_busy_until: core.send_free_at,
-            recv_busy_until: core.recv_free_at,
-            at: Millis::new(core.failed_at),
-            lost,
-        });
-    }
-    debug_assert_eq!(core.records.len(), total, "every message must complete");
-    let mut records = core.records;
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    Ok(ShapedOutcome {
-        trace: core.trace,
-        records,
-        makespan,
-        checkpoints_evaluated: core.checkpoints_evaluated,
-        reschedules: core.reschedules,
-    })
+    fabric
+        .core
+        .into_inner()
+        .expect("fabric mutex poisoned")
+        .finish()
 }
 
 #[cfg(test)]
@@ -762,7 +839,6 @@ mod tests {
     use crate::transport::{expected_receipts, ChannelTransport};
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_core::matrix::CommMatrix;
-    use adaptcomm_model::cost::LinkEstimate;
     use adaptcomm_model::units::Bandwidth;
     use adaptcomm_model::variation::{VariationConfig, VariationTrace};
     use adaptcomm_sim::run_static;
@@ -921,23 +997,20 @@ mod tests {
         fn processors(&self) -> usize {
             self.0.len()
         }
-        fn planning_estimates(&self) -> NetParams {
-            self.0.clone()
+        fn planning_estimates(&self) -> &NetParams {
+            &self.0
         }
-        fn state_at(&mut self, _t: Millis) -> NetParams {
-            let mut net = self.0.clone();
-            let e = net.estimate(0, 1);
+        fn link_at(&mut self, _t: Millis, src: usize, dst: usize) -> LinkEstimate {
+            let e = self.0.estimate(src, dst);
+            if (src, dst) != (0, 1) {
+                return e;
+            }
             // Struct literal: `LinkEstimate::new` asserts, but corrupt
             // data can arrive through serde or field access.
-            net.set_estimate(
-                0,
-                1,
-                LinkEstimate {
-                    startup: Millis::new(f64::NAN),
-                    bandwidth: e.bandwidth,
-                },
-            );
-            net
+            LinkEstimate {
+                startup: Millis::new(f64::NAN),
+                bandwidth: e.bandwidth,
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! live runs and simulated runs uniformly.
 
 use crate::adapt::{AdaptReport, AdaptSettings, CheckpointedRun};
-use crate::channel::{run_shaped, CheckpointAction, ShapedConfig};
+use crate::channel::{price_frozen, run_shaped, CheckpointAction, ShapedConfig};
 use crate::error::RuntimeError;
 use crate::tcp::TcpTransport;
 use crate::trace::RunTrace;
@@ -200,20 +200,10 @@ fn plan_makespan<E: NetworkEvolution>(
     sizes: &[Vec<Bytes>],
     evolution: &E,
 ) -> Millis {
-    let params = evolution.planning_estimates();
-    let p = params.len();
-    let mut frozen = crate::channel::FrozenNetwork(params);
-    let sink = ChannelTransport::new(p);
-    // The pricing pass needs no physical bytes.
-    let config = ShapedConfig {
-        payload_cap: Some(0),
-        ..Default::default()
-    };
-    run_shaped(lists, sizes, &mut frozen, &sink, config, |_| {
-        CheckpointAction::Continue
-    })
-    .map(|o| o.makespan)
-    .unwrap_or(Millis::ZERO)
+    price_frozen(lists, sizes, evolution.planning_estimates(), Millis::ZERO)
+        .ok()
+        .and_then(|records| records.last().map(|r| r.finish))
+        .unwrap_or(Millis::ZERO)
 }
 
 #[cfg(test)]

@@ -9,9 +9,12 @@
 //!
 //! [`run_adaptive`] executes an initial send order while the ground-truth
 //! network follows any [`NetworkEvolution`] — a stochastic
-//! [`VariationTrace`], a scripted [`crate::faults::ScriptedFaults`], or a
-//! replayed [`adaptcomm_model::trace_io::RecordedTrace`]; each transfer
-//! is priced from the network state at its start. After the `c`-th transfer completes, if
+//! [`adaptcomm_model::variation::VariationTrace`], a scripted
+//! [`crate::faults::ScriptedFaults`], or a replayed
+//! [`adaptcomm_model::trace_io::RecordedTrace`]; each transfer is priced
+//! from the state of *its own link* at its start
+//! ([`NetworkEvolution::link_at`] — one read, one multiply-add). After the
+//! `c`-th transfer completes, if
 //! `c` is a checkpoint of the configured [`CheckpointPolicy`] and the
 //! observed progress deviates from the plan beyond the
 //! [`RescheduleRule`] threshold, the not-yet-started messages are
@@ -28,55 +31,10 @@ use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
-use adaptcomm_model::variation::VariationTrace;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// A network whose state evolves over (simulated) time.
-///
-/// The dynamic executor prices each transfer from the state at its start
-/// time; queries arrive in non-decreasing time order. Implemented by
-/// [`VariationTrace`] (stochastic drift) and by
-/// [`crate::faults::ScriptedFaults`] (deterministic fault injection),
-/// and composable by wrapping.
-pub trait NetworkEvolution {
-    /// Number of processors.
-    fn processors(&self) -> usize;
-
-    /// The estimates the directory reported at scheduling time.
-    fn planning_estimates(&self) -> NetParams;
-
-    /// The live network state at time `t` (non-decreasing queries).
-    fn state_at(&mut self, t: Millis) -> NetParams;
-}
-
-impl NetworkEvolution for VariationTrace {
-    fn processors(&self) -> usize {
-        self.len()
-    }
-
-    fn planning_estimates(&self) -> NetParams {
-        self.base().clone()
-    }
-
-    fn state_at(&mut self, t: Millis) -> NetParams {
-        self.snapshot_at(t)
-    }
-}
-
-impl NetworkEvolution for adaptcomm_model::trace_io::RecordedTrace {
-    fn processors(&self) -> usize {
-        adaptcomm_model::trace_io::RecordedTrace::processors(self)
-    }
-
-    fn planning_estimates(&self) -> NetParams {
-        self.initial().clone()
-    }
-
-    fn state_at(&mut self, t: Millis) -> NetParams {
-        adaptcomm_model::trace_io::RecordedTrace::state_at(self, t).clone()
-    }
-}
+pub use adaptcomm_model::evolution::NetworkEvolution;
 
 /// Which algorithm recomputes the remaining schedule at a replan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -277,25 +235,28 @@ pub fn run_adaptive_checked(
     assert_eq!(sizes.len(), p, "sizes do not match trace");
     let total_events: usize = initial_order.order.iter().map(|l| l.len()).sum();
 
-    // Planned completion instants from the base estimates.
-    let est_matrix = CommMatrix::from_model(&trace.planning_estimates(), sizes);
-    let planned: Vec<f64> = {
+    let checkpoint_set: Vec<usize> = config.policy.checkpoints(total_events);
+    // Only a checkpoint consults the plan, so an oblivious run builds
+    // neither the planned completion instants (from the base estimates)
+    // nor the matching replanner — which retains its plan across replans:
+    // priming it with the planning-estimates instance makes even the
+    // *first* in-run replan incremental (it pays only the drifted rounds).
+    let (planned, matching_sched) = if checkpoint_set.is_empty() {
+        (Vec::new(), None)
+    } else {
+        let est_matrix = CommMatrix::from_model(trace.planning_estimates(), sizes);
         let sched = execute_listed(initial_order, &est_matrix);
         let mut finishes: Vec<f64> = sched.events().iter().map(|e| e.finish.as_ms()).collect();
         finishes.sort_by(f64::total_cmp);
-        finishes
-    };
-    let checkpoint_set: Vec<usize> = config.policy.checkpoints(total_events);
-    // The matching replanner retains its plan across replans; priming
-    // it with the planning-estimates instance makes even the *first*
-    // in-run replan incremental (it pays only the drifted rounds).
-    let matching_sched = match config.replanner {
-        Replanner::Matching(kind) => {
-            let sched = MatchingScheduler::new(kind);
-            sched.plan(&est_matrix);
-            Some(sched)
-        }
-        Replanner::OpenShop => None,
+        let matching_sched = match config.replanner {
+            Replanner::Matching(kind) => {
+                let sched = MatchingScheduler::new(kind);
+                sched.plan(&est_matrix);
+                Some(sched)
+            }
+            Replanner::OpenShop => None,
+        };
+        (finishes, matching_sched)
     };
 
     #[derive(Clone, Copy)]
@@ -338,9 +299,9 @@ pub fn run_adaptive_checked(
                 if busy[dst] {
                     pending[dst].push((now, src));
                 } else {
-                    // Price the transfer from the live network state.
-                    let net = trace.state_at(Millis::new(now));
-                    let dur = net.message_time(src, dst, sizes[src][dst]).as_ms();
+                    // Price the transfer from its link's live state.
+                    let live = trace.link_at(Millis::new(now), src, dst);
+                    let dur = live.message_time(sizes[src][dst]).as_ms();
                     let fin = now + dur;
                     queues[src].pop_front();
                     busy[dst] = true;
@@ -384,7 +345,7 @@ pub fn run_adaptive_checked(
                         }
                         let remaining: Vec<Vec<usize>> =
                             queues.iter().map(|q| q.iter().copied().collect()).collect();
-                        let fresh = trace.state_at(Millis::new(now));
+                        let fresh = trace.table_at(Millis::new(now));
                         queues = match &matching_sched {
                             Some(sched) => matching_replan(sched, &remaining, &fresh, sizes),
                             None => openshop_replan(
@@ -447,8 +408,9 @@ pub fn run_adaptive_checked(
 mod tests {
     use super::*;
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
+    use adaptcomm_model::cost::LinkEstimate;
     use adaptcomm_model::units::Bandwidth;
-    use adaptcomm_model::variation::VariationConfig;
+    use adaptcomm_model::variation::{VariationConfig, VariationTrace};
 
     fn base_net(p: usize) -> NetParams {
         NetParams::uniform(p, Millis::new(10.0), Bandwidth::from_kbps(500.0))
@@ -615,23 +577,20 @@ mod tests {
         fn processors(&self) -> usize {
             self.0.len()
         }
-        fn planning_estimates(&self) -> NetParams {
-            self.0.clone()
+        fn planning_estimates(&self) -> &NetParams {
+            &self.0
         }
-        fn state_at(&mut self, _t: Millis) -> NetParams {
-            let mut net = self.0.clone();
-            let e = net.estimate(0, 1);
+        fn link_at(&mut self, _t: Millis, src: usize, dst: usize) -> LinkEstimate {
+            let e = self.0.estimate(src, dst);
+            if (src, dst) != (0, 1) {
+                return e;
+            }
             // Struct literal: `LinkEstimate::new` asserts, but corrupt
             // data can arrive through serde or field access.
-            net.set_estimate(
-                0,
-                1,
-                adaptcomm_model::cost::LinkEstimate {
-                    startup: Millis::new(f64::NAN),
-                    bandwidth: e.bandwidth,
-                },
-            );
-            net
+            LinkEstimate {
+                startup: Millis::new(f64::NAN),
+                bandwidth: e.bandwidth,
+            }
         }
     }
 

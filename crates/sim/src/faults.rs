@@ -8,6 +8,7 @@
 //! events that pure stochastic drift would only blur.
 
 use crate::dynamic::NetworkEvolution;
+use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::Millis;
 
@@ -74,11 +75,13 @@ impl NetworkEvolution for ScriptedFaults {
         self.base.len()
     }
 
-    fn planning_estimates(&self) -> NetParams {
-        self.base.clone()
+    fn planning_estimates(&self) -> &NetParams {
+        &self.base
     }
 
-    fn state_at(&mut self, t: Millis) -> NetParams {
+    /// Forward-only: the cursor never un-applies a fault, so a `t`
+    /// earlier than one already answered reads the latest state reached.
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
         let p = self.base.len();
         while self.cursor < self.script.len()
             && self.script[self.cursor].at.as_ms() <= t.as_ms() + 1e-12
@@ -87,18 +90,13 @@ impl NetworkEvolution for ScriptedFaults {
             self.multipliers[f.src * p + f.dst] = f.factor;
             self.cursor += 1;
         }
-        let mut out = self.base.clone();
-        for src in 0..p {
-            for dst in 0..p {
-                if src != dst {
-                    let m = self.multipliers[src * p + dst];
-                    if m != 1.0 {
-                        out.scale_bandwidth(src, dst, m);
-                    }
-                }
-            }
+        let e = self.base.estimate(src, dst);
+        let m = self.multipliers[src * p + dst];
+        if m == 1.0 {
+            e
+        } else {
+            LinkEstimate::new(e.startup, e.bandwidth.scaled(m))
         }
-        out
     }
 }
 
@@ -150,11 +148,11 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(ev.state_at(Millis::new(50.0)), base(3));
-        let degraded = ev.state_at(Millis::new(150.0));
+        assert_eq!(ev.table_at(Millis::new(50.0)), base(3));
+        let degraded = ev.table_at(Millis::new(150.0));
         assert_eq!(degraded.estimate(0, 1).bandwidth.as_kbps(), 100.0);
         assert_eq!(degraded.estimate(1, 0).bandwidth.as_kbps(), 1_000.0);
-        let recovered = ev.state_at(Millis::new(250.0));
+        let recovered = ev.table_at(Millis::new(250.0));
         assert_eq!(recovered, base(3));
         assert_eq!(ev.processors(), 3);
         assert_eq!(ev.script().len(), 2);

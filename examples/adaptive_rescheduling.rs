@@ -6,6 +6,7 @@
 //! cargo run --example adaptive_rescheduling
 //! ```
 
+use adaptcomm::model::evolution::NetworkEvolution;
 use adaptcomm::model::variation::{VariationConfig, VariationTrace};
 use adaptcomm::prelude::*;
 use adaptcomm::scheduling::checkpointed::{CheckpointPolicy, RescheduleRule};
@@ -70,7 +71,7 @@ fn main() {
     let mut trace = VariationTrace::new(inst.network.clone(), VariationConfig::default(), 5);
     println!("{:>6} {:>14} {:>12}", "cycle", "completion", "action");
     for cycle in 1..=8 {
-        let snapshot = trace.snapshot_at(Millis::new(cycle as f64 * 5_000.0));
+        let snapshot = trace.table_at(Millis::new(cycle as f64 * 5_000.0));
         let matrix = CommMatrix::from_model(&snapshot, &sizes);
         let (schedule, action) = inc.update(matrix);
         println!(
