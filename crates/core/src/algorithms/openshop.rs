@@ -26,13 +26,13 @@
 //!   only changes when it is itself scheduled — and it is popped
 //!   precisely then — so re-pushing it with its new time keeps every
 //!   stored key current.
-//! * **Receivers** live in one *global* ordered set (`BTreeSet`) keyed
-//!   by current `(availability, id)`; each event re-keys exactly the one
-//!   receiver it touched (`O(log P)`). A sender selects its receiver by
-//!   walking the set in order and skipping itself and the receivers it
-//!   has already served (a bitset test): the first survivor is exactly
-//!   the `(recv_avail, id)`-minimum of its owed set, so tie-breaks by
-//!   processor id are preserved bit-for-bit. Per-sender *heaps* would
+//! * **Receivers** that someone still owes live in one *global* ordered
+//!   set (`BTreeSet`) keyed by current `(availability, id)`; each event
+//!   re-keys exactly the one receiver it touched (`O(log P)`). A sender
+//!   selects its receiver by walking the set in order and skipping the
+//!   receivers it does not owe (a bitset test): the first survivor is
+//!   exactly the `(recv_avail, id)`-minimum of its owed set, so
+//!   tie-breaks by processor id are preserved bit-for-bit. Per-sender *heaps* would
 //!   not work here: while a sender waits for its next turn, every other
 //!   sender's events advance receiver availabilities, so nearly all of
 //!   its stored keys go stale and lazy correction degenerates to the
@@ -45,7 +45,10 @@
 //! worst-case bound stays `O(P³)` with a far smaller constant than the
 //! reference's double linear scan. The original construction is
 //! retained in [`super::reference::openshop_build`] and property-tested
-//! to emit bit-identical schedules.
+//! to emit bit-identical schedules. The rule does not care where it
+//! starts from: [`OpenShop::list_schedule`] takes the owed sets and the
+//! port availabilities, so a mid-run replan of what remains
+//! (`adaptcomm_sim::dynamic::openshop_replan`) is this same code.
 //!
 //! Availability times are finite and non-negative, so the `f64 → u64`
 //! IEEE-bit mapping used for the set keys is strictly monotonic —
@@ -91,39 +94,65 @@ impl OpenShop {
     /// Runs the heuristic, producing explicit event start times.
     pub fn build(matrix: &CommMatrix) -> Schedule {
         let p = matrix.len();
-        let mut send_avail = vec![0.0f64; p];
-        let mut recv_avail = vec![0.0f64; p];
-        // How many receivers each sender still owes.
-        let mut owed = vec![p.saturating_sub(1); p];
+        let owes = (0..p * p).map(|k| k / p != k % p).collect();
+        let events = Self::list_schedule(owes, vec![0.0; p], vec![0.0; p], |i, j| matrix.row(i)[j]);
+        Schedule::new(matrix.clone(), events)
+    }
+
+    /// The heuristic from an arbitrary state: `owes[i * p + j]` says
+    /// sender `i` still owes receiver `j` a message (never `i` itself),
+    /// and `send_avail` / `recv_avail` say when each port is next free
+    /// (finite, non-negative). Events come back in the order the rule
+    /// emits them, each costing `cost(src, dst)` ms. [`OpenShop::build`]
+    /// is the all-owed, all-idle instance; a mid-run replan passes what
+    /// remains and when the in-flight transfers end.
+    pub fn list_schedule(
+        mut owes: Vec<bool>,
+        mut send_avail: Vec<f64>,
+        mut recv_avail: Vec<f64>,
+        cost: impl Fn(usize, usize) -> f64,
+    ) -> Vec<ScheduledEvent> {
+        let p = send_avail.len();
+        assert_eq!(owes.len(), p * p, "owes is a P×P table");
+        // How many receivers each sender still owes, and how many senders
+        // still owe each receiver.
+        let mut left = vec![0usize; p];
+        let mut owed_to = vec![0usize; p];
+        for (k, _) in owes.iter().enumerate().filter(|(_, &owed)| owed) {
+            left[k / p] += 1;
+            owed_to[k % p] += 1;
+        }
         // Earliest-available sender, exact ("senders that become
         // available at time t are processed before any senders that
         // become available at a later time"; ties to the lowest id).
         let mut senders: BinaryHeap<Reverse<AvailKey>> = (0..p)
-            .filter(|&i| owed[i] > 0)
-            .map(|i| Reverse(AvailKey { time: 0.0, id: i }))
+            .filter(|&i| left[i] > 0)
+            .map(|i| {
+                Reverse(AvailKey {
+                    time: send_avail[i],
+                    id: i,
+                })
+            })
             .collect();
-        // All receivers in one ordered set keyed by current
-        // (availability, id); re-keyed on every event.
-        let mut avail_order: BTreeSet<(u64, usize)> = if p > 1 {
-            (0..p).map(|j| (0u64, j)).collect()
-        } else {
-            BTreeSet::new()
-        };
-        // served[i * p + j]: sender i has already sent to receiver j.
-        let mut served = vec![false; p * p];
-        let mut events = Vec::with_capacity(p * p.saturating_sub(1));
+        // Every receiver someone still owes, in one ordered set keyed by
+        // current (availability, id); re-keyed on every event.
+        let mut avail_order: BTreeSet<(u64, usize)> = (0..p)
+            .filter(|&j| owed_to[j] > 0)
+            .map(|j| (recv_avail[j].to_bits(), j))
+            .collect();
+        let mut events = Vec::with_capacity(left.iter().sum());
         // Aggregate in locals; one obs record after the loop.
         let (mut heap_rekeys, mut walk_skips) = (0u64, 0u64);
 
         while let Some(Reverse(AvailKey { id: i, .. })) = senders.pop() {
             // Earliest-available receiver i still owes: first in global
-            // (avail, id) order that isn't i itself or already served.
+            // (avail, id) order that i owes.
             let mut skipped = 0u64;
             let j = avail_order
                 .iter()
                 .map(|&(_, j)| j)
                 .find(|&j| {
-                    let ok = j != i && !served[i * p + j];
+                    let ok = owes[i * p + j];
                     if !ok {
                         skipped += 1;
                     }
@@ -133,7 +162,7 @@ impl OpenShop {
             walk_skips += skipped;
 
             let t = send_avail[i].max(recv_avail[j]);
-            let finish = t + matrix.row(i)[j];
+            let finish = t + cost(i, j);
             events.push(ScheduledEvent {
                 src: i,
                 dst: j,
@@ -142,12 +171,15 @@ impl OpenShop {
             });
             send_avail[i] = finish;
             avail_order.remove(&(recv_avail[j].to_bits(), j));
-            avail_order.insert((finish.to_bits(), j));
             heap_rekeys += 1;
+            owed_to[j] -= 1;
+            if owed_to[j] > 0 {
+                avail_order.insert((finish.to_bits(), j));
+            }
             recv_avail[j] = finish;
-            served[i * p + j] = true;
-            owed[i] -= 1;
-            if owed[i] > 0 {
+            owes[i * p + j] = false;
+            left[i] -= 1;
+            if left[i] > 0 {
                 senders.push(Reverse(AvailKey {
                     time: finish,
                     id: i,
@@ -160,7 +192,7 @@ impl OpenShop {
             obs.add("sched.openshop.rekeys", heap_rekeys);
             obs.add("sched.openshop.walk_skips", walk_skips);
         }
-        Schedule::new(matrix.clone(), events)
+        events
     }
 }
 

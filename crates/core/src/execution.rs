@@ -10,143 +10,115 @@
 //! receiver acknowledges requests in arrival order (FCFS, ties broken by
 //! sender id for determinism).
 //!
-//! [`execute_listed`] implements exactly that semantics as a
-//! deterministic discrete-event computation. [`execute_steps`] implements
-//! the *synchronized* variant that inserts a barrier between steps — the
-//! paper points out schedules do **not** need this; we keep it as an
-//! ablation to quantify what the barrier would cost.
+//! [`execute_listed`] is exactly that semantics: the port-model
+//! [`kernel`] with a price and no other policy.
+//! [`execute_steps`] is the *synchronized* variant that inserts a barrier
+//! between steps — the paper points out schedules do **not** need this;
+//! we keep it, and the two intermediate step couplings, as one recurrence
+//! to quantify what each synchronization would cost.
 
+use crate::kernel;
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, ScheduledEvent, SendOrder};
 use adaptcomm_model::units::Millis;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Which execution semantics to apply to an abstract send order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionPolicy {
-    /// As-soon-as-possible execution with FCFS receiver grants
-    /// (the paper's semantics).
-    Asap,
-}
-
-impl ExecutionPolicy {
-    /// Executes a send order under this policy.
-    pub fn execute(self, order: &SendOrder, matrix: &CommMatrix) -> Schedule {
-        match self {
-            ExecutionPolicy::Asap => execute_listed(order, matrix),
-        }
-    }
-}
-
-/// Totally ordered event-queue key: `(time, kind, processor)`.
-///
-/// Kind 0 = a sender becomes ready to request its next transfer; kind 1 =
-/// a receiver finishes a transfer and may grant the next request. Arrival
-/// events sort before receiver-free events at the same timestamp, so a
-/// grant at time `t` considers every request that arrived at or before
-/// `t`; the processor id breaks remaining ties deterministically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Key(f64, u8, usize);
-
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&o.0)
-            .then(self.1.cmp(&o.1))
-            .then(self.2.cmp(&o.2))
-    }
-}
-
-const SENDER_READY: u8 = 0;
-const RECEIVER_FREE: u8 = 1;
 
 /// Executes an abstract send order against a communication matrix under
 /// ASAP / FCFS semantics, producing a concrete schedule.
 ///
-/// The result is deterministic: simultaneous requests are granted to the
-/// lower-numbered sender, matching the paper's "processed in an arbitrary
-/// (but fixed) order" provision for ties.
+/// This is the port-model [`kernel`] with no policy beyond a price: a
+/// transfer costs its matrix cell. The result is deterministic:
+/// simultaneous requests are granted to the lower-numbered sender,
+/// matching the paper's "processed in an arbitrary (but fixed) order"
+/// provision for ties.
 pub fn execute_listed(order: &SendOrder, matrix: &CommMatrix) -> Schedule {
+    assert_eq!(
+        order.processors(),
+        matrix.len(),
+        "order and matrix disagree on P"
+    );
+    let mut cell = |src: usize, dst: usize| matrix.row(src)[dst];
+    match kernel::run(&order.order, &mut cell) {
+        Ok(run) => Schedule::new(matrix.clone(), run.events),
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// Which clock an event of a step-structured schedule waits on.
+#[derive(Clone, Copy)]
+enum StepClock {
+    /// One global clock: a step begins when the previous one has ended.
+    Barrier,
+    /// One clock per port: the sender's previous send and the receiver's
+    /// previous receive.
+    Port,
+    /// One clock per node: both of the sender's and both of the
+    /// receiver's previous-step events.
+    Node,
+}
+
+/// The step recurrence: every event of a step starts when its sender's
+/// send clock and its receiver's receive clock allow, and the step's
+/// finishes then advance the clocks the rule names.
+fn execute_stepped(
+    steps: &[Vec<Option<usize>>],
+    matrix: &CommMatrix,
+    clock: StepClock,
+) -> Schedule {
     let p = matrix.len();
-    assert_eq!(order.processors(), p, "order and matrix disagree on P");
-
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-    // Requests pending per receiver: (request_time, src), granted FCFS.
-    let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-    let mut receiver_busy = vec![false; p];
-    let mut next_index = vec![0usize; p];
-    let mut events_out: Vec<ScheduledEvent> = Vec::with_capacity(p * p.saturating_sub(1));
-
-    // Starts the transfer src→dst at `now`, booking the receiver and
-    // scheduling both follow-up events at the finish time.
-    macro_rules! start_transfer {
-        ($src:expr, $dst:expr, $now:expr) => {{
-            let (src, dst, now) = ($src, $dst, $now);
-            let finish = now + matrix.cost(src, dst).as_ms();
-            events_out.push(ScheduledEvent {
+    let mut send_ready = vec![0.0f64; p];
+    let mut recv_ready = vec![0.0f64; p];
+    let mut events: Vec<ScheduledEvent> = Vec::with_capacity(p * p.saturating_sub(1));
+    for step in steps {
+        assert_eq!(step.len(), p, "step width must equal P");
+        let first = events.len();
+        for (src, dst) in step.iter().enumerate() {
+            let Some(dst) = *dst else { continue };
+            if dst == src {
+                continue;
+            }
+            let start = send_ready[src].max(recv_ready[dst]);
+            events.push(ScheduledEvent {
                 src,
                 dst,
-                start: Millis::new(now),
-                finish: Millis::new(finish),
+                start: Millis::new(start),
+                finish: Millis::new(start + matrix.cost(src, dst).as_ms()),
             });
-            receiver_busy[dst] = true;
-            next_index[src] += 1;
-            heap.push(Reverse(Key(finish, SENDER_READY, src)));
-            heap.push(Reverse(Key(finish, RECEIVER_FREE, dst)));
-        }};
-    }
-
-    for src in 0..p {
-        heap.push(Reverse(Key(0.0, SENDER_READY, src)));
-    }
-
-    while let Some(Reverse(Key(now, kind, who))) = heap.pop() {
-        match kind {
-            SENDER_READY => {
-                let src = who;
-                let idx = next_index[src];
-                if idx >= order.order[src].len() {
-                    continue; // sender finished all its messages
-                }
-                let dst = order.order[src][idx];
-                if receiver_busy[dst] {
-                    pending[dst].push((now, src));
-                } else {
-                    start_transfer!(src, dst, now);
+        }
+        let step_events = &events[first..];
+        match clock {
+            StepClock::Barrier => {
+                let end = step_events
+                    .iter()
+                    .map(|e| e.finish.as_ms())
+                    .chain(send_ready.first().copied())
+                    .fold(0.0, f64::max);
+                send_ready.fill(end);
+                recv_ready.fill(end);
+            }
+            StepClock::Port => {
+                for e in step_events {
+                    send_ready[e.src] = e.finish.as_ms();
+                    recv_ready[e.dst] = e.finish.as_ms();
                 }
             }
-            _ => {
-                let dst = who;
-                receiver_busy[dst] = false;
-                if pending[dst].is_empty() {
-                    continue;
+            StepClock::Node => {
+                let mut seen_recv = vec![false; p];
+                for e in step_events {
+                    assert!(
+                        !std::mem::replace(&mut seen_recv[e.dst], true),
+                        "two receives for node {} in one step",
+                        e.dst
+                    );
+                    for node in [e.src, e.dst] {
+                        let ready = send_ready[node].max(e.finish.as_ms());
+                        send_ready[node] = ready;
+                        recv_ready[node] = ready;
+                    }
                 }
-                // Grant the earliest request (FCFS; ties to lower src id).
-                let best = pending[dst]
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                    .map(|(k, _)| k)
-                    .expect("non-empty");
-                let (_, src) = pending[dst].swap_remove(best);
-                start_transfer!(src, dst, now);
             }
         }
     }
-
-    debug_assert_eq!(
-        events_out.len(),
-        p * p.saturating_sub(1),
-        "all transfers executed"
-    );
-    Schedule::new(matrix.clone(), events_out)
+    Schedule::new(matrix.clone(), events)
 }
 
 /// Executes a step-structured schedule with *pairwise* step ordering and
@@ -162,34 +134,7 @@ pub fn execute_listed(order: &SendOrder, matrix: &CommMatrix) -> Schedule {
 /// (their receivers grant by handshake order), which is part of why they
 /// win on heterogeneous networks.
 pub fn execute_steps_pairwise(steps: &[Vec<Option<usize>>], matrix: &CommMatrix) -> Schedule {
-    let p = matrix.len();
-    let mut sender_finish = vec![0.0f64; p];
-    let mut receiver_finish = vec![0.0f64; p];
-    let mut events = Vec::with_capacity(p * p.saturating_sub(1));
-    for step in steps {
-        assert_eq!(step.len(), p, "step width must equal P");
-        let mut new_sender = sender_finish.clone();
-        let mut new_receiver = receiver_finish.clone();
-        for (src, dst) in step.iter().enumerate() {
-            let Some(dst) = *dst else { continue };
-            if dst == src {
-                continue;
-            }
-            let start = sender_finish[src].max(receiver_finish[dst]);
-            let finish = start + matrix.cost(src, dst).as_ms();
-            events.push(ScheduledEvent {
-                src,
-                dst,
-                start: Millis::new(start),
-                finish: Millis::new(finish),
-            });
-            new_sender[src] = finish;
-            new_receiver[dst] = finish;
-        }
-        sender_finish = new_sender;
-        receiver_finish = new_receiver;
-    }
-    Schedule::new(matrix.clone(), events)
+    execute_stepped(steps, matrix, StepClock::Port)
 }
 
 /// Executes a step-structured schedule with blocking *send-recv* step
@@ -208,34 +153,7 @@ pub fn execute_steps_pairwise(steps: &[Vec<Option<usize>>], matrix: &CommMatrix)
 /// Each step must be a (partial) permutation: at most one send and one
 /// receive per node per step.
 pub fn execute_steps_sendrecv(steps: &[Vec<Option<usize>>], matrix: &CommMatrix) -> Schedule {
-    let p = matrix.len();
-    let mut node_ready = vec![0.0f64; p];
-    let mut events = Vec::with_capacity(p * p.saturating_sub(1));
-    for step in steps {
-        assert_eq!(step.len(), p, "step width must equal P");
-        let mut next_ready = node_ready.clone();
-        let mut seen_recv = vec![false; p];
-        for (src, dst) in step.iter().enumerate() {
-            let Some(dst) = *dst else { continue };
-            if dst == src {
-                continue;
-            }
-            assert!(!seen_recv[dst], "two receives for node {dst} in one step");
-            seen_recv[dst] = true;
-            let start = node_ready[src].max(node_ready[dst]);
-            let finish = start + matrix.cost(src, dst).as_ms();
-            events.push(ScheduledEvent {
-                src,
-                dst,
-                start: Millis::new(start),
-                finish: Millis::new(finish),
-            });
-            next_ready[src] = next_ready[src].max(finish);
-            next_ready[dst] = next_ready[dst].max(finish);
-        }
-        node_ready = next_ready;
-    }
-    Schedule::new(matrix.clone(), events)
+    execute_stepped(steps, matrix, StepClock::Node)
 }
 
 /// Executes a step-structured schedule with a barrier after each step:
@@ -244,30 +162,7 @@ pub fn execute_steps_sendrecv(steps: &[Vec<Option<usize>>], matrix: &CommMatrix)
 /// The paper explicitly avoids this synchronization; this function exists
 /// to measure how much the barrier would cost (ablation).
 pub fn execute_steps(steps: &[Vec<Option<usize>>], matrix: &CommMatrix) -> Schedule {
-    let p = matrix.len();
-    let mut t = 0.0f64;
-    let mut events = Vec::with_capacity(p * p.saturating_sub(1));
-    for step in steps {
-        assert_eq!(step.len(), p, "step width must equal P");
-        let mut step_end = t;
-        for (src, dst) in step.iter().enumerate() {
-            if let Some(dst) = dst {
-                if *dst == src {
-                    continue;
-                }
-                let dur = matrix.cost(src, *dst).as_ms();
-                events.push(ScheduledEvent {
-                    src,
-                    dst: *dst,
-                    start: Millis::new(t),
-                    finish: Millis::new(t + dur),
-                });
-                step_end = step_end.max(t + dur);
-            }
-        }
-        t = step_end;
-    }
-    Schedule::new(matrix.clone(), events)
+    execute_stepped(steps, matrix, StepClock::Barrier)
 }
 
 #[cfg(test)]
@@ -415,15 +310,5 @@ mod tests {
         let s = execute_listed(&caterpillar_order(4), &m);
         s.validate().unwrap();
         assert_eq!(s.completion_time().as_ms(), 0.0);
-    }
-
-    #[test]
-    fn policy_enum_delegates() {
-        let m = matrix();
-        let o = caterpillar_order(3);
-        assert_eq!(
-            ExecutionPolicy::Asap.execute(&o, &m).completion_time(),
-            execute_listed(&o, &m).completion_time()
-        );
     }
 }

@@ -1,0 +1,644 @@
+//! The §3.2 port model, written once: one event loop that every modeled
+//! execution in the workspace is a [`Policy`] over.
+//!
+//! The kernel owns the *mechanism*:
+//!
+//! * **per-sender queues** — a sender transmits its remaining
+//!   destinations strictly in list order;
+//! * **ports** — one send port and one receive port per node (a receive
+//!   port holds up to [`Policy::fan_in`] transfers that were admitted
+//!   together, one in the base model);
+//! * **the pending queue** of each receiver and its FCFS grant: the
+//!   earliest `(arrival, sender)` request goes first;
+//! * **the calendar**, totally ordered by `(time, class, key, seq)`, and
+//!   its typed rejection of non-finite or backwards event times
+//!   ([`ScheduleError`]);
+//! * **the outcome** — transfers in start order, the `(finish, src, dst)`
+//!   completion order ([`completion_order`]) and the makespan.
+//!
+//! A policy decides only what actually differs between the executors: how
+//! a transfer is **priced** at its start, what a port **admits**
+//! ([`Policy::fan_in`], [`Policy::fits`]), what happens **on completion**
+//! (nothing, a checkpoint that may [`Ports::replan`], a drain that sets a
+//! [`Ports::timer`]) and which [`Ties`] rule its events carry. A closure
+//! `FnMut(src, dst) -> ms` is the zero-policy instantiation (a price and
+//! nothing else): that is `execute_listed`.
+//!
+//! # Tie order — the rule
+//!
+//! Events at one instant pop by class, then key, then insertion:
+//!
+//! | class | event | key under [`Ties::ProcessorId`] |
+//! |---|---|---|
+//! | 0 | a sender requests its next destination | sender id (batch mates: the id of the first admitted, so they pop together in admission order) |
+//! | 1 | a transfer completes: its receive port frees and, if no receive is left in flight, the FCFS head requests again at this instant | receiver id |
+//! | 2 | a policy timer fires (a drain finished), then the port re-admits as above | receiver id |
+//!
+//! So a grant at time `t` sees every request that arrived at or before
+//! `t`, and what remains is settled by processor id — the paper's
+//! "arbitrary (but fixed) order". A sender's release is its own class-0
+//! event at its transfer's finish and does **not** ride on the
+//! completion: a transfer that finishes at the instant it starts (an
+//! exact-zero cost cell) must let its sender re-request before any
+//! receiver at that instant frees, or the run differs
+//! (`tests/port_kernel.rs` holds the 3-processor instance: 30 ms, not 20).
+//! [`Ties::InsertionOrder`] is the one exception, pinned rather than
+//! chosen, and only `run_adaptive` declares it.
+
+use crate::schedule::ScheduledEvent;
+use adaptcomm_model::units::Millis;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
+
+/// Why an event could not be scheduled: the event stream is degenerate
+/// (e.g. an injected-fault scenario priced a transfer at NaN), which is a
+/// property of the *scenario*, not of the kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScheduleError {
+    /// The event time is NaN or infinite.
+    NonFiniteTime {
+        /// The offending time.
+        time: f64,
+    },
+    /// The event lies in the past of the calendar clock.
+    TimeTravel {
+        /// The offending time.
+        time: f64,
+        /// The calendar's current clock.
+        now: f64,
+    },
+}
+
+impl fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            // These strings are load-bearing: the panicking entry points
+            // format them, and callers match on "finite" and "clock is
+            // already".
+            ScheduleError::NonFiniteTime { time } => {
+                write!(f, "event time must be finite, got {time}")
+            }
+            ScheduleError::TimeTravel { time, now } => {
+                write!(
+                    f,
+                    "event scheduled at {time} but the clock is already at {now}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
+
+/// Why a run could not proceed: the scenario produced a degenerate event
+/// stream. Fallible entry points return it so a harness thread does not
+/// abort and poison shared state; the others panic with its message.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// A transfer produced an unschedulable completion event.
+    DegenerateEvent {
+        /// Sending processor of the offending transfer.
+        src: usize,
+        /// Receiving processor of the offending transfer.
+        dst: usize,
+        /// The calendar's rejection.
+        cause: ScheduleError,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RunError::DegenerateEvent { src, dst, cause } = self;
+        write!(f, "degenerate event for transfer {src} -> {dst}: {cause}")
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// How a policy's events at one instant are ordered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ties {
+    /// The canonical rule of the module docs: `(time, class, processor
+    /// id)`, a sender's release its own class-0 event.
+    ProcessorId,
+    /// `run_adaptive`'s pinned order: events carry no key, so equal
+    /// `(time, class)` pops in insertion order — completions in the order
+    /// their transfers started — and a completion releases its own sender
+    /// (after counting itself, before its hook) instead of a separate
+    /// event doing so.
+    InsertionOrder,
+}
+
+/// The decisions that differ between the modeled executors. Everything
+/// has the base model's answer as its default except the price.
+pub trait Policy {
+    /// **Tie key.** Which [`Ties`] rule this policy's events carry.
+    const TIES: Ties = Ties::ProcessorId;
+
+    /// **Price.** Milliseconds the receive starting `now` at `dst`
+    /// occupies its ports. `senders` is the one sender of the base model,
+    /// or the batch admitted together (all members start and finish
+    /// together). Called exactly once per start, in start order.
+    fn price(&mut self, now: f64, senders: &[usize], dst: usize) -> f64;
+
+    /// **Admit.** How many pending requests a free port takes at once.
+    fn fan_in(&self) -> usize {
+        1
+    }
+
+    /// **Admit.** Whether `dst` can take `src`'s next message right now;
+    /// a request that does not fit waits while later ones that do may
+    /// pass it.
+    fn fits(&self, _src: usize, _dst: usize) -> bool {
+        true
+    }
+
+    /// `src` waits at a port that is free at `now` but that its message
+    /// does not [`fit`](Self::fits) — on its request, or each time the
+    /// port frees or a timer fires and it is passed over again.
+    fn refused(&mut self, _now: f64, _src: usize) {}
+
+    /// **On completion** of `src → dst`, after the port has freed and the
+    /// completion has been counted, before the port re-admits.
+    fn on_completion(&mut self, _ports: &mut Ports, _now: f64, _src: usize, _dst: usize) {}
+
+    /// A [`Ports::timer`] set for `dst` fired; the port re-admits after.
+    fn on_timer(&mut self, _ports: &mut Ports, _now: f64, _dst: usize) {}
+}
+
+/// The zero-policy instantiation: a price per `(src, dst)` and nothing
+/// else.
+impl<F: FnMut(usize, usize) -> f64> Policy for F {
+    fn price(&mut self, _now: f64, senders: &[usize], dst: usize) -> f64 {
+        self(senders[0], dst)
+    }
+}
+
+/// A calendar entry; its order is the `(time, class, key, seq)` of the
+/// module docs and the only event ordering in the port model. Class, key
+/// and sequence number share one word, most significant first, so the
+/// last three are one integer comparison and an entry is three words —
+/// the heap is where an execution spends its time.
+#[derive(Debug)]
+struct Entry {
+    time: f64,
+    /// `class << 62 | key << 38 | seq`.
+    rank: u64,
+    src: u32,
+    dst: u32,
+}
+
+/// Event classes: a sender (`src`) requests · a transfer `src → dst`
+/// completes · a policy timer for `dst` fires.
+const READY: u64 = 0;
+const DONE: u64 = 1;
+const TIMER: u64 = 2;
+const KEY_BITS: u32 = 24;
+const SEQ_BITS: u32 = 38;
+
+impl PartialEq for Entry {
+    fn eq(&self, o: &Self) -> bool {
+        self.cmp(o).is_eq()
+    }
+}
+impl Eq for Entry {}
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+impl Ord for Entry {
+    fn cmp(&self, o: &Self) -> Ordering {
+        self.time.total_cmp(&o.time).then(self.rank.cmp(&o.rank))
+    }
+}
+
+/// The mechanism's state, as a policy's completion and timer hooks see
+/// it.
+#[derive(Debug)]
+pub struct Ports {
+    ties: Ties,
+    heap: BinaryHeap<Reverse<Entry>>,
+    seq: u64,
+    clock: f64,
+    /// Every sender's remaining destinations, back to back: sender
+    /// `src` owns `flat[head[src]..end[src]]` and starts from the front.
+    flat: Vec<usize>,
+    head: Vec<usize>,
+    end: Vec<usize>,
+    /// Per receiver: `(arrival, sender)` requests waiting for the port.
+    pending: Vec<Vec<(f64, usize)>>,
+    /// Per receiver: receives in flight.
+    receiving: Vec<usize>,
+    send_busy_until: Vec<f64>,
+    recv_busy_until: Vec<f64>,
+    events: Vec<ScheduledEvent>,
+    completed: usize,
+    batch: Vec<usize>,
+    /// Requests made at the current instant, not yet served.
+    instant: Vec<usize>,
+    // Aggregated in fields, recorded once after the drain.
+    popped: u64,
+    grants_queued: u64,
+    max_queue_depth: usize,
+}
+
+impl Ports {
+    fn new(lists: &[Vec<usize>], ties: Ties) -> Self {
+        let p = lists.len();
+        let mut ports = Ports {
+            ties,
+            heap: BinaryHeap::new(),
+            seq: 0,
+            clock: 0.0,
+            flat: Vec::new(),
+            head: Vec::new(),
+            end: Vec::new(),
+            pending: vec![Vec::new(); p],
+            receiving: vec![0; p],
+            send_busy_until: vec![0.0; p],
+            recv_busy_until: vec![0.0; p],
+            events: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
+            completed: 0,
+            batch: Vec::new(),
+            instant: Vec::new(),
+            popped: 0,
+            grants_queued: 0,
+            max_queue_depth: 0,
+        };
+        ports.set_queues(lists.iter().map(Vec::as_slice));
+        ports
+    }
+
+    /// `src`'s not-yet-started destinations, in send order.
+    pub fn remaining(&self, src: usize) -> &[usize] {
+        &self.flat[self.head[src]..self.end[src]]
+    }
+
+    fn set_queues<'a>(&mut self, lists: impl Iterator<Item = &'a [usize]>) {
+        self.flat.clear();
+        self.head.clear();
+        self.end.clear();
+        for list in lists {
+            self.head.push(self.flat.len());
+            self.flat.extend_from_slice(list);
+            self.end.push(self.flat.len());
+        }
+    }
+
+    /// Transfers completed so far, the one being reported included.
+    pub fn completed(&self) -> usize {
+        self.completed
+    }
+
+    /// When each send port finishes the last transfer it started.
+    pub fn send_busy_until(&self) -> &[f64] {
+        &self.send_busy_until
+    }
+
+    /// When each receive port finishes the last transfer it started.
+    pub fn recv_busy_until(&self) -> &[f64] {
+        &self.recv_busy_until
+    }
+
+    /// Replaces the remaining queues. Pending requests are cancelled —
+    /// their messages are part of `queues` — and every blocked sender
+    /// requests afresh at this instant, receiver by receiver in the order the
+    /// requests were waiting. In-flight transfers are untouched.
+    pub fn replan(&mut self, mut queues: Vec<VecDeque<usize>>) {
+        assert_eq!(queues.len(), self.head.len(), "replan changed P");
+        self.set_queues(queues.iter_mut().map(|q| &*q.make_contiguous()));
+        for dst in 0..self.pending.len() {
+            for (_, src) in std::mem::take(&mut self.pending[dst]) {
+                self.ready(src);
+            }
+        }
+    }
+
+    /// Schedules [`Policy::on_timer`] for `dst` at time `at`. Panics on a
+    /// non-finite or past `at`: a timer is the policy's own arithmetic,
+    /// not scenario input.
+    pub fn timer(&mut self, at: f64, dst: usize) {
+        if let Err(e) = self.schedule(at, TIMER, dst, 0, dst) {
+            panic!("{e}");
+        }
+    }
+
+    /// Schedules a `class` event about `src` and/or `dst`, tie-keyed by
+    /// processor `id`.
+    fn schedule(
+        &mut self,
+        time: f64,
+        class: u64,
+        id: usize,
+        src: usize,
+        dst: usize,
+    ) -> Result<(), ScheduleError> {
+        if !time.is_finite() {
+            return Err(ScheduleError::NonFiniteTime { time });
+        }
+        if time < self.clock - 1e-9 {
+            return Err(ScheduleError::TimeTravel {
+                time,
+                now: self.clock,
+            });
+        }
+        let key = match self.ties {
+            Ties::ProcessorId => id,
+            Ties::InsertionOrder => 0,
+        };
+        assert!(self.seq < 1 << SEQ_BITS, "calendar sequence exhausted");
+        self.heap.push(Reverse(Entry {
+            time,
+            rank: class << (KEY_BITS + SEQ_BITS) | (key as u64) << SEQ_BITS | self.seq,
+            src: src as u32,
+            dst: dst as u32,
+        }));
+        self.seq += 1;
+        Ok(())
+    }
+
+    /// The next event: `(time, class, src, dst)`.
+    fn pop(&mut self) -> Option<(f64, u64, usize, usize)> {
+        let Reverse(e) = self.heap.pop()?;
+        self.clock = self.clock.max(e.time);
+        self.popped += 1;
+        let class = e.rank >> (KEY_BITS + SEQ_BITS);
+        Some((e.time, class, e.src as usize, e.dst as usize))
+    }
+
+    /// `src` requests its next destination at the current instant: a
+    /// class-0 event at `now`, served by [`Ports::serve_instant`].
+    fn ready(&mut self, src: usize) {
+        self.instant.push(src);
+    }
+
+    /// Serves the requests made at the current instant since the last
+    /// call. They are class-0 events at `now`, made while a completion or
+    /// a timer was handled (or before the first event) — when no other
+    /// class-0 event at `now` is left in the calendar — so they would pop
+    /// next, by key and then insertion, ahead of everything else. Under
+    /// [`Ties::InsertionOrder`] that is the order they were made in, and
+    /// serving one never schedules another request; a lone request is
+    /// trivially in order. Only several at once under
+    /// [`Ties::ProcessorId`] need the calendar to sort them (and to slot a
+    /// zero-cost transfer's release between them): the first instant.
+    fn serve_instant<P: Policy>(&mut self, policy: &mut P, now: f64) -> Result<(), RunError> {
+        let mut instant = std::mem::take(&mut self.instant);
+        if self.ties == Ties::ProcessorId && instant.len() > 1 {
+            for src in instant.drain(..) {
+                self.schedule(now, READY, src, src, 0)
+                    .expect("the current instant is finite and not in the past");
+            }
+        } else {
+            for src in instant.drain(..) {
+                self.request(policy, src, now)?;
+            }
+        }
+        self.instant = instant;
+        Ok(())
+    }
+
+    /// The FCFS grant: removes the earliest `(arrival, sender)` request
+    /// waiting at `dst` among those that fit.
+    fn take_head<P: Policy>(&mut self, policy: &P, dst: usize) -> Option<usize> {
+        let head = self.pending[dst]
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, src))| policy.fits(src, dst))
+            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(k, _)| k)?;
+        Some(self.pending[dst].swap_remove(head).1)
+    }
+
+    /// A free port re-admits: its FCFS head requests again at `now`, so
+    /// that pricing and bookkeeping have the single start path of
+    /// [`Ports::request`] (which also pulls the head's batch mates). The
+    /// head's queue still starts with `dst`: queues pop only at a start.
+    /// If requests wait and none fits, each is told it was refused.
+    fn admit<P: Policy>(&mut self, policy: &mut P, dst: usize, now: f64) {
+        if self.receiving[dst] > 0 {
+            return;
+        }
+        match self.take_head(policy, dst) {
+            Some(src) => self.ready(src),
+            None => self.pending[dst]
+                .iter()
+                .for_each(|&(_, src)| policy.refused(now, src)),
+        }
+    }
+
+    fn request<P: Policy>(&mut self, policy: &mut P, src: usize, now: f64) -> Result<(), RunError> {
+        let Some(&dst) = self.remaining(src).first() else {
+            return Ok(()); // the sender has finished its list
+        };
+        let port_free = self.receiving[dst] == 0;
+        if !port_free || !policy.fits(src, dst) {
+            self.pending[dst].push((now, src));
+            self.grants_queued += 1;
+            self.max_queue_depth = self.max_queue_depth.max(self.pending[dst].len());
+            if port_free {
+                policy.refused(now, src);
+            }
+            return Ok(());
+        }
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.push(src);
+        while batch.len() < policy.fan_in() {
+            match self.take_head(policy, dst) {
+                Some(mate) => batch.push(mate),
+                None => break,
+            }
+        }
+        let finish = now + policy.price(now, &batch, dst);
+        for &src in &batch {
+            self.schedule(finish, DONE, dst, src, dst)
+                .map_err(|cause| RunError::DegenerateEvent { src, dst, cause })?;
+            if self.ties == Ties::ProcessorId {
+                self.schedule(finish, READY, batch[0], src, 0)
+                    .expect("the completion at this instant was accepted");
+            }
+            self.head[src] += 1;
+            self.receiving[dst] += 1;
+            self.send_busy_until[src] = finish;
+            self.events.push(ScheduledEvent {
+                src,
+                dst,
+                start: Millis::new(now),
+                finish: Millis::new(finish),
+            });
+        }
+        self.recv_busy_until[dst] = finish;
+        self.batch = batch;
+        Ok(())
+    }
+}
+
+/// What a kernel run realized.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// Every transfer, in the order they started.
+    pub events: Vec<ScheduledEvent>,
+    /// When the last transfer finished.
+    pub makespan: Millis,
+}
+
+/// Sorts transfers into completion order: `(finish, src, dst)`.
+pub fn completion_order(events: &mut [ScheduledEvent]) {
+    events.sort_by(|a, b| {
+        a.finish
+            .as_ms()
+            .total_cmp(&b.finish.as_ms())
+            .then(a.src.cmp(&b.src))
+            .then(a.dst.cmp(&b.dst))
+    });
+}
+
+/// Executes the per-sender destination `lists` under `policy`: every
+/// sender requests at time zero, and the loop below is the only place in
+/// the workspace's models where a port-model event is popped.
+pub fn run<P: Policy>(lists: &[Vec<usize>], policy: &mut P) -> Result<Outcome, RunError> {
+    assert!(
+        lists.len() <= 1 << KEY_BITS,
+        "more processors than a key holds"
+    );
+    let mut ports = Ports::new(lists, P::TIES);
+    for src in 0..lists.len() {
+        ports.ready(src);
+    }
+    ports.serve_instant(policy, 0.0)?;
+    while let Some((now, class, src, dst)) = ports.pop() {
+        match class {
+            READY => {
+                ports.request(policy, src, now)?;
+                continue;
+            }
+            DONE => {
+                ports.receiving[dst] -= 1;
+                ports.completed += 1;
+                if P::TIES == Ties::InsertionOrder {
+                    ports.ready(src);
+                }
+                policy.on_completion(&mut ports, now, src, dst);
+            }
+            _ => policy.on_timer(&mut ports, now, dst),
+        }
+        ports.admit(policy, dst, now);
+        ports.serve_instant(policy, now)?;
+    }
+    debug_assert!(ports.head == ports.end, "every message must run");
+
+    let obs = adaptcomm_obs::global();
+    if obs.is_enabled() {
+        obs.add("sim.events", ports.popped);
+        let started = ports.events.len() as u64;
+        obs.add("sim.grants.queued", ports.grants_queued);
+        obs.add(
+            "sim.grants.immediate",
+            started.saturating_sub(ports.grants_queued),
+        );
+        obs.observe(
+            "sim.grant_queue.max_depth",
+            adaptcomm_obs::DEPTH_BUCKETS,
+            ports.max_queue_depth as f64,
+        );
+    }
+
+    let makespan = ports
+        .events
+        .iter()
+        .map(|e| e.finish)
+        .fold(Millis::ZERO, Millis::max);
+    Ok(Outcome {
+        events: ports.events,
+        makespan,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ports(ties: Ties) -> Ports {
+        Ports::new(&[vec![], vec![], vec![]], ties)
+    }
+
+    /// Pops everything: `(class, src, dst)`.
+    fn drain(ports: &mut Ports) -> Vec<(u64, usize, usize)> {
+        std::iter::from_fn(|| ports.pop())
+            .map(|(_, class, src, dst)| (class, src, dst))
+            .collect()
+    }
+
+    #[test]
+    fn calendar_pops_by_time_then_class_then_processor_id() {
+        let mut c = ports(Ties::ProcessorId);
+        c.schedule(5.0, READY, 0, 0, 0).unwrap();
+        c.schedule(2.0, TIMER, 1, 0, 1).unwrap();
+        c.schedule(2.0, DONE, 2, 0, 2).unwrap();
+        c.schedule(2.0, READY, 2, 2, 0).unwrap();
+        c.schedule(2.0, READY, 1, 1, 0).unwrap();
+        assert_eq!(
+            drain(&mut c),
+            [
+                (READY, 1, 0),
+                (READY, 2, 0),
+                (DONE, 0, 2),
+                (TIMER, 0, 1),
+                (READY, 0, 0)
+            ]
+        );
+        assert_eq!(c.clock, 5.0);
+    }
+
+    #[test]
+    fn insertion_order_ignores_processor_ids() {
+        let mut c = ports(Ties::InsertionOrder);
+        c.schedule(2.0, DONE, 2, 2, 0).unwrap();
+        c.schedule(2.0, DONE, 1, 1, 0).unwrap();
+        c.schedule(2.0, READY, 2, 2, 0).unwrap();
+        c.schedule(2.0, READY, 1, 1, 0).unwrap();
+        assert_eq!(
+            drain(&mut c),
+            [(READY, 2, 0), (READY, 1, 0), (DONE, 2, 0), (DONE, 1, 0)]
+        );
+    }
+
+    #[test]
+    fn degenerate_times_are_typed_errors_and_the_calendar_survives() {
+        let mut c = ports(Ties::ProcessorId);
+        let err = c.schedule(f64::NAN, READY, 0, 0, 0).unwrap_err();
+        assert!(matches!(err, ScheduleError::NonFiniteTime { .. }));
+        assert!(format!("{err}").contains("finite"));
+        c.schedule(10.0, READY, 0, 0, 0).unwrap();
+        c.pop();
+        let err = c.schedule(5.0, READY, 0, 0, 0).unwrap_err();
+        assert_eq!(
+            err,
+            ScheduleError::TimeTravel {
+                time: 5.0,
+                now: 10.0
+            }
+        );
+        assert!(format!("{err}").contains("clock is already"));
+        assert!(c.schedule(11.0, READY, 1, 1, 0).is_ok());
+        assert_eq!(drain(&mut c), [(READY, 1, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn a_degenerate_timer_is_a_bug_in_the_policy() {
+        ports(Ties::ProcessorId).timer(f64::INFINITY, 0);
+    }
+
+    #[test]
+    fn a_nan_price_names_its_transfer() {
+        let lists = vec![vec![1, 2], vec![2, 0], vec![0, 1]];
+        let mut price = |s: usize, d: usize| if (s, d) == (1, 0) { f64::NAN } else { 1.0 };
+        let RunError::DegenerateEvent { src, dst, cause } = run(&lists, &mut price).unwrap_err();
+        assert_eq!((src, dst), (1, 0));
+        assert!(matches!(cause, ScheduleError::NonFiniteTime { .. }));
+    }
+}

@@ -62,6 +62,7 @@ pub mod export;
 pub mod fingerprint;
 pub mod improve;
 pub mod incremental;
+pub mod kernel;
 pub mod matrix;
 pub mod paper;
 pub mod qos;
@@ -74,7 +75,7 @@ pub mod prelude {
     pub use crate::algorithms::{
         Baseline, Greedy, MatchingKind, MatchingScheduler, OpenShop, Scheduler,
     };
-    pub use crate::execution::{execute_listed, ExecutionPolicy};
+    pub use crate::execution::execute_listed;
     pub use crate::matrix::CommMatrix;
     pub use crate::schedule::{Schedule, ScheduledEvent, SendOrder};
     pub use adaptcomm_model::units::{Bandwidth, Bytes, Millis};

@@ -760,9 +760,13 @@ impl NetworkEvolution for FrozenNetwork {
 /// network frozen at `params` — the records in its order, `(finish, src,
 /// dst)` — computed by the fabric's own commit engine on the calling
 /// thread: no worker threads, no transport, no payloads. This is how a
-/// *predicted* timeline is priced (the plan a run is judged against);
-/// the simulator is not a substitute, because it may order modeled-time
-/// ties differently from the fabric.
+/// *predicted* timeline is priced (the plan a run is judged against).
+/// The static simulator (`adaptcomm_sim::run_static`, the port-model
+/// kernel's canonical tie order) agrees with it record for record, ties
+/// included (`tests/tied_grid.rs`), but takes only full send orders from
+/// time zero; the executor that orders modeled-time ties differently is
+/// `run_adaptive`, whose insertion-order ties are pinned by the goldens in
+/// `tests/pricing_equiv.rs`.
 pub fn price_frozen(
     lists: &[Vec<usize>],
     sizes: &[Vec<Bytes>],

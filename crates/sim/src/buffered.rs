@@ -15,23 +15,26 @@
 //! FIFO at `drain_rate`, freeing their space. The run reports both the
 //! network completion (last store) and the application completion (last
 //! drain).
+//!
+//! [`run_buffered`] is a policy over the shared port-model kernel
+//! (`adaptcomm_core::kernel`) with the canonical tie rule, so when the
+//! buffer never binds — capacity at least the bytes a receiver is sent,
+//! any drain rate — the stores equal [`crate::executor::run_static`]'s
+//! records one for one, ties included (`tests/prop.rs` holds that on
+//! random instances and on an all-ties grid).
 
-use crate::engine::Calendar;
-use crate::executor::TransferRecord;
+use crate::executor::{sized, TransferRecord};
+use adaptcomm_core::kernel::{self, Policy, Ports};
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::{BufferedModel, CostModel};
 use adaptcomm_model::units::{Bytes, Millis};
 use std::collections::VecDeque;
 
-const CLS_READY: u8 = 0;
-const CLS_STORED: u8 = 1;
-const CLS_DRAINED: u8 = 2;
-
 /// Outcome of a buffered run.
 #[derive(Debug, Clone)]
 pub struct BufferedRun {
-    /// Transfer records; `finish` is the *store* completion (sender
-    /// release time).
+    /// Transfer records in start order; `finish` is the *store*
+    /// completion (sender release time).
     pub stores: Vec<TransferRecord>,
     /// Per-message drain completion times, same order as `stores`.
     pub drain_finish: Vec<Millis>,
@@ -65,167 +68,113 @@ pub fn run_buffered<M: CostModel>(
         }
     }
 
-    #[derive(Clone, Copy)]
-    enum Ev {
-        SenderReady(usize),
-        Stored { src: usize, dst: usize },
-        Drained { dst: usize, bytes: u64 },
+    let mut policy = Buffered {
+        model,
+        sizes,
+        buffer_used: vec![0; p],
+        drain_queue: vec![VecDeque::new(); p],
+        draining: vec![false; p],
+        slot: vec![0; p * p],
+        drain_finish: Vec::new(),
+        stall: 0.0,
+        stall_since: vec![None; p],
+    };
+    let run = match kernel::run(&order.order, &mut policy) {
+        Ok(run) => run,
+        Err(e) => panic!("{e}"),
+    };
+    let app_makespan = policy
+        .drain_finish
+        .iter()
+        .copied()
+        .fold(Millis::ZERO, Millis::max);
+    BufferedRun {
+        stores: sized(&run.events, sizes),
+        drain_finish: policy.drain_finish,
+        network_makespan: run.makespan,
+        app_makespan,
+        total_buffer_stall: Millis::new(policy.stall),
     }
+}
 
-    let mut cal: Calendar<Ev> = Calendar::new();
-    let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-    let mut port_busy = vec![false; p];
-    let mut buffer_used = vec![0u64; p];
-    // FIFO of (bytes, store_finish_index) waiting to drain per receiver.
-    let mut drain_queue: Vec<VecDeque<(u64, usize)>> = vec![VecDeque::new(); p];
-    let mut draining = vec![false; p];
-    let mut next_idx = vec![0usize; p];
-    let mut stores: Vec<TransferRecord> = Vec::new();
-    let mut drain_finish: Vec<Millis> = Vec::new();
-    let mut stall = 0.0f64;
-    let mut stall_since: Vec<Option<f64>> = vec![None; p];
+/// The finite-buffer policy. The kernel's transfer is the *store*: it
+/// occupies the network port and books its bytes in the buffer; a
+/// completion queues the message for the application drain, and a drain
+/// finishing (a kernel timer) frees the bytes and lets the port re-admit.
+struct Buffered<'a, M> {
+    model: &'a BufferedModel<M>,
+    sizes: &'a [Vec<Bytes>],
+    buffer_used: Vec<u64>,
+    /// Per receiver: stored messages waiting to drain, FIFO, as
+    /// `(bytes, index into drain_finish)`.
+    drain_queue: Vec<VecDeque<(u64, usize)>>,
+    draining: Vec<bool>,
+    /// `slot[src * p + dst]`: the store's index in start order.
+    slot: Vec<usize>,
+    drain_finish: Vec<Millis>,
+    stall: f64,
+    stall_since: Vec<Option<f64>>,
+}
 
-    for src in 0..p {
-        cal.schedule(0.0, CLS_READY, Ev::SenderReady(src));
-    }
-
-    macro_rules! try_start {
-        ($src:expr, $dst:expr, $now:expr) => {{
-            let (src, dst, now): (usize, usize, f64) = ($src, $dst, $now);
-            let bytes = sizes[src][dst].as_u64();
-            if port_busy[dst] || buffer_used[dst] + bytes > cap {
-                // Blocked. Only buffer-space blocking counts as a stall:
-                // waiting for a busy port happens in the base model too.
-                pending[dst].push((now, src));
-                if !port_busy[dst] && stall_since[src].is_none() {
-                    stall_since[src] = Some(now);
-                }
-            } else {
-                if let Some(since) = stall_since[src].take() {
-                    stall += now - since;
-                }
-                let dur = model.message_time(src, dst, sizes[src][dst]).as_ms();
-                let fin = now + dur;
-                port_busy[dst] = true;
-                buffer_used[dst] += bytes;
-                next_idx[src] += 1;
-                stores.push(TransferRecord {
-                    src,
-                    dst,
-                    bytes: sizes[src][dst],
-                    start: Millis::new(now),
-                    finish: Millis::new(fin),
-                });
-                drain_finish.push(Millis::ZERO); // patched when drained
-                cal.schedule(fin, CLS_STORED, Ev::Stored { src, dst });
-            }
-        }};
-    }
-
-    macro_rules! maybe_drain {
-        ($dst:expr, $now:expr) => {{
-            let (dst, now): (usize, f64) = ($dst, $now);
-            if !draining[dst] {
-                if let Some(&(bytes, idx)) = drain_queue[dst].front() {
-                    draining[dst] = true;
-                    let dur = model.drain_rate.transfer_time(Bytes::new(bytes)).as_ms();
-                    let fin = now + dur;
-                    drain_finish[idx] = Millis::new(fin);
-                    cal.schedule(fin, CLS_DRAINED, Ev::Drained { dst, bytes });
-                }
-            }
-        }};
-    }
-
-    macro_rules! retry_pending {
-        ($dst:expr, $now:expr) => {{
-            let (dst, now): (usize, f64) = ($dst, $now);
-            // Admit the earliest-requested waiter whose message fits —
-            // original request times are preserved so the grant policy
-            // stays FCFS, matching the base executor when buffers never
-            // bind. Waiters whose messages do not fit are skipped (a
-            // smaller later request may proceed).
-            if !port_busy[dst] {
-                let admissible = pending[dst]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(_, s))| {
-                        let b = sizes[s][order.order[s][next_idx[s]]].as_u64();
-                        buffer_used[dst] + b <= cap
-                    })
-                    .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                    .map(|(k, _)| k);
-                if let Some(k) = admissible {
-                    let (req_time, s) = pending[dst].swap_remove(k);
-                    let _ = req_time;
-                    // Start directly (the admission test just passed).
-                    if let Some(since) = stall_since[s].take() {
-                        stall += now - since;
-                    }
-                    let bytes = sizes[s][order.order[s][next_idx[s]]];
-                    let dur = model.message_time(s, dst, bytes).as_ms();
-                    let fin = now + dur;
-                    port_busy[dst] = true;
-                    buffer_used[dst] += bytes.as_u64();
-                    next_idx[s] += 1;
-                    stores.push(TransferRecord {
-                        src: s,
-                        dst,
-                        bytes,
-                        start: Millis::new(now),
-                        finish: Millis::new(fin),
-                    });
-                    drain_finish.push(Millis::ZERO);
-                    cal.schedule(fin, CLS_STORED, Ev::Stored { src: s, dst });
-                }
-            }
-        }};
-    }
-
-    while let Some((now, _, ev)) = cal.pop_next() {
-        match ev {
-            Ev::SenderReady(src) => {
-                let idx = next_idx[src];
-                if idx >= order.order[src].len() {
-                    continue;
-                }
-                let dst = order.order[src][idx];
-                try_start!(src, dst, now);
-            }
-            Ev::Stored { src, dst } => {
-                port_busy[dst] = false;
-                // The message sits in the buffer until drained.
-                let idx = stores
-                    .iter()
-                    .rposition(|r| r.src == src && r.dst == dst && r.finish.as_ms() == now)
-                    .expect("stored record exists");
-                drain_queue[dst].push_back((sizes[src][dst].as_u64(), idx));
-                maybe_drain!(dst, now);
-                // Sender moves on immediately.
-                cal.schedule(now, CLS_READY, Ev::SenderReady(src));
-                retry_pending!(dst, now);
-            }
-            Ev::Drained { dst, bytes } => {
-                draining[dst] = false;
-                buffer_used[dst] -= bytes;
-                let _ = drain_queue[dst].pop_front();
-                maybe_drain!(dst, now);
-                retry_pending!(dst, now);
-            }
+impl<M: CostModel> Buffered<'_, M> {
+    fn maybe_drain(&mut self, ports: &mut Ports, dst: usize, now: f64) {
+        if self.draining[dst] {
+            return;
+        }
+        if let Some(&(bytes, slot)) = self.drain_queue[dst].front() {
+            self.draining[dst] = true;
+            let fin = now
+                + self
+                    .model
+                    .drain_rate
+                    .transfer_time(Bytes::new(bytes))
+                    .as_ms();
+            self.drain_finish[slot] = Millis::new(fin);
+            ports.timer(fin, dst);
         }
     }
+}
 
-    let network_makespan = stores
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    let app_makespan = drain_finish.iter().copied().fold(Millis::ZERO, Millis::max);
-    BufferedRun {
-        stores,
-        drain_finish,
-        network_makespan,
-        app_makespan,
-        total_buffer_stall: Millis::new(stall),
+impl<M: CostModel> Policy for Buffered<'_, M> {
+    fn price(&mut self, now: f64, senders: &[usize], dst: usize) -> f64 {
+        let src = senders[0];
+        if let Some(since) = self.stall_since[src].take() {
+            self.stall += now - since;
+        }
+        let bytes = self.sizes[src][dst];
+        self.buffer_used[dst] += bytes.as_u64();
+        self.slot[src * self.sizes.len() + dst] = self.drain_finish.len();
+        self.drain_finish.push(Millis::ZERO); // patched when drained
+        self.model.message_time(src, dst, bytes).as_ms()
+    }
+
+    /// A transfer may begin only when the buffer has room for the whole
+    /// message; waiters whose messages do not fit are passed over (a
+    /// smaller later request may proceed).
+    fn fits(&self, src: usize, dst: usize) -> bool {
+        self.buffer_used[dst] + self.sizes[src][dst].as_u64() <= self.model.buffer_capacity.as_u64()
+    }
+
+    /// Only buffer-space blocking counts as a stall: waiting for a busy
+    /// port happens in the base model too.
+    fn refused(&mut self, now: f64, src: usize) {
+        self.stall_since[src].get_or_insert(now);
+    }
+
+    fn on_completion(&mut self, ports: &mut Ports, now: f64, src: usize, dst: usize) {
+        // The message sits in the buffer until drained.
+        let slot = self.slot[src * self.sizes.len() + dst];
+        self.drain_queue[dst].push_back((self.sizes[src][dst].as_u64(), slot));
+        self.maybe_drain(ports, dst, now);
+    }
+
+    fn on_timer(&mut self, ports: &mut Ports, now: f64, dst: usize) {
+        let (bytes, _) = self.drain_queue[dst]
+            .pop_front()
+            .expect("a timer fires only for the drain in progress");
+        self.draining[dst] = false;
+        self.buffer_used[dst] -= bytes;
+        self.maybe_drain(ports, dst, now);
     }
 }
 
@@ -312,6 +261,27 @@ mod tests {
         let roomy = BufferedModel::new(net(p), Bytes::from_mb(100), Bandwidth::from_kbps(100.0));
         let easy = run_buffered(&order(p), &roomy, &sizes(p, 50));
         assert!(easy.network_makespan.as_ms() <= run.network_makespan.as_ms() + 1e-9);
+    }
+
+    #[test]
+    fn a_sender_that_met_a_busy_port_first_still_stalls_on_the_full_buffer() {
+        // 0 and 1 both open with receiver 2, whose buffer holds one
+        // message. 1 finds the port busy; when 0's store completes the
+        // port is free but the buffer is full until the drain ends, and
+        // that wait is a buffer stall although 1's request never saw it.
+        let p = 3;
+        let model = BufferedModel::new(net(p), Bytes::from_kb(50), Bandwidth::from_kbps(100.0));
+        let order = SendOrder::new(vec![vec![2, 1], vec![2, 0], vec![0, 1]]);
+        let run = run_buffered(&order, &model, &sizes(p, 50));
+        let store = |src, dst| {
+            *run.stores
+                .iter()
+                .find(|r| (r.src, r.dst) == (src, dst))
+                .unwrap()
+        };
+        let waited_on_buffer = store(1, 2).start - store(0, 2).finish;
+        assert!(waited_on_buffer.as_ms() > 3_000.0, "the drain takes 4 s");
+        assert!(run.total_buffer_stall.as_ms() >= waited_on_buffer.as_ms());
     }
 
     #[test]

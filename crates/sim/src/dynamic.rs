@@ -21,19 +21,19 @@
 //! *replanned* with the open shop rule against a fresh directory
 //! snapshot. In-flight transfers are never aborted.
 
-use crate::engine::{Calendar, ScheduleError};
-use crate::executor::TransferRecord;
-use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler};
+use crate::executor::{sim_run, TransferRecord};
+use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler, OpenShop};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::execution::execute_listed;
+use adaptcomm_core::kernel::{self, Policy, Ports, Ties};
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use std::collections::VecDeque;
-use std::fmt;
 
+pub use adaptcomm_core::kernel::RunError as SimError;
 pub use adaptcomm_model::evolution::NetworkEvolution;
 
 /// Which algorithm recomputes the remaining schedule at a replan.
@@ -72,35 +72,6 @@ impl AdaptiveConfig {
     }
 }
 
-/// Why an adaptive run could not proceed: the scenario produced a
-/// degenerate event stream (e.g. a fault-injected network priced a
-/// transfer at NaN). Surfaced as `Err` by [`run_adaptive_checked`] so a
-/// harness thread does not abort and poison shared state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimError {
-    /// A transfer produced an unschedulable completion event.
-    DegenerateEvent {
-        /// Sending processor of the offending transfer, when known.
-        src: usize,
-        /// Receiving processor of the offending transfer, when known.
-        dst: usize,
-        /// The underlying calendar rejection.
-        cause: ScheduleError,
-    },
-}
-
-impl fmt::Display for SimError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimError::DegenerateEvent { src, dst, cause } => {
-                write!(f, "degenerate event for transfer {src} -> {dst}: {cause}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
 /// Result of an adaptive run.
 #[derive(Debug, Clone)]
 pub struct DynamicOutcome {
@@ -134,31 +105,21 @@ pub fn openshop_replan(
     sizes: &[Vec<Bytes>],
 ) -> Vec<VecDeque<usize>> {
     let p = remaining.len();
-    let mut send_avail: Vec<f64> = send_busy_until.iter().map(|&t| t.max(now)).collect();
-    let mut recv_avail: Vec<f64> = recv_busy_until.iter().map(|&t| t.max(now)).collect();
-    let mut sets: Vec<Vec<usize>> = remaining.to_vec();
-    let mut order: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
-    let mut active: Vec<usize> = (0..p).filter(|&i| !sets[i].is_empty()).collect();
-    while !active.is_empty() {
-        let (pos, &i) = active
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| send_avail[a].total_cmp(&send_avail[b]).then(a.cmp(&b)))
-            .expect("non-empty");
-        let (rpos, &j) = sets[i]
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| recv_avail[a].total_cmp(&recv_avail[b]).then(a.cmp(&b)))
-            .expect("active senders have receivers");
-        let t = send_avail[i].max(recv_avail[j]);
-        let fin = t + estimates.message_time(i, j, sizes[i][j]).as_ms();
-        send_avail[i] = fin;
-        recv_avail[j] = fin;
-        order[i].push_back(j);
-        sets[i].swap_remove(rpos);
-        if sets[i].is_empty() {
-            active.swap_remove(pos);
+    let mut owes = vec![false; p * p];
+    for (src, dsts) in remaining.iter().enumerate() {
+        for &dst in dsts {
+            owes[src * p + dst] = true;
         }
+    }
+    let events = OpenShop::list_schedule(
+        owes,
+        send_busy_until.iter().map(|&t| t.max(now)).collect(),
+        recv_busy_until.iter().map(|&t| t.max(now)).collect(),
+        |src, dst| estimates.message_time(src, dst, sizes[src][dst]).as_ms(),
+    );
+    let mut order: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
+    for e in events {
+        order[e.src].push_back(e.dst);
     }
     order
 }
@@ -259,155 +220,96 @@ pub fn run_adaptive_checked(
         (finishes, matching_sched)
     };
 
-    #[derive(Clone, Copy)]
-    enum Ev {
-        SenderReady(usize),
-        Completed { src: usize, dst: usize },
-    }
-    const CLS_READY: u8 = 0;
-    const CLS_DONE: u8 = 1;
-
-    let mut cal: Calendar<Ev> = Calendar::new();
-    let mut queues: Vec<VecDeque<usize>> = initial_order
-        .order
-        .iter()
-        .map(|l| l.iter().copied().collect())
-        .collect();
-    // pending[dst] = (request_time, src) waiting for the receiver.
-    let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-    let mut busy = vec![false; p];
-    let mut send_busy_until = vec![0.0f64; p];
-    let mut recv_busy_until = vec![0.0f64; p];
-    let mut records: Vec<TransferRecord> = Vec::with_capacity(total_events);
-    let mut completed = 0usize;
-    let mut checkpoints_evaluated = 0usize;
-    let mut reschedules = 0usize;
-    // Baselines for segment-relative deviation measurement.
-    let mut base_obs = 0.0f64;
-    let mut base_plan = 0.0f64;
-
-    for src in 0..p {
-        cal.schedule(0.0, CLS_READY, Ev::SenderReady(src));
-    }
-
-    while let Some((now, _, ev)) = cal.pop_next() {
-        match ev {
-            Ev::SenderReady(src) => {
-                let Some(&dst) = queues[src].front() else {
-                    continue;
-                };
-                if busy[dst] {
-                    pending[dst].push((now, src));
-                } else {
-                    // Price the transfer from its link's live state.
-                    let live = trace.link_at(Millis::new(now), src, dst);
-                    let dur = live.message_time(sizes[src][dst]).as_ms();
-                    let fin = now + dur;
-                    queues[src].pop_front();
-                    busy[dst] = true;
-                    send_busy_until[src] = fin;
-                    recv_busy_until[dst] = fin;
-                    records.push(TransferRecord {
-                        src,
-                        dst,
-                        bytes: sizes[src][dst],
-                        start: Millis::new(now),
-                        finish: Millis::new(fin),
-                    });
-                    cal.try_schedule(fin, CLS_DONE, Ev::Completed { src, dst })
-                        .map_err(|cause| SimError::DegenerateEvent { src, dst, cause })?;
-                }
-            }
-            Ev::Completed { src, dst } => {
-                busy[dst] = false;
-                completed += 1;
-                cal.schedule(now, CLS_READY, Ev::SenderReady(src));
-
-                let is_checkpoint = checkpoint_set.binary_search(&completed).is_ok();
-                if is_checkpoint {
-                    checkpoints_evaluated += 1;
-                    let plan_at = planned[completed - 1];
-                    let seg_obs = now - base_obs;
-                    let seg_plan = plan_at - base_plan;
-                    if config.rule.should_reschedule(seg_plan, seg_obs) {
-                        reschedules += 1;
-                        base_obs = now;
-                        base_plan = plan_at;
-                        // Cancel pending requests: their messages return
-                        // to the remaining pool and the blocked senders
-                        // get fresh ready events.
-                        let mut blocked: Vec<usize> = Vec::new();
-                        for d in 0..p {
-                            for &(_, s) in &pending[d] {
-                                blocked.push(s);
-                            }
-                            pending[d].clear();
-                        }
-                        let remaining: Vec<Vec<usize>> =
-                            queues.iter().map(|q| q.iter().copied().collect()).collect();
-                        let fresh = trace.table_at(Millis::new(now));
-                        queues = match &matching_sched {
-                            Some(sched) => matching_replan(sched, &remaining, &fresh, sizes),
-                            None => openshop_replan(
-                                &remaining,
-                                &send_busy_until,
-                                &recv_busy_until,
-                                now,
-                                &fresh,
-                                sizes,
-                            ),
-                        };
-                        for s in blocked {
-                            cal.schedule(now, CLS_READY, Ev::SenderReady(s));
-                        }
-                    }
-                }
-
-                // Grant the receiver to the earliest pending request, if
-                // any survived (none right after a replan).
-                if !busy[dst] {
-                    if let Some(k) = pending[dst]
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                        .map(|(k, _)| k)
-                    {
-                        let (_, s) = pending[dst].swap_remove(k);
-                        // Re-issue as a ready event so pricing and
-                        // bookkeeping go through the single start path;
-                        // the sender's head-of-queue is still `dst`'s
-                        // message because queues pop only at start.
-                        cal.schedule(now, CLS_READY, Ev::SenderReady(s));
-                    }
-                }
-            }
-        }
-    }
-
-    debug_assert_eq!(records.len(), total_events, "every message must run");
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
+    let mut policy = Adaptive {
+        trace,
+        sizes,
+        rule: config.rule,
+        checkpoints: checkpoint_set,
+        planned,
+        matching_sched,
+        checkpoints_evaluated: 0,
+        reschedules: 0,
+        base_obs: 0.0,
+        base_plan: 0.0,
+    };
+    let run = sim_run(kernel::run(&initial_order.order, &mut policy)?, sizes);
     Ok(DynamicOutcome {
-        records,
-        makespan,
-        checkpoints_evaluated,
-        reschedules,
+        records: run.records,
+        makespan: run.makespan,
+        checkpoints_evaluated: policy.checkpoints_evaluated,
+        reschedules: policy.reschedules,
     })
+}
+
+/// The §6.3 policy: a transfer is priced from its link's live state, and
+/// a completion that is a checkpoint may replan what has not started.
+struct Adaptive<'a, E> {
+    trace: &'a mut E,
+    sizes: &'a [Vec<Bytes>],
+    rule: RescheduleRule,
+    /// Completion counts at which the rule is evaluated, ascending.
+    checkpoints: Vec<usize>,
+    /// Planned completion instants, ascending.
+    planned: Vec<f64>,
+    matching_sched: Option<MatchingScheduler>,
+    checkpoints_evaluated: usize,
+    reschedules: usize,
+    // Baselines for segment-relative deviation measurement.
+    base_obs: f64,
+    base_plan: f64,
+}
+
+impl<E: NetworkEvolution> Policy for Adaptive<'_, E> {
+    // Pinned, not chosen: the eight digests in tests/pricing_equiv.rs and
+    // two §6.3 rows of figures_output.txt were captured with completions
+    // popping in start order. Deleting this line makes the run canonical.
+    const TIES: Ties = Ties::InsertionOrder;
+
+    fn price(&mut self, now: f64, senders: &[usize], dst: usize) -> f64 {
+        let src = senders[0];
+        let live = self.trace.link_at(Millis::new(now), src, dst);
+        live.message_time(self.sizes[src][dst]).as_ms()
+    }
+
+    fn on_completion(&mut self, ports: &mut Ports, now: f64, _src: usize, _dst: usize) {
+        let completed = ports.completed();
+        if self.checkpoints.binary_search(&completed).is_err() {
+            return;
+        }
+        self.checkpoints_evaluated += 1;
+        let plan_at = self.planned[completed - 1];
+        let seg_obs = now - self.base_obs;
+        let seg_plan = plan_at - self.base_plan;
+        if !self.rule.should_reschedule(seg_plan, seg_obs) {
+            return;
+        }
+        self.reschedules += 1;
+        self.base_obs = now;
+        self.base_plan = plan_at;
+        let remaining: Vec<Vec<usize>> = (0..self.sizes.len())
+            .map(|src| ports.remaining(src).to_vec())
+            .collect();
+        let fresh = self.trace.table_at(Millis::new(now));
+        let queues = match &self.matching_sched {
+            Some(sched) => matching_replan(sched, &remaining, &fresh, self.sizes),
+            None => openshop_replan(
+                &remaining,
+                ports.send_busy_until(),
+                ports.recv_busy_until(),
+                now,
+                &fresh,
+                self.sizes,
+            ),
+        };
+        ports.replan(queues);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptcomm_core::algorithms::{OpenShop, Scheduler};
+    use adaptcomm_core::algorithms::Scheduler;
+    use adaptcomm_core::kernel::ScheduleError;
     use adaptcomm_model::cost::LinkEstimate;
     use adaptcomm_model::units::Bandwidth;
     use adaptcomm_model::variation::{VariationConfig, VariationTrace};

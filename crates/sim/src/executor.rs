@@ -2,50 +2,14 @@
 //!
 //! Semantics are the paper's (§3.2): one send and one receive at a time
 //! per node, control-message handshake (FCFS receiver grants, ties to the
-//! lower sender id), senders transmit in list order. Durations come from
-//! a [`CostModel`] and per-pair message sizes rather than a pre-baked
-//! cost matrix, which is what lets the dynamic variants re-price
-//! transfers mid-flight.
+//! lower sender id), senders transmit in list order — all of it the
+//! shared [`kernel`]. Durations come from a [`CostModel`] and per-pair
+//! message sizes rather than a pre-baked cost matrix.
 
-use crate::engine::Calendar;
-use adaptcomm_core::schedule::SendOrder;
+use adaptcomm_core::kernel;
+use adaptcomm_core::schedule::{ScheduledEvent, SendOrder};
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::units::{Bytes, Millis};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Event classes: arrivals before grants at equal times.
-const CLS_SENDER_READY: u8 = 0;
-const CLS_RECEIVER_FREE: u8 = 1;
-
-/// A `(arrival time, sender id)` key for the per-receiver pending-grant
-/// heaps: FCFS, ties to the lower sender id — the handshake rule from
-/// §3.2, identical to the linear scan this replaces. Entries are
-/// immutable once queued (a sender waits in exactly one queue until
-/// granted), so the heap needs no lazy correction: the popped minimum is
-/// exact.
-#[derive(Debug, Clone, Copy)]
-struct ArrivalKey {
-    time: f64,
-    src: usize,
-}
-
-impl PartialEq for ArrivalKey {
-    fn eq(&self, o: &Self) -> bool {
-        self.time.total_cmp(&o.time).is_eq() && self.src == o.src
-    }
-}
-impl Eq for ArrivalKey {}
-impl PartialOrd for ArrivalKey {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for ArrivalKey {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.time.total_cmp(&o.time).then(self.src.cmp(&o.src))
-    }
-}
 
 /// One completed transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,107 +52,42 @@ impl SimRun {
     }
 }
 
-/// Simulates `order` over `network` with message sizes `sizes[src][dst]`.
+/// Kernel events as records carrying their sizes, in start order.
+pub(crate) fn sized(events: &[ScheduledEvent], sizes: &[Vec<Bytes>]) -> Vec<TransferRecord> {
+    events
+        .iter()
+        .map(|e| TransferRecord {
+            src: e.src,
+            dst: e.dst,
+            bytes: sizes[e.src][e.dst],
+            start: e.start,
+            finish: e.finish,
+        })
+        .collect()
+}
+
+/// A kernel run as a [`SimRun`]: records in completion order.
+pub(crate) fn sim_run(mut run: kernel::Outcome, sizes: &[Vec<Bytes>]) -> SimRun {
+    kernel::completion_order(&mut run.events);
+    SimRun {
+        records: sized(&run.events, sizes),
+        makespan: run.makespan,
+    }
+}
+
+/// Simulates `order` over `network` with message sizes `sizes[src][dst]`:
+/// the port-model [`kernel`] with no policy beyond a price, each transfer
+/// costing what the model says for its link and size.
 pub fn run_static<M: CostModel>(order: &SendOrder, network: &M, sizes: &[Vec<Bytes>]) -> SimRun {
     let p = network.len();
     assert_eq!(order.processors(), p, "order and network disagree on P");
     assert_eq!(sizes.len(), p, "size matrix does not match P");
-
-    #[derive(Clone, Copy)]
-    enum Ev {
-        SenderReady(usize),
-        ReceiverFree(usize),
+    let mut price =
+        |src: usize, dst: usize| network.message_time(src, dst, sizes[src][dst]).as_ms();
+    match kernel::run(&order.order, &mut price) {
+        Ok(run) => sim_run(run, sizes),
+        Err(e) => panic!("{e}"),
     }
-
-    let mut cal: Calendar<Ev> = Calendar::new();
-    let mut pending: Vec<BinaryHeap<Reverse<ArrivalKey>>> = vec![BinaryHeap::new(); p];
-    let mut busy = vec![false; p];
-    let mut next_idx = vec![0usize; p];
-    let mut records = Vec::with_capacity(p.saturating_mul(p.saturating_sub(1)));
-
-    // Events at equal times are keyed by processor id so the pop order
-    // matches the analytic executor's `(time, kind, processor)` ordering
-    // exactly; FIFO insertion order must not leak into the semantics.
-    for src in 0..p {
-        cal.schedule_keyed(0.0, CLS_SENDER_READY, src as u64, Ev::SenderReady(src));
-    }
-
-    macro_rules! begin {
-        ($src:expr, $dst:expr, $now:expr) => {{
-            let (src, dst, now) = ($src, $dst, $now);
-            let bytes = sizes[src][dst];
-            let dur = network.message_time(src, dst, bytes).as_ms();
-            let fin = now + dur;
-            records.push(TransferRecord {
-                src,
-                dst,
-                bytes,
-                start: Millis::new(now),
-                finish: Millis::new(fin),
-            });
-            busy[dst] = true;
-            next_idx[src] += 1;
-            cal.schedule_keyed(fin, CLS_SENDER_READY, src as u64, Ev::SenderReady(src));
-            cal.schedule_keyed(fin, CLS_RECEIVER_FREE, dst as u64, Ev::ReceiverFree(dst));
-        }};
-    }
-
-    // Event-loop stats aggregated in locals; recorded once after the
-    // drain so the hot loop stays untouched when obs is disabled.
-    let (mut grants_immediate, mut grants_queued, mut max_queue_depth, mut loop_events) =
-        (0u64, 0u64, 0usize, 0u64);
-
-    while let Some((now, _, ev)) = cal.pop_next() {
-        loop_events += 1;
-        match ev {
-            Ev::SenderReady(src) => {
-                let idx = next_idx[src];
-                if idx >= order.order[src].len() {
-                    continue;
-                }
-                let dst = order.order[src][idx];
-                if busy[dst] {
-                    pending[dst].push(Reverse(ArrivalKey { time: now, src }));
-                    grants_queued += 1;
-                    max_queue_depth = max_queue_depth.max(pending[dst].len());
-                } else {
-                    grants_immediate += 1;
-                    begin!(src, dst, now);
-                }
-            }
-            Ev::ReceiverFree(dst) => {
-                busy[dst] = false;
-                if let Some(Reverse(ArrivalKey { src, .. })) = pending[dst].pop() {
-                    begin!(src, dst, now);
-                }
-            }
-        }
-    }
-
-    let obs = adaptcomm_obs::global();
-    if obs.is_enabled() {
-        obs.add("sim.events", loop_events);
-        obs.add("sim.grants.immediate", grants_immediate);
-        obs.add("sim.grants.queued", grants_queued);
-        obs.observe(
-            "sim.grant_queue.max_depth",
-            adaptcomm_obs::DEPTH_BUCKETS,
-            max_queue_depth as f64,
-        );
-    }
-
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    SimRun { records, makespan }
 }
 
 #[cfg(test)]
@@ -264,126 +163,6 @@ mod tests {
         // Records come back sorted by completion.
         for w in run.records.windows(2) {
             assert!(w[0].finish.as_ms() <= w[1].finish.as_ms());
-        }
-    }
-
-    /// The pre-optimization pending-grant selection: a linear `min_by`
-    /// scan over the waiting senders, retained verbatim as the oracle
-    /// for the heap-based grant queue.
-    fn run_static_linear_scan<M: CostModel>(
-        order: &SendOrder,
-        network: &M,
-        sizes: &[Vec<Bytes>],
-    ) -> SimRun {
-        let p = network.len();
-
-        #[derive(Clone, Copy)]
-        enum Ev {
-            SenderReady(usize),
-            ReceiverFree(usize),
-        }
-
-        let mut cal: Calendar<Ev> = Calendar::new();
-        let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-        let mut busy = vec![false; p];
-        let mut next_idx = vec![0usize; p];
-        let mut records = Vec::new();
-
-        for src in 0..p {
-            cal.schedule_keyed(0.0, CLS_SENDER_READY, src as u64, Ev::SenderReady(src));
-        }
-
-        macro_rules! begin {
-            ($src:expr, $dst:expr, $now:expr) => {{
-                let (src, dst, now) = ($src, $dst, $now);
-                let bytes = sizes[src][dst];
-                let fin = now + network.message_time(src, dst, bytes).as_ms();
-                records.push(TransferRecord {
-                    src,
-                    dst,
-                    bytes,
-                    start: Millis::new(now),
-                    finish: Millis::new(fin),
-                });
-                busy[dst] = true;
-                next_idx[src] += 1;
-                cal.schedule_keyed(fin, CLS_SENDER_READY, src as u64, Ev::SenderReady(src));
-                cal.schedule_keyed(fin, CLS_RECEIVER_FREE, dst as u64, Ev::ReceiverFree(dst));
-            }};
-        }
-
-        while let Some((now, _, ev)) = cal.pop_next() {
-            match ev {
-                Ev::SenderReady(src) => {
-                    let idx = next_idx[src];
-                    if idx >= order.order[src].len() {
-                        continue;
-                    }
-                    let dst = order.order[src][idx];
-                    if busy[dst] {
-                        pending[dst].push((now, src));
-                    } else {
-                        begin!(src, dst, now);
-                    }
-                }
-                Ev::ReceiverFree(dst) => {
-                    busy[dst] = false;
-                    if let Some(k) = pending[dst]
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                        .map(|(k, _)| k)
-                    {
-                        let (_, src) = pending[dst].swap_remove(k);
-                        begin!(src, dst, now);
-                    }
-                }
-            }
-        }
-
-        records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        let makespan = records
-            .iter()
-            .map(|r| r.finish)
-            .fold(Millis::ZERO, Millis::max);
-        SimRun { records, makespan }
-    }
-
-    #[test]
-    fn grant_heap_matches_linear_scan_reference() {
-        // The pipeline integration scenario (GUSTO snapshot, uniform 1 MB
-        // messages) through every scheduler: the heap-based grant queue
-        // must replay the retained linear-scan selection bit for bit —
-        // identical record sequences, not just equal makespans.
-        let net = adaptcomm_model::gusto::gusto_params();
-        let p = net.len();
-        let sizes = uniform_sizes(p, Bytes::MB);
-        let matrix = CommMatrix::from_model(&net, &sizes);
-        for s in all_schedulers() {
-            let order = s.send_order(&matrix);
-            let fast = run_static(&order, &net, &sizes);
-            let slow = run_static_linear_scan(&order, &net, &sizes);
-            assert_eq!(fast, slow, "{} diverged from the reference", s.name());
-        }
-        // And on a synthetic heterogeneous network that actually queues
-        // multiple senders on one receiver (the baseline at P=8 does).
-        let net = network(8);
-        let sizes = uniform_sizes(8, Bytes::KB);
-        let matrix = CommMatrix::from_model(&net, &sizes);
-        for s in all_schedulers() {
-            let order = s.send_order(&matrix);
-            assert_eq!(
-                run_static(&order, &net, &sizes),
-                run_static_linear_scan(&order, &net, &sizes),
-                "{} diverged from the reference",
-                s.name()
-            );
         }
     }
 

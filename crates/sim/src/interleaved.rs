@@ -9,18 +9,20 @@
 //! whenever a receiver frees up it admits up to `fan_in` pending requests
 //! as a *batch*; every message of a `k > 1` batch completes at
 //! `batch_start + (1+α)·Σ tᵢ`. Senders stay busy until their batch
-//! completes. With `fan_in = 1` (or an empty batch mate) the semantics
-//! degenerate exactly to the base model — property-tested against
-//! [`crate::executor::run_static`].
+//! completes, and the port frees when the last member has.
+//!
+//! It is a policy over the shared port-model kernel
+//! (`adaptcomm_core::kernel`) with the canonical tie rule — batch mates,
+//! which finish together by construction, re-request in sender-id order —
+//! so with `fan_in = 1` every batch is one message priced `t₁` and the
+//! run *is* [`crate::executor::run_static`]: the same loop, the same
+//! price, equal records for any `α`, ties included (`tests/prop.rs`).
 
-use crate::engine::Calendar;
-use crate::executor::{SimRun, TransferRecord};
+use crate::executor::{sim_run, SimRun};
+use adaptcomm_core::kernel::{self, Policy};
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::{CostModel, InterleavedModel};
 use adaptcomm_model::units::{Bytes, Millis};
-
-const CLS_READY: u8 = 0;
-const CLS_BATCH_DONE: u8 = 1;
 
 /// Simulates `order` under the interleaved-receive model.
 pub fn run_interleaved<M: CostModel>(
@@ -31,123 +33,38 @@ pub fn run_interleaved<M: CostModel>(
     let p = model.len();
     assert_eq!(order.processors(), p, "order and model disagree on P");
     assert_eq!(sizes.len(), p, "size matrix does not match P");
-
-    #[derive(Clone)]
-    enum Ev {
-        SenderReady(usize),
-        BatchDone {
-            dst: usize,
-            members: Vec<(usize, f64)>,
-        },
+    match kernel::run(&order.order, &mut Interleaved { model, sizes }) {
+        Ok(run) => sim_run(run, sizes),
+        Err(e) => panic!("{e}"),
     }
+}
 
-    let mut cal: Calendar<Ev> = Calendar::new();
-    let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-    let mut busy = vec![false; p];
-    let mut next_idx = vec![0usize; p];
-    let mut records = Vec::new();
+/// The interleaved-receive policy: a free port admits up to `fan_in`
+/// requests as one batch, priced `(1+α)·Σ tᵢ`.
+struct Interleaved<'a, M> {
+    model: &'a InterleavedModel<M>,
+    sizes: &'a [Vec<Bytes>],
+}
 
-    for src in 0..p {
-        cal.schedule(0.0, CLS_READY, Ev::SenderReady(src));
-    }
-
-    // Starts a batch of (src) transfers into dst at `now`. Members are
-    // sender ids; each contributes its individual receive time.
-    let mut start_batch = |dst: usize,
-                           members: Vec<usize>,
-                           now: f64,
-                           next_idx: &mut Vec<usize>,
-                           busy: &mut Vec<bool>,
-                           cal: &mut Calendar<Ev>| {
-        debug_assert!(!members.is_empty());
-        let times: Vec<Millis> = members
+impl<M: CostModel> Policy for Interleaved<'_, M> {
+    fn price(&mut self, _now: f64, senders: &[usize], dst: usize) -> f64 {
+        let times: Vec<Millis> = senders
             .iter()
-            .map(|&s| model.message_time(s, dst, sizes[s][dst]))
+            .map(|&s| self.model.message_time(s, dst, self.sizes[s][dst]))
             .collect();
-        let batch_time = model.batch_receive_time(&times);
-        let fin = now + batch_time.as_ms();
-        busy[dst] = true;
-        let mut payload = Vec::with_capacity(members.len());
-        for &s in &members {
-            next_idx[s] += 1;
-            payload.push((s, fin));
-        }
-        // Record transfers now; all members share start and finish.
-        for &s in &members {
-            records.push(TransferRecord {
-                src: s,
-                dst,
-                bytes: sizes[s][dst],
-                start: Millis::new(now),
-                finish: Millis::new(fin),
-            });
-        }
-        cal.schedule(
-            fin,
-            CLS_BATCH_DONE,
-            Ev::BatchDone {
-                dst,
-                members: payload,
-            },
-        );
-    };
-
-    while let Some((now, _, ev)) = cal.pop_next() {
-        match ev {
-            Ev::SenderReady(src) => {
-                let idx = next_idx[src];
-                if idx >= order.order[src].len() {
-                    continue;
-                }
-                let dst = order.order[src][idx];
-                if busy[dst] {
-                    pending[dst].push((now, src));
-                } else {
-                    // Admit this request plus up to fan_in−1 pending ones.
-                    let mut members = vec![src];
-                    pending[dst].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    while members.len() < model.fan_in && !pending[dst].is_empty() {
-                        members.push(pending[dst].remove(0).1);
-                    }
-                    start_batch(dst, members, now, &mut next_idx, &mut busy, &mut cal);
-                }
-            }
-            Ev::BatchDone { dst, members } => {
-                busy[dst] = false;
-                // Each member sender becomes ready for its next message.
-                for (s, _) in members {
-                    cal.schedule(now, CLS_READY, Ev::SenderReady(s));
-                }
-                // Admit the next batch from pending requests.
-                if !pending[dst].is_empty() {
-                    pending[dst].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    let take = pending[dst].len().min(model.fan_in);
-                    let members: Vec<usize> = pending[dst].drain(..take).map(|(_, s)| s).collect();
-                    start_batch(dst, members, now, &mut next_idx, &mut busy, &mut cal);
-                }
-            }
-        }
+        self.model.batch_receive_time(&times).as_ms()
     }
 
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    SimRun { records, makespan }
+    fn fan_in(&self) -> usize {
+        self.model.fan_in
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_static;
-    use adaptcomm_core::algorithms::{Baseline, OpenShop, Scheduler};
+    use crate::executor::{run_static, TransferRecord};
+    use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_core::matrix::CommMatrix;
     use adaptcomm_model::params::NetParams;
     use adaptcomm_model::units::Bandwidth;
@@ -286,12 +203,5 @@ mod tests {
             found_batch,
             "expected at least one 2+ batch into receiver 3"
         );
-    }
-
-    // Helper so the closure capture in run_interleaved stays happy.
-    #[allow(dead_code)]
-    fn baseline_order(p: usize) -> SendOrder {
-        let m = CommMatrix::from_model(&net(p), &sizes(p));
-        Baseline.send_order(&m)
     }
 }

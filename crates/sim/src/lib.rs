@@ -4,12 +4,14 @@
 //! software simulator that executes the scheduling algorithms discussed
 //! in Section 4, and calculates the completion time for each of them."
 //! This crate re-implements that simulator at the network-model level and
-//! extends it with the §6 model variants:
+//! extends it with the §6 model variants. Every executor below except
+//! [`fluid`] is a *policy* over the one port-model event loop in
+//! `adaptcomm_core::kernel` — the calendar, the ports, the FCFS grant and
+//! the tie order live there, once:
 //!
-//! * [`engine`] — a reusable deterministic event calendar;
 //! * [`executor`] — message-level execution of a send order against a
-//!   static network (agrees exactly with the analytic execution in
-//!   `adaptcomm-core` — property-tested);
+//!   static network (the kernel with a price and nothing else, as is the
+//!   analytic execution in `adaptcomm-core`);
 //! * [`dynamic`] — execution against a *drifting* network
 //!   ([`adaptcomm_model::variation::VariationTrace`]) with the §6.3
 //!   checkpoint/rescheduling policies;
@@ -46,17 +48,16 @@
 
 pub mod buffered;
 pub mod dynamic;
-pub mod engine;
 pub mod executor;
 pub mod faults;
 pub mod fluid;
 pub mod interleaved;
 pub mod metrics;
 
+pub use adaptcomm_core::kernel::ScheduleError;
 pub use dynamic::{
     run_adaptive, run_adaptive_checked, AdaptiveConfig, DynamicOutcome, NetworkEvolution, SimError,
 };
-pub use engine::ScheduleError;
 pub use executor::{run_static, TransferRecord};
 pub use faults::{Fault, ScriptedFaults};
 pub use metrics::SimMetrics;
