@@ -1,5 +1,5 @@
-//! Live-runtime overhead: the shaped-channel engine (real threads,
-//! virtual-time fabric) vs. the discrete-event simulator on the same
+//! Live-runtime overhead: the shaped-channel engine (the port-model kernel
+//! plus real worker threads) vs. the discrete-event simulator on the same
 //! workload, plus the full closed loop with the prober and directory
 //! attached.
 

@@ -13,9 +13,10 @@ use serde::{Deserialize, Serialize};
 
 /// When to pause and consider rescheduling, expressed per processor over
 /// its sequence of communication events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CheckpointPolicy {
     /// Never reschedule: run the initial schedule to completion.
+    #[default]
     Never,
     /// Check after every completed event — `O(P)` checkpoints per
     /// processor.

@@ -20,15 +20,15 @@
 //! a transfer is **priced** at its start, what a port **admits**
 //! ([`Policy::fan_in`], [`Policy::fits`]), what happens **on completion**
 //! (nothing, a checkpoint that may [`Ports::replan`], a drain that sets a
-//! [`Ports::timer`]) and which [`Ties`] rule its events carry. A closure
-//! `FnMut(src, dst) -> ms` is the zero-policy instantiation (a price and
-//! nothing else): that is `execute_listed`.
+//! [`Ports::timer`]) and whether the run goes on ([`Policy::stopped`]). A
+//! closure `FnMut(src, dst) -> ms` is the zero-policy instantiation (a
+//! price and nothing else): that is `execute_listed`.
 //!
 //! # Tie order — the rule
 //!
 //! Events at one instant pop by class, then key, then insertion:
 //!
-//! | class | event | key under [`Ties::ProcessorId`] |
+//! | class | event | key |
 //! |---|---|---|
 //! | 0 | a sender requests its next destination | sender id (batch mates: the id of the first admitted, so they pop together in admission order) |
 //! | 1 | a transfer completes: its receive port frees and, if no receive is left in flight, the FCFS head requests again at this instant | receiver id |
@@ -42,8 +42,7 @@
 //! exact-zero cost cell) must let its sender re-request before any
 //! receiver at that instant frees, or the run differs
 //! (`tests/port_kernel.rs` holds the 3-processor instance: 30 ms, not 20).
-//! [`Ties::InsertionOrder`] is the one exception, pinned rather than
-//! chosen, and only `run_adaptive` declares it.
+//! Every policy runs under this one rule.
 
 use crate::schedule::ScheduledEvent;
 use adaptcomm_model::units::Millis;
@@ -116,30 +115,15 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// How a policy's events at one instant are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ties {
-    /// The canonical rule of the module docs: `(time, class, processor
-    /// id)`, a sender's release its own class-0 event.
-    ProcessorId,
-    /// `run_adaptive`'s pinned order: events carry no key, so equal
-    /// `(time, class)` pops in insertion order — completions in the order
-    /// their transfers started — and a completion releases its own sender
-    /// (after counting itself, before its hook) instead of a separate
-    /// event doing so.
-    InsertionOrder,
-}
-
 /// The decisions that differ between the modeled executors. Everything
 /// has the base model's answer as its default except the price.
 pub trait Policy {
-    /// **Tie key.** Which [`Ties`] rule this policy's events carry.
-    const TIES: Ties = Ties::ProcessorId;
-
     /// **Price.** Milliseconds the receive starting `now` at `dst`
     /// occupies its ports. `senders` is the one sender of the base model,
     /// or the batch admitted together (all members start and finish
-    /// together). Called exactly once per start, in start order.
+    /// together). Called exactly once per start, in start order. A
+    /// non-finite price stops the run before the transfer starts — its
+    /// message stays at the head of its sender's queue.
     fn price(&mut self, now: f64, senders: &[usize], dst: usize) -> f64;
 
     /// **Admit.** How many pending requests a free port takes at once.
@@ -165,6 +149,12 @@ pub trait Policy {
 
     /// A [`Ports::timer`] set for `dst` fired; the port re-admits after.
     fn on_timer(&mut self, _ports: &mut Ports, _now: f64, _dst: usize) {}
+
+    /// **Stop.** Asked after every completion and timer hook: `true` ends
+    /// the run there, before the port re-admits.
+    fn stopped(&self) -> bool {
+        false
+    }
 }
 
 /// The zero-policy instantiation: a price per `(src, dst)` and nothing
@@ -218,7 +208,6 @@ impl Ord for Entry {
 /// it.
 #[derive(Debug)]
 pub struct Ports {
-    ties: Ties,
     heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
     clock: f64,
@@ -245,20 +234,20 @@ pub struct Ports {
 }
 
 impl Ports {
-    fn new(lists: &[Vec<usize>], ties: Ties) -> Self {
+    /// Ports at rest at `start_at`: free from then, nothing started.
+    fn new(lists: &[Vec<usize>], start_at: f64) -> Self {
         let p = lists.len();
         let mut ports = Ports {
-            ties,
             heap: BinaryHeap::new(),
             seq: 0,
-            clock: 0.0,
+            clock: start_at,
             flat: Vec::new(),
             head: Vec::new(),
             end: Vec::new(),
             pending: vec![Vec::new(); p],
             receiving: vec![0; p],
-            send_busy_until: vec![0.0; p],
-            recv_busy_until: vec![0.0; p],
+            send_busy_until: vec![start_at; p],
+            recv_busy_until: vec![start_at; p],
             events: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
             completed: 0,
             batch: Vec::new(),
@@ -285,6 +274,11 @@ impl Ports {
             self.flat.extend_from_slice(list);
             self.end.push(self.flat.len());
         }
+    }
+
+    /// Every transfer started so far, in start order.
+    pub fn started(&self) -> &[ScheduledEvent] {
+        &self.events
     }
 
     /// Transfers completed so far, the one being reported included.
@@ -344,14 +338,10 @@ impl Ports {
                 now: self.clock,
             });
         }
-        let key = match self.ties {
-            Ties::ProcessorId => id,
-            Ties::InsertionOrder => 0,
-        };
         assert!(self.seq < 1 << SEQ_BITS, "calendar sequence exhausted");
         self.heap.push(Reverse(Entry {
             time,
-            rank: class << (KEY_BITS + SEQ_BITS) | (key as u64) << SEQ_BITS | self.seq,
+            rank: class << (KEY_BITS + SEQ_BITS) | (id as u64) << SEQ_BITS | self.seq,
             src: src as u32,
             dst: dst as u32,
         }));
@@ -378,25 +368,21 @@ impl Ports {
     /// call. They are class-0 events at `now`, made while a completion or
     /// a timer was handled (or before the first event) — when no other
     /// class-0 event at `now` is left in the calendar — so they would pop
-    /// next, by key and then insertion, ahead of everything else. Under
-    /// [`Ties::InsertionOrder`] that is the order they were made in, and
-    /// serving one never schedules another request; a lone request is
-    /// trivially in order. Only several at once under
-    /// [`Ties::ProcessorId`] need the calendar to sort them (and to slot a
-    /// zero-cost transfer's release between them): the first instant.
+    /// next, by key and then insertion, ahead of everything else. A lone
+    /// request is trivially in order; only several at once need the
+    /// calendar to sort them (and to slot a zero-cost transfer's release
+    /// between them): the first instant, and a replan.
     fn serve_instant<P: Policy>(&mut self, policy: &mut P, now: f64) -> Result<(), RunError> {
-        let mut instant = std::mem::take(&mut self.instant);
-        if self.ties == Ties::ProcessorId && instant.len() > 1 {
-            for src in instant.drain(..) {
+        if self.instant.len() > 1 {
+            for k in 0..self.instant.len() {
+                let src = self.instant[k];
                 self.schedule(now, READY, src, src, 0)
                     .expect("the current instant is finite and not in the past");
             }
-        } else {
-            for src in instant.drain(..) {
-                self.request(policy, src, now)?;
-            }
+            self.instant.clear();
+        } else if let Some(src) = self.instant.pop() {
+            self.request(policy, src, now)?;
         }
-        self.instant = instant;
         Ok(())
     }
 
@@ -456,10 +442,8 @@ impl Ports {
         for &src in &batch {
             self.schedule(finish, DONE, dst, src, dst)
                 .map_err(|cause| RunError::DegenerateEvent { src, dst, cause })?;
-            if self.ties == Ties::ProcessorId {
-                self.schedule(finish, READY, batch[0], src, 0)
-                    .expect("the completion at this instant was accepted");
-            }
+            self.schedule(finish, READY, batch[0], src, 0)
+                .expect("the completion at this instant was accepted");
             self.head[src] += 1;
             self.receiving[dst] += 1;
             self.send_busy_until[src] = finish;
@@ -485,50 +469,44 @@ pub struct Outcome {
     pub makespan: Millis,
 }
 
-/// Sorts transfers into completion order: `(finish, src, dst)`.
-pub fn completion_order(events: &mut [ScheduledEvent]) {
-    events.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
+/// Sorts transfers into completion order, in place: by the `(finish, src,
+/// dst)` (unique: a message runs once) `key` reads off the caller's type.
+pub fn completion_order<T>(transfers: &mut [T], key: impl Fn(&T) -> (Millis, usize, usize)) {
+    transfers.sort_unstable_by(|a, b| {
+        let ((a_finish, a_src, a_dst), (b_finish, b_src, b_dst)) = (key(a), key(b));
+        let by_finish = a_finish.as_ms().total_cmp(&b_finish.as_ms());
+        by_finish.then((a_src, a_dst).cmp(&(b_src, b_dst)))
     });
 }
 
-/// Executes the per-sender destination `lists` under `policy`: every
-/// sender requests at time zero, and the loop below is the only place in
-/// the workspace's models where a port-model event is popped.
+/// Executes the per-sender destination `lists` under `policy`, every
+/// sender requesting at time zero.
 pub fn run<P: Policy>(lists: &[Vec<usize>], policy: &mut P) -> Result<Outcome, RunError> {
+    let (ports, end) = run_from(lists, 0.0, policy);
+    end.map(|()| Outcome {
+        makespan: (ports.events.iter().map(|e| e.finish)).fold(Millis::ZERO, Millis::max),
+        events: ports.events,
+    })
+}
+
+/// [`run`] from `start_at` — every sender first requests then, every port
+/// is free from then; `lists` may be partial (a retry's remainder). Its
+/// loop is the only place in the workspace where a port-model event is
+/// popped. Hands back the mechanism's state: final when the run went
+/// to its end, and otherwise as it stood when the calendar refused an
+/// event (`Err`) or the policy said [`stopped`](Policy::stopped) — queues
+/// ([`Ports::remaining`]), port availability, transfers started.
+pub fn run_from<P: Policy>(
+    lists: &[Vec<usize>],
+    start_at: f64,
+    policy: &mut P,
+) -> (Ports, Result<(), RunError>) {
     assert!(
         lists.len() <= 1 << KEY_BITS,
         "more processors than a key holds"
     );
-    let mut ports = Ports::new(lists, P::TIES);
-    for src in 0..lists.len() {
-        ports.ready(src);
-    }
-    ports.serve_instant(policy, 0.0)?;
-    while let Some((now, class, src, dst)) = ports.pop() {
-        match class {
-            READY => {
-                ports.request(policy, src, now)?;
-                continue;
-            }
-            DONE => {
-                ports.receiving[dst] -= 1;
-                ports.completed += 1;
-                if P::TIES == Ties::InsertionOrder {
-                    ports.ready(src);
-                }
-                policy.on_completion(&mut ports, now, src, dst);
-            }
-            _ => policy.on_timer(&mut ports, now, dst),
-        }
-        ports.admit(policy, dst, now);
-        ports.serve_instant(policy, now)?;
-    }
-    debug_assert!(ports.head == ports.end, "every message must run");
+    let mut ports = Ports::new(lists, start_at);
+    let end = ports.drain(policy, start_at);
 
     let obs = adaptcomm_obs::global();
     if obs.is_enabled() {
@@ -545,24 +523,46 @@ pub fn run<P: Policy>(lists: &[Vec<usize>], policy: &mut P) -> Result<Outcome, R
             ports.max_queue_depth as f64,
         );
     }
+    (ports, end)
+}
 
-    let makespan = ports
-        .events
-        .iter()
-        .map(|e| e.finish)
-        .fold(Millis::ZERO, Millis::max);
-    Ok(Outcome {
-        events: ports.events,
-        makespan,
-    })
+impl Ports {
+    /// The event loop.
+    fn drain<P: Policy>(&mut self, policy: &mut P, start_at: f64) -> Result<(), RunError> {
+        for src in 0..self.head.len() {
+            self.ready(src);
+        }
+        self.serve_instant(policy, start_at)?;
+        while let Some((now, class, src, dst)) = self.pop() {
+            match class {
+                READY => {
+                    self.request(policy, src, now)?;
+                    continue;
+                }
+                DONE => {
+                    self.receiving[dst] -= 1;
+                    self.completed += 1;
+                    policy.on_completion(self, now, src, dst);
+                }
+                _ => policy.on_timer(self, now, dst),
+            }
+            if policy.stopped() {
+                return Ok(());
+            }
+            self.admit(policy, dst, now);
+            self.serve_instant(policy, now)?;
+        }
+        debug_assert!(self.head == self.end, "every message must run");
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ports(ties: Ties) -> Ports {
-        Ports::new(&[vec![], vec![], vec![]], ties)
+    fn ports() -> Ports {
+        Ports::new(&[vec![], vec![], vec![]], 0.0)
     }
 
     /// Pops everything: `(class, src, dst)`.
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn calendar_pops_by_time_then_class_then_processor_id() {
-        let mut c = ports(Ties::ProcessorId);
+        let mut c = ports();
         c.schedule(5.0, READY, 0, 0, 0).unwrap();
         c.schedule(2.0, TIMER, 1, 0, 1).unwrap();
         c.schedule(2.0, DONE, 2, 0, 2).unwrap();
@@ -594,21 +594,8 @@ mod tests {
     }
 
     #[test]
-    fn insertion_order_ignores_processor_ids() {
-        let mut c = ports(Ties::InsertionOrder);
-        c.schedule(2.0, DONE, 2, 2, 0).unwrap();
-        c.schedule(2.0, DONE, 1, 1, 0).unwrap();
-        c.schedule(2.0, READY, 2, 2, 0).unwrap();
-        c.schedule(2.0, READY, 1, 1, 0).unwrap();
-        assert_eq!(
-            drain(&mut c),
-            [(READY, 2, 0), (READY, 1, 0), (DONE, 2, 0), (DONE, 1, 0)]
-        );
-    }
-
-    #[test]
     fn degenerate_times_are_typed_errors_and_the_calendar_survives() {
-        let mut c = ports(Ties::ProcessorId);
+        let mut c = ports();
         let err = c.schedule(f64::NAN, READY, 0, 0, 0).unwrap_err();
         assert!(matches!(err, ScheduleError::NonFiniteTime { .. }));
         assert!(format!("{err}").contains("finite"));
@@ -630,7 +617,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite")]
     fn a_degenerate_timer_is_a_bug_in_the_policy() {
-        ports(Ties::ProcessorId).timer(f64::INFINITY, 0);
+        ports().timer(f64::INFINITY, 0);
     }
 
     #[test]

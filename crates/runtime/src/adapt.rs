@@ -2,7 +2,7 @@
 //!
 //! [`CheckpointedRun`] drives the shaped engine through the paper's full
 //! cycle. At every checkpoint of the configured
-//! [`CheckpointPolicy`], under the fabric lock:
+//! [`CheckpointPolicy`], on the calling thread, between two kernel events:
 //!
 //! 1. **measure** — the [`Prober`] fits live `(T_ij, B_ij)` values from
 //!    the transfers completed so far and publishes them into the
@@ -50,7 +50,7 @@ use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_obs::{Cusum, CusumConfig};
 use adaptcomm_sim::dynamic::{matching_replan, openshop_replan, Replanner};
-use adaptcomm_sim::executor::TransferRecord;
+use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
 use std::path::PathBuf;
 
@@ -405,7 +405,7 @@ impl<'a> CheckpointedRun<'a> {
         AttemptStats,
     )
     where
-        E: NetworkEvolution + Send,
+        E: NetworkEvolution,
         T: Transport + ?Sized,
     {
         // The reference the detector judges transfers against: the
@@ -609,18 +609,8 @@ impl<'a> CheckpointedRun<'a> {
     /// Sorts records, computes the makespan, backfills measured
     /// recovery times, snapshots quarantines, and closes telemetry.
     fn finalize(&self, mut report: AdaptReport, telemetry: &mut Option<Telemetry>) -> AdaptReport {
-        report.records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        report.makespan = report
-            .records
-            .iter()
-            .map(|r| r.finish)
-            .fold(Millis::ZERO, Millis::max);
+        let run = SimRun::from_records(std::mem::take(&mut report.records));
+        (report.records, report.makespan) = (run.records, run.makespan);
         // A fault's recovery time is measured, not assumed: the finish
         // of the first transfer that actually crossed the failed link
         // after detection.
@@ -659,7 +649,7 @@ impl<'a> CheckpointedRun<'a> {
         transport: &T,
     ) -> Result<AdaptReport, RuntimeError>
     where
-        E: NetworkEvolution + Send,
+        E: NetworkEvolution,
         T: Transport + ?Sized,
     {
         assert!(self.settings.max_attempts >= 1, "need at least one attempt");

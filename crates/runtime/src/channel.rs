@@ -1,49 +1,41 @@
-//! The shaped engine: real OS threads under the paper's port model.
+//! The shaped engine: the paper's port model over real byte movement.
 //!
-//! One worker thread per processor executes its send list over a
-//! [`Transport`], while a central *fabric* (a monitor: mutex + condvar)
-//! enforces the model of §3: each node sends at most one message and
-//! receives at most one message at a time; a busy receiver queues
-//! requests and grants them FCFS, ties to the lower sender id; a granted
-//! transfer from `i` to `j` carrying `m` bytes occupies both ports for
-//! `T_ij + m/B_ij` of *modeled* time, priced from a live
-//! [`NetworkEvolution`] at the grant instant.
+//! [`run_shaped`] runs the port-model kernel (`adaptcomm_core::kernel`,
+//! the one event loop every modeled executor in the workspace shares) on
+//! the calling thread under one policy:
 //!
-//! # Determinism: virtual time over real threads
+//! * **price** — a transfer is priced at its grant instant from one
+//!   [`NetworkEvolution::link_at`] read (`T_ij + m/B_ij` of *modeled*
+//!   time), checked against the [`FaultPolicy`], and handed to its
+//!   sender's worker thread; a fault there stops the run with the message
+//!   still queued;
+//! * **on completion** — the policy takes that delivery's verdict from
+//!   the worker, records the transfer, and runs the checkpoint hook
+//!   (§6.3), which may hand back replanned queues
+//!   ([`Ports::replan`]) exactly like `adaptcomm_sim::dynamic::run_adaptive`
+//!   does at its completions; a refused delivery stops the run at its
+//!   modeled finish.
 //!
-//! Wall-clock thread scheduling is nondeterministic, so the fabric keeps
-//! its own virtual clock and only commits an action (a grant, or the
-//! bookkeeping of a completion) when no thread still out of the monitor
-//! could invalidate it. A worker outside the monitor is `Running { until }`
-//! — its next request cannot arrive before `until`, because a request
-//! follows the modeled finish of its in-flight transfer. A grant at
-//! modeled time `s` is committed only once every running worker has
-//! `until > s`; otherwise the fabric simply waits for those threads to
-//! park, which they always do. Committed actions therefore happen in
-//! nondecreasing modeled time regardless of how the OS schedules the
-//! threads, and the realized timeline is bit-identical to the
-//! discrete-event simulator's — which is what makes the 5%
-//! cross-validation bound in the tests an actual invariant rather than a
-//! statistical hope.
-//!
-//! Checkpoints (§6.3) fire while processing a completion, under the
-//! fabric lock: the hook sees consistent remaining queues and port
-//! availability, and may hand back replanned queues, exactly like
-//! `adaptcomm_sim::dynamic::run_adaptive` does at its `Completed`
-//! events.
+//! The queues, the ports, the FCFS grant and the tie rule are the
+//! kernel's. One worker thread per processor does the physical work and
+//! nothing else: sleep the pacing, fill the payload, push it through the
+//! [`Transport`], report. Workers never see modeled time being decided, so
+//! the realized timeline does not depend on how the OS schedules them: it
+//! is what the simulator computes for the same decisions, bit for bit —
+//! [`price_frozen`] is the same policy with a frozen table and no workers.
 
 use crate::error::RuntimeError;
 use crate::trace::{EventKind, RunTrace, RuntimeEvent};
 use crate::transport::{fill_payload, physical_len, Transport};
 use adaptcomm_core::checkpointed::CheckpointPolicy;
+use adaptcomm_core::kernel::{self, Policy, Ports, RunError};
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
-use adaptcomm_sim::executor::TransferRecord;
+use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// Link-failure detection applied when a transfer is priced at its
@@ -66,8 +58,9 @@ pub struct FaultPolicy {
     pub late_factor: Option<f64>,
 }
 
-/// Shaped-engine configuration.
-#[derive(Debug, Clone, Copy)]
+/// Shaped-engine configuration. The default never checkpoints, detects no
+/// faults, runs unpaced, moves every byte and starts at time zero.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShapedConfig {
     /// When to invoke the checkpoint hook.
     pub policy: CheckpointPolicy,
@@ -84,19 +77,7 @@ pub struct ShapedConfig {
     pub start_at: Millis,
 }
 
-impl Default for ShapedConfig {
-    fn default() -> Self {
-        ShapedConfig {
-            policy: CheckpointPolicy::Never,
-            faults: FaultPolicy::default(),
-            pace_us_per_ms: None,
-            payload_cap: None,
-            start_at: Millis::ZERO,
-        }
-    }
-}
-
-/// What the checkpoint hook sees, mid-run, under the fabric lock.
+/// What the checkpoint hook sees, mid-run, between two kernel events.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
     /// Transfers completed so far.
@@ -149,10 +130,10 @@ pub struct ShapedFailure {
     /// Partial trace up to the failure.
     pub trace: RunTrace,
     /// Every transfer whose bytes reached the destination: completions
-    /// committed before the failure, plus in-flight grants whose
-    /// delivery the transport accepted even as the run was aborting
-    /// (the ledger is settled after the workers join, so it is
-    /// deterministic). A retry must not re-send any of them.
+    /// before the failure, then in-flight grants whose delivery the
+    /// transport accepted even as the run was stopping (settled after
+    /// the workers join, in start order, so the ledger is deterministic).
+    /// A retry must not re-send any of them.
     pub records: Vec<TransferRecord>,
     /// Destinations not yet granted per sender. Grant-time failures
     /// leave the failed message at the front of its sender's queue;
@@ -182,98 +163,84 @@ impl ShapedFailure {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum WorkerState {
-    /// Out of the monitor; the next request arrives no earlier than
-    /// `until` (modeled).
-    Running { until: f64 },
-    /// Waiting for a grant since `arrival` (modeled).
-    Parked { arrival: f64 },
-    /// Send list drained (or run aborted).
-    Done,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct GrantSlip {
+/// A granted transfer, as its sender's worker needs it.
+struct Job {
     dst: usize,
-    start: f64,
-    finish: f64,
     physical: usize,
-}
-
-/// Heap entry ordered by `(finish, src, dst)`.
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    finish: f64,
-    src: usize,
-    dst: usize,
     start: f64,
-    bytes: Bytes,
+    finish: f64,
 }
 
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Completion {}
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish
-            .total_cmp(&other.finish)
-            .then(self.src.cmp(&other.src))
-            .then(self.dst.cmp(&other.dst))
+/// What became of a delivery to `dst`.
+type Verdict = (usize, Result<(), RuntimeError>);
+
+/// The physical work of sender `src`, off the deciding thread: deliver
+/// what the kernel granted, in grant order, until it hangs up.
+fn worker<T: Transport + ?Sized>(
+    src: usize,
+    transport: &T,
+    pace_us_per_ms: Option<f64>,
+    jobs: Receiver<Job>,
+    verdicts: Sender<Verdict>,
+) {
+    for job in jobs {
+        // Optional pacing so the wall-clock timeline tracks the modeled
+        // one, then the real byte movement through the transport.
+        if let Some(us_per_ms) = pace_us_per_ms {
+            let us = (job.finish - job.start) * us_per_ms;
+            if us >= 1.0 {
+                std::thread::sleep(Duration::from_micros(us as u64));
+            }
+        }
+        let payload = fill_payload(src, job.dst, job.physical);
+        let delivered = transport.deliver_timed(
+            src,
+            job.dst,
+            payload,
+            Millis::new(job.start),
+            Millis::new(job.finish),
+        );
+        if verdicts.send((job.dst, delivered)).is_err() {
+            return;
+        }
     }
 }
 
-struct Core<'a, E, H> {
-    p: usize,
-    queues: Vec<VecDeque<usize>>,
-    state: Vec<WorkerState>,
-    assignment: Vec<Option<GrantSlip>>,
-    send_free_at: Vec<f64>,
-    recv_free_at: Vec<f64>,
-    completions: BinaryHeap<Reverse<Completion>>,
-    records: Vec<TransferRecord>,
-    trace: RunTrace,
-    completed: usize,
-    total: usize,
-    checkpoints_evaluated: usize,
-    reschedules: usize,
-    failure: Option<RuntimeError>,
-    failed_at: f64,
-    lost: Vec<(usize, usize)>,
-    /// Deliveries the transport refused, registered by their worker and
-    /// settled into the modeled timeline by the commit engine: the
-    /// refusal with the earliest modeled finish becomes the run's
-    /// failure, regardless of which worker's thread noticed its error
-    /// first. That keeps the failure path as deterministic as the
-    /// success path.
-    refused: Vec<(usize, usize, RuntimeError)>,
+/// The live policy over the kernel (see the module docs).
+struct Live<'a, E, H> {
     evolution: &'a mut E,
     sizes: &'a [Vec<Bytes>],
-    hook: H,
     config: ShapedConfig,
-}
-
-struct Fabric<'a, E, H> {
-    core: Mutex<Core<'a, E, H>>,
-    cv: Condvar,
+    hook: H,
+    /// Per sender, the way to its worker; empty when only pricing — then
+    /// no bytes move and every delivery succeeds.
+    jobs: Vec<Sender<Job>>,
+    /// Per sender, its worker's verdicts, and those that arrived ahead of
+    /// the completion asking for them.
+    verdicts: Vec<(Receiver<Verdict>, Vec<Verdict>)>,
     epoch: Instant,
+    trace: RunTrace,
+    /// Completed transfers, in completion order.
+    records: Vec<TransferRecord>,
+    /// `[src * p + dst]`: the start of a transfer that is in flight.
+    in_flight: Vec<Option<f64>>,
+    /// Per sender: when it asked for the transfer it will start next.
+    requested_at: Vec<f64>,
+    total: usize,
+    /// Completion counts after which the hook runs, ascending.
+    checkpoints: Vec<usize>,
+    checkpoints_evaluated: usize,
+    reschedules: usize,
+    /// Why and when (modeled) the run stopped.
+    failure: Option<(RuntimeError, f64)>,
+    lost: Vec<(usize, usize)>,
 }
 
-impl<'a, E, H> Core<'a, E, H>
+impl<'a, E, H> Live<'a, E, H>
 where
     E: NetworkEvolution,
     H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
 {
-    /// A fabric at rest: every worker out of the monitor since
-    /// `config.start_at`, nothing granted.
     fn new(
         lists: &[Vec<usize>],
         sizes: &'a [Vec<Bytes>],
@@ -292,227 +259,229 @@ where
                 );
             }
         }
-        let queues: Vec<VecDeque<usize>> =
-            lists.iter().map(|l| l.iter().copied().collect()).collect();
-        let total: usize = queues.iter().map(|q| q.len()).sum();
-        let start = config.start_at.as_ms();
-        Core {
-            p,
-            queues,
-            state: vec![WorkerState::Running { until: start }; p],
-            assignment: vec![None; p],
-            send_free_at: vec![start; p],
-            recv_free_at: vec![start; p],
-            completions: BinaryHeap::new(),
-            records: Vec::with_capacity(total),
+        let total = lists.iter().map(Vec::len).sum();
+        Live {
+            evolution,
+            sizes,
+            config,
+            hook,
+            jobs: Vec::new(),
+            verdicts: Vec::new(),
+            epoch: Instant::now(),
             trace: RunTrace::new(),
-            completed: 0,
+            records: Vec::with_capacity(total),
+            in_flight: vec![None; p * p],
+            requested_at: vec![config.start_at.as_ms(); p],
             total,
+            checkpoints: config.policy.checkpoints(total),
             checkpoints_evaluated: 0,
             reschedules: 0,
             failure: None,
-            failed_at: start,
             lost: Vec::new(),
-            refused: Vec::new(),
-            evolution,
-            sizes,
-            hook,
-            config,
         }
     }
 
-    fn push_event(
-        &mut self,
-        kind: EventKind,
-        src: usize,
-        dst: usize,
-        modeled: f64,
-        epoch: &Instant,
-    ) {
+    fn push_event(&mut self, kind: EventKind, src: usize, dst: usize, modeled: f64) {
         self.trace.events.push(RuntimeEvent {
             kind,
             src,
             dst,
             bytes: self.sizes[src][dst],
             modeled: Millis::new(modeled),
-            wall_us: epoch.elapsed().as_micros() as u64,
+            wall_us: self.epoch.elapsed().as_micros() as u64,
         });
     }
 
-    fn fail(&mut self, error: RuntimeError, at: f64) {
-        if self.failure.is_none() {
-            self.failure = Some(error);
-            self.failed_at = at;
-        }
-    }
-
-    /// The earliest modeled instant at which a worker still out of the
-    /// monitor could submit a request.
-    fn min_running(&self) -> f64 {
-        self.state
-            .iter()
-            .filter_map(|s| match *s {
-                WorkerState::Running { until } => Some(until),
-                _ => None,
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The best grantable request: per receiver, parked requests are
-    /// served FCFS with ties to the lower sender id; among receivers,
-    /// the earliest `(start, dst)` wins. Returns `(start, arrival, src,
-    /// dst)`.
-    fn best_candidate(&self) -> Option<(f64, f64, usize, usize)> {
-        // Per-dst winner by (arrival, src).
-        let mut winner: Vec<Option<(f64, usize)>> = vec![None; self.p];
-        for src in 0..self.p {
-            if let WorkerState::Parked { arrival } = self.state[src] {
-                let Some(&dst) = self.queues[src].front() else {
-                    continue;
-                };
-                let better = match winner[dst] {
-                    None => true,
-                    Some((a, s)) => (arrival, src) < (a, s),
-                };
-                if better {
-                    winner[dst] = Some((arrival, src));
-                }
-            }
-        }
-        let mut best: Option<(f64, f64, usize, usize)> = None;
-        for dst in 0..self.p {
-            if let Some((arrival, src)) = winner[dst] {
-                let start = arrival.max(self.recv_free_at[dst]);
-                let key = (start, dst);
-                if best.is_none_or(|(bs, _, _, bd)| key < (bs, bd)) {
-                    best = Some((start, arrival, src, dst));
-                }
-            }
-        }
-        best
-    }
-
-    fn commit_grant(&mut self, start: f64, arrival: f64, src: usize, dst: usize, epoch: &Instant) {
-        let bytes = self.sizes[src][dst];
-        // One link, one read: this runs under the fabric mutex.
-        let live = self.evolution.link_at(Millis::new(start), src, dst);
+    /// Why `src → dst`, priced at `dur` ms from `live`, must not start at
+    /// `now`, if anything.
+    fn grant_fault(
+        &self,
+        now: f64,
+        src: usize,
+        dst: usize,
+        live: LinkEstimate,
+        dur: f64,
+    ) -> Option<RuntimeError> {
+        let at = Millis::new(now);
         // A non-finite live estimate is a poisoned model, not a slow
         // link: it must never reach the `<=` comparison below (NaN
-        // compares false against any threshold) or the calendar (a NaN
-        // finish wedges the virtual clock).
+        // compares false against any threshold).
         let kbps = live.bandwidth.as_kbps();
-        let dur = live.message_time(bytes).as_ms();
         if !kbps.is_finite() || !dur.is_finite() {
-            self.fail(
-                RuntimeError::CorruptEstimate {
-                    src,
-                    dst,
-                    at: Millis::new(start),
-                    detail: format!(
-                        "bandwidth {kbps} kbit/s, startup {}, duration {dur} ms",
-                        live.startup
-                    ),
-                },
-                start,
+            let detail = format!(
+                "bandwidth {kbps} kbit/s, startup {}, duration {dur} ms",
+                live.startup
             );
-            return;
+            return Some(RuntimeError::CorruptEstimate {
+                src,
+                dst,
+                at,
+                detail,
+            });
         }
-        if let Some(threshold) = self.config.faults.drop_below_kbps {
-            // Inclusive on purpose: at the threshold the link is dead
-            // (see `FaultPolicy::drop_below_kbps`).
-            if kbps <= threshold {
-                self.fail(
-                    RuntimeError::MessageDropped {
-                        src,
-                        dst,
-                        at: Millis::new(start),
-                    },
-                    start,
-                );
-                return;
-            }
+        // Inclusive on purpose: at the threshold the link is dead (see
+        // `FaultPolicy::drop_below_kbps`).
+        if (self.config.faults.drop_below_kbps).is_some_and(|threshold| kbps <= threshold) {
+            return Some(RuntimeError::MessageDropped { src, dst, at });
         }
-        if let Some(factor) = self.config.faults.late_factor {
-            let planned = self.evolution.planning_estimates().time(src, dst, bytes);
-            let limit = planned.as_ms() * factor;
-            if dur > limit {
-                self.fail(
-                    RuntimeError::MessageLate {
-                        src,
-                        dst,
-                        observed: Millis::new(dur),
-                        limit: Millis::new(limit),
-                    },
-                    start,
-                );
-                return;
-            }
-        }
-        let finish = start + dur;
-        self.queues[src].pop_front();
-        self.state[src] = WorkerState::Running { until: finish };
-        self.send_free_at[src] = finish;
-        self.recv_free_at[dst] = finish;
-        self.assignment[src] = Some(GrantSlip {
-            dst,
-            start,
-            finish,
-            physical: physical_len(bytes, self.config.payload_cap),
-        });
-        self.push_event(EventKind::Request, src, dst, arrival, epoch);
-        self.push_event(EventKind::Grant, src, dst, start, epoch);
-        self.completions.push(Reverse(Completion {
-            finish,
+        let planned = self.evolution.planning_estimates();
+        let limit =
+            planned.time(src, dst, self.sizes[src][dst]).as_ms() * self.config.faults.late_factor?;
+        (dur > limit).then_some(RuntimeError::MessageLate {
             src,
             dst,
-            start,
-            bytes,
-        }));
+            observed: Millis::new(dur),
+            limit: Millis::new(limit),
+        })
     }
 
-    fn commit_completion(&mut self, c: Completion, epoch: &Instant) {
-        self.completions.pop();
-        // A completion commits only once its sender has moved past the
-        // delivery (`min_running > finish`), so by now the transport's
-        // verdict is registered: a refused delivery becomes the run's
-        // failure at its modeled finish — the earliest refusal in
-        // modeled order wins, not the first worker thread to notice.
-        if let Some(pos) = self
-            .refused
-            .iter()
-            .position(|&(s, d, _)| s == c.src && d == c.dst)
-        {
-            let (_, _, error) = self.refused.swap_remove(pos);
-            self.lost.push((c.src, c.dst));
-            self.fail(error, c.finish);
+    /// Whether `src → dst`'s bytes arrived. Blocks until the worker has
+    /// tried; a worker that is gone (its transport panicked) is a typed
+    /// failure of every delivery it still owed.
+    fn verdict(&mut self, src: usize, dst: usize) -> Result<(), RuntimeError> {
+        let Some((from_worker, early)) = self.verdicts.get_mut(src) else {
+            return Ok(());
+        };
+        loop {
+            // A sender's verdicts come in grant order, its completions in
+            // calendar order: they differ only across zero-cost transfers.
+            if let Some(k) = early.iter().position(|v| v.0 == dst) {
+                return early.swap_remove(k).1;
+            }
+            match from_worker.recv() {
+                Ok(v) => early.push(v),
+                Err(_) => {
+                    return Err(RuntimeError::Transport {
+                        detail: format!("worker {src} died delivering {src} -> {dst}"),
+                    })
+                }
+            }
+        }
+    }
+
+    fn record(&mut self, src: usize, dst: usize, start: f64, finish: f64) {
+        self.records.push(TransferRecord {
+            src,
+            dst,
+            bytes: self.sizes[src][dst],
+            start: Millis::new(start),
+            finish: Millis::new(finish),
+        });
+    }
+
+    /// The run's verdict, from the kernel's final state, once every
+    /// worker has exited.
+    #[allow(clippy::result_large_err)] // see `run_shaped`
+    fn finish(
+        mut self,
+        ports: Ports,
+        end: Result<(), RunError>,
+    ) -> Result<ShapedOutcome, ShapedFailure> {
+        let Some((error, at)) = self.failure.take() else {
+            end.unwrap_or_else(|e| panic!("{e}"));
+            let run = SimRun::from_records(self.records);
+            return Ok(ShapedOutcome {
+                trace: self.trace,
+                records: run.records,
+                makespan: run.makespan,
+                checkpoints_evaluated: self.checkpoints_evaluated,
+                reschedules: self.reschedules,
+            });
+        };
+        // Every started transfer has resolved by now: its delivery either
+        // succeeded or was refused. Settle the ones whose completion the
+        // stop cut off — successes into `records`, refusals into `lost` —
+        // so delivered bytes are never invisible to the retry driver.
+        let p = self.sizes.len();
+        for e in ports.started() {
+            if let Some(start) = self.in_flight[e.src * p + e.dst].take() {
+                match self.verdict(e.src, e.dst) {
+                    Ok(()) => self.record(e.src, e.dst, start, e.finish.as_ms()),
+                    Err(_) => self.lost.push((e.src, e.dst)),
+                }
+            }
+        }
+        Err(ShapedFailure {
+            error,
+            trace: self.trace,
+            records: self.records,
+            remaining: (0..p).map(|src| ports.remaining(src).to_vec()).collect(),
+            send_busy_until: ports.send_busy_until().to_vec(),
+            recv_busy_until: ports.recv_busy_until().to_vec(),
+            at: Millis::new(at),
+            lost: self.lost,
+        })
+    }
+}
+
+impl<E, H> Policy for Live<'_, E, H>
+where
+    E: NetworkEvolution,
+    H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
+{
+    fn price(&mut self, now: f64, senders: &[usize], dst: usize) -> f64 {
+        let src = senders[0];
+        let bytes = self.sizes[src][dst];
+        let live = self.evolution.link_at(Millis::new(now), src, dst);
+        let dur = live.message_time(bytes).as_ms();
+        if let Some(error) = self.grant_fault(now, src, dst, live, dur) {
+            // A price the kernel refuses: the run stops here, the message
+            // still at the head of its queue.
+            self.failure = Some((error, now));
+            return f64::NAN;
+        }
+        let finish = now + dur;
+        self.push_event(EventKind::Request, src, dst, self.requested_at[src]);
+        self.push_event(EventKind::Grant, src, dst, now);
+        self.in_flight[src * self.sizes.len() + dst] = Some(now);
+        self.requested_at[src] = finish;
+        if let Some(to_worker) = self.jobs.get(src) {
+            // A worker that is gone says so at this transfer's completion.
+            let _ = to_worker.send(Job {
+                dst,
+                physical: physical_len(bytes, self.config.payload_cap),
+                start: now,
+                finish,
+            });
+        }
+        dur
+    }
+
+    fn on_completion(&mut self, ports: &mut Ports, now: f64, src: usize, dst: usize) {
+        let p = self.sizes.len();
+        let start = self.in_flight[src * p + dst]
+            .take()
+            .expect("a completion follows its start");
+        // The calendar pops completions in modeled order, so of several
+        // refused deliveries the earliest modeled finish becomes the
+        // run's failure, whichever worker thread noticed first.
+        if let Err(error) = self.verdict(src, dst) {
+            self.lost.push((src, dst));
+            self.failure = Some((error, now));
             return;
         }
-        self.completed += 1;
-        self.records.push(TransferRecord {
-            src: c.src,
-            dst: c.dst,
-            bytes: c.bytes,
-            start: Millis::new(c.start),
-            finish: Millis::new(c.finish),
-        });
-        self.push_event(EventKind::Complete, c.src, c.dst, c.finish, epoch);
+        self.record(src, dst, start, now);
+        self.push_event(EventKind::Complete, src, dst, now);
 
-        if !self.config.policy.is_checkpoint(self.completed, self.total) {
+        if self.checkpoints.binary_search(&self.records.len()).is_err() {
             return;
         }
         self.checkpoints_evaluated += 1;
+        let remaining: Vec<VecDeque<usize>> = (0..p)
+            .map(|s| ports.remaining(s).iter().copied().collect())
+            .collect();
         let view = CheckpointView {
-            completed: self.completed,
+            completed: self.records.len(),
             total: self.total,
-            now: Millis::new(c.finish),
-            remaining: &self.queues,
-            send_busy_until: &self.send_free_at,
-            recv_busy_until: &self.recv_free_at,
+            now: Millis::new(now),
+            remaining: &remaining,
+            send_busy_until: ports.send_busy_until(),
+            recv_busy_until: ports.recv_busy_until(),
             records: &self.records,
         };
-        if let CheckpointAction::Replan(new_queues) = (self.hook)(&view) {
-            assert_eq!(new_queues.len(), self.p, "replan changed processor count");
-            for (src, (old, new)) in self.queues.iter().zip(&new_queues).enumerate() {
+        if let CheckpointAction::Replan(queues) = (self.hook)(&view) {
+            assert_eq!(queues.len(), p, "replan changed processor count");
+            for (src, (old, new)) in remaining.iter().zip(&queues).enumerate() {
                 let mut a: Vec<usize> = old.iter().copied().collect();
                 let mut b: Vec<usize> = new.iter().copied().collect();
                 a.sort_unstable();
@@ -520,222 +489,16 @@ where
                 assert_eq!(a, b, "replan changed sender {src}'s remaining messages");
             }
             self.reschedules += 1;
-            self.queues = new_queues;
-            // Pending requests are cancelled and re-issued at the
-            // checkpoint instant, matching the simulator's replan.
-            for s in &mut self.state {
-                if let WorkerState::Parked { arrival } = s {
-                    *arrival = arrival.max(c.finish);
-                }
+            // Blocked senders request afresh at the checkpoint instant.
+            ports.replan(queues);
+            for at in &mut self.requested_at {
+                *at = at.max(now);
             }
         }
     }
 
-    /// Commits every action that no still-running worker can invalidate,
-    /// in modeled-time order. Grants precede completion bookkeeping at
-    /// equal instants only when the receiver is idle (the simulator's
-    /// event-class order); a request for a receiver that frees exactly
-    /// then is granted by the completion path instead.
-    fn advance(&mut self, epoch: &Instant) {
-        loop {
-            if self.failure.is_some() {
-                return;
-            }
-            let min_running = self.min_running();
-            let cand = self.best_candidate();
-            let comp = self.completions.peek().map(|Reverse(c)| *c);
-            match (cand, comp) {
-                (None, None) => return,
-                (Some((start, arrival, src, dst)), None) => {
-                    if min_running > start {
-                        self.commit_grant(start, arrival, src, dst, epoch);
-                    } else {
-                        return;
-                    }
-                }
-                (None, Some(c)) => {
-                    if min_running > c.finish {
-                        self.commit_completion(c, epoch);
-                    } else {
-                        return;
-                    }
-                }
-                (Some((start, arrival, src, dst)), Some(c)) => {
-                    let grant_first =
-                        start < c.finish || (start == c.finish && start > self.recv_free_at[dst]);
-                    if grant_first {
-                        if min_running > start {
-                            self.commit_grant(start, arrival, src, dst, epoch);
-                        } else {
-                            return;
-                        }
-                    } else if min_running > c.finish {
-                        self.commit_completion(c, epoch);
-                    } else {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs every worker's monitor steps on the calling thread, in
-    /// sender order — one legal schedule of the threads [`run_shaped`]
-    /// spawns, with deliveries that take no time and move no bytes.
-    /// Committed actions do not depend on the schedule (see the module
-    /// docs), so the timeline is the threaded one bit for bit.
-    fn drive_inline(&mut self, epoch: &Instant) {
-        let mut entered = true;
-        while entered && self.failure.is_none() {
-            entered = false;
-            for src in 0..self.p {
-                // Like `worker`: back in the monitor the instant the
-                // granted transfer finishes, asking for the next one.
-                if let WorkerState::Running { until } = self.state[src] {
-                    self.assignment[src] = None;
-                    self.state[src] = if self.queues[src].is_empty() {
-                        WorkerState::Done
-                    } else {
-                        WorkerState::Parked { arrival: until }
-                    };
-                    self.advance(epoch);
-                    entered = true;
-                }
-            }
-        }
-    }
-
-    /// The run's verdict once every worker has left the monitor.
-    #[allow(clippy::result_large_err)] // see `run_shaped`
-    fn finish(mut self) -> Result<ShapedOutcome, ShapedFailure> {
-        if let Some(error) = self.failure.take() {
-            // The workers are joined, so every committed grant has resolved:
-            // its delivery either succeeded or was refused. Settle the
-            // grants still sitting in the completion heap — successes into
-            // `records`, refusals into `lost` — so delivered bytes are never
-            // invisible to the retry driver and the ledger does not depend
-            // on which worker thread hit the fault window first.
-            let mut refused = std::mem::take(&mut self.refused);
-            let mut lost = std::mem::take(&mut self.lost);
-            let mut records = std::mem::take(&mut self.records);
-            for Reverse(c) in std::mem::take(&mut self.completions) {
-                if let Some(pos) = refused
-                    .iter()
-                    .position(|&(s, d, _)| s == c.src && d == c.dst)
-                {
-                    refused.swap_remove(pos);
-                    lost.push((c.src, c.dst));
-                } else {
-                    records.push(TransferRecord {
-                        src: c.src,
-                        dst: c.dst,
-                        bytes: c.bytes,
-                        start: Millis::new(c.start),
-                        finish: Millis::new(c.finish),
-                    });
-                }
-            }
-            return Err(ShapedFailure {
-                error,
-                trace: self.trace,
-                records,
-                remaining: self
-                    .queues
-                    .iter()
-                    .map(|q| q.iter().copied().collect())
-                    .collect(),
-                send_busy_until: self.send_free_at,
-                recv_busy_until: self.recv_free_at,
-                at: Millis::new(self.failed_at),
-                lost,
-            });
-        }
-        debug_assert_eq!(
-            self.records.len(),
-            self.total,
-            "every message must complete"
-        );
-        let mut records = self.records;
-        records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        let makespan = records
-            .iter()
-            .map(|r| r.finish)
-            .fold(Millis::ZERO, Millis::max);
-        Ok(ShapedOutcome {
-            trace: self.trace,
-            records,
-            makespan,
-            checkpoints_evaluated: self.checkpoints_evaluated,
-            reschedules: self.reschedules,
-        })
-    }
-}
-
-fn worker<E, T, H>(src: usize, fabric: &Fabric<'_, E, H>, transport: &T)
-where
-    E: NetworkEvolution,
-    T: Transport + ?Sized,
-    H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
-{
-    let mut guard = fabric.core.lock().expect("fabric mutex poisoned");
-    let mut next_arrival = guard.config.start_at.as_ms();
-    let pace = guard.config.pace_us_per_ms;
-    loop {
-        if guard.failure.is_some() || guard.queues[src].is_empty() {
-            guard.state[src] = WorkerState::Done;
-            guard.advance(&fabric.epoch);
-            fabric.cv.notify_all();
-            return;
-        }
-        guard.state[src] = WorkerState::Parked {
-            arrival: next_arrival,
-        };
-        guard.advance(&fabric.epoch);
-        fabric.cv.notify_all();
-        while guard.assignment[src].is_none() && guard.failure.is_none() {
-            guard = fabric.cv.wait(guard).expect("fabric mutex poisoned");
-        }
-        // A grant committed before a failure was flagged is still
-        // delivered: its message already left the queues, so unless the
-        // transport itself refuses it (recorded in `lost`), a
-        // retry will not re-send it.
-        if guard.assignment[src].is_none() {
-            continue;
-        }
-        let slip = guard.assignment[src].take().expect("grant present");
-        drop(guard);
-
-        // Physical work, outside the monitor: optional pacing so the
-        // wall-clock timeline tracks the modeled one, then the real
-        // byte movement through the transport.
-        if let Some(us_per_ms) = pace {
-            let us = (slip.finish - slip.start) * us_per_ms;
-            if us >= 1.0 {
-                std::thread::sleep(Duration::from_micros(us as u64));
-            }
-        }
-        let payload = fill_payload(src, slip.dst, slip.physical);
-        let delivered = transport.deliver_timed(
-            src,
-            slip.dst,
-            payload,
-            Millis::new(slip.start),
-            Millis::new(slip.finish),
-        );
-
-        guard = fabric.core.lock().expect("fabric mutex poisoned");
-        if let Err(e) = delivered {
-            // Registered, not flagged: the commit engine settles the
-            // refusal into the modeled timeline (see `Core::refused`).
-            guard.refused.push((src, slip.dst, e));
-        }
-        next_arrival = slip.finish;
+    fn stopped(&self) -> bool {
+        self.failure.is_some()
     }
 }
 
@@ -758,15 +521,11 @@ impl NetworkEvolution for FrozenNetwork {
 
 /// What [`run_shaped`] would realize for `lists` from `start_at` on a
 /// network frozen at `params` — the records in its order, `(finish, src,
-/// dst)` — computed by the fabric's own commit engine on the calling
-/// thread: no worker threads, no transport, no payloads. This is how a
-/// *predicted* timeline is priced (the plan a run is judged against).
-/// The static simulator (`adaptcomm_sim::run_static`, the port-model
-/// kernel's canonical tie order) agrees with it record for record, ties
-/// included (`tests/tied_grid.rs`), but takes only full send orders from
-/// time zero; the executor that orders modeled-time ties differently is
-/// `run_adaptive`, whose insertion-order ties are pinned by the goldens in
-/// `tests/pricing_equiv.rs`.
+/// dst)` — computed by the same policy on the calling thread with no
+/// workers: no transport, no payloads. This is how a *predicted* timeline
+/// is priced (the plan a run is judged against). `adaptcomm_sim::run_static`
+/// agrees with it record for record, ties included
+/// (`tests/tied_grid.rs`), but takes only full send orders from time zero.
 pub fn price_frozen(
     lists: &[Vec<usize>],
     sizes: &[Vec<Bytes>],
@@ -778,16 +537,19 @@ pub fn price_frozen(
         start_at,
         ..Default::default()
     };
-    let mut core = Core::new(lists, sizes, &mut frozen, config, |_| {
+    let mut live = Live::new(lists, sizes, &mut frozen, config, |_| {
         CheckpointAction::Continue
     });
-    core.drive_inline(&Instant::now());
-    core.finish().map(|o| o.records).map_err(|f| f.error)
+    let (ports, end) = kernel::run_from(lists, start_at.as_ms(), &mut live);
+    live.finish(ports, end)
+        .map(|o| o.records)
+        .map_err(|f| f.error)
 }
 
 /// Executes the per-sender send lists over `transport`, pricing every
 /// transfer from `evolution` at its grant instant, invoking `hook` at
-/// the checkpoints of `config.policy`.
+/// the checkpoints of `config.policy`. The evolution and the hook stay on
+/// the calling thread; only `transport` is shared with the workers.
 ///
 /// `lists[src]` holds `src`'s destinations in send order — pass
 /// `&order.order` for a full [`adaptcomm_core::schedule::SendOrder`], or
@@ -797,7 +559,8 @@ pub fn price_frozen(
 /// On success the realized modeled timeline is identical to what
 /// `adaptcomm_sim` would predict for the same decisions; on a fault the
 /// error names the failing link and the failure state carries what a
-/// retry needs.
+/// retry needs. A worker whose transport panics is a
+/// [`RuntimeError::Transport`] failure of the delivery it died on.
 // The Err variant deliberately carries the full retry state (queues,
 // port availability, partial trace); failures are rare and boxing would
 // push unwrapping noise into every retry driver.
@@ -811,30 +574,33 @@ pub fn run_shaped<E, T, H>(
     hook: H,
 ) -> Result<ShapedOutcome, ShapedFailure>
 where
-    E: NetworkEvolution + Send,
+    E: NetworkEvolution,
     T: Transport + ?Sized,
-    H: FnMut(&CheckpointView<'_>) -> CheckpointAction + Send,
+    H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
 {
-    let core = Core::new(lists, sizes, evolution, config, hook);
-    let p = core.p;
-    let fabric = Fabric {
-        core: Mutex::new(core),
-        cv: Condvar::new(),
-        epoch: Instant::now(),
-    };
-
     std::thread::scope(|s| {
-        for src in 0..p {
-            let fabric = &fabric;
-            s.spawn(move || worker(src, fabric, transport));
+        // Owned by the scope's closure: if the hook panics, unwinding
+        // hangs up on the workers before the scope waits for them.
+        let mut live = Live::new(lists, sizes, evolution, config, hook);
+        let workers: Vec<_> = (0..lists.len())
+            .map(|src| {
+                let (to_worker, jobs) = channel();
+                let (verdicts, from_worker) = channel();
+                live.jobs.push(to_worker);
+                live.verdicts.push((from_worker, Vec::new()));
+                s.spawn(move || worker(src, transport, config.pace_us_per_ms, jobs, verdicts))
+            })
+            .collect();
+        let (ports, end) = kernel::run_from(lists, config.start_at.as_ms(), &mut live);
+        // Hang up: each worker delivers what it was already handed — a
+        // granted message has left its queue — and exits.
+        live.jobs.clear();
+        for w in workers {
+            // A panic is in the ledger already, as its delivery's verdict.
+            let _ = w.join();
         }
-    });
-
-    fabric
-        .core
-        .into_inner()
-        .expect("fabric mutex poisoned")
-        .finish()
+        live.finish(ports, end)
+    })
 }
 
 #[cfg(test)]
@@ -848,9 +614,7 @@ mod tests {
     use adaptcomm_sim::run_static;
     use adaptcomm_sim::{Fault, ScriptedFaults};
 
-    /// Heterogeneous network: no two links alike, so modeled-time ties
-    /// (where simulator and fabric may legitimately order events
-    /// differently) cannot occur past the initial instant.
+    /// Heterogeneous network: no two links alike.
     fn hetero_net(p: usize) -> NetParams {
         NetParams::from_fn(p, |src, dst| {
             LinkEstimate::new(
@@ -909,16 +673,9 @@ mod tests {
         )
         .expect("clean network must not fail");
 
-        assert_eq!(out.records.len(), sim.records.len());
-        for (a, b) in out.records.iter().zip(&sim.records) {
-            assert_eq!((a.src, a.dst, a.bytes), (b.src, b.dst, b.bytes));
-            assert!(
-                (a.start.as_ms() - b.start.as_ms()).abs() < 1e-6,
-                "{a:?} vs {b:?}"
-            );
-            assert!((a.finish.as_ms() - b.finish.as_ms()).abs() < 1e-6);
-        }
-        assert!((out.makespan.as_ms() - sim.makespan.as_ms()).abs() < 1e-6);
+        // One mechanism: bit for bit, not within a tolerance.
+        assert_eq!(out.records, sim.records);
+        assert_eq!(out.makespan, sim.makespan);
         // Every payload physically arrived, intact.
         assert_eq!(transport.receipts(), expected_receipts(&sizes, None));
         // Trace is well-formed: one request+grant+complete per message.
@@ -1107,6 +864,162 @@ mod tests {
         // The popped message is in neither records nor remaining.
         assert!(!failure.remaining[1].contains(&2));
         assert!(!failure.records.iter().any(|r| r.src == 1 && r.dst == 2));
+    }
+
+    /// Every message is in exactly one of `records`, `lost`, `remaining`.
+    fn assert_exactly_once(failure: &ShapedFailure, lists: &[Vec<usize>]) {
+        let mut ledger: Vec<(usize, usize)> = failure
+            .records
+            .iter()
+            .map(|r| (r.src, r.dst))
+            .chain(failure.lost.iter().copied())
+            .collect();
+        for (src, queue) in failure.remaining.iter().enumerate() {
+            ledger.extend(queue.iter().map(|&dst| (src, dst)));
+        }
+        ledger.sort_unstable();
+        let mut all: Vec<(usize, usize)> = lists
+            .iter()
+            .enumerate()
+            .flat_map(|(src, l)| l.iter().map(move |&dst| (src, dst)))
+            .collect();
+        all.sort_unstable();
+        assert_eq!(ledger, all);
+    }
+
+    /// A transport whose `deliver` panics on one link: the worker thread
+    /// dies mid-delivery.
+    struct PanickingTransport {
+        inner: ChannelTransport,
+        panic_on: (usize, usize),
+    }
+
+    impl Transport for PanickingTransport {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+        fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+            assert_ne!((src, dst), self.panic_on, "the transport blew up");
+            self.inner.deliver(src, dst, payload)
+        }
+        fn receipts(&self) -> Vec<crate::transport::ReceiptSummary> {
+            self.inner.receipts()
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_is_a_typed_failure_not_a_hang() {
+        // Under a watchdog: the run must come back, whatever it says.
+        let (done, watchdog) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let p = 5;
+            let net = hetero_net(p);
+            let sizes = mixed_sizes(p);
+            let order = OpenShop.send_order(&CommMatrix::from_model(&net, &sizes));
+            let transport = PanickingTransport {
+                inner: ChannelTransport::new(p),
+                panic_on: (1, 2),
+            };
+            let result = run_shaped(
+                &order.order,
+                &sizes,
+                &mut still(net),
+                &transport,
+                ShapedConfig::default(),
+                |_| CheckpointAction::Continue,
+            );
+            done.send((result, order.order)).ok();
+        });
+        let (result, lists) = watchdog
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a dead worker must not hang the run");
+        let failure = result.expect_err("a dead worker must fail the run");
+        assert!(
+            matches!(failure.error, RuntimeError::Transport { .. }),
+            "got {:?}",
+            failure.error
+        );
+        assert!(failure.lost_in_flight((1, 2)), "its bytes never arrived");
+        assert_exactly_once(&failure, &lists);
+    }
+
+    /// Refuses every delivery whose modeled finish lies in the fault
+    /// window `[from, ∞)`: whatever is in flight when it opens is lost.
+    struct WindowTransport {
+        inner: ChannelTransport,
+        from: f64,
+    }
+
+    impl Transport for WindowTransport {
+        fn name(&self) -> &'static str {
+            "window"
+        }
+        fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+            self.inner.deliver(src, dst, payload)
+        }
+        fn deliver_timed(
+            &self,
+            src: usize,
+            dst: usize,
+            payload: Vec<u8>,
+            _start: Millis,
+            finish: Millis,
+        ) -> Result<(), RuntimeError> {
+            if finish.as_ms() >= self.from {
+                return Err(RuntimeError::LinkPartitioned {
+                    src,
+                    dst,
+                    at: finish,
+                });
+            }
+            self.inner.deliver(src, dst, payload)
+        }
+        fn receipts(&self) -> Vec<crate::transport::ReceiptSummary> {
+            self.inner.receipts()
+        }
+    }
+
+    #[test]
+    fn the_failure_ledger_does_not_depend_on_thread_scheduling() {
+        let p = 6;
+        let net = hetero_net(p);
+        let sizes = mixed_sizes(p);
+        let order = OpenShop.send_order(&CommMatrix::from_model(&net, &sizes));
+        // The window opens at the median completion of a clean run.
+        let clean = run_static(&order, &net, &sizes).records;
+        let from = clean[clean.len() / 2].finish.as_ms();
+        let attempt = || {
+            let transport = WindowTransport {
+                inner: ChannelTransport::new(p),
+                from,
+            };
+            run_shaped(
+                &order.order,
+                &sizes,
+                &mut still(net.clone()),
+                &transport,
+                ShapedConfig::default(),
+                |_| CheckpointAction::Continue,
+            )
+            .expect_err("the window must abort the run")
+        };
+        let first = attempt();
+        assert!(
+            first.lost.len() >= 2,
+            "several deliveries in one window, got {:?}",
+            first.lost
+        );
+        // The earliest modeled finish in the window names the failure.
+        assert_eq!(first.at.as_ms(), from);
+        assert_eq!(first.error.link(), Some(first.lost[0]));
+        assert_exactly_once(&first, &order.order);
+        for _ in 0..50 {
+            let again = attempt();
+            assert_eq!(again.error, first.error);
+            assert_eq!(again.lost, first.lost);
+            assert_eq!(again.records, first.records);
+            assert_eq!(again.remaining, first.remaining);
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Live execution runtime: the paper's loop on real threads.
 //!
 //! Everything below `adaptcomm-sim` *predicts*; this crate *executes*.
-//! A [`channel::run_shaped`] run spawns one OS thread per processor and
-//! moves real byte buffers through a pluggable [`transport::Transport`]
-//! while a central fabric enforces the §3 port model — one send and one
-//! receive at a time per node, FCFS receiver grants, per-link occupancy
-//! of `T_ij + m/B_ij` modeled milliseconds priced live from a
-//! [`adaptcomm_sim::NetworkEvolution`]. The fabric coordinates threads
-//! in virtual time, so the realized modeled timeline is deterministic
-//! and bit-compatible with the discrete-event simulator — the
-//! cross-validation the integration tests enforce at 5% and usually see
-//! at ~1e-6.
+//! A [`channel::run_shaped`] run is one more policy over the port-model
+//! kernel (`adaptcomm_core::kernel`) that every simulated executor
+//! shares: the kernel, on the calling thread, enforces §3 — one send and
+//! one receive at a time per node, FCFS receiver grants — and the policy
+//! prices each transfer's `T_ij + m/B_ij` modeled milliseconds live from
+//! a [`adaptcomm_sim::NetworkEvolution`], while one OS thread per
+//! processor moves the real byte buffers through a pluggable
+//! [`transport::Transport`] and decides nothing. The realized modeled
+//! timeline is therefore the simulator's, bit for bit, however the OS
+//! schedules the threads — an equality the integration tests assert
+//! record for record.
 //!
 //! On top of the engine:
 //!

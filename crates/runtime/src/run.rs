@@ -100,7 +100,7 @@ pub fn execute<E>(
     config: ShapedConfig,
 ) -> Result<RunReport, RuntimeError>
 where
-    E: NetworkEvolution + Send,
+    E: NetworkEvolution,
 {
     let p = evolution.processors();
     let planned_makespan = plan_makespan(lists, sizes, evolution);
@@ -143,7 +143,7 @@ pub fn execute_adaptive<E>(
     settings: AdaptSettings,
 ) -> Result<RunReport, RuntimeError>
 where
-    E: NetworkEvolution + Send,
+    E: NetworkEvolution,
 {
     execute_adaptive_monitored(lists, sizes, evolution, directory, backend, settings, None)
 }
@@ -161,7 +161,7 @@ pub fn execute_adaptive_monitored<E>(
     status_path: Option<&std::path::Path>,
 ) -> Result<RunReport, RuntimeError>
 where
-    E: NetworkEvolution + Send,
+    E: NetworkEvolution,
 {
     let p = evolution.processors();
     let (mut channel, mut tcp) = (None, None);

@@ -13,6 +13,7 @@
 
 use adaptcomm_core::schedule::ScheduledEvent;
 use adaptcomm_model::units::{Bytes, Millis};
+use adaptcomm_sim::executor::SimRun;
 use adaptcomm_sim::{SimMetrics, TransferRecord};
 
 /// What happened.
@@ -82,14 +83,7 @@ impl RunTrace {
                 finish: e.modeled,
             });
         }
-        records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        records
+        SimRun::from_records(records).records
     }
 
     /// The realized events as core [`ScheduledEvent`]s (modeled time),

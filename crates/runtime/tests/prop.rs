@@ -1,8 +1,7 @@
 //! Property test: for random communication matrices and every built-in
-//! scheduler, the shaped-channel runtime realizes the same completion
-//! time as the discrete-event simulator (the ISSUE bound is 5%; the
-//! virtual-time fabric is designed to be bit-compatible, so the observed
-//! error is ~1e-6).
+//! scheduler, the shaped-channel runtime realizes the discrete-event
+//! simulator's timeline record for record — both are policies over one
+//! port-model kernel, so the bound is equality.
 
 use adaptcomm_core::algorithms::all_schedulers;
 use adaptcomm_core::matrix::CommMatrix;
@@ -52,8 +51,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every scheduler's order, executed over real threads and shaped
-    /// channels, completes within 5% of the simulator's prediction, and
-    /// every payload physically arrives.
+    /// channels, realizes exactly the simulator's records, and every
+    /// payload physically arrives.
     #[test]
     fn shaped_runtime_tracks_the_simulator_for_every_scheduler(inst in instance(12)) {
         let p = inst.net.len();
@@ -78,17 +77,8 @@ proptest! {
             )
             .expect("a frozen network cannot fault");
 
-            prop_assert_eq!(out.records.len(), sim.records.len());
-            let rel = (out.makespan.as_ms() - sim.makespan.as_ms()).abs()
-                / sim.makespan.as_ms().max(1e-12);
-            prop_assert!(
-                rel < 0.05,
-                "{}: shaped {} vs sim {} ({}% off)",
-                scheduler.name(),
-                out.makespan.as_ms(),
-                sim.makespan.as_ms(),
-                rel * 100.0
-            );
+            prop_assert_eq!(&out.records, &sim.records, "{}", scheduler.name());
+            prop_assert_eq!(out.makespan, sim.makespan);
             prop_assert_eq!(
                 transport.receipts(),
                 expected_receipts(&inst.sizes, config.payload_cap),

@@ -24,8 +24,7 @@
 use crate::executor::{sim_run, TransferRecord};
 use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler, OpenShop};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
-use adaptcomm_core::execution::execute_listed;
-use adaptcomm_core::kernel::{self, Policy, Ports, Ties};
+use adaptcomm_core::kernel::{self, Policy, Ports};
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::CostModel;
@@ -206,9 +205,10 @@ pub fn run_adaptive_checked(
         (Vec::new(), None)
     } else {
         let est_matrix = CommMatrix::from_model(trace.planning_estimates(), sizes);
-        let sched = execute_listed(initial_order, &est_matrix);
-        let mut finishes: Vec<f64> = sched.events().iter().map(|e| e.finish.as_ms()).collect();
-        finishes.sort_by(f64::total_cmp);
+        let mut cell = |src: usize, dst: usize| est_matrix.row(src)[dst];
+        let plan = kernel::run(&initial_order.order, &mut cell).unwrap_or_else(|e| panic!("{e}"));
+        let mut finishes: Vec<f64> = plan.events.iter().map(|e| e.finish.as_ms()).collect();
+        finishes.sort_unstable_by(f64::total_cmp);
         let matching_sched = match config.replanner {
             Replanner::Matching(kind) => {
                 let sched = MatchingScheduler::new(kind);
@@ -260,11 +260,6 @@ struct Adaptive<'a, E> {
 }
 
 impl<E: NetworkEvolution> Policy for Adaptive<'_, E> {
-    // Pinned, not chosen: the eight digests in tests/pricing_equiv.rs and
-    // two §6.3 rows of figures_output.txt were captured with completions
-    // popping in start order. Deleting this line makes the run canonical.
-    const TIES: Ties = Ties::InsertionOrder;
-
     fn price(&mut self, now: f64, senders: &[usize], dst: usize) -> f64 {
         let src = senders[0];
         let live = self.trace.link_at(Millis::new(now), src, dst);
@@ -309,6 +304,7 @@ impl<E: NetworkEvolution> Policy for Adaptive<'_, E> {
 mod tests {
     use super::*;
     use adaptcomm_core::algorithms::Scheduler;
+    use adaptcomm_core::execution::execute_listed;
     use adaptcomm_core::kernel::ScheduleError;
     use adaptcomm_model::cost::LinkEstimate;
     use adaptcomm_model::units::Bandwidth;
@@ -549,6 +545,7 @@ mod tests {
 mod recorded_trace_tests {
     use super::*;
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
+    use adaptcomm_core::execution::execute_listed;
     use adaptcomm_model::trace_io::{RecordedTrace, TraceRecorder};
     use adaptcomm_model::units::Bandwidth;
 

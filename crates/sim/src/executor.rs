@@ -36,6 +36,16 @@ pub struct SimRun {
 }
 
 impl SimRun {
+    /// `records`, in any order, as a run: sorted into the kernel's
+    /// completion order, the last finish as the makespan. Every record
+    /// list in the workspace — simulated or live, one attempt or several —
+    /// is ordered here.
+    pub fn from_records(mut records: Vec<TransferRecord>) -> SimRun {
+        kernel::completion_order(&mut records, |r| (r.finish, r.src, r.dst));
+        let makespan = records.last().map_or(Millis::ZERO, |r| r.finish);
+        SimRun { records, makespan }
+    }
+
     /// The realized transfers as explain-plane records, ready for
     /// `adaptcomm_obs::causal::CausalDag::new` (critical path, blame,
     /// what-if projections).
@@ -67,12 +77,8 @@ pub(crate) fn sized(events: &[ScheduledEvent], sizes: &[Vec<Bytes>]) -> Vec<Tran
 }
 
 /// A kernel run as a [`SimRun`]: records in completion order.
-pub(crate) fn sim_run(mut run: kernel::Outcome, sizes: &[Vec<Bytes>]) -> SimRun {
-    kernel::completion_order(&mut run.events);
-    SimRun {
-        records: sized(&run.events, sizes),
-        makespan: run.makespan,
-    }
+pub(crate) fn sim_run(run: kernel::Outcome, sizes: &[Vec<Bytes>]) -> SimRun {
+    SimRun::from_records(sized(&run.events, sizes))
 }
 
 /// Simulates `order` over `network` with message sizes `sizes[src][dst]`:

@@ -13,10 +13,10 @@
 //!   configurations hash to digests captured at the parent commit
 //!   (`de14e3c`, private event loops) on a tie-free grid.
 //!
-//! `run_adaptive` is pinned by the untouched goldens in
-//! `tests/pricing_equiv.rs`; the degenerate §6.1 configurations by
-//! `crates/sim/tests/prop.rs`; the runtime fabric by
-//! `crates/runtime/tests/tied_grid.rs`.
+//! `run_adaptive` is held to `run_static` by the identity (and the
+//! goldens) in `tests/pricing_equiv.rs`; the degenerate §6.1
+//! configurations by `crates/sim/tests/prop.rs`; the live runtime's policy
+//! by `crates/runtime/tests/tied_grid.rs`.
 
 use adaptcomm::model::cost::{BufferedModel, InterleavedModel, LinkEstimate};
 use adaptcomm::prelude::*;

@@ -1,15 +1,15 @@
 //! Pricing is arithmetic (ISSUE 17): every price the system computes is
 //! one link's `T_ij + m/B_ij`, read per link from a
 //! [`NetworkEvolution`]; the whole table is derived from that read in one
-//! place, and plan timelines are priced by the fabric's commit engine on
-//! the calling thread. These tests pin the three equivalences that make
+//! place, and plan timelines are priced by the runtime's kernel policy
+//! with no workers. These tests pin the three equivalences that make
 //! that a refactor and not a behaviour change:
 //!
 //! * per-link read == derived table == the materialisation loops the
 //!   owned-table `state_at` implementations used to run (kept here, and
 //!   only here, as the reference);
-//! * `run_adaptive`'s records on a fixed grid hash to the digests
-//!   captured before the change;
+//! * `run_adaptive`'s records on a fixed grid hash to captured digests,
+//!   and its tie order is `run_static`'s (an identity, nothing captured);
 //! * inline frozen pricing == the threaded `run_shaped` pass it replaced,
 //!   record for record.
 
@@ -348,7 +348,7 @@ fn a_rewinding_query_reads_the_latest_state_or_the_instant_asked() {
 }
 
 // ---------------------------------------------------------------------
-// (b) golden digests of run_adaptive, captured before the change
+// (b) golden digests of run_adaptive, and the identity behind them
 // ---------------------------------------------------------------------
 
 /// The drift `adaptcomm run --adapt` scripts: the first ⌈P/3⌉ ring links
@@ -423,17 +423,19 @@ fn cell_digest(scenario: Scenario, p: usize) -> (u64, usize) {
     (h.finish(), reschedules)
 }
 
-/// Captured at commit 0504f2e (owned-table `state_at`, eager plan) by
-/// running `cell_digest` there.
+/// Captured by running `cell_digest` under the kernel's canonical tie
+/// rule. A regression net over twelve adaptive runs per cell, not a
+/// definition: what the tie order *is* needs no capture — see the
+/// identity below.
 const GOLDEN: [(Scenario, usize, u64, usize); 8] = [
-    (Scenario::Small, 10, 0xf46b14be7e8f6f12, 101),
-    (Scenario::Small, 30, 0x89a466926d6ab25f, 1436),
-    (Scenario::Large, 10, 0x8a116c9ac4839a59, 276),
-    (Scenario::Large, 30, 0x9dcfd22579a71abd, 3023),
-    (Scenario::Mixed, 10, 0x2186c0a8933dc723, 195),
-    (Scenario::Mixed, 30, 0x334a494cd5a4c957, 2262),
-    (Scenario::Servers, 10, 0xa6fdf6f2b36dd7b3, 88),
-    (Scenario::Servers, 30, 0x855de0433676869c, 438),
+    (Scenario::Small, 10, 0xdb70ea0a5383067d, 103),
+    (Scenario::Small, 30, 0xbc33d75d92d45617, 1437),
+    (Scenario::Large, 10, 0x3d52cbb8644b0441, 276),
+    (Scenario::Large, 30, 0x0d29e5945f3c529d, 3033),
+    (Scenario::Mixed, 10, 0x86240a0879334412, 190),
+    (Scenario::Mixed, 30, 0x1ece0586fba36af1, 2243),
+    (Scenario::Servers, 10, 0xf5655f3bfe31259a, 82),
+    (Scenario::Servers, 30, 0x8e38280fcf2088be, 436),
 ];
 
 #[test]
@@ -447,6 +449,46 @@ fn adaptive_runs_hash_to_the_digests_captured_before_the_change() {
             scenario.name()
         );
     }
+}
+
+/// The identity behind the digests: `run_adaptive` has no tie order of
+/// its own. Oblivious, on a frozen trace, it equals `run_static` record
+/// for record on the tied grid of `crates/runtime/tests/tied_grid.rs` —
+/// quantized networks where every instant is a tie.
+#[test]
+fn oblivious_run_adaptive_on_a_frozen_trace_is_run_static_on_the_tied_grid() {
+    let mut pairs = 0;
+    for p in 3..=12usize {
+        for kind in 0..4 {
+            let net = NetParams::from_fn(p, |s, d| {
+                let k = [0, (s + d) % 2, (3 * s + d) % 3, (s ^ d) % 2][kind];
+                LinkEstimate::new(
+                    Millis::new(10.0 + 10.0 * k as f64),
+                    Bandwidth::from_kbps(500.0),
+                )
+            });
+            let mut sizes = vec![vec![Bytes::from_kb(100); p]; p];
+            (0..p).for_each(|i| sizes[i][i] = Bytes::ZERO);
+            let matrix = CommMatrix::from_model(&net, &sizes);
+            for scheduler in all_schedulers() {
+                let order = scheduler.send_order(&matrix);
+                let adaptive = run_adaptive(
+                    &order,
+                    &sizes,
+                    &mut FrozenNetwork(net.clone()),
+                    &AdaptiveConfig::oblivious(),
+                );
+                assert_eq!(
+                    adaptive.records,
+                    adaptcomm::sim::run_static(&order, &net, &sizes).records,
+                    "{} P={p} net {kind}",
+                    scheduler.name()
+                );
+                pairs += 1;
+            }
+        }
+    }
+    assert_eq!(pairs, 200);
 }
 
 // ---------------------------------------------------------------------
@@ -483,8 +525,7 @@ fn inline_frozen_pricing_equals_the_threaded_pass_record_for_record() {
     for p in [2usize, 3, 5, 8, 11] {
         for uniform in [false, true] {
             // A uniform network with equal sizes is all modeled-time
-            // ties — where the simulator may order events differently,
-            // and the two fabric passes still may not.
+            // ties: the kernel orders them, not the worker threads.
             let (net, sizes) = if uniform {
                 let net = NetParams::uniform(p, Millis::new(5.0), Bandwidth::from_kbps(800.0));
                 let mut sizes = vec![vec![Bytes::from_kb(10); p]; p];

@@ -47,7 +47,7 @@ fn workload() -> (NetParams, Vec<Vec<Bytes>>, SendOrder) {
 
 /// Oblivious cross-validation: with the identical drift script and no
 /// adaptation, the live engine and the simulator realize the same
-/// timeline (well inside the 5% acceptance bound).
+/// timeline — they are one mechanism, so record for record, bit for bit.
 #[test]
 fn live_run_matches_simulator_under_drift() {
     let (net, sizes, order) = workload();
@@ -67,21 +67,19 @@ fn live_run_matches_simulator_under_drift() {
     .expect("drift without dead links must complete");
 
     assert_eq!(out.records.len(), P * (P - 1));
-    let rel = (out.makespan.as_ms() - sim.makespan.as_ms()).abs() / sim.makespan.as_ms();
-    assert!(
-        rel < 0.05,
-        "live {} vs sim {} ms ({}% off)",
-        out.makespan.as_ms(),
-        sim.makespan.as_ms(),
-        rel * 100.0
-    );
+    assert_eq!(out.records, sim.records);
+    assert_eq!(out.makespan, sim.makespan);
     assert_eq!(transport.receipts(), expected_receipts(&sizes, None));
 }
 
 /// The full loop: measure, publish, decide, adapt. Injected drift must
 /// force at least one checkpoint reschedule, every byte must arrive, and
 /// the realized completion must stay within 5% of what the simulator
-/// predicts for the same adaptation policy over the same drift.
+/// predicts for the same adaptation policy over the same drift. This one
+/// is a tolerance, not an equality, on purpose: the live loop replans from
+/// a directory fed by the prober's fits of what it has observed so far,
+/// the simulator from an oracle table (the equality for the same hook is
+/// `crates/runtime/tests/tied_grid.rs`).
 #[test]
 fn closed_loop_adapts_and_cross_validates() {
     let (net, sizes, order) = workload();
