@@ -1,484 +1,318 @@
-//! The scheduler-construction perf gate.
+//! The large-P scaling table: what scheduler construction costs where
+//! it is large, with a target on every row.
 //!
 //! ```text
-//! perfgate [--quick | --check-history] [--baseline <path>] [--out <path>]
-//!          [--factor <F>] [--history <path>] [--threads <N>] [--obs <dir>]
+//! perfgate          measure every row, rewrite BENCH_sched.json keeping
+//!                   its targets, fail on any row over its target
+//! perfgate --check  (CI) measure the P = 256 rows once, fail on any row
+//!                   over 10x its committed `ms`
 //! ```
 //!
-//! Times the construction cost (`Scheduler::send_order`) of all five
-//! paper schedulers on GUSTO-guided Figure-10 instances, plus the
-//! plan-server round trip at `P = 64` split by cache disposition
-//! (`plansrv-cold` / `plansrv-hit` / `plansrv-warm`), plus an
-//! `obs-overhead` cell (the `P = 256` matching-max replay with the
-//! observability registry and flight recorder recording — the
-//! enabled-path tax, gated like any other cell), plus an
-//! `explain-overhead` cell (the causal analyzer — DAG, critical path,
-//! blame, top-5 what-ifs — over a realized `P = 256` run), and reports
-//! median/p90 wall milliseconds per `(scheduler, P)` cell:
-//!
-//! * **Full mode** (default): `P ∈ {64, 128, 256, 512, 1024}`, 5 timed
-//!   repetitions after one warm-up, written to `BENCH_sched.json`
-//!   (schema `scheduler → P → {median_ms, p90_ms, reps}`). Also times
-//!   the retained cold-per-round reference for matching-max at `P = 512`
-//!   and prints the warm-start speedup.
-//! * **Quick mode** (`--quick`, the CI smoke step): `P ∈ {64, 128,
-//!   256}`, 1 repetition after the same untimed warm-up (so matching
-//!   cells time the retained-plan replay, like the committed baseline),
-//!   no file output. Each measured median must stay
-//!   within `--factor` (default 10×) of the committed baseline's median;
-//!   any violation fails the process. The wide factor absorbs CI machine
-//!   jitter while still catching accidental big-O regressions (the
-//!   linear-scan open shop it guards against was ~40× slower at
-//!   `P = 256`).
-//!
-//! Full mode also appends a dated record (`{"ts_unix", "mode",
-//! "report"}`) to `--history` (default `BENCH_history.jsonl`), so
-//! `BENCH_sched.json` stays "latest" while the JSONL keeps the trend.
-//!
-//! **History mode** (`--check-history`): runs no benchmarks at all.
-//! Parses the `--history` file and compares the latest full-mode
-//! record against the median of all prior full-mode records, failing
-//! on any `(scheduler, P)` cell whose median regressed by more than
-//! `--factor` (default 1.25×, i.e. 25 %). With fewer than two full
-//! records it reports "nothing to compare yet" and passes — the gate
-//! arms itself as the trend file grows. It then checks the latest full
-//! record against the committed `"targets"` block in `--baseline`
-//! (absolute ms budgets per `(scheduler, P)`) — the improvement
-//! ratchet that keeps sub-second matching at `P = 1024` from rotting
-//! back toward the pre-parallel cost, which a purely relative trend
-//! gate would let creep through. Full runs carry targets forward into
-//! the rewritten baseline, so rebaselining never drops the ratchet.
-//!
-//! `--threads <N>` (default 1) runs the matching schedulers' LAP
-//! solves on N workers. Plans are bit-identical at any thread count,
-//! so this only moves construction latency; CI runs `--quick
-//! --threads 2` so the parallel path is exercised on every push.
-//!
-//! `--obs <dir>` adds an untimed instrumentation pass after the
-//! measurements: each `(scheduler, P)` cell runs once with the global
-//! observability registry enabled and dumps a Chrome trace to
-//! `<dir>/trace_<scheduler>_P<p>.json`. The pass is separate from the
-//! timing loops — and quick mode asserts the registry is disabled
-//! before timing — so the gate always measures the uninstrumented cost.
-//!
-//! Seeds are fixed per `P`, so every run times the same instances.
+//! Rows, on the Figure-10 instances (`Scenario::Large`, seed `42 + P`)
+//! at `P ∈ {256, 512, 1024}`: `baseline`, `greedy`, `openshop`
+//! (`send_order`), and per matching kind `.cold` (`plan_seeded(m,
+//! None)`), `.one-link` (`replan_incremental` after one link costs
+//! ×1.3 — the §6.2 best case) and `.replay` (`send_order` on a scheduler
+//! that retains the plan); plus, at `P = 256`, `obs-overhead` (the
+//! matching-max replay with the registry and flight recorder recording)
+//! and `explain` (the causal analyzer over a realized run). One untimed
+//! warm-up, then the upper quartile of five repeats (sorted rank
+//! `round(0.75·(k−1))`, benchmark/README.md "Estimator rules" 2);
+//! Theorems 3 (`open shop ≤ 2·t_lb`) and 2 (`step-ordered baseline ≤
+//! ⌈P/2⌉·t_lb`) are asserted on every instance built.
 
-use adaptcomm_bench::perf::{check_history, parse_history, HistoryCheck, PerfReport, PerfStats};
-use adaptcomm_core::algorithms::{all_schedulers_threaded, reference, MatchingKind};
+use adaptcomm_core::algorithms::{
+    Baseline, Greedy, MatchingKind, MatchingScheduler, OpenShop, Scheduler,
+};
+use adaptcomm_core::analyze::dag_of;
+use adaptcomm_core::depgraph::baseline_step_ordered_completion;
+use adaptcomm_core::matrix::CommMatrix;
+use adaptcomm_obs::json::Value;
 use adaptcomm_workloads::Scenario;
+use std::hint::black_box;
 use std::time::Instant;
 
-const FULL_P: [usize; 5] = [64, 128, 256, 512, 1024];
-const QUICK_P: [usize; 3] = [64, 128, 256];
-const FULL_REPS: usize = 5;
+const FILE: &str = "BENCH_sched.json";
+const SIZES: [usize; 3] = [256, 512, 1024];
+const REPEATS: usize = 5;
 
-struct Options {
-    quick: bool,
-    check_history: bool,
-    baseline: String,
-    out: String,
-    /// `None` = the mode's default: 10× for `--quick` (absorbs CI
-    /// jitter), 1.25× for `--check-history` (full-mode medians are
-    /// stable enough to gate tightly).
-    factor: Option<f64>,
-    history: String,
-    obs_dir: Option<String>,
-    /// Worker threads for the matching schedulers' LAP solves. Plans
-    /// are bit-identical at any count, so this is purely a latency
-    /// knob — CI runs `--quick --threads 2` to keep the parallel path
-    /// exercised.
-    threads: usize,
+#[derive(Debug, Clone, PartialEq)]
+struct Row {
+    name: String,
+    p: usize,
+    ms: f64,
+    target_ms: f64,
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        quick: false,
-        check_history: false,
-        baseline: "BENCH_sched.json".to_string(),
-        out: "BENCH_sched.json".to_string(),
-        factor: None,
-        history: "BENCH_history.jsonl".to_string(),
-        obs_dir: None,
-        threads: 1,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--check-history" => opts.check_history = true,
-            "--baseline" => opts.baseline = take("--baseline"),
-            "--out" => opts.out = take("--out"),
-            "--history" => opts.history = take("--history"),
-            "--obs" => opts.obs_dir = Some(take("--obs")),
-            "--factor" => {
-                opts.factor = Some(take("--factor").parse().unwrap_or_else(|_| {
-                    eprintln!("--factor needs a number");
-                    std::process::exit(2);
-                }))
-            }
-            "--threads" => {
-                opts.threads = take("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("--threads needs a number");
-                    std::process::exit(2);
-                });
-                if opts.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    std::process::exit(2);
-                }
-            }
-            other => {
-                eprintln!("unrecognized argument: {other}");
-                std::process::exit(2);
-            }
+fn row(name: &str, p: usize, ms: f64, target_ms: f64) -> Row {
+    let name = name.to_string();
+    Row {
+        name,
+        p,
+        ms,
+        target_ms,
+    }
+}
+
+fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
+    let doc = Value::parse(text)?;
+    let rows = doc.as_arr().ok_or("expected an array of rows")?;
+    rows.iter()
+        .map(|r| {
+            let num = |key: &str| r.get(key).and_then(Value::as_f64);
+            let (name, p) = (r.get("name")?.as_str()?, r.get("p")?.as_u64()?);
+            Some(row(name, p as usize, num("ms")?, num("target_ms")?))
+        })
+        .collect::<Option<Vec<Row>>>()
+        .ok_or_else(|| "every row needs name, p, ms and target_ms".to_string())
+}
+
+/// One row per line, so a rebaseline diffs row by row.
+fn render_rows(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            Value::Obj(vec![
+                ("name".into(), Value::Str(r.name.clone())),
+                ("p".into(), Value::Num(r.p as f64)),
+                ("ms".into(), Value::Num(r.ms)),
+                ("target_ms".into(), Value::Num(r.target_ms)),
+            ])
+            .to_json()
+        })
+        .collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
+fn upper_quartile(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[(0.75 * (samples.len() - 1) as f64).round() as usize]
+}
+
+/// Wall ms of `f`: one untimed warm-up, then the upper quartile of
+/// `repeats` timed calls.
+fn measure(repeats: usize, mut f: impl FnMut() -> usize) -> f64 {
+    black_box(f());
+    let mut samples: Vec<f64> = (0..repeats)
+        .map(|_| {
+            let clock = Instant::now();
+            black_box(f());
+            clock.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    upper_quartile(&mut samples)
+}
+
+/// What each measured row is held to — its committed `target_ms` on a
+/// full run, ten times its committed `ms` under `--check` — and the
+/// rows that exceed it. A measurement the committed file has no row for
+/// is an error, not a pass.
+fn violations(measured: &[Row], committed: &[Row], check: bool) -> Result<Vec<String>, String> {
+    let mut out = Vec::new();
+    for m in measured {
+        let c = committed
+            .iter()
+            .find(|c| c.name == m.name && c.p == m.p)
+            .ok_or_else(|| format!("{FILE} has no row {} P={}", m.name, m.p))?;
+        let limit = if check { 10.0 * c.ms } else { c.target_ms };
+        if m.ms > limit {
+            let rule = if check { "10x committed" } else { "target" };
+            let (name, p, ms) = (&m.name, m.p, m.ms);
+            out.push(format!(
+                "{name} P={p}: {ms:.3} ms is over {limit:.3} ms ({rule})"
+            ));
         }
     }
-    opts
+    Ok(out)
 }
 
-/// The benchmark instance for processor count `p`: the Figure-10
-/// workload (uniform 1 MB messages — every pair matters) on a
-/// GUSTO-guided random network with a `P`-derived fixed seed.
-fn instance_matrix(p: usize) -> adaptcomm_core::matrix::CommMatrix {
-    Scenario::Large.instance(p, 42 + p as u64).matrix
+fn assert_theorems(m: &CommMatrix) {
+    let (p, lb) = (m.len(), m.lower_bound().as_ms());
+    let ratio = OpenShop.schedule(m).lb_ratio();
+    assert!(ratio <= 2.0 * (1.0 + 1e-12), "Theorem 3 at P={p}: {ratio}");
+    let stepped = baseline_step_ordered_completion(m).as_ms();
+    let bound = p.div_ceil(2) as f64 * lb;
+    assert!(
+        stepped <= bound * (1.0 + 1e-12),
+        "Theorem 2 at P={p}: {stepped}"
+    );
 }
 
-/// Times one closure, returning (wall ms, an anti-DCE token).
-fn time_one<F: FnMut() -> usize>(mut f: F) -> (f64, usize) {
-    let clock = Instant::now();
-    let token = f();
-    (clock.elapsed().as_secs_f64() * 1e3, token)
+/// `m` with the first link `k → k+1` that stays below the matrix
+/// maximum made 1.3× dearer (a new maximum would force a full rebuild).
+fn one_link_dearer(m: &CommMatrix) -> CommMatrix {
+    let hi = m.max_cost().as_ms();
+    let k = (0..m.len() - 1)
+        .find(|&k| m.cost(k, k + 1).as_ms() * 1.3 < hi)
+        .expect("some link stays below the maximum");
+    CommMatrix::from_fn(m.len(), |s, d| {
+        m.cost(s, d).as_ms() * if (s, d) == (k, k + 1) { 1.3 } else { 1.0 }
+    })
 }
 
-/// The untimed `--obs` pass: one instrumented construction per
-/// `(scheduler, P)` cell, each dumped as its own Chrome trace.
-fn obs_pass(dir: &str, p_values: &[usize], threads: usize) {
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-        eprintln!("cannot create {dir}: {e}");
-        std::process::exit(2);
-    });
+fn measure_table(sizes: &[usize], repeats: usize) -> Vec<Row> {
     let obs = adaptcomm_obs::global();
-    for &p in p_values {
-        let matrix = instance_matrix(p);
-        for scheduler in all_schedulers_threaded(threads) {
-            obs.clear();
-            obs.set_enabled(true);
-            let span = obs
-                .span("schedule")
-                .attr("algorithm", scheduler.name())
-                .attr("p", p);
-            let steps = scheduler.send_order(&matrix).order.len();
-            span.attr("steps", steps).end();
-            let snap = obs.snapshot();
-            obs.set_enabled(false);
-            let path = format!("{dir}/trace_{}_P{p}.json", scheduler.name());
-            std::fs::write(&path, snap.to_chrome_trace()).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
+    assert!(!obs.is_enabled(), "the table times uninstrumented code");
+    let mut rows: Vec<Row> = Vec::new();
+    let mut emit = |name: &str, p: usize, ms: f64, note: &str| {
+        println!("{name:<24} P={p:<5} {ms:>10.3} ms{note}");
+        rows.push(row(name, p, (ms * 1e3).round() / 1e3, 0.0));
+    };
+    for &p in sizes {
+        let m = Scenario::Large.instance(p, 42 + p as u64).matrix;
+        let dearer = one_link_dearer(&m);
+        assert_theorems(&m);
+        assert_theorems(&dearer);
+        for s in [&Baseline as &dyn Scheduler, &Greedy, &OpenShop] {
+            let ms = measure(repeats, || s.send_order(&m).order.len());
+            emit(s.name(), p, ms, "");
+        }
+        for kind in [MatchingKind::Max, MatchingKind::Min] {
+            let sched = MatchingScheduler::new(kind);
+            let name = sched.name();
+            let mut cold = None;
+            let ms = measure(repeats, || {
+                cold.insert(sched.plan_seeded(&m, None)).steps.len()
             });
-            println!("obs: wrote {path}");
+            emit(&format!("{name}.cold"), p, ms, "");
+            let cold = cold.expect("measured at least once");
+            let mut kept = 0;
+            let ms = measure(repeats, || {
+                let plan = sched.replan_incremental(&cold, &dearer);
+                assert_eq!(plan.disposition, "incremental");
+                kept = plan.spliced_rounds;
+                kept
+            });
+            let note = format!("   (kept {kept}/{p} rounds)");
+            emit(&format!("{name}.one-link"), p, ms, &note);
+            // The warm-up builds and retains the plan; the repeats replay it.
+            let ms = measure(repeats, || sched.send_order(&m).order.len());
+            assert_eq!(sched.construction_disposition(), Some("hit"));
+            emit(&format!("{name}.replay"), p, ms, "");
         }
     }
-    obs.clear();
+    if sizes.contains(&256) {
+        let m = Scenario::Large.instance(256, 42 + 256).matrix;
+        let sched = MatchingScheduler::new(MatchingKind::Max);
+        obs.clear();
+        obs.set_enabled(true);
+        let ms = measure(repeats, || {
+            let span = obs.span("schedule").attr("algorithm", "matching-max");
+            let steps = sched.send_order(&m).order.len();
+            adaptcomm_obs::flight()
+                .note("perfgate.cell")
+                .attr("steps", steps)
+                .emit();
+            span.attr("steps", steps).end();
+            steps
+        });
+        obs.set_enabled(false);
+        obs.clear();
+        emit("obs-overhead", 256, ms, "");
+        // What `adaptcomm explain` does, on a run of ~65k transfers.
+        let schedule = sched.schedule(&m);
+        let ms = measure(repeats, || {
+            let dag = dag_of(&schedule);
+            dag.critical_path().len() ^ dag.blame().links.len() ^ dag.interventions(2.0, 5).len()
+        });
+        emit("explain", 256, ms, "");
+    }
+    rows
 }
 
-/// The `--check-history` entry point: a pure file check, no timing.
-fn run_history_check(opts: &Options) {
-    let factor = opts.factor.unwrap_or(1.25);
-    let text = std::fs::read_to_string(&opts.history).unwrap_or_else(|e| {
-        eprintln!("cannot read history {}: {e}", opts.history);
-        std::process::exit(2);
-    });
-    let records = parse_history(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {}: {e}", opts.history);
-        std::process::exit(2);
-    });
-    match check_history(&records, factor) {
-        HistoryCheck::NotEnoughHistory { full_records } => {
-            println!(
-                "history gate: {} holds {full_records} full-mode record(s); \
-                 nothing to compare yet",
-                opts.history
-            );
-        }
-        HistoryCheck::Compared { priors, violations } => {
-            if violations.is_empty() {
-                println!(
-                    "history gate OK: latest full run within {factor}x of the \
-                     median of {priors} prior full run(s)"
-                );
-            } else {
-                for v in &violations {
-                    eprintln!("history gate FAIL: {v}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
-    // The absolute ratchet: the latest full-mode record must also meet
-    // every committed target in the baseline file (the trend gate above
-    // only catches *relative* drift; a slow creep back toward the
-    // pre-optimization cost would pass it run over run).
-    let Some(latest) = records.iter().rev().find(|r| r.mode == "full") else {
-        return;
-    };
-    let Ok(text) = std::fs::read_to_string(&opts.baseline) else {
-        return; // no baseline file, no targets to enforce
-    };
-    let baseline = PerfReport::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {}: {e}", opts.baseline);
-        std::process::exit(2);
-    });
-    let target_violations = baseline.check_targets(&latest.report);
-    if target_violations.is_empty() {
-        let n = baseline.targets().len();
-        if n > 0 {
-            println!("target gate OK: latest full run meets all {n} committed target(s)");
-        }
-    } else {
-        for v in &target_violations {
-            eprintln!("target gate FAIL: {v}");
-        }
-        std::process::exit(1);
-    }
+/// 1.5× the measured value at two significant digits.
+fn fresh_target(ms: f64) -> f64 {
+    format!("{:.1e}", 1.5 * ms)
+        .parse()
+        .expect("a formatted float")
 }
 
 fn main() {
-    let opts = parse_args();
-    if opts.check_history {
-        run_history_check(&opts);
-        return;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let check = args == ["--check"];
+    if !check && !args.is_empty() {
+        fail(2, &["usage: perfgate [--check]".to_string()]);
     }
-    let p_values: &[usize] = if opts.quick { &QUICK_P } else { &FULL_P };
-    let reps = if opts.quick { 1 } else { FULL_REPS };
-
-    // The gate times the *uninstrumented* cost: recording must be off.
-    // A relaxed load is all the disabled path ever pays.
-    assert!(
-        !adaptcomm_obs::global().is_enabled(),
-        "observability registry must stay disabled during timing"
-    );
-
-    let mut report = PerfReport::new();
-    let mut sink = 0usize; // keeps the timed work observable
-    for &p in p_values {
-        let matrix = instance_matrix(p);
-        for scheduler in all_schedulers_threaded(opts.threads) {
-            // One untimed warm-up to page in code and allocator state.
-            // For the matching schedulers this is also the cold build:
-            // the timed repetitions then measure the retained-plan
-            // replay, the cost a steady-state caller actually pays —
-            // in both modes, so quick runs gate against like-for-like
-            // baseline cells.
-            sink ^= scheduler.send_order(&matrix).order.len();
-            let mut samples = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let (ms, token) = time_one(|| scheduler.send_order(&matrix).order.len());
-                sink ^= token;
-                samples.push(ms);
-            }
-            let stats = PerfStats::from_samples(&samples);
-            println!(
-                "{:<14} P={:<5} median {:>10.3} ms   p90 {:>10.3} ms   ({} reps)",
-                scheduler.name(),
-                p,
-                stats.median_ms,
-                stats.p90_ms,
-                reps
-            );
-            report.insert(scheduler.name(), p, stats);
+    let committed = std::fs::read_to_string(FILE)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_rows(&text))
+        .unwrap_or_else(|e| fail(2, &[format!("{FILE}: {e}")]));
+    let sizes = if check { &SIZES[..1] } else { &SIZES[..] };
+    let mut rows = measure_table(sizes, if check { 1 } else { REPEATS });
+    if !check {
+        for r in &mut rows {
+            let kept = committed.iter().find(|c| c.name == r.name && c.p == r.p);
+            r.target_ms = kept.map_or_else(|| fresh_target(r.ms), |c| c.target_ms);
         }
+        std::fs::write(FILE, render_rows(&rows))
+            .unwrap_or_else(|e| fail(2, &[format!("cannot write {FILE}: {e}")]));
+        println!("wrote {FILE}");
+    }
+    let reference = if check { &committed } else { &rows };
+    match violations(&rows, reference, check) {
+        Ok(v) if v.is_empty() => println!("perfgate OK: {} rows within their limits", rows.len()),
+        Ok(v) => fail(1, &v),
+        Err(e) => fail(2, &[e]),
+    }
+}
+
+fn fail(code: i32, lines: &[String]) -> ! {
+    for line in lines {
+        eprintln!("perfgate FAIL: {line}");
+    }
+    std::process::exit(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn estimator_is_the_upper_quartile_rank() {
+        assert_eq!(upper_quartile(&mut [100.0, 1.0, 3.0, 2.0, 4.0]), 4.0);
+        assert_eq!(upper_quartile(&mut [7.5]), 7.5);
+        assert_eq!(fresh_target(4237.2), 6400.0);
+        assert_eq!(fresh_target(0.8), 1.2);
     }
 
-    // Scheduling-as-a-service round trips at P = 64, one cell per
-    // cache disposition. These time the whole client path — frame
-    // codec, TCP, admission, solve or replay — so a protocol or
-    // cache regression shows up here even when the raw schedulers
-    // above are unchanged.
-    let srv = adaptcomm_bench::plansrv_bench::measure_plan_server(64, reps);
-    for (name, samples) in [
-        ("plansrv-cold", &srv.cold_ms),
-        ("plansrv-hit", &srv.hit_ms),
-        ("plansrv-warm", &srv.warm_ms),
-    ] {
-        let stats = PerfStats::from_samples(samples);
-        println!(
-            "{:<14} P={:<5} median {:>10.3} ms   p90 {:>10.3} ms   ({} reps)",
-            name, 64, stats.median_ms, stats.p90_ms, reps
-        );
-        report.insert(name, 64, stats);
+    #[test]
+    fn the_committed_file_round_trips_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sched.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let rows = parse_rows(&text).unwrap();
+        assert_eq!(render_rows(&rows), text);
+        assert_eq!(rows.len(), 29);
+        assert!(rows.iter().all(|r| r.ms > 0.0 && r.ms <= r.target_ms));
+        assert!(parse_rows("[{\"name\":\"x\",\"p\":4,\"ms\":1}]").is_err());
+        assert!(parse_rows("{}").is_err());
     }
 
-    // The observability tax: the same matching-max replay as the
-    // P = 256 cell above, but with the global registry recording a span
-    // and the flight recorder taking a note per construction — the full
-    // enabled-path cost. Gated like every other cell, so instrumentation
-    // creeping from "a span and a ring write" into real work fails CI
-    // the same way a scheduler regression would.
-    {
-        let p = 256;
-        let matrix = instance_matrix(p);
-        let scheduler = all_schedulers_threaded(opts.threads)
-            .into_iter()
-            .find(|s| s.name() == "matching-max")
-            .expect("matching-max is always registered");
-        let obs = adaptcomm_obs::global();
-        obs.clear();
-        obs.set_enabled(true);
-        sink ^= scheduler.send_order(&matrix).order.len(); // instrumented warm-up
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let (ms, token) = time_one(|| {
-                let span = obs.span("schedule").attr("algorithm", "matching-max");
-                let steps = scheduler.send_order(&matrix).order.len();
-                adaptcomm_obs::flight()
-                    .note("perfgate.cell")
-                    .attr("steps", steps)
-                    .emit();
-                span.attr("steps", steps).end();
-                steps
-            });
-            sink ^= token;
-            samples.push(ms);
-        }
-        obs.set_enabled(false);
-        obs.clear();
-        let stats = PerfStats::from_samples(&samples);
-        println!(
-            "{:<14} P={:<5} median {:>10.3} ms   p90 {:>10.3} ms   ({} reps)",
-            "obs-overhead", p, stats.median_ms, stats.p90_ms, reps
-        );
-        report.insert("obs-overhead", p, stats);
-    }
-
-    // The explain-plane tax: the causal analyzer over a realized
-    // P = 256 run (~65k transfers) — DAG construction, the critical
-    // path, the blame table, and the top-5 what-if projections, i.e.
-    // exactly what `adaptcomm explain` does to a capture. Gated like
-    // every other cell, so "interactive on real captures" stays an
-    // enforced property rather than an aspiration.
-    {
-        let p = 256;
-        let matrix = instance_matrix(p);
-        let scheduler = all_schedulers_threaded(opts.threads)
-            .into_iter()
-            .find(|s| s.name() == "matching-max")
-            .expect("matching-max is always registered");
-        let order = scheduler.send_order(&matrix);
-        let schedule = adaptcomm_core::execution::execute_listed(&order, &matrix);
-        let transfers: Vec<adaptcomm_obs::causal::Transfer> = schedule
-            .events()
-            .iter()
-            .map(|e| adaptcomm_obs::causal::Transfer {
-                src: e.src,
-                dst: e.dst,
-                start_ms: e.start.as_ms(),
-                dur_ms: e.duration().as_ms(),
-            })
-            .collect();
-        let analyze = |transfers: &[adaptcomm_obs::causal::Transfer]| {
-            let dag = adaptcomm_obs::causal::CausalDag::new(transfers.to_vec());
-            dag.critical_path().len() ^ dag.blame().links.len() ^ dag.interventions(2.0, 5).len()
+    #[test]
+    fn a_row_over_its_limit_is_exactly_one_named_violation() {
+        let rows = |greedy: (f64, f64), openshop: (f64, f64)| {
+            let (g, o) = (greedy, openshop);
+            [row("greedy", 256, g.0, g.1), row("openshop", 256, o.0, o.1)]
         };
-        sink ^= analyze(&transfers); // untimed warm-up
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let (ms, token) = time_one(|| analyze(&transfers));
-            sink ^= token;
-            samples.push(ms);
-        }
-        let stats = PerfStats::from_samples(&samples);
-        println!(
-            "{:<14} P={:<5} median {:>10.3} ms   p90 {:>10.3} ms   ({} reps)",
-            "explain-overhead", p, stats.median_ms, stats.p90_ms, reps
-        );
-        report.insert("explain-overhead", p, stats);
+        let committed = rows((5.0, 7.5), (19.0, 28.0));
+        let measured = rows((7.0, 0.0), (30.0, 0.0));
+        let v = violations(&measured, &committed, false).unwrap();
+        assert_eq!(v.len(), 1);
+        assert!(v[0].starts_with("openshop P=256") && v[0].contains("target"));
+        // 30 ms is within 10x of 19 ms; 51 ms is not within 10x of 5 ms.
+        assert!(violations(&measured, &committed, true).unwrap().is_empty());
+        let slow = rows((51.0, 0.0), (30.0, 0.0));
+        let v = violations(&slow, &committed, true).unwrap();
+        assert_eq!(v.len(), 1);
+        assert!(v[0].starts_with("greedy P=256") && v[0].contains("10x"));
     }
 
-    if opts.quick {
-        let text = std::fs::read_to_string(&opts.baseline).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", opts.baseline);
-            std::process::exit(2);
-        });
-        let baseline = PerfReport::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse baseline {}: {e}", opts.baseline);
-            std::process::exit(2);
-        });
-        let factor = opts.factor.unwrap_or(10.0);
-        let violations = report.gate(&baseline, factor);
-        if violations.is_empty() {
-            println!(
-                "perf gate OK: all cells within {factor}x of {}",
-                opts.baseline
-            );
-        } else {
-            for v in &violations {
-                eprintln!("perf gate FAIL: {v}");
-            }
-            std::process::exit(1);
+    #[test]
+    fn a_row_missing_from_the_committed_file_is_an_error() {
+        let committed = [row("greedy", 256, 5.0, 7.5)];
+        let measured = [row("greedy", 512, 1.0, 0.0)];
+        for check in [false, true] {
+            let err = violations(&measured, &committed, check).unwrap_err();
+            assert!(err.contains("greedy P=512"), "{err}");
         }
-    } else {
-        // The headline comparison behind this gate: warm-started rounds
-        // vs the retained cold-per-round reference at P = 512.
-        let p = 512;
-        let matrix = instance_matrix(p);
-        let (cold_ms, token) =
-            time_one(|| reference::matching_steps(MatchingKind::Max, &matrix).len());
-        sink ^= token;
-        let warm_ms = report
-            .get("matching-max", p)
-            .expect("P=512 was just measured")
-            .median_ms;
-        println!(
-            "matching-max P={p}: cold reference {cold_ms:.1} ms vs warm {warm_ms:.1} ms -> {:.1}x",
-            cold_ms / warm_ms
-        );
-        // Rebaselining must not drop the committed improvement targets:
-        // carry them forward from the existing baseline file.
-        if let Ok(text) = std::fs::read_to_string(&opts.baseline) {
-            if let Ok(prior) = PerfReport::from_json(&text) {
-                report.adopt_targets(&prior);
-            }
-        }
-        for (name, tp, budget) in report.targets() {
-            if let Some(stats) = report.get(&name, tp) {
-                println!(
-                    "target {name} P={tp}: measured {:.3} ms vs budget {budget:.3} ms{}",
-                    stats.median_ms,
-                    if stats.median_ms > budget {
-                        "  ** OVER BUDGET **"
-                    } else {
-                        ""
-                    }
-                );
-            }
-        }
-        std::fs::write(&opts.out, report.to_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", opts.out);
-            std::process::exit(2);
-        });
-        println!("wrote {}", opts.out);
-        // The committed JSON is always "latest"; the JSONL keeps every
-        // dated run so regressions can be traced back in time.
-        let ts_unix = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let record = adaptcomm_bench::perf::history_record(ts_unix, "full", &report);
-        adaptcomm_bench::perf::append_history(&opts.history, &record).unwrap_or_else(|e| {
-            eprintln!("cannot append {}: {e}", opts.history);
-            std::process::exit(2);
-        });
-        println!("appended {}", opts.history);
     }
-    if let Some(dir) = &opts.obs_dir {
-        obs_pass(dir, p_values, opts.threads);
-    }
-    // Defeat dead-code elimination of the timed closures.
-    assert!(sink != usize::MAX);
 }

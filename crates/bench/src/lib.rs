@@ -1,10 +1,12 @@
 //! Experiment harness regenerating the paper's tables and figures.
 //!
 //! The `figures` binary drives the functions in [`experiments`] and
-//! prints each table/figure as aligned text plus CSV; the Criterion
-//! benches in `benches/` measure the *cost* of running the schedulers
-//! themselves (the §6.2 motivation: "the overhead for repeatedly
-//! calculating the communication schedule at run-time can be expensive").
+//! prints each table/figure as aligned text plus CSV; the `perfgate`
+//! binary measures the *cost* of running the schedulers themselves at
+//! large `P` and gates it against `BENCH_sched.json` (the §6.2
+//! motivation: "the overhead for repeatedly calculating the
+//! communication schedule at run-time can be expensive"); the Criterion
+//! benches in `benches/` are for interactive comparison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,8 +15,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod experiments;
-pub mod perf;
-pub mod plansrv_bench;
 pub mod sweep;
 
 pub use experiments::{FigureRow, FigureTable, SummaryStats};

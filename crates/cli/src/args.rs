@@ -2,6 +2,16 @@
 
 use std::collections::HashMap;
 
+/// One subcommand: its name, the `--key value` options and bare
+/// `--flag`s it accepts, and its handler. The table of these in
+/// `main.rs` drives both dispatch and validation.
+pub struct Command {
+    pub name: &'static str,
+    pub values: &'static [&'static str],
+    pub flags: &'static [&'static str],
+    pub run: fn(&Options) -> Result<(), String>,
+}
+
 /// Parsed options: `--key value` pairs and bare `--flag`s.
 #[derive(Debug, Default)]
 pub struct Options {
@@ -9,14 +19,10 @@ pub struct Options {
     flags: Vec<String>,
 }
 
-/// Keys that take no value.
-const FLAG_KEYS: &[&str] = &[
-    "diagram", "events", "adapt", "trace", "once", "probe", "shutdown",
-];
-
 impl Options {
-    /// Parses the argument list following the subcommand.
-    pub fn parse(args: &[String]) -> Result<Options, String> {
+    /// Parses the argument list following the subcommand. An option the
+    /// command does not accept is an error naming the ones it does.
+    pub fn parse(command: &Command, args: &[String]) -> Result<Options, String> {
         let mut out = Options::default();
         let mut i = 0;
         while i < args.len() {
@@ -24,10 +30,10 @@ impl Options {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("expected `--option`, found `{arg}`"));
             };
-            if FLAG_KEYS.contains(&key) {
+            if command.flags.contains(&key) {
                 out.flags.push(key.to_string());
                 i += 1;
-            } else {
+            } else if command.values.contains(&key) {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("`--{key}` needs a value"))?;
@@ -36,6 +42,23 @@ impl Options {
                 }
                 out.values.insert(key.to_string(), value.clone());
                 i += 2;
+            } else {
+                let mut valid: Vec<String> = command
+                    .values
+                    .iter()
+                    .chain(command.flags)
+                    .map(|k| format!("--{k}"))
+                    .collect();
+                valid.sort();
+                return Err(format!(
+                    "unknown option `--{key}` for `{}` (valid options: {})",
+                    command.name,
+                    if valid.is_empty() {
+                        "none".to_string()
+                    } else {
+                        valid.join(", ")
+                    }
+                ));
             }
         }
         Ok(out)
@@ -79,13 +102,21 @@ impl Options {
 mod tests {
     use super::*;
 
-    fn strs(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
+    const CMD: Command = Command {
+        name: "demo",
+        values: &["p", "seed", "matrix"],
+        flags: &["diagram", "events"],
+        run: |_| Ok(()),
+    };
+
+    fn parse(items: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = items.iter().map(|s| s.to_string()).collect();
+        Options::parse(&CMD, &args)
     }
 
     #[test]
     fn parses_values_and_flags() {
-        let o = Options::parse(&strs(&["--p", "20", "--diagram", "--seed", "7"])).unwrap();
+        let o = parse(&["--p", "20", "--diagram", "--seed", "7"]).unwrap();
         assert_eq!(o.get("p").as_deref(), Some("20"));
         assert!(o.flag("diagram"));
         assert!(!o.flag("events"));
@@ -96,21 +127,31 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Options::parse(&strs(&["--p"])).is_err());
-        assert!(Options::parse(&strs(&["--p", "--diagram"])).is_err());
-        assert!(Options::parse(&strs(&["stray"])).is_err());
+        assert!(parse(&["--p"]).is_err());
+        assert!(parse(&["--p", "--diagram"]).is_err());
+        assert!(parse(&["stray"]).is_err());
+    }
+
+    #[test]
+    fn an_option_outside_the_commands_list_names_the_valid_ones() {
+        let err = parse(&["--sead", "7"]).unwrap_err();
+        assert!(err.contains("`--sead`") && err.contains("`demo`"), "{err}");
+        assert!(
+            err.contains("--diagram, --events, --matrix, --p, --seed"),
+            "{err}"
+        );
     }
 
     #[test]
     fn missing_required_reported() {
-        let o = Options::parse(&[]).unwrap();
+        let o = parse(&[]).unwrap();
         assert!(o.require("matrix").unwrap_err().contains("--matrix"));
         assert!(o.require_parsed::<usize>("p").is_err());
     }
 
     #[test]
     fn bad_parse_reported() {
-        let o = Options::parse(&strs(&["--p", "abc"])).unwrap();
+        let o = parse(&["--p", "abc"]).unwrap();
         assert!(o.require_parsed::<usize>("p").is_err());
         assert!(o.parsed_or::<usize>("p", 1).is_err());
     }

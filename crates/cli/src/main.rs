@@ -210,39 +210,175 @@ anything else -> Chrome trace_event JSON (load in Perfetto /
 chrome://tracing, or feed to obs-summary).
 ";
 
+/// Every subcommand with the options it reads: `run()` dispatches on
+/// it and `args::Options::parse` validates against it, so an option a
+/// handler does not read cannot be passed silently.
+const COMMANDS: &[args::Command] = &[
+    args::Command {
+        name: "gusto",
+        values: &[],
+        flags: &[],
+        run: |_| {
+            print_gusto();
+            Ok(())
+        },
+    },
+    args::Command {
+        name: "generate",
+        values: &["scenario", "p", "seed", "n"],
+        flags: &[],
+        run: generate,
+    },
+    args::Command {
+        name: "schedule",
+        values: &["matrix", "algorithm", "svg", "json"],
+        flags: &["diagram", "events"],
+        run: schedule,
+    },
+    args::Command {
+        name: "compare",
+        values: &["matrix", "threads", "obs"],
+        flags: &[],
+        run: compare,
+    },
+    args::Command {
+        name: "sweep",
+        values: &[
+            "scenario", "pmin", "pmax", "pstep", "trials", "threads", "obs",
+        ],
+        flags: &[],
+        run: sweep,
+    },
+    args::Command {
+        name: "run",
+        values: &[
+            "backend",
+            "p",
+            "scenario",
+            "seed",
+            "algorithm",
+            "drift",
+            "drift-at",
+            "threshold",
+            "trigger",
+            "replanner",
+            "threads",
+            "status",
+            "pace",
+            "obs",
+            "metrics-port",
+        ],
+        flags: &["adapt", "trace"],
+        run: run_live,
+    },
+    args::Command {
+        name: "chaos",
+        values: &["scenario", "p", "seed", "workload", "obs", "flight"],
+        flags: &[],
+        run: chaos_run,
+    },
+    args::Command {
+        name: "top",
+        values: &["input", "interval", "frames", "capture"],
+        flags: &["once"],
+        run: top_live,
+    },
+    args::Command {
+        name: "report",
+        values: &["input", "html", "title"],
+        flags: &[],
+        run: report_html,
+    },
+    args::Command {
+        name: "explain",
+        values: &[
+            "input",
+            "matrix",
+            "scenario",
+            "p",
+            "seed",
+            "n",
+            "algorithm",
+            "k",
+            "top",
+            "capture",
+        ],
+        flags: &[],
+        run: explain,
+    },
+    args::Command {
+        name: "obs-diff",
+        values: &["base", "head", "fail-over"],
+        flags: &[],
+        run: obs_diff,
+    },
+    args::Command {
+        name: "obs-summary",
+        values: &["input"],
+        flags: &[],
+        run: obs_summary,
+    },
+    args::Command {
+        name: "obs-merge",
+        values: &["out", "inputs"],
+        flags: &[],
+        run: obs_merge,
+    },
+    args::Command {
+        name: "plan-server",
+        values: &[
+            "addr",
+            "workers",
+            "shards",
+            "cache",
+            "near-tolerance",
+            "est-ms",
+            "threads",
+            "pace-ms",
+            "obs",
+            "metrics-port",
+            "flight-dir",
+        ],
+        flags: &[],
+        run: plan_server,
+    },
+    args::Command {
+        name: "plan-client",
+        values: &[
+            "addr",
+            "matrix",
+            "scenario",
+            "p",
+            "seed",
+            "n",
+            "algorithm",
+            "tenant",
+            "deadline",
+            "priority",
+            "critical",
+            "repeat",
+            "obs",
+        ],
+        flags: &["probe", "shutdown"],
+        run: plan_client,
+    },
+];
+
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first() else {
+    let Some(name) = argv.first() else {
         print!("{HELP}");
         return Ok(());
     };
-    let opts = args::Options::parse(&argv[1..])?;
-
-    match command.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(())
-        }
-        "gusto" => {
-            print_gusto();
-            Ok(())
-        }
-        "generate" => generate(&opts),
-        "schedule" => schedule(&opts),
-        "compare" => compare(&opts),
-        "sweep" => sweep(&opts),
-        "run" => run_live(&opts),
-        "chaos" => chaos_run(&opts),
-        "top" => top_live(&opts),
-        "report" => report_html(&opts),
-        "explain" => explain(&opts),
-        "obs-diff" => obs_diff(&opts),
-        "obs-summary" => obs_summary(&opts),
-        "obs-merge" => obs_merge(&opts),
-        "plan-server" => plan_server(&opts),
-        "plan-client" => plan_client(&opts),
-        other => Err(format!("unknown command `{other}`")),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{HELP}");
+        return Ok(());
     }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
+    (command.run)(&args::Options::parse(command, &argv[1..])?)
 }
 
 fn print_gusto() {

@@ -691,3 +691,80 @@ fn errors_exit_nonzero_with_message() {
         .unwrap()
         .contains("--scenario"));
 }
+
+#[test]
+fn a_misspelt_option_is_rejected_naming_the_valid_ones() {
+    // `--treshold` used to run with the default threshold, silently.
+    let out = bin()
+        .args(["run", "--p", "6", "--treshold", "0.5", "--adapt"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("`--treshold`") && err.contains("`run`"),
+        "{err}"
+    );
+    assert!(err.contains("--threshold"), "{err}");
+}
+
+#[test]
+fn every_option_help_advertises_is_accepted_by_its_command() {
+    let help = String::from_utf8(bin().arg("help").output().unwrap().stdout).unwrap();
+    // A usage block is the `  adaptcomm <command> …` line plus its
+    // deeper-indented continuation lines; the six-space description
+    // that follows ends it.
+    let mut advertised: Vec<(String, Vec<String>)> = Vec::new();
+    let mut in_usage = false;
+    for line in help.lines() {
+        if let Some(rest) = line.strip_prefix("  adaptcomm ") {
+            let command = rest.split_whitespace().next().unwrap().to_string();
+            advertised.push((command, Vec::new()));
+            in_usage = true;
+        } else if !line.starts_with("       ") {
+            in_usage = false;
+        }
+        if in_usage {
+            let options = &mut advertised.last_mut().unwrap().1;
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if word.starts_with("--") && word.len() > 2 {
+                    options.push(word.to_string());
+                }
+            }
+        }
+    }
+    assert!(advertised.len() >= 15, "parsed only {advertised:?}");
+    let mut checked = 0;
+    for (command, options) in advertised {
+        if command == "help" {
+            continue;
+        }
+        // The rejection of a sentinel lists what the command accepts,
+        // without running its handler.
+        let out = bin()
+            .args([command.as_str(), "--no-such-option", "x"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{command} accepted the sentinel");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let valid = err
+            .split_once("valid options: ")
+            .unwrap_or_else(|| panic!("{command}: {err}"))
+            .1;
+        let valid: Vec<&str> = valid
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        for option in &options {
+            assert!(
+                valid.contains(&option.as_str()),
+                "`adaptcomm {command}` advertises {option} but accepts only {valid:?}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 80,
+        "only {checked} advertised options were checked"
+    );
+}

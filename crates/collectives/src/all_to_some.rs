@@ -10,8 +10,8 @@
 //! within a row-sum plus a column-sum of the demand matrix.
 
 use crate::plan::CollectiveSchedule;
+use adaptcomm_core::algorithms::OpenShop;
 use adaptcomm_core::matrix::CommMatrix;
-use adaptcomm_core::schedule::ScheduledEvent;
 use adaptcomm_model::units::Millis;
 
 /// A demand: which ordered pairs must communicate.
@@ -88,37 +88,13 @@ impl Demand {
 pub fn schedule_demand(matrix: &CommMatrix, demand: &Demand) -> CollectiveSchedule {
     let p = matrix.len();
     assert_eq!(demand.p, p, "demand does not match the matrix");
-    let mut send_avail = vec![0.0f64; p];
-    let mut recv_avail = vec![0.0f64; p];
-    let mut sets: Vec<Vec<usize>> = demand.wants.clone();
-    let mut active: Vec<usize> = (0..p).filter(|&i| !sets[i].is_empty()).collect();
-    let mut events = Vec::with_capacity(demand.len());
-    while !active.is_empty() {
-        let (pos, &i) = active
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| send_avail[a].total_cmp(&send_avail[b]).then(a.cmp(&b)))
-            .expect("non-empty");
-        let (rpos, &j) = sets[i]
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| recv_avail[a].total_cmp(&recv_avail[b]).then(a.cmp(&b)))
-            .expect("active senders have receivers");
-        let start = send_avail[i].max(recv_avail[j]);
-        let fin = start + matrix.cost(i, j).as_ms();
-        events.push(ScheduledEvent {
-            src: i,
-            dst: j,
-            start: Millis::new(start),
-            finish: Millis::new(fin),
-        });
-        send_avail[i] = fin;
-        recv_avail[j] = fin;
-        sets[i].swap_remove(rpos);
-        if sets[i].is_empty() {
-            active.swap_remove(pos);
-        }
+    let mut owes = vec![false; p * p];
+    for (s, d) in demand.pairs() {
+        owes[s * p + d] = true;
     }
+    let events = OpenShop::list_schedule(owes, vec![0.0; p], vec![0.0; p], |i, j| {
+        matrix.cost(i, j).as_ms()
+    });
     CollectiveSchedule::new(p, events).expect("open shop respects ports by construction")
 }
 
@@ -164,6 +140,37 @@ mod tests {
         want.sort();
         got.sort();
         assert_eq!(want, got);
+    }
+
+    #[test]
+    fn equals_the_linear_scan_loop_it_replaced() {
+        // `hetero(6)`, everyone to {0, 2, 4}, as emitted by the double
+        // linear scan `schedule_demand` carried before it became
+        // `OpenShop::list_schedule` (captured at 1a41724).
+        let expected: [(usize, usize, f64, f64); 15] = [
+            (0, 2, 0.0, 10.0),
+            (1, 0, 0.0, 8.0),
+            (2, 4, 0.0, 7.0),
+            (3, 4, 7.0, 8.0),
+            (4, 0, 8.0, 11.0),
+            (5, 4, 8.0, 10.0),
+            (0, 4, 10.0, 16.0),
+            (1, 2, 10.0, 14.0),
+            (2, 0, 11.0, 13.0),
+            (3, 0, 13.0, 22.0),
+            (5, 2, 14.0, 20.0),
+            (1, 4, 16.0, 29.0),
+            (4, 2, 20.0, 32.0),
+            (5, 0, 22.0, 32.0),
+            (3, 2, 32.0, 37.0),
+        ];
+        let plan = schedule_demand(&hetero(6), &Demand::all_to(6, &[0, 2, 4]));
+        let got: Vec<_> = plan
+            .events()
+            .iter()
+            .map(|e| (e.src, e.dst, e.start.as_ms(), e.finish.as_ms()))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

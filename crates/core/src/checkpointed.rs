@@ -9,11 +9,9 @@
 //! that replays them against a drifting network lives in
 //! `adaptcomm-sim::dynamic`.
 
-use serde::{Deserialize, Serialize};
-
 /// When to pause and consider rescheduling, expressed per processor over
 /// its sequence of communication events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointPolicy {
     /// Never reschedule: run the initial schedule to completion.
     #[default]
@@ -84,7 +82,7 @@ impl CheckpointPolicy {
 
 /// The §6.3 decision rule: reschedule at a checkpoint iff "the difference
 /// between the estimated time and actual time is large enough".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RescheduleRule {
     /// Relative deviation of observed vs. estimated elapsed time above
     /// which rescheduling is worthwhile.

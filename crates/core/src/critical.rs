@@ -16,6 +16,7 @@
 //! schedules every remaining event with the open shop heuristic, starting
 //! from the availability profile phase 1 left behind.
 
+use crate::algorithms::OpenShop;
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, ScheduledEvent};
 use adaptcomm_model::units::Millis;
@@ -106,44 +107,17 @@ impl CriticalResource {
         }
         recv_avail[c] = t;
 
-        // Phase 2: open shop over the remaining (non-c) events, seeded
-        // with the availability profile of phase 1.
-        let mut receivers: Vec<Vec<usize>> = (0..p)
-            .map(|i| {
-                if i == c {
-                    Vec::new()
-                } else {
-                    (0..p).filter(|&j| j != i && j != c).collect()
-                }
-            })
+        // Phase 2: the open shop rule over the remaining (non-c) events,
+        // from the availability profile phase 1 left behind.
+        let owes = (0..p * p)
+            .map(|k| k / p != k % p && k / p != c && k % p != c)
             .collect();
-        let mut remaining: Vec<usize> = (0..p).filter(|&i| !receivers[i].is_empty()).collect();
-        while !remaining.is_empty() {
-            let (pos, &i) = remaining
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| send_avail[a].total_cmp(&send_avail[b]).then(a.cmp(&b)))
-                .expect("non-empty");
-            let (rpos, &j) = receivers[i]
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| recv_avail[a].total_cmp(&recv_avail[b]).then(a.cmp(&b)))
-                .expect("sender kept only while it has receivers");
-            let start = send_avail[i].max(recv_avail[j]);
-            let fin = start + matrix.cost(i, j).as_ms();
-            events.push(ScheduledEvent {
-                src: i,
-                dst: j,
-                start: Millis::new(start),
-                finish: Millis::new(fin),
-            });
-            send_avail[i] = fin;
-            recv_avail[j] = fin;
-            receivers[i].swap_remove(rpos);
-            if receivers[i].is_empty() {
-                remaining.swap_remove(pos);
-            }
-        }
+        events.extend(OpenShop::list_schedule(
+            owes,
+            send_avail,
+            recv_avail,
+            |i, j| matrix.cost(i, j).as_ms(),
+        ));
         Schedule::new(matrix.clone(), events)
     }
 }
@@ -151,7 +125,7 @@ impl CriticalResource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{OpenShop, Scheduler};
+    use crate::algorithms::Scheduler;
 
     fn heterogeneous(p: usize) -> CommMatrix {
         CommMatrix::from_fn(p, |s, d| {
@@ -211,6 +185,52 @@ mod tests {
         assert!(s.completion_time().as_ms() >= m.lower_bound().as_ms() - 1e-9);
         // Sanity ceiling: serializing everything is the worst imaginable.
         assert!(s.completion_time().as_ms() <= m.total_cost().as_ms() + 1e-9);
+    }
+
+    #[test]
+    fn phase_two_equals_the_linear_scan_loop_it_replaced() {
+        // `heterogeneous(6)`, critical = 2, as emitted by the double
+        // linear scan this module carried before phase 2 became
+        // `OpenShop::list_schedule` (captured at 1a41724).
+        let expected: [(usize, usize, f64, f64); 30] = [
+            (2, 1, 0.0, 32.0),
+            (4, 2, 0.0, 31.0),
+            (5, 2, 31.0, 50.0),
+            (2, 5, 32.0, 63.0),
+            (4, 1, 32.0, 40.0),
+            (0, 2, 50.0, 67.0),
+            (5, 1, 50.0, 77.0),
+            (2, 3, 63.0, 79.0),
+            (4, 5, 63.0, 70.0),
+            (3, 2, 67.0, 79.0),
+            (0, 5, 70.0, 94.0),
+            (1, 2, 79.0, 84.0),
+            (2, 0, 79.0, 88.0),
+            (3, 1, 79.0, 99.0),
+            (4, 3, 79.0, 102.0),
+            (2, 4, 88.0, 96.0),
+            (5, 0, 88.0, 92.0),
+            (1, 0, 92.0, 113.0),
+            (5, 4, 96.0, 99.0),
+            (0, 1, 99.0, 124.0),
+            (3, 5, 99.0, 118.0),
+            (5, 3, 102.0, 113.0),
+            (1, 4, 113.0, 133.0),
+            (4, 0, 113.0, 129.0),
+            (0, 3, 124.0, 133.0),
+            (3, 0, 129.0, 157.0),
+            (0, 4, 133.0, 165.0),
+            (1, 5, 133.0, 145.0),
+            (1, 3, 145.0, 173.0),
+            (3, 4, 165.0, 192.0),
+        ];
+        let s = CriticalResource::new(2).build(&heterogeneous(6));
+        let got: Vec<_> = s
+            .events()
+            .iter()
+            .map(|e| (e.src, e.dst, e.start.as_ms(), e.finish.as_ms()))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Schedule export: JSON and CSV event traces.
 //!
-//! The schedule types derive `serde::{Serialize, Deserialize}` for users
-//! who bring their own format crate; this module additionally provides
-//! dependency-free writers for the two formats external tooling most
+//! Dependency-free writers for the two formats external tooling most
 //! often wants — a JSON document (Gantt viewers, notebooks) and a flat
 //! CSV event trace (spreadsheets, gnuplot).
 

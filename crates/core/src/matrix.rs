@@ -8,7 +8,6 @@
 
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::units::{Bytes, Millis};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense `P×P` matrix of predicted transfer times.
@@ -17,7 +16,7 @@ use std::fmt;
 /// Diagonal entries are local copies — normally zero (§4.2), though the
 /// type permits non-zero diagonals because the paper's Theorem-2
 /// tightness instance uses them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommMatrix {
     p: usize,
     /// Row-major over senders: `costs[src * p + dst]`, in milliseconds.

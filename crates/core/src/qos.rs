@@ -17,10 +17,9 @@
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, ScheduledEvent};
 use adaptcomm_model::units::Millis;
-use serde::{Deserialize, Serialize};
 
 /// QoS requirements of one message.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QosRequirement {
     /// Absolute deadline; `None` = best effort.
     pub deadline: Option<Millis>,

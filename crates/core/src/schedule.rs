@@ -8,11 +8,10 @@
 
 use crate::matrix::CommMatrix;
 use adaptcomm_model::units::Millis;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One scheduled communication event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledEvent {
     /// Sending processor.
     pub src: usize,
@@ -99,7 +98,7 @@ impl fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// A complete communication schedule for a `P`-processor total exchange.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     p: usize,
     /// All events, kept sorted by `(start, src, dst)` for determinism.
@@ -275,7 +274,7 @@ impl Schedule {
 /// the communication phase does not impose a synchronization among the
 /// processors after each step" (§4.3) — so the list order, not the step
 /// boundaries, is the real output of a scheduling algorithm.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendOrder {
     /// `order[src]` = destinations in transmission order.
     pub order: Vec<Vec<usize>>,

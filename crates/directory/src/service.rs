@@ -16,9 +16,9 @@ use adaptcomm_model::evolution::NetworkEvolution;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::Millis;
 use adaptcomm_model::variation::VariationTrace;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Errors a directory query can produce.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,11 +213,17 @@ impl DirectoryService {
         }
     }
 
+    /// Poison-tolerant: every update leaves `Inner` valid at each step,
+    /// so a holder that panicked is no reason to stop serving.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates a directory whose contents drift according to `trace`
     /// whenever the clock advances.
     pub fn with_trace(trace: VariationTrace) -> Self {
         let svc = Self::new(trace.base().clone());
-        svc.inner.lock().trace = Some(trace);
+        svc.lock().trace = Some(trace);
         svc
     }
 
@@ -228,13 +234,13 @@ impl DirectoryService {
     /// ([`QueryError::Stale`]).
     pub fn with_trace_every(trace: VariationTrace, interval: Millis) -> Self {
         let svc = Self::with_trace(trace);
-        svc.inner.lock().publish_interval = Some(interval);
+        svc.lock().publish_interval = Some(interval);
         svc
     }
 
     /// Number of processors covered.
     pub fn processors(&self) -> usize {
-        self.inner.lock().current.params().len()
+        self.lock().current.params().len()
     }
 
     /// Advances the simulated clock. With an attached trace, a new
@@ -242,7 +248,7 @@ impl DirectoryService {
     /// or (with [`DirectoryService::with_trace_every`]) only once the
     /// current snapshot has aged past the publish interval.
     pub fn advance_clock(&self, now: Millis) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if now.as_ms() <= inner.clock.as_ms() {
             return; // the clock never goes backwards
         }
@@ -268,7 +274,7 @@ impl DirectoryService {
     /// snapshot with the measurement time so staleness budgets see the
     /// refreshed epoch.
     pub fn publish(&self, params: NetParams) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let taken_at = inner.clock;
         inner.install(params, taken_at);
     }
@@ -285,7 +291,7 @@ impl DirectoryService {
     /// data in the system. Every estimate is validated; non-finite
     /// measurements are rejected wholesale.
     pub fn publish_at(&self, now: Millis, params: NetParams) -> Result<(), PublishError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let size = inner.current.params().len();
         if params.len() != size {
             return Err(PublishError::SizeMismatch {
@@ -326,7 +332,7 @@ impl DirectoryService {
             Millis::new(startup_ms),
             adaptcomm_model::units::Bandwidth::from_kbps(bandwidth_kbps),
         );
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let size = inner.current.params().len();
         if src >= size {
             return Err(PublishError::UnknownProcessor { index: src, size });
@@ -353,7 +359,7 @@ impl DirectoryService {
     /// Links never measured individually are absent — the directory only
     /// vouches for what it has observed.
     pub fn health_view(&self) -> HealthView {
-        self.inner.lock().health.view()
+        self.lock().health.view()
     }
 
     /// Quarantines a directed link (see [`HealthMonitor::quarantine`]):
@@ -371,7 +377,7 @@ impl DirectoryService {
         bandwidth_kbps: f64,
         now: Millis,
     ) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner
             .health
             .quarantine(src, dst, startup_ms, bandwidth_kbps, now);
@@ -383,24 +389,24 @@ impl DirectoryService {
 
     /// True if the directed link is currently quarantined.
     pub fn is_quarantined(&self, src: usize, dst: usize) -> bool {
-        self.inner.lock().health.is_quarantined(src, dst)
+        self.lock().health.is_quarantined(src, dst)
     }
 
     /// All currently quarantined links, ordered by `(src, dst)`.
     pub fn quarantined_links(&self) -> Vec<(usize, usize)> {
-        self.inner.lock().health.quarantined()
+        self.lock().health.quarantined()
     }
 
     /// The freshest snapshot.
     pub fn snapshot(&self) -> DirectorySnapshot {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.queries += 1;
         inner.current.clone()
     }
 
     /// The freshest snapshot, but only if no older than `budget`.
     pub fn snapshot_fresh(&self, budget: Millis) -> Result<DirectorySnapshot, QueryError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.queries += 1;
         let age = inner.current.age_at(inner.clock);
         let obs = adaptcomm_obs::global();
@@ -423,7 +429,7 @@ impl DirectoryService {
 
     /// Point query for one directed pair (the MDS-style API).
     pub fn query_pair(&self, src: usize, dst: usize) -> Result<LinkEstimate, QueryError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.queries += 1;
         let size = inner.current.params().len();
         if src >= size {
@@ -438,22 +444,22 @@ impl DirectoryService {
     /// Subscribes to future publishes. The receiver sees every snapshot
     /// published after this call.
     pub fn subscribe(&self) -> Receiver<DirectorySnapshot> {
-        let (tx, rx) = unbounded();
-        self.inner.lock().subscribers.push(tx);
+        let (tx, rx) = channel();
+        self.lock().subscribers.push(tx);
         rx
     }
 
     /// `(publishes, queries)` counters — useful for asserting how often a
     /// scheduling strategy consults the directory.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (inner.publishes, inner.queries)
     }
 
     /// The full counter set, including the fresh/stale split of budgeted
     /// queries.
     pub fn detailed_stats(&self) -> DirectoryStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         DirectoryStats {
             publishes: inner.publishes,
             queries: inner.queries,

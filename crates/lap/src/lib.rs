@@ -42,7 +42,6 @@
 // algorithms; iterator rewrites would obscure the correspondence.
 #![allow(clippy::needless_range_loop)]
 
-pub mod auction;
 pub mod brute;
 pub mod hungarian;
 pub mod jv;

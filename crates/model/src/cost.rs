@@ -9,11 +9,10 @@
 
 use crate::params::NetParams;
 use crate::units::{Bandwidth, Bytes, Millis};
-use serde::{Deserialize, Serialize};
 
 /// The per-pair link estimate `(T_ij, B_ij)` as published by a directory
 /// service.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkEstimate {
     /// Start-up cost `T_ij` (paper: typically 10–50 ms in metacomputing
     /// systems).

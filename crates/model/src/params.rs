@@ -8,7 +8,6 @@
 
 use crate::cost::LinkEstimate;
 use crate::units::{Bandwidth, Bytes, Millis};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense `P×P` table of link estimates.
@@ -16,7 +15,7 @@ use std::fmt;
 /// Storage is row-major over *senders*: `estimate(src, dst)` is the
 /// performance of the path used by messages from `src` to `dst`.
 /// Estimates need not be symmetric (WAN routes rarely are).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetParams {
     p: usize,
     entries: Vec<LinkEstimate>,

@@ -5,7 +5,6 @@
 //! 1 MB. We keep those units at the API boundary and convert explicitly,
 //! so a bandwidth can never be silently mistaken for a latency.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// All schedule times, start-up costs and completion times in this
 /// workspace are expressed in `Millis`. The inner value is non-negative
 /// by convention; constructors of model types enforce it.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Millis(pub f64);
 
 impl Millis {
@@ -129,9 +128,7 @@ impl fmt::Display for Millis {
 }
 
 /// A message size in bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(pub u64);
 
 impl Bytes {
@@ -197,7 +194,7 @@ impl fmt::Display for Bytes {
 
 /// A data transmission rate in kilobits per second, the unit used by the
 /// GUSTO directory service (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {

@@ -36,8 +36,7 @@
 //!
 //! [`Schedule`]: ../../adaptcomm_core/schedule/struct.Schedule.html
 
-use crate::json::Value;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SpanRecord};
 use crate::AttrValue;
 use std::fmt::Write as _;
 
@@ -414,17 +413,6 @@ impl CausalDag {
 // Capture extraction
 // ---------------------------------------------------------------------
 
-/// One span pulled out of a capture for diffing: name, track, interval,
-/// and the link attribution when the span carried `src`/`dst` attrs.
-#[derive(Debug, Clone, PartialEq)]
-struct CapturedSpan {
-    name: String,
-    tid: u64,
-    start_ms: f64,
-    dur_ms: f64,
-    link: Option<(usize, usize)>,
-}
-
 fn attr_usize(attrs: &[(String, AttrValue)], key: &str) -> Option<usize> {
     attrs
         .iter()
@@ -437,120 +425,41 @@ fn attr_usize(attrs: &[(String, AttrValue)], key: &str) -> Option<usize> {
         })
 }
 
-fn arg_usize(args: Option<&Value>, key: &str) -> Option<usize> {
-    let v = args?.get(key)?;
-    match v {
-        Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as usize),
-        Value::Str(s) => s.parse().ok(),
-        _ => None,
-    }
+/// The link a span is attributed to, when it carried `src`/`dst` attrs.
+fn link_of(span: &SpanRecord) -> Option<(usize, usize)> {
+    Some((
+        attr_usize(&span.attrs, "src")?,
+        attr_usize(&span.attrs, "dst")?,
+    ))
 }
 
-/// Collects spans from either exporter format (auto-detected like
-/// `Summary::from_text`): a Chrome `trace_event` document or a JSONL
-/// event stream. Chrome spans that never close (truncated capture) are
-/// dropped here; `Summary` reports them as typed warnings.
-fn spans_from_text(text: &str) -> Result<Vec<CapturedSpan>, String> {
-    let trimmed = text.trim_start();
-    if trimmed.starts_with('{') {
-        if let Ok(doc) = Value::parse(text) {
-            if doc.get("traceEvents").is_some() {
-                return chrome_spans(&doc);
-            }
-        }
-    }
-    let snap = Snapshot::from_jsonl(text)?;
-    Ok(snap
-        .spans()
-        .map(|s| CapturedSpan {
-            name: s.name.clone(),
-            tid: s.tid,
-            start_ms: s.start_us as f64 / 1_000.0,
-            dur_ms: s.dur_us as f64 / 1_000.0,
-            link: match (attr_usize(&s.attrs, "src"), attr_usize(&s.attrs, "dst")) {
-                (Some(src), Some(dst)) => Some((src, dst)),
-                _ => None,
-            },
-        })
-        .collect())
+fn dur_ms(span: &SpanRecord) -> f64 {
+    span.dur_us as f64 / 1_000.0
 }
 
-fn chrome_spans(doc: &Value) -> Result<Vec<CapturedSpan>, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"traceEvents\" array")?;
-    let mut out = Vec::new();
-    // Open-span stack per tid; B pushes, E pops its innermost.
-    let mut open: Vec<CapturedSpan> = Vec::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
-        let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-        let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        let name = || {
-            e.get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
-        let link = || match (
-            arg_usize(e.get("args"), "src"),
-            arg_usize(e.get("args"), "dst"),
-        ) {
-            (Some(src), Some(dst)) => Some((src, dst)),
-            _ => None,
-        };
-        match ph {
-            "B" => open.push(CapturedSpan {
-                name: name(),
-                tid,
-                start_ms: ts / 1_000.0,
-                dur_ms: 0.0,
-                link: link(),
-            }),
-            "E" => {
-                let idx = open
-                    .iter()
-                    .rposition(|s| s.tid == tid)
-                    .ok_or_else(|| format!("unbalanced \"E\" on tid {tid}"))?;
-                let mut span = open.remove(idx);
-                span.dur_ms = ts / 1_000.0 - span.start_ms;
-                out.push(span);
-            }
-            "X" => {
-                let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                out.push(CapturedSpan {
-                    name: name(),
-                    tid,
-                    start_ms: ts / 1_000.0,
-                    dur_ms: dur / 1_000.0,
-                    link: link(),
-                });
-            }
-            _ => {}
-        }
-    }
-    // Spans still open belong to a truncated capture: tolerated (the
-    // closed prefix is still analyzable), not an error.
-    Ok(out)
-}
-
-/// Extracts the realized transfers of a capture: every span carrying
+/// The realized transfers of a parsed capture: every span carrying
 /// `src`/`dst` attrs (the `transfer` spans `runtime::obs_bridge`
-/// records). Auto-detects JSONL vs Chrome `trace_event`.
-pub fn transfers_from_text(text: &str) -> Result<Vec<Transfer>, String> {
-    Ok(spans_from_text(text)?
-        .into_iter()
+/// records).
+pub fn transfers_from_snapshot(snap: &Snapshot) -> Vec<Transfer> {
+    snap.spans()
         .filter_map(|s| {
-            let (src, dst) = s.link?;
+            let (src, dst) = link_of(s)?;
             Some(Transfer {
                 src,
                 dst,
-                start_ms: s.start_ms,
-                dur_ms: s.dur_ms,
+                start_ms: s.start_us as f64 / 1_000.0,
+                dur_ms: dur_ms(s),
             })
         })
-        .collect())
+        .collect()
+}
+
+/// Extracts the realized transfers of a capture in either exporter
+/// format ([`Snapshot::from_text`] auto-detects JSONL vs Chrome
+/// `trace_event`; spans a truncated Chrome capture never closed are
+/// left out).
+pub fn transfers_from_text(text: &str) -> Result<Vec<Transfer>, String> {
+    Ok(transfers_from_snapshot(&Snapshot::from_text(text)?))
 }
 
 // ---------------------------------------------------------------------
@@ -719,12 +628,12 @@ impl CaptureDiff {
 /// Diffs two captures (either exporter format each). See
 /// [`CaptureDiff`] for the alignment rules.
 pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, String> {
-    let base = spans_from_text(base_text)?;
-    let head = spans_from_text(head_text)?;
+    let base = Snapshot::from_text(base_text)?;
+    let head = Snapshot::from_text(head_text)?;
 
     // Group both sides by (name, tid), keeping capture order (spans are
     // committed in time order; re-sort by start to be safe).
-    type Group<'a> = ((String, u64), Vec<&'a CapturedSpan>, Vec<&'a CapturedSpan>);
+    type Group<'a> = ((String, u64), Vec<&'a SpanRecord>, Vec<&'a SpanRecord>);
     let mut groups: Vec<Group> = Vec::new();
     let group_of = |key: (String, u64), groups: &mut Vec<Group>| match groups
         .iter()
@@ -736,11 +645,11 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
             groups.len() - 1
         }
     };
-    for s in &base {
+    for s in base.spans() {
         let i = group_of((s.name.clone(), s.tid), &mut groups);
         groups[i].1.push(s);
     }
-    for s in &head {
+    for s in head.spans() {
         let i = group_of((s.name.clone(), s.tid), &mut groups);
         groups[i].2.push(s);
     }
@@ -748,8 +657,8 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
     let mut phases: Vec<PhaseDelta> = Vec::new();
     let mut links: Vec<LinkDelta> = Vec::new();
     for (key, mut b, mut h) in groups {
-        b.sort_by(|x, y| x.start_ms.total_cmp(&y.start_ms));
-        h.sort_by(|x, y| x.start_ms.total_cmp(&y.start_ms));
+        b.sort_by_key(|x| x.start_us);
+        h.sort_by_key(|x| x.start_us);
         let phase = match phases.iter_mut().find(|p| p.name == key.0) {
             Some(p) => p,
             None => {
@@ -766,9 +675,10 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
         phase.base_count += b.len() as u64;
         phase.head_count += h.len() as u64;
         for (bs, hs) in b.iter().zip(h.iter()) {
-            phase.base_ms += bs.dur_ms;
-            phase.head_ms += hs.dur_ms;
-            if let (Some(link), Some(_)) = (bs.link, hs.link) {
+            let (base_ms, head_ms) = (dur_ms(bs), dur_ms(hs));
+            phase.base_ms += base_ms;
+            phase.head_ms += head_ms;
+            if let (Some(link), Some(_)) = (link_of(bs), link_of(hs)) {
                 let row = match links
                     .iter_mut()
                     .find(|l| l.src == link.0 && l.dst == link.1)
@@ -784,8 +694,8 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
                         links.last_mut().unwrap()
                     }
                 };
-                row.base_ms += bs.dur_ms;
-                row.head_ms += hs.dur_ms;
+                row.base_ms += base_ms;
+                row.head_ms += head_ms;
             }
         }
     }
@@ -802,7 +712,7 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{Event, SpanRecord};
+    use crate::snapshot::Event;
 
     /// A hand-built four-hop chain with one slack event:
     ///

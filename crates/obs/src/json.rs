@@ -1,10 +1,11 @@
 //! A minimal JSON value model with a hand-rolled writer and parser.
 //!
-//! The build environment has no serde_json, so — like `bench::perf`'s
-//! report writer — the exporters emit JSON by hand. Unlike `perf`, the
-//! obs formats (JSONL event streams, Chrome `trace_event` files) need a
-//! *generic* value model on both sides: the summary command parses
-//! traces it did not write, and round-trip tests compare full documents.
+//! The build environment has no serde_json, so the exporters emit JSON
+//! by hand. The obs formats (JSONL event streams, Chrome `trace_event`
+//! files) need a *generic* value model on both sides: the summary
+//! command parses traces it did not write, and round-trip tests compare
+//! full documents. It is the workspace's one JSON codec — the plan
+//! server's wire format and `BENCH_sched.json` go through it too.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map): the
 //! exporters emit keys in a canonical order and the round-trip tests

@@ -479,6 +479,7 @@ impl Registry {
             histograms,
             series,
             events,
+            unclosed: Vec::new(),
         }
     }
 

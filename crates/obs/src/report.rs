@@ -14,7 +14,6 @@
 //! series maximum).
 
 use crate::detect::HealthState;
-use crate::json::Value;
 use crate::snapshot::Snapshot;
 use crate::summary::Summary;
 use std::fmt::Write as _;
@@ -45,71 +44,21 @@ struct LinkRow {
 }
 
 /// Renders a self-contained HTML dashboard from exporter output
-/// (auto-detects JSONL vs Chrome `trace_event`).
+/// (auto-detects JSONL vs Chrome `trace_event`; the input is parsed
+/// once, by [`Snapshot::from_text`]).
 pub fn html_report(text: &str, title: &str) -> Result<String, String> {
-    let mut data = extract(text)?;
-    data.transfers = crate::causal::transfers_from_text(text).unwrap_or_default();
-    Ok(render(&data, title))
-}
-
-fn extract(text: &str) -> Result<ReportData, String> {
-    if text.trim_start().starts_with('{') {
-        if let Ok(doc) = Value::parse(text) {
-            if doc.get("traceEvents").is_some() {
-                return extract_chrome(&doc, text);
-            }
-        }
-    }
-    let snap = Snapshot::from_jsonl(text)?;
-    Ok(ReportData {
+    let snap = Snapshot::from_text(text)?;
+    let data = ReportData {
         summary: Summary::from_snapshot(&snap),
+        transfers: crate::causal::transfers_from_snapshot(&snap),
         series: snap
             .series
-            .iter()
-            .map(|s| (s.name.clone(), s.points.clone()))
+            .into_iter()
+            .map(|s| (s.name, s.points))
             .collect(),
-        gauges: snap
-            .gauges
-            .iter()
-            .map(|g| (g.name.clone(), g.value))
-            .collect(),
-        transfers: Vec::new(),
-    })
-}
-
-fn extract_chrome(doc: &Value, text: &str) -> Result<ReportData, String> {
-    let summary = Summary::from_text(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"traceEvents\" array")?;
-    let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    for e in events {
-        if e.get("ph").and_then(Value::as_str) != Some("C") {
-            continue;
-        }
-        let name = e
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        let value = e
-            .get("args")
-            .and_then(|a| a.get("value"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        match series.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, pts)) => pts.push((ts, value)),
-            None => series.push((name, vec![(ts, value)])),
-        }
-    }
-    Ok(ReportData {
-        summary,
-        series,
-        gauges: Vec::new(),
-        transfers: Vec::new(),
-    })
+        gauges: snap.gauges.into_iter().map(|g| (g.name, g.value)).collect(),
+    };
+    Ok(render(&data, title))
 }
 
 /// Splits `link.<src>-<dst>.<metric>` names; `None` for anything else.

@@ -11,7 +11,7 @@
 //!
 //! [`WindowStats`] folds the most recent points into the aggregates the
 //! dashboard and detectors read: min / max / mean / p50 / p90
-//! (nearest-rank percentiles, the same method as `bench::perf`).
+//! (nearest-rank percentiles).
 
 use std::collections::VecDeque;
 

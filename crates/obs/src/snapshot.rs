@@ -14,6 +14,11 @@
 //!   loadable in `chrome://tracing` / Perfetto. Spans become balanced
 //!   `B`/`E` duration events on their thread track, instants become `i`
 //!   events.
+//!
+//! [`Snapshot::from_text`] reads a JSONL stream or a Chrome document
+//! back (auto-detected) and is the only `B`/`E`/`X`/`i`/`C` matcher in
+//! the workspace: the summary, explain, diff and report planes all work
+//! on the `Snapshot` it returns.
 
 use crate::json::Value;
 use crate::trace::{self, TraceContext};
@@ -117,6 +122,10 @@ pub struct Snapshot {
     pub series: Vec<SeriesSnapshot>,
     /// Spans and instants in commit order.
     pub events: Vec<Event>,
+    /// `(name, tid)` of spans a Chrome capture opened and never closed
+    /// (a truncated capture). Their durations are unknowable, so they
+    /// are kept out of `events`; no exporter writes them.
+    pub unclosed: Vec<(String, u64)>,
 }
 
 fn attrs_to_json(attrs: &[(String, AttrValue)]) -> Value {
@@ -402,6 +411,102 @@ impl Snapshot {
         Ok(snap)
     }
 
+    /// Parses either exporter format: a Chrome `trace_event` JSON
+    /// document (starts with `{` and has a `traceEvents` array) or a
+    /// JSONL event stream.
+    pub fn from_text(text: &str) -> Result<Snapshot, String> {
+        if text.trim_start().starts_with('{') {
+            if let Ok(doc) = Value::parse(text) {
+                if let Some(events) = doc.get("traceEvents") {
+                    return Self::read_trace_events(
+                        events.as_arr().ok_or("missing \"traceEvents\" array")?,
+                    );
+                }
+            }
+        }
+        Self::from_jsonl(text)
+    }
+
+    /// Reads a Chrome event list back: `B`/`E` pairs matched per tid
+    /// (innermost first) and complete `X` events become spans in
+    /// closing order, `i` events instants, `C` events series points
+    /// grouped by name. Timestamps are read as whole microseconds — what
+    /// [`Snapshot::to_chrome_trace`] writes. An `E` with no open `B` on
+    /// its tid is an error; a `B` that never closes lands in
+    /// [`Snapshot::unclosed`].
+    fn read_trace_events(events: &[Value]) -> Result<Snapshot, String> {
+        let mut snap = Snapshot::default();
+        let mut open: Vec<SpanRecord> = Vec::new();
+        for e in events {
+            let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
+            let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
+            let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
+            let name = || {
+                e.get("name")
+                    .and_then(Value::as_str)
+                    .unwrap_or("?")
+                    .to_string()
+            };
+            let span = |dur_us: u64| {
+                let (attrs, trace) = chrome_args(e.get("args"));
+                SpanRecord {
+                    name: name(),
+                    tid,
+                    start_us: ts as u64,
+                    dur_us,
+                    attrs,
+                    trace,
+                }
+            };
+            match ph {
+                "B" => open.push(span(0)),
+                "E" => {
+                    let idx = open
+                        .iter()
+                        .rposition(|s| s.tid == tid)
+                        .ok_or_else(|| format!("unbalanced \"E\" on tid {tid}"))?;
+                    let mut closed = open.remove(idx);
+                    closed.dur_us = (ts as u64).saturating_sub(closed.start_us);
+                    snap.events.push(Event::Span(closed));
+                }
+                "X" => {
+                    let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
+                    snap.events.push(Event::Span(span(dur as u64)));
+                }
+                "i" | "I" => snap.events.push(Event::Instant(InstantRecord {
+                    name: name(),
+                    tid,
+                    ts_us: ts as u64,
+                    attrs: chrome_args(e.get("args")).0,
+                })),
+                "C" => {
+                    let value = e
+                        .get("args")
+                        .and_then(|a| a.get("value"))
+                        .and_then(Value::as_f64)
+                        .unwrap_or(0.0);
+                    let name = name();
+                    match snap.series.iter_mut().find(|s| s.name == name) {
+                        Some(s) => s.points.push((ts, value)),
+                        None => snap.series.push(SeriesSnapshot {
+                            name,
+                            capacity: 0,
+                            points: vec![(ts, value)],
+                        }),
+                    }
+                }
+                _ => {}
+            }
+        }
+        // A Chrome dump does not carry ring capacities; what it retained
+        // is the best available answer.
+        for s in &mut snap.series {
+            s.capacity = s.points.len();
+        }
+        snap.unclosed = open.into_iter().map(|s| (s.name, s.tid)).collect();
+        Ok(snap)
+    }
+
     /// Serializes as a Prometheus-style text dump. Counter and gauge
     /// names are sanitized (`.`/`-` → `_`); histograms use the standard
     /// `_bucket{le=…}` / `_sum` / `_count` expansion with a `+Inf`
@@ -554,6 +659,37 @@ pub fn merge_chrome_trace(parts: &[(String, Snapshot)]) -> String {
     .to_json()
 }
 
+/// The inverse of what [`chrome_begin`] does to a span's attributes:
+/// scalar `args` come back as attrs, and the `trace_id` / `span_id` /
+/// `parent_id` hex strings as the span's [`TraceContext`]. Non-scalar
+/// args of foreign traces are skipped.
+fn chrome_args(args: Option<&Value>) -> (Vec<(String, AttrValue)>, Option<TraceContext>) {
+    let Some(Value::Obj(pairs)) = args else {
+        return (Vec::new(), None);
+    };
+    let id = |key: &str| {
+        args.and_then(|a| a.get(key))
+            .and_then(Value::as_str)
+            .and_then(trace::id_from_hex)
+    };
+    let trace = match (id("trace_id"), id("span_id")) {
+        (Some(trace_id), Some(span_id)) => Some(TraceContext {
+            trace_id,
+            span_id,
+            parent_id: id("parent_id"),
+        }),
+        _ => None,
+    };
+    let attrs = pairs
+        .iter()
+        .filter(|(k, _)| {
+            trace.is_none() || !matches!(k.as_str(), "trace_id" | "span_id" | "parent_id")
+        })
+        .filter_map(|(k, v)| Some((k.clone(), AttrValue::from_json(v)?)))
+        .collect();
+    (attrs, trace)
+}
+
 fn chrome_begin(s: &SpanRecord, pid: u64) -> Value {
     let mut args = s.attrs.clone();
     if let Some(t) = &s.trace {
@@ -665,6 +801,7 @@ mod tests {
                     attrs: vec![("deviation".into(), AttrValue::F64(0.25))],
                 }),
             ],
+            unclosed: vec![],
         }
     }
 
@@ -811,6 +948,54 @@ mod tests {
             args.get("parent_id").and_then(Value::as_str),
             Some(trace::id_to_hex(root.span_id).as_str())
         );
+    }
+
+    #[test]
+    fn one_snapshot_reads_back_equal_from_jsonl_and_chrome() {
+        let root = TraceContext::root("tenant-a", 4);
+        let mut snap = sample();
+        let transfer = |src: u64, dst: u64, start_us, dur_us, trace| {
+            Event::Span(SpanRecord {
+                name: "transfer".into(),
+                tid: src + 1,
+                start_us,
+                dur_us,
+                attrs: vec![
+                    ("src".into(), AttrValue::U64(src)),
+                    ("dst".into(), AttrValue::U64(dst)),
+                    ("modeled_ms".into(), AttrValue::F64(5.25)),
+                ],
+                trace,
+            })
+        };
+        snap.events.push(transfer(0, 1, 20, 500, Some(root)));
+        snap.events
+            .push(transfer(2, 1, 530, 500, Some(root.child(1))));
+        let jsonl = Snapshot::from_text(&snap.to_jsonl()).unwrap();
+        let chrome = Snapshot::from_text(&snap.to_chrome_trace()).unwrap();
+        assert_eq!(jsonl, snap);
+        // The Chrome document orders spans per track, not by commit.
+        let spans = |s: &Snapshot| {
+            let mut v: Vec<SpanRecord> = s.spans().cloned().collect();
+            v.sort_by_key(|x| (x.tid, x.start_us));
+            v
+        };
+        assert_eq!(spans(&chrome), spans(&jsonl));
+        assert_eq!(
+            chrome.instants().collect::<Vec<_>>(),
+            jsonl.instants().collect::<Vec<_>>()
+        );
+        let points = |s: &Snapshot| -> Vec<(String, Vec<(f64, f64)>)> {
+            s.series
+                .iter()
+                .map(|x| (x.name.clone(), x.points.clone()))
+                .collect()
+        };
+        assert_eq!(points(&chrome), points(&jsonl));
+        let transfers = crate::causal::transfers_from_snapshot;
+        assert_eq!(transfers(&chrome), transfers(&jsonl));
+        assert_eq!(transfers(&jsonl).len(), 2);
+        assert!(chrome.unclosed.is_empty() && jsonl.unclosed.is_empty());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! file extension and reports unknown ones as a typed
 //! [`SummaryError::UnknownFormat`] naming the supported set.
 
-use crate::json::Value;
 use crate::snapshot::Snapshot;
 
 /// The file extensions [`Summary::from_named_text`] understands.
@@ -110,19 +109,11 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Parses either exporter format: a Chrome `trace_event` JSON
-    /// document (starts with `{` and has a `traceEvents` array) or a
-    /// JSONL event stream.
+    /// Rolls up either exporter format (auto-detected by
+    /// [`Snapshot::from_text`]): a Chrome `trace_event` JSON document
+    /// or a JSONL event stream.
     pub fn from_text(text: &str) -> Result<Summary, String> {
-        let trimmed = text.trim_start();
-        if trimmed.starts_with('{') {
-            if let Ok(doc) = Value::parse(text) {
-                if doc.get("traceEvents").is_some() {
-                    return Self::from_chrome(&doc);
-                }
-            }
-        }
-        Ok(Self::from_snapshot(&Snapshot::from_jsonl(text)?))
+        Ok(Self::from_snapshot(&Snapshot::from_text(text)?))
     }
 
     /// Parses `text` according to `name`'s file extension: `.json` /
@@ -223,7 +214,9 @@ impl Summary {
         Ok(summary)
     }
 
-    /// Rolls up a parsed snapshot (the JSONL path).
+    /// Rolls up a parsed snapshot. Spans a truncated Chrome capture
+    /// never closed are tolerated (their durations are unknowable) and
+    /// reported as [`SummaryWarning::UnclosedSpan`].
     pub fn from_snapshot(snap: &Snapshot) -> Summary {
         let mut summary = Summary::default();
         for span in snap.spans() {
@@ -242,63 +235,16 @@ impl Summary {
             .iter()
             .map(|g| (g.name.clone(), g.value))
             .collect();
+        summary.warnings = snap
+            .unclosed
+            .iter()
+            .map(|(name, tid)| SummaryWarning::UnclosedSpan {
+                name: name.clone(),
+                tid: *tid,
+            })
+            .collect();
         summary.finish();
         summary
-    }
-
-    /// Rolls up a Chrome `trace_event` document by matching `B`/`E`
-    /// pairs per tid (also accepts complete `X` events with `dur`).
-    fn from_chrome(doc: &Value) -> Result<Summary, String> {
-        let events = doc
-            .get("traceEvents")
-            .and_then(Value::as_arr)
-            .ok_or("missing \"traceEvents\" array")?;
-        let mut summary = Summary::default();
-        // Open-span stack per tid; B pushes, E pops its innermost.
-        let mut open: Vec<(u64, String, f64)> = Vec::new();
-        for e in events {
-            let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
-            let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-            let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-            match ph {
-                "B" => {
-                    let name = e
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string();
-                    open.push((tid, name, ts));
-                }
-                "E" => {
-                    let idx = open
-                        .iter()
-                        .rposition(|(t, _, _)| *t == tid)
-                        .ok_or_else(|| format!("unbalanced \"E\" on tid {tid}"))?;
-                    let (_, name, start) = open.remove(idx);
-                    summary.add_span(&name, (ts - start) / 1_000.0);
-                }
-                "X" => {
-                    let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
-                    let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                    summary.add_span(name, dur / 1_000.0);
-                }
-                "i" | "I" => {
-                    summary.add_instant(e.get("name").and_then(Value::as_str).unwrap_or("?"));
-                }
-                _ => {}
-            }
-        }
-        // Spans still open at end-of-capture mean the capture was
-        // truncated mid-run: tolerate them (their durations are
-        // unknowable) and tell the reader what was excluded.
-        for (tid, name, _) in open {
-            summary.warnings.push(SummaryWarning::UnclosedSpan {
-                name: name.clone(),
-                tid,
-            });
-        }
-        summary.finish();
-        Ok(summary)
     }
 
     fn add_span(&mut self, name: &str, dur_ms: f64) {

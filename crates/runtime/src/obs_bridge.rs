@@ -19,6 +19,7 @@
 use crate::trace::{EventKind, RunTrace, RuntimeEvent};
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_obs::{InstantRecord, Registry, Snapshot, SpanRecord};
+use std::collections::HashMap;
 
 /// The obs track a sender's transfers land on (track 0 is the driver).
 fn track(src: usize) -> u64 {
@@ -28,11 +29,17 @@ fn track(src: usize) -> u64 {
 /// Projects `trace` into `registry` as `transfer` spans (one per
 /// completed grant/complete pair, on the sender's track) plus `request`
 /// instants. Returns the number of spans recorded.
+///
+/// A `Complete` pairs with the latest `Grant` of its link that precedes
+/// it in trace order: an adaptive run concatenates its attempts' traces
+/// (wall clocks restart per attempt), so a message lost in flight and
+/// re-sent has two grants, and the completion belongs to the second.
 pub fn record_transfers(trace: &RunTrace, registry: &Registry) -> usize {
     if !registry.is_enabled() {
         return 0;
     }
     let mut spans = 0usize;
+    let mut granted_us: HashMap<(usize, usize), u64> = HashMap::new();
     for e in &trace.events {
         match e.kind {
             EventKind::Request => registry.record_instant(InstantRecord {
@@ -44,15 +51,11 @@ pub fn record_transfers(trace: &RunTrace, registry: &Registry) -> usize {
                     ("dst".to_string(), e.dst.into()),
                 ],
             }),
-            EventKind::Grant => {}
+            EventKind::Grant => {
+                granted_us.insert((e.src, e.dst), e.wall_us);
+            }
             EventKind::Complete => {
-                // Pair with the matching grant the way `to_records` does.
-                let start_us = trace
-                    .events
-                    .iter()
-                    .find(|g| g.kind == EventKind::Grant && g.src == e.src && g.dst == e.dst)
-                    .map(|g| g.wall_us)
-                    .unwrap_or(e.wall_us);
+                let start_us = *granted_us.get(&(e.src, e.dst)).unwrap_or(&e.wall_us);
                 registry.record_span(SpanRecord {
                     name: "transfer".to_string(),
                     tid: track(e.src),
@@ -195,6 +198,43 @@ mod tests {
         // The trace exports as a valid Chrome document.
         let doc = adaptcomm_obs::json::Value::parse(&snap.to_chrome_trace()).unwrap();
         assert!(doc.get("traceEvents").is_some());
+    }
+
+    #[test]
+    fn a_resent_message_starts_at_its_second_grant() {
+        // Lost in flight on the first attempt, granted again on the
+        // next: the one completion belongs to the second grant.
+        let ev = |kind, wall_us| RuntimeEvent {
+            kind,
+            src: 0,
+            dst: 1,
+            bytes: Bytes::from_kb(20),
+            modeled: Millis::new(wall_us as f64),
+            wall_us,
+        };
+        let trace = RunTrace {
+            events: vec![
+                ev(EventKind::Grant, 10),
+                ev(EventKind::Grant, 50),
+                ev(EventKind::Complete, 60),
+            ],
+        };
+        let reg = Registry::new();
+        assert_eq!(record_transfers(&trace, &reg), 1);
+        let snap = reg.snapshot();
+        let spans: Vec<&SpanRecord> = snap.spans().collect();
+        assert_eq!((spans[0].start_us, spans[0].dur_us), (50, 10));
+    }
+
+    #[test]
+    fn unpaired_grants_produce_no_span() {
+        let trace = RunTrace {
+            events: sample_trace().events[..3].to_vec(),
+        };
+        let reg = Registry::new();
+        assert_eq!(record_transfers(&trace, &reg), 0);
+        assert_eq!(reg.snapshot().spans().count(), 0);
+        assert_eq!(trace.makespan().as_ms(), 0.0);
     }
 
     #[test]

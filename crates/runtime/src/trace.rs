@@ -4,17 +4,14 @@
 //! request, grant (transfer start), completion — each stamped twice:
 //! with the modeled clock (the paper's `T_ij + m/B_ij` virtual time the
 //! schedulers reason in) and with the wall clock (microseconds since the
-//! run began). The modeled view converts losslessly into
-//! [`adaptcomm_sim::TransferRecord`]s, so the whole `sim::metrics`
-//! toolbox — busy/idle accounting, lower-bound ratios, bottleneck
-//! detection — applies unchanged to live runs, and a cross-validation
-//! harness can diff a runtime trace against a simulator prediction
-//! event by event.
+//! run began). The modeled view of a run's *completed* transfers is the
+//! `records` its report carries (`ShapedOutcome`, `RunReport`,
+//! `AdaptReport`): the same [`adaptcomm_sim::TransferRecord`]s the
+//! simulator produces, so the whole `sim::metrics` toolbox applies
+//! unchanged to live runs. The trace adds what the records cannot say:
+//! requests, grants that never completed, and the wall clock.
 
-use adaptcomm_core::schedule::ScheduledEvent;
 use adaptcomm_model::units::{Bytes, Millis};
-use adaptcomm_sim::executor::SimRun;
-use adaptcomm_sim::{SimMetrics, TransferRecord};
 
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,70 +52,6 @@ impl RunTrace {
     /// An empty trace.
     pub fn new() -> Self {
         RunTrace { events: Vec::new() }
-    }
-
-    /// Completed transfers in modeled time, sorted by `(finish, src,
-    /// dst)` — the exact shape the simulator produces, so
-    /// [`SimMetrics::from_records`] and per-event diffs work on both.
-    ///
-    /// Each `Grant` is matched with its `Complete`; transfers that never
-    /// completed (a failed run) are omitted.
-    pub fn to_records(&self) -> Vec<TransferRecord> {
-        let mut records: Vec<TransferRecord> = Vec::new();
-        for e in &self.events {
-            if e.kind != EventKind::Complete {
-                continue;
-            }
-            let start = self
-                .events
-                .iter()
-                .find(|g| g.kind == EventKind::Grant && g.src == e.src && g.dst == e.dst)
-                .map(|g| g.modeled)
-                .unwrap_or(e.modeled);
-            records.push(TransferRecord {
-                src: e.src,
-                dst: e.dst,
-                bytes: e.bytes,
-                start,
-                finish: e.modeled,
-            });
-        }
-        SimRun::from_records(records).records
-    }
-
-    /// The realized events as core [`ScheduledEvent`]s (modeled time),
-    /// e.g. for `adaptcomm_core::export::events_to_json`.
-    pub fn to_scheduled_events(&self) -> Vec<ScheduledEvent> {
-        self.to_records()
-            .iter()
-            .map(|r| ScheduledEvent {
-                src: r.src,
-                dst: r.dst,
-                start: r.start,
-                finish: r.finish,
-            })
-            .collect()
-    }
-
-    /// The realized transfers (modeled time) as explain-plane records,
-    /// ready for `adaptcomm_obs::causal::CausalDag::new` — the same
-    /// critical-path/blame analysis `adaptcomm explain` runs on
-    /// captures, without an export round trip.
-    pub fn causal_transfers(&self) -> Vec<adaptcomm_obs::causal::Transfer> {
-        self.to_records()
-            .iter()
-            .map(|r| adaptcomm_obs::causal::Transfer {
-                src: r.src,
-                dst: r.dst,
-                start_ms: r.start.as_ms(),
-                dur_ms: (r.finish - r.start).as_ms(),
-            })
-            .collect()
-    }
-
-    /// Aggregated metrics over the completed transfers.
-    pub fn metrics(&self, processors: usize) -> SimMetrics {
-        SimMetrics::from_records(processors, &self.to_records())
     }
 
     /// Modeled completion time (last completion; zero for empty traces).
@@ -190,7 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn records_pair_grants_with_completions() {
+    fn makespan_and_wall_clock_read_the_completions() {
         let trace = RunTrace {
             events: vec![
                 ev(EventKind::Request, 0, 1, 0.0, 1),
@@ -201,29 +134,15 @@ mod tests {
                 ev(EventKind::Complete, 0, 1, 5.0, 6),
             ],
         };
-        let records = trace.to_records();
-        assert_eq!(records.len(), 2);
-        // Sorted by modeled finish, not commit order.
-        assert_eq!((records[0].src, records[0].dst), (0, 1));
-        assert_eq!(records[0].start.as_ms(), 0.0);
-        assert_eq!(records[0].finish.as_ms(), 5.0);
         assert_eq!(trace.makespan().as_ms(), 7.0);
         assert_eq!(trace.wall_elapsed_us(), 6);
-        let m = trace.metrics(3);
-        assert_eq!(m.makespan.as_ms(), 7.0);
-        assert_eq!(trace.to_scheduled_events().len(), 2);
-    }
-
-    #[test]
-    fn incomplete_transfers_are_omitted() {
-        let trace = RunTrace {
-            events: vec![
-                ev(EventKind::Request, 0, 1, 0.0, 1),
-                ev(EventKind::Grant, 0, 1, 0.0, 2),
-            ],
+        // A grant that never completed adds no makespan; the wall clock
+        // still saw it.
+        let pending = RunTrace {
+            events: trace.events[..2].to_vec(),
         };
-        assert!(trace.to_records().is_empty());
-        assert_eq!(trace.makespan().as_ms(), 0.0);
+        assert_eq!(pending.makespan().as_ms(), 0.0);
+        assert_eq!(pending.wall_elapsed_us(), 2);
     }
 
     #[test]

@@ -484,7 +484,7 @@ mod tests {
                 return e;
             }
             // Struct literal: `LinkEstimate::new` asserts, but corrupt
-            // data can arrive through serde or field access.
+            // data can arrive through field access.
             LinkEstimate {
                 startup: Millis::new(f64::NAN),
                 bandwidth: e.bandwidth,

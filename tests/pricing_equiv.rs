@@ -570,7 +570,7 @@ fn inline_frozen_pricing_equals_the_threaded_pass_record_for_record() {
 
 /// Link 0 → 1 reports a NaN start-up cost (struct literal:
 /// `LinkEstimate::new` asserts, but corrupt data can arrive through
-/// serde or field access).
+/// field access).
 fn poisoned(e: LinkEstimate) -> LinkEstimate {
     LinkEstimate {
         startup: Millis::new(f64::NAN),
