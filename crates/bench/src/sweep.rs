@@ -327,17 +327,6 @@ impl SweepStats {
         &mut self.per_scheduler.last_mut().expect("just pushed").1
     }
 
-    /// Mean lb-ratio for one scheduler, if observed.
-    pub fn mean_ratio(&self, name: &str) -> Option<f64> {
-        self.accum(name)
-            .map(|a| a.ratio_sum / self.instances as f64)
-    }
-
-    /// Worst lb-ratio for one scheduler, if observed.
-    pub fn worst_ratio(&self, name: &str) -> Option<f64> {
-        self.accum(name).map(|a| a.ratio_worst)
-    }
-
     /// The accumulator for one scheduler, if observed.
     pub fn accum(&self, name: &str) -> Option<&SchedulerAccum> {
         self.per_scheduler
@@ -453,12 +442,10 @@ mod tests {
         let grid = SweepGrid::summary(&[6], 1);
         let stats = SweepRunner::new(2).stats(&grid);
         assert_eq!(stats.instances, grid.len());
-        for &(name, _) in &stats.per_scheduler {
-            assert!(
-                stats.mean_ratio(name).unwrap() >= 1.0 - 1e-9,
-                "{name} beat the lower bound"
-            );
-            assert!(stats.worst_ratio(name).unwrap() >= stats.mean_ratio(name).unwrap() - 1e-9);
+        for &(name, acc) in &stats.per_scheduler {
+            let mean = acc.ratio_sum / stats.instances as f64;
+            assert!(mean >= 1.0 - 1e-9, "{name} beat the lower bound");
+            assert!(acc.ratio_worst >= mean - 1e-9);
         }
         let text = stats.render();
         assert!(text.contains("openshop"));

@@ -242,23 +242,6 @@ impl ChaosPlan {
             _ => runtime_kind,
         }
     }
-
-    /// The latest heal/restart instant in the plan, if every blocking
-    /// window closes — `None` when some fault is permanent.
-    pub fn last_heal(&self) -> Option<Millis> {
-        let mut latest = Millis::ZERO;
-        for ev in &self.events {
-            match ev {
-                ChaosEvent::Crash { restart_at, .. } => match restart_at {
-                    Some(r) => latest = latest.max(*r),
-                    None => return None,
-                },
-                ChaosEvent::Partition { heal_at, .. } => latest = latest.max(*heal_at),
-                ChaosEvent::LyingLink { .. } => {}
-            }
-        }
-        Some(latest)
-    }
 }
 
 /// Lying links tamper with the measurements their reporting agent
@@ -591,8 +574,17 @@ mod tests {
                 assert!(a != c || class == "liar");
             }
             a.validate().expect("generated plans validate");
+            let permanent = |ev: &ChaosEvent| {
+                matches!(
+                    ev,
+                    ChaosEvent::Crash {
+                        restart_at: None,
+                        ..
+                    }
+                )
+            };
             assert!(
-                a.last_heal().is_some(),
+                !a.events.iter().any(permanent),
                 "named scenarios must always heal so SLOs are checkable"
             );
         }

@@ -163,8 +163,9 @@ USAGE:
 
   adaptcomm plan-server [--addr <host:port>] [--workers <N>] [--shards <N>]
                         [--cache <entries>] [--near-tolerance <frac>]
-                        [--threads <N>] [--pace-ms <ms>] [--obs <path>]
-                        [--metrics-port <port>] [--flight-dir <dir>]
+                        [--est-ms <ms>] [--threads <N>] [--pace-ms <ms>]
+                        [--obs <path>] [--metrics-port <port>]
+                        [--flight-dir <dir>]
       Run the multi-tenant scheduling service: a TCP plan server with a
       fingerprint-keyed plan cache (exact hits replay plans; near hits
       are re-solved incrementally from the cached plan, or warm-start
@@ -173,8 +174,10 @@ USAGE:
       (priority tiers, EDF, deadline rejection). --addr defaults to an
       ephemeral loopback port, printed on startup. Runs until a client
       sends the shutdown frame (`plan-client --shutdown`); prints cache
-      and per-tenant directory statistics on exit. --pace-ms stretches
-      every cold/warm solve for deterministic queueing demos.
+      and per-tenant directory statistics on exit. --est-ms is the
+      service time deadline admission assumes for an (algorithm, P) pair
+      it has not timed yet (default 10). --pace-ms stretches every
+      cold/warm solve for deterministic queueing demos.
       --metrics-port serves a live scrape surface on 127.0.0.1:
       GET /metrics (Prometheus text), /healthz, and /tenants (per-tenant
       JSON: requests, cache dispositions, deadline-hit ratio, rejects,
@@ -183,8 +186,8 @@ USAGE:
 
   adaptcomm plan-client --addr <host:port>
                         (--matrix <file.csv> | --scenario <name> --p <N>)
-                        [--seed <u64>] [--algorithm <name>] [--tenant <name>]
-                        [--deadline <ms>] [--priority <0-255>]
+                        [--seed <u64>] [--n <dim>] [--algorithm <name>]
+                        [--tenant <name>] [--deadline <ms>] [--priority <0-255>]
                         [--critical <s-d,s-d,..>] [--repeat <N>]
                         [--probe] [--shutdown] [--obs <path>]
       Request plans from a running plan server. Prints one `cache: ..`

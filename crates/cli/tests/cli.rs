@@ -735,6 +735,7 @@ fn every_option_help_advertises_is_accepted_by_its_command() {
     }
     assert!(advertised.len() >= 15, "parsed only {advertised:?}");
     let mut checked = 0;
+    let mut unlisted: Vec<String> = Vec::new();
     for (command, options) in advertised {
         if command == "help" {
             continue;
@@ -762,9 +763,18 @@ fn every_option_help_advertises_is_accepted_by_its_command() {
             );
             checked += 1;
         }
+        // And the other way: nothing is accepted in silence.
+        unlisted.extend(
+            (valid.iter().filter(|v| !options.iter().any(|o| o == *v)))
+                .map(|v| format!("{command} {v}")),
+        );
     }
     assert!(
         checked >= 80,
         "only {checked} advertised options were checked"
+    );
+    assert!(
+        unlisted.is_empty(),
+        "accepted but missing from `adaptcomm help`: {unlisted:?}"
     );
 }

@@ -92,20 +92,6 @@ pub fn allreduce_at(matrix: &CommMatrix, root: usize) -> AllReduce {
     }
 }
 
-/// Builds an all-reduce choosing the root with the smallest composed
-/// completion time (ties to the lower rank).
-pub fn allreduce_best_root(matrix: &CommMatrix) -> AllReduce {
-    (0..matrix.len())
-        .map(|r| allreduce_at(matrix, r))
-        .min_by(|a, b| {
-            a.completion_time()
-                .as_ms()
-                .total_cmp(&b.completion_time().as_ms())
-                .then(a.root.cmp(&b.root))
-        })
-        .expect("at least one processor")
-}
-
 /// The dissemination barrier: in round `k` (`2^k < P`), `P_i` sends a
 /// zero-payload signal to `P_(i+2^k) mod P`. After `⌈log₂P⌉` rounds every
 /// processor has transitively heard from every other.
@@ -190,20 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn best_root_is_no_worse_than_any_fixed_root() {
-        let m = hetero(8);
-        let best = allreduce_best_root(&m);
-        for r in 0..8 {
-            let fixed = allreduce_at(&m, r);
-            assert!(
-                best.completion_time().as_ms() <= fixed.completion_time().as_ms() + 1e-9,
-                "root {r} beat the 'best' root {}",
-                best.root
-            );
-        }
-    }
-
-    #[test]
     fn hub_networks_are_exploited_from_any_root() {
         // Node 3 is a hub (cheap edges in both directions). The
         // fastest-first trees route through it from *any* root, so the
@@ -219,17 +191,14 @@ mod tests {
                 25.0
             }
         });
-        let best = allreduce_best_root(&m);
-        assert!(
-            best.completion_time().as_ms() <= 20.0,
-            "hub not exploited: {}",
-            best.completion_time()
-        );
+        let completions: Vec<f64> = (0..8)
+            .map(|r| allreduce_at(&m, r).completion_time().as_ms())
+            .collect();
+        let best = completions.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(best <= 20.0, "hub not exploited: {best} ms");
         // And no root is catastrophically bad — the adaptive trees
         // neutralize root placement (the interesting finding here).
-        for r in 0..8 {
-            assert!(allreduce_at(&m, r).completion_time().as_ms() <= 30.0);
-        }
+        assert!(completions.iter().all(|&t| t <= 30.0));
     }
 
     #[test]

@@ -102,15 +102,6 @@ impl CollectiveSchedule {
             .map(|e| e.finish)
             .fold(Millis::ZERO, Millis::max)
     }
-
-    /// Time at which a particular processor has finished all its events.
-    pub fn finish_of(&self, proc: usize) -> Millis {
-        self.events
-            .iter()
-            .filter(|e| e.src == proc || e.dst == proc)
-            .map(|e| e.finish)
-            .fold(Millis::ZERO, Millis::max)
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +126,6 @@ mod tests {
         .unwrap();
         assert_eq!(plan.completion_time().as_ms(), 8.0);
         assert_eq!(plan.processors(), 3);
-        assert_eq!(plan.finish_of(1).as_ms(), 5.0);
         assert_eq!(plan.events().len(), 3);
     }
 

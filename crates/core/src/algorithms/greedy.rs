@@ -29,8 +29,9 @@ impl Greedy {
     /// exactly once up front over [`CommMatrix::row`] slices; each
     /// sender then consumes its list in place — a claimed destination is
     /// removed, so later steps never re-scan already-sent prefixes the
-    /// way the retained [`super::reference::greedy_steps`] formulation
-    /// (a `sent` bitmap filter over the full list) does.
+    /// way the retained `greedy_steps` formulation of
+    /// `tests/reference/mod.rs` (a `sent` bitmap filter over the full
+    /// list; `tests/reference_equiv.rs` holds the two equal) does.
     pub fn steps(matrix: &CommMatrix) -> Vec<Vec<Option<usize>>> {
         let p = matrix.len();
         // Rank-ordered destination lists: decreasing cost, ties by lower

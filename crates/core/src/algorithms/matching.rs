@@ -197,8 +197,9 @@ impl MatchingScheduler {
     /// monotone-edit contract ([`Duals::assume_monotone_edits`] plus
     /// per-cell [`Duals::note_cost_increase`]) lets the solver keep its
     /// candidate caches across rounds. The original cold-per-round
-    /// formulation is retained in [`super::reference::matching_steps`]
-    /// and property-tested to emit identical steps.
+    /// formulation is retained as `matching_steps` in
+    /// `tests/reference/mod.rs`, and `tests/reference_equiv.rs`
+    /// property-tests that it emits identical steps.
     pub fn steps(&self, matrix: &CommMatrix) -> Vec<Vec<Option<usize>>> {
         self.plan_seeded(matrix, None).steps
     }

@@ -14,7 +14,6 @@ pub mod matching;
 pub mod openshop;
 pub mod optimal;
 pub mod random_order;
-pub mod reference;
 
 pub use baseline::Baseline;
 pub use greedy::Greedy;

@@ -44,8 +44,9 @@
 //! but adversarial instances can make the walk linear, so the
 //! worst-case bound stays `O(P³)` with a far smaller constant than the
 //! reference's double linear scan. The original construction is
-//! retained in [`super::reference::openshop_build`] and property-tested
-//! to emit bit-identical schedules. The rule does not care where it
+//! retained as `openshop_build` in `tests/reference/mod.rs`, and
+//! `tests/reference_equiv.rs` property-tests that it emits bit-identical
+//! schedules. The rule does not care where it
 //! starts from: [`OpenShop::list_schedule`] takes the owed sets and the
 //! port availabilities, so a mid-run replan of what remains
 //! (`adaptcomm_sim::dynamic::openshop_replan`) is this same code.

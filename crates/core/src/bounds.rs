@@ -3,7 +3,6 @@
 //! shop bound `2·t_lb`.
 
 use crate::matrix::CommMatrix;
-use adaptcomm_model::units::Millis;
 
 /// The Theorem-2 multiplier: the baseline (caterpillar) completion time
 /// never exceeds `⌈P/2⌉ · t_lb` under step-ordered execution.
@@ -44,17 +43,6 @@ pub fn theorem2_tightness_instance(epsilon: f64) -> CommMatrix {
     ])
 }
 
-/// Verifies a completion time against a bound factor, returning the
-/// achieved ratio.
-pub fn ratio_to_lower_bound(completion: Millis, matrix: &CommMatrix) -> f64 {
-    let lb = matrix.lower_bound();
-    if lb.as_ms() == 0.0 {
-        1.0
-    } else {
-        completion / lb
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +71,7 @@ mod tests {
         let m = theorem2_tightness_instance(eps);
         let completion = depgraph::baseline_step_ordered_completion(&m);
         assert!((completion.as_ms() - 4.0).abs() < 1e-6, "got {completion}");
-        let ratio = ratio_to_lower_bound(completion, &m);
+        let ratio = completion / m.lower_bound();
         assert!(
             (ratio - 2.0).abs() < 1e-5,
             "ratio {ratio} should approach 2"

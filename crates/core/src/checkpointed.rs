@@ -62,22 +62,6 @@ impl CheckpointPolicy {
     pub fn count(&self, total: usize) -> usize {
         self.checkpoints(total).len()
     }
-
-    /// True if a check happens right after the `completed`-th event (of
-    /// `total`) finishes — the hook an execution engine (simulator or
-    /// live runtime) calls on every completion instead of materializing
-    /// the checkpoint list.
-    pub fn is_checkpoint(&self, completed: usize, total: usize) -> bool {
-        match *self {
-            CheckpointPolicy::Never => false,
-            CheckpointPolicy::EveryEvent => completed >= 1 && completed < total,
-            CheckpointPolicy::Halving => self.checkpoints(total).binary_search(&completed).is_ok(),
-            CheckpointPolicy::EveryK(k) => {
-                assert!(k >= 1, "k must be at least 1");
-                completed >= 1 && completed < total && completed.is_multiple_of(k)
-            }
-        }
-    }
 }
 
 /// The §6.3 decision rule: reschedule at a checkpoint iff "the difference
@@ -179,27 +163,6 @@ mod tests {
                 }
                 for &c in &cps {
                     assert!(c >= 1 && c < total.max(1));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn is_checkpoint_matches_the_materialized_list() {
-        for total in 0..40 {
-            for policy in [
-                CheckpointPolicy::Never,
-                CheckpointPolicy::EveryEvent,
-                CheckpointPolicy::Halving,
-                CheckpointPolicy::EveryK(3),
-            ] {
-                let cps = policy.checkpoints(total);
-                for completed in 0..=total + 1 {
-                    assert_eq!(
-                        policy.is_checkpoint(completed, total),
-                        cps.contains(&completed),
-                        "{policy:?} total={total} completed={completed}"
-                    );
                 }
             }
         }

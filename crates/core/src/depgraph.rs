@@ -6,8 +6,10 @@
 //! the same receiver (diagonal). Under *step-ordered* execution (each
 //! event waits for its predecessors in the step structure) the completion
 //! time equals the weight of the longest path in **DG**. This module
-//! computes that longest path, plus the baseline-specific closed-form
-//! recursion used in the proof of Theorem 2.
+//! keeps the baseline-specific closed-form recursion used in the proof of
+//! Theorem 2; for an arbitrary step structure that execution is
+//! [`crate::execution::execute_steps_pairwise`], and its longest path is
+//! [`crate::analyze::dag_of`]`(..).critical_path()`.
 //!
 //! Step-ordered execution is the model Theorem 2 reasons about. The ASAP
 //! semantics of [`crate::execution`] usually finish earlier (events start
@@ -51,85 +53,12 @@ pub fn baseline_step_ordered_completion(matrix: &CommMatrix) -> Millis {
     Millis::new(overall)
 }
 
-/// The critical path of the baseline dependence graph: the sequence of
-/// `(src, dst)` events realizing [`baseline_step_ordered_completion`].
-pub fn baseline_critical_path(matrix: &CommMatrix) -> Vec<(usize, usize)> {
-    let p = matrix.len();
-    if p == 0 {
-        return Vec::new();
-    }
-    // finish[j][i] with full storage for back-tracking.
-    let mut finish = vec![vec![0.0f64; p]; p];
-    for i in 0..p {
-        finish[0][i] = matrix.cost(i, i).as_ms();
-    }
-    for j in 1..p {
-        for i in 0..p {
-            let dst = (i + j) % p;
-            let dep = finish[j - 1][i].max(finish[j - 1][(i + 1) % p]);
-            finish[j][i] = matrix.cost(i, dst).as_ms() + dep;
-        }
-    }
-    // Find the end of the longest path.
-    let (mut j, mut i) = (p - 1, 0);
-    for cand in 0..p {
-        if finish[p - 1][cand] > finish[p - 1][i] {
-            i = cand;
-        }
-    }
-    let mut path = Vec::with_capacity(p);
-    loop {
-        path.push((i, (i + j) % p));
-        if j == 0 {
-            break;
-        }
-        let vertical = finish[j - 1][i];
-        let diagonal = finish[j - 1][(i + 1) % p];
-        if diagonal > vertical {
-            i = (i + 1) % p;
-        }
-        j -= 1;
-    }
-    path.reverse();
-    path
-}
-
-/// Completion time of an arbitrary step-structured schedule under
-/// step-ordered execution: every event waits for the latest earlier-step
-/// event sharing its sender or receiver.
-pub fn step_ordered_completion(steps: &[Vec<Option<usize>>], matrix: &CommMatrix) -> Millis {
-    let p = matrix.len();
-    let mut sender_finish = vec![0.0f64; p];
-    let mut receiver_finish = vec![0.0f64; p];
-    for step in steps {
-        assert_eq!(step.len(), p, "step width must equal P");
-        // Events within one step are mutually independent; compute their
-        // finishes from the previous step's state.
-        let mut new_sender = sender_finish.clone();
-        let mut new_receiver = receiver_finish.clone();
-        for (src, dst) in step.iter().enumerate() {
-            let Some(dst) = *dst else { continue };
-            let start = sender_finish[src].max(receiver_finish[dst]);
-            let finish = start + matrix.cost(src, dst).as_ms();
-            new_sender[src] = finish;
-            new_receiver[dst] = finish;
-        }
-        sender_finish = new_sender;
-        receiver_finish = new_receiver;
-    }
-    Millis::new(
-        sender_finish
-            .iter()
-            .chain(receiver_finish.iter())
-            .copied()
-            .fold(0.0, f64::max),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::Baseline;
+    use crate::analyze::dag_of;
+    use crate::execution::execute_steps_pairwise;
 
     #[test]
     fn homogeneous_baseline_completion() {
@@ -147,8 +76,13 @@ mod tests {
                 ((s * 11 + d * 5) % 9 + 1) as f64
             }
         });
-        let path = baseline_critical_path(&m);
-        assert_eq!(path.len(), 6, "one event per step");
+        // The same DG, executed: its critical path has one event per
+        // real step (the zero-cost self-sends of step 0 are not events).
+        let dag = dag_of(&execute_steps_pairwise(&Baseline::steps(6), &m));
+        let path: Vec<(usize, usize)> = (dag.critical_path().iter())
+            .map(|hop| (hop.transfer.src, hop.transfer.dst))
+            .collect();
+        assert_eq!(path.len(), 5, "one event per step");
         let path_weight: f64 = path.iter().map(|&(s, d)| m.cost(s, d).as_ms()).sum();
         assert!(
             (path_weight - baseline_step_ordered_completion(&m).as_ms()).abs() < 1e-9,
@@ -177,8 +111,8 @@ mod tests {
             let mut steps = vec![(0..7).map(Some).collect::<Vec<_>>()];
             steps.extend(Baseline::steps(7));
             // Self-sends have zero cost here, so including step 0 changes
-            // nothing; `step_ordered_completion` skips None entries only.
-            step_ordered_completion(&steps, &m)
+            // nothing.
+            execute_steps_pairwise(&steps, &m).completion_time()
         };
         assert!((via_steps.as_ms() - baseline_step_ordered_completion(&m).as_ms()).abs() < 1e-9);
     }
@@ -200,7 +134,7 @@ mod tests {
             vec![None, Some(2), None],
             vec![None, None, Some(1)],
         ];
-        let t = step_ordered_completion(&steps, &m);
+        let t = execute_steps_pairwise(&steps, &m).completion_time();
         // (0→1):0-2, (1→0):0-4, (2→0):4-10, (0→2):2-5, (1→2):5-10, (2→1):10-17.
         assert_eq!(t.as_ms(), 17.0);
     }

@@ -1,8 +1,8 @@
-//! Schedule export: JSON and CSV event traces.
+//! Schedule export: the JSON event trace.
 //!
-//! Dependency-free writers for the two formats external tooling most
-//! often wants — a JSON document (Gantt viewers, notebooks) and a flat
-//! CSV event trace (spreadsheets, gnuplot).
+//! A dependency-free writer for the document external tooling most often
+//! wants (Gantt viewers, notebooks) — what `adaptcomm schedule --json`
+//! prints.
 
 use crate::schedule::Schedule;
 use std::fmt::Write as _;
@@ -36,58 +36,6 @@ pub fn schedule_to_json(schedule: &Schedule) -> String {
         );
     }
     s.push_str("]}");
-    s
-}
-
-/// Serializes a bare realized event trace — from any execution engine
-/// (analytic, simulated, or the live runtime) — to the same JSON shape as
-/// [`schedule_to_json`], minus the matrix-derived lower bound:
-///
-/// ```json
-/// {"processors":3,"completion_ms":17.0,
-///  "events":[{"src":0,"dst":1,"start_ms":0.0,"finish_ms":2.0}, …]}
-/// ```
-pub fn events_to_json(processors: usize, events: &[crate::schedule::ScheduledEvent]) -> String {
-    let completion = events
-        .iter()
-        .map(|e| e.finish.as_ms())
-        .fold(0.0f64, f64::max);
-    let mut s = String::with_capacity(64 + events.len() * 64);
-    let _ = write!(
-        s,
-        r#"{{"processors":{processors},"completion_ms":{},"events":["#,
-        fmt_f64(completion),
-    );
-    for (k, e) in events.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            r#"{{"src":{},"dst":{},"start_ms":{},"finish_ms":{}}}"#,
-            e.src,
-            e.dst,
-            fmt_f64(e.start.as_ms()),
-            fmt_f64(e.finish.as_ms()),
-        );
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Serializes the event trace as CSV with a header row.
-pub fn schedule_to_csv(schedule: &Schedule) -> String {
-    let mut s = String::from("src,dst,start_ms,finish_ms\n");
-    for e in schedule.events() {
-        let _ = writeln!(
-            s,
-            "{},{},{},{}",
-            e.src,
-            e.dst,
-            fmt_f64(e.start.as_ms()),
-            fmt_f64(e.finish.as_ms())
-        );
-    }
     s
 }
 
@@ -128,36 +76,6 @@ mod tests {
         assert!(json.contains(r#""completion_ms""#));
         // Fractional values keep their precision.
         assert!(json.contains("2.5"));
-    }
-
-    #[test]
-    fn csv_has_header_and_one_line_per_event() {
-        let s = schedule();
-        let csv = schedule_to_csv(&s);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "src,dst,start_ms,finish_ms");
-        assert_eq!(lines.len(), 1 + s.events().len());
-        for line in &lines[1..] {
-            assert_eq!(line.split(',').count(), 4);
-        }
-    }
-
-    #[test]
-    fn bare_events_export_matches_schedule_export_shape() {
-        let s = schedule();
-        let json = events_to_json(s.processors(), s.events());
-        assert!(json.contains(r#""processors":3"#));
-        assert_eq!(json.matches(r#""src""#).count(), s.events().len());
-        let completion = format!(
-            r#""completion_ms":{}"#,
-            fmt_f64(s.completion_time().as_ms())
-        );
-        assert!(json.contains(&completion), "{json}");
-        assert!(!json.contains("lower_bound"));
-        assert_eq!(
-            events_to_json(2, &[]),
-            r#"{"processors":2,"completion_ms":0.0,"events":[]}"#
-        );
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use crate::schedule::ScheduledEvent;
 use adaptcomm_model::units::Millis;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Why an event could not be scheduled: the event stream is degenerate
@@ -300,9 +300,9 @@ impl Ports {
     /// their messages are part of `queues` — and every blocked sender
     /// requests afresh at this instant, receiver by receiver in the order the
     /// requests were waiting. In-flight transfers are untouched.
-    pub fn replan(&mut self, mut queues: Vec<VecDeque<usize>>) {
+    pub fn replan(&mut self, queues: Vec<Vec<usize>>) {
         assert_eq!(queues.len(), self.head.len(), "replan changed P");
-        self.set_queues(queues.iter_mut().map(|q| &*q.make_contiguous()));
+        self.set_queues(queues.iter().map(Vec::as_slice));
         for dst in 0..self.pending.len() {
             for (_, src) in std::mem::take(&mut self.pending[dst]) {
                 self.ready(src);

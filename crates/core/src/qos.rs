@@ -14,6 +14,7 @@
 //! feasible event — higher priority first, then earlier deadline (EDF),
 //! then earlier possible start time. [`QosReport`] scores the result.
 
+use crate::algorithms::OpenShop;
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, ScheduledEvent};
 use adaptcomm_model::units::Millis;
@@ -183,7 +184,21 @@ impl QosScheduler {
                 }
             }
         }
-        let mut scheduled = vec![false; p * p];
+        // `owes[src * p + dst]`: not yet scheduled — what phase 2 inherits.
+        let mut owes: Vec<bool> = (0..p * p).map(|k| k / p != k % p).collect();
+        let mut commit = |src: usize, dst: usize, send: &mut [f64], recv: &mut [f64]| {
+            let start = send[src].max(recv[dst]);
+            let fin = start + matrix.cost(src, dst).as_ms();
+            events.push(ScheduledEvent {
+                src,
+                dst,
+                start: Millis::new(start),
+                finish: Millis::new(fin),
+            });
+            send[src] = send[src].max(fin);
+            recv[dst] = recv[dst].max(fin);
+            owes[src * p + dst] = false;
+        };
         match self.policy {
             QosPolicy::PriorityEdf => {
                 constrained.sort_by(|&(sa, da), &(sb, db)| {
@@ -200,17 +215,7 @@ impl QosScheduler {
                         .then(da.cmp(&db))
                 });
                 for (src, dst) in constrained {
-                    let start = send_avail[src].max(recv_avail[dst]);
-                    let fin = start + matrix.cost(src, dst).as_ms();
-                    events.push(ScheduledEvent {
-                        src,
-                        dst,
-                        start: Millis::new(start),
-                        finish: Millis::new(fin),
-                    });
-                    send_avail[src] = send_avail[src].max(fin);
-                    recv_avail[dst] = recv_avail[dst].max(fin);
-                    scheduled[src * p + dst] = true;
+                    commit(src, dst, &mut send_avail, &mut recv_avail);
                 }
             }
             QosPolicy::LeastLaxity => {
@@ -239,56 +244,19 @@ impl QosScheduler {
                         .map(|(k, _)| k)
                         .expect("non-empty");
                     let (src, dst) = constrained.swap_remove(best);
-                    let start = send_avail[src].max(recv_avail[dst]);
-                    let fin = start + matrix.cost(src, dst).as_ms();
-                    events.push(ScheduledEvent {
-                        src,
-                        dst,
-                        start: Millis::new(start),
-                        finish: Millis::new(fin),
-                    });
-                    send_avail[src] = send_avail[src].max(fin);
-                    recv_avail[dst] = recv_avail[dst].max(fin);
-                    scheduled[src * p + dst] = true;
+                    commit(src, dst, &mut send_avail, &mut recv_avail);
                 }
             }
         }
 
-        // Phase 2: open shop over the best-effort remainder.
-        let mut receivers: Vec<Vec<usize>> = (0..p)
-            .map(|i| {
-                (0..p)
-                    .filter(|&j| j != i && !scheduled[i * p + j])
-                    .collect()
-            })
-            .collect();
-        let mut remaining: Vec<usize> = (0..p).filter(|&i| !receivers[i].is_empty()).collect();
-        while !remaining.is_empty() {
-            let (pos, &i) = remaining
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| send_avail[a].total_cmp(&send_avail[b]).then(a.cmp(&b)))
-                .expect("non-empty");
-            let (rpos, &j) = receivers[i]
-                .iter()
-                .enumerate()
-                .min_by(|(_, &a), (_, &b)| recv_avail[a].total_cmp(&recv_avail[b]).then(a.cmp(&b)))
-                .expect("sender kept only while it has receivers");
-            let start = send_avail[i].max(recv_avail[j]);
-            let fin = start + matrix.cost(i, j).as_ms();
-            events.push(ScheduledEvent {
-                src: i,
-                dst: j,
-                start: Millis::new(start),
-                finish: Millis::new(fin),
-            });
-            send_avail[i] = fin;
-            recv_avail[j] = fin;
-            receivers[i].swap_remove(rpos);
-            if receivers[i].is_empty() {
-                remaining.swap_remove(pos);
-            }
-        }
+        // Phase 2: the open shop rule over the best-effort remainder,
+        // from the availability profile phase 1 left behind.
+        events.extend(OpenShop::list_schedule(
+            owes,
+            send_avail,
+            recv_avail,
+            |i, j| matrix.cost(i, j).as_ms(),
+        ));
         Schedule::new(matrix.clone(), events)
     }
 }
@@ -400,6 +368,69 @@ mod tests {
             (1, 2),
             "higher priority outranks the earlier deadline"
         );
+    }
+
+    #[test]
+    fn phase_two_equals_the_linear_scan_loop_it_replaced() {
+        // `heterogeneous(6)` with eight constrained messages that contend
+        // for ports (so phase 1 leaves an uneven availability profile), as
+        // emitted by the double linear scan phase 2 was before it became
+        // `OpenShop::list_schedule` (captured at 5d7b115; both policies
+        // order this instance alike).
+        let req = |deadline: Option<f64>, priority| QosRequirement {
+            deadline: deadline.map(Millis::new),
+            priority,
+        };
+        let mut qos = QosMatrix::best_effort(6);
+        qos.set(0, 3, req(Some(20.0), 2));
+        qos.set(4, 1, req(Some(15.0), 2));
+        qos.set(2, 5, req(None, 5));
+        qos.set(1, 0, req(Some(30.0), 0));
+        qos.set(5, 2, req(Some(12.0), 0));
+        qos.set(3, 4, req(Some(60.0), 1));
+        qos.set(0, 1, req(Some(25.0), 3));
+        qos.set(2, 3, req(Some(50.0), 1));
+        let expected: [(usize, usize, f64, f64); 30] = [
+            (0, 1, 0.0, 5.0),
+            (1, 0, 0.0, 13.0),
+            (2, 5, 0.0, 13.0),
+            (3, 4, 0.0, 8.0),
+            (5, 2, 0.0, 11.0),
+            (0, 3, 5.0, 16.0),
+            (4, 1, 5.0, 15.0),
+            (3, 2, 11.0, 13.0),
+            (5, 4, 11.0, 15.0),
+            (1, 2, 13.0, 19.0),
+            (3, 0, 13.0, 22.0),
+            (4, 5, 15.0, 24.0),
+            (5, 1, 15.0, 23.0),
+            (0, 4, 16.0, 30.0),
+            (2, 3, 16.0, 23.0),
+            (1, 3, 23.0, 32.0),
+            (2, 0, 23.0, 34.0),
+            (3, 1, 23.0, 35.0),
+            (4, 2, 24.0, 37.0),
+            (0, 5, 30.0, 34.0),
+            (1, 4, 32.0, 44.0),
+            (5, 3, 32.0, 46.0),
+            (2, 1, 35.0, 49.0),
+            (3, 5, 35.0, 46.0),
+            (0, 2, 37.0, 45.0),
+            (4, 0, 37.0, 44.0),
+            (1, 5, 46.0, 48.0),
+            (4, 3, 46.0, 49.0),
+            (5, 0, 46.0, 51.0),
+            (2, 4, 49.0, 59.0),
+        ];
+        for policy in [QosPolicy::PriorityEdf, QosPolicy::LeastLaxity] {
+            let s = QosScheduler::with_policy(qos.clone(), policy).build(&heterogeneous(6));
+            let got: Vec<_> = s
+                .events()
+                .iter()
+                .map(|e| (e.src, e.dst, e.start.as_ms(), e.finish.as_ms()))
+                .collect();
+            assert_eq!(got, expected, "{policy:?}");
+        }
     }
 
     #[test]

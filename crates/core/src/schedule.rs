@@ -168,17 +168,6 @@ impl Schedule {
         self.events.iter().filter(move |e| e.dst == dst)
     }
 
-    /// Total idle time of a sender before its last send completes.
-    pub fn sender_idle(&self, src: usize) -> Millis {
-        let mut busy = Millis::ZERO;
-        let mut last_finish = Millis::ZERO;
-        for e in self.events_from(src) {
-            busy += e.duration();
-            last_finish = last_finish.max(e.finish);
-        }
-        last_finish - busy
-    }
-
     /// Checks the paper's validity conditions against the matrix:
     /// exactly one event per off-diagonal ordered pair, correct durations,
     /// no sender overlap, no receiver overlap.
@@ -390,8 +379,6 @@ mod tests {
         assert!((s.lb_ratio() - 17.0 / 13.0).abs() < 1e-12);
         assert_eq!(s.events_from(0).count(), 2);
         assert_eq!(s.events_to(0).count(), 2);
-        // Sender 2: events at 4-10 and 10-17, busy 13, last finish 17 → idle 4.
-        assert_eq!(s.sender_idle(2).as_ms(), 4.0);
         assert_eq!(s.processors(), 3);
     }
 

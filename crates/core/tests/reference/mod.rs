@@ -1,8 +1,8 @@
 //! Retained pre-optimization scheduler implementations — the correctness
 //! oracles for the large-`P` fast paths.
 //!
-//! The production [`super::matching`], [`super::openshop`] and
-//! [`super::greedy`] modules were rewritten around warm-started LAP
+//! The production `algorithms::{matching, openshop, greedy}` modules of
+//! `adaptcomm-core` were rewritten around warm-started LAP
 //! solves, indexed binary heaps and cached row slices. These functions
 //! preserve the original (simpler, slower) formulations *verbatim*;
 //! property tests assert the optimized paths emit bit-identical
@@ -10,9 +10,9 @@
 //! matrices. They are `O(P⁴)` / `O(P³)` respectively and intended for
 //! `P ≲ 64` test instances only.
 
-use super::matching::MatchingKind;
-use crate::matrix::CommMatrix;
-use crate::schedule::{Schedule, ScheduledEvent};
+use adaptcomm_core::algorithms::MatchingKind;
+use adaptcomm_core::matrix::CommMatrix;
+use adaptcomm_core::schedule::{Schedule, ScheduledEvent};
 use adaptcomm_lap::{solve_max, solve_min, DenseCost};
 use adaptcomm_model::units::Millis;
 

@@ -1,13 +1,12 @@
 //! The large-`P` fast paths must be *exact*: warm-started matching,
 //! heap-indexed open shop and the in-place greedy composition must emit
 //! bit-identical schedules (same event sets, same completion times) to
-//! the retained reference implementations in
-//! `adaptcomm_core::algorithms::reference`, for `P ≤ 32` across random
-//! GUSTO-guided matrices.
+//! the retained reference implementations in `reference/mod.rs` beside
+//! this file, for `P ≤ 32` across random GUSTO-guided matrices.
 
-use adaptcomm_core::algorithms::{
-    reference, Greedy, MatchingKind, MatchingScheduler, OpenShop, Scheduler,
-};
+mod reference;
+
+use adaptcomm_core::algorithms::{Greedy, MatchingKind, MatchingScheduler, OpenShop, Scheduler};
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_model::generator::{GeneratorConfig, NetGenerator};
 use adaptcomm_model::units::Bytes;

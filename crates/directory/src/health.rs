@@ -77,13 +77,6 @@ impl HealthView {
     pub fn link(&self, src: usize, dst: usize) -> Option<&LinkStatus> {
         self.links.iter().find(|l| l.src == src && l.dst == dst)
     }
-
-    /// Links currently not [`HealthState::Healthy`].
-    pub fn unhealthy(&self) -> impl Iterator<Item = &LinkStatus> {
-        self.links
-            .iter()
-            .filter(|l| l.state != HealthState::Healthy)
-    }
 }
 
 /// Accumulates per-link measurements into health verdicts.
@@ -243,7 +236,6 @@ mod tests {
         let view = m.view();
         let link = view.link(0, 1).unwrap();
         assert_eq!(link.state, HealthState::Healthy);
-        assert!(view.unhealthy().next().is_none());
         assert_eq!(link.bandwidth_kbps, 960.0);
     }
 

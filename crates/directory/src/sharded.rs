@@ -46,11 +46,6 @@ impl ShardedDirectory {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a tenant routes to (stable across restarts).
     pub fn shard_of(&self, tenant: &str) -> usize {
         (fnv1a(tenant.as_bytes()) % self.shards.len() as u64) as usize
@@ -140,7 +135,8 @@ mod tests {
             assert!(s < 4);
             assert_eq!(s, front.shard_of(name), "routing must be deterministic");
         }
-        assert_eq!(ShardedDirectory::new(0).shard_count(), 1);
+        // Zero shards is clamped to one, so routing stays total.
+        assert_eq!(ShardedDirectory::new(0).shard_of("alice"), 0);
     }
 
     #[test]

@@ -140,12 +140,6 @@ impl DenseCost {
         });
     }
 
-    /// Whether [`DenseCost::enable_live_tracking`] has been called.
-    #[inline]
-    pub fn tracks_live(&self) -> bool {
-        self.live.is_some()
-    }
-
     /// Deletes cell `(row, col)`: writes the sentinel into the dense
     /// data (so random access still sees a finite, strictly dominated
     /// cost) and, when live tracking is on, swap-removes the cell from
@@ -257,10 +251,8 @@ mod tests {
     #[test]
     fn live_tracking_mirrors_deletions_and_updates() {
         let mut m = DenseCost::from_fn(4, |i, j| (i * 4 + j) as f64);
-        assert!(!m.tracks_live());
         assert!(m.live_row(0).is_none());
         m.enable_live_tracking();
-        assert!(m.tracks_live());
         assert_eq!(
             sorted_live(&m, 1),
             vec![(0, 4.0), (1, 5.0), (2, 6.0), (3, 7.0)]

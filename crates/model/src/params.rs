@@ -46,32 +46,6 @@ impl NetParams {
         NetParams { p, entries }
     }
 
-    /// Builds a table from explicit startup (ms) and bandwidth (kbit/s)
-    /// matrices, as published by a directory like GUSTO's.
-    ///
-    /// Diagonal bandwidth entries may be zero in the source tables (the
-    /// GUSTO tables leave them blank); they are replaced by a large
-    /// sentinel since local copies are free anyway.
-    pub fn from_matrices(startup_ms: &[Vec<f64>], bandwidth_kbps: &[Vec<f64>]) -> Self {
-        let p = startup_ms.len();
-        assert!(p >= 1, "need at least one processor");
-        assert_eq!(bandwidth_kbps.len(), p, "matrix sizes differ");
-        for r in 0..p {
-            assert_eq!(startup_ms[r].len(), p, "startup matrix is not square");
-            assert_eq!(bandwidth_kbps[r].len(), p, "bandwidth matrix is not square");
-        }
-        Self::from_fn(p, |src, dst| {
-            if src == dst {
-                LinkEstimate::new(Millis::ZERO, Bandwidth::from_kbps(1e12))
-            } else {
-                LinkEstimate::new(
-                    Millis::new(startup_ms[src][dst]),
-                    Bandwidth::from_kbps(bandwidth_kbps[src][dst]),
-                )
-            }
-        })
-    }
-
     /// Number of processors.
     #[inline]
     pub fn len(&self) -> usize {
@@ -138,19 +112,6 @@ impl NetParams {
                 .map(move |dst| (src, dst, self.estimate(src, dst)))
         })
     }
-
-    /// Largest relative bandwidth change between two snapshots of the same
-    /// system, e.g. to decide whether rescheduling is worthwhile (§6.3).
-    pub fn max_relative_bandwidth_delta(&self, other: &NetParams) -> f64 {
-        assert_eq!(self.p, other.p, "snapshots cover different systems");
-        let mut worst = 0.0f64;
-        for (src, dst, e) in self.pairs() {
-            let b0 = e.bandwidth.as_kbps();
-            let b1 = other.estimate(src, dst).bandwidth.as_kbps();
-            worst = worst.max((b1 - b0).abs() / b0);
-        }
-        worst
-    }
 }
 
 impl fmt::Display for NetParams {
@@ -204,17 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn from_matrices_roundtrip() {
-        let s = vec![vec![0.0, 5.0], vec![7.0, 0.0]];
-        let b = vec![vec![0.0, 100.0], vec![200.0, 0.0]];
-        let p = NetParams::from_matrices(&s, &b);
-        assert_eq!(p.estimate(0, 1).startup.as_ms(), 5.0);
-        assert_eq!(p.estimate(1, 0).bandwidth.as_kbps(), 200.0);
-        // Diagonal is free regardless of sentinel.
-        assert_eq!(p.time(0, 0, Bytes::MB), Millis::ZERO);
-    }
-
-    #[test]
     fn scaling_affects_only_target_pair() {
         let mut p = NetParams::uniform(3, Millis::new(1.0), Bandwidth::from_kbps(100.0));
         p.scale_bandwidth(0, 2, 0.5);
@@ -230,17 +180,6 @@ mod tests {
         for (_, _, e) in p.pairs() {
             assert_eq!(e.bandwidth.as_kbps(), 200.0);
         }
-    }
-
-    #[test]
-    fn max_relative_delta_detects_change() {
-        let a = NetParams::uniform(3, Millis::new(1.0), Bandwidth::from_kbps(100.0));
-        let mut b = a.clone();
-        assert_eq!(a.max_relative_bandwidth_delta(&b), 0.0);
-        b.scale_bandwidth(1, 2, 1.5);
-        assert!((a.max_relative_bandwidth_delta(&b) - 0.5).abs() < 1e-12);
-        b.scale_bandwidth(2, 0, 0.2);
-        assert!((a.max_relative_bandwidth_delta(&b) - 0.8).abs() < 1e-12);
     }
 
     #[test]

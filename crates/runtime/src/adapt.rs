@@ -10,12 +10,12 @@
 //! 2. **query** — a fresh snapshot is taken, now reflecting what the
 //!    network actually did rather than what was assumed;
 //! 3. **decide** — observed progress since the last replan is compared
-//!    against the plan (the same segment-relative deviation rule as
-//!    `adaptcomm_sim::dynamic::run_adaptive`);
-//! 4. **adapt** — if the drift exceeds the [`RescheduleRule`] threshold,
-//!    the not-yet-started messages are replanned with
-//!    [`openshop_replan`] — the identical decision rule the simulator
-//!    uses, so live and simulated adaptation can be cross-validated.
+//!    against the plan: [`Replanning::segment`], the one computation
+//!    `adaptcomm_sim::dynamic::run_adaptive` judges by too;
+//! 4. **adapt** — if the drift exceeds the [`RescheduleRule`] threshold
+//!    (or the detector fires), [`Replanning::replan`] reschedules the
+//!    not-yet-started messages — the simulator's decision state, so live
+//!    and simulated adaptation agree by construction.
 //!
 //! On a typed link failure ([`RuntimeError::MessageDropped`],
 //! [`RuntimeError::MessageLate`], [`RuntimeError::ProcessorCrashed`],
@@ -33,23 +33,19 @@
 //! measured recovery time backfilled from the record that finally
 //! crossed the healed link.
 
-use crate::channel::{
-    price_frozen, run_shaped, CheckpointAction, FaultPolicy, ShapedConfig, ShapedOutcome,
-};
+use crate::channel::{run_shaped, CheckpointAction, FaultPolicy, ShapedConfig, ShapedOutcome};
 use crate::error::RuntimeError;
 use crate::prober::{MeasurementTamper, Prober, TrustPolicy};
 use crate::telemetry::Telemetry;
 use crate::trace::RunTrace;
 use crate::transport::Transport;
-use adaptcomm_core::algorithms::{MatchingScheduler, Scheduler};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
-use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_directory::DirectoryService;
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_obs::{Cusum, CusumConfig};
-use adaptcomm_sim::dynamic::{matching_replan, openshop_replan, Replanner};
+use adaptcomm_sim::dynamic::{openshop_replan, Replanner, Replanning};
 use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
 use std::path::PathBuf;
@@ -282,6 +278,9 @@ pub struct AdaptReport {
 /// What one [`CheckpointedRun::attempt`] pass did, beyond the engine
 /// outcome.
 struct AttemptStats {
+    /// When the attempt's lists would end on a network frozen at the
+    /// directory's view as the attempt began.
+    planned_makespan: Millis,
     /// Link measurements published into the directory.
     published: usize,
     /// Checkpoints the closure saw (counted even when the attempt
@@ -375,28 +374,14 @@ impl<'a> CheckpointedRun<'a> {
         self
     }
 
-    /// What the engine would do from `start_at` on a network frozen at
-    /// the directory's current view: the sorted completion instants an
-    /// attempt's progress is judged against (the first attempt's last one
-    /// is the planned makespan).
-    fn plan_finishes(&self, lists: &[Vec<usize>], start_at: Millis) -> Vec<f64> {
-        let snapshot = self.directory.snapshot();
-        price_frozen(lists, self.sizes, snapshot.params(), start_at)
-            .expect("a frozen network cannot fault")
-            .iter()
-            .map(|r| r.finish.as_ms())
-            .collect()
-    }
-
-    /// Runs `lists` once with the live loop attached, judging progress
-    /// against `planned` ([`Self::plan_finishes`] of the same lists and
-    /// start). Returns the engine outcome plus what the loop did along
-    /// the way.
+    /// Runs `lists` once from `start_at` with the live loop attached,
+    /// judging progress against what the engine would do on a network
+    /// frozen at the directory's current view. Returns the engine outcome
+    /// plus what the loop did along the way.
     fn attempt<E, T>(
         &self,
         lists: &[Vec<usize>],
         start_at: Millis,
-        planned: &[f64],
         evolution: &mut E,
         transport: &T,
         telemetry: &mut Option<Telemetry>,
@@ -414,26 +399,21 @@ impl<'a> CheckpointedRun<'a> {
         // executing".
         let mut ref_params = self.directory.snapshot().params().clone();
         let prober = Prober::new(ref_params.clone());
+        let mut replanning = Replanning::new(
+            self.settings.replanner,
+            self.settings.threads,
+            lists,
+            self.sizes,
+            &ref_params,
+            start_at.as_ms(),
+        );
         let mut stats = AttemptStats {
+            planned_makespan: replanning.planned_makespan(),
             published: 0,
             checkpoints: 0,
             first_replan: None,
             incremental: 0,
         };
-        // The matching replanner retains its plan across checkpoints;
-        // priming it with the instance the current plan was priced from
-        // makes even the *first* in-run replan incremental (§6) — it
-        // pays only for the rounds the measured drift invalidated.
-        let matching_sched = match self.settings.replanner {
-            Replanner::Matching(kind) => {
-                let sched = MatchingScheduler::with_threads(kind, self.settings.threads.max(1));
-                sched.plan(&CommMatrix::from_model(&ref_params, self.sizes));
-                Some(sched)
-            }
-            Replanner::OpenShop => None,
-        };
-        let mut base_obs = start_at.as_ms();
-        let mut base_plan = start_at.as_ms();
         let config = ShapedConfig {
             policy: self.settings.policy,
             faults: self.settings.faults,
@@ -468,8 +448,7 @@ impl<'a> CheckpointedRun<'a> {
                 stats_ref.published += outcome.published;
             }
             // 3. decide.
-            let seg_obs = view.now.as_ms() - base_obs;
-            let seg_plan = planned[view.completed - 1] - base_plan;
+            let (seg_plan, seg_obs) = replanning.segment(view.completed, view.now.as_ms());
             let replan = match trigger {
                 // Segment-relative deviation since the last replan.
                 ReplanTrigger::Deviation(rule) => rule.should_reschedule(seg_plan, seg_obs),
@@ -508,7 +487,7 @@ impl<'a> CheckpointedRun<'a> {
                     fired
                 }
             };
-            let queued: usize = view.remaining.iter().map(|q| q.len()).sum();
+            let queued: usize = (0..p).map(|src| view.remaining(src).len()).sum();
             if !replan {
                 if let Some(t) = telemetry.as_mut() {
                     t.checkpoint(
@@ -523,37 +502,23 @@ impl<'a> CheckpointedRun<'a> {
                 return CheckpointAction::Continue;
             }
             stats_ref.first_replan.get_or_insert(stats_ref.checkpoints);
-            base_obs = view.now.as_ms();
-            base_plan = planned[view.completed - 1];
             // 4. adapt: replan the remainder from the refreshed directory.
             let _replan_span = obs.span("replan").attr("now_ms", view.now.as_ms());
             let fresh = self.directory.snapshot();
-            let remaining: Vec<Vec<usize>> = view
-                .remaining
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect();
-            let new_plan = match &matching_sched {
-                Some(sched) => matching_replan(sched, &remaining, fresh.params(), self.sizes),
-                None => openshop_replan(
-                    &remaining,
-                    view.send_busy_until,
-                    view.recv_busy_until,
-                    view.now.as_ms(),
-                    fresh.params(),
-                    self.sizes,
-                ),
-            };
-            // "incremental" and "hit" both mean the retained matching
-            // plan survived the drift: certified rounds were spliced
-            // instead of re-solved. "cold"/"warm" (and the open-shop
-            // path, which rebuilds unconditionally) count as full.
-            let kind = match matching_sched
-                .as_ref()
-                .and_then(|s| s.construction_disposition())
-            {
-                Some("incremental") | Some("hit") => "incremental",
-                _ => "full",
+            let new_plan = replanning.replan(
+                |src| view.remaining(src),
+                view.ports.send_busy_until(),
+                view.ports.recv_busy_until(),
+                view.completed,
+                view.now.as_ms(),
+                fresh.params(),
+            );
+            // The open-shop path rebuilds unconditionally, and a cold or
+            // warm matching build re-solves every round: both are "full".
+            let kind = if replanning.spliced() {
+                "incremental"
+            } else {
+                "full"
             };
             if kind == "incremental" {
                 stats_ref.incremental += 1;
@@ -659,13 +624,11 @@ impl<'a> CheckpointedRun<'a> {
         );
         let mut lists: Vec<Vec<usize>> = lists.to_vec();
         let mut start_at = Millis::ZERO;
-        let mut planned = self.plan_finishes(&lists, start_at);
-        let planned_makespan = Millis::new(planned.last().copied().unwrap_or(0.0));
         let mut report = AdaptReport {
             trace: RunTrace::new(),
             records: Vec::new(),
             makespan: Millis::ZERO,
-            planned_makespan,
+            planned_makespan: Millis::ZERO,
             checkpoints_evaluated: 0,
             reschedules: 0,
             incremental_reschedules: 0,
@@ -691,14 +654,11 @@ impl<'a> CheckpointedRun<'a> {
         let obs = adaptcomm_obs::global();
         loop {
             report.attempts += 1;
-            let (result, stats) = self.attempt(
-                &lists,
-                start_at,
-                &planned,
-                evolution,
-                transport,
-                &mut telemetry,
-            );
+            let (result, stats) =
+                self.attempt(&lists, start_at, evolution, transport, &mut telemetry);
+            if report.attempts == 1 {
+                report.planned_makespan = stats.planned_makespan;
+            }
             report.measurements_published += stats.published;
             report.incremental_reschedules += stats.incremental;
             if report.first_replan_checkpoint.is_none() {
@@ -790,11 +750,14 @@ impl<'a> CheckpointedRun<'a> {
                     parked_error = None;
                     let busy = vec![wake; p];
                     let fresh = self.directory.snapshot();
-                    lists =
-                        openshop_replan(&remaining, &busy, &busy, wake, fresh.params(), self.sizes)
-                            .into_iter()
-                            .map(|q| q.into_iter().collect())
-                            .collect();
+                    lists = openshop_replan(
+                        |src| &remaining[src],
+                        &busy,
+                        &busy,
+                        wake,
+                        fresh.params(),
+                        self.sizes,
+                    );
                     start_at = Millis::new(wake);
                 }
                 Err(mut failure) => {
@@ -928,25 +891,20 @@ impl<'a> CheckpointedRun<'a> {
                     // Replan the reachable remainder from the refreshed
                     // directory and resume at the failure instant.
                     let fresh = self.directory.snapshot();
-                    let replanned = openshop_replan(
-                        &remaining,
+                    lists = openshop_replan(
+                        |src| &remaining[src],
                         &failure.send_busy_until,
                         &failure.recv_busy_until,
                         failure.at.as_ms(),
                         fresh.params(),
                         self.sizes,
                     );
-                    lists = replanned
-                        .into_iter()
-                        .map(|q| q.into_iter().collect())
-                        .collect();
                     if defer_failed {
                         lists[fsrc].push(fdst);
                     }
                     start_at = failure.at;
                 }
             }
-            planned = self.plan_finishes(&lists, start_at);
         }
     }
 }

@@ -34,7 +34,6 @@ use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
@@ -86,14 +85,19 @@ pub struct CheckpointView<'a> {
     pub total: usize,
     /// Modeled time of the checkpoint (the completion that triggered it).
     pub now: Millis,
-    /// Not-yet-granted destinations per sender.
-    pub remaining: &'a [VecDeque<usize>],
-    /// Modeled time each send port frees up (includes in-flight sends).
-    pub send_busy_until: &'a [f64],
-    /// Modeled time each receive port frees up.
-    pub recv_busy_until: &'a [f64],
+    /// The kernel's state: the queues, and the modeled time each send and
+    /// receive port frees up (in-flight transfers included).
+    pub ports: &'a Ports,
     /// Completed transfers, in completion order.
     pub records: &'a [TransferRecord],
+}
+
+impl<'a> CheckpointView<'a> {
+    /// `src`'s not-yet-granted destinations, in send order — the kernel's
+    /// own slice, not a copy.
+    pub fn remaining(&self, src: usize) -> &'a [usize] {
+        self.ports.remaining(src)
+    }
 }
 
 /// The hook's verdict.
@@ -103,7 +107,7 @@ pub enum CheckpointAction {
     /// Replace the remaining queues. Each sender's new queue must hold
     /// exactly the destinations of its old one (in-flight and completed
     /// messages cannot be re-planned).
-    Replan(Vec<VecDeque<usize>>),
+    Replan(Vec<Vec<usize>>),
 }
 
 /// A completed shaped run.
@@ -467,23 +471,18 @@ where
             return;
         }
         self.checkpoints_evaluated += 1;
-        let remaining: Vec<VecDeque<usize>> = (0..p)
-            .map(|s| ports.remaining(s).iter().copied().collect())
-            .collect();
         let view = CheckpointView {
             completed: self.records.len(),
             total: self.total,
             now: Millis::new(now),
-            remaining: &remaining,
-            send_busy_until: ports.send_busy_until(),
-            recv_busy_until: ports.recv_busy_until(),
+            ports,
             records: &self.records,
         };
         if let CheckpointAction::Replan(queues) = (self.hook)(&view) {
             assert_eq!(queues.len(), p, "replan changed processor count");
-            for (src, (old, new)) in remaining.iter().zip(&queues).enumerate() {
-                let mut a: Vec<usize> = old.iter().copied().collect();
-                let mut b: Vec<usize> = new.iter().copied().collect();
+            for (src, new) in queues.iter().enumerate() {
+                let mut a = ports.remaining(src).to_vec();
+                let mut b = new.clone();
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b, "replan changed sender {src}'s remaining messages");
@@ -1074,10 +1073,8 @@ mod tests {
             assert_eq!(view.records.len(), view.completed);
             // Reverse every sender's remaining queue: a valid replan
             // (same multiset), deliberately different order.
-            let reversed = view
-                .remaining
-                .iter()
-                .map(|q| q.iter().rev().copied().collect())
+            let reversed = (0..p)
+                .map(|s| view.remaining(s).iter().rev().copied().collect())
                 .collect();
             CheckpointAction::Replan(reversed)
         })
@@ -1100,6 +1097,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "replan changed sender 0's remaining messages")]
+    fn a_replan_that_changes_a_senders_remaining_set_panics() {
+        let p = 4;
+        let net = hetero_net(p);
+        let sizes = mixed_sizes(p);
+        let order = OpenShop.send_order(&CommMatrix::from_model(&net, &sizes));
+        let transport = ChannelTransport::new(p);
+        let config = ShapedConfig {
+            policy: CheckpointPolicy::EveryEvent,
+            ..Default::default()
+        };
+        // The hook drops what sender 0 still owes (at the first checkpoint
+        // that is at least one message of its three).
+        let _ = run_shaped(
+            &order.order,
+            &sizes,
+            &mut still(net),
+            &transport,
+            config,
+            |view| {
+                let mut queues: Vec<Vec<usize>> =
+                    (0..p).map(|s| view.remaining(s).to_vec()).collect();
+                queues[0].clear();
+                CheckpointAction::Replan(queues)
+            },
+        );
     }
 
     #[test]

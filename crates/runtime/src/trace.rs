@@ -67,44 +67,6 @@ impl RunTrace {
     pub fn wall_elapsed_us(&self) -> u64 {
         self.events.iter().map(|e| e.wall_us).max().unwrap_or(0)
     }
-
-    /// How far wall-clock and modeled orderings agree: the fraction of
-    /// completion pairs whose wall order matches their modeled order.
-    /// 1.0 means the live execution realized the modeled timeline
-    /// faithfully; paced backends should score near 1, unpaced ones
-    /// (virtual time, instant wall-clock) may not.
-    pub fn ordering_fidelity(&self) -> f64 {
-        let completes: Vec<&RuntimeEvent> = self
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Complete)
-            .collect();
-        let n = completes.len();
-        if n < 2 {
-            return 1.0;
-        }
-        let mut agree = 0usize;
-        let mut total = 0usize;
-        for i in 0..n {
-            for j in i + 1..n {
-                let (a, b) = (completes[i], completes[j]);
-                if a.modeled.as_ms() == b.modeled.as_ms() {
-                    continue;
-                }
-                total += 1;
-                let modeled_first = a.modeled.as_ms() < b.modeled.as_ms();
-                let wall_first = a.wall_us <= b.wall_us;
-                if modeled_first == wall_first {
-                    agree += 1;
-                }
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            agree as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,24 +105,5 @@ mod tests {
         };
         assert_eq!(pending.makespan().as_ms(), 0.0);
         assert_eq!(pending.wall_elapsed_us(), 2);
-    }
-
-    #[test]
-    fn ordering_fidelity_bounds() {
-        let faithful = RunTrace {
-            events: vec![
-                ev(EventKind::Complete, 0, 1, 5.0, 10),
-                ev(EventKind::Complete, 1, 2, 9.0, 20),
-            ],
-        };
-        assert_eq!(faithful.ordering_fidelity(), 1.0);
-        let inverted = RunTrace {
-            events: vec![
-                ev(EventKind::Complete, 0, 1, 5.0, 30),
-                ev(EventKind::Complete, 1, 2, 9.0, 20),
-            ],
-        };
-        assert_eq!(inverted.ordering_fidelity(), 0.0);
-        assert_eq!(RunTrace::new().ordering_fidelity(), 1.0);
     }
 }

@@ -27,7 +27,6 @@ use adaptcomm_sim::dynamic::{openshop_replan, run_adaptive, AdaptiveConfig, Repl
 use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::{run_static, Fault, NetworkEvolution, ScriptedFaults};
 use adaptcomm_workloads::Scenario;
-use std::collections::VecDeque;
 
 /// Start-up 10 ms + 10 ms·k at 500 kbit/s, uniform 100 kB.
 fn tied_instance(p: usize, kind: usize) -> (NetParams, Vec<Vec<Bytes>>) {
@@ -106,16 +105,11 @@ where
         if self.checkpoints.binary_search(&ports.completed()).is_err() {
             return;
         }
-        let remaining: Vec<VecDeque<usize>> = (0..self.sizes.len())
-            .map(|s| ports.remaining(s).iter().copied().collect())
-            .collect();
         let view = CheckpointView {
             completed: ports.completed(),
             total: self.total,
             now: Millis::new(now),
-            remaining: &remaining,
-            send_busy_until: ports.send_busy_until(),
-            recv_busy_until: ports.recv_busy_until(),
+            ports,
             records: &self.records,
         };
         if let CheckpointAction::Replan(queues) = (self.hook)(&view) {
@@ -181,10 +175,6 @@ where
     (out.records, out.reschedules)
 }
 
-fn vecs(queues: &[VecDeque<usize>]) -> Vec<Vec<usize>> {
-    queues.iter().map(|q| q.iter().copied().collect()).collect()
-}
-
 type Hook<'a> = Box<dyn FnMut(&CheckpointView<'_>) -> CheckpointAction + 'a>;
 
 /// The replanning hooks under test, each with the checkpoints it runs at.
@@ -195,26 +185,26 @@ fn hooks<'a>(
     twin: &'a dyn Fn() -> ScriptedFaults,
 ) -> Vec<(&'static str, CheckpointPolicy, Hook<'a>)> {
     let mut live = twin();
+    let p = sizes.len();
     vec![
         (
             "reverse every event",
             CheckpointPolicy::EveryEvent,
-            Box::new(|view: &CheckpointView<'_>| {
-                let reversed = view
-                    .remaining
-                    .iter()
-                    .map(|q| q.iter().rev().copied().collect());
+            Box::new(move |view: &CheckpointView<'_>| {
+                let reversed = (0..p).map(|s| view.remaining(s).iter().rev().copied().collect());
                 CheckpointAction::Replan(reversed.collect())
             }),
         ),
         (
             "rotate every third",
             CheckpointPolicy::EveryK(3),
-            Box::new(|view: &CheckpointView<'_>| {
-                let mut queues = view.remaining.to_vec();
-                queues
-                    .iter_mut()
-                    .for_each(|q| q.rotate_left(1.min(q.len())));
+            Box::new(move |view: &CheckpointView<'_>| {
+                let mut queues: Vec<Vec<usize>> =
+                    (0..p).map(|s| view.remaining(s).to_vec()).collect();
+                for q in &mut queues {
+                    let k = 1.min(q.len());
+                    q.rotate_left(k);
+                }
                 CheckpointAction::Replan(queues)
             }),
         ),
@@ -223,9 +213,9 @@ fn hooks<'a>(
             CheckpointPolicy::EveryEvent,
             Box::new(move |view: &CheckpointView<'_>| {
                 CheckpointAction::Replan(openshop_replan(
-                    &vecs(view.remaining),
-                    view.send_busy_until,
-                    view.recv_busy_until,
+                    |s| view.remaining(s),
+                    view.ports.send_busy_until(),
+                    view.ports.recv_busy_until(),
                     view.now.as_ms(),
                     &live.table_at(view.now),
                     sizes,
@@ -352,9 +342,9 @@ fn deviation_hook<'a>(
         }
         (base_obs, base_plan) = (now, plan_at);
         CheckpointAction::Replan(openshop_replan(
-            &vecs(view.remaining),
-            view.send_busy_until,
-            view.recv_busy_until,
+            |s| view.remaining(s),
+            view.ports.send_busy_until(),
+            view.ports.recv_busy_until(),
             now,
             &live.table_at(view.now),
             sizes,

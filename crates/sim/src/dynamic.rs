@@ -22,7 +22,7 @@
 //! snapshot. In-flight transfers are never aborted.
 
 use crate::executor::{sim_run, TransferRecord};
-use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler, OpenShop};
+use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler, OpenShop, Scheduler};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::kernel::{self, Policy, Ports};
 use adaptcomm_core::matrix::CommMatrix;
@@ -30,7 +30,6 @@ use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
-use std::collections::VecDeque;
 
 pub use adaptcomm_core::kernel::RunError as SimError;
 pub use adaptcomm_model::evolution::NetworkEvolution;
@@ -88,27 +87,29 @@ pub struct DynamicOutcome {
 /// earliest-available sender with its earliest-available remaining
 /// receiver, repeatedly, using fresh cost estimates.
 ///
-/// `remaining[src]` lists the not-yet-started destinations of each
-/// sender; `send_busy_until` / `recv_busy_until` give the times each
-/// port frees up (in-flight transfers are never aborted); `now` is the
-/// checkpoint time. Public so the live runtime
-/// (`adaptcomm-runtime`) applies the *same* decision rule as this
-/// simulator — any divergence between the two would otherwise show up
-/// as spurious cross-validation error, not as a scheduling difference.
-pub fn openshop_replan(
-    remaining: &[Vec<usize>],
+/// `remaining(src)` lists the not-yet-started destinations of each
+/// sender (the kernel's own slices, or a retry's lists);
+/// `send_busy_until` / `recv_busy_until` give the times each port frees
+/// up (in-flight transfers are never aborted); `now` is the checkpoint
+/// time. Public because the live runtime (`adaptcomm-runtime`) also
+/// replans what a *fault* left over with it, outside any checkpoint.
+pub fn openshop_replan<'q>(
+    remaining: impl Fn(usize) -> &'q [usize],
     send_busy_until: &[f64],
     recv_busy_until: &[f64],
     now: f64,
     estimates: &NetParams,
     sizes: &[Vec<Bytes>],
-) -> Vec<VecDeque<usize>> {
-    let p = remaining.len();
+) -> Vec<Vec<usize>> {
+    let p = send_busy_until.len();
     let mut owes = vec![false; p * p];
-    for (src, dsts) in remaining.iter().enumerate() {
+    let mut order = Vec::with_capacity(p);
+    for src in 0..p {
+        let dsts = remaining(src);
         for &dst in dsts {
             owes[src * p + dst] = true;
         }
+        order.push(Vec::with_capacity(dsts.len()));
     }
     let events = OpenShop::list_schedule(
         owes,
@@ -116,9 +117,8 @@ pub fn openshop_replan(
         recv_busy_until.iter().map(|&t| t.max(now)).collect(),
         |src, dst| estimates.message_time(src, dst, sizes[src][dst]).as_ms(),
     );
-    let mut order: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
     for e in events {
-        order[e.src].push_back(e.dst);
+        order[e.src].push(e.dst);
     }
     order
 }
@@ -131,32 +131,132 @@ pub fn openshop_replan(
 /// not modelled: the matching schedule is step-structured, and the
 /// already-running transfers simply delay their senders' first new
 /// message.
-pub fn matching_replan(
+fn matching_replan<'q>(
     scheduler: &MatchingScheduler,
-    remaining: &[Vec<usize>],
+    remaining: impl Fn(usize) -> &'q [usize],
     estimates: &NetParams,
     sizes: &[Vec<Bytes>],
-) -> Vec<VecDeque<usize>> {
-    let p = remaining.len();
-    let matrix = CommMatrix::from_model(estimates, sizes);
-    let plan = scheduler.plan(&matrix);
-    let mut keep: Vec<Vec<bool>> = vec![vec![false; p]; p];
-    for (s, dsts) in remaining.iter().enumerate() {
-        for &d in dsts {
-            keep[s][d] = true;
-        }
-    }
-    let mut order: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
+) -> Vec<Vec<usize>> {
+    let plan = scheduler.plan(&CommMatrix::from_model(estimates, sizes));
+    let mut order: Vec<Vec<usize>> = (0..estimates.len())
+        .map(|src| Vec::with_capacity(remaining(src).len()))
+        .collect();
     for step in &plan.steps {
         for (src, dst) in step.iter().enumerate() {
-            if let Some(d) = *dst {
-                if keep[src][d] {
-                    order[src].push_back(d);
-                }
+            if let Some(d) = dst.filter(|d| remaining(src).contains(d)) {
+                order[src].push(d);
             }
         }
     }
     order
+}
+
+/// The §6.3 decision state, held by [`run_adaptive`]'s policy and by the
+/// live runtime's `CheckpointedRun` alike: the plan progress is judged
+/// against, where the current segment began, and the replanner with the
+/// matching plan it retains. Planned vs observed progress is computed in
+/// [`Replanning::segment`] and nowhere else, so simulated and live
+/// adaptation decide alike by construction; what a caller adds is its
+/// own trigger (a [`RescheduleRule`], a change detector) and bookkeeping.
+#[derive(Debug)]
+pub struct Replanning<'a> {
+    sizes: &'a [Vec<Bytes>],
+    /// Planned completion instants, ascending.
+    planned: Vec<f64>,
+    /// The retaining scheduler of [`Replanner::Matching`].
+    matching: Option<MatchingScheduler>,
+    // Where the current segment began: the start, then the last replan.
+    base_obs: f64,
+    base_plan: f64,
+}
+
+impl<'a> Replanning<'a> {
+    /// Prices `lists` from `start_at` on a network frozen at `estimates`
+    /// — the plan — and, for the matching replanner (`threads` LAP
+    /// workers), primes the retained plan with that same instance, so
+    /// that even the *first* in-run replan is incremental (§6): it pays
+    /// only for the rounds the drift invalidated.
+    pub fn new(
+        replanner: Replanner,
+        threads: usize,
+        lists: &[Vec<usize>],
+        sizes: &'a [Vec<Bytes>],
+        estimates: &NetParams,
+        start_at: f64,
+    ) -> Self {
+        let mut cost =
+            |src: usize, dst: usize| estimates.message_time(src, dst, sizes[src][dst]).as_ms();
+        let (ports, end) = kernel::run_from(lists, start_at, &mut cost);
+        end.unwrap_or_else(|e| panic!("{e}"));
+        let mut planned: Vec<f64> = ports.started().iter().map(|e| e.finish.as_ms()).collect();
+        planned.sort_unstable_by(f64::total_cmp);
+        let matching = match replanner {
+            Replanner::Matching(kind) => {
+                let sched = MatchingScheduler::with_threads(kind, threads);
+                sched.plan(&CommMatrix::from_model(estimates, sizes));
+                Some(sched)
+            }
+            Replanner::OpenShop => None,
+        };
+        Replanning {
+            sizes,
+            planned,
+            matching,
+            base_obs: start_at,
+            base_plan: start_at,
+        }
+    }
+
+    /// When the plan's last transfer completes (zero for an empty plan).
+    pub fn planned_makespan(&self) -> Millis {
+        Millis::new(self.planned.last().copied().unwrap_or(0.0))
+    }
+
+    /// `(planned, observed)` milliseconds elapsed since the last replan
+    /// (or the start), at the checkpoint after the `completed`-th
+    /// completion at time `now`. Segment-relative, so one early slowdown
+    /// does not count against every later checkpoint.
+    pub fn segment(&self, completed: usize, now: f64) -> (f64, f64) {
+        (
+            self.planned[completed - 1] - self.base_plan,
+            now - self.base_obs,
+        )
+    }
+
+    /// Starts a new segment at this checkpoint and replans what has not
+    /// started from the `fresh` estimates: the arguments are those of
+    /// [`openshop_replan`], the result the new per-sender queues.
+    pub fn replan<'q>(
+        &mut self,
+        remaining: impl Fn(usize) -> &'q [usize],
+        send_busy_until: &[f64],
+        recv_busy_until: &[f64],
+        completed: usize,
+        now: f64,
+        fresh: &NetParams,
+    ) -> Vec<Vec<usize>> {
+        self.base_obs = now;
+        self.base_plan = self.planned[completed - 1];
+        match &self.matching {
+            Some(sched) => matching_replan(sched, remaining, fresh, self.sizes),
+            None => openshop_replan(
+                remaining,
+                send_busy_until,
+                recv_busy_until,
+                now,
+                fresh,
+                self.sizes,
+            ),
+        }
+    }
+
+    /// Whether the last replan spliced the retained matching plan
+    /// (certified rounds kept, only dirty ones re-solved) instead of
+    /// building from scratch. Never true for [`Replanner::OpenShop`].
+    pub fn spliced(&self) -> bool {
+        let disposition = (self.matching.as_ref()).and_then(|s| s.construction_disposition());
+        matches!(disposition, Some("incremental" | "hit"))
+    }
 }
 
 /// Executes `initial_order` while the network follows `trace`.
@@ -195,42 +295,28 @@ pub fn run_adaptive_checked(
     assert_eq!(sizes.len(), p, "sizes do not match trace");
     let total_events: usize = initial_order.order.iter().map(|l| l.len()).sum();
 
-    let checkpoint_set: Vec<usize> = config.policy.checkpoints(total_events);
-    // Only a checkpoint consults the plan, so an oblivious run builds
-    // neither the planned completion instants (from the base estimates)
-    // nor the matching replanner — which retains its plan across replans:
-    // priming it with the planning-estimates instance makes even the
-    // *first* in-run replan incremental (it pays only the drifted rounds).
-    let (planned, matching_sched) = if checkpoint_set.is_empty() {
-        (Vec::new(), None)
-    } else {
-        let est_matrix = CommMatrix::from_model(trace.planning_estimates(), sizes);
-        let mut cell = |src: usize, dst: usize| est_matrix.row(src)[dst];
-        let plan = kernel::run(&initial_order.order, &mut cell).unwrap_or_else(|e| panic!("{e}"));
-        let mut finishes: Vec<f64> = plan.events.iter().map(|e| e.finish.as_ms()).collect();
-        finishes.sort_unstable_by(f64::total_cmp);
-        let matching_sched = match config.replanner {
-            Replanner::Matching(kind) => {
-                let sched = MatchingScheduler::new(kind);
-                sched.plan(&est_matrix);
-                Some(sched)
-            }
-            Replanner::OpenShop => None,
-        };
-        (finishes, matching_sched)
-    };
-
+    let checkpoints = config.policy.checkpoints(total_events);
+    // Only a checkpoint consults the plan, so an oblivious run neither
+    // prices it nor builds a replanner.
+    let replanning = (!checkpoints.is_empty()).then(|| {
+        let estimates = trace.planning_estimates();
+        Replanning::new(
+            config.replanner,
+            1,
+            &initial_order.order,
+            sizes,
+            estimates,
+            0.0,
+        )
+    });
     let mut policy = Adaptive {
         trace,
         sizes,
         rule: config.rule,
-        checkpoints: checkpoint_set,
-        planned,
-        matching_sched,
+        checkpoints,
+        replanning,
         checkpoints_evaluated: 0,
         reschedules: 0,
-        base_obs: 0.0,
-        base_plan: 0.0,
     };
     let run = sim_run(kernel::run(&initial_order.order, &mut policy)?, sizes);
     Ok(DynamicOutcome {
@@ -249,14 +335,10 @@ struct Adaptive<'a, E> {
     rule: RescheduleRule,
     /// Completion counts at which the rule is evaluated, ascending.
     checkpoints: Vec<usize>,
-    /// Planned completion instants, ascending.
-    planned: Vec<f64>,
-    matching_sched: Option<MatchingScheduler>,
+    /// Present iff there are checkpoints.
+    replanning: Option<Replanning<'a>>,
     checkpoints_evaluated: usize,
     reschedules: usize,
-    // Baselines for segment-relative deviation measurement.
-    base_obs: f64,
-    base_plan: f64,
 }
 
 impl<E: NetworkEvolution> Policy for Adaptive<'_, E> {
@@ -272,30 +354,21 @@ impl<E: NetworkEvolution> Policy for Adaptive<'_, E> {
             return;
         }
         self.checkpoints_evaluated += 1;
-        let plan_at = self.planned[completed - 1];
-        let seg_obs = now - self.base_obs;
-        let seg_plan = plan_at - self.base_plan;
+        let replanning = (self.replanning.as_mut()).expect("a checkpoint implies a plan");
+        let (seg_plan, seg_obs) = replanning.segment(completed, now);
         if !self.rule.should_reschedule(seg_plan, seg_obs) {
             return;
         }
         self.reschedules += 1;
-        self.base_obs = now;
-        self.base_plan = plan_at;
-        let remaining: Vec<Vec<usize>> = (0..self.sizes.len())
-            .map(|src| ports.remaining(src).to_vec())
-            .collect();
         let fresh = self.trace.table_at(Millis::new(now));
-        let queues = match &self.matching_sched {
-            Some(sched) => matching_replan(sched, &remaining, &fresh, self.sizes),
-            None => openshop_replan(
-                &remaining,
-                ports.send_busy_until(),
-                ports.recv_busy_until(),
-                now,
-                &fresh,
-                self.sizes,
-            ),
-        };
+        let queues = replanning.replan(
+            |src| ports.remaining(src),
+            ports.send_busy_until(),
+            ports.recv_busy_until(),
+            completed,
+            now,
+            &fresh,
+        );
         ports.replan(queues);
     }
 }
@@ -303,7 +376,6 @@ impl<E: NetworkEvolution> Policy for Adaptive<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptcomm_core::algorithms::Scheduler;
     use adaptcomm_core::execution::execute_listed;
     use adaptcomm_core::kernel::ScheduleError;
     use adaptcomm_model::cost::LinkEstimate;
@@ -465,6 +537,44 @@ mod tests {
                 assert!(w[0].finish.as_ms() <= w[1].start.as_ms() + 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn segment_is_relative_to_the_last_replan_and_a_replan_rebases_both_sides() {
+        // Three senders, two rounds, every message 16 ms (start-up only):
+        // the plan completes three transfers at 16 ms and three at 32 ms.
+        let net = NetParams::uniform(3, Millis::new(16.0), Bandwidth::from_kbps(500.0));
+        let sizes = vec![vec![Bytes::ZERO; 3]; 3];
+        let lists = vec![vec![1, 2], vec![2, 0], vec![0, 1]];
+        let mut r = Replanning::new(Replanner::OpenShop, 1, &lists, &sizes, &net, 0.0);
+        assert_eq!(r.planned_makespan().as_ms(), 32.0);
+        // Before any replan both sides count from the start.
+        assert_eq!(r.segment(1, 24.0), (16.0, 24.0));
+        assert_eq!(r.segment(4, 50.0), (32.0, 50.0));
+        // A replan after the third completion, observed at 28 ms, when
+        // the plan had it at 16 ms: the queues keep their sets ...
+        let remaining = [vec![2], vec![0], vec![1]];
+        let busy = [28.0; 3];
+        let queues = r.replan(|src| &remaining[src], &busy, &busy, 3, 28.0, &net);
+        assert_eq!(queues, remaining);
+        assert!(!r.spliced(), "the open shop rebuilds from scratch");
+        // ... and the same checkpoint now reads relative to (16, 28).
+        assert_eq!(r.segment(4, 50.0), (16.0, 22.0));
+
+        // A retry's plan starts where the retry does.
+        let retry = Replanning::new(Replanner::OpenShop, 1, &remaining, &sizes, &net, 100.0);
+        assert_eq!(retry.planned_makespan().as_ms(), 116.0);
+        assert_eq!(retry.segment(3, 120.0), (16.0, 20.0));
+
+        // The matching replanner is primed by `new`: a replan on unchanged
+        // estimates replays the retained plan instead of re-solving it.
+        let kind = Replanner::Matching(MatchingKind::Max);
+        let mut m = Replanning::new(kind, 1, &lists, &sizes, &net, 0.0);
+        assert!(!m.spliced(), "priming is a cold build");
+        let queues = m.replan(|src| &remaining[src], &busy, &busy, 3, 28.0, &net);
+        assert_eq!(queues, remaining);
+        assert!(m.spliced());
+        assert_eq!(m.segment(4, 50.0), (16.0, 22.0));
     }
 
     /// An evolution whose live state carries a NaN startup on one link:

@@ -45,21 +45,6 @@ impl SimRun {
         let makespan = records.last().map_or(Millis::ZERO, |r| r.finish);
         SimRun { records, makespan }
     }
-
-    /// The realized transfers as explain-plane records, ready for
-    /// `adaptcomm_obs::causal::CausalDag::new` (critical path, blame,
-    /// what-if projections).
-    pub fn causal_transfers(&self) -> Vec<adaptcomm_obs::causal::Transfer> {
-        self.records
-            .iter()
-            .map(|r| adaptcomm_obs::causal::Transfer {
-                src: r.src,
-                dst: r.dst,
-                start_ms: r.start.as_ms(),
-                dur_ms: (r.finish - r.start).as_ms(),
-            })
-            .collect()
-    }
 }
 
 /// Kernel events as records carrying their sizes, in start order.

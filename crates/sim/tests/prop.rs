@@ -17,7 +17,6 @@ use adaptcomm_sim::dynamic::{openshop_replan, run_adaptive, AdaptiveConfig, Repl
 use adaptcomm_sim::interleaved::run_interleaved;
 use adaptcomm_sim::{run_static, TransferRecord};
 use proptest::prelude::*;
-use std::collections::VecDeque;
 
 /// Random instance: network, sizes, and a random valid send order.
 #[derive(Debug, Clone)]
@@ -152,12 +151,12 @@ fn openshop_replan_reference(
     now: f64,
     estimates: &NetParams,
     sizes: &[Vec<Bytes>],
-) -> Vec<VecDeque<usize>> {
+) -> Vec<Vec<usize>> {
     let p = remaining.len();
     let mut send_avail: Vec<f64> = send_busy_until.iter().map(|&t| t.max(now)).collect();
     let mut recv_avail: Vec<f64> = recv_busy_until.iter().map(|&t| t.max(now)).collect();
     let mut sets: Vec<Vec<usize>> = remaining.to_vec();
-    let mut order: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
+    let mut order: Vec<Vec<usize>> = vec![Vec::new(); p];
     let mut active: Vec<usize> = (0..p).filter(|&i| !sets[i].is_empty()).collect();
     while !active.is_empty() {
         let (pos, &i) = active
@@ -174,7 +173,7 @@ fn openshop_replan_reference(
         let fin = t + estimates.message_time(i, j, sizes[i][j]).as_ms();
         send_avail[i] = fin;
         recv_avail[j] = fin;
-        order[i].push_back(j);
+        order[i].push(j);
         sets[i].swap_remove(rpos);
         if sets[i].is_empty() {
             active.swap_remove(pos);
@@ -221,7 +220,7 @@ proptest! {
         } else {
             inst.net.clone()
         };
-        let got = openshop_replan(&remaining, &send, &recv, now, &net, &inst.sizes);
+        let got = openshop_replan(|s| &remaining[s], &send, &recv, now, &net, &inst.sizes);
         let want = openshop_replan_reference(&remaining, &send, &recv, now, &net, &inst.sizes);
         prop_assert_eq!(got, want);
     }

@@ -6,8 +6,9 @@
 //! ```
 
 use adaptcomm::prelude::*;
+use adaptcomm::scheduling::execution::execute_steps_pairwise;
 use adaptcomm::scheduling::paper::running_example;
-use adaptcomm::scheduling::{bounds, depgraph};
+use adaptcomm::scheduling::{analyze, bounds, depgraph};
 
 fn main() {
     let matrix = running_example();
@@ -42,13 +43,10 @@ fn main() {
 
     // Figure 5 / Theorem 2: the dependence-graph view of the baseline.
     println!("== Figure 5: baseline dependence-graph critical path ==");
-    let path = depgraph::baseline_critical_path(&matrix);
-    for (src, dst) in &path {
-        if src == dst {
-            println!("  step 0: P{src} local copy (free)");
-        } else {
-            println!("  P{src} -> P{dst}  ({})", matrix.cost(*src, *dst));
-        }
+    let stepped = execute_steps_pairwise(&Baseline::steps(matrix.len()), &matrix);
+    for hop in analyze::dag_of(&stepped).critical_path() {
+        let (src, dst) = (hop.transfer.src, hop.transfer.dst);
+        println!("  P{src} -> P{dst}  ({})", matrix.cost(src, dst));
     }
     println!(
         "  critical path total = {} (step-ordered completion)\n",
