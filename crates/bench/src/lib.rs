@@ -5,8 +5,7 @@
 //! binary measures the *cost* of running the schedulers themselves at
 //! large `P` and gates it against `BENCH_sched.json` (the §6.2
 //! motivation: "the overhead for repeatedly calculating the
-//! communication schedule at run-time can be expensive"); the Criterion
-//! benches in `benches/` are for interactive comparison.
+//! communication schedule at run-time can be expensive").
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

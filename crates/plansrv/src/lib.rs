@@ -9,21 +9,28 @@
 //! plans it has already computed, warm-starting plans it has *almost*
 //! computed, and refusing work it cannot finish in time.
 //!
-//! Four layers, front to back:
+//! Five layers, front to back:
 //!
 //! * [`proto`] — the framed wire protocol: 16-byte length-prefixed
 //!   headers (shared with the runtime transport) around hand-rolled
 //!   single-line JSON; every decode failure is a typed
 //!   [`proto::ProtocolError`].
-//! * [`admission`] — §6 QoS at the door: priority tiers, EDF within a
-//!   tier, projected-completion deadline tests, reject-with-retry-after.
+//! * [`service`] — the decision core: one plain value owning the cache,
+//!   the admission queue, the idle workers, the tenant state, the
+//!   service-time estimates and the reject streak. It is driven by
+//!   request and solved events with the time passed in, reads no clock,
+//!   and returns the replies and solves to carry out — so its replies
+//!   are a function of the event sequence.
+//! * [`admission`] — §6 QoS at the door, as a plain queue the core
+//!   owns: priority tiers, EDF within a tier, projected-completion
+//!   deadline tests, reject-with-retry-after.
 //! * [`cache`] — the fingerprint-keyed plan cache: exact keys replay
 //!   plans verbatim; quantized-bucket near-keys nominate cross-job
 //!   warm starts confirmed by direct deviation measurement and seeded
 //!   from retained LAP dual potentials.
-//! * [`server`] / [`client`] — the TCP service (sharded per-tenant
-//!   directory, exact hits replayed on the connection thread, a worker
-//!   pool for everything that must solve, graceful drain) and its
+//! * [`server`] / [`client`] — the TCP shell (the core behind one lock,
+//!   connection threads that move frames and answer exact hits, worker
+//!   threads that only run solves, the clock, graceful drain) and its
 //!   blocking client.
 //!
 //! # Example
@@ -55,8 +62,8 @@ pub mod cache;
 pub mod client;
 pub mod proto;
 pub mod server;
+pub mod service;
 
-pub use admission::{AdmissionError, AdmissionQueue};
 pub use cache::{CacheLookup, CacheStats, PlanCache};
 pub use client::{ClientError, PlanClient};
 pub use proto::{CacheDisposition, PlanRequest, PlanResponse, ProtocolError, QosSpec};
