@@ -325,11 +325,10 @@ pub fn adaptivity_study(p: usize, trials: u64) -> Vec<(&'static str, Millis, f64
 /// the one-pass heuristics? Returns `(label, mean lb-ratio)` rows.
 pub fn refinement_study(p: usize, trials: u64) -> Vec<(&'static str, f64)> {
     use adaptcomm_core::algorithms::{Greedy, RandomOrder, Scheduler};
-    use adaptcomm_core::anneal::{anneal, AnnealConfig};
     use adaptcomm_core::execution::execute_listed;
     use adaptcomm_core::improve::{improve, ImproveConfig};
 
-    let mut sums = [0.0f64; 5];
+    let mut sums = [0.0f64; 4];
     for trial in 0..trials {
         let inst = Scenario::Mixed.instance(p, trial * 211 + 13);
         let lb = inst.matrix.lower_bound().as_ms();
@@ -345,25 +344,8 @@ pub fn refinement_study(p: usize, trials: u64) -> Vec<(&'static str, f64)> {
             .as_ms()
             / lb;
         sums[3] += improve(&greedy, &inst.matrix, ImproveConfig::default()).after / lb;
-        sums[4] += anneal(
-            &greedy,
-            &inst.matrix,
-            AnnealConfig {
-                iterations: 1_500,
-                seed: trial,
-                ..Default::default()
-            },
-        )
-        .after
-            / lb;
     }
-    let labels = [
-        "random",
-        "random+climb",
-        "greedy",
-        "greedy+climb",
-        "greedy+anneal",
-    ];
+    let labels = ["random", "random+climb", "greedy", "greedy+climb"];
     labels
         .iter()
         .zip(sums)
@@ -378,7 +360,7 @@ pub fn refinement_study(p: usize, trials: u64) -> Vec<(&'static str, f64)> {
 pub fn incremental_study(p: usize, cycles: usize, seed: u64) -> Vec<(&'static str, f64, usize)> {
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_core::execution::execute_listed;
-    use adaptcomm_core::incremental::{IncrementalConfig, IncrementalScheduler};
+    use adaptcomm_core::incremental::IncrementalScheduler;
     use adaptcomm_core::matrix::CommMatrix;
     use adaptcomm_workloads::SizeMatrix;
 
@@ -413,30 +395,15 @@ pub fn incremental_study(p: usize, cycles: usize, seed: u64) -> Vec<(&'static st
     }
     results.push(("recompute", ratio_sum / cycles as f64, cycles));
 
-    // (b) incremental, both repair strategies.
-    for (label, repair) in [
-        (
-            "inc-resort",
-            adaptcomm_core::incremental::RepairStrategy::Resort,
-        ),
-        (
-            "inc-search",
-            adaptcomm_core::incremental::RepairStrategy::LocalSearch { max_moves: 150 },
-        ),
-    ] {
-        let cfg = IncrementalConfig {
-            repair,
-            ..Default::default()
-        };
-        let mut inc = IncrementalScheduler::new(OpenShop, cfg, initial.clone());
-        let mut ratio_sum = 0.0;
-        for m in &matrices {
-            let (sched, _) = inc.update(m.clone());
-            ratio_sum += sched.completion_time().as_ms() / m.lower_bound().as_ms();
-        }
-        let (_, _, recomputes) = inc.stats();
-        results.push((label, ratio_sum / cycles as f64, recomputes - 1));
+    // (b) incremental: keep, repair by local search, or recompute.
+    let mut inc = IncrementalScheduler::new(OpenShop, initial.clone());
+    let mut ratio_sum = 0.0;
+    for m in &matrices {
+        let (sched, _) = inc.update(m.clone());
+        ratio_sum += sched.completion_time().as_ms() / m.lower_bound().as_ms();
     }
+    let (_, _, recomputes) = inc.stats();
+    results.push(("inc-search", ratio_sum / cycles as f64, recomputes - 1));
 
     // (c) frozen initial order.
     let frozen = OpenShop.send_order(&initial);
@@ -749,7 +716,6 @@ mod tests {
         let get = |name: &str| rows.iter().find(|r| r.0 == name).unwrap().1;
         assert!(get("random+climb") <= get("random") + 1e-9);
         assert!(get("greedy+climb") <= get("greedy") + 1e-9);
-        assert!(get("greedy+anneal") <= get("greedy") + 1e-9);
         for (_, ratio) in rows {
             assert!(ratio >= 1.0 - 1e-9);
         }

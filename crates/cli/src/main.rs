@@ -161,7 +161,7 @@ USAGE:
       server-side admission/worker/solve spans it fanned into — line up
       as one cross-process request tree in Perfetto.
 
-  adaptcomm plan-server [--addr <host:port>] [--workers <N>] [--shards <N>]
+  adaptcomm plan-server [--addr <host:port>] [--workers <N>]
                         [--cache <entries>] [--near-tolerance <frac>]
                         [--est-ms <ms>] [--threads <N>] [--pace-ms <ms>]
                         [--obs <path>] [--metrics-port <port>]
@@ -174,7 +174,7 @@ USAGE:
       (priority tiers, EDF, deadline rejection). --addr defaults to an
       ephemeral loopback port, printed on startup. Runs until a client
       sends the shutdown frame (`plan-client --shutdown`); prints cache
-      and per-tenant directory statistics on exit. --est-ms is the
+      statistics and each tenant's epoch on exit. --est-ms is the
       service time deadline admission assumes for an (algorithm, P) pair
       it has not timed yet (default 10). --pace-ms stretches every
       cold/warm solve for deterministic queueing demos.
@@ -332,7 +332,6 @@ const COMMANDS: &[args::Command] = &[
         values: &[
             "addr",
             "workers",
-            "shards",
             "cache",
             "near-tolerance",
             "est-ms",
@@ -1331,7 +1330,6 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
     let addr = opts.get("addr").unwrap_or_else(|| "127.0.0.1:0".into());
     let pace_ms: f64 = opts.parsed_or("pace-ms", 0.0)?;
     let config = PlanServerConfig {
-        shards: opts.parsed_or("shards", 4)?,
         workers: opts.parsed_or("workers", 2)?,
         cache_capacity: opts.parsed_or("cache", 256)?,
         near_tolerance: opts.parsed_or("near-tolerance", 0.10)?,
@@ -1358,13 +1356,8 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         stats.misses,
         stats.evictions
     );
-    for (tenant, dir) in service.directory().per_tenant_stats() {
-        println!(
-            "tenant {tenant}: {} publish(es), {} quer(ies), epoch {}",
-            dir.publishes,
-            dir.queries,
-            service.directory().epoch(&tenant)
-        );
+    for (tenant, epoch) in service.tenant_epochs() {
+        println!("tenant {tenant}: epoch {epoch}");
     }
     drop(metrics);
     if let Some(path) = obs_path {

@@ -9,7 +9,6 @@
 
 pub mod baseline;
 pub mod greedy;
-pub mod hypercube;
 pub mod matching;
 pub mod openshop;
 pub mod optimal;
@@ -17,7 +16,6 @@ pub mod random_order;
 
 pub use baseline::Baseline;
 pub use greedy::Greedy;
-pub use hypercube::Hypercube;
 pub use matching::{MatchingKind, MatchingPlan, MatchingScheduler};
 pub use openshop::OpenShop;
 pub use optimal::BestOrderSearch;

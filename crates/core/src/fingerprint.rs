@@ -1,90 +1,25 @@
 //! Stable cost-matrix fingerprints for plan caching.
 //!
 //! The plan server caches schedules keyed by the cost matrix that
-//! produced them. Two keys are derived from a [`CommMatrix`], both
-//! 64-bit FNV-1a hashes over *quantized* cells so the scheme is stable
-//! across platforms and float formatting:
+//! produced them. [`CommMatrix::fingerprint`] is that key: a 64-bit
+//! FNV-1a hash ([`Fnv1a`], re-exported from `adaptcomm-obs`) over cells
+//! quantized on a fine grid (`2⁻²⁰` of the matrix scale), so the key is
+//! stable across platforms and float formatting. Bit-identical matrices
+//! — and matrices differing only by float noise far below scheduling
+//! relevance — collide, while any real perturbation produces a
+//! different key. An exact-key hit replays the cached plan verbatim.
 //!
-//! * [`CommMatrix::fingerprint`] — the **exact key**. Cells are
-//!   quantized on a fine grid (`2⁻²⁰` of the matrix scale), so
-//!   bit-identical matrices — and matrices differing only by float
-//!   noise far below scheduling relevance — collide, while any real
-//!   perturbation produces a different key. An exact-key hit replays
-//!   the cached plan verbatim.
-//! * [`CommMatrix::fingerprint_bucket`] — the **bucket key**. Cells are
-//!   quantized on a coarse logarithmic grid, so small relative
-//!   perturbations *usually* land in the same bucket and structurally
-//!   different matrices essentially never do. A bucket hit does not
-//!   replay the plan — it nominates a cached job whose retained dual
-//!   potentials warm-start the new solve.
-//!
-//! No single 64-bit key can be simultaneously sensitive to structure
-//! and invariant under arbitrary ±ε jitter (some cell always sits on a
-//! quantization boundary). The bucket key is therefore a *probabilistic
-//! accelerator*: the cache treats bucket equality as a candidate
-//! nomination and confirms with [`CommMatrix::max_rel_deviation`]
-//! before warm-starting, and it keeps a small recency ring per
-//! `(algorithm, P)` so a boundary-crossing perturbation still finds its
-//! neighbour by direct comparison. A missed nomination costs a cold
-//! solve, never a wrong plan.
+//! No 64-bit key can be sensitive to structure and invariant under
+//! arbitrary ±ε jitter at once (some cell always sits on a quantization
+//! boundary), so near matches are not keyed at all: the cache nominates
+//! its most recent entries at the same `P` and confirms each with
+//! [`CommMatrix::max_rel_deviation`] before replanning from it.
 
 use crate::matrix::CommMatrix;
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental 64-bit FNV-1a hasher over byte slices.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Hashes an arbitrary byte string (used e.g. to shard tenants).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(bytes);
-    h.finish()
-}
+pub use adaptcomm_obs::Fnv1a;
 
 /// Fine quantum for the exact key: `2⁻²⁰` (~1e-6) of the matrix scale.
 const EXACT_GRID: f64 = 1_048_576.0;
-/// Coarse bucket width for the near-hit key: cells are bucketed by
-/// `⌊ln(cell/scale)/ln(1.25)⌋`, i.e. one bucket spans a 25 % range.
-const BUCKET_BASE: f64 = 1.25;
-/// Cells below this fraction of the matrix scale all share the lowest
-/// bucket — at that size they are scheduling noise.
-const BUCKET_FLOOR: f64 = 1e-6;
 
 /// The quantization scale: the matrix's max cost snapped to the nearest
 /// power of two (so ±ε perturbations keep the same scale unless the max
@@ -117,36 +52,12 @@ impl CommMatrix {
         h.finish()
     }
 
-    /// A coarse 64-bit bucket fingerprint: cells are quantized on a
-    /// logarithmic grid (25 % per bucket) relative to the matrix scale,
-    /// so small relative perturbations usually hash identically. Used
-    /// to nominate warm-start candidates, never to replay plans — see
-    /// the [module docs](self).
-    pub fn fingerprint_bucket(&self) -> u64 {
-        let scale = scale_of(self);
-        let ln_base = BUCKET_BASE.ln();
-        let mut h = Fnv1a::new();
-        h.write_u64(self.len() as u64);
-        for src in 0..self.len() {
-            for &cell in self.row(src) {
-                let rel = cell / scale;
-                let bucket = if rel < BUCKET_FLOOR {
-                    i64::MIN
-                } else {
-                    (rel.ln() / ln_base).floor() as i64
-                };
-                h.write_u64(bucket as u64);
-            }
-        }
-        h.finish()
-    }
-
     /// The largest per-cell relative deviation between two matrices,
     /// with each cell's deviation measured against the larger of the
     /// two magnitudes (cells below `1e-9` of the scale compare equal).
     /// `None` if the dimensions differ. This is the confirmation step
-    /// behind a bucket-key nomination: a candidate is only warm-started
-    /// when the true deviation is within the cache's tolerance.
+    /// behind a near-match nomination: a candidate is only replanned
+    /// from when the true deviation is within the cache's tolerance.
     pub fn max_rel_deviation(&self, other: &CommMatrix) -> Option<f64> {
         if self.len() != other.len() {
             return None;
@@ -174,14 +85,12 @@ mod tests {
     }
 
     fn base(p: usize) -> CommMatrix {
-        // Cells sit mid-bucket on the 25 % log grid (the 1.2285 factor
-        // centres them), so ±ε jitter cannot cross a bucket boundary
-        // while consecutive generator values still differ by a bucket.
+        // Cells a quarter apart on a log grid.
         matrix(p, |s, d| {
             if s == d {
                 0.0
             } else {
-                10.0 * BUCKET_BASE.powi(((s * 13 + d * 7) % 11) as i32) * 1.2285
+                10.0 * 1.25f64.powi(((s * 13 + d * 7) % 11) as i32) * 1.2285
             }
         })
     }
@@ -191,7 +100,6 @@ mod tests {
         let a = base(8);
         let b = base(8);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint_bucket(), b.fingerprint_bucket());
     }
 
     #[test]
@@ -203,10 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn perturbations_land_in_the_same_bucket() {
+    fn perturbations_move_the_exact_key() {
         let a = base(8);
         // ±ε = ±0.5 % per cell, deterministic signs: real jitter, not
-        // float noise. The exact key must move, the bucket must not.
+        // float noise. The exact key must move; the deviation measures it.
         let b = matrix(8, |s, d| {
             let sign = if (s * 5 + d * 3) % 2 == 0 { 1.0 } else { -1.0 };
             a.cost(s, d).as_ms() * (1.0 + sign * 0.005)
@@ -215,11 +123,6 @@ mod tests {
             a.fingerprint(),
             b.fingerprint(),
             "ε-jitter must move the exact key"
-        );
-        assert_eq!(
-            a.fingerprint_bucket(),
-            b.fingerprint_bucket(),
-            "ε-jitter must keep the bucket key"
         );
         assert!(a.max_rel_deviation(&b).unwrap() < 0.006);
     }
@@ -232,10 +135,8 @@ mod tests {
         let bigger = base(9);
         for other in [&transposed, &scaled] {
             assert_ne!(a.fingerprint(), other.fingerprint());
-            assert_ne!(a.fingerprint_bucket(), other.fingerprint_bucket());
         }
         assert_ne!(a.fingerprint(), bigger.fingerprint());
-        assert_ne!(a.fingerprint_bucket(), bigger.fingerprint_bucket());
         assert!(a.max_rel_deviation(&transposed).unwrap() > 0.10);
         assert!(a.max_rel_deviation(&bigger).is_none());
     }
@@ -245,10 +146,9 @@ mod tests {
         // Frozen values: the cache key must never drift across
         // refactors, or every deployed cache silently empties.
         let m = CommMatrix::from_rows(&[vec![0.0, 10.0], vec![20.0, 0.0]]);
-        assert_eq!(m.fingerprint(), m.fingerprint());
+        assert_eq!(m.fingerprint(), 0xa002_763f_2e8a_41d9);
         let again = CommMatrix::from_rows(&[vec![0.0, 10.0], vec![20.0, 0.0]]);
         assert_eq!(m.fingerprint(), again.fingerprint());
-        assert_ne!(m.fingerprint(), m.fingerprint_bucket());
     }
 
     #[test]

@@ -12,17 +12,18 @@
 //!
 //! 1. measures the largest relative cost change since the last accepted
 //!    matrix;
-//! 2. below `refresh_threshold` it keeps the order verbatim (events keep
-//!    their relative sequence; only the start times shift) — `O(P² log P)`
-//!    for the re-execution instead of `O(P³)`/`O(P⁴)` for a recompute;
-//! 3. between the thresholds it runs a cheap local repair: each sender
-//!    re-sorts its *remaining* list by the updated costs (descending, the
-//!    greedy rank rule) — `O(P² log P)`;
-//! 4. above `recompute_threshold` it falls back to a full recompute with
-//!    the configured scheduler.
+//! 2. up to 10 % drift it keeps the order verbatim (events keep their
+//!    relative sequence; only the start times shift) — `O(P² log P)` for
+//!    the re-execution instead of `O(P³)`/`O(P⁴)` for a recompute;
+//! 3. up to 75 % it repairs the order locally: at most 150 hill-climbing
+//!    moves from the *current* order under the new costs
+//!    ([`crate::improve`]), which keeps the scheduler's cross-sender
+//!    coordination and can never lose to the stale order;
+//! 4. beyond that it falls back to a full recompute with the scheduler.
 
 use crate::algorithms::Scheduler;
 use crate::execution::execute_listed;
+use crate::improve::{improve, ImproveConfig};
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, SendOrder};
 
@@ -31,54 +32,23 @@ use crate::schedule::{Schedule, SendOrder};
 pub enum UpdateAction {
     /// Costs barely moved; the order was kept.
     Kept,
-    /// Moderate drift; per-sender lists were re-sorted in place.
+    /// Moderate drift; the order was repaired by local search.
     Repaired,
     /// Heavy drift; the full scheduler was re-run.
     Recomputed,
 }
 
-/// How the middle band (between the thresholds) repairs the order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairStrategy {
-    /// Re-sort each sender's list by the new costs, descending — the
-    /// greedy rank rule. `O(P² log P)`.
-    Resort,
-    /// Hill-climb from the *current* order under the new costs
-    /// ([`crate::improve`]): preserves the original scheduler's global
-    /// coordination and fixes only what drifted. Costlier than a resort
-    /// but strictly never worse than keeping the stale order.
-    LocalSearch {
-        /// Maximum accepted hill-climbing moves.
-        max_moves: usize,
-    },
-}
-
-/// Configuration thresholds for [`IncrementalScheduler`].
-#[derive(Debug, Clone, Copy)]
-pub struct IncrementalConfig {
-    /// Largest relative per-event cost change tolerated without touching
-    /// the order.
-    pub refresh_threshold: f64,
-    /// Relative change beyond which a full recompute is performed.
-    pub recompute_threshold: f64,
-    /// Repair applied between the two thresholds.
-    pub repair: RepairStrategy,
-}
-
-impl Default for IncrementalConfig {
-    fn default() -> Self {
-        IncrementalConfig {
-            refresh_threshold: 0.10,
-            recompute_threshold: 0.75,
-            repair: RepairStrategy::Resort,
-        }
-    }
-}
+/// Largest relative per-event cost change tolerated without touching
+/// the order.
+const REFRESH_THRESHOLD: f64 = 0.10;
+/// Relative change beyond which a full recompute is performed.
+const RECOMPUTE_THRESHOLD: f64 = 0.75;
+/// Most hill-climbing moves a repair between the thresholds makes.
+const REPAIR_MOVES: usize = 150;
 
 /// Maintains a schedule across a stream of directory updates.
 pub struct IncrementalScheduler<S: Scheduler> {
     scheduler: S,
-    config: IncrementalConfig,
     matrix: CommMatrix,
     order: SendOrder,
     recomputes: usize,
@@ -88,16 +58,10 @@ pub struct IncrementalScheduler<S: Scheduler> {
 
 impl<S: Scheduler> IncrementalScheduler<S> {
     /// Computes the initial schedule for `matrix` with `scheduler`.
-    pub fn new(scheduler: S, config: IncrementalConfig, matrix: CommMatrix) -> Self {
-        assert!(
-            config.refresh_threshold >= 0.0
-                && config.refresh_threshold <= config.recompute_threshold,
-            "thresholds must satisfy 0 ≤ refresh ≤ recompute"
-        );
+    pub fn new(scheduler: S, matrix: CommMatrix) -> Self {
         let order = scheduler.send_order(&matrix);
         IncrementalScheduler {
             scheduler,
-            config,
             matrix,
             order,
             recomputes: 1,
@@ -138,12 +102,16 @@ impl<S: Scheduler> IncrementalScheduler<S> {
     /// for the next invocation along with what was done to obtain it.
     pub fn update(&mut self, new_matrix: CommMatrix) -> (Schedule, UpdateAction) {
         let drift = Self::relative_drift(&self.matrix, &new_matrix);
-        let action = if drift <= self.config.refresh_threshold {
+        let action = if drift <= REFRESH_THRESHOLD {
             self.keeps += 1;
             UpdateAction::Kept
-        } else if drift <= self.config.recompute_threshold {
+        } else if drift <= RECOMPUTE_THRESHOLD {
             self.repairs += 1;
-            self.repair(&new_matrix);
+            let config = ImproveConfig {
+                max_moves: REPAIR_MOVES,
+                max_stale_sweeps: 1,
+            };
+            self.order = improve(&self.order, &new_matrix, config).order;
             UpdateAction::Repaired
         } else {
             self.recomputes += 1;
@@ -152,42 +120,6 @@ impl<S: Scheduler> IncrementalScheduler<S> {
         };
         self.matrix = new_matrix;
         (execute_listed(&self.order, &self.matrix), action)
-    }
-
-    /// Local repair under the configured strategy.
-    ///
-    /// `Resort` re-sorts each sender's list by the new costs, descending
-    /// (the greedy rank rule) — cheap, but it discards the original
-    /// scheduler's cross-sender coordination and can *lose* to keeping
-    /// the stale order (measured in the `figures --incremental` study).
-    /// `LocalSearch` instead hill-climbs from the current order, which
-    /// can only improve on it.
-    fn repair(&mut self, new_matrix: &CommMatrix) {
-        self.order = match self.config.repair {
-            RepairStrategy::Resort => {
-                let mut order = self.order.order.clone();
-                for (src, list) in order.iter_mut().enumerate() {
-                    list.sort_by(|&a, &b| {
-                        new_matrix
-                            .cost(src, b)
-                            .as_ms()
-                            .total_cmp(&new_matrix.cost(src, a).as_ms())
-                    });
-                }
-                SendOrder::new(order)
-            }
-            RepairStrategy::LocalSearch { max_moves } => {
-                crate::improve::improve(
-                    &self.order,
-                    new_matrix,
-                    crate::improve::ImproveConfig {
-                        max_moves,
-                        max_stale_sweeps: 1,
-                    },
-                )
-                .order
-            }
-        };
     }
 }
 
@@ -219,7 +151,7 @@ mod tests {
     #[test]
     fn tiny_drift_keeps_the_order() {
         let m = base_matrix(6);
-        let mut inc = IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), m.clone());
+        let mut inc = IncrementalScheduler::new(OpenShop, m.clone());
         let before = inc.order().clone();
         let (sched, action) = inc.update(scaled(&m, 1.05, None));
         assert_eq!(action, UpdateAction::Kept);
@@ -231,24 +163,18 @@ mod tests {
     #[test]
     fn moderate_drift_triggers_repair() {
         let m = base_matrix(6);
-        let mut inc = IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), m.clone());
+        let mut inc = IncrementalScheduler::new(OpenShop, m.clone());
         // One pair slows down 50%: repair, not recompute.
         let (sched, action) = inc.update(scaled(&m, 1.5, Some((0, 1))));
         assert_eq!(action, UpdateAction::Repaired);
         sched.validate().unwrap();
-        // Repaired lists are cost-descending under the new matrix.
-        let new_m = inc.matrix().clone();
-        for (src, list) in inc.order().order.iter().enumerate() {
-            for w in list.windows(2) {
-                assert!(new_m.cost(src, w[0]).as_ms() >= new_m.cost(src, w[1]).as_ms() - 1e-9);
-            }
-        }
+        assert_eq!(inc.stats(), (0, 1, 1));
     }
 
     #[test]
     fn heavy_drift_triggers_recompute() {
         let m = base_matrix(5);
-        let mut inc = IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), m.clone());
+        let mut inc = IncrementalScheduler::new(OpenShop, m.clone());
         let (sched, action) = inc.update(scaled(&m, 3.0, None));
         assert_eq!(action, UpdateAction::Recomputed);
         sched.validate().unwrap();
@@ -258,7 +184,7 @@ mod tests {
     #[test]
     fn kept_schedule_still_executes_with_new_costs() {
         let m = base_matrix(4);
-        let mut inc = IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), m.clone());
+        let mut inc = IncrementalScheduler::new(OpenShop, m.clone());
         let slower = scaled(&m, 1.08, None);
         let (sched, _) = inc.update(slower.clone());
         // Completion reflects the *new* costs even though the order is old.
@@ -282,34 +208,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "thresholds")]
-    fn inverted_thresholds_rejected() {
-        let cfg = IncrementalConfig {
-            refresh_threshold: 0.9,
-            recompute_threshold: 0.1,
-            ..Default::default()
-        };
-        let _ = IncrementalScheduler::new(OpenShop, cfg, base_matrix(3));
-    }
-
-    #[test]
     fn local_search_repair_never_loses_to_keeping_the_stale_order() {
         let m = base_matrix(8);
         let drifted = scaled(&m, 1.5, Some((0, 1)));
         // Frozen reference: the original order executed on new costs.
         let frozen = {
-            let inc = IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), m.clone());
+            let inc = IncrementalScheduler::new(OpenShop, m.clone());
             let stale = inc.order().clone();
             drop(inc);
             crate::execution::execute_listed(&stale, &drifted)
                 .completion_time()
                 .as_ms()
         };
-        let cfg = IncrementalConfig {
-            repair: RepairStrategy::LocalSearch { max_moves: 100 },
-            ..Default::default()
-        };
-        let mut inc = IncrementalScheduler::new(OpenShop, cfg, m.clone());
+        let mut inc = IncrementalScheduler::new(OpenShop, m.clone());
         let (sched, action) = inc.update(drifted.clone());
         assert_eq!(action, UpdateAction::Repaired);
         sched.validate().unwrap();

@@ -52,7 +52,6 @@
 
 pub mod algorithms;
 pub mod analyze;
-pub mod anneal;
 pub mod bounds;
 pub mod checkpointed;
 pub mod critical;

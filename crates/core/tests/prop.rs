@@ -153,25 +153,10 @@ proptest! {
     }
 }
 
-use adaptcomm_core::algorithms::Hypercube;
-use adaptcomm_core::anneal::{anneal, AnnealConfig};
 use adaptcomm_core::critical::CriticalResource;
 use adaptcomm_core::improve::{improve, ImproveConfig};
 use adaptcomm_core::qos::{QosMatrix, QosReport, QosRequirement, QosScheduler};
 use adaptcomm_model::units::Millis;
-
-/// Power-of-two-sized matrices for the hypercube pattern.
-fn pow2_matrix() -> impl Strategy<Value = CommMatrix> {
-    prop_oneof![Just(2usize), Just(4), Just(8), Just(16)].prop_flat_map(|p| {
-        proptest::collection::vec(0.1f64..50.0, p * p).prop_map(move |mut v| {
-            for i in 0..p {
-                v[i * p + i] = 0.0;
-            }
-            let rows: Vec<Vec<f64>> = v.chunks(p).map(|r| r.to_vec()).collect();
-            CommMatrix::from_rows(&rows)
-        })
-    })
-}
 
 proptest! {
     /// The QoS scheduler is always valid, and with pure best-effort
@@ -203,15 +188,6 @@ proptest! {
         prop_assert!((finish - optimum).abs() < 1e-9, "{finish} vs optimum {optimum}");
     }
 
-    /// The hypercube exchange is valid and respects the lower bound on
-    /// every power-of-two instance.
-    #[test]
-    fn hypercube_valid_on_pow2(m in pow2_matrix()) {
-        let sched = Hypercube.schedule(&m);
-        prop_assert!(sched.validate().is_ok());
-        prop_assert!(sched.completion_time().as_ms() >= m.lower_bound().as_ms() - 1e-9);
-    }
-
     /// Refinement never worsens any algorithm's schedule.
     #[test]
     fn refinement_is_monotone(m in comm_matrix(8)) {
@@ -221,14 +197,5 @@ proptest! {
             prop_assert!(climbed.after <= climbed.before + 1e-9, "{}", s.name());
             prop_assert!(climbed.schedule.validate().is_ok());
         }
-    }
-
-    /// Annealing returns a valid schedule no worse than its start.
-    #[test]
-    fn annealing_is_monotone(m in comm_matrix(7), seed in 0u64..50) {
-        let order = Greedy.send_order(&m);
-        let out = anneal(&order, &m, AnnealConfig { iterations: 200, seed, ..Default::default() });
-        prop_assert!(out.after <= out.before + 1e-9);
-        prop_assert!(out.schedule.validate().is_ok());
     }
 }

@@ -41,10 +41,8 @@
 pub mod health;
 pub mod load;
 pub mod service;
-pub mod sharded;
 pub mod snapshot;
 
 pub use health::{HealthView, LinkStatus};
-pub use service::{DirectoryService, DirectoryStats, PublishError, QueryError};
-pub use sharded::ShardedDirectory;
+pub use service::{DirectoryService, PublishError, QueryError};
 pub use snapshot::DirectorySnapshot;

@@ -152,10 +152,10 @@ struct Inner {
     publish_interval: Option<Millis>,
     subscribers: Vec<Sender<DirectorySnapshot>>,
     health: HealthMonitor,
+    /// Snapshots installed (trace advances, publishes, measurements).
     publishes: u64,
+    /// All queries (`snapshot`, `snapshot_fresh`, `query_pair`).
     queries: u64,
-    fresh_queries: u64,
-    stale_queries: u64,
 }
 
 impl Inner {
@@ -172,20 +172,6 @@ impl Inner {
         }
         self.subscribers.retain(|tx| tx.send(snap.clone()).is_ok());
     }
-}
-
-/// Service-level counters: how often the directory was written, read,
-/// and how the budgeted reads split between fresh and stale.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirectoryStats {
-    /// Snapshots installed (trace advances, publishes, measurements).
-    pub publishes: u64,
-    /// All queries (`snapshot`, `snapshot_fresh`, `query_pair`).
-    pub queries: u64,
-    /// Budgeted queries answered within the staleness budget.
-    pub fresh_queries: u64,
-    /// Budgeted queries rejected as [`QueryError::Stale`].
-    pub stale_queries: u64,
 }
 
 /// A thread-safe, time-aware directory of network performance.
@@ -207,8 +193,6 @@ impl DirectoryService {
                 health: HealthMonitor::new(),
                 publishes: 0,
                 queries: 0,
-                fresh_queries: 0,
-                stale_queries: 0,
             }),
         }
     }
@@ -414,13 +398,11 @@ impl DirectoryService {
             obs.gauge_set("directory.epoch_age_ms", age.as_ms());
         }
         if age.as_ms() > budget.as_ms() {
-            inner.stale_queries += 1;
             if obs.is_enabled() {
                 obs.add("directory.query.stale", 1);
             }
             return Err(QueryError::Stale { age, budget });
         }
-        inner.fresh_queries += 1;
         if obs.is_enabled() {
             obs.add("directory.query.fresh", 1);
         }
@@ -454,18 +436,6 @@ impl DirectoryService {
     pub fn stats(&self) -> (u64, u64) {
         let inner = self.lock();
         (inner.publishes, inner.queries)
-    }
-
-    /// The full counter set, including the fresh/stale split of budgeted
-    /// queries.
-    pub fn detailed_stats(&self) -> DirectoryStats {
-        let inner = self.lock();
-        DirectoryStats {
-            publishes: inner.publishes,
-            queries: inner.queries,
-            fresh_queries: inner.fresh_queries,
-            stale_queries: inner.stale_queries,
-        }
     }
 }
 
@@ -581,23 +551,17 @@ mod tests {
         // the service-level counters stay in lockstep with the outcomes.
         let trace = VariationTrace::new(params(), VariationConfig::default(), 11);
         let d = DirectoryService::with_trace_every(trace, Millis::new(5_000.0));
-        assert_eq!(d.detailed_stats(), DirectoryStats::default());
+        assert_eq!(d.stats(), (0, 0));
 
         d.advance_clock(Millis::new(2_000.0));
         assert!(d.snapshot_fresh(Millis::new(500.0)).is_err()); // stale
         assert!(d.snapshot_fresh(Millis::new(2_000.0)).is_ok()); // fresh
         d.advance_clock(Millis::new(5_000.0)); // trace republishes
         assert!(d.snapshot_fresh(Millis::new(500.0)).is_ok()); // fresh
-
-        let stats = d.detailed_stats();
-        assert_eq!(stats.publishes, 1, "one trace-driven republish");
-        assert_eq!(stats.stale_queries, 1);
-        assert_eq!(stats.fresh_queries, 2);
-        // Unbudgeted reads count as queries but neither fresh nor stale.
+        assert_eq!(d.stats(), (1, 3), "one trace-driven republish");
+        // Unbudgeted reads count as queries too.
         d.snapshot();
-        let stats = d.detailed_stats();
-        assert_eq!(stats.queries, 4);
-        assert_eq!(stats.fresh_queries + stats.stale_queries, 3);
+        assert_eq!(d.stats(), (1, 4));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod cost;
 pub mod evolution;
 pub mod generator;
 pub mod gusto;
-pub mod multinet;
 pub mod params;
 pub mod topology;
 pub mod trace_io;

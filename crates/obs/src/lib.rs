@@ -31,6 +31,7 @@
 pub mod causal;
 pub mod detect;
 pub mod flight;
+pub mod fnv;
 pub mod json;
 pub mod report;
 pub mod series;
@@ -43,6 +44,7 @@ pub use detect::{
     Cusum, CusumConfig, DriftDirection, Ewma, HealthState, LinkHealth, LinkHealthConfig,
 };
 pub use flight::{flight, FlightRecorder};
+pub use fnv::Fnv1a;
 pub use series::{TimeSeries, WindowStats};
 pub use serve::{serve_metrics, serve_metrics_with, MetricsServer, ScrapeEndpoints};
 pub use snapshot::{

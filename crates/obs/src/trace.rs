@@ -12,17 +12,13 @@
 //! as plan fingerprints): JSON numbers are f64 and silently lose u64
 //! precision.
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use crate::fnv::Fnv1a;
 
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// FNV-1a over the concatenation of `parts`.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h = Fnv1a::new();
+    parts.iter().for_each(|part| h.write(part));
+    h.finish()
 }
 
 /// A span's position in a cross-process request tree: which trace it
@@ -41,12 +37,9 @@ impl TraceContext {
     /// The deterministic root context for request `seq` of `tenant`.
     /// Ids are never zero (zero is reserved as "absent" on the wire).
     pub fn root(tenant: &str, seq: u64) -> TraceContext {
-        let mut h = fnv1a(FNV_OFFSET, b"trace:");
-        h = fnv1a(h, tenant.as_bytes());
-        h = fnv1a(h, b":");
-        h = fnv1a(h, &seq.to_le_bytes());
+        let h = fnv1a(&[b"trace:", tenant.as_bytes(), b":", &seq.to_le_bytes()]);
         let trace_id = nonzero(h);
-        let span_id = nonzero(fnv1a(fnv1a(FNV_OFFSET, &trace_id.to_le_bytes()), b"root"));
+        let span_id = nonzero(fnv1a(&[&trace_id.to_le_bytes(), b"root"]));
         TraceContext {
             trace_id,
             span_id,
@@ -58,9 +51,8 @@ impl TraceContext {
     /// Distinct slots give distinct ids; the same slot always gives the
     /// same id.
     pub fn child(&self, slot: u64) -> TraceContext {
-        let mut h = fnv1a(FNV_OFFSET, &self.trace_id.to_le_bytes());
-        h = fnv1a(h, &self.span_id.to_le_bytes());
-        h = fnv1a(h, &slot.to_le_bytes());
+        let (trace, span) = (self.trace_id.to_le_bytes(), self.span_id.to_le_bytes());
+        let h = fnv1a(&[&trace, &span, &slot.to_le_bytes()]);
         TraceContext {
             trace_id: self.trace_id,
             span_id: nonzero(h),

@@ -1,21 +1,19 @@
 //! Fingerprint-keyed plan cache with perturbation-tolerant lookup.
 //!
-//! Two-level keying (see `DESIGN.md` §12 for the full rationale):
+//! One exact key and one recency ring (see `DESIGN.md` §12):
 //!
 //! * The **exact key** — [`CommMatrix::fingerprint`], FNV-1a over
 //!   cells quantized on a fine grid — replays whole plans. Two
 //!   requests with the same exact key carry matrices equal to within
 //!   one part in 2²⁰ of the largest cell, so the cached plan *is* the
 //!   plan a fresh solve would produce.
-//! * The **bucket key** — [`CommMatrix::fingerprint_bucket`], cells
-//!   quantized to log-scale buckets — only *nominates* warm-start
-//!   candidates. A nomination is confirmed by directly measuring
+//! * The **recency ring** — the last eight entries inserted per
+//!   `(algorithm, P)` — is the one way a near match is found. Each
+//!   ring entry is a candidate, confirmed by directly measuring
 //!   [`CommMatrix::max_rel_deviation`] against the cached matrix; the
-//!   candidate's retained dual potentials then warm-start a fresh
-//!   solve. Because a boundary-straddling cell can flip a bucket even
-//!   under a tiny perturbation, a small per-`(algorithm, P)` recency
-//!   ring is also probed — a missed nomination costs one cold solve,
-//!   never a wrong plan.
+//!   closest confirmed candidate hands back its retained plan (or dual
+//!   potentials) to replan from. A near request whose base has left the
+//!   ring costs one cold solve, never a wrong plan.
 //!
 //! An entry also retains what executing its plan on its matrix predicts
 //! (completion time, critical path, gap above `t_lb`), so an exact hit
@@ -35,8 +33,8 @@ use adaptcomm_core::schedule::SendOrder;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// How many recent entries per `(algorithm, P)` the recency ring
-/// keeps as a backstop against bucket-boundary flips.
+/// How many recent entries per `(algorithm, P)` the recency ring keeps
+/// as near-match candidates.
 const RECENCY_RING: usize = 8;
 
 /// What executing an order on a matrix predicts: the completion time
@@ -74,7 +72,6 @@ struct CachedPlan {
     /// hands it back so the server re-solves only the dirty rounds
     /// instead of warm-starting a full build.
     plan: Option<Box<MatchingPlan>>,
-    bucket: u64,
 }
 
 /// Everything an exact hit's reply is made of, none of it recomputed.
@@ -130,13 +127,11 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// One algorithm's entries and near-match indexes. Keying the cache by
+/// One algorithm's entries and recency rings. Keying the cache by
 /// algorithm first lets every probe borrow the caller's `&str`.
 #[derive(Debug, Default)]
 struct Shelf {
     entries: BTreeMap<u64, CachedPlan>,
-    /// `(P, bucket fingerprint)` → exact keys, newest last.
-    buckets: BTreeMap<(usize, u64), Vec<u64>>,
     /// `P` → recent exact keys, newest last.
     recent: BTreeMap<usize, VecDeque<u64>>,
 }
@@ -254,28 +249,11 @@ impl PlanCache {
             self.stats.misses += 1;
             return CacheLookup::Miss;
         };
-        // Nominate candidates: same-bucket entries first, then the
-        // recency ring (guards against bucket-boundary flips).
-        let p = matrix.len();
-        let bucket = matrix.fingerprint_bucket();
-        let mut candidates: Vec<u64> = Vec::new();
-        if let Some(fps) = shelf.buckets.get(&(p, bucket)) {
-            candidates.extend(fps.iter().rev());
-        }
-        if let Some(ring) = shelf.recent.get(&p) {
-            for &c in ring.iter().rev() {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
-                }
-            }
-        }
-
-        // Confirm by direct measurement; best (smallest deviation) wins.
+        // The recency ring nominates, newest first; direct measurement
+        // confirms, and the smallest deviation wins.
+        let ring = shelf.recent.get(&matrix.len()).into_iter().flatten();
         let mut best: Option<(f64, &CachedPlan)> = None;
-        for c in candidates {
-            let Some(entry) = shelf.entries.get(&c) else {
-                continue;
-            };
+        for entry in ring.rev().filter_map(|c| shelf.entries.get(c)) {
             if entry.seed.is_empty() {
                 continue;
             }
@@ -356,7 +334,6 @@ impl PlanCache {
             self.evict_oldest();
         }
         let p = matrix.len();
-        let bucket = matrix.fingerprint_bucket();
         let shelf = self.shelves.entry(algorithm.to_string()).or_default();
         shelf.entries.insert(
             fingerprint,
@@ -366,14 +343,8 @@ impl PlanCache {
                 outcome,
                 seed,
                 plan,
-                bucket,
             },
         );
-        shelf
-            .buckets
-            .entry((p, bucket))
-            .or_default()
-            .push(fingerprint);
         let ring = shelf.recent.entry(p).or_default();
         ring.push_back(fingerprint);
         while ring.len() > RECENCY_RING {
@@ -393,14 +364,7 @@ impl PlanCache {
         let Some(entry) = shelf.entries.remove(&fp) else {
             return;
         };
-        let p = entry.matrix.len();
-        if let Some(fps) = shelf.buckets.get_mut(&(p, entry.bucket)) {
-            fps.retain(|&c| c != fp);
-            if fps.is_empty() {
-                shelf.buckets.remove(&(p, entry.bucket));
-            }
-        }
-        if let Some(ring) = shelf.recent.get_mut(&p) {
+        if let Some(ring) = shelf.recent.get_mut(&entry.matrix.len()) {
             ring.retain(|&c| c != fp);
         }
         self.stats.evictions += 1;
@@ -505,6 +469,43 @@ mod tests {
         }
         assert_eq!(cache.stats().incremental_hits, 1);
         assert_eq!(cache.stats().warm_hits, 0);
+    }
+
+    #[test]
+    fn the_recency_ring_is_the_one_nomination_rule() {
+        use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler};
+        let sched = MatchingScheduler::new(MatchingKind::Max);
+        let mut cache = PlanCache::new(64, 0.10);
+        // Nine inserts at one P, each a third off the one before: no
+        // insert is a near match for another.
+        let inserted: Vec<CommMatrix> = (0..9)
+            .map(|k| {
+                let m = matrix(6, 0.0);
+                CommMatrix::from_fn(6, |s, d| m.row(s)[d] * 1.5f64.powi(k))
+            })
+            .collect();
+        for m in &inserted {
+            let plan = sched.plan_seeded(m, None);
+            let seed = plan.seed_potentials.clone();
+            cache.insert("matching-max", m, order_for(6), seed, Some(Box::new(plan)));
+        }
+        let near = |m: &CommMatrix| {
+            let mut rows: Vec<Vec<f64>> = (0..6).map(|s| m.row(s).to_vec()).collect();
+            rows[0][1] *= 1.02;
+            CommMatrix::from_rows(&rows)
+        };
+        // The 8th-most-recent insert is still on the ring; the 9th, still
+        // cached, is not nominated.
+        let (eighth, ninth) = (&inserted[1], &inserted[0]);
+        assert!(matches!(
+            cache.near("matching-max", &near(eighth)),
+            CacheLookup::Incremental { .. }
+        ));
+        assert!(cache.contains("matching-max", ninth.fingerprint()));
+        assert!(matches!(
+            cache.near("matching-max", &near(ninth)),
+            CacheLookup::Miss
+        ));
     }
 
     #[test]

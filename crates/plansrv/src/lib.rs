@@ -16,7 +16,7 @@
 //!   single-line JSON; every decode failure is a typed
 //!   [`proto::ProtocolError`].
 //! * [`service`] — the decision core: one plain value owning the cache,
-//!   the admission queue, the idle workers, the tenant state, the
+//!   the admission queue, the idle workers, the tenant epochs, the
 //!   service-time estimates and the reject streak. It is driven by
 //!   request and solved events with the time passed in, reads no clock,
 //!   and returns the replies and solves to carry out — so its replies
@@ -25,9 +25,9 @@
 //!   owns: priority tiers, EDF within a tier, projected-completion
 //!   deadline tests, reject-with-retry-after.
 //! * [`cache`] — the fingerprint-keyed plan cache: exact keys replay
-//!   plans verbatim; quantized-bucket near-keys nominate cross-job
-//!   warm starts confirmed by direct deviation measurement and seeded
-//!   from retained LAP dual potentials.
+//!   plans verbatim; a per-`(algorithm, P)` recency ring nominates near
+//!   matches, confirmed by direct deviation measurement and replanned
+//!   from the retained matching plan (or its LAP dual potentials).
 //! * [`server`] / [`client`] — the TCP shell (the core behind one lock,
 //!   connection threads that move frames and answer exact hits, worker
 //!   threads that only run solves, the clock, graceful drain) and its

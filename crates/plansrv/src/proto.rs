@@ -219,7 +219,7 @@ pub struct QosSpec {
 /// A plan request as carried on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanRequest {
-    /// Tenant name (shards the directory, labels the metrics).
+    /// Tenant name (keys its epoch, labels the metrics).
     pub tenant: String,
     /// Scheduler name, e.g. `matching-max` (see `all_schedulers`).
     pub algorithm: String,

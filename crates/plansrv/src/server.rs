@@ -18,7 +18,6 @@
 use crate::cache::CacheStats;
 use crate::proto::{self, PlanRequest, PlanResponse, ProtocolError, Request};
 use crate::service::{contained, error, Action, Job, Service};
-use adaptcomm_directory::ShardedDirectory;
 use adaptcomm_obs::json::Value;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read};
@@ -31,8 +30,6 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for [`PlanServer`].
 #[derive(Debug, Clone)]
 pub struct PlanServerConfig {
-    /// Directory shard count (tenants hash across shards).
-    pub shards: usize,
     /// Worker-pool size draining the admission queue.
     pub workers: usize,
     /// Plan-cache capacity (entries, FIFO eviction).
@@ -54,7 +51,6 @@ pub struct PlanServerConfig {
 impl Default for PlanServerConfig {
     fn default() -> Self {
         PlanServerConfig {
-            shards: 4,
             workers: 2,
             cache_capacity: 256,
             near_tolerance: 0.10,
@@ -76,7 +72,6 @@ fn elapsed_ms(since: Instant) -> f64 {
 /// behind its one lock, the workers' job channels and the clock.
 pub struct PlanService {
     core: Mutex<Service<ReplyTo>>,
-    directory: Arc<ShardedDirectory>,
     /// One job channel per worker; `None` tells the worker to exit.
     workers: Vec<mpsc::Sender<Option<Box<Job<ReplyTo>>>>>,
     /// What every `now_ms` handed to the core counts from.
@@ -84,14 +79,14 @@ pub struct PlanService {
 }
 
 impl PlanService {
-    /// The sharded per-tenant directory (per-tenant epochs and stats).
-    pub fn directory(&self) -> &ShardedDirectory {
-        &self.directory
-    }
-
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.core().cache_stats()
+    }
+
+    /// Every tenant served so far with its current epoch, in name order.
+    pub fn tenant_epochs(&self) -> Vec<(String, u64)> {
+        self.core().tenant_epochs()
     }
 
     /// The core, locked. Callers read `now_ms` under the lock, so the
@@ -168,10 +163,8 @@ impl PlanServer {
         let stop = Arc::new(AtomicBool::new(false));
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..config.workers.max(1)).map(|_| mpsc::channel()).unzip();
-        let core = Service::new(config);
         let service = Arc::new(PlanService {
-            directory: Arc::clone(core.directory()),
-            core: Mutex::new(core),
+            core: Mutex::new(Service::new(config)),
             workers: senders,
             epoch: Instant::now(),
         });
@@ -204,8 +197,8 @@ impl PlanServer {
         self.addr
     }
 
-    /// The shared service state (stats, directory) — primarily for
-    /// tests and benches.
+    /// The shared service state (cache stats, tenant epochs) — primarily
+    /// for tests and benches.
     pub fn service(&self) -> &Arc<PlanService> {
         &self.service
     }

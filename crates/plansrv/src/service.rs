@@ -1,6 +1,6 @@
 //! The plan server's decision core: one plain value that owns every
 //! piece of state a reply depends on — the plan cache, the EDF
-//! admission queue, the idle-worker list, the tenant fingerprints, the
+//! admission queue, the idle-worker list, the per-tenant epochs, the
 //! service-time estimates and the reject streak.
 //!
 //! [`Service`] is driven by two events, a request arriving
@@ -23,12 +23,9 @@ use adaptcomm_core::algorithms::{
 };
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
-use adaptcomm_directory::ShardedDirectory;
-use adaptcomm_model::cost::LinkEstimate;
-use adaptcomm_model::{Bandwidth, Millis, NetParams};
 use adaptcomm_obs::trace::TraceContext;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Estimated cost of replaying a cached plan (milliseconds). Replays
@@ -251,15 +248,22 @@ pub fn contained<T>(work: impl FnOnce() -> Result<T, String>) -> Result<T, Strin
     })
 }
 
+/// What the core remembers of a tenant: the fingerprint of its last
+/// served matrix, and how often that fingerprint changed since the
+/// tenant was first seen — the `epoch` every reply carries.
+struct Tenant {
+    fingerprint: u64,
+    epoch: u64,
+}
+
 /// The decision core; see the module docs.
 pub struct Service<R> {
     config: PlanServerConfig,
-    directory: Arc<ShardedDirectory>,
     cache: PlanCache,
     queue: AdmissionQueue<Job<R>>,
     /// Workers with nothing to do; dispatch takes from the back.
     idle: Vec<usize>,
-    tenant_fp: BTreeMap<String, u64>,
+    tenants: BTreeMap<String, Tenant>,
     estimates: BTreeMap<(String, usize), f64>,
     /// Consecutive deadline rejections since the last admit or inline
     /// hit; at [`REJECT_STREAK_DUMP`] the flight recorder auto-dumps.
@@ -272,11 +276,10 @@ impl<R> Service<R> {
     /// from 0 and all idle.
     pub fn new(config: PlanServerConfig) -> Self {
         Service {
-            directory: Arc::new(ShardedDirectory::new(config.shards)),
             cache: PlanCache::new(config.cache_capacity, config.near_tolerance),
             queue: AdmissionQueue::default(),
             idle: (0..config.workers.max(1)).rev().collect(),
-            tenant_fp: BTreeMap::new(),
+            tenants: BTreeMap::new(),
             estimates: BTreeMap::new(),
             reject_streak: 0,
             closed: false,
@@ -284,14 +287,15 @@ impl<R> Service<R> {
         }
     }
 
-    /// The sharded per-tenant directory (per-tenant epochs and stats).
-    pub fn directory(&self) -> &Arc<ShardedDirectory> {
-        &self.directory
-    }
-
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Every tenant served so far with its current epoch, in name order.
+    pub fn tenant_epochs(&self) -> Vec<(String, u64)> {
+        let epochs = self.tenants.iter().map(|(name, t)| (name.clone(), t.epoch));
+        epochs.collect()
     }
 
     /// A request arrives at `now_ms`. Replies go only to `reply_to`:
@@ -419,7 +423,7 @@ impl<R> Service<R> {
         self.reject_streak = 0;
         self.account(&request, 0.0, 0.0);
         let plan = plan_ok(&request, replay.order, replay.outcome, None);
-        Err(self.finish(&request, fingerprint, &replay.matrix, plan))
+        Err(self.finish(&request, fingerprint, plan))
     }
 
     /// A worker's job comes back at `now_ms` with what
@@ -449,7 +453,7 @@ impl<R> Service<R> {
                     let est = self.estimates.entry(slot).or_insert(service_ms);
                     *est = (1.0 - EWMA_ALPHA) * *est + EWMA_ALPHA * service_ms;
                 }
-                self.finish(request, job.fingerprint, matrix, plan)
+                self.finish(request, job.fingerprint, plan)
             }
             (Ok(_), None) => error("dispatched with no matrix"),
             (Err(detail), _) => error(detail),
@@ -503,7 +507,6 @@ impl<R> Service<R> {
         &mut self,
         request: &PlanRequest,
         fingerprint: u64,
-        matrix: &CommMatrix,
         mut plan: Box<PlanOk>,
     ) -> PlanResponse {
         let metric = match plan.cache {
@@ -513,7 +516,7 @@ impl<R> Service<R> {
             CacheDisposition::Cold => "cache_miss",
         };
         tenant_add(&request.tenant, metric);
-        plan.epoch = self.tenant_epoch(&request.tenant, fingerprint, matrix);
+        plan.epoch = self.tenant_epoch(&request.tenant, fingerprint);
         plan.served_seq = self.queue.serve();
         PlanResponse::Ok(plan)
     }
@@ -542,20 +545,25 @@ impl<R> Service<R> {
         }
     }
 
-    /// Publishes the tenant's matrix into its directory shard when the
-    /// fingerprint changed; returns the tenant's snapshot epoch.
-    fn tenant_epoch(&mut self, tenant: &str, fingerprint: u64, matrix: &CommMatrix) -> u64 {
-        let previous = self.tenant_fp.get(tenant).copied();
-        if previous != Some(fingerprint) {
-            self.tenant_fp.insert(tenant.to_string(), fingerprint);
-            let service = self
-                .directory
-                .tenant_or_create(tenant, || net_params_from(matrix));
-            if previous.is_some() {
-                service.publish(net_params_from(matrix));
+    /// The tenant's epoch after serving it `fingerprint`: unchanged for
+    /// the fingerprint it last saw, one more for a new one, 0 at first
+    /// sight.
+    fn tenant_epoch(&mut self, tenant: &str, fingerprint: u64) -> u64 {
+        match self.tenants.get_mut(tenant) {
+            Some(t) if t.fingerprint != fingerprint => {
+                (t.fingerprint, t.epoch) = (fingerprint, t.epoch + 1);
+                t.epoch
+            }
+            Some(t) => t.epoch,
+            None => {
+                let first = Tenant {
+                    fingerprint,
+                    epoch: 0,
+                };
+                self.tenants.insert(tenant.to_string(), first);
+                0
             }
         }
-        self.directory.epoch(tenant)
     }
 }
 
@@ -637,14 +645,4 @@ fn pin_critical(order: &SendOrder, links: &[(usize, usize)]) -> SendOrder {
         front
     });
     SendOrder::new(pinned.collect())
-}
-
-/// Builds per-tenant directory params from a cost matrix: the cell is
-/// the pair's start-up cost, bandwidth is effectively infinite (the
-/// request matrix is already end-to-end milliseconds).
-fn net_params_from(matrix: &CommMatrix) -> NetParams {
-    NetParams::from_fn(matrix.len().max(1), |s, d| {
-        let cell = matrix.row(s).get(d).copied().unwrap_or(0.0);
-        LinkEstimate::new(Millis::new(cell), Bandwidth::from_kbps(1e12))
-    })
 }

@@ -6,7 +6,7 @@
 //! while queued, solves that panic, matrices whose cell total overflows,
 //! and shutdown under load. Every reply is checked against an
 //! independent model of the core (its cache keys and FIFO eviction, its
-//! EWMA estimates, its EDF queue and its idle workers):
+//! EWMA estimates, its EDF queue, its idle workers and its tenants):
 //!
 //! * every request gets exactly one reply, and `served_seq` over the
 //!   served plans is exactly `1..=n`;
@@ -20,6 +20,8 @@
 //!   a hit replays the order first served for its fingerprint, and
 //!   `completion_ms` is `execute_listed` on the served order, bit for
 //!   bit;
+//! * a plan's `epoch` counts how often its tenant's fingerprint changed
+//!   over the plans served to that tenant before it;
 //! * a panicking solve is answered with an `Error`, and its worker is
 //!   back in service within the same call.
 //!
@@ -272,6 +274,8 @@ struct Sim {
     cached: VecDeque<(usize, u64)>,
     /// The unpinned order first served for each key.
     first_served: HashMap<(usize, u64), SendOrder>,
+    /// Per tenant: the fingerprint last served and its change count.
+    epochs: BTreeMap<String, (u64, u64)>,
     estimates: BTreeMap<(usize, usize), f64>,
     waiting: Vec<u32>,
     flights: BTreeMap<usize, Flight>,
@@ -319,6 +323,7 @@ impl Sim {
             transcript: Vec::new(),
             cached: VecDeque::new(),
             first_served: HashMap::new(),
+            epochs: BTreeMap::new(),
             estimates: BTreeMap::new(),
             waiting: Vec::new(),
             flights: BTreeMap::new(),
@@ -435,6 +440,10 @@ impl Sim {
         }
     }
 
+    fn tenant(sent: &Sent) -> String {
+        format!("tenant-{}", sent.client % 2)
+    }
+
     fn request(sent: &Sent) -> PlanRequest {
         let pool = pool();
         let (matrix, fingerprint) = match sent.payload {
@@ -449,7 +458,7 @@ impl Sim {
             _ => ALGORITHMS[sent.algorithm],
         };
         PlanRequest {
-            tenant: format!("tenant-{}", sent.client % 2),
+            tenant: Sim::tenant(sent),
             algorithm: algorithm.into(),
             matrix,
             fingerprint,
@@ -799,6 +808,15 @@ impl Sim {
         }
         let completion = execute_listed(&ok.order, &pool.matrices[m]).completion_time();
         assert_eq!(ok.completion_ms.to_bits(), completion.as_ms().to_bits());
+        let fingerprint = pool.fingerprints[m];
+        let (last, epoch) = self
+            .epochs
+            .entry(Sim::tenant(sent))
+            .or_insert((fingerprint, 0));
+        if *last != fingerprint {
+            (*last, *epoch) = (fingerprint, *epoch + 1);
+        }
+        assert_eq!(ok.epoch, *epoch, "request {token}: the tenant's epoch");
         self.served.push(ok.served_seq);
         *self.faults.served.entry(ok.cache.as_str()).or_default() += 1;
     }

@@ -88,12 +88,9 @@ pub fn fill_payload(src: usize, dst: usize, len: usize) -> Vec<u8> {
 
 /// FNV-1a over the payload.
 pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = adaptcomm_obs::Fnv1a::new();
+    h.write(payload);
+    h.finish()
 }
 
 /// The number of bytes physically moved for a message of modeled size

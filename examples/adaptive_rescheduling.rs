@@ -10,7 +10,7 @@ use adaptcomm::model::evolution::NetworkEvolution;
 use adaptcomm::model::variation::{VariationConfig, VariationTrace};
 use adaptcomm::prelude::*;
 use adaptcomm::scheduling::checkpointed::{CheckpointPolicy, RescheduleRule};
-use adaptcomm::scheduling::incremental::{IncrementalConfig, IncrementalScheduler};
+use adaptcomm::scheduling::incremental::IncrementalScheduler;
 use adaptcomm::sim::dynamic::{run_adaptive, AdaptiveConfig, Replanner};
 
 const P: usize = 12;
@@ -66,8 +66,7 @@ fn main() {
     // A sensor pipeline runs the same exchange every cycle; the directory
     // reports slightly different numbers each time. The incremental
     // scheduler only recomputes when drift is large.
-    let mut inc =
-        IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), inst.matrix.clone());
+    let mut inc = IncrementalScheduler::new(OpenShop, inst.matrix.clone());
     let mut trace = VariationTrace::new(inst.network.clone(), VariationConfig::default(), 5);
     println!("{:>6} {:>14} {:>12}", "cycle", "completion", "action");
     for cycle in 1..=8 {

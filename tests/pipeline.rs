@@ -105,13 +105,13 @@ fn adaptive_execution_beats_oblivious_on_average_under_degradation() {
 
 #[test]
 fn trace_driven_directory_feeds_incremental_scheduler() {
-    use adaptcomm::scheduling::incremental::{IncrementalConfig, IncrementalScheduler};
+    use adaptcomm::scheduling::incremental::IncrementalScheduler;
     let base = adaptcomm::model::gusto::gusto_params();
     let trace = VariationTrace::new(base.clone(), VariationConfig::default(), 11);
     let directory = DirectoryService::with_trace(trace);
     let sizes = SizeMatrix::uniform(5, Bytes::MB).to_rows();
     let initial = CommMatrix::from_model(directory.snapshot().params(), &sizes);
-    let mut inc = IncrementalScheduler::new(OpenShop, IncrementalConfig::default(), initial);
+    let mut inc = IncrementalScheduler::new(OpenShop, initial);
     for cycle in 1..=5 {
         directory.advance_clock(Millis::new(cycle as f64 * 10_000.0));
         let matrix = CommMatrix::from_model(directory.snapshot().params(), &sizes);
