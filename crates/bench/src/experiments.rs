@@ -89,25 +89,11 @@ impl FigureTable {
     }
 }
 
-/// Runs one figure sweep: for each `P`, average completion per algorithm
-/// over `trials` random GUSTO-guided networks.
-pub fn run_figure(scenario: Scenario, p_values: &[usize], trials: u64) -> FigureTable {
-    run_figure_with(scenario, p_values, trials, GeneratorConfig::default())
-}
-
-/// [`run_figure`] with a custom network-generator configuration, e.g.
+/// Runs one figure sweep on `runner`: for each `P`, average completion per
+/// algorithm over `trials` random networks drawn from `cfg`, e.g.
+/// [`GeneratorConfig::default`] (GUSTO-guided) or
 /// [`GeneratorConfig::wide_area`] for the §3.2 heterogeneity range.
-pub fn run_figure_with(
-    scenario: Scenario,
-    p_values: &[usize],
-    trials: u64,
-    cfg: GeneratorConfig,
-) -> FigureTable {
-    run_figure_on(scenario, p_values, trials, cfg, &SweepRunner::default())
-}
-
-/// [`run_figure_with`] on an explicit [`SweepRunner`] (thread count under
-/// caller control; `SweepRunner::serial()` is the reference path).
+/// `SweepRunner::serial()` is the reference path.
 pub fn run_figure_on(
     scenario: Scenario,
     p_values: &[usize],
@@ -326,7 +312,7 @@ pub fn adaptivity_study(p: usize, trials: u64) -> Vec<(&'static str, Millis, f64
 pub fn refinement_study(p: usize, trials: u64) -> Vec<(&'static str, f64)> {
     use adaptcomm_core::algorithms::{Greedy, RandomOrder, Scheduler};
     use adaptcomm_core::execution::execute_listed;
-    use adaptcomm_core::improve::{improve, ImproveConfig};
+    use adaptcomm_core::improve::{improve, MAX_MOVES};
 
     let mut sums = [0.0f64; 4];
     for trial in 0..trials {
@@ -338,12 +324,12 @@ pub fn refinement_study(p: usize, trials: u64) -> Vec<(&'static str, f64)> {
             .completion_time()
             .as_ms()
             / lb;
-        sums[1] += improve(&random, &inst.matrix, ImproveConfig::default()).after / lb;
+        sums[1] += improve(&random, &inst.matrix, MAX_MOVES).after / lb;
         sums[2] += execute_listed(&greedy, &inst.matrix)
             .completion_time()
             .as_ms()
             / lb;
-        sums[3] += improve(&greedy, &inst.matrix, ImproveConfig::default()).after / lb;
+        sums[3] += improve(&greedy, &inst.matrix, MAX_MOVES).after / lb;
     }
     let labels = ["random", "random+climb", "greedy", "greedy+climb"];
     labels
@@ -600,9 +586,18 @@ pub fn check_figure_shape(table: &FigureTable) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn run_figure_with(
+        scenario: Scenario,
+        p_values: &[usize],
+        trials: u64,
+        cfg: GeneratorConfig,
+    ) -> FigureTable {
+        run_figure_on(scenario, p_values, trials, cfg, &SweepRunner::default())
+    }
+
     #[test]
     fn figure_runs_produce_full_tables() {
-        let t = run_figure(Scenario::Small, &[5, 10], 2);
+        let t = run_figure_with(Scenario::Small, &[5, 10], 2, GeneratorConfig::default());
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0].completions.len(), 5);
         let text = t.render();
@@ -616,7 +611,7 @@ mod tests {
     #[test]
     fn figures_have_the_papers_shape() {
         for scenario in Scenario::FIGURES {
-            let t = run_figure(scenario, &[10, 20], 3);
+            let t = run_figure_with(scenario, &[10, 20], 3, GeneratorConfig::default());
             check_figure_shape(&t).unwrap();
         }
     }

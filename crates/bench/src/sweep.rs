@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// runner never passes anything traversal-dependent.
 pub type SeedFn = fn(Scenario, usize, u64) -> u64;
 
-/// The seed family used by the figure sweeps ([`crate::experiments::run_figure`]).
+/// The seed family used by the figure sweeps ([`crate::experiments::run_figure_on`]).
 pub fn figure_seed(_scenario: Scenario, p: usize, trial: u64) -> u64 {
     trial.wrapping_mul(7919).wrapping_add(p as u64)
 }
@@ -327,14 +327,6 @@ impl SweepStats {
         &mut self.per_scheduler.last_mut().expect("just pushed").1
     }
 
-    /// The accumulator for one scheduler, if observed.
-    pub fn accum(&self, name: &str) -> Option<&SchedulerAccum> {
-        self.per_scheduler
-            .iter()
-            .find(|&&(n, _)| n == name)
-            .map(|(_, a)| a)
-    }
-
     /// Renders the statistics table.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -430,7 +422,11 @@ mod tests {
         merged.merge(&second);
         assert_eq!(merged.instances, whole.instances);
         for &(name, acc) in &whole.per_scheduler {
-            let m = merged.accum(name).unwrap();
+            let (_, m) = merged
+                .per_scheduler
+                .iter()
+                .find(|&&(n, _)| n == name)
+                .unwrap();
             assert!((m.ratio_sum - acc.ratio_sum).abs() < 1e-9);
             assert_eq!(m.ratio_worst, acc.ratio_worst);
             assert!((m.completion_sum_ms - acc.completion_sum_ms).abs() < 1e-6);

@@ -35,8 +35,8 @@ pub const SLO_FACTOR: f64 = 3.0;
 pub const CHAOS_DROP_KBPS: f64 = 0.01;
 
 /// Execution attempts / heal-probe budget for chaos runs. Backoff is
-/// exponential, so six probes cover `63 × backoff_base_ms` of modeled
-/// time past the drain point.
+/// exponential from the runtime's 50 ms base, so six probes cover
+/// 3 150 ms of modeled time past the drain point.
 pub const CHAOS_ATTEMPTS: usize = 6;
 
 /// One graded fault, classified against the injected plan.
@@ -117,7 +117,6 @@ pub fn chaos_settings() -> AdaptSettings {
         policy: CheckpointPolicy::EveryEvent,
         faults: FaultPolicy {
             drop_below_kbps: Some(CHAOS_DROP_KBPS),
-            late_factor: None,
         },
         max_attempts: CHAOS_ATTEMPTS,
         ..Default::default()

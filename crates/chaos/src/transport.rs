@@ -10,8 +10,8 @@ use adaptcomm_runtime::{RuntimeError, Transport};
 /// `[start, finish]`; a payload whose *finish* falls while its link is
 /// crashed or partitioned never reaches the destination — the message
 /// was in flight when the fault hit — and the engine surfaces the
-/// plan's typed error with `lost_in_flight` set, so the recovery driver
-/// re-queues it exactly once.
+/// plan's typed error with the link in `ShapedFailure::lost`, so the
+/// recovery driver re-queues it exactly once.
 pub struct ChaosTransport<'a, T: Transport + ?Sized> {
     inner: &'a T,
     plan: &'a ChaosPlan,

@@ -938,8 +938,8 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
     use adaptcomm_directory::DirectoryService;
     use adaptcomm_model::units::Millis;
     use adaptcomm_runtime::{
-        execute, execute_adaptive_monitored, AdaptSettings, BackendKind, DetectorSettings,
-        ReplanTrigger, Replanner, ShapedConfig,
+        execute, execute_adaptive_monitored, AdaptSettings, BackendKind, ReplanTrigger, Replanner,
+        ShapedConfig,
     };
     use adaptcomm_sim::{Fault, ScriptedFaults};
 
@@ -1013,7 +1013,7 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         "deviation" => ReplanTrigger::Deviation(RescheduleRule {
             deviation_threshold: threshold,
         }),
-        "detector" => ReplanTrigger::Detector(DetectorSettings::default()),
+        "detector" => ReplanTrigger::Detector,
         other => return Err(format!("unknown trigger `{other}` (deviation|detector)")),
     };
     let status_path = opts.get("status");
@@ -1312,6 +1312,14 @@ fn compare(opts: &args::Options) -> Result<(), String> {
 fn plan_server(opts: &args::Options) -> Result<(), String> {
     use adaptcomm_plansrv::{PlanServer, PlanServerConfig};
 
+    let cache_capacity: usize = opts.parsed_or("cache", 256)?;
+    if cache_capacity == 0 {
+        return Err("--cache must be at least 1".into());
+    }
+    let near_tolerance: f64 = opts.parsed_or("near-tolerance", 0.10)?;
+    if !(near_tolerance.is_finite() && near_tolerance >= 0.0) {
+        return Err("--near-tolerance must be a finite, non-negative fraction".into());
+    }
     let obs_path = obs_begin(opts);
     // The scrape surface: /metrics + /healthz plus the per-tenant JSON
     // rollup, all read from the global registry the service records to.
@@ -1331,8 +1339,8 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
     let pace_ms: f64 = opts.parsed_or("pace-ms", 0.0)?;
     let config = PlanServerConfig {
         workers: opts.parsed_or("workers", 2)?,
-        cache_capacity: opts.parsed_or("cache", 256)?,
-        near_tolerance: opts.parsed_or("near-tolerance", 0.10)?,
+        cache_capacity,
+        near_tolerance,
         default_est_ms: opts.parsed_or("est-ms", 10.0)?,
         pace: (pace_ms > 0.0).then(|| std::time::Duration::from_secs_f64(pace_ms / 1e3)),
         threads: opts.parsed_or("threads", 1)?,

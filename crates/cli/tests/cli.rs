@@ -693,6 +693,25 @@ fn errors_exit_nonzero_with_message() {
 }
 
 #[test]
+fn plan_server_rejects_an_unusable_cache_before_binding() {
+    // These used to panic inside `PlanCache::new` once `bind` ran.
+    for (flag, value) in [
+        ("--cache", "0"),
+        ("--near-tolerance", "-0.5"),
+        ("--near-tolerance", "NaN"),
+        ("--near-tolerance", "inf"),
+    ] {
+        let out = bin()
+            .args(["plan-server", "--addr", "127.0.0.1:0", flag, value])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+    }
+}
+
+#[test]
 fn a_misspelt_option_is_rejected_naming_the_valid_ones() {
     // `--treshold` used to run with the default threshold, silently.
     let out = bin()

@@ -4,7 +4,7 @@
 //! * **All-gather** without combining is exactly a total exchange whose
 //!   per-sender message sizes are row-constant, so it delegates to the
 //!   `adaptcomm-core` schedulers ([`allgather_matrix`] builds the
-//!   matrix). [`allgather`] wraps the delegation.
+//!   matrix).
 //! * **All-reduce** = reduce to a root, then broadcast from it. The
 //!   heterogeneity-aware variant picks the *root that minimizes the
 //!   composed completion* — on skewed networks the best root is rarely
@@ -16,9 +16,8 @@
 use crate::broadcast;
 use crate::plan::CollectiveSchedule;
 use crate::reduce::{reduce, ReduceTree};
-use adaptcomm_core::algorithms::Scheduler;
 use adaptcomm_core::matrix::CommMatrix;
-use adaptcomm_core::schedule::{Schedule, ScheduledEvent};
+use adaptcomm_core::schedule::ScheduledEvent;
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::units::{Bytes, Millis};
 
@@ -34,16 +33,6 @@ pub fn allgather_matrix<M: CostModel>(model: &M, contribution: &[Bytes]) -> Comm
             model.message_time(src, dst, contribution[src]).as_ms()
         }
     })
-}
-
-/// Schedules an all-gather with any total-exchange scheduler.
-pub fn allgather<M: CostModel, S: Scheduler>(
-    model: &M,
-    contribution: &[Bytes],
-    scheduler: &S,
-) -> Schedule {
-    let matrix = allgather_matrix(model, contribution);
-    scheduler.schedule(&matrix)
 }
 
 /// An all-reduce plan: the reduction phase, the broadcast phase, and the
@@ -127,7 +116,7 @@ pub fn dissemination_barrier(matrix: &CommMatrix) -> CollectiveSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptcomm_core::algorithms::OpenShop;
+    use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_model::params::NetParams;
     use adaptcomm_model::units::Bandwidth;
 
@@ -155,12 +144,9 @@ mod tests {
         let contribution: Vec<Bytes> = (0..6)
             .map(|k| Bytes::from_kb(10 * (k as u64 + 1)))
             .collect();
-        let sched = allgather(&net(6), &contribution, &OpenShop);
-        sched.validate().unwrap();
-        // Row-constant sizes: all messages from one sender cost the same
-        // transfer time (startup may differ per pair).
         let m = allgather_matrix(&net(6), &contribution);
         assert_eq!(m.len(), 6);
+        OpenShop.schedule(&m).validate().unwrap();
     }
 
     #[test]

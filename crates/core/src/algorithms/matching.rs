@@ -153,7 +153,7 @@ impl MatchingScheduler {
 
     /// Like [`MatchingScheduler::new`], but sharding each cold LAP
     /// solve's column-reduction scans across `threads` workers (see
-    /// [`adaptcomm_lap::solve_min_par`]); results are bit-identical at
+    /// [`adaptcomm_lap::solve_min_warm_par`]); results are bit-identical at
     /// any thread count.
     pub fn with_threads(kind: MatchingKind, threads: usize) -> Self {
         MatchingScheduler {

@@ -18,24 +18,8 @@ use crate::execution::execute_listed;
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, SendOrder};
 
-/// Configuration of the local search.
-#[derive(Debug, Clone, Copy)]
-pub struct ImproveConfig {
-    /// Maximum accepted moves (each re-executes the order: `O(P² log P)`).
-    pub max_moves: usize,
-    /// Maximum full neighborhood sweeps without improvement before
-    /// stopping (1 = plain hill climbing).
-    pub max_stale_sweeps: usize,
-}
-
-impl Default for ImproveConfig {
-    fn default() -> Self {
-        ImproveConfig {
-            max_moves: 200,
-            max_stale_sweeps: 1,
-        }
-    }
-}
+/// The move budget the refinement study gives [`improve`].
+pub const MAX_MOVES: usize = 200;
 
 /// Outcome of an improvement run.
 #[derive(Debug, Clone)]
@@ -52,28 +36,19 @@ pub struct Improvement {
     pub moves: usize,
 }
 
-impl Improvement {
-    /// Relative gain, in `[0, 1)`.
-    pub fn gain(&self) -> f64 {
-        if self.before == 0.0 {
-            0.0
-        } else {
-            1.0 - self.after / self.before
-        }
-    }
-}
-
-/// Hill-climbs `order` under ASAP execution against `matrix`.
-pub fn improve(order: &SendOrder, matrix: &CommMatrix, config: ImproveConfig) -> Improvement {
+/// Hill-climbs `order` under ASAP execution against `matrix`, accepting
+/// at most `max_moves` moves (each re-executes the order:
+/// `O(P² log P)`). It stops after the first full neighborhood sweep that
+/// finds no improvement.
+pub fn improve(order: &SendOrder, matrix: &CommMatrix, max_moves: usize) -> Improvement {
     let p = matrix.len();
     let mut current = order.clone();
     let mut schedule = execute_listed(&current, matrix);
     let before = schedule.completion_time().as_ms();
     let mut best = before;
     let mut moves = 0usize;
-    let mut stale = 0usize;
 
-    while moves < config.max_moves && stale < config.max_stale_sweeps {
+    while moves < max_moves {
         let mut improved_this_sweep = false;
 
         // Move 1: adjacent swaps, all senders, all positions.
@@ -89,7 +64,7 @@ pub fn improve(order: &SendOrder, matrix: &CommMatrix, config: ImproveConfig) ->
                     best = t;
                     moves += 1;
                     improved_this_sweep = true;
-                    if moves >= config.max_moves {
+                    if moves >= max_moves {
                         break 'outer;
                     }
                 }
@@ -98,7 +73,7 @@ pub fn improve(order: &SendOrder, matrix: &CommMatrix, config: ImproveConfig) ->
 
         // Move 2: promote the makespan-defining event to the front of
         // its sender's list.
-        if moves < config.max_moves {
+        if moves < max_moves {
             if let Some(last) = schedule
                 .events()
                 .iter()
@@ -124,10 +99,8 @@ pub fn improve(order: &SendOrder, matrix: &CommMatrix, config: ImproveConfig) ->
             }
         }
 
-        if improved_this_sweep {
-            stale = 0;
-        } else {
-            stale += 1;
+        if !improved_this_sweep {
+            break;
         }
     }
 
@@ -166,10 +139,9 @@ mod tests {
                 Box::new(RandomOrder::new(seed)),
             ] {
                 let order = scheduler.send_order(&m);
-                let result = improve(&order, &m, ImproveConfig::default());
+                let result = improve(&order, &m, MAX_MOVES);
                 assert!(result.after <= result.before + 1e-9);
                 result.schedule.validate().unwrap();
-                assert!(result.gain() >= 0.0);
             }
         }
     }
@@ -180,8 +152,8 @@ mod tests {
         for seed in 0..8u64 {
             let m = matrix(9, seed);
             let order = RandomOrder::new(seed).send_order(&m);
-            let result = improve(&order, &m, ImproveConfig::default());
-            total_gain += result.gain();
+            let result = improve(&order, &m, MAX_MOVES);
+            total_gain += 1.0 - result.after / result.before;
         }
         assert!(
             total_gain / 8.0 > 0.02,
@@ -194,14 +166,7 @@ mod tests {
     fn respects_the_move_budget() {
         let m = matrix(10, 1);
         let order = RandomOrder::new(1).send_order(&m);
-        let r = improve(
-            &order,
-            &m,
-            ImproveConfig {
-                max_moves: 3,
-                max_stale_sweeps: 5,
-            },
-        );
+        let r = improve(&order, &m, 3);
         assert!(r.moves <= 3);
     }
 
@@ -211,7 +176,7 @@ mod tests {
         // must stop without moves.
         let m = CommMatrix::from_rows(&[vec![0.0, 4.0], vec![6.0, 0.0]]);
         let order = OpenShop.send_order(&m);
-        let r = improve(&order, &m, ImproveConfig::default());
+        let r = improve(&order, &m, MAX_MOVES);
         assert_eq!(r.moves, 0);
         assert_eq!(r.before, r.after);
     }
@@ -220,7 +185,7 @@ mod tests {
     fn refined_openshop_stays_within_theorem_3() {
         let m = matrix(12, 7);
         let order = OpenShop.send_order(&m);
-        let r = improve(&order, &m, ImproveConfig::default());
+        let r = improve(&order, &m, MAX_MOVES);
         assert!(r.after <= 2.0 * m.lower_bound().as_ms() + 1e-9);
     }
 }

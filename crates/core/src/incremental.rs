@@ -23,7 +23,7 @@
 
 use crate::algorithms::Scheduler;
 use crate::execution::execute_listed;
-use crate::improve::{improve, ImproveConfig};
+use crate::improve::improve;
 use crate::matrix::CommMatrix;
 use crate::schedule::{Schedule, SendOrder};
 
@@ -107,11 +107,7 @@ impl<S: Scheduler> IncrementalScheduler<S> {
             UpdateAction::Kept
         } else if drift <= RECOMPUTE_THRESHOLD {
             self.repairs += 1;
-            let config = ImproveConfig {
-                max_moves: REPAIR_MOVES,
-                max_stale_sweeps: 1,
-            };
-            self.order = improve(&self.order, &new_matrix, config).order;
+            self.order = improve(&self.order, &new_matrix, REPAIR_MOVES).order;
             UpdateAction::Repaired
         } else {
             self.recomputes += 1;

@@ -154,7 +154,7 @@ proptest! {
 }
 
 use adaptcomm_core::critical::CriticalResource;
-use adaptcomm_core::improve::{improve, ImproveConfig};
+use adaptcomm_core::improve::improve;
 use adaptcomm_core::qos::{QosMatrix, QosReport, QosRequirement, QosScheduler};
 use adaptcomm_model::units::Millis;
 
@@ -193,7 +193,7 @@ proptest! {
     fn refinement_is_monotone(m in comm_matrix(8)) {
         for s in all_schedulers() {
             let order = s.send_order(&m);
-            let climbed = improve(&order, &m, ImproveConfig { max_moves: 40, max_stale_sweeps: 1 });
+            let climbed = improve(&order, &m, 40);
             prop_assert!(climbed.after <= climbed.before + 1e-9, "{}", s.name());
             prop_assert!(climbed.schedule.validate().is_ok());
         }

@@ -4,17 +4,17 @@
 //! directory service which provides information on current network
 //! performance is essential." This crate plays the role of Globus MDS /
 //! ReMoS for the scheduling framework: it publishes time-stamped
-//! [`DirectorySnapshot`]s of per-pair network performance and answers
-//! point queries through an application-facing API.
+//! [`DirectorySnapshot`]s of per-pair network performance: the two things
+//! the framework needs from it are *query* and *publish*.
 //!
 //! Three pieces:
 //!
 //! * [`snapshot`] — immutable, time-stamped [`adaptcomm_model::NetParams`]
 //!   snapshots;
 //! * [`service`] — the thread-safe [`service::DirectoryService`] with
-//!   query/publish/subscribe, staleness tracking, and an optional
-//!   attached [`adaptcomm_model::variation::VariationTrace`] so the
-//!   directory can evolve on its own clock;
+//!   query/publish, per-link health, and an optional attached
+//!   [`adaptcomm_model::variation::VariationTrace`] so the directory can
+//!   evolve on its own clock;
 //! * [`load`] — a background-load injector that perturbs published
 //!   bandwidths the way competing applications would.
 
@@ -26,9 +26,9 @@
 //! use adaptcomm_model::{NetParams, Bandwidth, Millis};
 //!
 //! let dir = DirectoryService::new(adaptcomm_model::gusto::gusto_params());
-//! let estimate = dir.query_pair(0, 1).unwrap();
+//! let estimate = dir.snapshot().estimate(0, 1);
 //! assert_eq!(estimate.startup.as_ms(), 34.5); // Table 1: AMES↔ANL
-//! // Publish fresher measurements; subscribers and later queries see them.
+//! // Publish fresher measurements; later queries see them.
 //! let mut updated = dir.snapshot().params().clone();
 //! updated.scale_bandwidth(0, 1, 0.5);
 //! dir.publish(updated);
@@ -44,5 +44,5 @@ pub mod service;
 pub mod snapshot;
 
 pub use health::{HealthView, LinkStatus};
-pub use service::{DirectoryService, PublishError, QueryError};
+pub use service::{DirectoryService, PublishError};
 pub use snapshot::DirectorySnapshot;

@@ -1,4 +1,4 @@
-//! The directory service: publish, query, subscribe.
+//! The directory service: publish and query.
 //!
 //! Mirrors the role of Globus MDS in the paper's framework: applications
 //! query it at run time for "current information on start-up costs and
@@ -17,46 +17,7 @@ use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::Millis;
 use adaptcomm_model::variation::VariationTrace;
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Errors a directory query can produce.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryError {
-    /// The requested processor index exceeds the system size.
-    UnknownProcessor {
-        /// The offending index.
-        index: usize,
-        /// The number of processors the directory covers.
-        size: usize,
-    },
-    /// The freshest available snapshot is older than the caller's
-    /// staleness budget.
-    Stale {
-        /// Age of the best snapshot.
-        age: Millis,
-        /// The caller's budget.
-        budget: Millis,
-    },
-}
-
-impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::UnknownProcessor { index, size } => {
-                write!(
-                    f,
-                    "processor {index} out of range (directory covers {size})"
-                )
-            }
-            QueryError::Stale { age, budget } => {
-                write!(f, "snapshot is {age} old, budget was {budget}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
 
 /// Errors a live publish can produce.
 ///
@@ -84,14 +45,6 @@ pub enum PublishError {
         /// Human-readable description of the defect.
         detail: String,
     },
-    /// The published table covers a different number of processors than
-    /// the directory.
-    SizeMismatch {
-        /// Size of the published table.
-        published: usize,
-        /// Size the directory covers.
-        size: usize,
-    },
 }
 
 impl fmt::Display for PublishError {
@@ -105,12 +58,6 @@ impl fmt::Display for PublishError {
             }
             PublishError::NonFiniteMeasurement { src, dst, detail } => {
                 write!(f, "measurement for {src} -> {dst} rejected: {detail}")
-            }
-            PublishError::SizeMismatch { published, size } => {
-                write!(
-                    f,
-                    "published table covers {published} processors, directory covers {size}"
-                )
             }
         }
     }
@@ -146,31 +93,24 @@ struct Inner {
     current: DirectorySnapshot,
     clock: Millis,
     trace: Option<VariationTrace>,
-    /// Minimum age the current snapshot must reach before an attached
-    /// trace publishes a replacement. `None` republishes on every clock
-    /// advance (a directory that measures continuously).
-    publish_interval: Option<Millis>,
-    subscribers: Vec<Sender<DirectorySnapshot>>,
     health: HealthMonitor,
     /// Snapshots installed (trace advances, publishes, measurements).
     publishes: u64,
-    /// All queries (`snapshot`, `snapshot_fresh`, `query_pair`).
+    /// Snapshot queries.
     queries: u64,
 }
 
 impl Inner {
     /// Installs `params` as the current snapshot, stamped `taken_at`,
-    /// bumping the sequence and notifying subscribers.
+    /// bumping the sequence.
     fn install(&mut self, params: NetParams, taken_at: Millis) {
         let seq = self.current.sequence() + 1;
-        let snap = DirectorySnapshot::new(params, taken_at, seq);
-        self.current = snap.clone();
+        self.current = DirectorySnapshot::new(params, taken_at, seq);
         self.publishes += 1;
         let obs = adaptcomm_obs::global();
         if obs.is_enabled() {
             obs.add("directory.publish", 1);
         }
-        self.subscribers.retain(|tx| tx.send(snap.clone()).is_ok());
     }
 }
 
@@ -188,8 +128,6 @@ impl DirectoryService {
                 current: snapshot,
                 clock: Millis::ZERO,
                 trace: None,
-                publish_interval: None,
-                subscribers: Vec::new(),
                 health: HealthMonitor::new(),
                 publishes: 0,
                 queries: 0,
@@ -211,42 +149,23 @@ impl DirectoryService {
         svc
     }
 
-    /// Like [`DirectoryService::with_trace`], but the trace publishes a
-    /// new snapshot only once the current one is at least `interval` old
-    /// — the MDS model where a monitor remeasures periodically, so
-    /// queries between publishes can fail a tight staleness budget
-    /// ([`QueryError::Stale`]).
-    pub fn with_trace_every(trace: VariationTrace, interval: Millis) -> Self {
-        let svc = Self::with_trace(trace);
-        svc.lock().publish_interval = Some(interval);
-        svc
-    }
-
     /// Number of processors covered.
     pub fn processors(&self) -> usize {
         self.lock().current.params().len()
     }
 
     /// Advances the simulated clock. With an attached trace, a new
-    /// snapshot is generated and published to subscribers — immediately,
-    /// or (with [`DirectoryService::with_trace_every`]) only once the
-    /// current snapshot has aged past the publish interval.
+    /// snapshot is generated and published.
     pub fn advance_clock(&self, now: Millis) {
         let mut inner = self.lock();
         if now.as_ms() <= inner.clock.as_ms() {
             return; // the clock never goes backwards
         }
         inner.clock = now;
-        if inner.trace.is_none() {
-            return;
+        if let Some(trace) = inner.trace.as_mut() {
+            let params = trace.table_at(now);
+            inner.install(params, now);
         }
-        if let Some(interval) = inner.publish_interval {
-            if inner.current.age_at(now).as_ms() < interval.as_ms() {
-                return; // not due for remeasurement yet
-            }
-        }
-        let params = inner.trace.as_mut().expect("checked above").table_at(now);
-        inner.install(params, now);
     }
 
     /// Publishes an externally measured table at the current clock.
@@ -254,44 +173,12 @@ impl DirectoryService {
     /// This does **not** advance the clock, so the new snapshot carries
     /// the time of the last [`DirectoryService::advance_clock`] call. A
     /// live measurement source (e.g. a runtime prober) should use
-    /// [`DirectoryService::publish_at`] instead, which stamps the
-    /// snapshot with the measurement time so staleness budgets see the
-    /// refreshed epoch.
+    /// [`DirectoryService::publish_measurement`] instead, which stamps
+    /// the snapshot with the measurement time.
     pub fn publish(&self, params: NetParams) {
         let mut inner = self.lock();
         let taken_at = inner.clock;
         inner.install(params, taken_at);
-    }
-
-    /// Publishes a live-measured table observed at time `now`, advancing
-    /// the directory clock to `now` (monotonically) and stamping the
-    /// snapshot epoch there.
-    ///
-    /// This is the runtime feedback path: before this API existed, only
-    /// trace-driven publishing ([`DirectoryService::with_trace_every`] via
-    /// [`DirectoryService::advance_clock`]) refreshed the snapshot epoch,
-    /// so estimates published by a live prober were immediately judged
-    /// stale against a tight budget even though they were the freshest
-    /// data in the system. Every estimate is validated; non-finite
-    /// measurements are rejected wholesale.
-    pub fn publish_at(&self, now: Millis, params: NetParams) -> Result<(), PublishError> {
-        let mut inner = self.lock();
-        let size = inner.current.params().len();
-        if params.len() != size {
-            return Err(PublishError::SizeMismatch {
-                published: params.len(),
-                size,
-            });
-        }
-        for (src, dst, e) in params.pairs() {
-            check_measurement(src, dst, e.startup.as_ms(), e.bandwidth.as_kbps())?;
-        }
-        if now.as_ms() > inner.clock.as_ms() {
-            inner.clock = now;
-        }
-        let taken_at = inner.clock;
-        inner.install(params, taken_at);
-        Ok(())
     }
 
     /// Publishes a single live link measurement observed at time `now`:
@@ -388,49 +275,6 @@ impl DirectoryService {
         inner.current.clone()
     }
 
-    /// The freshest snapshot, but only if no older than `budget`.
-    pub fn snapshot_fresh(&self, budget: Millis) -> Result<DirectorySnapshot, QueryError> {
-        let mut inner = self.lock();
-        inner.queries += 1;
-        let age = inner.current.age_at(inner.clock);
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.gauge_set("directory.epoch_age_ms", age.as_ms());
-        }
-        if age.as_ms() > budget.as_ms() {
-            if obs.is_enabled() {
-                obs.add("directory.query.stale", 1);
-            }
-            return Err(QueryError::Stale { age, budget });
-        }
-        if obs.is_enabled() {
-            obs.add("directory.query.fresh", 1);
-        }
-        Ok(inner.current.clone())
-    }
-
-    /// Point query for one directed pair (the MDS-style API).
-    pub fn query_pair(&self, src: usize, dst: usize) -> Result<LinkEstimate, QueryError> {
-        let mut inner = self.lock();
-        inner.queries += 1;
-        let size = inner.current.params().len();
-        if src >= size {
-            return Err(QueryError::UnknownProcessor { index: src, size });
-        }
-        if dst >= size {
-            return Err(QueryError::UnknownProcessor { index: dst, size });
-        }
-        Ok(inner.current.estimate(src, dst))
-    }
-
-    /// Subscribes to future publishes. The receiver sees every snapshot
-    /// published after this call.
-    pub fn subscribe(&self) -> Receiver<DirectorySnapshot> {
-        let (tx, rx) = channel();
-        self.lock().subscribers.push(tx);
-        rx
-    }
-
     /// `(publishes, queries)` counters — useful for asserting how often a
     /// scheduling strategy consults the directory.
     pub fn stats(&self) -> (u64, u64) {
@@ -453,28 +297,19 @@ mod tests {
     fn static_directory_answers_queries() {
         let d = DirectoryService::new(params());
         assert_eq!(d.processors(), 4);
-        let e = d.query_pair(1, 3).unwrap();
-        assert_eq!(e.startup.as_ms(), 10.0);
-        assert_eq!(
-            d.query_pair(9, 0),
-            Err(QueryError::UnknownProcessor { index: 9, size: 4 })
-        );
-        let (p, q) = d.stats();
-        assert_eq!(p, 0);
-        assert_eq!(q, 2);
+        assert_eq!(d.snapshot().estimate(1, 3).startup.as_ms(), 10.0);
+        assert_eq!(d.stats(), (0, 1));
     }
 
     #[test]
-    fn publish_bumps_sequence_and_notifies_subscribers() {
+    fn publish_bumps_sequence() {
         let d = DirectoryService::new(params());
-        let rx = d.subscribe();
         let mut updated = params();
         updated.scale_bandwidth(0, 1, 0.5);
         d.publish(updated.clone());
-        let got = rx.try_recv().expect("subscriber must see the publish");
+        let got = d.snapshot();
         assert_eq!(got.sequence(), 1);
         assert_eq!(got.params(), &updated);
-        assert_eq!(d.snapshot().sequence(), 1);
     }
 
     #[test]
@@ -501,110 +336,6 @@ mod tests {
         let at5 = d.snapshot();
         d.advance_clock(Millis::new(1_000.0)); // ignored
         assert_eq!(d.snapshot().sequence(), at5.sequence());
-    }
-
-    #[test]
-    fn staleness_budget_enforced() {
-        let d = DirectoryService::new(params());
-        // Advance the clock without a trace: the snapshot ages.
-        d.advance_clock(Millis::new(2_000.0));
-        assert!(d.snapshot_fresh(Millis::new(5_000.0)).is_ok());
-        match d.snapshot_fresh(Millis::new(500.0)) {
-            Err(QueryError::Stale { age, budget }) => {
-                assert_eq!(age.as_ms(), 2_000.0);
-                assert_eq!(budget.as_ms(), 500.0);
-            }
-            other => panic!("expected staleness error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn trace_advance_between_publishes_triggers_stale_rejection() {
-        // A periodically remeasuring directory: the trace republishes only
-        // every 5 s, so a query 2 s after the last snapshot with a 500 ms
-        // budget must be rejected as stale.
-        let trace = VariationTrace::new(params(), VariationConfig::default(), 11);
-        let d = DirectoryService::with_trace_every(trace, Millis::new(5_000.0));
-        d.advance_clock(Millis::new(2_000.0));
-        assert_eq!(d.snapshot().sequence(), 0, "trace must not republish yet");
-        match d.snapshot_fresh(Millis::new(500.0)) {
-            Err(QueryError::Stale { age, budget }) => {
-                assert_eq!(age.as_ms(), 2_000.0);
-                assert_eq!(budget.as_ms(), 500.0);
-            }
-            other => panic!("expected staleness rejection, got {other:?}"),
-        }
-        // A budget covering the age still succeeds.
-        assert!(d.snapshot_fresh(Millis::new(2_000.0)).is_ok());
-        // Once the interval elapses the trace remeasures and queries pass.
-        d.advance_clock(Millis::new(5_000.0));
-        let snap = d
-            .snapshot_fresh(Millis::new(500.0))
-            .expect("fresh right after the trace republished");
-        assert_eq!(snap.sequence(), 1);
-        assert_eq!(snap.taken_at().as_ms(), 5_000.0);
-    }
-
-    #[test]
-    fn stale_fresh_publish_counters_track_the_staleness_scenario() {
-        // Same periodic-remeasurement scenario as above, now asserting
-        // the service-level counters stay in lockstep with the outcomes.
-        let trace = VariationTrace::new(params(), VariationConfig::default(), 11);
-        let d = DirectoryService::with_trace_every(trace, Millis::new(5_000.0));
-        assert_eq!(d.stats(), (0, 0));
-
-        d.advance_clock(Millis::new(2_000.0));
-        assert!(d.snapshot_fresh(Millis::new(500.0)).is_err()); // stale
-        assert!(d.snapshot_fresh(Millis::new(2_000.0)).is_ok()); // fresh
-        d.advance_clock(Millis::new(5_000.0)); // trace republishes
-        assert!(d.snapshot_fresh(Millis::new(500.0)).is_ok()); // fresh
-        assert_eq!(d.stats(), (1, 3), "one trace-driven republish");
-        // Unbudgeted reads count as queries too.
-        d.snapshot();
-        assert_eq!(d.stats(), (1, 4));
-    }
-
-    #[test]
-    fn publish_restores_freshness_after_stale_rejection() {
-        let trace = VariationTrace::new(params(), VariationConfig::default(), 13);
-        let d = DirectoryService::with_trace_every(trace, Millis::new(60_000.0));
-        d.advance_clock(Millis::new(3_000.0));
-        assert!(matches!(
-            d.snapshot_fresh(Millis::new(1_000.0)),
-            Err(QueryError::Stale { .. })
-        ));
-        // An external measurement published at the current clock makes
-        // the same query succeed.
-        let mut measured = params();
-        measured.scale_bandwidth(0, 1, 2.0);
-        d.publish(measured.clone());
-        let snap = d
-            .snapshot_fresh(Millis::new(1_000.0))
-            .expect("fresh after publish");
-        assert_eq!(snap.params(), &measured);
-        assert_eq!(snap.taken_at().as_ms(), 3_000.0);
-        assert_eq!(snap.sequence(), 1);
-    }
-
-    #[test]
-    fn publish_at_refreshes_the_snapshot_epoch() {
-        // A live prober publishing at wall/run time must make a tight
-        // staleness budget pass again — the fix over plain `publish`,
-        // which stamps the (stale) clock of the last advance_clock call.
-        let d = DirectoryService::new(params());
-        d.advance_clock(Millis::new(10_000.0));
-        assert!(matches!(
-            d.snapshot_fresh(Millis::new(100.0)),
-            Err(QueryError::Stale { .. })
-        ));
-        d.publish_at(Millis::new(10_000.0), params()).unwrap();
-        let snap = d.snapshot_fresh(Millis::new(100.0)).expect("fresh now");
-        assert_eq!(snap.taken_at().as_ms(), 10_000.0);
-        assert_eq!(snap.sequence(), 1);
-        // Publishing from a *later* observation also advances the clock.
-        d.publish_at(Millis::new(12_000.0), params()).unwrap();
-        assert_eq!(d.snapshot().taken_at().as_ms(), 12_000.0);
-        assert!(d.snapshot_fresh(Millis::new(100.0)).is_ok());
     }
 
     #[test]
@@ -646,32 +377,8 @@ mod tests {
                 "startup {bad} must be rejected"
             );
         }
-        // A full-table publish with one poisoned entry is rejected whole.
-        // (The struct literal bypasses `LinkEstimate::new`'s assert, the
-        // way a deserialized table would.)
-        let mut p = params();
-        p.set_estimate(
-            2,
-            0,
-            LinkEstimate {
-                startup: Millis::new(f64::NAN),
-                bandwidth: Bandwidth::from_kbps(100.0),
-            },
-        );
-        assert!(matches!(
-            d.publish_at(Millis::ZERO, p),
-            Err(PublishError::NonFiniteMeasurement { src: 2, dst: 0, .. })
-        ));
         // Nothing was installed by any rejected publish.
         assert_eq!(d.snapshot().sequence(), 0);
-        let wrong_size = NetParams::uniform(3, Millis::new(1.0), Bandwidth::from_kbps(10.0));
-        assert_eq!(
-            d.publish_at(Millis::ZERO, wrong_size),
-            Err(PublishError::SizeMismatch {
-                published: 3,
-                size: 4
-            })
-        );
     }
 
     #[test]
@@ -702,16 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_subscribers_are_pruned() {
-        let d = DirectoryService::new(params());
-        let rx = d.subscribe();
-        drop(rx);
-        d.publish(params()); // must not panic, subscriber is gone
-        d.publish(params());
-        assert_eq!(d.snapshot().sequence(), 2);
-    }
-
-    #[test]
     fn concurrent_queries_are_safe() {
         use std::sync::Arc;
         let d = Arc::new(DirectoryService::new(params()));
@@ -720,7 +417,7 @@ mod tests {
             let d = Arc::clone(&d);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    let _ = d.query_pair(0, 1).unwrap();
+                    let _ = d.snapshot().estimate(0, 1);
                     let _ = d.snapshot();
                 }
             }));
@@ -740,14 +437,5 @@ mod tests {
         let (p, q) = d.stats();
         assert_eq!(p, 50);
         assert_eq!(q, 800);
-    }
-
-    #[test]
-    fn error_display() {
-        let e = QueryError::Stale {
-            age: Millis::new(9.0),
-            budget: Millis::new(1.0),
-        };
-        assert!(format!("{e}").contains("old"));
     }
 }

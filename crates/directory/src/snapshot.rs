@@ -43,11 +43,6 @@ impl DirectorySnapshot {
         self.sequence
     }
 
-    /// Age of the snapshot at time `now` (zero if `now` precedes it).
-    pub fn age_at(&self, now: Millis) -> Millis {
-        Millis::new((now.as_ms() - self.taken_at.as_ms()).max(0.0))
-    }
-
     /// Convenience passthrough: the estimate for one directed pair.
     pub fn estimate(&self, src: usize, dst: usize) -> LinkEstimate {
         self.params.estimate(src, dst)
@@ -71,13 +66,6 @@ mod tests {
         assert_eq!(s.sequence(), 3);
         assert_eq!(s.params().len(), 3);
         assert_eq!(s.estimate(0, 1).startup.as_ms(), 5.0);
-    }
-
-    #[test]
-    fn age_clamps_at_zero() {
-        let s = snap(100.0, 0);
-        assert_eq!(s.age_at(Millis::new(150.0)).as_ms(), 50.0);
-        assert_eq!(s.age_at(Millis::new(50.0)).as_ms(), 0.0);
     }
 
     #[test]

@@ -73,15 +73,6 @@ impl Assignment {
         Assignment { row_to_col, cost }
     }
 
-    /// The inverse mapping: `col_to_row[j]` = row assigned to column `j`.
-    pub fn col_to_row(&self) -> Vec<usize> {
-        let mut inv = vec![usize::MAX; self.row_to_col.len()];
-        for (i, &j) in self.row_to_col.iter().enumerate() {
-            inv[j] = i;
-        }
-        inv
-    }
-
     /// True if `row_to_col` is a permutation of `0..n`.
     pub fn is_permutation(&self) -> bool {
         let n = self.row_to_col.len();
@@ -119,20 +110,14 @@ pub fn solve_min_warm(costs: &DenseCost, duals: &mut Duals) -> Assignment {
     jv::solve_warm(costs, duals)
 }
 
-/// Like [`solve_min`], but sharding the cold phase-1 column scans
-/// across `threads` workers. Bit-identical to [`solve_min`] at any
-/// thread count — per-column minima are computed independently with the
-/// serial tie-break and applied in the serial order (see
-/// [`jv::solve_par`]). Sharded scans are counted in
-/// [`SolveStats::worker_scans`].
-pub fn solve_min_par(costs: &DenseCost, threads: usize) -> Assignment {
-    jv::solve_par(costs, threads)
-}
-
-/// The warm-started counterpart of [`solve_min_par`]: warm rounds are
-/// inherently sequential (each augmentation reads the potentials the
-/// previous one wrote), so `threads` only accelerates the cold solve
-/// that initialises `duals`.
+/// [`solve_min_warm`], sharding the cold solve's phase-1 column scans
+/// across `threads` workers. Bit-identical at any thread count —
+/// per-column minima are computed independently with the serial
+/// tie-break and applied in the serial order (see [`jv::solve_par`]);
+/// sharded scans are counted in [`SolveStats::worker_scans`]. Warm
+/// rounds are inherently sequential (each augmentation reads the
+/// potentials the previous one wrote), so `threads` only accelerates the
+/// cold solve that initialises `duals`.
 pub fn solve_min_warm_par(costs: &DenseCost, duals: &mut Duals, threads: usize) -> Assignment {
     jv::solve_warm_par(costs, duals, threads)
 }
@@ -152,7 +137,6 @@ mod tests {
         let c = DenseCost::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         let a = Assignment::from_permutation(&c, vec![1, 0]);
         assert_eq!(a.cost, 5.0);
-        assert_eq!(a.col_to_row(), vec![1, 0]);
         assert!(a.is_permutation());
         let bad = Assignment {
             row_to_col: vec![0, 0],

@@ -82,35 +82,27 @@ pub enum DriftDirection {
     Down,
 }
 
-/// Floor on the reference standard deviation, so an exactly-constant
-/// warmup (modeled runs are bit-deterministic) cannot divide by zero.
+/// Floor on the reference standard deviation, so a zero-spread reference
+/// (modeled runs are bit-deterministic) cannot divide by zero.
 const MIN_STD: f64 = 1e-9;
 
 /// A two-sided CUSUM change detector.
 ///
-/// Samples are standardized against a reference `(mean, std)` — given
-/// explicitly ([`Cusum::with_reference`]) or learned from the first
-/// `warmup` samples ([`Cusum::self_tuning`]) — and accumulated into an
-/// upper and a lower sum:
+/// Samples are standardized against a fixed reference `(mean, std)`
+/// ([`Cusum::with_reference`]) and accumulated into an upper and a lower
+/// sum:
 ///
 /// ```text
 /// g⁺ ← max(0, g⁺ + z − k)       g⁻ ← max(0, g⁻ − z − k)
 /// ```
 ///
 /// An alarm fires when either exceeds `h`, after which the detector
-/// resets (and a self-tuning detector re-learns its reference, since
-/// the level genuinely moved).
+/// resets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cusum {
     cfg: CusumConfig,
     mean: f64,
     std: f64,
-    /// 0 = reference is fixed/ready; > 0 = samples still to learn from.
-    warmup_left: usize,
-    warmup_len: usize,
-    warm_n: f64,
-    warm_mean: f64,
-    warm_m2: f64,
     pos: f64,
     neg: f64,
 }
@@ -124,25 +116,9 @@ impl Cusum {
             cfg,
             mean,
             std: std.abs().max(MIN_STD),
-            warmup_left: 0,
-            warmup_len: 0,
-            warm_n: 0.0,
-            warm_mean: 0.0,
-            warm_m2: 0.0,
             pos: 0.0,
             neg: 0.0,
         }
-    }
-
-    /// A detector that learns its reference from the first `warmup`
-    /// samples (Welford's online mean/variance); no alarms can fire
-    /// until the warmup completes.
-    pub fn self_tuning(cfg: CusumConfig, warmup: usize) -> Self {
-        assert!(warmup >= 2, "warmup needs at least two samples");
-        let mut c = Cusum::with_reference(cfg, 0.0, 1.0);
-        c.warmup_left = warmup;
-        c.warmup_len = warmup;
-        c
     }
 
     /// Feeds one sample; `Some(direction)` when the cumulative evidence
@@ -150,18 +126,6 @@ impl Cusum {
     /// Non-finite samples are ignored.
     pub fn update(&mut self, x: f64) -> Option<DriftDirection> {
         if !x.is_finite() {
-            return None;
-        }
-        if self.warmup_left > 0 {
-            self.warm_n += 1.0;
-            let delta = x - self.warm_mean;
-            self.warm_mean += delta / self.warm_n;
-            self.warm_m2 += delta * (x - self.warm_mean);
-            self.warmup_left -= 1;
-            if self.warmup_left == 0 {
-                self.mean = self.warm_mean;
-                self.std = (self.warm_m2 / (self.warm_n - 1.0)).sqrt().max(MIN_STD);
-            }
             return None;
         }
         let z = (x - self.mean) / self.std;
@@ -178,29 +142,10 @@ impl Cusum {
         }
     }
 
-    /// Clears the cumulative sums; a self-tuning detector also re-enters
-    /// warmup, re-learning the (presumably shifted) reference level.
+    /// Clears the cumulative sums.
     pub fn reset(&mut self) {
         self.pos = 0.0;
         self.neg = 0.0;
-        if self.warmup_len > 0 {
-            self.warmup_left = self.warmup_len;
-            self.warm_n = 0.0;
-            self.warm_mean = 0.0;
-            self.warm_m2 = 0.0;
-        }
-    }
-
-    /// The current cumulative sums `(g⁺, g⁻)` — how close each side is
-    /// to firing.
-    pub fn evidence(&self) -> (f64, f64) {
-        (self.pos, self.neg)
-    }
-
-    /// True while a self-tuning detector is still learning its
-    /// reference.
-    pub fn warming_up(&self) -> bool {
-        self.warmup_left > 0
     }
 }
 
@@ -245,40 +190,25 @@ impl HealthState {
     }
 }
 
-/// Hysteresis thresholds for [`LinkHealth`] transitions, in consecutive
-/// observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkHealthConfig {
-    /// Consecutive alarmed observations before `Healthy → Degraded`.
-    pub degrade_after: u32,
-    /// Consecutive alarmed observations before `Degraded → Dead`
-    /// (counted from the first alarm, so must exceed `degrade_after`).
-    pub dead_after: u32,
-    /// Consecutive quiet observations before stepping one level up
-    /// (`Dead → Degraded → Healthy`).
-    pub recover_after: u32,
-}
-
-impl Default for LinkHealthConfig {
-    fn default() -> Self {
-        LinkHealthConfig {
-            degrade_after: 1,
-            dead_after: 3,
-            recover_after: 3,
-        }
-    }
-}
+/// Consecutive alarmed observations before `Healthy → Degraded`: one
+/// alarm is a warning, so it only degrades.
+pub const DEGRADE_AFTER: u32 = 1;
+/// Consecutive alarmed observations before `Degraded → Dead`, counted
+/// from the first alarm: a verdict needs three in a row.
+pub const DEAD_AFTER: u32 = 3;
+/// Consecutive quiet observations before stepping one level up
+/// (`Dead → Degraded → Healthy`): as many as it takes to die.
+pub const RECOVER_AFTER: u32 = 3;
 
 /// Per-link health: detector verdicts in, hysteresis-guarded state out.
 ///
 /// Feed one boolean per observation window (`true` = the link's change
 /// detector fired / the link misbehaved). Demotion needs
-/// `degrade_after` / `dead_after` *consecutive* bad observations,
-/// promotion needs `recover_after` consecutive good ones — so a single
+/// [`DEGRADE_AFTER`] / [`DEAD_AFTER`] *consecutive* bad observations,
+/// promotion needs [`RECOVER_AFTER`] consecutive good ones — so a single
 /// noisy sample can neither kill a link nor resurrect one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkHealth {
-    cfg: LinkHealthConfig,
     state: HealthState,
     bad_streak: u32,
     good_streak: u32,
@@ -287,20 +217,9 @@ pub struct LinkHealth {
 }
 
 impl Default for LinkHealth {
+    /// A healthy link.
     fn default() -> Self {
-        Self::new(LinkHealthConfig::default())
-    }
-}
-
-impl LinkHealth {
-    /// A healthy link with the given hysteresis thresholds.
-    pub fn new(cfg: LinkHealthConfig) -> Self {
-        assert!(
-            cfg.degrade_after >= 1 && cfg.dead_after > cfg.degrade_after && cfg.recover_after >= 1,
-            "need 1 <= degrade_after < dead_after and recover_after >= 1"
-        );
         LinkHealth {
-            cfg,
             state: HealthState::Healthy,
             bad_streak: 0,
             good_streak: 0,
@@ -308,21 +227,17 @@ impl LinkHealth {
             quarantined: false,
         }
     }
+}
 
-    /// Quarantines the link: an out-of-band trust verdict (the link's
-    /// published estimates disagree with realized transfer times) that
-    /// pins the reported state at [`HealthState::Dead`] regardless of
-    /// subsequent detector observations, until explicitly released.
-    /// Unlike `observe`, this is not a statistical input — hysteresis
-    /// does not apply to a link caught lying.
+impl LinkHealth {
+    /// Quarantines the link for good: an out-of-band trust verdict (the
+    /// link's published estimates disagree with realized transfer times)
+    /// that pins the reported state at [`HealthState::Dead`] regardless
+    /// of subsequent detector observations. Unlike `observe`, this is not
+    /// a statistical input — hysteresis does not apply to a link caught
+    /// lying.
     pub fn quarantine(&mut self) {
         self.quarantined = true;
-    }
-
-    /// Lifts a quarantine; the underlying hysteresis state resumes
-    /// reporting.
-    pub fn release_quarantine(&mut self) {
-        self.quarantined = false;
     }
 
     /// True while the link is quarantined.
@@ -337,16 +252,16 @@ impl LinkHealth {
         if alarmed {
             self.bad_streak += 1;
             self.good_streak = 0;
-            if self.state == HealthState::Healthy && self.bad_streak >= self.cfg.degrade_after {
+            if self.state == HealthState::Healthy && self.bad_streak >= DEGRADE_AFTER {
                 self.state = HealthState::Degraded;
             }
-            if self.state == HealthState::Degraded && self.bad_streak >= self.cfg.dead_after {
+            if self.state == HealthState::Degraded && self.bad_streak >= DEAD_AFTER {
                 self.state = HealthState::Dead;
             }
         } else {
             self.good_streak += 1;
             self.bad_streak = 0;
-            if self.good_streak >= self.cfg.recover_after {
+            if self.good_streak >= RECOVER_AFTER {
                 self.good_streak = 0;
                 self.state = match self.state {
                     HealthState::Dead => HealthState::Degraded,
@@ -413,7 +328,7 @@ mod tests {
         let delay = fired_at.expect("a 3σ step must fire") + 1;
         assert!(delay <= 8, "fired after {delay} samples");
         // The alarm reset the evidence.
-        assert_eq!(c.evidence(), (0.0, 0.0));
+        assert_eq!(c, Cusum::with_reference(CusumConfig::default(), 0.0, 1.0));
     }
 
     #[test]
@@ -430,29 +345,8 @@ mod tests {
     }
 
     #[test]
-    fn self_tuning_learns_then_detects() {
-        let mut c = Cusum::self_tuning(CusumConfig::default(), 4);
-        assert!(c.warming_up());
-        for x in [10.0, 10.1, 9.9, 10.0] {
-            assert_eq!(c.update(x), None);
-        }
-        assert!(!c.warming_up());
-        // Level and spread were learned; a far excursion fires quickly.
-        let mut fired = false;
-        for _ in 0..10 {
-            if c.update(12.0).is_some() {
-                fired = true;
-                break;
-            }
-        }
-        assert!(fired);
-        // After the alarm the detector re-enters warmup.
-        assert!(c.warming_up());
-    }
-
-    #[test]
     fn constant_series_never_alarms_even_with_zero_variance() {
-        let mut c = Cusum::self_tuning(CusumConfig::default(), 3);
+        let mut c = Cusum::with_reference(CusumConfig::default(), 5.0, 0.0);
         for _ in 0..200 {
             assert_eq!(c.update(5.0), None);
         }
@@ -463,43 +357,41 @@ mod tests {
         let mut c = Cusum::with_reference(CusumConfig::default(), 0.0, 1.0);
         assert_eq!(c.update(f64::NAN), None);
         assert_eq!(c.update(f64::INFINITY), None);
-        assert_eq!(c.evidence(), (0.0, 0.0));
+        assert_eq!(c, Cusum::with_reference(CusumConfig::default(), 0.0, 1.0));
     }
 
     #[test]
     fn health_degrades_and_dies_with_hysteresis() {
-        let mut h = LinkHealth::new(LinkHealthConfig {
-            degrade_after: 2,
-            dead_after: 4,
-            recover_after: 2,
-        });
-        assert_eq!(h.observe(true), HealthState::Healthy, "one alarm is noise");
-        assert_eq!(h.observe(true), HealthState::Degraded);
+        let mut h = LinkHealth::default();
+        assert_eq!(h.observe(true), HealthState::Degraded, "one alarm warns");
         assert_eq!(h.observe(true), HealthState::Degraded);
         assert_eq!(h.observe(true), HealthState::Dead);
         // Recovery steps up one level per quiet streak.
-        assert_eq!(h.observe(false), HealthState::Dead);
-        assert_eq!(h.observe(false), HealthState::Degraded);
-        assert_eq!(h.observe(false), HealthState::Degraded);
-        assert_eq!(h.observe(false), HealthState::Healthy);
+        for expected in [HealthState::Dead, HealthState::Dead, HealthState::Degraded] {
+            assert_eq!(h.observe(false), expected);
+        }
+        for expected in [
+            HealthState::Degraded,
+            HealthState::Degraded,
+            HealthState::Healthy,
+        ] {
+            assert_eq!(h.observe(false), expected);
+        }
         assert!(h.score() < 0.5, "quiet streak must drain the score");
     }
 
     #[test]
     fn an_interrupted_bad_streak_does_not_demote() {
-        let mut h = LinkHealth::new(LinkHealthConfig {
-            degrade_after: 3,
-            dead_after: 5,
-            recover_after: 2,
-        });
+        let mut h = LinkHealth::default();
         for _ in 0..5 {
-            assert_eq!(h.observe(true), HealthState::Healthy);
-            assert_eq!(h.observe(false), HealthState::Healthy);
+            assert_eq!(h.observe(true), HealthState::Degraded);
+            assert_eq!(h.observe(true), HealthState::Degraded);
+            assert_eq!(h.observe(false), HealthState::Degraded);
         }
     }
 
     #[test]
-    fn quarantine_pins_the_state_dead_until_released() {
+    fn quarantine_pins_the_state_dead() {
         let mut h = LinkHealth::default();
         assert_eq!(h.state(), HealthState::Healthy);
         h.quarantine();
@@ -509,8 +401,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(h.observe(false), HealthState::Dead);
         }
-        h.release_quarantine();
-        assert_eq!(h.state(), HealthState::Healthy);
     }
 
     #[test]
@@ -531,9 +421,6 @@ mod tests {
             h.observe(false);
         }
         assert_eq!(h.score(), 1.0);
-        // Release restores the statistical view.
-        h.release_quarantine();
-        assert!(h.score() < 0.01);
     }
 
     #[test]

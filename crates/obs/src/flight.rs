@@ -16,9 +16,11 @@
 //! * every span/instant an *enabled* registry commits is mirrored in
 //!   (one mutex push on the already-allocating record path — the
 //!   disabled hot path still pays only its relaxed atomic load), and
-//! * [`FlightRecorder::note`] records directly, bypassing the registry
-//!   entirely — fault paths use it so the black box has the crash
-//!   window even when nobody asked for observability.
+//! * [`FlightRecorder::note`] records directly — fault paths use it so
+//!   the black box has the crash window even when nobody asked for
+//!   observability. A note on the global recorder while the global
+//!   registry is enabled is committed through the registry instead, so
+//!   it lands in both exactly once.
 //!
 //! Timestamps inside the ring keep their source clock (registry epoch
 //! for mirrored events, recorder epoch for direct notes); the dump is
@@ -98,9 +100,10 @@ impl FlightRecorder {
         self.ring.lock().unwrap().push(event);
     }
 
-    /// Records a named instant directly (attach attributes, it commits
-    /// when dropped). This path does not go through any registry — it
-    /// works even when observability is disabled.
+    /// Records a named instant (attach attributes, it commits when
+    /// dropped). It works even when observability is disabled; on the
+    /// global recorder with the global registry enabled, the note is a
+    /// registry instant that the registry mirrors into this ring.
     pub fn note(&self, name: &str) -> FlightNote<'_> {
         FlightNote {
             recorder: self,
@@ -213,7 +216,17 @@ impl FlightNote<'_> {
 
 impl Drop for FlightNote<'_> {
     fn drop(&mut self) {
-        if let Some(record) = self.record.take() {
+        let Some(record) = self.record.take() else {
+            return;
+        };
+        let registry = crate::global();
+        if registry.is_enabled() && std::ptr::eq(self.recorder, flight()) {
+            // `record_instant` mirrors into this ring: one event, two homes.
+            registry.record_instant(InstantRecord {
+                ts_us: registry.now_us(),
+                ..record
+            });
+        } else {
             self.recorder.record(Event::Instant(record));
         }
     }

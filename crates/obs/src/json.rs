@@ -21,8 +21,12 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// Any JSON number (parsed as `f64`; written in the shortest form
+    /// that round-trips, `3.0` for an integral value).
     Num(f64),
+    /// An integer to write without a fraction (`3`). Writers only: the
+    /// reader returns every number as [`Value::Num`].
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -41,16 +45,20 @@ impl Value {
         }
     }
 
-    /// The number behind a `Num`, if that is what this is.
+    /// The number behind a `Num` or an `Int`, if that is what this is.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(x) => Some(*x),
+            Value::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
 
     /// The number as a `u64`, if it is one (finite, integral, in range).
     pub fn as_u64(&self) -> Option<u64> {
+        if let Value::Int(n) = self {
+            return Some(*n);
+        }
         let x = self.as_f64()?;
         (x.is_finite() && x >= 0.0 && x <= u64::MAX as f64 && x.fract() == 0.0).then_some(x as u64)
     }
@@ -91,6 +99,9 @@ impl Value {
                 } else {
                     out.push_str("null");
                 }
+            }
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
             }
             Value::Str(s) => write_string(out, s),
             Value::Arr(items) => {
@@ -414,6 +425,11 @@ mod tests {
         assert_eq!(v.get("e").and_then(Value::as_u64), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Num(1.0).get("a"), None);
+        // Writers' integers: no fraction on the wire, read back as `Num`.
+        let n = Value::Int(3);
+        assert_eq!((n.as_u64(), n.as_f64()), (Some(3), Some(3.0)));
+        assert_eq!(n.to_json(), "3");
+        assert_eq!(Value::parse(&n.to_json()).unwrap(), Value::Num(3.0));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! # Naming conventions
 //!
 //! Metric names are lowercase dotted paths, `<layer>.<thing>.<aspect>`:
-//! `sched.matching.rounds`, `directory.query.stale`,
+//! `sched.matching.rounds`, `directory.publish`,
 //! `runtime.replan.triggered`. The Prometheus exporter maps `.` and `-`
 //! to `_`. Span names are the phase names shown in trace viewers:
 //! `schedule`, `replan`, `transfer`.
@@ -40,12 +40,10 @@ pub mod snapshot;
 mod summary;
 pub mod trace;
 
-pub use detect::{
-    Cusum, CusumConfig, DriftDirection, Ewma, HealthState, LinkHealth, LinkHealthConfig,
-};
+pub use detect::{Cusum, CusumConfig, DriftDirection, Ewma, HealthState, LinkHealth};
 pub use flight::{flight, FlightRecorder};
 pub use fnv::Fnv1a;
-pub use series::{TimeSeries, WindowStats};
+pub use series::TimeSeries;
 pub use serve::{serve_metrics, serve_metrics_with, MetricsServer, ScrapeEndpoints};
 pub use snapshot::{
     merge_chrome_trace, prom_name, CounterSnapshot, Event, GaugeSnapshot, HistogramSnapshot,

@@ -8,10 +8,6 @@
 //! buffer is full, the oldest point falls off: a series is a bounded
 //! *recent history*, not an archive (the JSONL event log already is
 //! one).
-//!
-//! [`WindowStats`] folds the most recent points into the aggregates the
-//! dashboard and detectors read: min / max / mean / p50 / p90
-//! (nearest-rank percentiles).
 
 use std::collections::VecDeque;
 
@@ -24,23 +20,6 @@ use std::collections::VecDeque;
 pub struct TimeSeries {
     capacity: usize,
     points: VecDeque<(f64, f64)>,
-}
-
-/// Windowed aggregates over the most recent points of a series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowStats {
-    /// Points aggregated.
-    pub count: usize,
-    /// Smallest value in the window.
-    pub min: f64,
-    /// Largest value in the window.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (nearest rank).
-    pub p50: f64,
-    /// 90th percentile (nearest rank).
-    pub p90: f64,
 }
 
 impl TimeSeries {
@@ -89,49 +68,6 @@ impl TimeSeries {
     pub fn last(&self) -> Option<(f64, f64)> {
         self.points.back().copied()
     }
-
-    /// Aggregates over the most recent `window` points (the whole buffer
-    /// when `window` covers it). `None` on an empty series.
-    pub fn window(&self, window: usize) -> Option<WindowStats> {
-        let n = self.points.len().min(window);
-        if n == 0 {
-            return None;
-        }
-        let values: Vec<f64> = self
-            .points
-            .iter()
-            .skip(self.points.len() - n)
-            .map(|&(_, v)| v)
-            .collect();
-        Some(WindowStats::from_values(&values))
-    }
-
-    /// Aggregates over every retained point.
-    pub fn stats(&self) -> Option<WindowStats> {
-        self.window(self.points.len())
-    }
-}
-
-impl WindowStats {
-    /// Folds raw values (all finite) into the aggregate set.
-    pub fn from_values(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "need at least one value");
-        let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let rank = |q: f64| {
-            let n = sorted.len();
-            let k = ((q * n as f64).ceil() as usize).clamp(1, n);
-            sorted[k - 1]
-        };
-        WindowStats {
-            count: sorted.len(),
-            min: sorted[0],
-            max: *sorted.last().unwrap(),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50: rank(0.50),
-            p90: rank(0.90),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -174,41 +110,6 @@ mod tests {
         s.push(1.0, 2.0);
         assert_eq!(s.len(), 1);
         assert_eq!(s.last(), Some((1.0, 2.0)));
-    }
-
-    #[test]
-    fn windowed_aggregates() {
-        let mut s = TimeSeries::new(16);
-        for (i, v) in [5.0, 1.0, 3.0, 2.0, 4.0].iter().enumerate() {
-            s.push(i as f64, *v);
-        }
-        let all = s.stats().unwrap();
-        assert_eq!(all.count, 5);
-        assert_eq!(all.min, 1.0);
-        assert_eq!(all.max, 5.0);
-        assert!((all.mean - 3.0).abs() < 1e-12);
-        assert_eq!(all.p50, 3.0);
-        assert_eq!(all.p90, 5.0);
-        // The last-2 window sees only [2, 4].
-        let w = s.window(2).unwrap();
-        assert_eq!(w.count, 2);
-        assert_eq!(w.min, 2.0);
-        assert_eq!(w.max, 4.0);
-        assert_eq!(w.p50, 2.0);
-        // Oversized windows clamp to the buffer.
-        assert_eq!(s.window(100).unwrap().count, 5);
-        assert!(TimeSeries::new(4).stats().is_none());
-    }
-
-    #[test]
-    fn single_point_stats_degenerate_cleanly() {
-        let mut s = TimeSeries::new(2);
-        s.push(0.0, 7.5);
-        let w = s.stats().unwrap();
-        assert_eq!(
-            (w.min, w.max, w.mean, w.p50, w.p90),
-            (7.5, 7.5, 7.5, 7.5, 7.5)
-        );
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! RNG), and pin the health state machine's one-level-per-observation,
 //! streaks-only transition discipline on arbitrary alarm sequences.
 
-use adaptcomm_obs::{
-    Cusum, CusumConfig, DriftDirection, HealthState, LinkHealth, LinkHealthConfig,
-};
+use adaptcomm_obs::detect::{DEAD_AFTER, DEGRADE_AFTER, RECOVER_AFTER};
+use adaptcomm_obs::{Cusum, CusumConfig, DriftDirection, HealthState, LinkHealth};
 use proptest::prelude::*;
 
 /// Box–Muller: two uniforms in (0, 1] → one standard normal draw.
@@ -95,21 +94,13 @@ proptest! {
 
     /// Hysteresis invariants over arbitrary alarm sequences: the state
     /// moves at most one level per observation, demotion requires the
-    /// configured *consecutive* bad streak, and recovery requires the
-    /// configured consecutive quiet streak. The score stays in [0, 1].
+    /// *consecutive* bad streak, and recovery requires the consecutive
+    /// quiet streak. The score stays in [0, 1].
     #[test]
     fn health_transitions_respect_streak_hysteresis(
-        degrade_after in 1u32..4,
-        dead_gap in 1u32..4,
-        recover_after in 1u32..4,
         alarms in proptest::collection::vec(any::<bool>(), 120),
     ) {
-        let cfg = LinkHealthConfig {
-            degrade_after,
-            dead_after: degrade_after + dead_gap,
-            recover_after,
-        };
-        let mut h = LinkHealth::new(cfg);
+        let mut h = LinkHealth::default();
         let mut prev = h.state();
         let (mut bad_streak, mut good_streak) = (0u32, 0u32);
         for alarmed in alarms {
@@ -128,9 +119,9 @@ proptest! {
             if state < prev {
                 // Demoted: the bad streak must have earned it.
                 let needed = if state == HealthState::Dead {
-                    cfg.dead_after
+                    DEAD_AFTER
                 } else {
-                    cfg.degrade_after
+                    DEGRADE_AFTER
                 };
                 prop_assert!(
                     bad_streak >= needed,
@@ -139,7 +130,7 @@ proptest! {
             }
             if state > prev {
                 prop_assert!(
-                    good_streak >= cfg.recover_after,
+                    good_streak >= RECOVER_AFTER,
                     "promoted to {state:?} after only {good_streak} quiet windows"
                 );
             }

@@ -43,7 +43,7 @@ pub struct PlanServerConfig {
     /// knob for QoS tests and the CI smoke run; `None` in production.
     pub pace: Option<Duration>,
     /// LAP solver threads per solve (see
-    /// [`adaptcomm_lap::solve_min_par`]) — bit-identical results at any
+    /// [`adaptcomm_lap::solve_min_warm_par`]) — bit-identical results at any
     /// value, so this is purely a latency knob.
     pub threads: usize,
 }

@@ -18,15 +18,15 @@
 //!    and simulated adaptation agree by construction.
 //!
 //! On a typed link failure ([`RuntimeError::MessageDropped`],
-//! [`RuntimeError::MessageLate`], [`RuntimeError::ProcessorCrashed`],
-//! [`RuntimeError::LinkPartitioned`]) the driver recovers instead of
-//! blindly retrying: it probes the live network at the failure instant,
-//! floor-publishes dead links into the directory, computes the
-//! reachable component over the surviving links, **parks** every
+//! [`RuntimeError::ProcessorCrashed`], [`RuntimeError::LinkPartitioned`])
+//! the driver recovers instead of blindly retrying: it probes the live
+//! network at the failure instant, floor-publishes dead links into the
+//! directory, computes the reachable component over the surviving
+//! links, **parks** every
 //! message whose link is dead or crosses the cut, and replans only the
 //! reachable remainder. After the reachable traffic drains, parked
 //! links are probed with exponential backoff
-//! ([`AdaptSettings::backoff_base_ms`] × factor^k) until they heal —
+//! ([`BACKOFF_BASE_MS`] × [`BACKOFF_FACTOR`]^k) until they heal —
 //! then the parked traffic is merged back and replanned — or until the
 //! probe budget ([`AdaptSettings::max_attempts`]) is exhausted. Each
 //! fault becomes a [`RecoveryEvent`] in the [`AdaptReport`], with the
@@ -35,7 +35,7 @@
 
 use crate::channel::{run_shaped, CheckpointAction, FaultPolicy, ShapedConfig, ShapedOutcome};
 use crate::error::RuntimeError;
-use crate::prober::{MeasurementTamper, Prober, TrustPolicy};
+use crate::prober::{MeasurementTamper, Prober};
 use crate::telemetry::Telemetry;
 use crate::trace::RunTrace;
 use crate::transport::Transport;
@@ -50,29 +50,16 @@ use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
 use std::path::PathBuf;
 
-/// Tuning for [`ReplanTrigger::Detector`], in absolute log-ratio units
-/// (the CUSUM standardizes each transfer as `ln(observed / planned)`
-/// against a fixed `(0, 1)` reference).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorSettings {
-    /// Per-sample allowance `k`: log-ratio magnitude a transfer must
-    /// exceed before it contributes evidence. The default 0.1 ignores
-    /// sustained deviations under ~10 %.
-    pub drift: f64,
-    /// Decision threshold `h`: accumulated evidence that fires a replan.
-    /// The default 0.25 lets a single grossly late transfer (≥ ~42 %
-    /// over plan) fire immediately while mild drift needs several.
-    pub threshold: f64,
-}
-
-impl Default for DetectorSettings {
-    fn default() -> Self {
-        DetectorSettings {
-            drift: 0.1,
-            threshold: 0.25,
-        }
-    }
-}
+/// Per-link CUSUM for [`ReplanTrigger::Detector`], in absolute log-ratio
+/// units (each transfer is standardized as `ln(observed / planned)`
+/// against a fixed `(0, 1)` reference). The allowance `k = 0.1` ignores
+/// sustained deviations under ~10 %; the threshold `h = 0.25` lets one
+/// grossly late transfer (≥ ~42 % over plan) fire on its own while mild
+/// drift needs several.
+const LINK_CUSUM: CusumConfig = CusumConfig {
+    drift: 0.1,
+    threshold: 0.25,
+};
 
 /// CUSUM tuning for the detector trigger's aggregate schedule-slip
 /// signal `ln(seg_obs / seg_plan)`. Calibrated so that
@@ -101,8 +88,8 @@ pub enum ReplanTrigger {
     /// deviation rule thresholds. Planned durations come from the
     /// directory snapshot the current plan was built from, so a run that
     /// matches its plan exactly feeds every CUSUM an exact zero and can
-    /// never fire.
-    Detector(DetectorSettings),
+    /// never fire. The per-link CUSUM is [`LINK_CUSUM`].
+    Detector,
 }
 
 impl Default for ReplanTrigger {
@@ -125,7 +112,7 @@ pub struct AdaptSettings {
     /// the drift delta invalidated.
     pub replanner: Replanner,
     /// LAP solver threads for the matching replanner (see
-    /// [`adaptcomm_lap::solve_min_par`]); bit-identical plans at any
+    /// [`adaptcomm_lap::solve_min_warm_par`]); bit-identical plans at any
     /// value, so purely a latency knob. Ignored by the open shop.
     pub threads: usize,
     /// Link-failure detection (see [`FaultPolicy`]).
@@ -138,15 +125,6 @@ pub struct AdaptSettings {
     /// traffic waits for a link to heal (1 = no retry on typed link
     /// failures).
     pub max_attempts: usize,
-    /// First wait before probing a parked link, milliseconds of modeled
-    /// time past the point the reachable traffic drained.
-    pub backoff_base_ms: f64,
-    /// Multiplier applied to the wait after each unsuccessful probe
-    /// (`wait_k = backoff_base_ms × backoff_factor^k`).
-    pub backoff_factor: f64,
-    /// Trust cross-check applied to every published measurement (see
-    /// [`TrustPolicy`]).
-    pub trust: TrustPolicy,
 }
 
 impl Default for AdaptSettings {
@@ -160,9 +138,6 @@ impl Default for AdaptSettings {
             pace_us_per_ms: None,
             payload_cap: None,
             max_attempts: 3,
-            backoff_base_ms: 50.0,
-            backoff_factor: 2.0,
-            trust: TrustPolicy::default(),
         }
     }
 }
@@ -180,9 +155,6 @@ pub enum FaultKind {
     /// A link's estimate collapsed below the drop threshold
     /// ([`RuntimeError::MessageDropped`]).
     DeadLink,
-    /// A transfer blew its lateness budget
-    /// ([`RuntimeError::MessageLate`]).
-    LateLink,
 }
 
 impl FaultKind {
@@ -190,7 +162,6 @@ impl FaultKind {
         match error {
             RuntimeError::ProcessorCrashed { .. } => FaultKind::Crash,
             RuntimeError::LinkPartitioned { .. } => FaultKind::Partition,
-            RuntimeError::MessageLate { .. } => FaultKind::LateLink,
             _ => FaultKind::DeadLink,
         }
     }
@@ -201,7 +172,6 @@ impl FaultKind {
             FaultKind::Crash => "crash",
             FaultKind::Partition => "partition",
             FaultKind::DeadLink => "dead-link",
-            FaultKind::LateLink => "late-link",
         }
     }
 }
@@ -291,6 +261,12 @@ struct AttemptStats {
     /// Replans the matching replanner served incrementally.
     incremental: usize,
 }
+
+/// First wait before probing a parked link, milliseconds of modeled time
+/// past the point the reachable traffic drained; each unsuccessful probe
+/// multiplies the wait by [`BACKOFF_FACTOR`].
+const BACKOFF_BASE_MS: f64 = 50.0;
+const BACKOFF_FACTOR: f64 = 2.0;
 
 /// Bandwidth floor-published for a link observed dead, kbit/s: low
 /// enough that any replan prices the link as unusable, high enough to
@@ -438,13 +414,9 @@ impl<'a> CheckpointedRun<'a> {
             // 1. measure + 2. publish: every completed transfer so far is
             //    a free probe of its link, cross-checked against the
             //    realized timings before the directory trusts it.
-            if let Ok(outcome) = prober.publish_checked(
-                self.directory,
-                view.records,
-                view.now,
-                self.tamper,
-                self.settings.trust,
-            ) {
+            if let Ok(outcome) =
+                prober.publish_checked(self.directory, view.records, view.now, self.tamper)
+            {
                 stats_ref.published += outcome.published;
             }
             // 3. decide.
@@ -454,11 +426,7 @@ impl<'a> CheckpointedRun<'a> {
                 ReplanTrigger::Deviation(rule) => rule.should_reschedule(seg_plan, seg_obs),
                 // Feed each newly completed transfer's log-ratio to its
                 // link's CUSUM; any alarm justifies a replan.
-                ReplanTrigger::Detector(ds) => {
-                    let cfg = CusumConfig {
-                        drift: ds.drift,
-                        threshold: ds.threshold,
-                    };
+                ReplanTrigger::Detector => {
                     let mut fired = false;
                     for r in &view.records[seen..] {
                         if r.src >= p || r.dst >= p || r.src == r.dst {
@@ -472,7 +440,7 @@ impl<'a> CheckpointedRun<'a> {
                             continue;
                         }
                         let cell = cusums[r.src * p + r.dst]
-                            .get_or_insert_with(|| Cusum::with_reference(cfg, 0.0, 1.0));
+                            .get_or_insert_with(|| Cusum::with_reference(LINK_CUSUM, 0.0, 1.0));
                         if cell.update((observed / planned_dur).ln()).is_some() {
                             fired = true;
                         }
@@ -525,13 +493,6 @@ impl<'a> CheckpointedRun<'a> {
             }
             if obs.is_enabled() {
                 obs.add("runtime.replans", 1);
-                obs.mark("runtime.replan")
-                    .attr("now_ms", view.now.as_ms())
-                    .attr("seg_plan_ms", seg_plan)
-                    .attr("seg_obs_ms", seg_obs)
-                    .attr("cost_delta_ms", seg_obs - seg_plan)
-                    .attr("kind", kind)
-                    .emit();
             }
             // Replans are the adaptation signal for faults that degrade
             // rather than kill (lying links, drift): the black box
@@ -618,10 +579,6 @@ impl<'a> CheckpointedRun<'a> {
         T: Transport + ?Sized,
     {
         assert!(self.settings.max_attempts >= 1, "need at least one attempt");
-        assert!(
-            self.settings.backoff_base_ms > 0.0 && self.settings.backoff_factor >= 1.0,
-            "backoff must wait a positive, non-shrinking time"
-        );
         let mut lists: Vec<Vec<usize>> = lists.to_vec();
         let mut start_at = Millis::ZERO;
         let mut report = AdaptReport {
@@ -683,13 +640,13 @@ impl<'a> CheckpointedRun<'a> {
                         .map(|r| r.finish.as_ms())
                         .fold(start_at.as_ms(), f64::max);
                     let threshold = self.dead_threshold();
-                    let mut wait = self.settings.backoff_base_ms;
+                    let mut wait = BACKOFF_BASE_MS;
                     let mut now = drained;
                     let mut probes = 0usize;
                     let mut healed_at = None;
                     while probes < self.settings.max_attempts {
                         now += wait;
-                        wait *= self.settings.backoff_factor;
+                        wait *= BACKOFF_FACTOR;
                         probes += 1;
                         // Only the parked links matter to a heal.
                         let at = Millis::new(now);
@@ -728,11 +685,6 @@ impl<'a> CheckpointedRun<'a> {
                     };
                     if obs.is_enabled() {
                         obs.add("runtime.recovery.heals", 1);
-                        obs.mark("runtime.recovery.heal")
-                            .attr("at_ms", wake)
-                            .attr("probes", probes as u64)
-                            .attr("unparked", parked.len() as u64)
-                            .emit();
                     }
                     adaptcomm_obs::flight()
                         .note("runtime.heal")
@@ -780,7 +732,6 @@ impl<'a> CheckpointedRun<'a> {
                         &failure.records,
                         failure.at,
                         self.tamper,
-                        self.settings.trust,
                     );
                     report.records.extend(failure.records);
                     report.retried_links.push((fsrc, fdst));
@@ -847,7 +798,7 @@ impl<'a> CheckpointedRun<'a> {
                     }
                     // The failed message itself: park it when its link
                     // is down, defer it to the back of its sender's
-                    // queue when the link is merely late.
+                    // queue when the link is up (the transport lost it).
                     let failed_dead = live.estimate(fsrc, fdst).bandwidth.as_kbps() <= threshold
                         || comp[fsrc] != comp[fdst];
                     let defer_failed = owed && !failed_dead;
@@ -868,13 +819,6 @@ impl<'a> CheckpointedRun<'a> {
                     });
                     if obs.is_enabled() {
                         obs.add("runtime.recovery.events", 1);
-                        obs.mark("runtime.recovery.fault")
-                            .attr("kind", kind.name())
-                            .attr("src", fsrc as u64)
-                            .attr("dst", fdst as u64)
-                            .attr("at_ms", failure.at.as_ms())
-                            .attr("parked", newly_parked as u64)
-                            .emit();
                     }
                     // The black box records the fault even when nobody
                     // enabled observability, and dumps if a driver
@@ -1122,7 +1066,6 @@ mod tests {
             AdaptSettings {
                 faults: FaultPolicy {
                     drop_below_kbps: Some(0.01),
-                    late_factor: None,
                 },
                 max_attempts: 3,
                 ..Default::default()
@@ -1256,7 +1199,6 @@ mod tests {
             AdaptSettings {
                 faults: FaultPolicy {
                     drop_below_kbps: Some(0.01),
-                    late_factor: None,
                 },
                 max_attempts: 2,
                 ..Default::default()

@@ -52,9 +52,6 @@ pub struct FaultPolicy {
     /// [`RuntimeError::CorruptEstimate`] before this check runs, so a
     /// NaN bandwidth can no longer slip past the comparison.
     pub drop_below_kbps: Option<f64>,
-    /// A transfer whose live duration exceeds `late_factor ×` its
-    /// planning-estimate duration raises [`RuntimeError::MessageLate`].
-    pub late_factor: Option<f64>,
 }
 
 /// Shaped-engine configuration. The default never checkpoints, detects no
@@ -158,13 +155,6 @@ pub struct ShapedFailure {
     /// the earliest modeled finish becomes `error`, but all of them were
     /// lost.
     pub lost: Vec<(usize, usize)>,
-}
-
-impl ShapedFailure {
-    /// True when `link` was popped from its queue but never delivered.
-    pub fn lost_in_flight(&self, link: (usize, usize)) -> bool {
-        self.lost.contains(&link)
-    }
 }
 
 /// A granted transfer, as its sender's worker needs it.
@@ -325,18 +315,9 @@ where
         }
         // Inclusive on purpose: at the threshold the link is dead (see
         // `FaultPolicy::drop_below_kbps`).
-        if (self.config.faults.drop_below_kbps).is_some_and(|threshold| kbps <= threshold) {
-            return Some(RuntimeError::MessageDropped { src, dst, at });
-        }
-        let planned = self.evolution.planning_estimates();
-        let limit =
-            planned.time(src, dst, self.sizes[src][dst]).as_ms() * self.config.faults.late_factor?;
-        (dur > limit).then_some(RuntimeError::MessageLate {
-            src,
-            dst,
-            observed: Millis::new(dur),
-            limit: Millis::new(limit),
-        })
+        (self.config.faults.drop_below_kbps)
+            .is_some_and(|threshold| kbps <= threshold)
+            .then_some(RuntimeError::MessageDropped { src, dst, at })
     }
 
     /// Whether `src → dst`'s bytes arrived. Blocks until the worker has
@@ -701,7 +682,6 @@ mod tests {
         let config = ShapedConfig {
             faults: FaultPolicy {
                 drop_below_kbps: Some(0.01),
-                late_factor: None,
             },
             ..Default::default()
         };
@@ -731,7 +711,6 @@ mod tests {
         let config = ShapedConfig {
             faults: FaultPolicy {
                 drop_below_kbps: Some(min_kbps),
-                late_factor: None,
             },
             ..Default::default()
         };
@@ -787,7 +766,6 @@ mod tests {
         let config = ShapedConfig {
             faults: FaultPolicy {
                 drop_below_kbps: Some(0.0),
-                late_factor: None,
             },
             ..Default::default()
         };
@@ -859,7 +837,7 @@ mod tests {
             vec![(1, 2)],
             "a refused delivery left the queue but never arrived"
         );
-        assert!(failure.lost_in_flight((1, 2)));
+        assert!(failure.lost.contains(&(1, 2)));
         // The popped message is in neither records nor remaining.
         assert!(!failure.remaining[1].contains(&2));
         assert!(!failure.records.iter().any(|r| r.src == 1 && r.dst == 2));
@@ -938,7 +916,7 @@ mod tests {
             "got {:?}",
             failure.error
         );
-        assert!(failure.lost_in_flight((1, 2)), "its bytes never arrived");
+        assert!(failure.lost.contains(&(1, 2)), "its bytes never arrived");
         assert_exactly_once(&failure, &lists);
     }
 
@@ -1019,39 +997,6 @@ mod tests {
             assert_eq!(again.records, first.records);
             assert_eq!(again.remaining, first.remaining);
         }
-    }
-
-    #[test]
-    fn late_links_surface_as_typed_errors() {
-        let p = 4;
-        let net = hetero_net(p);
-        let sizes = mixed_sizes(p);
-        let order = OpenShop.send_order(&CommMatrix::from_model(&net, &sizes));
-        // Link 0 -> 3 drops to 10% speed: 10x late, over the 3x bound,
-        // but nowhere near the dead-link threshold.
-        let mut evo = ScriptedFaults::new(
-            net,
-            vec![Fault {
-                at: Millis::ZERO,
-                src: 0,
-                dst: 3,
-                factor: 0.1,
-            }],
-        );
-        let transport = ChannelTransport::new(p);
-        let config = ShapedConfig {
-            faults: FaultPolicy {
-                drop_below_kbps: Some(0.01),
-                late_factor: Some(3.0),
-            },
-            ..Default::default()
-        };
-        let failure = run_shaped(&order.order, &sizes, &mut evo, &transport, config, |_| {
-            CheckpointAction::Continue
-        })
-        .expect_err("flapping link must abort the run");
-        assert_eq!(failure.error.link(), Some((0, 3)));
-        assert!(matches!(failure.error, RuntimeError::MessageLate { .. }));
     }
 
     #[test]

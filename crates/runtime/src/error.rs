@@ -6,9 +6,9 @@ use std::fmt;
 /// Why a live run failed.
 ///
 /// Unlike the simulator — where a degraded link just makes a transfer
-/// slow — a real transport can *lose* a message outright or hold it past
-/// any useful deadline. Both surface here as typed errors carrying the
-/// failing link, so a driver can reschedule around it and retry.
+/// slow — a real transport can *lose* a message outright. Losses surface
+/// here as typed errors carrying the failing link, so a driver can
+/// reschedule around it and retry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
     /// The message was dropped: at send time the link's effective
@@ -20,19 +20,6 @@ pub enum RuntimeError {
         dst: usize,
         /// Modeled time at which the drop was detected.
         at: Millis,
-    },
-    /// The message would arrive, but later than the configured lateness
-    /// bound relative to the planning estimate — a flapping link that a
-    /// reschedule should route around rather than wait out.
-    MessageLate {
-        /// Sending processor of the late transfer.
-        src: usize,
-        /// Receiving processor of the late transfer.
-        dst: usize,
-        /// The duration the live network would actually take.
-        observed: Millis,
-        /// The latest acceptable duration (`late_factor` × planned).
-        limit: Millis,
     },
     /// The destination (or source) processor crashed while the message
     /// was in flight or about to be granted. The traffic is recoverable
@@ -85,7 +72,6 @@ impl RuntimeError {
     pub fn link(&self) -> Option<(usize, usize)> {
         match *self {
             RuntimeError::MessageDropped { src, dst, .. }
-            | RuntimeError::MessageLate { src, dst, .. }
             | RuntimeError::ProcessorCrashed { src, dst, .. }
             | RuntimeError::LinkPartitioned { src, dst, .. } => Some((src, dst)),
             RuntimeError::CorruptEstimate { .. } | RuntimeError::Transport { .. } => None,
@@ -99,15 +85,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::MessageDropped { src, dst, at } => {
                 write!(f, "message {src} -> {dst} dropped at {at} (link down)")
             }
-            RuntimeError::MessageLate {
-                src,
-                dst,
-                observed,
-                limit,
-            } => write!(
-                f,
-                "message {src} -> {dst} late: would take {observed}, limit {limit}"
-            ),
             RuntimeError::ProcessorCrashed { proc, src, dst, at } => {
                 write!(
                     f,
@@ -148,14 +125,6 @@ mod tests {
         };
         assert_eq!(e.link(), Some((2, 5)));
         assert!(format!("{e}").contains("2 -> 5"));
-        let l = RuntimeError::MessageLate {
-            src: 1,
-            dst: 0,
-            observed: Millis::new(90.0),
-            limit: Millis::new(30.0),
-        };
-        assert_eq!(l.link(), Some((1, 0)));
-        assert!(format!("{l}").contains("late"));
         let t = RuntimeError::Transport {
             detail: "connection refused".into(),
         };

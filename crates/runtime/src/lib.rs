@@ -65,8 +65,7 @@ pub mod trace;
 pub mod transport;
 
 pub use adapt::{
-    AdaptReport, AdaptSettings, CheckpointedRun, DetectorSettings, FaultKind, RecoveryEvent,
-    ReplanTrigger,
+    AdaptReport, AdaptSettings, CheckpointedRun, FaultKind, RecoveryEvent, ReplanTrigger,
 };
 pub use adaptcomm_sim::dynamic::Replanner;
 pub use channel::{
@@ -74,7 +73,7 @@ pub use channel::{
     ShapedFailure, ShapedOutcome,
 };
 pub use error::RuntimeError;
-pub use prober::{LinkMeasurement, MeasurementTamper, Prober, PublishOutcome, TrustPolicy};
+pub use prober::{LinkMeasurement, MeasurementTamper, Prober, PublishOutcome};
 pub use run::{execute, execute_adaptive, execute_adaptive_monitored, BackendKind, RunReport};
 pub use tcp::TcpTransport;
 pub use telemetry::Telemetry;

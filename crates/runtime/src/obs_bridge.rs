@@ -9,16 +9,9 @@
 //!   `src + 1` (track 0 belongs to the driver), spanning the wall-clock
 //!   interval and carrying `src`/`dst`/`bytes`/`modeled_ms` attributes;
 //! * each `Request` becomes a `request` instant on the same track.
-//!
-//! It also round-trips a full [`RunTrace`] through the obs JSONL format
-//! ([`trace_to_jsonl`] / [`trace_from_jsonl`]): every runtime event —
-//! including grants and events that never completed — is encoded
-//! losslessly as an instant record, so a trace can be archived next to
-//! the metrics and reconstructed bit-for-bit.
 
-use crate::trace::{EventKind, RunTrace, RuntimeEvent};
-use adaptcomm_model::units::{Bytes, Millis};
-use adaptcomm_obs::{InstantRecord, Registry, Snapshot, SpanRecord};
+use crate::trace::{EventKind, RunTrace};
+use adaptcomm_obs::{InstantRecord, Registry, SpanRecord};
 use std::collections::HashMap;
 
 /// The obs track a sender's transfers land on (track 0 is the driver).
@@ -76,78 +69,11 @@ pub fn record_transfers(trace: &RunTrace, registry: &Registry) -> usize {
     spans
 }
 
-fn kind_name(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::Request => "request",
-        EventKind::Grant => "grant",
-        EventKind::Complete => "complete",
-    }
-}
-
-/// Serializes every runtime event as one obs-JSONL instant record —
-/// lossless, unlike the span projection (which drops unpaired grants).
-pub fn trace_to_jsonl(trace: &RunTrace) -> String {
-    let snap = Snapshot {
-        events: trace
-            .events
-            .iter()
-            .map(|e| {
-                adaptcomm_obs::Event::Instant(InstantRecord {
-                    name: format!("runtime.{}", kind_name(e.kind)),
-                    tid: track(e.src),
-                    ts_us: e.wall_us,
-                    attrs: vec![
-                        ("src".to_string(), e.src.into()),
-                        ("dst".to_string(), e.dst.into()),
-                        ("bytes".to_string(), e.bytes.as_u64().into()),
-                        ("modeled_ms".to_string(), e.modeled.as_ms().into()),
-                    ],
-                })
-            })
-            .collect(),
-        ..Default::default()
-    };
-    snap.to_jsonl()
-}
-
-/// The inverse of [`trace_to_jsonl`]: reconstructs the exact event
-/// sequence, erroring on anything that is not a bridged runtime event.
-pub fn trace_from_jsonl(text: &str) -> Result<RunTrace, String> {
-    let snap = Snapshot::from_jsonl(text)?;
-    let mut events = Vec::new();
-    for inst in snap.instants() {
-        let kind = match inst.name.as_str() {
-            "runtime.request" => EventKind::Request,
-            "runtime.grant" => EventKind::Grant,
-            "runtime.complete" => EventKind::Complete,
-            other => return Err(format!("not a bridged runtime event: {other:?}")),
-        };
-        let attr = |key: &str| -> Result<f64, String> {
-            inst.attrs
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, v)| match v {
-                    adaptcomm_obs::AttrValue::U64(u) => Some(*u as f64),
-                    adaptcomm_obs::AttrValue::F64(x) => Some(*x),
-                    adaptcomm_obs::AttrValue::Str(_) => None,
-                })
-                .ok_or_else(|| format!("event {:?} lacks attr {key:?}", inst.name))
-        };
-        events.push(RuntimeEvent {
-            kind,
-            src: attr("src")? as usize,
-            dst: attr("dst")? as usize,
-            bytes: Bytes::new(attr("bytes")? as u64),
-            modeled: Millis::new(attr("modeled_ms")?),
-            wall_us: inst.ts_us,
-        });
-    }
-    Ok(RunTrace { events })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::RuntimeEvent;
+    use adaptcomm_model::units::{Bytes, Millis};
 
     fn sample_trace() -> RunTrace {
         let ev = |kind, src, dst, modeled: f64, wall_us| RuntimeEvent {
@@ -168,14 +94,6 @@ mod tests {
                 ev(EventKind::Complete, 2, 1, 11.5, 1_030),
             ],
         }
-    }
-
-    #[test]
-    fn jsonl_round_trip_preserves_the_event_sequence() {
-        let trace = sample_trace();
-        let text = trace_to_jsonl(&trace);
-        let back = trace_from_jsonl(&text).expect("bridged JSONL must parse");
-        assert_eq!(back.events, trace.events);
     }
 
     #[test]
@@ -242,14 +160,5 @@ mod tests {
         let reg = Registry::disabled();
         assert_eq!(record_transfers(&sample_trace(), &reg), 0);
         assert!(reg.snapshot().events.is_empty());
-    }
-
-    #[test]
-    fn foreign_jsonl_is_rejected() {
-        assert!(
-            trace_from_jsonl("{\"type\":\"instant\",\"name\":\"x\",\"tid\":1,\"ts_us\":0}")
-                .is_err()
-        );
-        assert!(trace_from_jsonl("not json").is_err());
     }
 }

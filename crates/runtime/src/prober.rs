@@ -57,29 +57,14 @@ pub trait MeasurementTamper: Sync {
     fn tamper(&self, honest: LinkMeasurement, now: Millis) -> LinkMeasurement;
 }
 
-/// Tolerance for the trust cross-check: how far a *claimed* bandwidth
-/// may sit from the bandwidth realized transfer times support before
-/// the link is quarantined.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrustPolicy {
-    /// Maximum accepted ratio between claimed and realized bandwidth,
-    /// applied symmetrically: a claim outside
-    /// `[realized/ratio, realized×ratio]` quarantines the link. Honest
-    /// claims equal the realized fit exactly, so fault-free runs can
-    /// never quarantine regardless of drift.
-    pub tolerance_ratio: f64,
-}
-
-impl Default for TrustPolicy {
-    /// Accept claims within 2× of realized throughput — generous enough
-    /// for measurement noise, far below the 3–5× inflation a useful lie
-    /// needs to distort a schedule.
-    fn default() -> Self {
-        TrustPolicy {
-            tolerance_ratio: 2.0,
-        }
-    }
-}
+/// Tolerance of the trust cross-check: the largest accepted ratio between
+/// a *claimed* bandwidth and the bandwidth realized transfer times
+/// support, applied symmetrically — a claim outside
+/// `[realized/ratio, realized×ratio]` quarantines the link. 2× is generous
+/// enough for measurement noise and far below the 3–5× inflation a useful
+/// lie needs to distort a schedule. Honest claims equal the realized fit
+/// exactly, so fault-free runs never quarantine regardless of drift.
+const TRUST_RATIO: f64 = 2.0;
 
 /// What a checked publish pass did.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -209,23 +194,11 @@ impl Prober {
     }
 
     /// Fits `records` and publishes every measurement into `directory`
-    /// stamped `now`, refreshing the snapshot epoch. Returns how many
-    /// links were updated.
-    pub fn publish_into(
-        &self,
-        directory: &DirectoryService,
-        records: &[TransferRecord],
-        now: Millis,
-    ) -> Result<usize, PublishError> {
-        self.publish_checked(directory, records, now, None, TrustPolicy::default())
-            .map(|o| o.published)
-    }
-
-    /// Like [`Prober::publish_into`], but each fitted measurement first
-    /// passes through the link's reporting agent (`tamper`) and is then
-    /// cross-checked against the realized transfer times before the
-    /// directory accepts it: a claimed bandwidth outside
-    /// `trust.tolerance_ratio` of what the observed durations support
+    /// stamped `now`, refreshing the snapshot epoch. Each fitted
+    /// measurement first passes through the link's reporting agent
+    /// (`tamper`) and is then cross-checked against the realized transfer
+    /// times before the directory accepts it: a claimed bandwidth outside
+    /// [`TRUST_RATIO`] of what the observed durations support
     /// quarantines the link ([`DirectoryService::quarantine_link`]) and
     /// the honest realized fit is published instead — so a lying link
     /// can never price a replan, which is exactly how quarantined links
@@ -236,7 +209,6 @@ impl Prober {
         records: &[TransferRecord],
         now: Millis,
         tamper: Option<&dyn MeasurementTamper>,
-        trust: TrustPolicy,
     ) -> Result<PublishOutcome, PublishError> {
         let honest = self.fit(records);
         let obs = adaptcomm_obs::global();
@@ -247,9 +219,7 @@ impl Prober {
                 None => *m,
             };
             let ratio = claimed.bandwidth_kbps / m.bandwidth_kbps;
-            let lying = !ratio.is_finite()
-                || ratio > trust.tolerance_ratio
-                || ratio * trust.tolerance_ratio < 1.0;
+            let lying = !ratio.is_finite() || ratio > TRUST_RATIO || ratio * TRUST_RATIO < 1.0;
             if lying && !directory.is_quarantined(m.src, m.dst) {
                 directory.quarantine_link(m.src, m.dst, m.startup_ms, m.bandwidth_kbps, now);
                 outcome.quarantined.push((m.src, m.dst));
@@ -418,13 +388,7 @@ mod tests {
             factor: 4.0,
         };
         let out = Prober::new(prior(3))
-            .publish_checked(
-                &dir,
-                &records,
-                Millis::new(170.0),
-                Some(&tamper),
-                TrustPolicy::default(),
-            )
+            .publish_checked(&dir, &records, Millis::new(170.0), Some(&tamper))
             .expect("valid measurements");
         assert_eq!(out.published, 2);
         assert_eq!(out.quarantined, vec![(0, 2)]);
@@ -436,13 +400,7 @@ mod tests {
         assert!((snap.params().estimate(2, 0).bandwidth.as_kbps() - 500.0).abs() < 1e-6);
         // A later pass keeps distrusting the link without re-quarantining.
         let again = Prober::new(prior(3))
-            .publish_checked(
-                &dir,
-                &records,
-                Millis::new(340.0),
-                Some(&tamper),
-                TrustPolicy::default(),
-            )
+            .publish_checked(&dir, &records, Millis::new(340.0), Some(&tamper))
             .unwrap();
         assert!(again.quarantined.is_empty());
         assert!(dir.is_quarantined(0, 2));
@@ -453,13 +411,7 @@ mod tests {
         let dir = DirectoryService::new(prior(3));
         let records = vec![rec(0, 1, 10_000, 0.0, 90.0), rec(1, 0, 10_000, 0.0, 170.0)];
         let out = Prober::new(prior(3))
-            .publish_checked(
-                &dir,
-                &records,
-                Millis::new(170.0),
-                None,
-                TrustPolicy::default(),
-            )
+            .publish_checked(&dir, &records, Millis::new(170.0), None)
             .unwrap();
         assert_eq!(out.published, 2);
         assert!(out.quarantined.is_empty());
@@ -467,13 +419,18 @@ mod tests {
     }
 
     #[test]
-    fn publish_into_updates_the_directory_epoch() {
+    fn publish_checked_updates_the_directory_epoch() {
         let dir = DirectoryService::new(prior(3));
         let before = dir.snapshot();
-        let n = Prober::new(prior(3))
-            .publish_into(&dir, &[rec(0, 2, 10_000, 0.0, 170.0)], Millis::new(170.0))
+        let out = Prober::new(prior(3))
+            .publish_checked(
+                &dir,
+                &[rec(0, 2, 10_000, 0.0, 170.0)],
+                Millis::new(170.0),
+                None,
+            )
             .expect("valid measurement");
-        assert_eq!(n, 1);
+        assert_eq!(out.published, 1);
         let after = dir.snapshot();
         assert!(after.sequence() > before.sequence());
         assert_eq!(after.taken_at().as_ms(), 170.0);

@@ -16,7 +16,7 @@ use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bandwidth, Bytes, Millis};
 use adaptcomm_runtime::channel::FrozenNetwork;
 use adaptcomm_runtime::transport::ChannelTransport;
-use adaptcomm_runtime::{AdaptSettings, CheckpointedRun, DetectorSettings, ReplanTrigger};
+use adaptcomm_runtime::{AdaptSettings, CheckpointedRun, ReplanTrigger};
 use adaptcomm_sim::{Fault, ScriptedFaults};
 use proptest::prelude::*;
 
@@ -98,7 +98,7 @@ fn detector_detects_injected_drift_no_later_than_the_deviation_rule() {
         (10, 0.2, 10.0),
     ] {
         let deviation = ReplanTrigger::Deviation(RescheduleRule::default());
-        let detector = ReplanTrigger::Detector(DetectorSettings::default());
+        let detector = ReplanTrigger::Detector;
         let (dev_first, _) = run_drift(p, factor, at, deviation);
         let (det_first, det_replans) = run_drift(p, factor, at, detector);
         let det_first = det_first.expect("the detector must notice this drift");
@@ -128,23 +128,13 @@ fn detector_catches_a_late_single_link_collapse_the_deviation_rule_misses() {
         ReplanTrigger::Deviation(RescheduleRule::default()),
     );
     assert_eq!((dev_first, dev_replans), (None, 0));
-    let (det_first, det_replans) = run_drift(
-        6,
-        0.2,
-        10.0,
-        ReplanTrigger::Detector(DetectorSettings::default()),
-    );
+    let (det_first, det_replans) = run_drift(6, 0.2, 10.0, ReplanTrigger::Detector);
     assert!(det_first.is_some() && det_replans >= 1);
 }
 
 #[test]
 fn detector_is_quiet_on_the_drift_free_version_of_the_same_scenario() {
-    let (first, replans) = run_drift(
-        6,
-        1.0,
-        10.0,
-        ReplanTrigger::Detector(DetectorSettings::default()),
-    );
+    let (first, replans) = run_drift(6, 1.0, 10.0, ReplanTrigger::Detector);
     assert_eq!(first, None);
     assert_eq!(replans, 0);
 }
@@ -186,7 +176,7 @@ proptest! {
             &sz,
             AdaptSettings {
                 policy: CheckpointPolicy::EveryEvent,
-                trigger: ReplanTrigger::Detector(DetectorSettings::default()),
+                trigger: ReplanTrigger::Detector,
                 payload_cap: Some(64),
                 ..Default::default()
             },

@@ -57,17 +57,6 @@ impl SimMetrics {
             self.makespan.as_ms() / lb
         }
     }
-
-    /// The processor whose busier port is busiest — the bottleneck.
-    pub fn bottleneck(&self) -> usize {
-        (0..self.processors)
-            .max_by(|&a, &b| {
-                let la = self.send_busy[a].max(self.recv_busy[a]).as_ms();
-                let lb = self.send_busy[b].max(self.recv_busy[b]).as_ms();
-                la.total_cmp(&lb)
-            })
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +86,6 @@ mod tests {
         assert_eq!(m.send_busy[0].as_ms(), 10.0);
         assert_eq!(m.send_busy[1].as_ms(), 3.0);
         assert_eq!(m.recv_busy[2].as_ms(), 9.0);
-        assert_eq!(m.bottleneck(), 0);
         // Utilizations: P0 max(10,0)/10=1, P1 max(3,4)/10=0.4, P2 0.9.
         assert!((m.mean_utilization - (1.0 + 0.4 + 0.9) / 3.0).abs() < 1e-12);
     }

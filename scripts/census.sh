@@ -1,0 +1,169 @@
+#!/bin/sh
+# Census of the workspace's public surface.
+#
+# Lists every `pub fn`, every `pub` field of a `pub struct` and every
+# variant of a `pub enum` declared in non-test source under crates/*/src
+# and src/ ("non-test" is the scorecard's rule: the lines before a file's
+# first line starting with `#[cfg(test)]`), and counts the lines that
+# mention each one in crates/, src/, tests/, examples/ and benchmark/src,
+# not counting comments, string literals, the declaration itself and the
+# declaring file's own `#[cfg(test)]` tail.
+#
+# Matching is by name, so an item sharing its name with another item is
+# credited with both items' callers: the "no caller" list is a lower
+# bound, never a false alarm. For fields of a settings struct (one named
+# `*Config`, `*Settings`, `*Policy`, `*Options` or `*Rule` that derives
+# or implements `Default`) the census also lists the distinct values
+# written as `field: value` (or the shorthand `field,`) in struct
+# literals outside the declaring file's tests, plus the implicit value
+# of a derived `Default`; one value means the field is a constant in all
+# but name. Values are matched by field name too, so a name shared by two
+# structs pools their values.
+#
+# Usage (from the repository root):
+#   scripts/census.sh            summary line only
+#   scripts/census.sh --zero     items with no caller, then the summary
+#   scripts/census.sh --one      settings fields with one value in use
+#   scripts/census.sh --all      every item, then the summary
+#
+# Output rows are tab-separated: kind, item, file:line, callers, values.
+
+mode=${1:-summary}
+case "$mode" in
+summary | --zero | --one | --all) ;;
+*)
+    echo "usage: scripts/census.sh [--zero | --one | --all]" >&2
+    exit 2
+    ;;
+esac
+
+find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*' |
+    LC_ALL=C sort |
+    xargs awk -v mode="$mode" '
+FNR == 1 {
+    file = FILENAME
+    decl = (file ~ /^crates\/[^\/]+\/src\// || file ~ /^src\//)
+    tail = 0
+    owner = ""
+    block = ""
+    derive = ""
+}
+/^#\[cfg\(test\)\]/ { tail = 1 }
+{
+    line = $0
+    if (line ~ /^[ \t]*\/\//) next
+    gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+    sub(/\/\/.*$/, "", line)
+
+    # Every identifier on the line is a potential caller.
+    rest = line
+    while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        w = substr(rest, RSTART, RLENGTH)
+        total[w]++
+        if (decl && tail) own_tail[file SUBSEP w]++
+        rest = substr(rest, RSTART + RLENGTH)
+    }
+
+    # `field: value` and `field,` writes, for the settings census.
+    if (!(decl && tail) && match(line, /^[ \t]*[a-z_][a-z0-9_]*(: .+|,)$/)) {
+        f = line
+        sub(/^[ \t]*/, "", f)
+        sub(/,$/, "", f)
+        name = f
+        sub(/:.*$/, "", name)
+        val = f
+        sub(/^[a-z_][a-z0-9_]*: /, "", val)
+        if (val !~ /^(&|u8$|u16$|u32$|u64$|usize$|i32$|i64$|f32$|f64$|bool$|String$|Option<|Vec<|impl |dyn |Box<|[A-Z][A-Za-z0-9]*(<.*>)?$)/) {
+            key = name SUBSEP val
+            if (!(key in seen)) {
+                seen[key] = 1
+                nval[name]++
+                vals[name] = vals[name] (nval[name] > 1 ? " | " : "") val
+            }
+        }
+    }
+
+    if (!decl || tail) next
+
+    if (line ~ /^#\[derive\(/) derive = line
+    if (match(line, /^impl(<[^>]*>)? /)) {
+        head = line
+        sub(/\{.*$/, "", head)
+        if (head ~ / for /) sub(/^.* for /, "", head)
+        else sub(/^impl(<[^>]*>)? /, "", head)
+        sub(/[<( ].*$/, "", head)
+        owner = head
+        if (line ~ /^impl(<[^>]*>)? Default for /) has_default[owner] = 1
+    }
+    if (match(line, /^pub (struct|enum) [A-Za-z0-9_]+/) && line ~ /\{[ \t]*$/) {
+        block = substr(line, RSTART, RLENGTH)
+        is_enum = (block ~ /^pub enum/)
+        sub(/^pub (struct|enum) /, "", block)
+        depth = 0
+        if (derive ~ /Default/) has_default[block] = derived[block] = 1
+    } else if (block != "" && depth == 1) {
+        if (!is_enum && match(line, /^[ \t]*pub [a-z_][a-z0-9_]*:/)) {
+            w = substr(line, RSTART, RLENGTH)
+            sub(/^[ \t]*pub /, "", w)
+            sub(/:$/, "", w)
+            add("field", block, w)
+        } else if (is_enum && match(line, /^[ \t]*[A-Z][A-Za-z0-9_]*/)) {
+            w = substr(line, RSTART, RLENGTH)
+            sub(/^[ \t]*/, "", w)
+            add("variant", block, w)
+        }
+    }
+    if (block != "") {
+        opens = gsub(/\{/, "{", line)
+        closes = gsub(/\}/, "}", line)
+        depth += opens - closes
+        if (depth <= 0 && closes > 0) block = ""
+    }
+    if (line !~ /^#\[derive/) derive = (line ~ /^#\[/ ? derive : "")
+    if (match(line, /^[ \t]*pub (const |async |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*/)) {
+        w = substr(line, RSTART, RLENGTH)
+        sub(/^.* fn /, "", w)
+        o = owner
+        if (line ~ /^pub /) {
+            o = file
+            sub(/\.rs$/, "", o)
+            sub(/^.*\//, "", o)
+        }
+        add("fn", o, w)
+    }
+}
+function add(kind, who, w) {
+    n++
+    k_kind[n] = kind
+    k_owner[n] = who
+    k_name[n] = w
+    k_where[n] = file ":" FNR
+    k_file[n] = file
+    decls[w]++
+}
+END {
+    zero = 0
+    settings = 0
+    single = 0
+    for (i = 1; i <= n; i++) {
+        w = k_name[i]
+        callers = total[w] - own_tail[k_file[i] SUBSEP w] - decls[w]
+        v = "-"
+        setting = (k_kind[i] == "field" && (k_owner[i] in has_default) &&
+            k_owner[i] ~ /(Config|Settings|Policy|Options|Rule)$/)
+        count = nval[w] + (k_owner[i] in derived)
+        if (setting) {
+            settings++
+            v = count ": " (k_owner[i] in derived ? "(derived default)" : "")
+            v = v (nval[w] > 0 && (k_owner[i] in derived) ? " | " : "") vals[w]
+            if (count <= 1) single++
+        }
+        if (callers <= 0) zero++
+        show = (mode == "--all") || (mode == "--zero" && callers <= 0) ||
+            (mode == "--one" && setting && count <= 1)
+        if (show)
+            printf "%s\t%s::%s\t%s\t%d\t%s\n", k_kind[i], k_owner[i], w, k_where[i], callers, v
+    }
+    printf "census: %d public items, %d with no caller; %d settings fields, %d with one value in use\n", n, zero, settings, single
+}
+'

@@ -68,8 +68,7 @@ pub mod prelude {
     pub use adaptcomm_model::NetParams;
     pub use adaptcomm_runtime::{
         execute, execute_adaptive, execute_adaptive_monitored, AdaptSettings, BackendKind,
-        CheckpointedRun, DetectorSettings, FrozenNetwork, ReplanTrigger, RunReport, RuntimeError,
-        ShapedConfig,
+        CheckpointedRun, FrozenNetwork, ReplanTrigger, RunReport, RuntimeError, ShapedConfig,
     };
     pub use adaptcomm_workloads::{Scenario, SizeMatrix};
 }
