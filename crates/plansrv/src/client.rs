@@ -82,6 +82,16 @@ impl PlanClient {
 
     fn roundtrip(&mut self, request: &Request) -> Result<PlanResponse, ClientError> {
         let payload = proto::encode_request(request);
+        // The server would refuse the frame and hang up: say so before
+        // writing rather than fail halfway with a broken pipe.
+        let len = payload.len() as u64;
+        if len > MAX_FRAME {
+            return Err(ProtocolError::Oversized {
+                len,
+                max: MAX_FRAME,
+            }
+            .into());
+        }
         write_frame(&mut self.stream, PROTO_VERSION, &payload)
             .map_err(|e| ClientError::Io(e.to_string()))?;
         let (tag, payload) =

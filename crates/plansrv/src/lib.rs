@@ -12,8 +12,9 @@
 //! Five layers, front to back:
 //!
 //! * [`proto`] — the framed wire protocol: 16-byte length-prefixed
-//!   headers (shared with the runtime transport) around hand-rolled
-//!   single-line JSON; every decode failure is a typed
+//!   headers (shared with the runtime transport) around a small JSON
+//!   head and, for the matrix and the order, a body of raw
+//!   little-endian words; every decode failure is a typed
 //!   [`proto::ProtocolError`].
 //! * [`service`] — the decision core: one plain value owning the cache,
 //!   the admission queue, the idle workers, the tenant epochs, the

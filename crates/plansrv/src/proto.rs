@@ -1,69 +1,77 @@
-//! Wire protocol: length-prefixed frames carrying hand-rolled JSON.
+//! Wire protocol: length-prefixed frames carrying a small JSON head and
+//! a binary body.
 //!
 //! # Frame grammar
 //!
 //! Every message travels in one frame sharing the runtime transport's
 //! layout ([`adaptcomm_runtime::tcp::write_frame`]): a 16-byte header —
 //! two little-endian `u64`s, here `(PROTO_VERSION, payload length)` —
-//! followed by the payload. The reader rejects unknown versions and
+//! followed by the payload. The reader rejects other versions (a
+//! version-1 frame is a typed [`ProtocolError::BadVersion`]) and
 //! payloads over [`MAX_FRAME`] *before* allocating, so a corrupt or
 //! hostile header cannot balloon memory.
 //!
 //! # Payload grammar
 //!
-//! The payload is a single-line JSON object, streamed by hand into one
-//! pre-sized buffer (`{:?}` formatting for `f64`, which round-trips
-//! exactly) and read in one pass of the obs crate's pull reader
-//! ([`adaptcomm_obs::json::Reader`]): the two `P²`-sized fields,
-//! `matrix` and `plan.order`, go straight into flat storage and only
-//! the handful of small fields become [`adaptcomm_obs::json::Value`]s —
-//! no serde anywhere. Requests:
+//! A payload is a **head** — one JSON object carrying every small
+//! field, read with [`adaptcomm_obs::json::Value::parse`] — and, for
+//! the two messages with a `P²`-sized field, a NUL byte and a binary
+//! **body**. NUL cannot occur in JSON text, so the first one ends the
+//! head. Requests:
 //!
 //! ```json
 //! {"type":"plan","tenant":"alice","algorithm":"matching-max",
-//!  "fingerprint":"<16 hex digits>", "matrix":[[0.0,1.5],[2.0,0.0]],
+//!  "fingerprint":"<16 hex digits>",
 //!  "qos":{"deadline_ms":5.0,"priority":3,"critical":[[0,1]]},
-//!  "trace":{"id":"<16 hex>","span":"<16 hex>"}}
+//!  "trace":{"id":"<16 hex>","span":"<16 hex>"}} \0 <matrix body>
 //! {"type":"shutdown"}
 //! ```
 //!
-//! `matrix` and `fingerprint` are each optional (a fingerprint-only
-//! request probes the cache without shipping `P²` cells; the server
-//! answers `need-matrix` on a miss). Fingerprints are hex *strings*
-//! because JSON numbers are `f64` and lose `u64` precision; trace and
-//! span ids follow the same convention. `trace` is optional and
-//! version-tolerant both ways: parsers ignore unknown fields, so an
-//! old client's request simply has no trace (the server starts a
-//! fresh root) and an old client never sees the echoed `trace_id`.
+//! The matrix body is `P` as a `u32`, then the `P²` cells row-major as
+//! `f64`s, all little-endian. The matrix and `fingerprint` are each
+//! optional (a fingerprint-only request probes the cache without
+//! shipping `P²` cells; the server answers `need-matrix` on a miss).
+//! Fingerprints are hex *strings* because JSON numbers are `f64` and
+//! lose `u64` precision; trace and span ids follow the same convention.
+//! `trace` is optional, and readers ignore unknown head fields.
 //! Responses:
 //!
 //! ```json
-//! {"type":"plan","status":"ok","cache":"cold|hit|warm","epoch":1,
-//!  "served_seq":3,"plan":{"order":[[1,2],[0,2],[0,1]],"completion_ms":12.5},
+//! {"type":"plan","status":"ok","cache":"cold|hit|warm|incremental",
+//!  "epoch":1,"served_seq":3,"plan":{"completion_ms":12.5},
 //!  "stats":{"round1_warm":false,"round1_col_scans":96,
 //!           "total_col_scans":480,"service_ms":3.25},
-//!  "trace_id":"<16 hex>"}
+//!  "quality":{"lb_gap_pct":6.25,"critical_path":[[0,2],[1,0]]},
+//!  "trace_id":"<16 hex>"} \0 <order body>
 //! {"type":"plan","status":"need-matrix"}
 //! {"type":"plan","status":"rejected","retry_after_ms":10.5,"detail":"..."}
 //! {"type":"plan","status":"error","detail":"..."}
 //! {"type":"bye"}
 //! ```
 //!
-//! Every decode failure is a typed [`ProtocolError`]; no input —
-//! truncated, oversized, garbage, nested past
-//! [`adaptcomm_obs::json::MAX_DEPTH`], or split at any byte — panics.
+//! The order body is `P` as a `u32`, then each sender's `P − 1`
+//! destinations in order as `u32`s. Writers copy the words straight
+//! out. Readers check the size a body declares against the bytes left,
+//! with a checked multiply, before they allocate; then that cells are
+//! finite and non-negative, that each order row is a permutation of the
+//! other processors, and that nothing trails the body. Every decode
+//! failure is a typed [`ProtocolError`]; no input — truncated,
+//! oversized, garbage, nested past [`adaptcomm_obs::json::MAX_DEPTH`],
+//! or split at any byte — panics.
 
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
-use adaptcomm_obs::json::{write_string, Reader, Value};
+use adaptcomm_obs::json::{write_string, Value};
 use adaptcomm_obs::trace::{id_from_hex, id_to_hex};
 use adaptcomm_obs::TraceContext;
 use std::fmt::{self, Write as _};
 
-/// Protocol version carried in every frame header's tag slot.
-pub const PROTO_VERSION: u64 = 1;
+/// Protocol version carried in every frame header's tag slot. Version
+/// 1 carried the matrix and the order as JSON text; it is refused.
+pub const PROTO_VERSION: u64 = 2;
 
-/// Ceiling on one payload: 16 MiB holds a P≈1000 matrix with room.
+/// Ceiling on one payload: 16 MiB. A matrix body is `4 + 8·P²` bytes,
+/// so a request fits up to P = 1448; an order body is `4 + 4·P(P−1)`.
 pub const MAX_FRAME: u64 = 16 << 20;
 
 /// Every way a frame or payload can fail to decode.
@@ -356,54 +364,57 @@ pub enum PlanResponse {
 }
 
 // ---------------------------------------------------------------------
-// Writers: every message streams into one pre-sized buffer.
+// Writers: the head streams into one pre-sized buffer, the body's words
+// are copied straight after it.
 
-/// `[a,b,…]`, each item written by `each`.
-fn push_array<T>(
-    out: &mut String,
-    items: impl IntoIterator<Item = T>,
-    mut each: impl FnMut(&mut String, T),
-) {
+/// `[[src,dst],…]`.
+fn push_pairs(out: &mut String, pairs: &[(usize, usize)]) {
     out.push('[');
-    for (i, item) in items.into_iter().enumerate() {
+    for (i, (s, d)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        each(out, item);
+        let _ = write!(out, "[{s},{d}]");
     }
     out.push(']');
 }
 
-/// `[[src,dst],…]`.
-fn push_pairs(out: &mut String, pairs: &[(usize, usize)]) {
-    push_array(out, pairs, |out, (s, d)| {
-        let _ = write!(out, "[{s},{d}]");
-    });
+/// Ends the head and appends a body: `p` as a `u32`, then the `words`
+/// items of `rows`, each as its `W` little-endian bytes.
+fn push_body<'a, T: Copy + 'a, const W: usize>(
+    out: &mut Vec<u8>,
+    p: usize,
+    rows: impl Iterator<Item = &'a [T]>,
+    words: usize,
+    word: fn(T) -> [u8; W],
+) {
+    out.push(0);
+    out.extend_from_slice(&(p as u32).to_le_bytes());
+    let start = out.len();
+    out.resize(start + W * words, 0);
+    let mut slots = out[start..].as_chunks_mut::<W>().0.iter_mut();
+    for row in rows {
+        for (&x, slot) in row.iter().zip(slots.by_ref()) {
+            *slot = word(x);
+        }
+    }
 }
 
-/// Serializes a request payload (no frame header). Floats are written
-/// `{:?}`, which round-trips every finite `f64` exactly.
+/// Serializes a request payload (no frame header). Head floats are
+/// written `{:?}`, which round-trips every finite `f64` exactly; matrix
+/// cells travel as their bits.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let Request::Plan(plan) = req else {
         return b"{\"type\":\"shutdown\"}".to_vec();
     };
-    // A `{:?}` cell runs to ~18 bytes; 20 per cell never regrows.
     let cells = plan.matrix.as_ref().map_or(0, |m| m.len() * m.len());
-    let mut out = String::with_capacity(256 + plan.tenant.len() + 20 * cells);
+    let mut out = String::with_capacity(256 + plan.tenant.len() + 5 + 8 * cells);
     out.push_str("{\"type\":\"plan\",\"tenant\":");
     write_string(&mut out, &plan.tenant);
     out.push_str(",\"algorithm\":");
     write_string(&mut out, &plan.algorithm);
     if let Some(fp) = plan.fingerprint {
         let _ = write!(out, ",\"fingerprint\":\"{fp:016x}\"");
-    }
-    if let Some(m) = &plan.matrix {
-        out.push_str(",\"matrix\":");
-        push_array(&mut out, 0..m.len(), |out, src| {
-            push_array(out, m.row(src), |out, cell| {
-                let _ = write!(out, "{cell:?}");
-            })
-        });
     }
     out.push_str(",\"qos\":{");
     if let Some(d) = plan.qos.deadline_ms {
@@ -424,7 +435,18 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         );
     }
     out.push('}');
-    out.into_bytes()
+    let mut out = out.into_bytes();
+    if let Some(m) = &plan.matrix {
+        let p = m.len();
+        push_body(
+            &mut out,
+            p,
+            (0..p).map(|src| m.row(src)),
+            p * p,
+            f64::to_le_bytes,
+        );
+    }
+    out
 }
 
 /// Serializes a response payload (no frame header).
@@ -449,26 +471,17 @@ pub fn encode_response(resp: &PlanResponse) -> Vec<u8> {
             write_string(&mut out, detail);
         }
         PlanResponse::Ok(ok) => {
-            // An index plus its comma: the digits of P, plus one.
             let p = ok.order.processors();
-            out.reserve(512 + p * p * (p.max(1).ilog10() as usize + 2));
+            out.reserve(512 + 5 + 4 * p * p);
             let _ = write!(
                 out,
                 "{{\"type\":\"plan\",\"status\":\"ok\",\"cache\":\"{}\",\"epoch\":{},\
-                 \"served_seq\":{},\"plan\":{{\"order\":",
+                 \"served_seq\":{},\"plan\":{{\"completion_ms\":{:?}}},\
+                 \"stats\":{{\"round1_warm\":{},\"round1_col_scans\":{},\
+                 \"total_col_scans\":{},\"service_ms\":{:?}}}",
                 ok.cache.as_str(),
                 ok.epoch,
                 ok.served_seq,
-            );
-            push_array(&mut out, &ok.order.order, |out, dsts| {
-                push_array(out, dsts, |out, d| {
-                    let _ = write!(out, "{d}");
-                })
-            });
-            let _ = write!(
-                out,
-                ",\"completion_ms\":{:?}}},\"stats\":{{\"round1_warm\":{},\
-                 \"round1_col_scans\":{},\"total_col_scans\":{},\"service_ms\":{:?}}}",
                 ok.completion_ms,
                 ok.stats.round1_warm,
                 ok.stats.round1_col_scans,
@@ -487,6 +500,13 @@ pub fn encode_response(resp: &PlanResponse) -> Vec<u8> {
             if let Some(id) = ok.trace_id {
                 let _ = write!(out, ",\"trace_id\":\"{}\"", id_to_hex(id));
             }
+            out.push('}');
+            let mut out = out.into_bytes();
+            let rows = ok.order.order.iter().map(Vec::as_slice);
+            push_body(&mut out, p, rows, p * p.saturating_sub(1), |d| {
+                (d as u32).to_le_bytes()
+            });
+            return out;
         }
     }
     out.push('}');
@@ -494,72 +514,102 @@ pub fn encode_response(resp: &PlanResponse) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Readers. One pass of the obs pull reader over the payload: the two
-// P²-sized fields (`matrix`, `plan.order`) go straight into flat
-// storage, every other field becomes a small `json::Value`.
+// Readers: the head is one `json::Value` tree, the body is read in place.
 
-/// A big field as read: `None` when absent, `Some(Err)` when present
-/// but the wrong shape — raised only if the message turns out to need
-/// the field, as a lookup in a parsed tree would.
-type Big<T> = Option<Result<T, ProtocolError>>;
-
-/// Reads the document at `r`. For each member of a top-level object
-/// `big` may read the value itself and return what stands in for it;
-/// everything else is read as a tree.
-fn read_object<'a>(
-    r: &mut Reader<'a>,
-    mut big: impl FnMut(&str, &mut Reader<'a>) -> Result<Option<Value>, String>,
-) -> Result<Value, String> {
-    if r.peek() != Some(b'{') {
-        return r.value();
-    }
-    let mut pairs = Vec::new();
-    let mut more = r.begin(b'{')?;
-    while more {
-        let key = r.key()?;
-        let value = match big(&key, r)? {
-            Some(stand_in) => stand_in,
-            None => r.value()?,
-        };
-        pairs.push((key.into_owned(), value));
-        more = r.next(b'}')?;
-    }
-    Ok(Value::Obj(pairs))
+/// Splits a payload into its parsed head and its body, if it has one.
+fn split(payload: &[u8]) -> Result<(Value, Option<&[u8]>), ProtocolError> {
+    let (head, body) = match payload.iter().position(|&b| b == 0) {
+        Some(nul) => (&payload[..nul], Some(&payload[nul + 1..])),
+        None => (payload, None),
+    };
+    let text = std::str::from_utf8(head).map_err(|e| malformed(format!("not UTF-8: {e}")))?;
+    Ok((Value::parse(text).map_err(malformed)?, body))
 }
 
-/// Reads a whole payload with [`read_object`].
-fn read_document<'a>(
-    payload: &'a [u8],
-    big: impl FnMut(&str, &mut Reader<'a>) -> Result<Option<Value>, String>,
-) -> Result<Value, ProtocolError> {
-    let text = std::str::from_utf8(payload).map_err(|e| malformed(format!("not UTF-8: {e}")))?;
-    let mut r = Reader::new(text);
-    let v = read_object(&mut r, big).map_err(malformed)?;
-    r.end().map_err(malformed)?;
-    Ok(v)
+/// Refuses a body on a message that has none.
+fn no_body(body: Option<&[u8]>) -> Result<(), ProtocolError> {
+    match body {
+        None => Ok(()),
+        Some(b) => Err(malformed(format!(
+            "{} body bytes on a bodyless message",
+            b.len()
+        ))),
+    }
 }
 
-/// Reads a big field with `read` into `slot`, first occurrence only
-/// (a tree lookup finds the first of duplicate keys). A value `read`
-/// rejects is re-read as a tree, so a syntax error still fails the
-/// whole payload and a shape error waits in the slot.
-fn read_big<'a, T>(
-    r: &mut Reader<'a>,
-    slot: &mut Big<T>,
-    read: fn(&mut Reader<'a>) -> Result<T, ProtocolError>,
-) -> Result<Option<Value>, String> {
-    if slot.is_some() {
-        return Ok(None);
+/// A body's `P` and its words: exactly `count(P)` words of `W` bytes
+/// must follow, which is checked before anything is allocated.
+fn body_words<'a, const W: usize>(
+    body: &'a [u8],
+    count: fn(usize) -> Option<usize>,
+    what: &str,
+) -> Result<(usize, &'a [[u8; W]]), ProtocolError> {
+    let (p, words) = body
+        .split_first_chunk::<4>()
+        .ok_or_else(|| malformed(format!("{what} body has no size word")))?;
+    let p = u32::from_le_bytes(*p) as usize;
+    match count(p).and_then(|n| n.checked_mul(W)) {
+        Some(n) if n == words.len() => Ok((p, words.as_chunks().0)),
+        Some(n) if n < words.len() => Err(malformed(format!(
+            "{} trailing bytes after the {what}",
+            words.len() - n
+        ))),
+        _ => Err(malformed(format!(
+            "a {what} of P = {p} does not fit the {} bytes left",
+            words.len()
+        ))),
     }
-    let mut fast = *r;
-    let read = read(&mut fast);
-    if read.is_ok() {
-        *r = fast;
-    } else {
-        r.value()?;
+}
+
+fn read_matrix(body: &[u8]) -> Result<CommMatrix, ProtocolError> {
+    let (p, words) = body_words(body, |p| p.checked_mul(p), "matrix")?;
+    if p == 0 {
+        return Err(malformed("matrix must be non-empty"));
     }
-    *slot = Some(read);
-    Ok(Some(Value::Null))
+    let cells: Vec<f64> = words.iter().map(|w| f64::from_le_bytes(*w)).collect();
+    // A cell is finite and non-negative exactly when its bits, −0.0 read
+    // as +0.0, lie below +∞'s. An integer max over them vectorizes,
+    // where a float test per cell costs ~4× as much at P = 64; the
+    // culprit is searched for only on a refusal.
+    let key = |x: &f64| match x.to_bits() {
+        b if b == (-0.0f64).to_bits() => 0,
+        b => b,
+    };
+    let inf = f64::INFINITY.to_bits();
+    if cells.iter().map(key).max() >= Some(inf) {
+        let i = cells.iter().position(|x| key(x) >= inf).unwrap_or_default();
+        return Err(malformed(format!(
+            "matrix cell ({},{}) must be finite and non-negative, got {}",
+            i / p,
+            i % p,
+            cells[i]
+        )));
+    }
+    Ok(CommMatrix::from_flat(p, cells))
+}
+
+fn read_order(body: &[u8]) -> Result<SendOrder, ProtocolError> {
+    let count = |p: usize| p.checked_mul(p.saturating_sub(1));
+    let (p, words) = body_words(body, count, "plan order")?;
+    // `seen[d] == src` marks `d` taken in row `src`: no clearing per row.
+    let mut seen = vec![usize::MAX; p];
+    let order = (0..p)
+        .map(|src| {
+            let row: Vec<usize> = words[src * (p - 1)..(src + 1) * (p - 1)]
+                .iter()
+                .map(|w| u32::from_le_bytes(*w) as usize)
+                .collect();
+            let distinct = row
+                .iter()
+                .all(|&d| d < p && d != src && std::mem::replace(&mut seen[d], src) != src);
+            distinct.then_some(row).ok_or_else(|| {
+                malformed(format!(
+                    "order row {src} is not a permutation of the other processors"
+                ))
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(SendOrder { order })
 }
 
 fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, ProtocolError> {
@@ -574,63 +624,16 @@ fn num_field(v: &Value, key: &str) -> Result<f64, ProtocolError> {
         .ok_or_else(|| malformed(format!("missing numeric field {key:?}")))
 }
 
-fn index_of(x: f64, what: &str) -> Result<usize, ProtocolError> {
+fn index_field(v: &Value, what: &str) -> Result<usize, ProtocolError> {
+    let x = v
+        .as_f64()
+        .ok_or_else(|| malformed(format!("{what} must be a number")))?;
     if x.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&x) {
         return Err(malformed(format!(
             "{what} must be a small non-negative integer, got {x}"
         )));
     }
     Ok(x as usize)
-}
-
-fn index_field(v: &Value, what: &str) -> Result<usize, ProtocolError> {
-    let x = v
-        .as_f64()
-        .ok_or_else(|| malformed(format!("{what} must be a number")))?;
-    index_of(x, what)
-}
-
-fn read_matrix(r: &mut Reader<'_>) -> Result<CommMatrix, ProtocolError> {
-    let mut cells = Vec::new();
-    let (mut rows, mut width) = (0, 0);
-    let mut more = r
-        .begin(b'[')
-        .map_err(|_| malformed("matrix must be an array of rows"))?;
-    while more {
-        let mut more_cells = r
-            .begin(b'[')
-            .map_err(|_| malformed(format!("matrix row {rows} must be an array")))?;
-        while more_cells {
-            let x = r
-                .number()
-                .map_err(|_| malformed(format!("matrix row {rows} must hold numbers")))?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(malformed(format!(
-                    "matrix row {rows} must be finite and non-negative, got {x}"
-                )));
-            }
-            cells.push(x);
-            more_cells = r.next(b']').map_err(malformed)?;
-        }
-        // Row 0 fixes the width; a square matrix has that many rows.
-        if rows == 0 {
-            width = cells.len();
-        }
-        rows += 1;
-        if cells.len() != rows * width {
-            return Err(malformed(format!(
-                "matrix row {} is not {width} cells wide",
-                rows - 1
-            )));
-        }
-        more = r.next(b']').map_err(malformed)?;
-    }
-    if rows == 0 || rows != width {
-        return Err(malformed(format!(
-            "matrix must be square and non-empty, got {rows} rows of {width} cells"
-        )));
-    }
-    Ok(CommMatrix::from_flat(rows, cells))
 }
 
 fn parse_qos(v: &Value) -> Result<QosSpec, ProtocolError> {
@@ -696,13 +699,9 @@ fn parse_trace(v: &Value) -> Result<Option<TraceContext>, ProtocolError> {
 
 /// Parses a request payload.
 pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
-    let mut matrix: Big<CommMatrix> = None;
-    let v = read_document(payload, |key, r| match key {
-        "matrix" => read_big(r, &mut matrix, read_matrix),
-        _ => Ok(None),
-    })?;
+    let (v, body) = split(payload)?;
     match str_field(&v, "type")? {
-        "shutdown" => Ok(Request::Shutdown),
+        "shutdown" => no_body(body).map(|()| Request::Shutdown),
         "plan" => {
             let tenant = str_field(&v, "tenant")?.to_string();
             if tenant.is_empty() {
@@ -717,7 +716,7 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
                     })?)?)
                 }
             };
-            let matrix = matrix.transpose()?;
+            let matrix = body.map(read_matrix).transpose()?;
             if matrix.is_none() && fingerprint.is_none() {
                 return Err(malformed("a plan request needs a matrix or a fingerprint"));
             }
@@ -738,74 +737,19 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, ProtocolError> {
     }
 }
 
-fn read_order(r: &mut Reader<'_>) -> Result<SendOrder, ProtocolError> {
-    let mut order: Vec<Vec<usize>> = Vec::new();
-    let mut more = r
-        .begin(b'[')
-        .map_err(|_| malformed("plan order must be an array"))?;
-    while more {
-        let src = order.len();
-        // Rows are all as long as the first (checked below), so sizing
-        // by it allocates no more than the payload already justified.
-        let width = order.first().map(Vec::len);
-        let mut list = Vec::with_capacity(width.unwrap_or(0));
-        let mut more_dsts = r
-            .begin(b'[')
-            .map_err(|_| malformed(format!("order row {src} must be an array")))?;
-        while more_dsts {
-            let d = r
-                .number()
-                .map_err(|_| malformed("order destination must be a number"))?;
-            list.push(index_of(d, "order destination")?);
-            more_dsts = r.next(b']').map_err(malformed)?;
-        }
-        if width.is_some_and(|w| w != list.len()) {
-            return Err(malformed(format!(
-                "order row {src} is not as long as row 0"
-            )));
-        }
-        order.push(list);
-        more = r.next(b']').map_err(malformed)?;
-    }
-    let p = order.len();
-    // `seen[d] == src` marks `d` taken in row `src`: no clearing per row.
-    let mut seen = vec![usize::MAX; p];
-    for (src, list) in order.iter().enumerate() {
-        let distinct = list
-            .iter()
-            .all(|&d| d < p && d != src && std::mem::replace(&mut seen[d], src) != src);
-        if !distinct || list.len() != p - 1 {
-            return Err(malformed(format!(
-                "order row {src} is not a permutation of the other processors"
-            )));
-        }
-    }
-    Ok(SendOrder { order })
-}
-
 /// Parses a response payload.
 pub fn parse_response(payload: &[u8]) -> Result<PlanResponse, ProtocolError> {
-    let (mut order, mut plan_seen): (Big<SendOrder>, bool) = (None, false);
-    let v = read_document(payload, |key, r| {
-        // Only the first `plan` member counts, as in a tree lookup.
-        if key != "plan" || std::mem::replace(&mut plan_seen, true) {
-            return Ok(None);
-        }
-        read_object(r, |key, r| match key {
-            "order" => read_big(r, &mut order, read_order),
-            _ => Ok(None),
-        })
-        .map(Some)
-    })?;
+    let (v, body) = split(payload)?;
+    let bodyless = |resp| no_body(body).map(|()| resp);
     match str_field(&v, "type")? {
-        "bye" => Ok(PlanResponse::Bye),
+        "bye" => bodyless(PlanResponse::Bye),
         "plan" => match str_field(&v, "status")? {
-            "need-matrix" => Ok(PlanResponse::NeedMatrix),
-            "rejected" => Ok(PlanResponse::Rejected {
+            "need-matrix" => bodyless(PlanResponse::NeedMatrix),
+            "rejected" => bodyless(PlanResponse::Rejected {
                 retry_after_ms: num_field(&v, "retry_after_ms")?,
                 detail: str_field(&v, "detail")?.to_string(),
             }),
-            "error" => Ok(PlanResponse::Error {
+            "error" => bodyless(PlanResponse::Error {
                 detail: str_field(&v, "detail")?.to_string(),
             }),
             "ok" => {
@@ -816,7 +760,7 @@ pub fn parse_response(payload: &[u8]) -> Result<PlanResponse, ProtocolError> {
                     .get("stats")
                     .ok_or_else(|| malformed("missing stats object"))?;
                 Ok(PlanResponse::Ok(Box::new(PlanOk {
-                    order: order.ok_or_else(|| malformed("missing plan.order"))??,
+                    order: read_order(body.ok_or_else(|| malformed("missing plan order body"))?)?,
                     completion_ms: num_field(plan, "completion_ms")?,
                     cache: CacheDisposition::parse(str_field(&v, "cache")?)?,
                     epoch: num_field(&v, "epoch")? as u64,
@@ -877,6 +821,26 @@ mod tests {
         })
     }
 
+    /// `head`, the NUL and a body of `p` then `words`, all little-endian.
+    fn with_body<const W: usize>(head: &str, p: u32, words: &[[u8; W]]) -> Vec<u8> {
+        let mut out = head.as_bytes().to_vec();
+        out.push(0);
+        out.extend_from_slice(&p.to_le_bytes());
+        words.iter().for_each(|w| out.extend_from_slice(w));
+        out
+    }
+
+    fn cells(xs: &[f64]) -> Vec<[u8; 8]> {
+        xs.iter().map(|x| x.to_le_bytes()).collect()
+    }
+
+    fn dsts(ds: &[u32]) -> Vec<[u8; 4]> {
+        ds.iter().map(|d| d.to_le_bytes()).collect()
+    }
+
+    const PLAN_HEAD: &str = r#"{"type":"plan","tenant":"t","algorithm":"a"}"#;
+    const OK_HEAD: &str = r#"{"type":"plan","status":"ok","cache":"cold","epoch":1,"served_seq":1,"plan":{"completion_ms":1.0},"stats":{"round1_warm":false,"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#;
+
     #[test]
     fn requests_round_trip() {
         for req in [sample_request(), Request::Shutdown] {
@@ -896,11 +860,64 @@ mod tests {
     }
 
     #[test]
+    fn matrix_cells_decode_bit_exactly() {
+        // `==` on f64 cannot tell −0.0 from 0.0: compare the bits.
+        let awkward = [
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            0.1 + 0.2,
+            9007199254740993.0,
+            f64::MAX,
+            1e-7,
+            1e21,
+        ];
+        let m = CommMatrix::from_flat(3, awkward.to_vec());
+        let req = Request::Plan(PlanRequest {
+            tenant: "t".into(),
+            algorithm: "a".into(),
+            matrix: Some(m.clone()),
+            fingerprint: Some(m.fingerprint()),
+            qos: QosSpec::default(),
+            trace: None,
+        });
+        let Request::Plan(back) = parse_request(&encode_request(&req)).unwrap() else {
+            panic!("a plan request came back as something else");
+        };
+        let back = back.matrix.unwrap();
+        for (src, want) in awkward.chunks(3).enumerate() {
+            let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(back.row(src)), bits(want));
+        }
+        assert_eq!(back.fingerprint(), m.fingerprint());
+    }
+
+    #[test]
+    fn a_p1024_request_survives_the_frame_reader() {
+        // Cells of full-length shortest digits, as real costs have: as
+        // text this request ran over MAX_FRAME; in binary it fits.
+        let m = CommMatrix::from_fn(1024, |s, d| 1.0 + (s * 1024 + d) as f64 / 7.0);
+        let req = Request::Plan(PlanRequest {
+            tenant: "big".into(),
+            algorithm: "matching-max".into(),
+            fingerprint: Some(m.fingerprint()),
+            matrix: Some(m),
+            qos: QosSpec::default(),
+            trace: None,
+        });
+        let mut reader = FrameReader::new();
+        reader.push(&frame(&encode_request(&req)));
+        let payload = reader.next_frame().unwrap().expect("one whole frame");
+        assert_eq!(parse_request(&payload).unwrap(), req);
+    }
+
+    #[test]
     fn trace_field_is_version_tolerant() {
-        // An old client's request — no trace field — still parses, and
-        // parses to `trace: None` (the server will start a fresh root).
-        let old = br#"{"type":"plan","tenant":"t","algorithm":"greedy","fingerprint":"0000000000000003"}"#;
-        match parse_request(old).unwrap() {
+        // A request with no trace field parses to `trace: None` (the
+        // server will start a fresh root).
+        let bare = br#"{"type":"plan","tenant":"t","algorithm":"greedy","fingerprint":"0000000000000003"}"#;
+        match parse_request(bare).unwrap() {
             Request::Plan(plan) => assert_eq!(plan.trace, None),
             other => panic!("{other:?}"),
         }
@@ -929,12 +946,8 @@ mod tests {
             parse_request(bad).unwrap_err(),
             ProtocolError::Malformed { .. }
         ));
-        // Old-server responses (no trace_id) parse to None.
-        let resp = parse_response(
-            br#"{"type":"plan","status":"ok","cache":"cold","epoch":1,"served_seq":1,"plan":{"order":[[1],[0]],"completion_ms":1.0},"stats":{"round1_warm":false,"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#,
-        )
-        .unwrap();
-        match resp {
+        // Responses without trace_id parse to None.
+        match parse_response(&with_body(OK_HEAD, 2, &dsts(&[1, 0]))).unwrap() {
             PlanResponse::Ok(ok) => assert_eq!(ok.trace_id, None),
             other => panic!("{other:?}"),
         }
@@ -979,20 +992,18 @@ mod tests {
 
     #[test]
     fn quality_field_is_version_tolerant() {
-        // Old-server responses (no quality object) parse to None — the
-        // same tolerance rule as trace_id.
-        let resp = parse_response(
-            br#"{"type":"plan","status":"ok","cache":"cold","epoch":1,"served_seq":1,"plan":{"order":[[1],[0]],"completion_ms":1.0},"stats":{"round1_warm":false,"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5}}"#,
-        )
-        .unwrap();
-        match resp {
+        // Responses without a quality object parse to None — the same
+        // rule as trace_id.
+        match parse_response(&with_body(OK_HEAD, 2, &dsts(&[1, 0]))).unwrap() {
             PlanResponse::Ok(ok) => assert_eq!(ok.quality, None),
             other => panic!("{other:?}"),
         }
         // A malformed quality object is a typed error, not a silent None.
-        let bad = parse_response(
-            br#"{"type":"plan","status":"ok","cache":"cold","epoch":1,"served_seq":1,"plan":{"order":[[1],[0]],"completion_ms":1.0},"stats":{"round1_warm":false,"round1_col_scans":0,"total_col_scans":0,"service_ms":0.5},"quality":{"lb_gap_pct":1.0,"critical_path":[[0]]}}"#,
+        let head = OK_HEAD.replace(
+            "}}",
+            r#"},"quality":{"lb_gap_pct":1.0,"critical_path":[[0]]}}"#,
         );
+        let bad = parse_response(&with_body(&head, 2, &dsts(&[1, 0])));
         assert!(matches!(bad, Err(ProtocolError::Malformed { .. })));
     }
 
@@ -1028,16 +1039,15 @@ mod tests {
             reader.next_frame(),
             Err(ProtocolError::Oversized { .. })
         ));
-        // Wrong version tag.
-        let mut reader = FrameReader::new();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u64.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        reader.push(&bytes);
-        assert!(matches!(
-            reader.next_frame(),
-            Err(ProtocolError::BadVersion { tag: 7 })
-        ));
+        // Wrong version tags, the retired version 1 among them.
+        for tag in [1, 7] {
+            let mut reader = FrameReader::new();
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&u64::to_le_bytes(tag));
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            reader.push(&bytes);
+            assert_eq!(reader.next_frame(), Err(ProtocolError::BadVersion { tag }));
+        }
         // Truncation is only an error at end-of-stream.
         let mut reader = FrameReader::new();
         reader.push(&frame(b"{}")[..10]);
@@ -1061,9 +1071,9 @@ mod tests {
         .expect("the parser must not take its thread down");
         assert!(matches!(verdict.0, Err(ProtocolError::Malformed { .. })));
         assert!(matches!(verdict.1, Err(ProtocolError::Malformed { .. })));
-        // The same depth inside a field the tree-free readers walk.
+        // The same depth inside a head field.
         let deep = format!(
-            r#"{{"type":"plan","tenant":"t","algorithm":"a","matrix":{}}}"#,
+            r#"{{"type":"plan","tenant":"t","algorithm":"a","qos":{}}}"#,
             "[".repeat(200_000)
         );
         assert!(matches!(
@@ -1074,19 +1084,48 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_typed_errors() {
-        for bad in [
-            &b"not json at all"[..],
-            br#"{"type":"plan"}"#,
-            br#"{"type":"plan","tenant":"t","algorithm":"a"}"#,
-            br#"{"type":"plan","tenant":"","algorithm":"a","fingerprint":"0000000000000000"}"#,
-            br#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,1],[2]]}"#,
-            br#"{"type":"plan","tenant":"t","algorithm":"a","matrix":[[0,-1],[2,0]]}"#,
-            br#"{"type":"plan","tenant":"t","algorithm":"a","fingerprint":"xyz"}"#,
-            br#"{"type":"wat"}"#,
-        ] {
-            let err = parse_request(bad).unwrap_err();
+        let shutdown = r#"{"type":"shutdown"}"#;
+        let requests = [
+            b"not json at all".to_vec(),
+            br#"{"type":"plan"}"#.to_vec(),
+            PLAN_HEAD.as_bytes().to_vec(),
+            br#"{"type":"plan","tenant":"","algorithm":"a","fingerprint":"0000000000000000"}"#
+                .to_vec(),
+            br#"{"type":"plan","tenant":"t","algorithm":"a","fingerprint":"xyz"}"#.to_vec(),
+            br#"{"type":"wat"}"#.to_vec(),
+            // A body on a message that has none.
+            with_body(shutdown, 0, &cells(&[])),
+            // Bodies too short for their size word or for their P.
+            [PLAN_HEAD.as_bytes(), &[0, 2, 0]].concat(),
+            with_body(PLAN_HEAD, 2, &cells(&[0.0, 1.0, 2.0])),
+            // P² overflows; P²·8 overflows.
+            with_body(PLAN_HEAD, u32::MAX, &cells(&[])),
+            with_body(PLAN_HEAD, 1 << 31, &cells(&[])),
+            // Trailing bytes, an empty matrix, bad cells.
+            with_body(PLAN_HEAD, 1, &cells(&[0.0, 0.0])),
+            with_body(PLAN_HEAD, 0, &cells(&[])),
+            with_body(PLAN_HEAD, 2, &cells(&[0.0, -1.0, 2.0, 0.0])),
+            with_body(PLAN_HEAD, 2, &cells(&[0.0, f64::NAN, 2.0, 0.0])),
+            with_body(PLAN_HEAD, 2, &cells(&[0.0, f64::INFINITY, 2.0, 0.0])),
+        ];
+        for bad in requests {
+            let err = parse_request(&bad).unwrap_err();
             assert!(matches!(err, ProtocolError::Malformed { .. }), "{err}");
         }
-        assert!(parse_response(br#"{"type":"plan","status":"wat"}"#).is_err());
+        let responses = [
+            br#"{"type":"plan","status":"wat"}"#.to_vec(),
+            OK_HEAD.as_bytes().to_vec(),
+            with_body(r#"{"type":"bye"}"#, 0, &dsts(&[])),
+            with_body(OK_HEAD, 3, &dsts(&[1, 1, 0, 2, 0, 1])),
+            with_body(OK_HEAD, 3, &dsts(&[1, 2, 0, 1, 0, 1])),
+            with_body(OK_HEAD, 3, &dsts(&[1, 3, 0, 2, 0, 1])),
+            with_body(OK_HEAD, 2, &dsts(&[1, 0, 0])),
+            with_body(OK_HEAD, 2, &dsts(&[1])),
+            with_body(OK_HEAD, u32::MAX, &dsts(&[])),
+        ];
+        for bad in responses {
+            let err = parse_response(&bad).unwrap_err();
+            assert!(matches!(err, ProtocolError::Malformed { .. }), "{err}");
+        }
     }
 }

@@ -1,10 +1,13 @@
 //! Graceful-lifecycle regression tests: ephemeral-port bind, the
-//! shutdown control frame, and — the load-bearing one — in-flight
-//! requests completing before the server stops.
+//! shutdown control frame, an old client's frame, and — the
+//! load-bearing one — in-flight requests completing before the server
+//! stops.
 
 use adaptcomm_core::matrix::CommMatrix;
-use adaptcomm_plansrv::proto::{PlanResponse, QosSpec};
+use adaptcomm_plansrv::proto::{parse_response, FrameReader, PlanResponse, QosSpec};
 use adaptcomm_plansrv::{PlanClient, PlanServer, PlanServerConfig};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn matrix(p: usize) -> CommMatrix {
@@ -129,4 +132,44 @@ fn in_flight_requests_complete_before_the_server_stops() {
     // And after the drain the port is actually released.
     let err = PlanClient::connect(addr);
     assert!(err.is_err(), "listener must be gone after join()");
+}
+
+#[test]
+fn an_old_client_gets_a_typed_answer_naming_its_version() {
+    // A version-1 client's request, as that protocol wrote it: the
+    // matrix as JSON text, under frame tag 1.
+    const V1_REQUEST: &str = r#"{"type":"plan","tenant":"t","algorithm":"greedy","matrix":[[0.0,0.30000000000000004],[12345678.9,0.0]],"qos":{"deadline_ms":0.0,"priority":0,"critical":[[1,0]]}}"#;
+    let server = PlanServer::bind("127.0.0.1:0", PlanServerConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A server that neither answers nor hangs up fails here, not hangs.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut frame = 1u64.to_le_bytes().to_vec();
+    frame.extend_from_slice(&(V1_REQUEST.len() as u64).to_le_bytes());
+    frame.extend_from_slice(V1_REQUEST.as_bytes());
+    stream.write_all(&frame).expect("write the v1 frame");
+
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("the server answers, then closes the connection");
+    let mut reader = FrameReader::new();
+    reader.push(&reply);
+    let payload = reader.next_frame().expect("a v2 frame").expect("whole");
+    match parse_response(&payload).expect("a well-formed reply") {
+        PlanResponse::Error { detail } => {
+            assert!(detail.contains("version 1"), "{detail}")
+        }
+        other => panic!("expected an error naming version 1, got {other:?}"),
+    }
+    assert_eq!(reader.next_frame(), Ok(None), "one reply, then close");
+    reader.finish().expect("nothing after the reply");
+    // The server is still serving other clients.
+    let mut client = PlanClient::connect(server.local_addr()).expect("connect");
+    let ok = client
+        .plan("t", "greedy", &matrix(4), QosSpec::default())
+        .expect("round trip");
+    assert!(matches!(ok, PlanResponse::Ok(_)), "{ok:?}");
+    server.shutdown();
 }

@@ -1,25 +1,30 @@
-//! The writers' output, pinned byte for byte.
+//! The codec's output, pinned byte for byte, and read back.
 //!
-//! `data/wire_fixtures.txt` was captured by running [`render`] at the
-//! commit before the writers began streaming into one buffer (they
-//! built a `String` per cell and `join`ed them); the wire format is a
-//! contract with deployed clients, so a rewrite of the writers must
-//! reproduce every byte. One message per line: `name payload`.
+//! `data/wire_fixtures.txt` was captured by running [`render`] when
+//! protocol version 2 replaced the JSON matrix and order with binary
+//! bodies. One message per line: `name body head`, where `body` is the
+//! payload after the head's NUL as lowercase hex (`-` for a bodyless
+//! message) and `head` is the JSON head verbatim. The rule for version
+//! 2: any change that moves a byte here is a new protocol version — a
+//! bump of `PROTO_VERSION` and a re-capture — never a silent edit.
 
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_obs::trace::TraceContext;
 use adaptcomm_plansrv::proto::{
-    encode_request, encode_response, CacheDisposition, PlanOk, PlanQuality, PlanRequest,
-    PlanResponse, PlanStats, QosSpec, Request,
+    encode_request, encode_response, parse_request, parse_response, CacheDisposition, PlanOk,
+    PlanQuality, PlanRequest, PlanResponse, PlanStats, QosSpec, Request,
 };
 
-/// Cells chosen to walk `{:?}`'s forms: integral, fractional, shortest
-/// round-trip digits, and both exponent notations.
+/// Cells chosen to walk `{:?}`'s forms (integral, fractional, shortest
+/// round-trip digits, both exponent notations) as the JSON codec wrote
+/// them, plus −0.0 and a subnormal, whose bits must survive.
 fn awkward_matrix(p: usize) -> CommMatrix {
     CommMatrix::from_fn(p, |s, d| match (s, d) {
         _ if s == d => 0.0,
         (0, 1) => 0.1 + 0.2,
+        (1, 3) => -0.0,
+        (3, 1) => f64::from_bits(1),
         (0, 2) => 1e-7,
         (0, 3) => 1e21,
         (1, 0) => 12345678.9,
@@ -168,22 +173,59 @@ fn render() -> String {
                 .map(|(name, r)| (name, encode_response(&r))),
         );
     for (name, bytes) in encoded {
-        let payload = String::from_utf8(bytes).expect("payloads are UTF-8");
-        assert!(!payload.contains('\n'), "{name} is not a single line");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&payload);
-        out.push('\n');
+        let (head, body) = match bytes.iter().position(|&b| b == 0) {
+            Some(nul) => (&bytes[..nul], Some(&bytes[nul + 1..])),
+            None => (&bytes[..], None),
+        };
+        let head = std::str::from_utf8(head).expect("heads are UTF-8");
+        assert!(!head.contains('\n'), "{name} is not a single line");
+        let body = body.map_or("-".to_string(), |b| {
+            b.iter().map(|byte| format!("{byte:02x}")).collect()
+        });
+        out.push_str(&format!("{name} {body} {head}\n"));
     }
     out
 }
 
+/// A fixture line back to its payload bytes.
+fn payload(line: &str) -> (&str, Vec<u8>) {
+    let (name, rest) = line.split_once(' ').expect("name");
+    let (body, head) = rest.split_once(' ').expect("body");
+    let mut bytes = head.as_bytes().to_vec();
+    if body != "-" {
+        bytes.push(0);
+        bytes.extend(
+            (0..body.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&body[i..i + 2], 16).expect("hex body")),
+        );
+    }
+    (name, bytes)
+}
+
+const FIXTURES: &str = include_str!("data/wire_fixtures.txt");
+
 #[test]
 fn writer_output_matches_the_captured_bytes() {
-    let want = include_str!("data/wire_fixtures.txt");
     let got = render();
-    for (want, got) in want.lines().zip(got.lines()) {
+    for (want, got) in FIXTURES.lines().zip(got.lines()) {
         assert_eq!(got, want);
     }
-    assert_eq!(got.lines().count(), want.lines().count());
+    assert_eq!(got.lines().count(), FIXTURES.lines().count());
+}
+
+#[test]
+fn the_captured_bytes_read_back_to_their_messages() {
+    let mut lines = FIXTURES.lines().map(payload);
+    for (name, req) in requests() {
+        let (line, bytes) = lines.next().expect("a line per request");
+        assert_eq!(line, name);
+        assert_eq!(parse_request(&bytes).unwrap(), req, "{name}");
+    }
+    for (name, resp) in responses() {
+        let (line, bytes) = lines.next().expect("a line per response");
+        assert_eq!(line, name);
+        assert_eq!(parse_response(&bytes).unwrap(), resp, "{name}");
+    }
+    assert!(lines.next().is_none());
 }
