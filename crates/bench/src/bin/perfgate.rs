@@ -12,8 +12,9 @@
 //! at `P ∈ {256, 512, 1024}`: `baseline`, `greedy`, `openshop`
 //! (`send_order`), and per matching kind `.cold` (`plan_seeded(m,
 //! None)`), `.one-link` (`replan_incremental` after one link costs
-//! ×1.3 — the §6.2 best case) and `.replay` (`send_order` on a scheduler
-//! that retains the plan); plus, at `P = 256`, `obs-overhead` (the
+//! ×1.3: the diff, the per-round dual-gap certificate — which keeps
+//! every round here — and the re-solved suffix, if any) and `.replay`
+//! (`send_order` on a scheduler that retains the plan); plus, at `P = 256`, `obs-overhead` (the
 //! matching-max replay with the registry and flight recorder recording)
 //! and `explain` (the causal analyzer over a realized run). One untimed
 //! warm-up, then the upper quartile of five repeats (sorted rank

@@ -20,23 +20,42 @@
 //! # Incremental rescheduling (§6)
 //!
 //! The paper observes that when link estimates drift mid-run, the
-//! schedule need not be rebuilt from scratch: most rounds of the old
-//! construction remain optimal. [`MatchingScheduler::replan_incremental`]
-//! makes that concrete. A [`MatchingPlan`] retains, per round, the
-//! column potentials the solver ended the round with; those potentials
-//! are an optimality *certificate* for the round (every assigned edge
-//! attains its row's minimum reduced cost). Given a changed matrix, the
-//! replan diffs it against the plan's retained matrix and checks each
-//! changed cell against the certificates of the rounds where the cell
-//! was still live: a cost increase can only invalidate the round where
-//! the cell was matched, while a decrease is checked against
-//! `c'(i,j) ≥ u_i + v_j` round by round. Every round before the first
-//! violated certificate is spliced verbatim; the solver re-solves only
-//! from the first dirty round, warm-started from that round's retained
-//! potentials, on a work matrix rebuilt by *patching* the retained
-//! pristine complement (only the dirty cells are rewritten). On
-//! tie-free instances the result is bit-identical to a cold re-solve of
-//! the mutated matrix.
+//! schedule need not be rebuilt from scratch. A [`MatchingPlan`]
+//! retains, per round, the dual solution the solver ended the round
+//! with: column potentials `v_r` and row potentials `u_r`, with
+//! `u_r[s] + v_r[d] ≤ w(s, d)` on every cell still live in round `r`
+//! (`w` is the minimized work matrix: `hi − c` for `Max`, `c` for `Min`).
+//! Given a changed matrix, [`MatchingScheduler::replan_within`] repairs
+//! each round's duals and measures a **duality gap** per round:
+//!
+//! * for each changed cell `(s, d)` still live in round `r`, lower
+//!   `u_r[s]` to `w'(s, d) − v_r[d]`, which makes the duals feasible for
+//!   the new matrix again;
+//! * `gap_r = Σ_s (w'(s, x_r(s)) − v_r[x_r(s)] − u_r[s])` is then the
+//!   retained matching's cost minus a lower bound on the new optimum, so
+//!   a re-solve of round `r` under the same deletion set can gain at most
+//!   `gap_r` weight over the retained matching.
+//!
+//! That costs `O(P + |Δ|)` per round and no LAP solve. The replan keeps
+//! the longest prefix of rounds with `gap_r ≤ gap · weight_r` (the
+//! retained matching's weight under the new costs), splices it verbatim
+//! — kept rounds keep the deletion sets identical, so each later round's
+//! certificate still applies — and re-solves the rest, warm-started from
+//! the last kept round's `v`, on the work matrix rebuilt from the new
+//! costs. [`MatchingScheduler::replan_incremental`] does this at
+//! [`REPLAN_GAP`].
+//!
+//! **Invariant.** Every round of a plan is within `gap · weight_r` of
+//! the optimum under its deletion set, and [`MatchingPlan::certified_gap`]
+//! sums the certified gaps of the kept rounds. Kept rounds retain their
+//! *repaired* `u`, so a chain of replans stays sound: the gap a round
+//! carries accumulates across replans until it crosses the bound and the
+//! round is re-solved (deriving `u` afresh from a matrix the potentials
+//! never certified would under-state it). At `gap = 0` the test is the
+//! exact optimality certificate: on tie-free instances the replan is
+//! then bit-identical to a cold re-solve of the mutated matrix. A
+//! matched cell whose work cost fell keeps its round, because the
+//! retained matching stays optimal.
 
 use super::Scheduler;
 use crate::matrix::CommMatrix;
@@ -44,13 +63,18 @@ use crate::schedule::SendOrder;
 use adaptcomm_lap::{solve_min_warm_par, DenseCost, Duals, SolveStats};
 use std::sync::Mutex;
 
+/// The certified duality gap a replan lets a kept round carry, as a
+/// share of the round's weight: every round of a replanned plan is
+/// within 1 % of the optimum under its deletion set. The tests' exact
+/// reference is [`MatchingScheduler::replan_within`] at `0.0`.
+pub const REPLAN_GAP: f64 = 0.01;
+
 /// A matching construction together with the reuse surface for
 /// cross-job warm starts and §6 incremental replans: the instance it
-/// was built for, the pristine (pre-deletion) work matrix, and the
-/// per-round dual potentials that certify each round's optimality.
-/// Produced by [`MatchingScheduler::plan_seeded`] and
-/// [`MatchingScheduler::replan_incremental`]; a plan cache stores the
-/// whole plan and feeds it back when a similar job arrives.
+/// was built for and the per-round dual solutions that certify each
+/// round. Produced by [`MatchingScheduler::plan_seeded`] and
+/// [`MatchingScheduler::replan_within`]; a plan cache stores the whole
+/// plan and feeds it back when a similar job arrives.
 #[derive(Debug, Clone)]
 pub struct MatchingPlan {
     /// The permutation steps, as from [`MatchingScheduler::steps`].
@@ -59,33 +83,47 @@ pub struct MatchingPlan {
     /// warm-start seed to retain for future jobs on similar matrices.
     pub seed_potentials: Vec<f64>,
     /// Solver counters for the first round actually solved (round 1 on
-    /// a full build; the first dirty round on an incremental replan).
+    /// a full build; the first re-solved round on an incremental replan).
     pub round1: SolveStats,
     /// Total column scans across the rounds actually solved.
     pub total_col_scans: u64,
     /// How the plan was produced: `"cold"` (full unseeded build),
     /// `"warm"` (full build seeded from retained potentials),
-    /// `"incremental"` (dirty rounds re-solved, the prefix spliced) or
-    /// `"hit"` (nothing changed; the previous plan replayed verbatim).
+    /// `"incremental"` (a certified prefix kept, the rest re-solved —
+    /// possibly nothing) or `"hit"` (nothing changed; the previous plan
+    /// replayed verbatim).
     pub disposition: &'static str,
     /// Rounds spliced verbatim from the previous plan (`0` on a full
     /// build, `P` on a pure replay).
     pub spliced_rounds: usize,
+    /// The summed certified gaps of the kept rounds (`0` on a full
+    /// build): a re-solve of every kept round under its deletion set
+    /// gains at most this much weight in total. Summed round by round in
+    /// fixed row order, so it is bit-identical at any thread count.
+    pub certified_gap: f64,
     /// The instance the plan was built for, retained so a replan can
     /// diff the new matrix against it.
     matrix: CommMatrix,
-    /// The pristine work matrix (the min-complement, before any
-    /// per-round deletions) — replans patch only the changed cells
-    /// instead of rebuilding it from scratch.
-    complement: DenseCost,
-    /// Column potentials after each round's solve: the per-round
-    /// optimality certificates, and the warm-start state for resuming
-    /// the round loop mid-construction.
-    round_potentials: Vec<Vec<f64>>,
-    /// The matrix maximum the complement and deletion sentinel were
-    /// derived from; a change invalidates every cell of the complement,
-    /// so replans fall back to a full (seeded) build.
-    hi: f64,
+    /// Each round's dual solution: the certificate a replan repairs, and
+    /// the warm-start state for resuming the round loop mid-construction.
+    duals: RoundDuals,
+}
+
+/// Every round's duals on the work matrix, `P` values per round, round
+/// after round: in round `r`, `u[s] + v[d]` is at most the cell's cost
+/// on every cell still live in the round, with equality on the round's
+/// matching up to the certified gap.
+#[derive(Debug, Clone, Default)]
+struct RoundDuals {
+    u: Vec<f64>,
+    v: Vec<f64>,
+}
+
+impl RoundDuals {
+    /// Round `r`'s `(u, v)`, for `p` processors.
+    fn round(&self, r: usize, p: usize) -> (&[f64], &[f64]) {
+        (&self.u[r * p..(r + 1) * p], &self.v[r * p..(r + 1) * p])
+    }
 }
 
 impl MatchingPlan {
@@ -206,10 +244,17 @@ impl MatchingScheduler {
 
     /// The plan for `matrix`, consulting and updating the retained
     /// plan: an identical matrix replays the retained plan (`"hit"`), a
-    /// same-dimension changed matrix pays only its dirty rounds
-    /// (`"incremental"`), anything else is a full build. This is what
-    /// [`Scheduler::send_order`] uses.
+    /// same-dimension changed matrix pays only the rounds after its
+    /// certified prefix (`"incremental"`), anything else is a full
+    /// build. This is what [`Scheduler::send_order`] uses.
     pub fn plan(&self, matrix: &CommMatrix) -> MatchingPlan {
+        self.with_plan(matrix, MatchingPlan::clone)
+    }
+
+    /// [`MatchingScheduler::plan`], lending the retained plan to `f`
+    /// instead of copying it out: a replay then allocates and frees one
+    /// plan, not two.
+    fn with_plan<T>(&self, matrix: &CommMatrix, f: impl FnOnce(&MatchingPlan) -> T) -> T {
         let mut slot = self.retained.lock().unwrap();
         let plan = match slot.as_ref() {
             Some(prev) if prev.processors() == matrix.len() => {
@@ -217,7 +262,7 @@ impl MatchingScheduler {
             }
             _ => self.plan_seeded(matrix, None),
         };
-        *slot = Some(plan.clone());
+        let plan = slot.insert(plan);
         let obs = adaptcomm_obs::global();
         if obs.is_enabled() {
             obs.add(
@@ -230,7 +275,7 @@ impl MatchingScheduler {
                 1,
             );
         }
-        plan
+        f(plan)
     }
 
     /// The deletion sentinel written into the work matrix: matching the
@@ -258,22 +303,22 @@ impl MatchingScheduler {
     }
 
     /// Runs rounds `start..p` of the matching loop on `work`, appending
-    /// to `steps` and `round_potentials` and marking deletions in
-    /// `deleted`. `duals` must be fresh for round `start` (new, or
-    /// seeded via [`Duals::from_potentials`]); later rounds run under
-    /// the monotone-edit contract.
+    /// to `steps` and `rounds` and marking deletions in `deleted`.
+    /// `duals` must be fresh for round `start` (new, or seeded via
+    /// [`Duals::from_potentials`]); later rounds run under the
+    /// monotone-edit contract.
     #[allow(clippy::too_many_arguments)]
     fn run_rounds(
         &self,
         work: &mut DenseCost,
         duals: &mut Duals,
         start: usize,
-        p: usize,
         deleted_weight: f64,
         deleted: &mut [bool],
         steps: &mut Vec<Vec<Option<usize>>>,
-        round_potentials: &mut Vec<Vec<f64>>,
+        rounds: &mut RoundDuals,
     ) -> RoundLoopStats {
+        let p = work.dim();
         let mut out = RoundLoopStats::default();
         for round in start..p {
             if round > start {
@@ -295,13 +340,17 @@ impl MatchingScheduler {
             out.aug_paths += stats.aug_paths;
             out.col_scans += stats.col_scans;
             out.worker_scans += stats.worker_scans;
-            round_potentials.push(duals.potentials().to_vec());
+            let base = rounds.v.len();
+            rounds.v.extend_from_slice(duals.potentials());
             let mut step = Vec::with_capacity(p);
             for (src, &dst) in assignment.row_to_col.iter().enumerate() {
                 assert!(
                     !deleted[src * p + dst],
                     "matching reused the deleted edge {src} -> {dst}"
                 );
+                // The assigned edge attains its row's minimum reduced
+                // cost, so it defines the row potential.
+                rounds.u.push(work.at(src, dst) - rounds.v[base + dst]);
                 deleted[src * p + dst] = true;
                 step.push(Some(dst));
                 work.delete(src, dst, deleted_weight);
@@ -336,27 +385,23 @@ impl MatchingScheduler {
     pub fn plan_seeded(&self, matrix: &CommMatrix, seed: Option<&[f64]>) -> MatchingPlan {
         let p = matrix.len();
         let hi = matrix.max_cost().as_ms();
-        let deleted_weight = self.deleted_weight(p, hi);
-        let complement = self.pristine_complement(matrix, hi);
-        let mut work = complement.clone();
+        let mut work = self.pristine_complement(matrix, hi);
         work.enable_live_tracking();
-        let mut deleted = vec![false; p * p];
         let seeded = matches!(seed, Some(v) if v.len() == p);
         let mut duals = match seed {
             Some(v) if v.len() == p => Duals::from_potentials(v.to_vec()),
             _ => Duals::new(),
         };
         let mut steps = Vec::with_capacity(p);
-        let mut round_potentials = Vec::with_capacity(p);
+        let mut rounds = RoundDuals::default();
         let out = self.run_rounds(
             &mut work,
             &mut duals,
             0,
-            p,
-            deleted_weight,
-            &mut deleted,
+            self.deleted_weight(p, hi),
+            &mut vec![false; p * p],
             &mut steps,
-            &mut round_potentials,
+            &mut rounds,
         );
         self.record_obs(p, &out);
         MatchingPlan {
@@ -365,56 +410,57 @@ impl MatchingScheduler {
             // edited the work matrix: these potentials correspond to
             // the pristine instance, which is what a future similar
             // job will solve.
-            seed_potentials: round_potentials.first().cloned().unwrap_or_default(),
+            seed_potentials: rounds.v[..p].to_vec(),
             round1: out.first,
             total_col_scans: out.col_scans,
             disposition: if seeded { "warm" } else { "cold" },
             spliced_rounds: 0,
+            certified_gap: 0.0,
             matrix: matrix.clone(),
-            complement,
-            round_potentials,
-            hi,
+            duals: rounds,
         }
+    }
+
+    /// §6 incremental rescheduling at [`REPLAN_GAP`]: see
+    /// [`MatchingScheduler::replan_within`].
+    pub fn replan_incremental(&self, prev: &MatchingPlan, matrix: &CommMatrix) -> MatchingPlan {
+        self.replan_within(prev, matrix, REPLAN_GAP)
     }
 
     /// §6 incremental rescheduling: re-plans `matrix` given the plan of
     /// a previous, similar instance. Diffs the matrices cell by cell,
-    /// finds the first round whose retained optimality certificate a
-    /// changed cell violates (see the module docs), splices every
-    /// earlier round verbatim, and re-solves only from that round —
-    /// warm-started from the round's retained potentials, on a work
-    /// matrix produced by *patching* the retained pristine complement
-    /// rather than rebuilding it. Falls back to a full seeded build
-    /// when the dimension or the matrix maximum changed (the latter
-    /// shifts every complement cell). An unchanged matrix replays the
-    /// previous plan verbatim (`"hit"`). Pure: retained state is
-    /// neither consulted nor updated — [`MatchingScheduler::plan`]
-    /// layers retention on top.
+    /// repairs each retained round's duals and keeps the longest prefix
+    /// of rounds whose certified duality gap is at most `gap` times the
+    /// round's weight (see the module docs), then re-solves only the
+    /// rounds after it — warm-started from the last kept round's
+    /// potentials. Falls back to a full seeded build when the dimension
+    /// or the matrix maximum changed (the latter shifts every complement
+    /// cell). An unchanged matrix replays the previous plan verbatim
+    /// (`"hit"`). Pure: retained state is neither consulted nor updated
+    /// — [`MatchingScheduler::plan`] layers retention on top.
     ///
-    /// On tie-free instances the result is bit-identical to a cold
-    /// re-solve of the mutated matrix: spliced rounds are certified
+    /// At `gap = 0` the result is bit-identical to a cold re-solve of the
+    /// mutated matrix on tie-free instances: kept rounds are certified
     /// still-optimal (and tie-freeness makes the optimum unique), and
     /// re-solved rounds run on exactly the work matrix a cold build
     /// would have at that round.
-    pub fn replan_incremental(&self, prev: &MatchingPlan, matrix: &CommMatrix) -> MatchingPlan {
+    pub fn replan_within(
+        &self,
+        prev: &MatchingPlan,
+        matrix: &CommMatrix,
+        gap: f64,
+    ) -> MatchingPlan {
         let p = matrix.len();
-        let hi = matrix.max_cost().as_ms();
-        if prev.processors() != p || prev.hi != hi {
-            let seed = (!prev.seed_potentials.is_empty()).then_some(&prev.seed_potentials[..]);
+        let seed = (!prev.seed_potentials.is_empty()).then_some(&prev.seed_potentials[..]);
+        if prev.processors() != p {
             return self.plan_seeded(matrix, seed);
         }
 
-        // The delta set: cells whose cost changed. Diffing raw costs is
-        // equivalent to diffing complement cells because `hi` matched.
+        // The delta set: cells whose cost changed.
         let mut delta: Vec<(usize, usize)> = Vec::new();
         for s in 0..p {
-            let new_row = matrix.row(s);
-            let old_row = prev.matrix.row(s);
-            for d in 0..p {
-                if new_row[d] != old_row[d] {
-                    delta.push((s, d));
-                }
-            }
+            let (new_row, old_row) = (matrix.row(s), prev.matrix.row(s));
+            delta.extend((0..p).filter(|&d| new_row[d] != old_row[d]).map(|d| (s, d)));
         }
         if delta.is_empty() {
             let mut plan = prev.clone();
@@ -424,19 +470,16 @@ impl MatchingScheduler {
             plan.total_col_scans = 0;
             return plan;
         }
-
-        // Patch only the dirty cells of the retained pristine
-        // complement — the complement is never rebuilt from scratch.
-        let mut pristine = prev.complement.clone();
-        for &(s, d) in &delta {
-            let w = match self.kind {
-                MatchingKind::Max => hi - matrix.row(s)[d],
-                MatchingKind::Min => matrix.row(s)[d],
-            };
-            pristine.set(s, d, w);
+        // Diffing raw costs is equivalent to diffing work cells only
+        // while the complement base `hi` holds.
+        let hi = matrix.max_cost().as_ms();
+        if prev.matrix.max_cost().as_ms() != hi {
+            return self.plan_seeded(matrix, seed);
         }
+        let mut work = self.pristine_complement(matrix, hi);
 
-        // Each pair is matched (and then deleted) in exactly one round.
+        // Each pair is matched (and then deleted) in exactly one round;
+        // a changed cell is live in that round and every earlier one.
         let mut matched_at = vec![0usize; p * p];
         for (r, step) in prev.steps.iter().enumerate() {
             for (src, dst) in step.iter().enumerate() {
@@ -444,97 +487,75 @@ impl MatchingScheduler {
             }
         }
 
-        // First dirty round. A changed cell always dirties the round
-        // where it was matched (the round's weight changed). A cell
-        // whose complement value *decreased* can additionally break an
-        // earlier round's certificate: with the retained potentials
-        // `v_r` and the implicit row potential
-        // `u = c(s, x_r(s)) − v_r[x_r(s)]` (the assigned edge attains
-        // the row minimum after every solve), optimality of round `r`
-        // requires `c'(s,d) ≥ u + v_r[d]`. Increases can never violate
-        // a certificate for a round where the cell was unmatched. If
-        // the cell's matched *partner* in some round also changed, the
-        // stale `u` used here does not matter: that partner cell marks
-        // the round dirty through its own matched-round rule, and the
-        // minimum over all cells wins.
-        let mut first_dirty = p;
-        for &(s, d) in &delta {
-            let m = matched_at[s * p + d];
-            let mut dirty_at = m;
-            if pristine.at(s, d) < prev.complement.at(s, d) {
-                let w_new = pristine.at(s, d);
-                for r in 0..m.min(first_dirty) {
-                    let x = prev.steps[r][s].expect("complete step");
-                    let v_r = &prev.round_potentials[r];
-                    let u = prev.complement.at(s, x) - v_r[x];
-                    if w_new < u + v_r[d] {
-                        dirty_at = r;
-                        break;
-                    }
-                }
+        // Keep the longest prefix of rounds whose repaired duals certify
+        // the retained matching within `gap` of the round's weight.
+        let mut rounds = RoundDuals::default();
+        let mut certified_gap = 0.0;
+        let mut kept = 0;
+        for (r, step) in prev.steps.iter().enumerate() {
+            let (u, v) = prev.duals.round(r, p);
+            let mut u = u.to_vec();
+            for &(s, d) in delta.iter().filter(|&&(s, d)| matched_at[s * p + d] >= r) {
+                u[s] = u[s].min(work.at(s, d) - v[d]);
             }
-            first_dirty = first_dirty.min(dirty_at);
+            let (mut gap_r, mut weight) = (0.0, 0.0);
+            for (s, dst) in step.iter().enumerate() {
+                let x = dst.expect("complete step");
+                gap_r += work.at(s, x) - v[x] - u[s];
+                weight += matrix.row(s)[x];
+            }
+            if gap_r > gap * weight {
+                break;
+            }
+            certified_gap += gap_r;
+            rounds.u.extend(u);
+            rounds.v.extend_from_slice(v);
+            kept += 1;
         }
-        debug_assert!(first_dirty < p, "a non-empty delta always dirties a round");
 
-        // Splice the certified prefix, then resume the round loop from
-        // the first dirty round, warm-started from its retained entry
-        // potentials.
+        // Splice the certified prefix, then resume the round loop after
+        // it, warm-started from the last kept round's potentials.
         let deleted_weight = self.deleted_weight(p, hi);
-        let mut work = pristine.clone();
         work.enable_live_tracking();
         let mut deleted = vec![false; p * p];
-        let mut steps = Vec::with_capacity(p);
-        let mut round_potentials = Vec::with_capacity(p);
-        for r in 0..first_dirty {
-            let step = prev.steps[r].clone();
+        let mut steps = prev.steps[..kept].to_vec();
+        for step in &steps {
             for (src, dst) in step.iter().enumerate() {
                 let dst = dst.expect("complete step");
                 deleted[src * p + dst] = true;
                 work.delete(src, dst, deleted_weight);
             }
-            round_potentials.push(prev.round_potentials[r].clone());
-            steps.push(step);
         }
-        let mut duals = if first_dirty == 0 {
-            if prev.seed_potentials.len() == p {
-                Duals::from_potentials(prev.seed_potentials.clone())
-            } else {
-                Duals::new()
-            }
-        } else {
-            Duals::from_potentials(prev.round_potentials[first_dirty - 1].clone())
+        let mut duals = match (kept, seed) {
+            (1.., _) => Duals::from_potentials(rounds.round(kept - 1, p).1.to_vec()),
+            (0, Some(v)) => Duals::from_potentials(v.to_vec()),
+            (0, None) => Duals::new(),
         };
         let out = self.run_rounds(
             &mut work,
             &mut duals,
-            first_dirty,
-            p,
+            kept,
             deleted_weight,
             &mut deleted,
             &mut steps,
-            &mut round_potentials,
+            &mut rounds,
         );
-        self.record_obs(p - first_dirty, &out);
+        self.record_obs(p - kept, &out);
         let obs = adaptcomm_obs::global();
         if obs.is_enabled() {
-            obs.add("sched.matching.replan_spliced_rounds", first_dirty as u64);
-            obs.add(
-                "sched.matching.replan_solved_rounds",
-                (p - first_dirty) as u64,
-            );
+            obs.add("sched.matching.replan_spliced_rounds", kept as u64);
+            obs.add("sched.matching.replan_solved_rounds", (p - kept) as u64);
         }
         MatchingPlan {
             steps,
-            seed_potentials: round_potentials.first().cloned().unwrap_or_default(),
+            seed_potentials: rounds.v[..p].to_vec(),
             round1: out.first,
             total_col_scans: out.col_scans,
             disposition: "incremental",
-            spliced_rounds: first_dirty,
+            spliced_rounds: kept,
+            certified_gap,
             matrix: matrix.clone(),
-            complement: pristine,
-            round_potentials,
-            hi,
+            duals: rounds,
         }
     }
 }
@@ -548,8 +569,9 @@ impl Scheduler for MatchingScheduler {
     }
 
     fn send_order(&self, matrix: &CommMatrix) -> SendOrder {
-        let plan = self.plan(matrix);
-        SendOrder::from_steps(matrix.len(), &plan.steps)
+        self.with_plan(matrix, |plan| {
+            SendOrder::from_steps(matrix.len(), &plan.steps)
+        })
     }
 
     fn construction_disposition(&self) -> Option<&'static str> {
@@ -820,16 +842,18 @@ mod tests {
                 "perturbation must keep the complement base"
             );
 
-            let incremental = sched.replan_incremental(&prev, &b);
+            // At gap 0 the certificate is exact.
+            let incremental = sched.replan_within(&prev, &b, 0.0);
             let cold = sched.plan_seeded(&b, None);
             assert_eq!(incremental.disposition, "incremental");
+            assert_eq!(incremental.certified_gap, 0.0);
             assert_eq!(
                 incremental.steps, cold.steps,
                 "{kind:?}: incremental replan must be bit-identical to a cold re-solve"
             );
             // The retained surface must describe the *new* instance, so
             // a further replan off this plan stays correct.
-            let again = sched.replan_incremental(&incremental, &b);
+            let again = sched.replan_within(&incremental, &b, 0.0);
             assert_eq!(again.disposition, "hit");
             assert_eq!(again.steps, cold.steps);
         }

@@ -16,7 +16,7 @@ pub mod random_order;
 
 pub use baseline::Baseline;
 pub use greedy::Greedy;
-pub use matching::{MatchingKind, MatchingPlan, MatchingScheduler};
+pub use matching::{MatchingKind, MatchingPlan, MatchingScheduler, REPLAN_GAP};
 pub use openshop::OpenShop;
 pub use optimal::BestOrderSearch;
 pub use random_order::RandomOrder;

@@ -60,7 +60,6 @@ pub mod execution;
 pub mod export;
 pub mod fingerprint;
 pub mod improve;
-pub mod incremental;
 pub mod kernel;
 pub mod matrix;
 pub mod paper;

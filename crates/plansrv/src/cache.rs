@@ -69,8 +69,8 @@ struct CachedPlan {
     seed: Vec<f64>,
     /// The producing job's whole matching plan, when the algorithm has
     /// one — the §6 incremental-replan surface: a confirmed near-hit
-    /// hands it back so the server re-solves only the dirty rounds
-    /// instead of warm-starting a full build.
+    /// hands it back so the server re-solves only the rounds after the
+    /// certified prefix instead of warm-starting a full build.
     plan: Option<Box<MatchingPlan>>,
 }
 

@@ -40,7 +40,7 @@ fn server_side_shutdown_joins_cleanly() {
 
 #[test]
 fn near_requests_are_replanned_incrementally_and_match_a_cold_solve() {
-    use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler};
+    use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler, REPLAN_GAP};
     use adaptcomm_core::schedule::SendOrder;
     use adaptcomm_plansrv::proto::CacheDisposition;
 
@@ -79,10 +79,17 @@ fn near_requests_are_replanned_incrementally_and_match_a_cold_solve() {
         .expect("incremental"));
     assert_eq!(inc.cache, CacheDisposition::Incremental);
 
-    // ...and the spliced-plus-resolved plan is exactly what a cold
-    // solve of the perturbed instance would produce.
-    let reference = MatchingScheduler::new(MatchingKind::Max).plan_seeded(&near, None);
+    // ...and the kept-plus-resolved plan is exactly the in-process
+    // replan of the cold plan, whose every kept round is certified
+    // within `REPLAN_GAP` of its weight.
+    let sched = MatchingScheduler::new(MatchingKind::Max);
+    let reference = sched.replan_incremental(&sched.plan_seeded(&m, None), &near);
     assert_eq!(inc.order, SendOrder::from_steps(12, &reference.steps));
+    let weight: f64 = (reference.steps[..reference.spliced_rounds].iter())
+        .flat_map(|step| step.iter().enumerate())
+        .map(|(s, d)| near.row(s)[d.expect("complete step")])
+        .sum();
+    assert!(reference.certified_gap <= REPLAN_GAP * weight);
 
     server.shutdown();
 }

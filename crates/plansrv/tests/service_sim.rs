@@ -16,10 +16,12 @@
 //! * dispatch is EDF within priority tiers, no worker idles while work
 //!   queues, and a request is rejected iff its serial projection
 //!   exceeds its deadline;
-//! * a plan's order is the in-process scheduler's (pinned when asked),
-//!   a hit replays the order first served for its fingerprint, and
-//!   `completion_ms` is `execute_listed` on the served order, bit for
-//!   bit;
+//! * a plan's order is the model's (pinned when asked): a solve is the
+//!   in-process scheduler's cold order, or for a matching request whose
+//!   near match the cache nominates, `replan_within(retained, m,
+//!   REPLAN_GAP)` of the nominated entry's retained plan; a hit replays
+//!   the order its cache entry retains; and `completion_ms` is
+//!   `execute_listed` on the served order, bit for bit;
 //! * a plan's `epoch` counts how often its tenant's fingerprint changed
 //!   over the plans served to that tenant before it;
 //! * a panicking solve is answered with an `Error`, and its worker is
@@ -28,7 +30,8 @@
 //! `cargo test -p adaptcomm-plansrv --test service_sim -- --nocapture`
 //! prints the fault table.
 
-use adaptcomm_core::algorithms::all_schedulers;
+use adaptcomm_core::algorithms::REPLAN_GAP;
+use adaptcomm_core::algorithms::{all_schedulers, MatchingKind, MatchingPlan, MatchingScheduler};
 use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
@@ -77,14 +80,14 @@ impl Rng {
     }
 }
 
-/// The matrices every schedule draws from, with each scheduler's
+/// The matrices every schedule draws from, with each scheduler's cold
 /// in-process order for each: three bases at each `P = 3..=6`, a 3 %
 /// near copy of each (so matching requests take the warm and
 /// incremental paths), and one matrix whose cell total overflows.
 struct Pool {
     matrices: Vec<CommMatrix>,
     fingerprints: Vec<u64>,
-    /// `references[m][a]`: `ALGORITHMS[a]`'s order for `matrices[m]`.
+    /// `references[m][a]`: `ALGORITHMS[a]`'s cold order for `matrices[m]`.
     references: Vec<Vec<SendOrder>>,
     overflow: CommMatrix,
 }
@@ -106,8 +109,10 @@ fn pool() -> &'static Pool {
                 matrices.extend([base, near]);
             }
         }
-        let schedulers = all_schedulers();
+        // Fresh schedulers per matrix: a matching scheduler that retained
+        // the previous matrix's plan would replan rather than build cold.
         let reference = |m: &CommMatrix, name: &str| {
+            let schedulers = all_schedulers();
             let scheduler = schedulers.iter().find(|s| s.name() == name);
             scheduler.expect("a built-in scheduler").send_order(m)
         };
@@ -160,6 +165,11 @@ struct Sent {
     est_ms: f64,
     /// Whether dispatch should find its key cached (a replay).
     expect_hit: bool,
+    /// The unpinned order the model expects, fixed where the core fixes
+    /// it: at the door for a replay found there, at dispatch otherwise.
+    want: Option<SendOrder>,
+    /// The matching plan the model expects a solve to retain.
+    plan: Option<MatchingPlan>,
 }
 
 impl Sent {
@@ -272,8 +282,9 @@ struct Sim {
     transcript: Vec<u8>,
     // The model of the core.
     cached: VecDeque<(usize, u64)>,
-    /// The unpinned order first served for each key.
-    first_served: HashMap<(usize, u64), SendOrder>,
+    /// What the core retains for each cached key: the unpinned order
+    /// and, for a matching scheduler, the plan a near match replans.
+    retained: HashMap<(usize, u64), (SendOrder, Option<MatchingPlan>)>,
     /// Per tenant: the fingerprint last served and its change count.
     epochs: BTreeMap<String, (u64, u64)>,
     estimates: BTreeMap<(usize, usize), f64>,
@@ -322,7 +333,7 @@ impl Sim {
             replies: Vec::new(),
             transcript: Vec::new(),
             cached: VecDeque::new(),
-            first_served: HashMap::new(),
+            retained: HashMap::new(),
             epochs: BTreeMap::new(),
             estimates: BTreeMap::new(),
             waiting: Vec::new(),
@@ -437,6 +448,8 @@ impl Sim {
             deadline_ms: self.rng.chance(0.3).then(|| 0.5 + 30.0 * self.rng.unit()),
             est_ms: 0.0,
             expect_hit: false,
+            want: None,
+            plan: None,
         }
     }
 
@@ -522,6 +535,10 @@ impl Sim {
         let mut sent = self.draw(client);
         let (verdict, est_ms) = self.predict(token, &sent);
         sent.est_ms = est_ms;
+        // A replay found at the door serves the order retained now.
+        sent.want = Sim::key(&sent)
+            .and_then(|key| self.retained.get(&key))
+            .map(|(order, _)| order.clone());
         // Lookups the core counts at the door: every probe that passes
         // it, and every exact hit answered inline.
         let probe = matches!(sent.payload, Payload::Probe(_));
@@ -624,11 +641,16 @@ impl Sim {
         // replays the entry it found at the door.
         let hit = match sent.payload {
             Payload::Matrix(_) => {
-                let hit = self
-                    .cached
-                    .contains(&Sim::key(sent).expect("a pool matrix"));
+                let key = Sim::key(sent).expect("a pool matrix");
+                let hit = self.cached.contains(&key);
                 self.lookups += 1;
                 self.exact_hits += u64::from(hit);
+                let (want, plan) = match hit {
+                    true => (self.retained[&key].0.clone(), None),
+                    false => self.solve(sent),
+                };
+                let sent = &mut self.sent[token as usize];
+                (sent.want, sent.plan) = (Some(want), plan);
                 hit
             }
             _ => true,
@@ -644,6 +666,40 @@ impl Sim {
             dispatched_us,
         };
         self.flights.insert(worker, flight);
+    }
+
+    /// What a worker's solve of `sent`'s matrix serves and retains, by
+    /// the model: a matching scheduler replans the retained plan of the
+    /// closest cached matrix within the near tolerance (newest first,
+    /// as the recency ring nominates), else builds cold; the others
+    /// serve their cold order.
+    fn solve(&self, sent: &Sent) -> (SendOrder, Option<MatchingPlan>) {
+        let (pool, index) = (pool(), key_matrix(sent));
+        let m = &pool.matrices[index];
+        let kind = match ALGORITHMS[sent.algorithm] {
+            "matching-max" => MatchingKind::Max,
+            "matching-min" => MatchingKind::Min,
+            _ => return (pool.references[index][sent.algorithm].clone(), None),
+        };
+        let tolerance = PlanServerConfig::default().near_tolerance;
+        let mut best: Option<(f64, &MatchingPlan)> = None;
+        for key in self.cached.iter().rev().filter(|k| k.0 == sent.algorithm) {
+            let Some((_, Some(plan))) = self.retained.get(key) else {
+                continue;
+            };
+            let Some(dev) = m.max_rel_deviation(plan.matrix()) else {
+                continue;
+            };
+            if dev <= tolerance && best.is_none_or(|(b, _)| dev < b) {
+                best = Some((dev, plan));
+            }
+        }
+        let sched = MatchingScheduler::new(kind);
+        let plan = match best {
+            Some((_, retained)) => sched.replan_within(retained, m, REPLAN_GAP),
+            None => sched.plan_seeded(m, None),
+        };
+        (SendOrder::from_steps(m.len(), &plan.steps), Some(plan))
     }
 
     fn done(&mut self, worker: usize) {
@@ -732,10 +788,14 @@ impl Sim {
         let key = Sim::key(sent).expect("a pool matrix");
         if !self.cached.contains(&key) {
             if self.cached.len() == self.capacity {
-                self.cached.pop_front();
+                let evicted = self.cached.pop_front().expect("a full cache");
+                self.retained.remove(&evicted);
                 self.evictions += 1;
             }
             self.cached.push_back(key);
+            let sent = &mut self.sent[token as usize];
+            let want = sent.want.clone().expect("a solve's order");
+            self.retained.insert(key, (want, sent.plan.take()));
             self.inserts += 1;
         }
     }
@@ -784,28 +844,18 @@ impl Sim {
         }
     }
 
-    /// Order and completion of a served plan, against the in-process
-    /// scheduler and `execute_listed`.
+    /// Order and completion of a served plan, against the model and
+    /// `execute_listed`.
     fn check_plan(&mut self, token: u32, ok: &PlanOk) {
         let pool = pool();
         let sent = &self.sent[token as usize];
         let m = key_matrix(sent);
-        let reference = &pool.references[m][sent.algorithm];
+        let model = sent.want.as_ref().expect("the model fixed the order");
         let want = match sent.links.is_empty() {
-            true => reference.clone(),
-            false => pin(reference, &sent.links),
+            true => model.clone(),
+            false => pin(model, &sent.links),
         };
         assert_eq!(ok.order, want, "request {token}: {:?} order", ok.cache);
-        let key = Sim::key(sent).expect("a pool matrix");
-        if sent.links.is_empty() {
-            let first = self
-                .first_served
-                .entry(key)
-                .or_insert_with(|| ok.order.clone());
-            if ok.cache == CacheDisposition::Hit {
-                assert_eq!(&ok.order, first, "a hit replays the order first served");
-            }
-        }
         let completion = execute_listed(&ok.order, &pool.matrices[m]).completion_time();
         assert_eq!(ok.completion_ms.to_bits(), completion.as_ms().to_bits());
         let fingerprint = pool.fingerprints[m];

@@ -223,7 +223,7 @@ pub struct AdaptReport {
     /// Checkpoints that replanned the remaining traffic.
     pub reschedules: usize,
     /// Replans served by the §6 incremental path (the retained matching
-    /// plan was patched and only dirty rounds re-solved). Always 0 for
+    /// plan's certified rounds kept, only the rest re-solved). Always 0 for
     /// [`Replanner::OpenShop`]; at most `reschedules` otherwise.
     pub incremental_reschedules: usize,
     /// Execution attempts (> 1 iff typed link failures were retried).

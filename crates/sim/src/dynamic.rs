@@ -251,7 +251,7 @@ impl<'a> Replanning<'a> {
     }
 
     /// Whether the last replan spliced the retained matching plan
-    /// (certified rounds kept, only dirty ones re-solved) instead of
+    /// (certified rounds kept, only the rest re-solved) instead of
     /// building from scratch. Never true for [`Replanner::OpenShop`].
     pub fn spliced(&self) -> bool {
         let disposition = (self.matching.as_ref()).and_then(|s| s.construction_disposition());
