@@ -3,14 +3,15 @@
 //! ```text
 //! figures [--quick] [--table1] [--table2] [--fig9] [--fig10] [--fig11]
 //!         [--fig12] [--fig12wide] [--thm2] [--thm3] [--summary]
-//!         [--adaptivity] [--refine] [--incremental] [--staging]
-//!         [--fluid] [--barrier] [--csv] [--all]
+//!         [--adaptivity] [--incremental] [--fluid] [--barrier]
+//!         [--csv] [--all]
 //!         [--threads <N>] [--serial]
 //! ```
 //!
-//! With no selection flags, `--all` is assumed. `--quick` shrinks the
-//! sweeps (fewer processor counts and trials) for CI-speed runs; `--csv`
-//! emits machine-readable output after each rendered table.
+//! With no selection flags, `--all` is assumed; an unknown flag exits 2
+//! and names the known ones. `--quick` shrinks the sweeps (fewer
+//! processor counts and trials) for CI-speed runs; `--csv` emits
+//! machine-readable output after each rendered table.
 //!
 //! The figure and summary sweeps run on the parallel sweep engine;
 //! `--threads N` pins the worker count and `--serial` forces the
@@ -25,6 +26,24 @@ use adaptcomm_bench::sweep::SweepRunner;
 use adaptcomm_model::generator::GeneratorConfig;
 use adaptcomm_workloads::Scenario;
 use std::time::Instant;
+
+/// The selection flags, without their `--`, in output order.
+const SELECTIONS: [&str; 14] = [
+    "table1",
+    "table2",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig12wide",
+    "thm2",
+    "thm3",
+    "summary",
+    "adaptivity",
+    "incremental",
+    "fluid",
+    "barrier",
+];
 
 struct Options {
     quick: bool,
@@ -56,10 +75,16 @@ fn parse_args() -> Options {
                 opts.threads = Some(n);
             }
             "--all" => {}
-            other if other.starts_with("--") => opts.selected.push(other[2..].to_string()),
             other => {
-                eprintln!("unrecognized argument: {other}");
-                std::process::exit(2);
+                let Some(name) = other.strip_prefix("--").filter(|n| SELECTIONS.contains(n)) else {
+                    eprintln!("unrecognized argument: {other}");
+                    eprintln!(
+                        "known flags: --quick --csv --all --serial --threads <N> --{}",
+                        SELECTIONS.join(" --")
+                    );
+                    std::process::exit(2);
+                };
+                opts.selected.push(name.to_string());
             }
         }
     }
@@ -194,16 +219,6 @@ fn main() {
         println!();
     }
 
-    if want("refine") {
-        use adaptcomm_bench::experiments::refinement_study;
-        let trials = if opts.quick { 2 } else { 5 };
-        println!("# Refinement study: mean completion / lower bound (P=12, {trials} trials)");
-        for (label, ratio) in refinement_study(12, trials) {
-            println!("{label:>16} {ratio:>8.4}");
-        }
-        println!();
-    }
-
     if want("incremental") {
         use adaptcomm_bench::experiments::incremental_study;
         let cycles = if opts.quick { 4 } else { 10 };
@@ -216,20 +231,6 @@ fn main() {
         );
         for (name, ratio, solved) in incremental_study(12, cycles, 5) {
             println!("{name:>12} {ratio:>14.4} {solved:>14}");
-        }
-        println!();
-    }
-
-    if want("staging") {
-        use adaptcomm_bench::experiments::staging_study;
-        println!("# Data staging: satisfaction vs deadline tightness (10-node WAN)");
-        println!("{:>12} {:>12} {:>12}", "tightness", "satisfied", "weighted");
-        for (tight, frac, weighted) in staging_study(7) {
-            println!(
-                "{tight:>12.1} {:>11.0}% {:>11.0}%",
-                frac * 100.0,
-                weighted * 100.0
-            );
         }
         println!();
     }

@@ -306,38 +306,6 @@ pub fn adaptivity_study(p: usize, trials: u64) -> Vec<(&'static str, Millis, f64
     out
 }
 
-/// Refinement study: how much do the local-search refiners recover over
-/// the one-pass heuristics? Returns `(label, mean lb-ratio)` rows.
-pub fn refinement_study(p: usize, trials: u64) -> Vec<(&'static str, f64)> {
-    use adaptcomm_core::algorithms::{Greedy, RandomOrder, Scheduler};
-    use adaptcomm_core::execution::execute_listed;
-    use adaptcomm_core::improve::{improve, MAX_MOVES};
-
-    let mut sums = [0.0f64; 4];
-    for trial in 0..trials {
-        let inst = Scenario::Mixed.instance(p, trial * 211 + 13);
-        let lb = inst.matrix.lower_bound().as_ms();
-        let random = RandomOrder::new(trial).send_order(&inst.matrix);
-        let greedy = Greedy.send_order(&inst.matrix);
-        sums[0] += execute_listed(&random, &inst.matrix)
-            .completion_time()
-            .as_ms()
-            / lb;
-        sums[1] += improve(&random, &inst.matrix, MAX_MOVES).after / lb;
-        sums[2] += execute_listed(&greedy, &inst.matrix)
-            .completion_time()
-            .as_ms()
-            / lb;
-        sums[3] += improve(&greedy, &inst.matrix, MAX_MOVES).after / lb;
-    }
-    let labels = ["random", "random+climb", "greedy", "greedy+climb"];
-    labels
-        .iter()
-        .zip(sums)
-        .map(|(&l, s)| (l, s / trials as f64))
-        .collect()
-}
-
 /// §6.2 incremental-scheduling study: a recurring exchange whose
 /// directory estimates degrade link by link, scheduled by max-weight
 /// matching three ways: (a) a cold build every cycle, (b)
@@ -399,63 +367,6 @@ pub fn incremental_study(p: usize, cycles: usize, bases: u64) -> Vec<(&'static s
         ("replan", replan / runs, solved),
         ("frozen", frozen / runs, 0),
     ]
-}
-
-/// Data-staging study: request satisfaction vs deadline tightness on a
-/// random theater WAN. Returns `(tightness multiplier, satisfied
-/// fraction, weighted satisfaction)` rows; looser deadlines must satisfy
-/// at least as much.
-pub fn staging_study(seed: u64) -> Vec<(f64, f64, f64)> {
-    use adaptcomm_model::cost::LinkEstimate;
-    use adaptcomm_model::units::{Bandwidth, Bytes};
-    use adaptcomm_staging::{
-        schedule_staging, DataItem, LinkGraph, NodeId, Request, StagingProblem,
-    };
-
-    let nodes = 10usize;
-    let build_graph = || {
-        let mut g = LinkGraph::new(nodes);
-        for i in 0..nodes {
-            let e = LinkEstimate::new(
-                Millis::new(((seed + i as u64 * 7) % 60 + 10) as f64),
-                Bandwidth::from_kbps(((seed + i as u64 * 13) % 3_000 + 300) as f64),
-            );
-            g.add_bidi(NodeId(i), NodeId((i + 1) % nodes), e);
-        }
-        // Two cross-links.
-        let x = LinkEstimate::new(Millis::new(30.0), Bandwidth::from_kbps(2_000.0));
-        g.add_bidi(NodeId(0), NodeId(nodes / 2), x);
-        g.add_bidi(NodeId(2), NodeId(7), x);
-        g
-    };
-
-    let mut out = Vec::new();
-    for tightness in [0.5f64, 1.0, 2.0, 8.0] {
-        let mut problem = StagingProblem::new();
-        for id in 0..4 {
-            problem.add_item(DataItem {
-                id,
-                size: Bytes::from_kb(((seed + id as u64 * 31) % 400 + 50) * 2),
-                sources: vec![NodeId(id % nodes)],
-            });
-        }
-        for r in 0..12u64 {
-            problem.add_request(Request {
-                item: (r % 4) as usize,
-                destination: NodeId(((seed + r * 3 + 1) % nodes as u64) as usize),
-                deadline: Millis::new(((seed + r * 17) % 20_000 + 2_000) as f64 * tightness),
-                priority: ((seed + r) % 10) as u8,
-            });
-        }
-        let mut graph = build_graph();
-        let outcome = schedule_staging(&mut graph, &problem);
-        out.push((
-            tightness,
-            outcome.satisfied() as f64 / problem.requests().len() as f64,
-            outcome.weighted_satisfaction(),
-        ));
-    }
-    out
 }
 
 /// Flat-model error study: the framework's `T_ij + m/B_ij` abstraction
@@ -702,31 +613,6 @@ mod tests {
         assert_eq!(rows.len(), 3);
         let never = rows.iter().find(|r| r.0 == "never").unwrap();
         assert_eq!(never.2, 0.0, "never-policy cannot reschedule");
-    }
-
-    #[test]
-    fn refinement_study_shows_improvement() {
-        let rows = refinement_study(8, 2);
-        let get = |name: &str| rows.iter().find(|r| r.0 == name).unwrap().1;
-        assert!(get("random+climb") <= get("random") + 1e-9);
-        assert!(get("greedy+climb") <= get("greedy") + 1e-9);
-        for (_, ratio) in rows {
-            assert!(ratio >= 1.0 - 1e-9);
-        }
-    }
-
-    #[test]
-    fn staging_study_is_monotone_in_deadline_tightness() {
-        let rows = staging_study(3);
-        assert_eq!(rows.len(), 4);
-        for w in rows.windows(2) {
-            assert!(
-                w[1].1 >= w[0].1 - 1e-12,
-                "looser deadlines must satisfy at least as many requests"
-            );
-        }
-        // With 8× slack everything should fit on this small WAN.
-        assert!(rows.last().unwrap().1 > 0.9);
     }
 
     #[test]

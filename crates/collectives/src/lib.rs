@@ -20,7 +20,7 @@
 //! All-gather is intentionally *absent* as a separate implementation: a
 //! no-combining all-gather is exactly a total exchange whose per-sender
 //! message sizes are row-constant, so `adaptcomm-core`'s schedulers solve
-//! it directly (see `examples/collectives.rs`).
+//! it directly (see [`composed::allgather_matrix`]).
 
 //!
 //! # Example

@@ -12,14 +12,12 @@ pub mod greedy;
 pub mod matching;
 pub mod openshop;
 pub mod optimal;
-pub mod random_order;
 
 pub use baseline::Baseline;
 pub use greedy::Greedy;
 pub use matching::{MatchingKind, MatchingPlan, MatchingScheduler, REPLAN_GAP};
 pub use openshop::OpenShop;
 pub use optimal::BestOrderSearch;
-pub use random_order::RandomOrder;
 
 use crate::execution::execute_listed;
 use crate::matrix::CommMatrix;

@@ -59,7 +59,6 @@ pub mod depgraph;
 pub mod execution;
 pub mod export;
 pub mod fingerprint;
-pub mod improve;
 pub mod kernel;
 pub mod matrix;
 pub mod paper;

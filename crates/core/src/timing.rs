@@ -52,27 +52,6 @@ impl TimingDiagram {
         }
     }
 
-    /// Diagram of an arbitrary event set over `p` processors — e.g. a
-    /// collective schedule (broadcast tree, reduction) rather than a full
-    /// total exchange.
-    pub fn of_events(p: usize, events: &[crate::schedule::ScheduledEvent]) -> Self {
-        let mut columns = vec![Vec::new(); p];
-        let mut horizon = Millis::ZERO;
-        for e in events {
-            assert!(e.src < p && e.dst < p, "event {e:?} out of range");
-            columns[e.src].push(Block {
-                dst: e.dst,
-                start: e.start,
-                finish: e.finish,
-            });
-            horizon = horizon.max(e.finish);
-        }
-        for col in &mut columns {
-            col.sort_by(|a, b| a.start.as_ms().total_cmp(&b.start.as_ms()));
-        }
-        TimingDiagram { columns, horizon }
-    }
-
     /// Diagram of the *unscheduled* problem (Figure 3): each sender's
     /// events stacked in increasing destination order from time zero.
     pub fn unscheduled(matrix: &CommMatrix) -> Self {
@@ -314,27 +293,6 @@ mod tests {
         // All three destination labels appear somewhere.
         assert!(art.contains("| 0 |") || art.contains("|0  |") || art.contains("| 0|"));
         assert!(art.lines().count() >= 21);
-    }
-
-    #[test]
-    fn of_events_renders_partial_patterns() {
-        // A 4-node broadcast chain: sparse columns, empty column for P3.
-        let ev = |src, dst, start: f64, dur: f64| crate::schedule::ScheduledEvent {
-            src,
-            dst,
-            start: Millis::new(start),
-            finish: Millis::new(start + dur),
-        };
-        let d = TimingDiagram::of_events(
-            4,
-            &[ev(0, 1, 0.0, 3.0), ev(1, 2, 3.0, 2.0), ev(2, 3, 5.0, 4.0)],
-        );
-        assert_eq!(d.processors(), 4);
-        assert_eq!(d.column(0).len(), 1);
-        assert!(d.column(3).is_empty());
-        assert_eq!(d.horizon().as_ms(), 9.0);
-        let art = d.render(9);
-        assert!(art.contains("P3"));
     }
 
     #[test]

@@ -154,7 +154,6 @@ proptest! {
 }
 
 use adaptcomm_core::critical::CriticalResource;
-use adaptcomm_core::improve::improve;
 use adaptcomm_core::qos::{QosMatrix, QosReport, QosRequirement, QosScheduler};
 use adaptcomm_model::units::Millis;
 
@@ -186,16 +185,5 @@ proptest! {
         let finish = CriticalResource::involvement_finish(&sched, c).as_ms();
         let optimum = CriticalResource::critical_optimum(&m, c).as_ms();
         prop_assert!((finish - optimum).abs() < 1e-9, "{finish} vs optimum {optimum}");
-    }
-
-    /// Refinement never worsens any algorithm's schedule.
-    #[test]
-    fn refinement_is_monotone(m in comm_matrix(8)) {
-        for s in all_schedulers() {
-            let order = s.send_order(&m);
-            let climbed = improve(&order, &m, 40);
-            prop_assert!(climbed.after <= climbed.before + 1e-9, "{}", s.name());
-            prop_assert!(climbed.schedule.validate().is_ok());
-        }
     }
 }

@@ -11,7 +11,6 @@
 //! exporters emit keys in a canonical order and the round-trip tests
 //! compare documents structurally.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed or to-be-written JSON value.
@@ -132,7 +131,7 @@ impl Value {
     /// Parses one JSON document, requiring nothing but whitespace after
     /// it.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut r = Reader::new(text);
+        let mut r = Parser::new(text);
         let v = r.value()?;
         r.end()?;
         Ok(v)
@@ -158,30 +157,21 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Containers may nest this deep and no deeper. [`Reader::value`]
-/// recurses once per level, so without a bound a frame of `[` bytes
-/// overflows the stack of whichever thread parses it.
+/// Containers may nest this deep and no deeper. The parser recurses
+/// once per level, so without a bound a frame of `[` bytes overflows the
+/// stack of whichever thread parses it.
 pub const MAX_DEPTH: usize = 128;
 
-/// A pull reader over one JSON document — the crate's one JSON grammar.
-/// [`Value::parse`] is [`Reader::value`] plus [`Reader::end`]; a caller
-/// that knows a field's shape walks it with [`Reader::begin`] /
-/// [`Reader::next`] and reads scalars straight into its own storage, so
-/// a `P²` array costs no [`Value`] node per cell.
-///
-/// The reader is `Copy`: copy it before a speculative read, keep the
-/// copy on success.
-#[derive(Debug, Clone, Copy)]
-pub struct Reader<'a> {
+/// The parser behind [`Value::parse`] — the crate's one JSON grammar.
+struct Parser<'a> {
     text: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl<'a> Reader<'a> {
-    /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
-        Reader {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
             text,
             pos: 0,
             depth: 0,
@@ -203,7 +193,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next non-whitespace byte, not consumed.
-    pub fn peek(&mut self) -> Option<u8> {
+    fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.bytes().get(self.pos).copied()
     }
@@ -218,7 +208,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Requires nothing but whitespace up to the end of the text.
-    pub fn end(&mut self) -> Result<(), String> {
+    fn end(&mut self) -> Result<(), String> {
         match self.peek() {
             None => Ok(()),
             Some(_) => Err(format!("trailing content at byte {}", self.pos)),
@@ -227,8 +217,8 @@ impl<'a> Reader<'a> {
 
     /// Enters a container — `open` is `b'['` or `b'{'` — and says
     /// whether it has a first element. Read that element, then ask
-    /// [`Reader::next`] for each further one.
-    pub fn begin(&mut self, open: u8) -> Result<bool, String> {
+    /// `next` for each further one.
+    fn begin(&mut self, open: u8) -> Result<bool, String> {
         self.expect(open)?;
         if self.depth == MAX_DEPTH {
             return Err(format!(
@@ -248,7 +238,7 @@ impl<'a> Reader<'a> {
 
     /// After an element of a container closed by `close` (`b']'` or
     /// `b'}'`): `true` past a comma, `false` past the closing bracket.
-    pub fn next(&mut self, close: u8) -> Result<bool, String> {
+    fn next(&mut self, close: u8) -> Result<bool, String> {
         match self.peek() {
             Some(b',') => {
                 self.pos += 1;
@@ -267,7 +257,7 @@ impl<'a> Reader<'a> {
     }
 
     /// An object member's key, up to and including its colon.
-    pub fn key(&mut self) -> Result<Cow<'a, str>, String> {
+    fn key(&mut self) -> Result<String, String> {
         let key = self.string()?;
         self.expect(b':')?;
         Ok(key)
@@ -283,13 +273,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Any value, as a tree.
-    pub fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
             None => Err("unexpected end of input".into()),
             Some(b'n') => self.eat_lit("null", Value::Null),
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b'"') => self.string().map(Value::Str),
             Some(b'[') => {
                 let mut items = Vec::new();
                 let mut more = self.begin(b'[')?;
@@ -303,7 +293,7 @@ impl<'a> Reader<'a> {
                 let mut pairs = Vec::new();
                 let mut more = self.begin(b'{')?;
                 while more {
-                    pairs.push((self.key()?.into_owned(), self.value()?));
+                    pairs.push((self.key()?, self.value()?));
                     more = self.next(b'}')?;
                 }
                 Ok(Value::Obj(pairs))
@@ -312,10 +302,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A string; borrowed from the text unless it holds an escape.
-    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    /// A string literal, unescaped.
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let start = self.pos;
         let mut out = String::new();
         loop {
             // `"` and `\\` are ASCII, so both cut the text on char
@@ -327,16 +316,11 @@ impl<'a> Reader<'a> {
             let Some(&stop) = self.bytes().get(self.pos) else {
                 return Err("unterminated string".into());
             };
+            out.push_str(&self.text[run..self.pos]);
             if stop == b'"' {
                 self.pos += 1;
-                return Ok(if run == start {
-                    Cow::Borrowed(&self.text[start..self.pos - 1])
-                } else {
-                    out.push_str(&self.text[run..self.pos - 1]);
-                    Cow::Owned(out)
-                });
+                return Ok(out);
             }
-            out.push_str(&self.text[run..self.pos]);
             let esc = *self
                 .bytes()
                 .get(self.pos + 1)
@@ -372,7 +356,7 @@ impl<'a> Reader<'a> {
 
     /// A number. Short all-digit tokens — every index on the plan wire —
     /// are exact in `f64` and skip the general float parser.
-    pub fn number(&mut self) -> Result<f64, String> {
+    fn number(&mut self) -> Result<f64, String> {
         self.skip_ws();
         let start = self.pos;
         let (mut n, mut digits_only) = (0u64, true);
@@ -459,35 +443,25 @@ mod tests {
     }
 
     #[test]
-    fn reader_pulls_arrays_and_members_without_a_tree() {
-        let mut r = Reader::new(r#" {"m": [[1, 2.5], [], [3e2]], "s": "a\tb", "k": "plain"} "#);
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut strings = Vec::new();
-        let mut more = r.begin(b'{').unwrap();
-        while more {
-            match &*r.key().unwrap() {
-                "m" => {
-                    let mut more_rows = r.begin(b'[').unwrap();
-                    while more_rows {
-                        let mut row = Vec::new();
-                        let mut more_cells = r.begin(b'[').unwrap();
-                        while more_cells {
-                            row.push(r.number().unwrap());
-                            more_cells = r.next(b']').unwrap();
-                        }
-                        rows.push(row);
-                        more_rows = r.next(b']').unwrap();
-                    }
-                }
-                _ => strings.push(r.string().unwrap()),
-            }
-            more = r.next(b'}').unwrap();
-        }
-        r.end().unwrap();
+    fn parses_nested_arrays_and_members() {
+        let v =
+            Value::parse(r#" {"m": [[1, 2.5], [], [3e2]], "s": "a\tb", "k": "plain"} "#).unwrap();
+        let rows: Vec<Vec<f64>> = v
+            .get("m")
+            .and_then(Value::as_arr)
+            .unwrap()
+            .iter()
+            .map(|row| {
+                row.as_arr()
+                    .unwrap()
+                    .iter()
+                    .map(|x| x.as_f64().unwrap())
+                    .collect()
+            })
+            .collect();
         assert_eq!(rows, vec![vec![1.0, 2.5], vec![], vec![300.0]]);
-        // Escape-free strings borrow from the text; escaped ones own.
-        assert!(matches!(&strings[0], Cow::Owned(s) if s == "a\tb"));
-        assert!(matches!(&strings[1], Cow::Borrowed("plain")));
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("a\tb"));
+        assert_eq!(v.get("k").and_then(Value::as_str), Some("plain"));
     }
 
     #[test]
@@ -503,11 +477,11 @@ mod tests {
             "18446744073709551616",
             "99999999999999999999",
         ] {
-            let fast = Reader::new(token).number().unwrap();
+            let fast = Parser::new(token).number().unwrap();
             assert_eq!(fast, token.parse::<f64>().unwrap(), "{token}");
         }
         for bad in ["", "-", "1e", "--1", "1.2.3"] {
-            assert!(Reader::new(bad).number().is_err(), "{bad:?}");
+            assert!(Parser::new(bad).number().is_err(), "{bad:?}");
         }
     }
 

@@ -20,9 +20,22 @@
 # but name. Values are matched by field name too, so a name shared by two
 # structs pools their values.
 #
+# It also checks the claim manifest, the experiment index of DESIGN.md
+# §4. Every .rs file under crates/*/src and src/ is a module, named by
+# its path: crates/core/src/algorithms/matching.rs is
+# `core::algorithms::matching`, src/lib.rs is `adaptcomm`, and a `lib`,
+# `mod` or `main` file is its crate or parent. A module is owned when a
+# row's Modules column names it (one level of braces expands:
+# `plansrv::{cache, proto}`); a crate or parent is also owned when a row
+# names something inside it. A row is stale when its Modules column
+# names no module, or when a tests/, crates/, examples/, scripts/ or
+# benchmark/src/ path in its last column does not exist. The script
+# exits 1 when a module has no row or a row is stale.
+#
 # Usage (from the repository root):
 #   scripts/census.sh            summary line only
-#   scripts/census.sh --zero     items with no caller, then the summary
+#   scripts/census.sh --zero     items with no caller, unowned modules
+#                                and stale rows, then the summary
 #   scripts/census.sh --one      settings fields with one value in use
 #   scripts/census.sh --all      every item, then the summary
 #
@@ -36,6 +49,84 @@ summary | --zero | --one | --all) ;;
     exit 2
     ;;
 esac
+
+manifest=$(find crates/*/src src -name '*.rs' | LC_ALL=C sort | awk -v mode="$mode" '
+FNR == 1 { design = (FILENAME == "DESIGN.md") }
+design && /^## / { index4 = ($0 ~ /^## 4\./); next }
+design && index4 && /^\|/ {
+    split($0, col, "|")
+    if (col[4] ~ /^ *Modules *$/ || $0 ~ /^[|-]+$/) next
+    rows++
+    where = "DESIGN.md:" FNR
+    cell = col[4]
+    while (match(cell, /`[^`]*`/)) {
+        span = substr(cell, RSTART + 1, RLENGTH - 2)
+        cell = substr(cell, RSTART + RLENGTH)
+        prefix = span
+        items = ""
+        if (match(span, /\{[^}]*\}$/)) {
+            prefix = substr(span, 1, RSTART - 1)
+            items = substr(span, RSTART + 1, RLENGTH - 2)
+        }
+        k = split(items, item, ",")
+        if (k == 0) item[k = 1] = ""
+        for (i = 1; i <= k; i++) {
+            name = item[i]
+            gsub(/ /, "", name)
+            name = prefix name
+            named[++nnamed] = name
+            named_at[nnamed] = where
+            named_row[nnamed] = rows
+        }
+    }
+    cell = col[5]
+    while (match(cell, /(tests|crates|examples|scripts|benchmark\/src)\/[A-Za-z0-9_.\/-]*/)) {
+        path = substr(cell, RSTART, RLENGTH)
+        cell = substr(cell, RSTART + RLENGTH)
+        if (system("test -e " path) != 0) {
+            stale_row[rows] = 1
+            if (mode == "--zero") printf "stale\t%s\t%s\tno such path\n", path, where
+        }
+    }
+    next
+}
+design { next }
+{
+    m = $0
+    if (m ~ /^src\//) m = "adaptcomm/" substr(m, 5)
+    else {
+        sub(/^crates\//, "", m)
+        sub(/\/src\//, "/", m)
+    }
+    sub(/\.rs$/, "", m)
+    parent = sub(/\/(lib|mod|main)$/, "", m)
+    gsub(/\//, "::", m)
+    module[m] = $0
+    is_parent[m] = parent
+    order[++modules] = m
+}
+END {
+    for (i = 1; i <= nnamed; i++) {
+        name = named[i]
+        if (name in module) {
+            owned[name] = 1
+            while (sub(/::[a-z0-9_]+$/, "", name)) if (is_parent[name]) owned[name] = 1
+        } else {
+            stale_row[named_row[i]] = 1
+            if (mode == "--zero") printf "stale\t%s\t%s\tno such module\n", named[i], named_at[i]
+        }
+    }
+    for (i = 1; i <= modules; i++) {
+        if (order[i] in owned) continue
+        unowned++
+        if (mode == "--zero") printf "module\t%s\t%s\tno manifest row\n", order[i], module[order[i]]
+    }
+    for (r in stale_row) stale++
+    printf "%d modules, %d without a manifest row, %d stale rows\n", modules, unowned, stale
+}' DESIGN.md -)
+# Offender rows, if any, then the summary fragment on the last line.
+printf '%s\n' "$manifest" | sed '$d'
+summary=$(printf '%s\n' "$manifest" | tail -n 1)
 
 find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*' |
     LC_ALL=C sort |
@@ -164,6 +255,10 @@ END {
         if (show)
             printf "%s\t%s::%s\t%s\t%d\t%s\n", k_kind[i], k_owner[i], w, k_where[i], callers, v
     }
-    printf "census: %d public items, %d with no caller; %d settings fields, %d with one value in use\n", n, zero, settings, single
+    printf "census: %d public items, %d with no caller; %d settings fields, %d with one value in use; %s\n", n, zero, settings, single, manifest
 }
-'
+' manifest="$summary"
+case "$summary" in
+*" 0 without a manifest row, 0 stale rows") ;;
+*) exit 1 ;;
+esac

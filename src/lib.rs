@@ -15,9 +15,6 @@
 //! | [`sim`] | `adaptcomm-sim` | discrete-event execution, §6 model variants |
 //! | [`runtime`] | `adaptcomm-runtime` | live execution: real threads, shaped channels / TCP, §6.4 adapt loop |
 //! | [`chaos`] | `adaptcomm-chaos` | seeded fault injection: crashes, partitions, lying links, recovery SLOs |
-//! | [`collectives`] | `adaptcomm-collectives` | broadcast/scatter/gather/reduce/all-to-some |
-//! | [`staging`] | `adaptcomm-staging` | BADD-style deadline-driven data staging (§2, §6.4) |
-//! | [`mapping`] | `adaptcomm-mapping` | MSHN task mapping: OLB/MET/MCT/min-min/max-min/sufferage (§2) |
 //! | [`workloads`] | `adaptcomm-workloads` | the §5 evaluation scenarios |
 //! | [`plansrv`] | `adaptcomm-plansrv` | scheduling-as-a-service: multi-tenant TCP plan server, fingerprint-keyed plan cache, §6 QoS admission |
 //!
@@ -41,17 +38,14 @@
 #![forbid(unsafe_code)]
 
 pub use adaptcomm_chaos as chaos;
-pub use adaptcomm_collectives as collectives;
 pub use adaptcomm_core as scheduling;
 pub use adaptcomm_directory as directory;
 pub use adaptcomm_lap as lap;
-pub use adaptcomm_mapping as mapping;
 pub use adaptcomm_model as model;
 pub use adaptcomm_obs as obs;
 pub use adaptcomm_plansrv as plansrv;
 pub use adaptcomm_runtime as runtime;
 pub use adaptcomm_sim as sim;
-pub use adaptcomm_staging as staging;
 pub use adaptcomm_workloads as workloads;
 
 /// The most commonly used types, re-exported flat.
