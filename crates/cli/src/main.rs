@@ -522,7 +522,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
     use adaptcomm_obs::causal::{transfers_from_text, CausalDag};
 
     let k: f64 = opts.parsed_or("k", 2.0)?;
-    if k < 1.0 {
+    if k.is_nan() || k < 1.0 {
         return Err("--k is a speedup factor and must be >= 1".into());
     }
     let top_k: usize = opts.parsed_or("top", 5)?;
@@ -543,10 +543,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         let matrix = if opts.get("matrix").is_some() {
             load_matrix(opts)?
         } else if let Some(name) = opts.get("scenario") {
-            let p: usize = opts.require_parsed("p")?;
-            let seed: u64 = opts.parsed_or("seed", 0)?;
-            let n: usize = opts.parsed_or("n", p * 8)?;
-            scenario_by_name(&name, n)?.instance(p, seed).matrix
+            scenario_matrix(opts, &name)?
         } else {
             return Err(
                 "give --input <obs dump>, --matrix <file.csv>, or --scenario <name> --p <N>".into(),
@@ -802,14 +799,34 @@ fn scenario_by_name(name: &str, n: usize) -> Result<Scenario, String> {
     })
 }
 
-fn generate(opts: &args::Options) -> Result<(), String> {
-    let name = opts.require("scenario")?;
+/// [`scenario_by_name`] for `p` processors, rejecting what generating
+/// it would assert on: no processors, or a `transpose` with fewer
+/// matrix rows `n` than processors.
+fn scenario_for(name: &str, n: usize, p: usize) -> Result<Scenario, String> {
+    if p == 0 {
+        return Err("--p must be at least 1".into());
+    }
+    let scenario = scenario_by_name(name, n)?;
+    if matches!(scenario, Scenario::Transpose { .. }) && n < p {
+        return Err(format!(
+            "transpose needs one matrix row per processor, but n = {n} < P = {p}"
+        ));
+    }
+    Ok(scenario)
+}
+
+/// The cost matrix of `--scenario <name> --p <N> [--seed <u64>]
+/// [--n <dim>]`.
+fn scenario_matrix(opts: &args::Options, name: &str) -> Result<CommMatrix, String> {
     let p: usize = opts.require_parsed("p")?;
     let seed: u64 = opts.parsed_or("seed", 0)?;
-    let n: usize = opts.parsed_or("n", p * 8)?;
-    let scenario = scenario_by_name(&name, n)?;
-    let inst = scenario.instance(p, seed);
-    print!("{}", csv::to_csv(&inst.matrix));
+    let n: usize = opts.parsed_or("n", p.saturating_mul(8))?;
+    Ok(scenario_for(name, n, p)?.instance(p, seed).matrix)
+}
+
+fn generate(opts: &args::Options) -> Result<(), String> {
+    let name = opts.require("scenario")?;
+    print!("{}", csv::to_csv(&scenario_matrix(opts, &name)?));
     Ok(())
 }
 
@@ -886,18 +903,18 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
     use adaptcomm_bench::sweep::{summary_seed, SweepGrid, SweepRunner};
     use adaptcomm_model::generator::GeneratorConfig;
 
-    let scenario_name = opts.get("scenario").unwrap_or_else(|| "all".into());
-    let scenarios = if scenario_name == "all" {
-        Scenario::FIGURES.to_vec()
-    } else {
-        vec![scenario_by_name(&scenario_name, 64)?]
-    };
     let pmin: usize = opts.parsed_or("pmin", FIGURE_P_VALUES[0])?;
     let pmax: usize = opts.parsed_or("pmax", *FIGURE_P_VALUES.last().unwrap())?;
     let pstep: usize = opts.parsed_or("pstep", 5)?;
     if pmin < 2 || pmax < pmin || pstep == 0 {
         return Err("need 2 <= --pmin <= --pmax and --pstep >= 1".into());
     }
+    let scenario_name = opts.get("scenario").unwrap_or_else(|| "all".into());
+    let scenarios = if scenario_name == "all" {
+        Scenario::FIGURES.to_vec()
+    } else {
+        vec![scenario_for(&scenario_name, 64, pmax)?]
+    };
     let trials: u64 = opts.parsed_or("trials", DEFAULT_TRIALS)?;
     if trials == 0 {
         return Err("--trials must be at least 1".into());
@@ -1382,27 +1399,25 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
 
     let addr = opts.require("addr")?;
     let shutdown = opts.flag("shutdown");
+    // The request matrix: a CSV file, or a generated scenario. With
+    // `--shutdown` alone, there is no request to send. It is built
+    // before connecting, so a bad option fails without a server.
+    let matrix = if opts.get("matrix").is_some() {
+        Some(load_matrix(opts)?)
+    } else if let Some(name) = opts.get("scenario") {
+        Some(scenario_matrix(opts, &name)?)
+    } else if shutdown {
+        None
+    } else {
+        return Err("give --matrix <file.csv> or --scenario <name> --p <N> (or --shutdown)".into());
+    };
+
     // With --obs, the client records its own `plansrv.client` spans
     // (each carrying the request's trace context); merging that dump
     // with the server's via `obs-merge` yields one cross-process tree.
     let obs_path = obs_begin(opts);
     let mut client = PlanClient::connect_retry(addr.as_str(), std::time::Duration::from_secs(5))
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
-
-    // The request matrix: a CSV file, or a generated scenario. With
-    // `--shutdown` alone, there is no request to send.
-    let matrix = if opts.get("matrix").is_some() {
-        Some(load_matrix(opts)?)
-    } else if let Some(name) = opts.get("scenario") {
-        let p: usize = opts.require_parsed("p")?;
-        let seed: u64 = opts.parsed_or("seed", 0)?;
-        let n: usize = opts.parsed_or("n", p * 8)?;
-        Some(scenario_by_name(&name, n)?.instance(p, seed).matrix)
-    } else if shutdown {
-        None
-    } else {
-        return Err("give --matrix <file.csv> or --scenario <name> --p <N> (or --shutdown)".into());
-    };
 
     if let Some(matrix) = matrix {
         let tenant = opts.get("tenant").unwrap_or_else(|| "cli".into());

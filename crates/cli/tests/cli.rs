@@ -690,6 +690,22 @@ fn errors_exit_nonzero_with_message() {
     assert!(String::from_utf8(out.stderr)
         .unwrap()
         .contains("--scenario"));
+
+    // Scenario options the generators would assert on are usage errors,
+    // not panics; plan-client rejects them before it connects.
+    for args in [
+        "generate --scenario mixed --p 0",
+        "explain --scenario transpose --p 8 --n 4",
+        "sweep --scenario transpose --pmin 70 --pmax 70 --trials 1",
+        "explain --scenario mixed --p 4 --k NaN",
+        "plan-client --addr 127.0.0.1:1 --scenario mixed --p 0",
+    ] {
+        let out = bin().args(args.split(' ')).output().unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        assert!(err.starts_with("error:"), "{args}: {err}");
+        assert!(!err.contains("panicked"), "{args}: {err}");
+    }
 }
 
 #[test]
