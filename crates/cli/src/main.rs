@@ -20,6 +20,7 @@ mod top;
 use adaptcomm_core::algorithms::{all_schedulers, Scheduler};
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::timing::TimingDiagram;
+use adaptcomm_obs::{Event, Format, Snapshot};
 use adaptcomm_workloads::Scenario;
 use std::process::ExitCode;
 
@@ -72,7 +73,7 @@ USAGE:
                 [--trigger <deviation|detector>]
                 [--replanner <openshop|matching-max|matching-min>]
                 [--threads <N>] [--status <path>]
-                [--pace <us-per-ms>] [--trace] [--obs <path>]
+                [--pace <us-per-ms>] [--obs <path>]
                 [--metrics-port <port>]
       Execute a total exchange live: one OS thread per processor moving
       real bytes through the chosen transport under the paper's port
@@ -86,8 +87,8 @@ USAGE:
       rescheduling); --threads parallelizes its LAP solves. --drift
       scales a few links' bandwidth by <factor> at --drift-at modeled
       ms to provoke adaptation. --status publishes a live JSON status
-      file at every checkpoint for `adaptcomm top` to poll. --trace
-      dumps the per-event wall/modeled timeline.
+      file at every checkpoint for `adaptcomm top` to poll. --obs
+      captures every transfer as a span on its sender's track.
 
   adaptcomm chaos [--scenario <crash|partition|liar|mixed|spec>] [--p <N>]
                   [--seed <u64>] [--workload <name>] [--obs <path>]
@@ -107,7 +108,7 @@ USAGE:
       through obs-summary.
 
   adaptcomm top --input <status.json> [--interval <ms>] [--frames <N>]
-                [--once] [--capture <obs.jsonl>]
+                [--once] [--capture <capture>]
       Watch a running `run --adapt --status <path>` live in the
       terminal: progress, replan events, grant-queue depth, and
       per-link health with sparkline bandwidth history. Refreshes every
@@ -116,36 +117,33 @@ USAGE:
       --capture points at an obs dump of the run; each frame then ends
       with a `slowest link` blame line from the explain-plane analyzer.
 
-  adaptcomm report --input <obs dump> --html <out.html> [--title <text>]
-      Render an observability dump (JSONL or Chrome trace) as a
-      self-contained HTML dashboard: inline SVG time-series charts,
-      per-phase span table, and a link-health matrix. No external
-      assets — the file opens anywhere.
+  adaptcomm report --input <capture> --html <out.html> [--title <text>]
+      Render a capture as a self-contained HTML dashboard: inline SVG
+      time-series charts, per-phase span table, and a link-health
+      matrix. No external assets — the file opens anywhere.
 
-  adaptcomm obs-summary --input <path>
-      Summarize an observability dump: per-phase span totals, instants,
-      counters. The format follows the extension: `.jsonl` (event
-      stream, including flight-recorder dumps), `.prom`/`.txt`
-      (Prometheus text), `.json`/`.trace` (Chrome trace). Unknown
-      extensions are a typed error naming the supported ones.
+  adaptcomm obs-summary --input <capture>
+      Summarize a capture in any format of the extension table below
+      (flight-recorder dumps included): per-phase span totals,
+      instants, counters and gauges.
 
-  adaptcomm explain (--input <obs dump> | --matrix <file.csv> |
+  adaptcomm explain (--input <capture> | --matrix <file.csv> |
                      --scenario <name> --p <N>) [--seed <u64>] [--n <dim>]
                      [--algorithm <name>] [--k <speedup>] [--top <N>]
-                     [--capture <out.jsonl>]
+                     [--capture <out>]
       Explain where a run's completion time comes from. Builds the
-      blocking-dependency DAG of the run — from a captured obs dump
-      (JSONL or Chrome trace with transfer spans), a matrix scheduled
+      blocking-dependency DAG of the run — from a capture holding
+      transfer spans (`run --obs`), a matrix scheduled
       with --algorithm (default openshop), or a generated scenario —
       and prints the critical path, the per-link/per-processor blame
       table, a slack histogram, and a COZ-style what-if table: the
       top --top (default 5) links ranked by how much speeding each one
       --k x (default 2) would move the completion, with realized port
       orders held fixed (no re-simulation). --capture writes the
-      analyzed transfers back out as a deterministic JSONL capture
+      analyzed transfers back out as a deterministic capture
       (bit-identical across runs; feed it to obs-diff or report).
 
-  adaptcomm obs-diff --base <dump> --head <dump> [--fail-over <pct>]
+  adaptcomm obs-diff --base <capture> --head <capture> [--fail-over <pct>]
       Diff two captures. Spans are aligned per (phase, track) in start
       order and summed over aligned pairs, so truncation skews counts,
       not totals; transfer spans also aggregate per link. Prints
@@ -154,12 +152,13 @@ USAGE:
       exceeds <pct> percent — wire it under perfgate to say *where* a
       regression lives, not just that one exists.
 
-  adaptcomm obs-merge --out <trace.json> --inputs <a.jsonl,b.jsonl,..>
-      Merge per-process JSONL captures into one Chrome trace, one
-      process lane per input (labeled by file stem). Spans that carry
-      the same propagated trace id — e.g. a plan-client request and the
-      server-side admission/worker/solve spans it fanned into — line up
-      as one cross-process request tree in Perfetto.
+  adaptcomm obs-merge --out <trace.json> --inputs <a.jsonl,b.trace,..>
+      Merge per-process captures, each in any format, into one Chrome
+      trace, one process lane per input (labeled by file stem). Spans
+      that carry the same propagated trace id — e.g. a plan-client
+      request and the server-side admission/worker/solve spans it
+      fanned into — line up as one cross-process request tree in
+      Perfetto.
 
   adaptcomm plan-server [--addr <host:port>] [--workers <N>]
                         [--cache <entries>] [--near-tolerance <frac>]
@@ -207,10 +206,13 @@ USAGE:
 The --obs <path> option (run, compare, sweep, chaos, plan-server,
 plan-client) enables the in-process observability registry for the
 duration of the command and writes the collected metrics when it
-finishes. The export format follows the file extension: `.jsonl` ->
-JSONL event stream, `.prom`/`.txt` -> Prometheus-style text dump,
-anything else -> Chrome trace_event JSON (load in Perfetto /
-chrome://tracing, or feed to obs-summary).
+finishes. One extension table names a capture's format, for every
+write (--obs, --flight, explain --capture) and every read (--input,
+--base/--head, --inputs, top --capture):
+  .jsonl          JSONL event stream (lossless)
+  .json, .trace   Chrome trace_event JSON (Perfetto, chrome://tracing)
+  .prom, .txt     Prometheus text (counters, gauges, histogram totals)
+Any other extension is an error before the command starts.
 ";
 
 /// Every subcommand with the options it reads: `run()` dispatches on
@@ -271,7 +273,7 @@ const COMMANDS: &[args::Command] = &[
             "obs",
             "metrics-port",
         ],
-        flags: &["adapt", "trace"],
+        flags: &["adapt"],
         run: run_live,
     },
     args::Command {
@@ -415,33 +417,54 @@ fn print_gusto() {
     }
 }
 
+/// The capture format `path`'s extension names, as a CLI error.
+fn capture_format(path: &str) -> Result<Format, String> {
+    Format::of_path(path).map_err(|e| e.to_string())
+}
+
+/// Reads captures, each in the format its extension names; every
+/// extension is checked before any file is opened.
+fn read_captures(paths: &[&str]) -> Result<Vec<Snapshot>, String> {
+    let formats = paths
+        .iter()
+        .map(|path| capture_format(path))
+        .collect::<Result<Vec<_>, _>>()?;
+    paths
+        .iter()
+        .zip(formats)
+        .map(|(path, format)| {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            format.decode(&text).map_err(|e| format!("{path}: {e}"))
+        })
+        .collect()
+}
+
+fn read_capture(path: &str) -> Result<Snapshot, String> {
+    Ok(read_captures(&[path])?.remove(0))
+}
+
 /// Arms the global observability registry when `--obs <path>` was
-/// given, returning the export path. The registry starts from a clean
-/// slate so the dump covers exactly this command.
-fn obs_begin(opts: &args::Options) -> Option<String> {
-    let path = opts.get("obs")?;
+/// given, returning the export path and its format (an unknown
+/// extension fails here, before the command does any work). The
+/// registry starts from a clean slate so the dump covers exactly this
+/// command.
+fn obs_begin(opts: &args::Options) -> Result<Option<(String, Format)>, String> {
+    let Some(path) = opts.get("obs") else {
+        return Ok(None);
+    };
+    let format = capture_format(&path)?;
     let obs = adaptcomm_obs::global();
     obs.clear();
     obs.set_enabled(true);
-    Some(path)
+    Ok(Some((path, format)))
 }
 
-/// Snapshots the global registry, disables it, and writes the dump in
-/// the format implied by the file extension: `.jsonl` → JSONL event
-/// stream, `.prom`/`.txt` → Prometheus text, anything else → Chrome
-/// trace_event JSON.
-fn obs_finish(path: &str) -> Result<(), String> {
+/// Snapshots the global registry, disables it, and writes the dump.
+fn obs_finish((path, format): (String, Format)) -> Result<(), String> {
     let obs = adaptcomm_obs::global();
     let snap = obs.snapshot();
     obs.set_enabled(false);
-    let text = if path.ends_with(".jsonl") {
-        snap.to_jsonl()
-    } else if path.ends_with(".prom") || path.ends_with(".txt") {
-        snap.to_prometheus()
-    } else {
-        snap.to_chrome_trace()
-    };
-    std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+    std::fs::write(&path, format.encode(&snap)).map_err(|e| format!("writing {path}: {e}"))?;
     println!(
         "wrote {path} ({} span(s), {} instant(s), {} counter(s))",
         snap.spans().count(),
@@ -462,11 +485,7 @@ fn top_live(opts: &args::Options) -> Result<(), String> {
                                                         // from the explain-plane analyzer (computed once; the capture is a
                                                         // finished dump, not the live status file).
     let blame = match opts.get("capture") {
-        Some(cpath) => {
-            let text =
-                std::fs::read_to_string(&cpath).map_err(|e| format!("reading {cpath}: {e}"))?;
-            Some(top::blame_line(&text)?)
-        }
+        Some(cpath) => Some(top::blame_line(&read_capture(&cpath)?)),
         None => None,
     };
     let mut rendered = 0u64;
@@ -508,9 +527,9 @@ fn top_live(opts: &args::Options) -> Result<(), String> {
 fn report_html(opts: &args::Options) -> Result<(), String> {
     let input = opts.require("input")?;
     let out_path = opts.require("html")?;
-    let text = std::fs::read_to_string(&input).map_err(|e| format!("reading {input}: {e}"))?;
+    let snap = read_capture(&input)?;
     let title = opts.get("title").unwrap_or_else(|| input.clone());
-    let html = adaptcomm_obs::report::html_report(&text, &title)?;
+    let html = adaptcomm_obs::report::html_report(&snap, &title);
     std::fs::write(&out_path, &html).map_err(|e| format!("writing {out_path}: {e}"))?;
     println!("wrote {out_path} ({} bytes)", html.len());
     Ok(())
@@ -519,19 +538,22 @@ fn report_html(opts: &args::Options) -> Result<(), String> {
 /// `adaptcomm explain`: critical-path blame, slack, and what-if
 /// projections for a capture or an analytic schedule.
 fn explain(opts: &args::Options) -> Result<(), String> {
-    use adaptcomm_obs::causal::{transfers_from_text, CausalDag};
+    use adaptcomm_obs::causal::{transfer_span, transfers_from_snapshot, CausalDag};
 
     let k: f64 = opts.parsed_or("k", 2.0)?;
     if k.is_nan() || k < 1.0 {
         return Err("--k is a speedup factor and must be >= 1".into());
     }
     let top_k: usize = opts.parsed_or("top", 5)?;
+    let capture = match opts.get("capture") {
+        Some(out) => Some((capture_format(&out)?, out)),
+        None => None,
+    };
 
     // The run under analysis: a capture, or an analytic schedule (which
     // also knows the matrix lower bound, so the gap can be reported).
     let (dag, lower_bound_ms, label) = if let Some(path) = opts.get("input") {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let transfers = transfers_from_text(&text)?;
+        let transfers = transfers_from_snapshot(&read_capture(&path)?);
         if transfers.is_empty() {
             return Err(format!(
                 "{path} holds no transfer spans (spans with src/dst attrs); \
@@ -637,9 +659,17 @@ fn explain(opts: &args::Options) -> Result<(), String> {
     // are rounded to whole microseconds from the modeled times, so two
     // generations of the same run are bit-identical (the committed
     // self-diff fixtures depend on this).
-    if let Some(out) = opts.get("capture") {
-        let snap = synthetic_capture(dag.transfers());
-        std::fs::write(&out, snap.to_jsonl()).map_err(|e| format!("writing {out}: {e}"))?;
+    if let Some((format, out)) = capture {
+        let us = |ms: f64| (ms * 1_000.0).round() as u64;
+        let snap = Snapshot {
+            events: dag
+                .transfers()
+                .iter()
+                .map(|t| Event::Span(transfer_span(t.src, t.dst, us(t.start_ms), us(t.dur_ms))))
+                .collect(),
+            ..Default::default()
+        };
+        std::fs::write(&out, format.encode(&snap)).map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out} ({} transfer span(s))", dag.transfers().len());
     }
     Ok(())
@@ -680,41 +710,13 @@ fn render_slack_histogram(dag: &adaptcomm_obs::causal::CausalDag) -> String {
     out
 }
 
-/// The `--capture` output of `explain`: the analyzed transfers as
-/// `transfer` spans in the exact shape `runtime::obs_bridge` records,
-/// with whole-microsecond timestamps so the emission is deterministic.
-fn synthetic_capture(transfers: &[adaptcomm_obs::causal::Transfer]) -> adaptcomm_obs::Snapshot {
-    use adaptcomm_obs::{AttrValue, Event, Snapshot, SpanRecord};
-    Snapshot {
-        events: transfers
-            .iter()
-            .map(|t| {
-                Event::Span(SpanRecord {
-                    name: "transfer".into(),
-                    tid: t.src as u64 + 1,
-                    start_us: (t.start_ms * 1_000.0).round() as u64,
-                    dur_us: (t.dur_ms * 1_000.0).round() as u64,
-                    attrs: vec![
-                        ("src".into(), AttrValue::U64(t.src as u64)),
-                        ("dst".into(), AttrValue::U64(t.dst as u64)),
-                    ],
-                    trace: None,
-                })
-            })
-            .collect(),
-        ..Default::default()
-    }
-}
-
 /// `adaptcomm obs-diff`: aligned base/head comparison of two captures,
 /// with an optional regression threshold for CI.
 fn obs_diff(opts: &args::Options) -> Result<(), String> {
     let base = opts.require("base")?;
     let head = opts.require("head")?;
-    let base_text = std::fs::read_to_string(&base).map_err(|e| format!("reading {base}: {e}"))?;
-    let head_text = std::fs::read_to_string(&head).map_err(|e| format!("reading {head}: {e}"))?;
-    let diff = adaptcomm_obs::causal::diff_captures(&base_text, &head_text)
-        .map_err(|e| format!("diffing {base} vs {head}: {e}"))?;
+    let captures = read_captures(&[&base, &head])?;
+    let diff = adaptcomm_obs::causal::diff_captures(&captures[0], &captures[1]);
     print!("{}", diff.render());
     if let Some(threshold) = opts.get("fail-over") {
         let threshold: f64 = threshold
@@ -733,34 +735,27 @@ fn obs_diff(opts: &args::Options) -> Result<(), String> {
 
 fn obs_summary(opts: &args::Options) -> Result<(), String> {
     let path = opts.require("input")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-    // Extension-based dispatch: `.prom` parses as Prometheus text,
-    // unknown extensions get a typed error naming what is supported.
-    let summary =
-        adaptcomm_obs::Summary::from_named_text(&path, &text).map_err(|e| e.to_string())?;
+    let summary = adaptcomm_obs::Summary::from_snapshot(&read_capture(&path)?);
     print!("{}", summary.render());
     Ok(())
 }
 
-/// `adaptcomm obs-merge`: stitch per-process JSONL captures into one
-/// Chrome trace, one process lane per input. Spans that share a
-/// propagated trace id line up as a single cross-process request tree.
+/// `adaptcomm obs-merge`: stitch per-process captures into one Chrome
+/// trace, one process lane per input. Spans that share a propagated
+/// trace id line up as a single cross-process request tree.
 fn obs_merge(opts: &args::Options) -> Result<(), String> {
     let out = opts.require("out")?;
     let inputs = opts.require("inputs")?;
-    let mut parts: Vec<(String, adaptcomm_obs::Snapshot)> = Vec::new();
-    for path in inputs.split(',').filter(|p| !p.is_empty()) {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let snap = adaptcomm_obs::Snapshot::from_jsonl(&text)
-            .map_err(|e| format!("{path} is not snapshot JSONL: {e}"))?;
-        // The process label is the file stem: client.jsonl -> "client".
-        let base = path.rsplit(['/', '\\']).next().unwrap_or(path);
-        let label = base.strip_suffix(".jsonl").unwrap_or(base).to_string();
-        parts.push((label, snap));
+    let paths: Vec<&str> = inputs.split(',').filter(|p| !p.is_empty()).collect();
+    if paths.is_empty() {
+        return Err("`--inputs` needs at least one comma-separated capture path".into());
     }
-    if parts.is_empty() {
-        return Err("`--inputs` needs at least one comma-separated JSONL path".into());
-    }
+    // The process label is the file stem: client.jsonl -> "client".
+    let labels = paths.iter().map(|path| {
+        let stem = std::path::Path::new(path).file_stem().unwrap_or_default();
+        stem.to_string_lossy().into_owned()
+    });
+    let parts: Vec<(String, Snapshot)> = labels.zip(read_captures(&paths)?).collect();
     let trace = adaptcomm_obs::merge_chrome_trace(&parts);
     std::fs::write(&out, &trace).map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {out} ({} process(es))", parts.len());
@@ -933,7 +928,7 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
         cfg: GeneratorConfig::default(),
         seed_fn: summary_seed,
     };
-    let obs_path = obs_begin(opts);
+    let obs_path = obs_begin(opts)?;
     let clock = std::time::Instant::now();
     let stats = runner.stats(&grid);
     print!("{}", stats.render());
@@ -944,7 +939,7 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
         runner.threads()
     );
     if let Some(path) = obs_path {
-        obs_finish(&path)?;
+        obs_finish(path)?;
     }
     Ok(())
 }
@@ -975,7 +970,7 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
     let sizes = inst.sizes.to_rows();
     let algorithm = opts.get("algorithm").unwrap_or_else(|| "openshop".into());
 
-    let obs_path = obs_begin(opts);
+    let obs_path = obs_begin(opts)?;
     let metrics = metrics_begin(opts, adaptcomm_obs::ScrapeEndpoints::new())?;
     let obs = adaptcomm_obs::global();
     let run_start_us = obs.now_us();
@@ -1059,6 +1054,7 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         return Err("--replanner requires --adapt".into());
     }
 
+    let clock = std::time::Instant::now();
     let report = if adapt {
         let directory = DirectoryService::new(inst.network.clone());
         let settings = AdaptSettings {
@@ -1087,10 +1083,10 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
     }
     .map_err(|e| format!("live run failed: {e}"))?;
 
+    let wall_ms = clock.elapsed().as_secs_f64() * 1e3;
     if obs.is_enabled() {
-        // Every completed transfer becomes a span on its sender's track;
-        // the whole command is one root span on the driver track.
-        adaptcomm_runtime::obs_bridge::record_transfers(&report.trace, obs);
+        // The runtime recorded every transfer on its sender's transfer
+        // track; the whole command is one root span on the driver track.
         obs.record_span(adaptcomm_obs::SpanRecord {
             name: "run".to_string(),
             tid: 0,
@@ -1123,7 +1119,7 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         "  planned {:>10.2} ms   realized {:>10.2} ms   wall {:>8.2} ms",
         report.planned_makespan.as_ms(),
         report.makespan.as_ms(),
-        report.trace.wall_elapsed_us() as f64 / 1000.0
+        wall_ms
     );
     if faulted {
         println!(
@@ -1141,25 +1137,9 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
             report.measurements_published
         );
     }
-    if opts.flag("trace") {
-        println!(
-            "{:>10} {:>6} {:>6} {:>12} {:>12}",
-            "event", "src", "dst", "modeled(ms)", "wall(us)"
-        );
-        for e in &report.trace.events {
-            println!(
-                "{:>10} {:>6} {:>6} {:>12.3} {:>12}",
-                format!("{:?}", e.kind),
-                e.src,
-                e.dst,
-                e.modeled.as_ms(),
-                e.wall_us
-            );
-        }
-    }
     drop(metrics);
     if let Some(path) = obs_path {
-        obs_finish(&path)?;
+        obs_finish(path)?;
     }
     if !report.receipts_ok {
         return Err(
@@ -1183,8 +1163,12 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
     let workload_name = opts.get("workload").unwrap_or_else(|| "mixed".into());
     let inst = scenario_by_name(&workload_name, p * 8)?.instance(p, seed);
     let sizes = inst.sizes.to_rows();
+    let flight_path = opts
+        .get("flight")
+        .unwrap_or_else(|| "chaos-flight.jsonl".into());
+    capture_format(&flight_path)?;
 
-    let obs_path = obs_begin(opts);
+    let obs_path = obs_begin(opts)?;
     let horizon = fault_free_makespan(&inst.network, &sizes)
         .map_err(|e| format!("fault-free control failed: {e}"))?;
     let plan = match scenario.as_str() {
@@ -1249,7 +1233,7 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
     );
     println!("{}", report.slo_line());
     if let Some(path) = obs_path {
-        obs_finish(&path)?;
+        obs_finish(path)?;
     }
     if !report.receipts_ok {
         return Err("receipt verification failed: a message was lost or duplicated".into());
@@ -1258,9 +1242,6 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
         // Post-mortem black box: the recent event window (injected
         // faults, runtime fault/heal notes) goes to disk before the
         // nonzero exit, whether or not --obs was given.
-        let flight_path = opts
-            .get("flight")
-            .unwrap_or_else(|| "chaos-flight.jsonl".into());
         let reason = format!(
             "chaos SLO breach at {:.2}x fault-free (limit {SLO_FACTOR:.2}x)",
             report.slowdown()
@@ -1284,7 +1265,7 @@ fn compare(opts: &args::Options) -> Result<(), String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let obs_path = obs_begin(opts);
+    let obs_path = obs_begin(opts)?;
     let obs = adaptcomm_obs::global();
     println!(
         "P = {}, lower bound {}, {} solver thread(s)",
@@ -1319,7 +1300,7 @@ fn compare(opts: &args::Options) -> Result<(), String> {
         );
     }
     if let Some(path) = obs_path {
-        obs_finish(&path)?;
+        obs_finish(path)?;
     }
     Ok(())
 }
@@ -1337,7 +1318,7 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
     if !(near_tolerance.is_finite() && near_tolerance >= 0.0) {
         return Err("--near-tolerance must be a finite, non-negative fraction".into());
     }
-    let obs_path = obs_begin(opts);
+    let obs_path = obs_begin(opts)?;
     // The scrape surface: /metrics + /healthz plus the per-tenant JSON
     // rollup, all read from the global registry the service records to.
     let metrics = metrics_begin(
@@ -1386,7 +1367,7 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
     }
     drop(metrics);
     if let Some(path) = obs_path {
-        obs_finish(&path)?;
+        obs_finish(path)?;
     }
     Ok(())
 }
@@ -1415,7 +1396,7 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
     // With --obs, the client records its own `plansrv.client` spans
     // (each carrying the request's trace context); merging that dump
     // with the server's via `obs-merge` yields one cross-process tree.
-    let obs_path = obs_begin(opts);
+    let obs_path = obs_begin(opts)?;
     let mut client = PlanClient::connect_retry(addr.as_str(), std::time::Duration::from_secs(5))
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
 
@@ -1454,7 +1435,7 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
         }
     }
     if let Some(path) = obs_path {
-        obs_finish(&path)?;
+        obs_finish(path)?;
     }
     Ok(())
 }

@@ -43,12 +43,12 @@ fn sparkline(values: &[f64]) -> String {
 /// The "slowest link" line `adaptcomm top --capture <path>` appends
 /// under each frame: the link carrying the most critical-path time in
 /// the captured run, from the explain-plane analyzer.
-pub fn blame_line(capture_text: &str) -> Result<String, String> {
-    use adaptcomm_obs::causal::{transfers_from_text, CausalDag};
-    let dag = CausalDag::new(transfers_from_text(capture_text)?);
+pub fn blame_line(capture: &adaptcomm_obs::Snapshot) -> String {
+    use adaptcomm_obs::causal::{transfers_from_snapshot, CausalDag};
+    let dag = CausalDag::new(transfers_from_snapshot(capture));
     let blame = dag.blame();
     match blame.links.first() {
-        Some(l) => Ok(format!(
+        Some(l) => format!(
             "slowest link: {}->{}  {:.2} ms on the critical path \
              ({} hop(s), {:.0}% of {:.2} ms)",
             l.src,
@@ -61,8 +61,8 @@ pub fn blame_line(capture_text: &str) -> Result<String, String> {
                 0.0
             },
             blame.completion_ms
-        )),
-        None => Ok("slowest link: no transfer spans in the capture".into()),
+        ),
+        None => "slowest link: no transfer spans in the capture".into(),
     }
 }
 
@@ -222,28 +222,18 @@ mod tests {
 
     #[test]
     fn blame_line_names_the_critical_link() {
-        use adaptcomm_obs::{AttrValue, Event, Snapshot, SpanRecord};
-        let span = |src: u64, dst: u64, start_us: u64, dur_us: u64| {
-            Event::Span(SpanRecord {
-                name: "transfer".into(),
-                tid: src + 1,
-                start_us,
-                dur_us,
-                attrs: vec![
-                    ("src".into(), AttrValue::U64(src)),
-                    ("dst".into(), AttrValue::U64(dst)),
-                ],
-                trace: None,
-            })
-        };
+        use adaptcomm_obs::causal::transfer_span;
+        use adaptcomm_obs::{Event, Snapshot};
+        let span =
+            |src, dst, start_us, dur_us| Event::Span(transfer_span(src, dst, start_us, dur_us));
         let snap = Snapshot {
             events: vec![span(0, 1, 0, 10_000), span(0, 2, 10_000, 30_000)],
             ..Default::default()
         };
-        let line = blame_line(&snap.to_jsonl()).unwrap();
+        let line = blame_line(&snap);
         assert!(line.contains("slowest link: 0->2"), "{line}");
         assert!(line.contains("30.00 ms"), "{line}");
-        let empty = blame_line(&Snapshot::default().to_jsonl()).unwrap();
+        let empty = blame_line(&Snapshot::default());
         assert!(empty.contains("no transfer spans"), "{empty}");
     }
 }

@@ -154,6 +154,47 @@ fn obs_dump_and_summary_round_trip() {
         .unwrap();
     assert!(out.status.success());
 
+    // One extension table serves every write and every read: a `.trace`
+    // dump is a Chrome trace that obs-summary, explain and obs-merge
+    // all take, and a `.prom` dump reads back through obs-summary.
+    let ok = |args: &[&str]| -> String {
+        let out = bin().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let chrome = temp_path("obs-run.trace");
+    let chrome = chrome.to_str().unwrap();
+    ok(&["run", "--p", "4", "--adapt", "--obs", chrome]);
+    assert!(ok(&["obs-summary", "--input", chrome]).contains("transfer"));
+    assert!(ok(&["explain", "--input", chrome]).contains("critical path:"));
+    let merged = temp_path("obs-merged.json");
+    let merged = merged.to_str().unwrap();
+    let inputs = format!("{chrome},{}", jsonl_path.to_str().unwrap());
+    assert!(ok(&["obs-merge", "--out", merged, "--inputs", &inputs]).contains("2 process(es)"));
+    let prom = temp_path("obs-run.prom");
+    let prom = prom.to_str().unwrap();
+    ok(&["run", "--p", "4", "--adapt", "--obs", prom]);
+    assert!(std::fs::read_to_string(prom).unwrap().contains("# TYPE"));
+    assert!(ok(&["obs-summary", "--input", prom]).contains("counters:"));
+
+    // Any other extension is a usage error before the run starts.
+    let csv = temp_path("obs-run.csv");
+    let out = bin()
+        .args(["run", "--p", "4", "--obs", csv.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.starts_with("error: unsupported capture format"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty() && !csv.exists());
+
+    for path in [chrome, merged, prom] {
+        let _ = std::fs::remove_file(path);
+    }
     let _ = std::fs::remove_file(trace_path);
     let _ = std::fs::remove_file(jsonl_path);
 }

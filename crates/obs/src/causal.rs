@@ -4,9 +4,9 @@
 //! Everything here operates on plain [`Transfer`] records, so the module
 //! has no opinion about where a run came from: `adaptcomm-core` feeds it
 //! analytic [`Schedule`]s (via `core::analyze`), the CLI feeds it
-//! captures recorded by `runtime::obs_bridge` —
-//! [`transfers_from_text`] understands both exporter formats (JSONL and
-//! Chrome `trace_event`).
+//! captures of live runs. A realized transfer is recorded as a
+//! [`transfer_span`] (by the runtime's kernel policy, and by `explain
+//! --capture`) and read back by its inverse, [`transfers_from_snapshot`].
 //!
 //! # The DAG, under the §3 port model
 //!
@@ -437,9 +437,27 @@ fn dur_ms(span: &SpanRecord) -> f64 {
     span.dur_us as f64 / 1_000.0
 }
 
-/// The realized transfers of a parsed capture: every span carrying
-/// `src`/`dst` attrs (the `transfer` spans `runtime::obs_bridge`
-/// records).
+/// Sender `s`'s transfers are recorded on track `TRANSFER_TRACKS + s`.
+/// Thread tracks ([`crate::current_tid`]) count up from 1, so no span
+/// or instant recorded on a thread lands on a transfer track.
+pub const TRANSFER_TRACKS: u64 = 1 << 32;
+
+/// The `transfer` span of one realized transfer `src → dst`: on its
+/// sender's transfer track, with `src`/`dst` attributes (callers may
+/// append more, e.g. `bytes`).
+pub fn transfer_span(src: usize, dst: usize, start_us: u64, dur_us: u64) -> SpanRecord {
+    SpanRecord {
+        name: "transfer".into(),
+        tid: TRANSFER_TRACKS + src as u64,
+        start_us,
+        dur_us,
+        attrs: vec![("src".into(), src.into()), ("dst".into(), dst.into())],
+        trace: None,
+    }
+}
+
+/// The realized transfers of a capture: every span carrying `src`/`dst`
+/// attrs (the inverse of [`transfer_span`]).
 pub fn transfers_from_snapshot(snap: &Snapshot) -> Vec<Transfer> {
     snap.spans()
         .filter_map(|s| {
@@ -452,14 +470,6 @@ pub fn transfers_from_snapshot(snap: &Snapshot) -> Vec<Transfer> {
             })
         })
         .collect()
-}
-
-/// Extracts the realized transfers of a capture in either exporter
-/// format ([`Snapshot::from_text`] auto-detects JSONL vs Chrome
-/// `trace_event`; spans a truncated Chrome capture never closed are
-/// left out).
-pub fn transfers_from_text(text: &str) -> Result<Vec<Transfer>, String> {
-    Ok(transfers_from_snapshot(&Snapshot::from_text(text)?))
 }
 
 // ---------------------------------------------------------------------
@@ -625,12 +635,8 @@ impl CaptureDiff {
     }
 }
 
-/// Diffs two captures (either exporter format each). See
-/// [`CaptureDiff`] for the alignment rules.
-pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, String> {
-    let base = Snapshot::from_text(base_text)?;
-    let head = Snapshot::from_text(head_text)?;
-
+/// Diffs two captures. See [`CaptureDiff`] for the alignment rules.
+pub fn diff_captures(base: &Snapshot, head: &Snapshot) -> CaptureDiff {
     // Group both sides by (name, tid), keeping capture order (spans are
     // committed in time order; re-sort by start to be safe).
     type Group<'a> = ((String, u64), Vec<&'a SpanRecord>, Vec<&'a SpanRecord>);
@@ -706,13 +712,13 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
             .then(a.src.cmp(&b.src))
             .then(a.dst.cmp(&b.dst))
     });
-    Ok(CaptureDiff { phases, links })
+    CaptureDiff { phases, links }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::Event;
+    use crate::snapshot::{Event, Format};
 
     /// A hand-built four-hop chain with one slack event:
     ///
@@ -846,19 +852,8 @@ mod tests {
     }
 
     fn capture_snapshot() -> Snapshot {
-        let span = |src: usize, dst: usize, start_us: u64, dur_us: u64| {
-            Event::Span(SpanRecord {
-                name: "transfer".into(),
-                tid: src as u64 + 1,
-                start_us,
-                dur_us,
-                attrs: vec![
-                    ("src".into(), AttrValue::U64(src as u64)),
-                    ("dst".into(), AttrValue::U64(dst as u64)),
-                ],
-                trace: None,
-            })
-        };
+        let span =
+            |src, dst, start_us, dur_us| Event::Span(transfer_span(src, dst, start_us, dur_us));
         Snapshot {
             events: vec![
                 span(0, 1, 0, 10_000),
@@ -874,8 +869,9 @@ mod tests {
     #[test]
     fn transfers_extract_from_both_exporter_formats() {
         let snap = capture_snapshot();
-        for text in [snap.to_jsonl(), snap.to_chrome_trace()] {
-            let transfers = transfers_from_text(&text).unwrap();
+        for format in [Format::Jsonl, Format::Chrome] {
+            let back = format.decode(&format.encode(&snap)).unwrap();
+            let transfers = transfers_from_snapshot(&back);
             assert_eq!(transfers.len(), 5);
             let dag = CausalDag::new(transfers);
             assert_eq!(dag.completion_ms(), 37.0);
@@ -886,8 +882,8 @@ mod tests {
 
     #[test]
     fn self_diff_is_all_zero() {
-        let text = capture_snapshot().to_jsonl();
-        let diff = diff_captures(&text, &text).unwrap();
+        let snap = capture_snapshot();
+        let diff = diff_captures(&snap, &snap);
         assert!(diff.worst_regression().is_none(), "{diff:?}");
         for p in &diff.phases {
             assert_eq!(p.base_count, p.head_count);
@@ -913,7 +909,7 @@ mod tests {
                 }
             }
         }
-        let diff = diff_captures(&base.to_jsonl(), &head.to_jsonl()).unwrap();
+        let diff = diff_captures(&base, &head);
         let (label, pct) = diff.worst_regression().unwrap();
         assert_eq!(label, "link 3\u{2192}2");
         assert!((pct - 50.0).abs() < 1e-9, "{pct}");
@@ -926,7 +922,7 @@ mod tests {
         let base = capture_snapshot();
         let mut head = base.clone();
         head.events.pop(); // lose the last span
-        let diff = diff_captures(&base.to_jsonl(), &head.to_jsonl()).unwrap();
+        let diff = diff_captures(&base, &head);
         let phase = diff.phases.iter().find(|p| p.name == "transfer").unwrap();
         assert_eq!(phase.base_count, 5);
         assert_eq!(phase.head_count, 4);

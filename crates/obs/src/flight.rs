@@ -7,9 +7,10 @@
 //! always recording (overwrite-oldest, so memory is bounded and no
 //! retention policy is needed) and only touches disk when a trigger
 //! fires: a chaos run breaching its SLO, the runtime detecting a
-//! fault, the plan server rejecting a deadline streak. The dump is
-//! ordinary snapshot JSONL, so `obs-summary` and `Snapshot::from_jsonl`
-//! replay it like any other capture.
+//! fault, the plan server rejecting a deadline streak. The dump is an
+//! ordinary capture in the format its extension names
+//! ([`crate::snapshot::Format`]), so `obs-summary` replays it like any
+//! other.
 //!
 //! Two feeds fill the ring:
 //!
@@ -26,7 +27,7 @@
 //! for mirrored events, recorder epoch for direct notes); the dump is
 //! ring order, i.e. commit order, which is what a post-mortem reads.
 
-use crate::snapshot::{Event, InstantRecord, Snapshot};
+use crate::snapshot::{Event, Format, InstantRecord, Snapshot};
 use crate::{current_tid, AttrValue};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,10 +151,12 @@ impl FlightRecorder {
         snap
     }
 
-    /// Writes the ring to `path` as snapshot JSONL, prefixed with a
-    /// `flight.dump` instant naming the `reason`. The ring keeps its
-    /// contents (a later trigger can dump again).
+    /// Writes the ring to `path` in the format its extension names,
+    /// prefixed with a `flight.dump` instant naming the `reason`. The
+    /// ring keeps its contents (a later trigger can dump again).
     pub fn dump(&self, path: &Path, reason: &str) -> std::io::Result<()> {
+        let format = Format::of_path(path)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let mut snap = self.snapshot();
         snap.events.insert(
             0,
@@ -164,7 +167,7 @@ impl FlightRecorder {
                 attrs: vec![("reason".into(), AttrValue::Str(reason.to_string()))],
             }),
         );
-        std::fs::write(path, snap.to_jsonl())
+        std::fs::write(path, format.encode(&snap))
     }
 
     /// Arms (or with `None` disarms) automatic dumps into `dir`.

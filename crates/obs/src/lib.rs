@@ -5,10 +5,10 @@
 //! crate makes the stack's own decisions observable the same way —
 //! scheduler rounds, directory staleness, warm-start hits, and runtime
 //! replans all flow into one [`Registry`] of counters, gauges,
-//! fixed-bucket histograms, and nested wall-clock spans, exported as a
-//! JSONL event stream, a Prometheus-style text dump, or a Chrome
-//! `trace_event` file loadable in `chrome://tracing` / Perfetto (see
-//! [`Snapshot`]).
+//! fixed-bucket histograms, and nested wall-clock spans, written and
+//! read back by one codec as a JSONL event stream, a Prometheus-style
+//! text dump, or a Chrome `trace_event` file loadable in
+//! `chrome://tracing` / Perfetto (see [`Format`]).
 //!
 //! # Global or local
 //!
@@ -46,10 +46,10 @@ pub use fnv::Fnv1a;
 pub use series::TimeSeries;
 pub use serve::{serve_metrics, serve_metrics_with, MetricsServer, ScrapeEndpoints};
 pub use snapshot::{
-    merge_chrome_trace, prom_name, CounterSnapshot, Event, GaugeSnapshot, HistogramSnapshot,
-    InstantRecord, SeriesSnapshot, Snapshot, SpanRecord,
+    merge_chrome_trace, prom_name, CounterSnapshot, Event, Format, GaugeSnapshot,
+    HistogramSnapshot, InstantRecord, SeriesSnapshot, Snapshot, SpanRecord, UnknownFormat,
 };
-pub use summary::{PhaseTotal, Summary, SummaryError, SummaryWarning};
+pub use summary::{PhaseTotal, Summary, SummaryWarning};
 pub use trace::TraceContext;
 
 use std::collections::BTreeMap;
@@ -358,28 +358,9 @@ impl Registry {
         }
     }
 
-    /// Emits a point-in-time event (Chrome "instant" phase); attach
-    /// attributes with [`Mark::attr`], it records itself when dropped.
-    pub fn mark(&self, name: &str) -> Mark {
-        if !self.is_enabled() {
-            return Mark { live: None };
-        }
-        Mark {
-            live: Some((
-                self.clone(),
-                InstantRecord {
-                    name: name.to_string(),
-                    tid: current_tid(),
-                    ts_us: self.now_us(),
-                    attrs: Vec::new(),
-                },
-            )),
-        }
-    }
-
-    /// Records a completed span with explicit timestamps — the bridge
-    /// path for events measured by someone else (e.g. the runtime's
-    /// wall-clock trace).
+    /// Records a completed span with explicit timestamps — for spans
+    /// that do not open and close on one thread (e.g. the runtime's
+    /// transfers, granted and completed by the kernel's policy).
     pub fn record_span(&self, record: SpanRecord) {
         if !self.is_enabled() {
             return;
@@ -395,7 +376,7 @@ impl Registry {
             .push(Event::Span(record));
     }
 
-    /// Records an instant event with explicit timestamps (bridge path).
+    /// Records an instant event with explicit timestamps.
     pub fn record_instant(&self, record: InstantRecord) {
         if !self.is_enabled() {
             return;
@@ -625,33 +606,6 @@ impl Drop for Span {
     }
 }
 
-/// A pending instant event; records itself when dropped.
-#[derive(Debug)]
-pub struct Mark {
-    live: Option<(Registry, InstantRecord)>,
-}
-
-impl Mark {
-    /// Attaches a key/value attribute.
-    pub fn attr(mut self, key: &str, value: impl Into<AttrValue>) -> Self {
-        if let Some((_, record)) = &mut self.live {
-            record.attrs.push((key.to_string(), value.into()));
-        }
-        self
-    }
-
-    /// Emits the event now (otherwise scope end does).
-    pub fn emit(self) {}
-}
-
-impl Drop for Mark {
-    fn drop(&mut self) {
-        if let Some((registry, record)) = self.live.take() {
-            registry.record_instant(record);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,7 +663,12 @@ mod tests {
         reg.observe("h", MS_BUCKETS, 3.0);
         reg.series_append("s.eries", 8, 0.0, 1.0);
         reg.span("s").attr("k", 1u64).end();
-        reg.mark("m").emit();
+        reg.record_instant(InstantRecord {
+            name: "m".into(),
+            tid: current_tid(),
+            ts_us: reg.now_us(),
+            attrs: vec![],
+        });
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());

@@ -1,7 +1,7 @@
 //! Self-contained HTML dashboard rendering for `adaptcomm report`.
 //!
-//! [`html_report`] turns either exporter format — a JSONL event stream
-//! or a Chrome `trace_event` document — into one standalone HTML file:
+//! [`html_report`] turns a capture in any format (see
+//! [`crate::snapshot::Format`]) into one standalone HTML file:
 //! inline CSS, inline SVG time-series charts, a link-health matrix, and
 //! the per-phase span table. No external assets, scripts, or network
 //! fetches, so the file can be archived as a CI artifact and opened
@@ -43,22 +43,23 @@ struct LinkRow {
     bandwidth_kbps: Option<f64>,
 }
 
-/// Renders a self-contained HTML dashboard from exporter output
-/// (auto-detects JSONL vs Chrome `trace_event`; the input is parsed
-/// once, by [`Snapshot::from_text`]).
-pub fn html_report(text: &str, title: &str) -> Result<String, String> {
-    let snap = Snapshot::from_text(text)?;
+/// Renders a self-contained HTML dashboard of a capture.
+pub fn html_report(snap: &Snapshot, title: &str) -> String {
     let data = ReportData {
-        summary: Summary::from_snapshot(&snap),
-        transfers: crate::causal::transfers_from_snapshot(&snap),
+        summary: Summary::from_snapshot(snap),
+        transfers: crate::causal::transfers_from_snapshot(snap),
         series: snap
             .series
-            .into_iter()
-            .map(|s| (s.name, s.points))
+            .iter()
+            .map(|s| (s.name.clone(), s.points.clone()))
             .collect(),
-        gauges: snap.gauges.into_iter().map(|g| (g.name, g.value)).collect(),
+        gauges: snap
+            .gauges
+            .iter()
+            .map(|g| (g.name.clone(), g.value))
+            .collect(),
     };
-    Ok(render(&data, title))
+    render(&data, title)
 }
 
 /// Splits `link.<src>-<dst>.<metric>` names; `None` for anything else.
@@ -400,6 +401,7 @@ fn render(data: &ReportData, title: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Format, InstantRecord};
     use crate::Registry;
 
     fn sample_registry() -> Registry {
@@ -415,13 +417,18 @@ mod tests {
             t.append(i as f64 * 10.0, if i < 4 { 1000.0 } else { 300.0 });
         }
         reg.span("schedule").end();
-        reg.mark("runtime.replan").emit();
+        reg.record_instant(InstantRecord {
+            name: "runtime.replan".into(),
+            tid: 1,
+            ts_us: reg.now_us(),
+            attrs: vec![],
+        });
         reg
     }
 
     #[test]
     fn jsonl_report_is_self_contained_html() {
-        let html = html_report(&sample_registry().snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&sample_registry().snapshot(), "demo");
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.ends_with("</html>\n"));
         assert!(html.contains("<svg"), "series must render as inline SVG");
@@ -437,7 +444,8 @@ mod tests {
 
     #[test]
     fn chrome_report_recovers_series_from_counter_events() {
-        let html = html_report(&sample_registry().snapshot().to_chrome_trace(), "demo").unwrap();
+        let text = sample_registry().snapshot().to_chrome_trace();
+        let html = html_report(&Format::Chrome.decode(&text).unwrap(), "demo");
         assert!(html.contains("link.1-2.bandwidth_kbps"));
         assert!(html.contains("<svg"));
         assert!(html.contains("schedule"));
@@ -445,7 +453,7 @@ mod tests {
 
     #[test]
     fn health_matrix_derives_from_bandwidth_series() {
-        let html = html_report(&sample_registry().snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&sample_registry().snapshot(), "demo");
         assert!(html.contains("<tr class=\"healthy\"><td class=\"name\">0 &rarr; 1</td>"));
         assert!(html.contains("<tr class=\"degraded\"><td class=\"name\">1 &rarr; 2</td>"));
     }
@@ -455,7 +463,7 @@ mod tests {
         let reg = Registry::new();
         reg.series("link.0-1.bandwidth_kbps", 8).append(0.0, 500.0);
         reg.gauge_set("link.0-1.health", HealthState::Dead.code() as f64);
-        let html = html_report(&reg.snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&reg.snapshot(), "demo");
         assert!(html.contains("<tr class=\"dead\">"));
     }
 
@@ -464,7 +472,7 @@ mod tests {
         let reg = Registry::new();
         reg.series("s<\"&>'", 4).append(0.0, 1.0);
         reg.add("c<script>alert(1)</script>", 1);
-        let html = html_report(&reg.snapshot().to_jsonl(), "<&title>").unwrap();
+        let html = html_report(&reg.snapshot(), "<&title>");
         assert!(!html.contains("<script>"));
         assert!(html.contains("&lt;script&gt;"));
         assert!(html.contains("<title>&lt;&amp;title&gt;</title>"));
@@ -472,48 +480,37 @@ mod tests {
 
     #[test]
     fn empty_dump_still_renders() {
-        let html = html_report("", "empty").unwrap();
+        let html = html_report(&Snapshot::default(), "empty");
         assert!(html.contains("no spans or series"));
     }
 
     #[test]
     fn garbage_input_errors() {
-        assert!(html_report("not json at all", "x").is_err());
+        assert!(Format::Jsonl.decode("not json at all").is_err());
+        assert!(Format::Chrome.decode("not json at all").is_err());
     }
 
     #[test]
     fn transfer_spans_render_the_critical_path_lanes() {
-        use crate::snapshot::SpanRecord;
-        use crate::AttrValue;
         let reg = Registry::new();
-        let span = |src: u64, dst: u64, start_us: u64, dur_us: u64| SpanRecord {
-            name: "transfer".into(),
-            tid: src + 1,
-            start_us,
-            dur_us,
-            attrs: vec![
-                ("src".into(), AttrValue::U64(src)),
-                ("dst".into(), AttrValue::U64(dst)),
-            ],
-            trace: None,
-        };
+        let span = crate::causal::transfer_span;
         reg.record_span(span(0, 1, 0, 10_000));
         reg.record_span(span(0, 2, 10_000, 5_000));
         reg.record_span(span(1, 3, 0, 4_000));
-        let html = html_report(&reg.snapshot().to_jsonl(), "lanes").unwrap();
+        let html = html_report(&reg.snapshot(), "lanes");
         assert!(html.contains("<h2>Critical path</h2>"));
         assert!(html.contains("lane-crit"), "path hops must be highlighted");
         assert!(html.contains("lane-span"), "off-path hops render too");
         assert!(html.contains("send 0") && html.contains("send 1"));
         assert!(html.contains("2 highlighted hop(s)"));
         // A dump without transfer spans has no lane section.
-        let plain = html_report(&sample_registry().snapshot().to_jsonl(), "x").unwrap();
+        let plain = html_report(&sample_registry().snapshot(), "x");
         assert!(!plain.contains("Critical path"));
     }
 
     #[test]
     fn phase_table_reports_mean_and_p95() {
-        let html = html_report(&sample_registry().snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&sample_registry().snapshot(), "demo");
         assert!(html.contains("<th>mean ms</th><th>p95 ms</th>"));
     }
 

@@ -1,28 +1,108 @@
-//! Point-in-time registry state and the three exporters.
+//! Point-in-time registry state and the one capture codec.
 //!
 //! A [`Snapshot`] is everything a [`crate::Registry`] recorded, frozen:
 //! counters, gauges, histograms, and the ordered event log of spans and
-//! instants. It exports to
+//! instants. A capture file holds one in one of three [`Format`]s, and
+//! [`Format::of_path`] picks it from the file name by one extension
+//! table, for writing and reading alike:
 //!
-//! * **JSONL** ([`Snapshot::to_jsonl`]) — one self-describing JSON
-//!   object per line, machine-diffable, parsed back losslessly by
-//!   [`Snapshot::from_jsonl`] (the round-trip the runtime-trace bridge
-//!   tests lean on);
-//! * **Prometheus text** ([`Snapshot::to_prometheus`]) — the standard
-//!   `# TYPE` + sample-line dump, names sanitized to `[a-z0-9_]`;
-//! * **Chrome `trace_event` JSON** ([`Snapshot::to_chrome_trace`]) —
-//!   loadable in `chrome://tracing` / Perfetto. Spans become balanced
-//!   `B`/`E` duration events on their thread track, instants become `i`
-//!   events.
+//! * **JSONL** (`.jsonl`; [`Snapshot::to_jsonl`] / [`Snapshot::from_jsonl`])
+//!   — one self-describing JSON object per line, machine-diffable, read
+//!   back losslessly;
+//! * **Chrome `trace_event` JSON** (`.json`, `.trace`;
+//!   [`Snapshot::to_chrome_trace`]) — loadable in `chrome://tracing` /
+//!   Perfetto. Spans become balanced `B`/`E` duration events on their
+//!   track, instants become `i` events, series points `C` events;
+//! * **Prometheus text** (`.prom`, `.txt`; [`Snapshot::to_prometheus`])
+//!   — the standard `# TYPE` + sample-line dump, names sanitized to
+//!   `[a-z0-9_]`. It carries counters, gauges and histogram totals only.
 //!
-//! [`Snapshot::from_text`] reads a JSONL stream or a Chrome document
-//! back (auto-detected) and is the only `B`/`E`/`X`/`i`/`C` matcher in
-//! the workspace: the summary, explain, diff and report planes all work
-//! on the `Snapshot` it returns.
+//! [`Format::decode`] is the only reader of all three and the only
+//! `B`/`E`/`X`/`i`/`C` matcher in the workspace: the summary, explain,
+//! diff and report planes all work on the `Snapshot` it returns.
 
 use crate::json::Value;
 use crate::trace::{self, TraceContext};
 use crate::AttrValue;
+
+/// A capture file's format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// One JSON object per line ([`Snapshot::to_jsonl`]).
+    Jsonl,
+    /// A Chrome `trace_event` document ([`Snapshot::to_chrome_trace`]).
+    Chrome,
+    /// Prometheus exposition text ([`Snapshot::to_prometheus`]).
+    Prometheus,
+}
+
+/// The one extension table: which format a capture file name means,
+/// whether the file is being written or read.
+const EXTENSIONS: &[(&str, Format)] = &[
+    (".jsonl", Format::Jsonl),
+    (".json", Format::Chrome),
+    (".trace", Format::Chrome),
+    (".prom", Format::Prometheus),
+    (".txt", Format::Prometheus),
+];
+
+/// A capture file name whose extension is not in the table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownFormat {
+    /// The offending extension, lowercased, with its dot (empty when the
+    /// name has none).
+    pub extension: String,
+}
+
+impl std::fmt::Display for UnknownFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let known: Vec<&str> = EXTENSIONS.iter().map(|(ext, _)| *ext).collect();
+        write!(
+            f,
+            "unsupported capture format {:?} (supported: {})",
+            self.extension,
+            known.join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownFormat {}
+
+impl Format {
+    /// The format `path`'s extension names (case-insensitive).
+    pub fn of_path(path: impl AsRef<std::path::Path>) -> Result<Format, UnknownFormat> {
+        let extension = path
+            .as_ref()
+            .extension()
+            .map(|e| format!(".{}", e.to_string_lossy().to_ascii_lowercase()))
+            .unwrap_or_default();
+        EXTENSIONS
+            .iter()
+            .find(|(ext, _)| *ext == extension)
+            .map(|&(_, format)| format)
+            .ok_or(UnknownFormat { extension })
+    }
+
+    /// `snap` as this format's text.
+    pub fn encode(self, snap: &Snapshot) -> String {
+        match self {
+            Format::Jsonl => snap.to_jsonl(),
+            Format::Chrome => snap.to_chrome_trace(),
+            Format::Prometheus => snap.to_prometheus(),
+        }
+    }
+
+    /// Reads this format's text back. A Prometheus dump has no events:
+    /// its counters and gauges come back by their sanitized names, and a
+    /// histogram as its `_count` counter and `_sum` gauge.
+    pub fn decode(self, text: &str) -> Result<Snapshot, String> {
+        match self {
+            Format::Jsonl => Snapshot::from_jsonl(text),
+            Format::Chrome => Snapshot::from_chrome_trace(text),
+            Format::Prometheus => Snapshot::from_prometheus(text),
+        }
+    }
+}
 
 /// One counter at snapshot time.
 #[derive(Debug, Clone, PartialEq)]
@@ -411,30 +491,77 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Parses either exporter format: a Chrome `trace_event` JSON
-    /// document (starts with `{` and has a `traceEvents` array) or a
-    /// JSONL event stream.
-    pub fn from_text(text: &str) -> Result<Snapshot, String> {
-        if text.trim_start().starts_with('{') {
-            if let Ok(doc) = Value::parse(text) {
-                if let Some(events) = doc.get("traceEvents") {
-                    return Self::read_trace_events(
-                        events.as_arr().ok_or("missing \"traceEvents\" array")?,
-                    );
+    /// Parses a Prometheus text dump (see [`Format::decode`]).
+    fn from_prometheus(text: &str) -> Result<Snapshot, String> {
+        let mut snap = Snapshot::default();
+        let mut kinds: Vec<(&str, &str)> = Vec::new();
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.trim();
+            if let Some(rest) = line.strip_prefix('#') {
+                if let ["TYPE", name, kind, ..] = rest.split_whitespace().collect::<Vec<_>>()[..] {
+                    kinds.push((name, kind));
+                }
+                continue;
+            }
+            if line.is_empty() {
+                continue;
+            }
+            let (name, value) = line
+                .rsplit_once(char::is_whitespace)
+                .ok_or_else(|| format!("line {}: expected \"name value\"", lineno + 1))?;
+            let value: f64 = value
+                .parse()
+                .map_err(|_| format!("line {}: bad sample value {value:?}", lineno + 1))?;
+            let name = name.split_once('{').map_or(name, |(n, _)| n);
+            let kind_of = |name| kinds.iter().find(|(n, _)| *n == name).map(|&(_, k)| k);
+            // A histogram's expansion rolls up under its declared base
+            // name: `_count` as a counter, `_sum` as a gauge, and the
+            // cumulative buckets are skipped.
+            let histogram =
+                |suffix| name.strip_suffix(suffix).and_then(kind_of) == Some("histogram");
+            let kind = match kind_of(name) {
+                _ if histogram("_bucket") => continue,
+                _ if histogram("_count") => "counter",
+                _ if histogram("_sum") => "gauge",
+                Some(kind) => kind,
+                // Lenient on undeclared samples, like real scrapers:
+                // integral values read as counters, the rest as gauges.
+                None if value >= 0.0 && value.fract() == 0.0 => "counter",
+                None => "gauge",
+            };
+            let name = name.to_string();
+            match kind {
+                "counter" => snap.counters.push(CounterSnapshot {
+                    name,
+                    value: value as u64,
+                }),
+                "gauge" => snap.gauges.push(GaugeSnapshot { name, value }),
+                other => {
+                    return Err(format!(
+                        "line {}: unsupported sample type {other:?} for {name:?}",
+                        lineno + 1
+                    ))
                 }
             }
         }
-        Self::from_jsonl(text)
+        snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
+        snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
+        Ok(snap)
     }
 
-    /// Reads a Chrome event list back: `B`/`E` pairs matched per tid
-    /// (innermost first) and complete `X` events become spans in
-    /// closing order, `i` events instants, `C` events series points
-    /// grouped by name. Timestamps are read as whole microseconds — what
-    /// [`Snapshot::to_chrome_trace`] writes. An `E` with no open `B` on
-    /// its tid is an error; a `B` that never closes lands in
+    /// Parses a Chrome `{"traceEvents": [...]}` document: `B`/`E` pairs
+    /// matched per tid (innermost first) and complete `X` events become
+    /// spans in closing order, `i` events instants, `C` events series
+    /// points grouped by name. Timestamps are read as whole microseconds
+    /// — what [`Snapshot::to_chrome_trace`] writes. An `E` with no open
+    /// `B` on its tid is an error; a `B` that never closes lands in
     /// [`Snapshot::unclosed`].
-    fn read_trace_events(events: &[Value]) -> Result<Snapshot, String> {
+    fn from_chrome_trace(text: &str) -> Result<Snapshot, String> {
+        let doc = Value::parse(text)?;
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .ok_or("missing \"traceEvents\" array")?;
         let mut snap = Snapshot::default();
         let mut open: Vec<SpanRecord> = Vec::new();
         for e in events {
@@ -955,24 +1082,17 @@ mod tests {
         let root = TraceContext::root("tenant-a", 4);
         let mut snap = sample();
         let transfer = |src: u64, dst: u64, start_us, dur_us, trace| {
-            Event::Span(SpanRecord {
-                name: "transfer".into(),
-                tid: src + 1,
-                start_us,
-                dur_us,
-                attrs: vec![
-                    ("src".into(), AttrValue::U64(src)),
-                    ("dst".into(), AttrValue::U64(dst)),
-                    ("modeled_ms".into(), AttrValue::F64(5.25)),
-                ],
-                trace,
-            })
+            let mut span =
+                crate::causal::transfer_span(src as usize, dst as usize, start_us, dur_us);
+            span.attrs.push(("modeled_ms".into(), AttrValue::F64(5.25)));
+            span.trace = trace;
+            Event::Span(span)
         };
         snap.events.push(transfer(0, 1, 20, 500, Some(root)));
         snap.events
             .push(transfer(2, 1, 530, 500, Some(root.child(1))));
-        let jsonl = Snapshot::from_text(&snap.to_jsonl()).unwrap();
-        let chrome = Snapshot::from_text(&snap.to_chrome_trace()).unwrap();
+        let jsonl = Format::Jsonl.decode(&snap.to_jsonl()).unwrap();
+        let chrome = Format::Chrome.decode(&snap.to_chrome_trace()).unwrap();
         assert_eq!(jsonl, snap);
         // The Chrome document orders spans per track, not by commit.
         let spans = |s: &Snapshot| {
@@ -1028,6 +1148,58 @@ mod tests {
             |e| matches!(e.get("pid").and_then(Value::as_f64), Some(p) if p == 1.0
                 || p == 2.0)
         ));
+    }
+
+    #[test]
+    fn unknown_extensions_get_a_typed_error() {
+        let err = Format::of_path("dump.csv").unwrap_err();
+        assert_eq!(
+            err,
+            UnknownFormat {
+                extension: ".csv".into()
+            }
+        );
+        let msg = err.to_string();
+        for (ext, _) in EXTENSIONS {
+            assert!(msg.contains(ext), "{msg} should name {ext}");
+        }
+        assert_eq!(Format::of_path("noextension").unwrap_err().extension, "");
+        // The table is case-insensitive and reads the last extension.
+        assert_eq!(Format::of_path("dir.v2/RUN.Trace"), Ok(Format::Chrome));
+        assert_eq!(Format::of_path("metrics.prom.txt"), Ok(Format::Prometheus));
+        // A recognized extension still surfaces parse failures.
+        let jsonl = Format::of_path("x.jsonl").unwrap();
+        assert!(jsonl.decode("{\"type\":\"nope\"}").is_err());
+    }
+
+    #[test]
+    fn every_extension_reads_back_what_it_writes() {
+        let snap = sample();
+        for &(ext, format) in EXTENSIONS {
+            assert_eq!(Format::of_path(format!("capture{ext}")), Ok(format));
+            let back = format.decode(&format.encode(&snap)).unwrap();
+            match format {
+                Format::Jsonl => assert_eq!(back, snap),
+                Format::Chrome => {
+                    assert_eq!(back.spans().count(), 2, "{ext}");
+                    assert_eq!(back.instants().count(), 1, "{ext}");
+                    assert_eq!(back.series.len(), 1, "{ext}");
+                }
+                Format::Prometheus => {
+                    assert_eq!(back.counter("sched_matching_rounds"), Some(8));
+                    assert!(back.events.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prometheus_rejects_malformed_samples() {
+        assert!(Format::Prometheus.decode("name_only\n").is_err());
+        assert!(Format::Prometheus.decode("metric not_a_number\n").is_err());
+        assert!(Format::Prometheus
+            .decode("# TYPE h summary\nh 1\n")
+            .is_err());
     }
 
     #[test]

@@ -1,46 +1,11 @@
-//! Per-phase rollups of a recorded trace, for `adaptcomm obs-summary`.
+//! Per-phase rollups of a recorded capture, for `adaptcomm obs-summary`.
 //!
-//! A [`Summary`] is built from any exporter output — a Chrome
-//! `trace_event` document, a JSONL event stream, or a Prometheus text
-//! dump — and aggregates spans by name into [`PhaseTotal`] rows
-//! (count, total/min/max duration), alongside any counters and gauges
-//! the capture carried. [`Summary::from_named_text`] dispatches on the
-//! file extension and reports unknown ones as a typed
-//! [`SummaryError::UnknownFormat`] naming the supported set.
+//! A [`Summary`] is built from a [`Snapshot`] in any capture format (see
+//! [`crate::snapshot::Format`]) and aggregates spans by name into
+//! [`PhaseTotal`] rows (count, total/min/max duration), alongside any
+//! counters and gauges the capture carried.
 
 use crate::snapshot::Snapshot;
-
-/// The file extensions [`Summary::from_named_text`] understands.
-pub const SUPPORTED_EXTENSIONS: &[&str] = &[".json", ".jsonl", ".prom", ".txt"];
-
-/// Why a capture could not be summarized.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SummaryError {
-    /// The file extension names no exporter format.
-    UnknownFormat {
-        /// The offending extension (with its dot; empty when the name
-        /// had none).
-        extension: String,
-    },
-    /// The format was recognized but the content did not parse.
-    Parse(String),
-}
-
-impl std::fmt::Display for SummaryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SummaryError::UnknownFormat { extension } => write!(
-                f,
-                "unsupported capture format {:?} (supported: {})",
-                extension,
-                SUPPORTED_EXTENSIONS.join(", ")
-            ),
-            SummaryError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SummaryError {}
 
 /// A non-fatal defect found while reading a capture. The summary is
 /// still produced; warnings tell the reader what it cannot include.
@@ -109,111 +74,6 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Rolls up either exporter format (auto-detected by
-    /// [`Snapshot::from_text`]): a Chrome `trace_event` JSON document
-    /// or a JSONL event stream.
-    pub fn from_text(text: &str) -> Result<Summary, String> {
-        Ok(Self::from_snapshot(&Snapshot::from_text(text)?))
-    }
-
-    /// Parses `text` according to `name`'s file extension: `.json` /
-    /// `.jsonl` via [`Summary::from_text`], `.prom` / `.txt` via
-    /// [`Summary::from_prometheus`]. Anything else is a typed
-    /// [`SummaryError::UnknownFormat`] listing the supported set.
-    pub fn from_named_text(name: &str, text: &str) -> Result<Summary, SummaryError> {
-        let base = name.rsplit(['/', '\\']).next().unwrap_or(name);
-        let extension = match base.rfind('.') {
-            Some(dot) => base[dot..].to_ascii_lowercase(),
-            None => String::new(),
-        };
-        match extension.as_str() {
-            ".json" | ".jsonl" => Self::from_text(text).map_err(SummaryError::Parse),
-            ".prom" | ".txt" => Self::from_prometheus(text).map_err(SummaryError::Parse),
-            _ => Err(SummaryError::UnknownFormat { extension }),
-        }
-    }
-
-    /// Rolls up a Prometheus text dump ([`Snapshot::to_prometheus`]
-    /// output): counters and gauges come back by their sanitized names;
-    /// a histogram contributes its `_count` as a counter and its `_sum`
-    /// as a gauge (bucket lines carry no per-span information to
-    /// recover). A Prometheus dump has no spans, so `phases` is empty.
-    pub fn from_prometheus(text: &str) -> Result<Summary, String> {
-        let mut summary = Summary::default();
-        let mut kinds: Vec<(String, String)> = Vec::new();
-        let kind_of = |kinds: &[(String, String)], name: &str| -> Option<String> {
-            kinds
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, k)| k.clone())
-        };
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                let mut words = rest.split_whitespace();
-                if words.next() == Some("TYPE") {
-                    if let (Some(name), Some(kind)) = (words.next(), words.next()) {
-                        kinds.push((name.to_string(), kind.to_string()));
-                    }
-                }
-                continue;
-            }
-            let (name_part, value_part) = line
-                .rsplit_once(char::is_whitespace)
-                .ok_or_else(|| format!("line {}: expected \"name value\"", lineno + 1))?;
-            let value: f64 = value_part
-                .parse()
-                .map_err(|_| format!("line {}: bad sample value {value_part:?}", lineno + 1))?;
-            let name = name_part
-                .split_once('{')
-                .map_or(name_part, |(n, _)| n)
-                .to_string();
-            // Histogram expansion lines roll up under the declared base
-            // name: keep `_count` (as a counter) and `_sum` (as a
-            // gauge), skip the cumulative buckets.
-            let base_of = |suffix: &str| {
-                name.strip_suffix(suffix)
-                    .filter(|base| kind_of(&kinds, base).as_deref() == Some("histogram"))
-                    .map(str::to_string)
-            };
-            if base_of("_bucket").is_some() {
-                continue;
-            }
-            if base_of("_count").is_some() {
-                summary.counters.push((name, value as u64));
-                continue;
-            }
-            if base_of("_sum").is_some() {
-                summary.gauges.push((name, value));
-                continue;
-            }
-            match kind_of(&kinds, &name).as_deref() {
-                Some("counter") => summary.counters.push((name, value as u64)),
-                Some("gauge") => summary.gauges.push((name, value)),
-                Some(other) => {
-                    return Err(format!(
-                        "line {}: unsupported sample type {other:?} for {name:?}",
-                        lineno + 1
-                    ))
-                }
-                // Lenient on undeclared samples, like real scrapers:
-                // integral values read as counters, the rest as gauges.
-                None => {
-                    if value >= 0.0 && value.fract() == 0.0 {
-                        summary.counters.push((name, value as u64));
-                    } else {
-                        summary.gauges.push((name, value));
-                    }
-                }
-            }
-        }
-        summary.finish();
-        Ok(summary)
-    }
-
     /// Rolls up a parsed snapshot. Spans a truncated Chrome capture
     /// never closed are tolerated (their durations are unknowable) and
     /// reported as [`SummaryWarning::UnclosedSpan`].
@@ -357,6 +217,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Format, InstantRecord};
     use crate::Registry;
 
     fn sample_registry() -> Registry {
@@ -366,14 +227,19 @@ mod tests {
             reg.span("transfer").end();
         }
         reg.span("schedule").end();
-        reg.mark("replan").emit();
+        reg.record_instant(InstantRecord {
+            name: "replan".into(),
+            tid: 1,
+            ts_us: reg.now_us(),
+            attrs: vec![],
+        });
         reg
     }
 
     #[test]
     fn summarizes_jsonl() {
         let text = sample_registry().snapshot().to_jsonl();
-        let summary = Summary::from_text(&text).unwrap();
+        let summary = Summary::from_snapshot(&Format::Jsonl.decode(&text).unwrap());
         let transfer = summary
             .phases
             .iter()
@@ -390,7 +256,7 @@ mod tests {
     #[test]
     fn summarizes_chrome_trace() {
         let text = sample_registry().snapshot().to_chrome_trace();
-        let summary = Summary::from_text(&text).unwrap();
+        let summary = Summary::from_snapshot(&Format::Chrome.decode(&text).unwrap());
         let transfer = summary
             .phases
             .iter()
@@ -404,8 +270,8 @@ mod tests {
     #[test]
     fn chrome_and_jsonl_agree_on_counts() {
         let snap = sample_registry().snapshot();
-        let a = Summary::from_text(&snap.to_jsonl()).unwrap();
-        let b = Summary::from_text(&snap.to_chrome_trace()).unwrap();
+        let a = Summary::from_snapshot(&Format::Jsonl.decode(&snap.to_jsonl()).unwrap());
+        let b = Summary::from_snapshot(&Format::Chrome.decode(&snap.to_chrome_trace()).unwrap());
         let counts = |s: &Summary| {
             let mut v: Vec<(String, u64)> =
                 s.phases.iter().map(|p| (p.name.clone(), p.count)).collect();
@@ -421,7 +287,7 @@ mod tests {
             {"name":"a","ph":"B","ts":0,"pid":1,"tid":1},
             {"ph":"E","ts":50,"pid":1,"tid":1},
             {"name":"b","ph":"B","ts":60,"pid":1,"tid":1}]}"#;
-        let summary = Summary::from_text(text).unwrap();
+        let summary = Summary::from_snapshot(&Format::Chrome.decode(text).unwrap());
         // The closed span still aggregates; the truncated one is a
         // typed warning, not a silent drop or a hard error.
         assert_eq!(summary.phases.len(), 1);
@@ -437,7 +303,7 @@ mod tests {
         assert!(rendered.contains("never closed"), "{rendered}");
         // A genuinely malformed trace (E with no B) still errors.
         let bad = r#"{"traceEvents":[{"ph":"E","ts":5,"pid":1,"tid":9}]}"#;
-        assert!(Summary::from_text(bad).is_err());
+        assert!(Format::Chrome.decode(bad).is_err());
     }
 
     #[test]
@@ -477,7 +343,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_render() {
-        let summary = Summary::from_text("").unwrap();
+        let summary = Summary::from_snapshot(&Format::Jsonl.decode("").unwrap());
         assert!(summary.phases.is_empty());
         assert_eq!(summary.render(), "no spans recorded\n");
     }
@@ -488,7 +354,7 @@ mod tests {
         reg.gauge_set("queue.depth", 2.5);
         reg.observe("latency.ms", &[1.0, 10.0], 3.0);
         let text = reg.snapshot().to_prometheus();
-        let summary = Summary::from_named_text("metrics.prom", &text).unwrap();
+        let summary = Summary::from_snapshot(&Format::Prometheus.decode(&text).unwrap());
         assert!(summary.phases.is_empty());
         assert!(summary.counters.contains(&("sched_rounds".to_string(), 4)));
         assert!(summary.gauges.contains(&("queue_depth".to_string(), 2.5)));
@@ -502,35 +368,5 @@ mod tests {
         let rendered = summary.render();
         assert!(rendered.contains("sched_rounds: 4"));
         assert!(rendered.contains("queue_depth: 2.5"));
-    }
-
-    #[test]
-    fn unknown_extensions_get_a_typed_error() {
-        let err = Summary::from_named_text("dump.csv", "a,b\n").unwrap_err();
-        assert_eq!(
-            err,
-            SummaryError::UnknownFormat {
-                extension: ".csv".into()
-            }
-        );
-        let msg = err.to_string();
-        for ext in SUPPORTED_EXTENSIONS {
-            assert!(msg.contains(ext), "{msg} should name {ext}");
-        }
-        assert!(matches!(
-            Summary::from_named_text("noextension", ""),
-            Err(SummaryError::UnknownFormat { extension }) if extension.is_empty()
-        ));
-        // Recognized extensions still surface parse failures as Parse.
-        assert!(matches!(
-            Summary::from_named_text("x.jsonl", "{\"type\":\"nope\"}"),
-            Err(SummaryError::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn prometheus_rejects_malformed_samples() {
-        assert!(Summary::from_prometheus("name_only\n").is_err());
-        assert!(Summary::from_prometheus("metric not_a_number\n").is_err());
     }
 }

@@ -218,7 +218,12 @@ fn chrome_trace_has_balanced_phases_per_tid() {
             });
         }
     });
-    reg.mark("tick").emit();
+    reg.record_instant(InstantRecord {
+        name: "tick".into(),
+        tid: adaptcomm_obs::current_tid(),
+        ts_us: reg.now_us(),
+        attrs: vec![],
+    });
 
     let trace = reg.snapshot().to_chrome_trace();
     let doc = Value::parse(&trace).expect("trace must be valid JSON");

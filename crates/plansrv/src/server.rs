@@ -43,8 +43,9 @@ pub struct PlanServerConfig {
     /// knob for QoS tests and the CI smoke run; `None` in production.
     pub pace: Option<Duration>,
     /// LAP solver threads per solve (see
-    /// [`adaptcomm_lap::solve_min_warm_par`]) — bit-identical results at any
-    /// value, so this is purely a latency knob.
+    /// [`adaptcomm_core::algorithms::MatchingScheduler::with_threads`]) —
+    /// bit-identical results at any value, so this is purely a latency
+    /// knob.
     pub threads: usize,
 }
 

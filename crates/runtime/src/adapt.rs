@@ -37,7 +37,6 @@ use crate::channel::{run_shaped, CheckpointAction, FaultPolicy, ShapedConfig, Sh
 use crate::error::RuntimeError;
 use crate::prober::{MeasurementTamper, Prober};
 use crate::telemetry::Telemetry;
-use crate::trace::RunTrace;
 use crate::transport::Transport;
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_directory::DirectoryService;
@@ -207,9 +206,6 @@ impl RecoveryEvent {
 /// What a closed-loop run did.
 #[derive(Debug, Clone)]
 pub struct AdaptReport {
-    /// Concatenated event trace across attempts (wall clocks restart
-    /// per attempt; modeled time is globally monotone).
-    pub trace: RunTrace,
     /// All committed transfers across attempts, sorted by
     /// `(finish, src, dst)`.
     pub records: Vec<TransferRecord>,
@@ -582,7 +578,6 @@ impl<'a> CheckpointedRun<'a> {
         let mut lists: Vec<Vec<usize>> = lists.to_vec();
         let mut start_at = Millis::ZERO;
         let mut report = AdaptReport {
-            trace: RunTrace::new(),
             records: Vec::new(),
             makespan: Millis::ZERO,
             planned_makespan: Millis::ZERO,
@@ -624,7 +619,6 @@ impl<'a> CheckpointedRun<'a> {
             checkpoint_offset += stats.checkpoints;
             match result {
                 Ok(out) => {
-                    report.trace.events.extend(out.trace.events);
                     report.records.extend(out.records);
                     report.checkpoints_evaluated += out.checkpoints_evaluated;
                     report.reschedules += out.reschedules;
@@ -721,7 +715,6 @@ impl<'a> CheckpointedRun<'a> {
                     if report.attempts >= self.settings.max_attempts {
                         return Err(failure.error);
                     }
-                    report.trace.events.extend(failure.trace.events);
                     // Even an aborted attempt's completed transfers are
                     // probes: cross-check and publish them, so a link
                     // cannot dodge the trust check by lying in the same

@@ -10,7 +10,9 @@
 //!   sender's worker thread; a fault there stops the run with the message
 //!   still queued;
 //! * **on completion** — the policy takes that delivery's verdict from
-//!   the worker, records the transfer, and runs the checkpoint hook
+//!   the worker, records the transfer (and, when the global obs registry
+//!   is enabled, its `transfer` span, stamped on the registry's clock
+//!   from grant to verdict), and runs the checkpoint hook
 //!   (§6.3), which may hand back replanned queues
 //!   ([`Ports::replan`]) exactly like `adaptcomm_sim::dynamic::run_adaptive`
 //!   does at its completions; a refused delivery stops the run at its
@@ -22,20 +24,22 @@
 //! [`Transport`], report. Workers never see modeled time being decided, so
 //! the realized timeline does not depend on how the OS schedules them: it
 //! is what the simulator computes for the same decisions, bit for bit —
-//! [`price_frozen`] is the same policy with a frozen table and no workers.
+//! [`price_frozen`] is the same policy with a frozen table, no workers
+//! and no spans.
 
 use crate::error::RuntimeError;
-use crate::trace::{EventKind, RunTrace, RuntimeEvent};
 use crate::transport::{fill_payload, physical_len, Transport};
 use adaptcomm_core::checkpointed::CheckpointPolicy;
 use adaptcomm_core::kernel::{self, Policy, Ports, RunError};
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
+use adaptcomm_obs::causal::transfer_span;
+use adaptcomm_obs::Registry;
 use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Link-failure detection applied when a transfer is priced at its
 /// grant instant (satellite of §6.4: surfacing faults instead of
@@ -110,8 +114,6 @@ pub enum CheckpointAction {
 /// A completed shaped run.
 #[derive(Debug, Clone)]
 pub struct ShapedOutcome {
-    /// Full event trace (wall + modeled time).
-    pub trace: RunTrace,
     /// Completed transfers sorted by `(finish, src, dst)`, the
     /// simulator's record order.
     pub records: Vec<TransferRecord>,
@@ -128,8 +130,6 @@ pub struct ShapedOutcome {
 pub struct ShapedFailure {
     /// Why the run aborted.
     pub error: RuntimeError,
-    /// Partial trace up to the failure.
-    pub trace: RunTrace,
     /// Every transfer whose bytes reached the destination: completions
     /// before the failure, then in-flight grants whose delivery the
     /// transport accepted even as the run was stopping (settled after
@@ -212,14 +212,14 @@ struct Live<'a, E, H> {
     /// Per sender, its worker's verdicts, and those that arrived ahead of
     /// the completion asking for them.
     verdicts: Vec<(Receiver<Verdict>, Vec<Verdict>)>,
-    epoch: Instant,
-    trace: RunTrace,
+    /// With the global registry enabled (threaded runs only): the
+    /// registry, and per `[src * p + dst]` the registry time an
+    /// in-flight transfer was granted at.
+    obs: Option<(&'static Registry, Vec<u64>)>,
     /// Completed transfers, in completion order.
     records: Vec<TransferRecord>,
     /// `[src * p + dst]`: the start of a transfer that is in flight.
     in_flight: Vec<Option<f64>>,
-    /// Per sender: when it asked for the transfer it will start next.
-    requested_at: Vec<f64>,
     total: usize,
     /// Completion counts after which the hook runs, ascending.
     checkpoints: Vec<usize>,
@@ -261,11 +261,9 @@ where
             hook,
             jobs: Vec::new(),
             verdicts: Vec::new(),
-            epoch: Instant::now(),
-            trace: RunTrace::new(),
+            obs: None,
             records: Vec::with_capacity(total),
             in_flight: vec![None; p * p],
-            requested_at: vec![config.start_at.as_ms(); p],
             total,
             checkpoints: config.policy.checkpoints(total),
             checkpoints_evaluated: 0,
@@ -273,17 +271,6 @@ where
             failure: None,
             lost: Vec::new(),
         }
-    }
-
-    fn push_event(&mut self, kind: EventKind, src: usize, dst: usize, modeled: f64) {
-        self.trace.events.push(RuntimeEvent {
-            kind,
-            src,
-            dst,
-            bytes: self.sizes[src][dst],
-            modeled: Millis::new(modeled),
-            wall_us: self.epoch.elapsed().as_micros() as u64,
-        });
     }
 
     /// Why `src → dst`, priced at `dur` ms from `live`, must not start at
@@ -344,14 +331,25 @@ where
         }
     }
 
+    /// Commits a delivered transfer: its record, and its span when the
+    /// registry is on.
     fn record(&mut self, src: usize, dst: usize, start: f64, finish: f64) {
+        let bytes = self.sizes[src][dst];
         self.records.push(TransferRecord {
             src,
             dst,
-            bytes: self.sizes[src][dst],
+            bytes,
             start: Millis::new(start),
             finish: Millis::new(finish),
         });
+        if let Some((registry, granted_us)) = &self.obs {
+            let start_us = granted_us[src * self.sizes.len() + dst];
+            let dur_us = registry.now_us().saturating_sub(start_us);
+            let mut span = transfer_span(src, dst, start_us, dur_us);
+            span.attrs.push(("bytes".into(), bytes.as_u64().into()));
+            span.attrs.push(("modeled_ms".into(), finish.into()));
+            registry.record_span(span);
+        }
     }
 
     /// The run's verdict, from the kernel's final state, once every
@@ -366,7 +364,6 @@ where
             end.unwrap_or_else(|e| panic!("{e}"));
             let run = SimRun::from_records(self.records);
             return Ok(ShapedOutcome {
-                trace: self.trace,
                 records: run.records,
                 makespan: run.makespan,
                 checkpoints_evaluated: self.checkpoints_evaluated,
@@ -388,7 +385,6 @@ where
         }
         Err(ShapedFailure {
             error,
-            trace: self.trace,
             records: self.records,
             remaining: (0..p).map(|src| ports.remaining(src).to_vec()).collect(),
             send_busy_until: ports.send_busy_until().to_vec(),
@@ -416,10 +412,11 @@ where
             return f64::NAN;
         }
         let finish = now + dur;
-        self.push_event(EventKind::Request, src, dst, self.requested_at[src]);
-        self.push_event(EventKind::Grant, src, dst, now);
-        self.in_flight[src * self.sizes.len() + dst] = Some(now);
-        self.requested_at[src] = finish;
+        let link = src * self.sizes.len() + dst;
+        self.in_flight[link] = Some(now);
+        if let Some((registry, granted_us)) = &mut self.obs {
+            granted_us[link] = registry.now_us();
+        }
         if let Some(to_worker) = self.jobs.get(src) {
             // A worker that is gone says so at this transfer's completion.
             let _ = to_worker.send(Job {
@@ -446,7 +443,6 @@ where
             return;
         }
         self.record(src, dst, start, now);
-        self.push_event(EventKind::Complete, src, dst, now);
 
         if self.checkpoints.binary_search(&self.records.len()).is_err() {
             return;
@@ -469,11 +465,7 @@ where
                 assert_eq!(a, b, "replan changed sender {src}'s remaining messages");
             }
             self.reschedules += 1;
-            // Blocked senders request afresh at the checkpoint instant.
             ports.replan(queues);
-            for at in &mut self.requested_at {
-                *at = at.max(now);
-            }
         }
     }
 
@@ -542,7 +534,7 @@ pub fn price_frozen(
 /// retry needs. A worker whose transport panics is a
 /// [`RuntimeError::Transport`] failure of the delivery it died on.
 // The Err variant deliberately carries the full retry state (queues,
-// port availability, partial trace); failures are rare and boxing would
+// port availability, settled transfers); failures are rare and boxing would
 // push unwrapping noise into every retry driver.
 #[allow(clippy::result_large_err)]
 pub fn run_shaped<E, T, H>(
@@ -562,6 +554,10 @@ where
         // Owned by the scope's closure: if the hook panics, unwinding
         // hangs up on the workers before the scope waits for them.
         let mut live = Live::new(lists, sizes, evolution, config, hook);
+        let registry = adaptcomm_obs::global();
+        if registry.is_enabled() {
+            live.obs = Some((registry, vec![0; lists.len() * lists.len()]));
+        }
         let workers: Vec<_> = (0..lists.len())
             .map(|src| {
                 let (to_worker, jobs) = channel();
@@ -658,8 +654,6 @@ mod tests {
         assert_eq!(out.makespan, sim.makespan);
         // Every payload physically arrived, intact.
         assert_eq!(transport.receipts(), expected_receipts(&sizes, None));
-        // Trace is well-formed: one request+grant+complete per message.
-        assert_eq!(out.trace.events.len(), 3 * out.records.len());
     }
 
     #[test]
@@ -1091,6 +1085,5 @@ mod tests {
         })
         .expect("paced run completes");
         assert_eq!(out.records.len(), p * (p - 1));
-        assert!(out.trace.wall_elapsed_us() > 0);
     }
 }

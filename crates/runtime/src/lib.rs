@@ -12,13 +12,14 @@
 //! timeline is therefore the simulator's, bit for bit, however the OS
 //! schedules the threads — an equality the integration tests assert
 //! record for record.
+//! With the global `adaptcomm_obs` registry enabled, a threaded run also
+//! records every delivered transfer once, as an `obs::causal::transfer_span`
+//! on the registry's clock.
 //!
 //! On top of the engine:
 //!
 //! * [`transport`] — the physical byte path: in-process shaped channels
 //!   or genuinely concurrent loopback TCP ([`tcp`]);
-//! * [`trace`] — per-event traces stamped in wall *and* modeled time,
-//!   convertible to `sim::metrics` records;
 //! * [`prober`] — fits live `(T_ij, B_ij)` from completed transfers and
 //!   publishes them back into the `DirectoryService`;
 //! * [`adapt`] — [`adapt::CheckpointedRun`] closes the measure →
@@ -56,12 +57,10 @@
 pub mod adapt;
 pub mod channel;
 pub mod error;
-pub mod obs_bridge;
 pub mod prober;
 pub mod run;
 pub mod tcp;
 pub mod telemetry;
-pub mod trace;
 pub mod transport;
 
 pub use adapt::{
@@ -77,5 +76,4 @@ pub use prober::{LinkMeasurement, MeasurementTamper, Prober, PublishOutcome};
 pub use run::{execute, execute_adaptive, execute_adaptive_monitored, BackendKind, RunReport};
 pub use tcp::TcpTransport;
 pub use telemetry::Telemetry;
-pub use trace::{EventKind, RunTrace, RuntimeEvent};
 pub use transport::{ChannelTransport, ReceiptSummary, Transport};

@@ -2,7 +2,7 @@
 //!
 //! [`execute`] runs a send order on the chosen [`BackendKind`], verifies
 //! that every payload physically arrived (receipts vs. the expected
-//! tally), and folds the trace into [`SimMetrics`] — the same report the
+//! tally), and folds the records into [`SimMetrics`] — the same report the
 //! simulator produces, so CLI output and experiment notebooks can treat
 //! live runs and simulated runs uniformly.
 
@@ -10,7 +10,6 @@ use crate::adapt::{AdaptReport, AdaptSettings, CheckpointedRun};
 use crate::channel::{price_frozen, run_shaped, CheckpointAction, ShapedConfig};
 use crate::error::RuntimeError;
 use crate::tcp::TcpTransport;
-use crate::trace::RunTrace;
 use crate::transport::{expected_receipts, ChannelTransport, ReceiptSummary, Transport};
 use adaptcomm_directory::DirectoryService;
 use adaptcomm_model::units::{Bytes, Millis};
@@ -53,8 +52,6 @@ impl FromStr for BackendKind {
 pub struct RunReport {
     /// Which backend carried the bytes.
     pub backend: &'static str,
-    /// Full wall+modeled event trace.
-    pub trace: RunTrace,
     /// Committed transfers, simulator record order.
     pub records: Vec<TransferRecord>,
     /// Modeled completion time.
@@ -120,7 +117,6 @@ where
         metrics: SimMetrics::from_records(p, &out.records),
         makespan: out.makespan,
         records: out.records,
-        trace: out.trace,
         receipts,
         receipts_ok,
         checkpoints_evaluated: out.checkpoints_evaluated,
@@ -182,7 +178,6 @@ where
         metrics: SimMetrics::from_records(p, &report.records),
         makespan: report.makespan,
         records: report.records,
-        trace: report.trace,
         receipts,
         receipts_ok,
         checkpoints_evaluated: report.checkpoints_evaluated,

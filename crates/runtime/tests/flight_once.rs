@@ -4,7 +4,9 @@
 //! flight recorder. With the global registry enabled the note is also a
 //! registry instant, and the registry mirrors its instants into the
 //! flight ring — so the note must be committed through the registry, not
-//! beside it, or the ring holds every event twice. This file is its own
+//! beside it, or the ring holds every event twice. Every delivered
+//! transfer is one `transfer` span, on the registry's clock and on its
+//! sender's transfer track, across every attempt. This file is its own
 //! test binary: the registry and the ring are process-global.
 
 use adaptcomm_core::algorithms::{OpenShop, Scheduler};
@@ -14,6 +16,7 @@ use adaptcomm_directory::DirectoryService;
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bandwidth, Bytes, Millis};
+use adaptcomm_obs::causal::TRANSFER_TRACKS;
 use adaptcomm_obs::Snapshot;
 use adaptcomm_runtime::channel::FaultPolicy;
 use adaptcomm_runtime::transport::ChannelTransport;
@@ -66,6 +69,42 @@ fn run(script: Vec<Fault>) -> AdaptReport {
         .expect("every injected fault heals, so the run completes")
 }
 
+/// `captured` holds exactly one `transfer` span per record of `report`,
+/// each starting at or after `t0_us` on its sender's transfer track, and
+/// no transfer track carries any other span or instant.
+fn assert_one_span_per_record(captured: &Snapshot, report: &AdaptReport, t0_us: u64) {
+    let transfers: Vec<_> = captured.spans().filter(|s| s.name == "transfer").collect();
+    let mut spanned: Vec<(u64, u64)> = transfers
+        .iter()
+        .map(|s| {
+            let attr = |key: &str| match s.attrs.iter().find(|(k, _)| k == key) {
+                Some((_, adaptcomm_obs::AttrValue::U64(v))) => *v,
+                other => panic!("transfer span without a {key} attr: {other:?}"),
+            };
+            assert!(s.start_us >= t0_us, "{s:?} starts before the run");
+            assert_eq!(s.tid, TRANSFER_TRACKS + attr("src"), "{s:?}");
+            (attr("src"), attr("dst"))
+        })
+        .collect();
+    let mut recorded: Vec<(u64, u64)> = report
+        .records
+        .iter()
+        .map(|r| (r.src as u64, r.dst as u64))
+        .collect();
+    spanned.sort_unstable();
+    recorded.sort_unstable();
+    assert_eq!(spanned, recorded, "one transfer span per record");
+    let tracks: Vec<u64> = transfers.iter().map(|s| s.tid).collect();
+    let others = captured
+        .spans()
+        .filter(|s| s.name != "transfer")
+        .map(|s| (s.name.as_str(), s.tid))
+        .chain(captured.instants().map(|i| (i.name.as_str(), i.tid)));
+    for (name, tid) in others {
+        assert!(!tracks.contains(&tid), "{name} on transfer track {tid}");
+    }
+}
+
 fn fault(at: f64, src: usize, dst: usize, factor: f64) -> Fault {
     Fault {
         at: Millis::new(at),
@@ -80,20 +119,25 @@ fn with_obs_on_each_replan_fault_and_heal_lands_in_the_ring_once() {
     let registry = adaptcomm_obs::global();
     registry.set_enabled(true);
     // Drift only: every replan of the run is one successful attempt's.
+    let t0_us = registry.now_us();
     let drift = run(vec![fault(50.0, 0, 1, 0.2), fault(50.0, 3, 4, 0.25)]);
     let ring = adaptcomm_obs::flight().snapshot();
     let captured = registry.snapshot();
     assert!(drift.reschedules >= 1, "the drift must force a replan");
     assert_eq!(count(&ring, "runtime.replan"), drift.reschedules);
     assert_eq!(count(&captured, "runtime.replan"), drift.reschedules);
+    assert_one_span_per_record(&captured, &drift, t0_us);
 
-    // A link dead until 400 ms: one fault, one heal.
+    // A link dead until 400 ms: one fault, one heal, several attempts.
     registry.clear();
+    let t0_us = registry.now_us();
     let dead = run(vec![fault(0.0, 2, 4, 1e-9), fault(400.0, 2, 4, 1.0)]);
     registry.set_enabled(false);
     assert_eq!(dead.recovery_events.len(), 1);
+    assert!(dead.attempts >= 2, "the dead link forces a retry");
     let ring = adaptcomm_obs::flight().snapshot();
     let captured = registry.snapshot();
+    assert_one_span_per_record(&captured, &dead, t0_us);
     for (name, n) in [("runtime.fault", 1), ("runtime.heal", 1)] {
         assert_eq!(count(&ring, name), n, "{name} in the ring");
         assert_eq!(count(&captured, name), n, "{name} in the registry");

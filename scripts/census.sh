@@ -29,13 +29,19 @@
 # `plansrv::{cache, proto}`); a crate or parent is also owned when a row
 # names something inside it. A row is stale when its Modules column
 # names no module, or when a tests/, crates/, examples/, scripts/ or
-# benchmark/src/ path in its last column does not exist. The script
-# exits 1 when a module has no row or a row is stale.
+# benchmark/src/ path in its last column does not exist.
+#
+# And it checks the dependency edges: every `adaptcomm-*` entry under
+# `[dependencies]` in the root Cargo.toml or a crates/*/Cargo.toml must
+# be named (as `adaptcomm_*`) on a non-comment line of that crate's
+# src/. The script exits 1 when a module has no row, a row is stale or
+# an edge is unused.
 #
 # Usage (from the repository root):
 #   scripts/census.sh            summary line only
-#   scripts/census.sh --zero     items with no caller, unowned modules
-#                                and stale rows, then the summary
+#   scripts/census.sh --zero     items with no caller, unowned modules,
+#                                stale rows and unused dependency edges,
+#                                then the summary
 #   scripts/census.sh --one      settings fields with one value in use
 #   scripts/census.sh --all      every item, then the summary
 #
@@ -127,6 +133,22 @@ END {
 # Offender rows, if any, then the summary fragment on the last line.
 printf '%s\n' "$manifest" | sed '$d'
 summary=$(printf '%s\n' "$manifest" | tail -n 1)
+
+edges=0
+unused=0
+for toml in Cargo.toml crates/*/Cargo.toml; do
+    [ -f "$toml" ] || continue
+    dir=$(dirname "$toml")
+    for dep in $(awk '/^\[/ { deps = ($0 == "[dependencies]"); next }
+        deps && /^adaptcomm-/ { sub(/[ .=].*$/, ""); print }' "$toml"); do
+        edges=$((edges + 1))
+        if ! grep -rhw --include='*.rs' "$(printf '%s' "$dep" | tr - _)" "$dir/src" |
+            grep -qv '^[[:space:]]*//'; then
+            unused=$((unused + 1))
+            [ "$mode" = --zero ] && printf 'edge\t%s\t%s\tunused dependency\n' "$dep" "$toml"
+        fi
+    done
+done
 
 find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*' |
     LC_ALL=C sort |
@@ -257,8 +279,9 @@ END {
     }
     printf "census: %d public items, %d with no caller; %d settings fields, %d with one value in use; %s\n", n, zero, settings, single, manifest
 }
-' manifest="$summary"
+' manifest="$summary; $edges dependency edges, $unused unused"
 case "$summary" in
 *" 0 without a manifest row, 0 stale rows") ;;
 *) exit 1 ;;
 esac
+[ "$unused" -eq 0 ] || exit 1

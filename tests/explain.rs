@@ -5,6 +5,7 @@
 //! as clean.
 
 use adaptcomm::obs::causal::diff_captures;
+use adaptcomm::obs::Format;
 use adaptcomm::prelude::*;
 use adaptcomm::scheduling::analyze::{apply_speedup, dag_of};
 use adaptcomm::scheduling::execution::execute_listed;
@@ -131,15 +132,19 @@ fn what_if_is_monotone_and_zero_off_the_critical_path() {
 /// acceptance criterion).
 #[test]
 fn committed_captures_self_diff_to_zero() {
-    let base = include_str!("data/explain_base.jsonl");
-    let head = include_str!("data/explain_head.jsonl");
+    let base = Format::Jsonl
+        .decode(include_str!("data/explain_base.jsonl"))
+        .unwrap();
+    let head = Format::Jsonl
+        .decode(include_str!("data/explain_head.jsonl"))
+        .unwrap();
 
-    let transfers = adaptcomm::obs::causal::transfers_from_text(base).unwrap();
+    let transfers = adaptcomm::obs::causal::transfers_from_snapshot(&base);
     assert!(!transfers.is_empty(), "fixture must hold transfer spans");
     let dag = adaptcomm::obs::causal::CausalDag::new(transfers);
     assert!(dag.completion_ms() > 0.0);
 
-    let diff = diff_captures(base, head).unwrap();
+    let diff = diff_captures(&base, &head);
     assert!(
         diff.worst_regression().is_none(),
         "identical captures must not regress: {:?}",
