@@ -10,8 +10,9 @@
 //!
 //! Rows, on the Figure-10 instances (`Scenario::Large`, seed `42 + P`)
 //! at `P ∈ {256, 512, 1024}`: `baseline`, `greedy`, `openshop`
-//! (`send_order`), and per matching kind `.cold` (`plan_seeded(m,
-//! None)`), `.one-link` (`replan_incremental` after one link costs
+//! (`send_order`), `kernel` (`execute_listed` of the open-shop order:
+//! the port-model kernel on its own), and per matching kind `.cold`
+//! (`plan_seeded(m, None)`), `.one-link` (`replan_incremental` after one link costs
 //! ×1.3: the diff, the per-round dual-gap certificate — which keeps
 //! every round here — and the re-solved suffix, if any) and `.replay`
 //! (`send_order` on a scheduler that retains the plan); plus, at `P = 256`, `obs-overhead` (the
@@ -27,6 +28,7 @@ use adaptcomm_core::algorithms::{
 };
 use adaptcomm_core::analyze::dag_of;
 use adaptcomm_core::depgraph::baseline_step_ordered_completion;
+use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_obs::json::Value;
 use adaptcomm_workloads::Scenario;
@@ -168,6 +170,9 @@ fn measure_table(sizes: &[usize], repeats: usize) -> Vec<Row> {
             let ms = measure(repeats, || s.send_order(&m).order.len());
             emit(s.name(), p, ms, "");
         }
+        let order = OpenShop.send_order(&m);
+        let ms = measure(repeats, || execute_listed(&order, &m).events().len());
+        emit("kernel", p, ms, "");
         for kind in [MatchingKind::Max, MatchingKind::Min] {
             let sched = MatchingScheduler::new(kind);
             let name = sched.name();
@@ -282,7 +287,7 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let rows = parse_rows(&text).unwrap();
         assert_eq!(render_rows(&rows), text);
-        assert_eq!(rows.len(), 29);
+        assert_eq!(rows.len(), 32);
         assert!(rows.iter().all(|r| r.ms > 0.0 && r.ms <= r.target_ms));
         assert!(parse_rows("[{\"name\":\"x\",\"p\":4,\"ms\":1}]").is_err());
         assert!(parse_rows("{}").is_err());

@@ -8,13 +8,14 @@
 //! * **ports** — one send port and one receive port per node (a receive
 //!   port holds up to [`Policy::fan_in`] transfers that were admitted
 //!   together, one in the base model);
-//! * **the pending queue** of each receiver and its FCFS grant: the
-//!   earliest `(arrival, sender)` request goes first;
+//! * **the pending queue** of each receiver, kept in `(arrival, sender)`
+//!   order, and its FCFS grant: the first request that fits goes first;
 //! * **the calendar**, totally ordered by `(time, class, key, seq)`, and
 //!   its typed rejection of non-finite or backwards event times
 //!   ([`ScheduleError`]);
-//! * **the outcome** — transfers in start order, the `(finish, src, dst)`
-//!   completion order ([`completion_order`]) and the makespan.
+//! * **the outcome** — transfers in start order, the order they completed
+//!   in, which [`completion_order`] turns into the `(finish, src, dst)`
+//!   order by re-sorting ties at one instant, and the makespan.
 //!
 //! A policy decides only what actually differs between the executors: how
 //! a transfer is **priced** at its start, what a port **admits**
@@ -36,15 +37,17 @@
 //!
 //! So a grant at time `t` sees every request that arrived at or before
 //! `t`, and what remains is settled by processor id — the paper's
-//! "arbitrary (but fixed) order". A sender's release is its own class-0
-//! event at its transfer's finish and does **not** ride on the
-//! completion: a transfer that finishes at the instant it starts (an
-//! exact-zero cost cell) must let its sender re-request before any
-//! receiver at that instant frees, or the run differs
-//! (`tests/port_kernel.rs` holds the 3-processor instance: 30 ms, not 20).
-//! Every policy runs under this one rule.
+//! "arbitrary (but fixed) order". A sender's release is a class-0 event
+//! at its transfer's finish, so a transfer that finishes at the instant it
+//! starts (an exact-zero cost cell) lets its sender re-request before any
+//! receiver at that instant frees (`tests/port_kernel.rs` holds the
+//! 3-processor instance: 30 ms, not 20). One calendar entry per transfer
+//! carries both: it pops as the release, and the completion is handled
+//! straight after unless the calendar then holds an event that pops
+//! before it, in which case it goes back as an entry of its own. Every
+//! policy runs under this one rule.
 
-use crate::schedule::ScheduledEvent;
+use crate::schedule::{sort_by_instant, ScheduledEvent};
 use adaptcomm_model::units::Millis;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -168,24 +171,31 @@ impl<F: FnMut(usize, usize) -> f64> Policy for F {
 /// A calendar entry; its order is the `(time, class, key, seq)` of the
 /// module docs and the only event ordering in the port model. Class, key
 /// and sequence number share one word, most significant first, so the
-/// last three are one integer comparison and an entry is three words —
-/// the heap is where an execution spends its time.
-#[derive(Debug)]
+/// last three are one integer comparison and an entry is three words.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     time: f64,
     /// `class << 62 | key << 38 | seq`.
     rank: u64,
-    src: u32,
-    dst: u32,
+    /// READY: the sender. TIMER: the receiver.
+    who: u32,
+    /// The transfer's index in [`Ports::started`]: DONE, and READY with
+    /// [`CARRIES`] set when the release carries the transfer's completion.
+    idx: u32,
 }
 
-/// Event classes: a sender (`src`) requests · a transfer `src → dst`
-/// completes · a policy timer for `dst` fires.
+/// Event classes: a sender (`who`) requests · transfer `idx` completes ·
+/// a policy timer for `who` fires.
 const READY: u64 = 0;
 const DONE: u64 = 1;
 const TIMER: u64 = 2;
 const KEY_BITS: u32 = 24;
 const SEQ_BITS: u32 = 38;
+const CLASS_SHIFT: u32 = KEY_BITS + SEQ_BITS;
+/// The flag bit of [`Entry::idx`], set on a release that carries its
+/// transfer's completion: an index has 31 bits, so a run moves at most
+/// 2³¹ messages (P ≤ 46 340).
+const CARRIES: u32 = 1 << 31;
 
 impl PartialEq for Entry {
     fn eq(&self, o: &Self) -> bool {
@@ -216,14 +226,16 @@ pub struct Ports {
     flat: Vec<usize>,
     head: Vec<usize>,
     end: Vec<usize>,
-    /// Per receiver: `(arrival, sender)` requests waiting for the port.
+    /// Per receiver: requests waiting for the port, in `(arrival,
+    /// sender)` order.
     pending: Vec<Vec<(f64, usize)>>,
     /// Per receiver: receives in flight.
     receiving: Vec<usize>,
     send_busy_until: Vec<f64>,
     recv_busy_until: Vec<f64>,
     events: Vec<ScheduledEvent>,
-    completed: usize,
+    /// Indices into `events`, in the order the transfers completed.
+    completions: Vec<u32>,
     batch: Vec<usize>,
     /// Requests made at the current instant, not yet served.
     instant: Vec<usize>,
@@ -237,6 +249,7 @@ impl Ports {
     /// Ports at rest at `start_at`: free from then, nothing started.
     fn new(lists: &[Vec<usize>], start_at: f64) -> Self {
         let p = lists.len();
+        let messages = lists.iter().map(Vec::len).sum();
         let mut ports = Ports {
             heap: BinaryHeap::new(),
             seq: 0,
@@ -248,8 +261,8 @@ impl Ports {
             receiving: vec![0; p],
             send_busy_until: vec![start_at; p],
             recv_busy_until: vec![start_at; p],
-            events: Vec::with_capacity(lists.iter().map(Vec::len).sum()),
-            completed: 0,
+            events: Vec::with_capacity(messages),
+            completions: Vec::with_capacity(messages),
             batch: Vec::new(),
             instant: Vec::new(),
             popped: 0,
@@ -283,7 +296,7 @@ impl Ports {
 
     /// Transfers completed so far, the one being reported included.
     pub fn completed(&self) -> usize {
-        self.completed
+        self.completions.len()
     }
 
     /// When each send port finishes the last transfer it started.
@@ -298,8 +311,9 @@ impl Ports {
 
     /// Replaces the remaining queues. Pending requests are cancelled —
     /// their messages are part of `queues` — and every blocked sender
-    /// requests afresh at this instant, receiver by receiver in the order the
-    /// requests were waiting. In-flight transfers are untouched.
+    /// requests afresh at this instant (in the order the requests were
+    /// waiting, which the calendar's sender key overrides). In-flight
+    /// transfers are untouched.
     pub fn replan(&mut self, queues: Vec<Vec<usize>>) {
         assert_eq!(queues.len(), self.head.len(), "replan changed P");
         self.set_queues(queues.iter().map(Vec::as_slice));
@@ -314,20 +328,20 @@ impl Ports {
     /// non-finite or past `at`: a timer is the policy's own arithmetic,
     /// not scenario input.
     pub fn timer(&mut self, at: f64, dst: usize) {
-        if let Err(e) = self.schedule(at, TIMER, dst, 0, dst) {
+        if let Err(e) = self.schedule(at, TIMER, dst, dst, 0) {
             panic!("{e}");
         }
     }
 
-    /// Schedules a `class` event about `src` and/or `dst`, tie-keyed by
-    /// processor `id`.
+    /// Schedules a `class` event tie-keyed by processor `key`, with the
+    /// entry's `who` and `idx`.
     fn schedule(
         &mut self,
         time: f64,
         class: u64,
-        id: usize,
-        src: usize,
-        dst: usize,
+        key: usize,
+        who: usize,
+        idx: u32,
     ) -> Result<(), ScheduleError> {
         if !time.is_finite() {
             return Err(ScheduleError::NonFiniteTime { time });
@@ -341,21 +355,47 @@ impl Ports {
         assert!(self.seq < 1 << SEQ_BITS, "calendar sequence exhausted");
         self.heap.push(Reverse(Entry {
             time,
-            rank: class << (KEY_BITS + SEQ_BITS) | (id as u64) << SEQ_BITS | self.seq,
-            src: src as u32,
-            dst: dst as u32,
+            rank: class << CLASS_SHIFT | (key as u64) << SEQ_BITS | self.seq,
+            who: who as u32,
+            idx,
         }));
         self.seq += 1;
         Ok(())
     }
 
-    /// The next event: `(time, class, src, dst)`.
-    fn pop(&mut self) -> Option<(f64, u64, usize, usize)> {
+    /// The next event.
+    fn pop(&mut self) -> Option<Entry> {
         let Reverse(e) = self.heap.pop()?;
         self.clock = self.clock.max(e.time);
         self.popped += 1;
-        let class = e.rank >> (KEY_BITS + SEQ_BITS);
-        Some((e.time, class, e.src as usize, e.dst as usize))
+        Some(e)
+    }
+
+    /// The completion a popped release `e` carries, if it is due now: if
+    /// an event pops before it (another at this instant, or a zero-cost
+    /// transfer the release started), it goes back as an entry of its own.
+    fn carried(&mut self, e: Entry) -> Option<u32> {
+        if e.idx & CARRIES == 0 {
+            return None;
+        }
+        let idx = e.idx & !CARRIES;
+        let dst = self.events[idx as usize].dst as u64;
+        let rank = DONE << CLASS_SHIFT | dst << SEQ_BITS | e.rank & ((1 << SEQ_BITS) - 1);
+        let done = Entry { rank, idx, ..e };
+        if self.heap.peek().is_some_and(|Reverse(top)| *top < done) {
+            self.heap.push(Reverse(done));
+            return None;
+        }
+        Some(idx)
+    }
+
+    /// Transfer `idx` completes at `now`; returns its receiver.
+    fn complete<P: Policy>(&mut self, policy: &mut P, idx: u32, now: f64) -> usize {
+        let ScheduledEvent { src, dst, .. } = self.events[idx as usize];
+        self.receiving[dst] -= 1;
+        self.completions.push(idx);
+        policy.on_completion(self, now, src, dst);
+        dst
     }
 
     /// `src` requests its next destination at the current instant: a
@@ -386,16 +426,13 @@ impl Ports {
         Ok(())
     }
 
-    /// The FCFS grant: removes the earliest `(arrival, sender)` request
-    /// waiting at `dst` among those that fit.
+    /// The FCFS grant: removes the first request waiting at `dst` that
+    /// fits — the earliest `(arrival, sender)` among those.
     fn take_head<P: Policy>(&mut self, policy: &P, dst: usize) -> Option<usize> {
         let head = self.pending[dst]
             .iter()
-            .enumerate()
-            .filter(|(_, &(_, src))| policy.fits(src, dst))
-            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(k, _)| k)?;
-        Some(self.pending[dst].swap_remove(head).1)
+            .position(|&(_, src)| policy.fits(src, dst))?;
+        Some(self.pending[dst].remove(head).1)
     }
 
     /// A free port re-admits: its FCFS head requests again at `now`, so
@@ -421,7 +458,12 @@ impl Ports {
         };
         let port_free = self.receiving[dst] == 0;
         if !port_free || !policy.fits(src, dst) {
-            self.pending[dst].push((now, src));
+            // In `(arrival, sender)` order. Arrivals do not go backwards,
+            // so the walk back passes only this instant's higher ids.
+            let queue = &mut self.pending[dst];
+            let after = |&(t, s): &(f64, usize)| t.total_cmp(&now).then(s.cmp(&src)).is_lt();
+            let at = queue.iter().rposition(after).map_or(0, |k| k + 1);
+            queue.insert(at, (now, src));
             self.grants_queued += 1;
             self.max_queue_depth = self.max_queue_depth.max(self.pending[dst].len());
             if port_free {
@@ -440,10 +482,9 @@ impl Ports {
         }
         let finish = now + policy.price(now, &batch, dst);
         for &src in &batch {
-            self.schedule(finish, DONE, dst, src, dst)
+            let idx = self.events.len() as u32 | CARRIES;
+            self.schedule(finish, READY, batch[0], src, idx)
                 .map_err(|cause| RunError::DegenerateEvent { src, dst, cause })?;
-            self.schedule(finish, READY, batch[0], src, 0)
-                .expect("the completion at this instant was accepted");
             self.head[src] += 1;
             self.receiving[dst] += 1;
             self.send_busy_until[src] = finish;
@@ -465,18 +506,18 @@ impl Ports {
 pub struct Outcome {
     /// Every transfer, in the order they started.
     pub events: Vec<ScheduledEvent>,
+    /// Indices into `events`, in the order the transfers completed
+    /// (ascending by finish; ties in the calendar's order).
+    pub completions: Vec<u32>,
     /// When the last transfer finished.
     pub makespan: Millis,
 }
 
 /// Sorts transfers into completion order, in place: by the `(finish, src,
-/// dst)` (unique: a message runs once) `key` reads off the caller's type.
+/// dst)` (unique: a message runs once) `key` reads off the caller's type;
+/// in a kernel's completion sequence only each instant's ties move.
 pub fn completion_order<T>(transfers: &mut [T], key: impl Fn(&T) -> (Millis, usize, usize)) {
-    transfers.sort_unstable_by(|a, b| {
-        let ((a_finish, a_src, a_dst), (b_finish, b_src, b_dst)) = (key(a), key(b));
-        let by_finish = a_finish.as_ms().total_cmp(&b_finish.as_ms());
-        by_finish.then((a_src, a_dst).cmp(&(b_src, b_dst)))
-    });
+    sort_by_instant(transfers, |t| key(t).0.as_ms(), |t| (key(t).1, key(t).2));
 }
 
 /// Executes the per-sender destination `lists` under `policy`, every
@@ -486,6 +527,7 @@ pub fn run<P: Policy>(lists: &[Vec<usize>], policy: &mut P) -> Result<Outcome, R
     end.map(|()| Outcome {
         makespan: (ports.events.iter().map(|e| e.finish)).fold(Millis::ZERO, Millis::max),
         events: ports.events,
+        completions: ports.completions,
     })
 }
 
@@ -505,11 +547,16 @@ pub fn run_from<P: Policy>(
         lists.len() <= 1 << KEY_BITS,
         "more processors than a key holds"
     );
+    assert!(
+        lists.iter().map(Vec::len).sum::<usize>() <= CARRIES as usize,
+        "more messages than an entry's index holds"
+    );
     let mut ports = Ports::new(lists, start_at);
     let end = ports.drain(policy, start_at);
 
     let obs = adaptcomm_obs::global();
     if obs.is_enabled() {
+        // Calendar pops: one per transfer, plus a completion sent back.
         obs.add("sim.events", ports.popped);
         let started = ports.events.len() as u64;
         obs.add("sim.grants.queued", ports.grants_queued);
@@ -533,19 +580,22 @@ impl Ports {
             self.ready(src);
         }
         self.serve_instant(policy, start_at)?;
-        while let Some((now, class, src, dst)) = self.pop() {
-            match class {
+        while let Some(e) = self.pop() {
+            let now = e.time;
+            let dst = match e.rank >> CLASS_SHIFT {
                 READY => {
-                    self.request(policy, src, now)?;
-                    continue;
+                    self.request(policy, e.who as usize, now)?;
+                    let Some(idx) = self.carried(e) else {
+                        continue;
+                    };
+                    self.complete(policy, idx, now)
                 }
-                DONE => {
-                    self.receiving[dst] -= 1;
-                    self.completed += 1;
-                    policy.on_completion(self, now, src, dst);
+                DONE => self.complete(policy, e.idx, now),
+                _ => {
+                    policy.on_timer(self, now, e.who as usize);
+                    e.who as usize
                 }
-                _ => policy.on_timer(self, now, dst),
-            }
+            };
             if policy.stopped() {
                 return Ok(());
             }
@@ -565,10 +615,10 @@ mod tests {
         Ports::new(&[vec![], vec![], vec![]], 0.0)
     }
 
-    /// Pops everything: `(class, src, dst)`.
-    fn drain(ports: &mut Ports) -> Vec<(u64, usize, usize)> {
+    /// Pops everything: `(class, who, idx)`.
+    fn drain(ports: &mut Ports) -> Vec<(u64, usize, u32)> {
         std::iter::from_fn(|| ports.pop())
-            .map(|(_, class, src, dst)| (class, src, dst))
+            .map(|e| (e.rank >> CLASS_SHIFT, e.who as usize, e.idx))
             .collect()
     }
 
@@ -576,8 +626,8 @@ mod tests {
     fn calendar_pops_by_time_then_class_then_processor_id() {
         let mut c = ports();
         c.schedule(5.0, READY, 0, 0, 0).unwrap();
-        c.schedule(2.0, TIMER, 1, 0, 1).unwrap();
-        c.schedule(2.0, DONE, 2, 0, 2).unwrap();
+        c.schedule(2.0, TIMER, 1, 1, 0).unwrap();
+        c.schedule(2.0, DONE, 2, 0, 7).unwrap();
         c.schedule(2.0, READY, 2, 2, 0).unwrap();
         c.schedule(2.0, READY, 1, 1, 0).unwrap();
         assert_eq!(
@@ -585,8 +635,8 @@ mod tests {
             [
                 (READY, 1, 0),
                 (READY, 2, 0),
-                (DONE, 0, 2),
-                (TIMER, 0, 1),
+                (DONE, 0, 7),
+                (TIMER, 1, 0),
                 (READY, 0, 0)
             ]
         );

@@ -97,6 +97,22 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// Sorts `items` by `(instant, tie)`, stably. Input that is ascending by
+/// instant already, as an event loop emits it, costs one pass and a sort
+/// of each instant's ties; anything else is sorted whole.
+pub(crate) fn sort_by_instant<T>(
+    items: &mut [T],
+    instant: impl Fn(&T) -> f64,
+    tie: impl Fn(&T) -> (usize, usize),
+) {
+    let by_instant = |a: &T, b: &T| instant(a).total_cmp(&instant(b));
+    let by_key = |a: &T, b: &T| by_instant(a, b).then(tie(a).cmp(&tie(b)));
+    if !items.is_sorted_by(|a, b| by_instant(a, b).is_le()) {
+        return items.sort_by(by_key);
+    }
+    (items.chunk_by_mut(|a, b| by_instant(a, b).is_eq())).for_each(|ties| ties.sort_by(by_key));
+}
+
 /// A complete communication schedule for a `P`-processor total exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
@@ -110,13 +126,7 @@ pub struct Schedule {
 impl Schedule {
     /// Builds a schedule from events. Events are re-sorted internally.
     pub fn new(matrix: CommMatrix, mut events: Vec<ScheduledEvent>) -> Self {
-        events.sort_by(|a, b| {
-            a.start
-                .as_ms()
-                .total_cmp(&b.start.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
+        sort_by_instant(&mut events, |e| e.start.as_ms(), |e| (e.src, e.dst));
         Schedule {
             p: matrix.len(),
             events,

@@ -47,10 +47,13 @@ impl SimRun {
     }
 }
 
-/// Kernel events as records carrying their sizes, in start order.
-pub(crate) fn sized(events: &[ScheduledEvent], sizes: &[Vec<Bytes>]) -> Vec<TransferRecord> {
+/// Kernel events as records carrying their sizes, in the order given.
+pub(crate) fn sized<'a>(
+    events: impl IntoIterator<Item = &'a ScheduledEvent>,
+    sizes: &[Vec<Bytes>],
+) -> Vec<TransferRecord> {
     events
-        .iter()
+        .into_iter()
         .map(|e| TransferRecord {
             src: e.src,
             dst: e.dst,
@@ -61,9 +64,11 @@ pub(crate) fn sized(events: &[ScheduledEvent], sizes: &[Vec<Bytes>]) -> Vec<Tran
         .collect()
 }
 
-/// A kernel run as a [`SimRun`]: records in completion order.
+/// A kernel run as a [`SimRun`]: records built in the order the
+/// transfers completed, so sorting them moves only ties at one instant.
 pub(crate) fn sim_run(run: kernel::Outcome, sizes: &[Vec<Bytes>]) -> SimRun {
-    SimRun::from_records(sized(&run.events, sizes))
+    let done = run.completions.iter().map(|&k| &run.events[k as usize]);
+    SimRun::from_records(sized(done, sizes))
 }
 
 /// Simulates `order` over `network` with message sizes `sizes[src][dst]`:

@@ -26,7 +26,7 @@ use adaptcomm_model::topology::{LinkId, Topology};
 use adaptcomm_model::units::{Bytes, Millis};
 use std::collections::HashMap;
 
-use crate::executor::TransferRecord;
+use crate::executor::{SimRun, TransferRecord};
 
 #[derive(Debug)]
 struct Active {
@@ -233,17 +233,7 @@ pub fn run_fluid(topology: &Topology, order: &SendOrder, sizes: &[Vec<Bytes>]) -
         }
     }
 
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
+    let SimRun { records, makespan } = SimRun::from_records(records);
     FluidRun { records, makespan }
 }
 

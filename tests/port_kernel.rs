@@ -11,7 +11,11 @@
 //!   cells;
 //! * `run_buffered` / `run_interleaved` in their non-degenerate
 //!   configurations hash to digests captured at the parent commit
-//!   (`de14e3c`, private event loops) on a tie-free grid.
+//!   (`de14e3c`, private event loops) on a tie-free grid;
+//! * the three ways one calendar entry carrying a transfer's release
+//!   and its completion can leave the tie rule each have a named
+//!   instance, and the kernel's completion sequence is the `(finish,
+//!   src, dst)` order up to ties at one instant on every grid above.
 //!
 //! `run_adaptive` is held to `run_static` by the identity (and the
 //! goldens) in `tests/pricing_equiv.rs`; the degenerate §6.1
@@ -22,6 +26,7 @@ use adaptcomm::model::cost::{BufferedModel, InterleavedModel, LinkEstimate};
 use adaptcomm::prelude::*;
 use adaptcomm::scheduling::execution::execute_listed;
 use adaptcomm::scheduling::fingerprint::Fnv1a;
+use adaptcomm::scheduling::kernel::{self, completion_order, Outcome, Policy};
 use adaptcomm::sim::buffered::run_buffered;
 use adaptcomm::sim::interleaved::run_interleaved;
 use adaptcomm::sim::{run_static, TransferRecord};
@@ -468,4 +473,167 @@ fn extensions_hash_to_the_digests_captured_at_the_parent() {
         "got {:#018x?}",
         got.iter().map(|g| (g.1, g.2)).collect::<Vec<_>>()
     );
+}
+
+// ---------------------------------------------------------------------
+// (c) a folded release: the named hazards and the completion sequence
+// ---------------------------------------------------------------------
+
+/// `execute_listed` of `order` over `rows` against the reference, bit
+/// for bit; the schedule for further checks.
+fn assert_listed_matches(rows: &[Vec<f64>], order: &[Vec<usize>], what: &str) -> Schedule {
+    let listed = execute_listed(
+        &SendOrder::new(order.to_vec()),
+        &CommMatrix::from_rows(rows),
+    );
+    let want = reference(order, |s, d| rows[s][d]);
+    assert_eq!(bits(&spans_of_schedule(&listed)), bits(&want), "{what}");
+    listed
+}
+
+fn finish_of(schedule: &Schedule, src: usize, dst: usize) -> f64 {
+    let e = schedule
+        .events()
+        .iter()
+        .find(|e| (e.src, e.dst) == (src, dst));
+    e.expect("every message runs").finish.as_ms()
+}
+
+/// Two completions at one instant: under the matching-max order on
+/// GUSTO, 4→0 and 0→4 finish together. Both releases pop before either
+/// completion is handled; a fold that handled one completion with its
+/// release, before the other's release, lost transfer 4→1.
+#[test]
+fn two_folded_completions_at_one_instant_release_before_either_completes() {
+    let net = adaptcomm::model::gusto::gusto_params();
+    let sizes = uniform_sizes(net.len(), Bytes::MB);
+    let matrix = CommMatrix::from_model(&net, &sizes);
+    let order = MatchingScheduler::new(MatchingKind::Max).send_order(&matrix);
+    let listed = execute_listed(&order, &matrix);
+    let (a, b) = (finish_of(&listed, 4, 0), finish_of(&listed, 0, 4));
+    assert_eq!(
+        a.to_bits(),
+        b.to_bits(),
+        "the two completions share an instant"
+    );
+    assert_eq!(a.round(), 20_502.0);
+    assert_eq!(listed.events().len(), net.len() * (net.len() - 1));
+    assert_static_executors_match(&order, &net, &sizes, "GUSTO matching-max");
+}
+
+/// A transfer alone at its instant (3→0 at 30 ms) whose release starts
+/// a zero-cost transfer (3→1): that transfer's release pops before the
+/// completion of 3→0, so sender 3 claims receiver 2 at 30 ms ahead of
+/// sender 1, which the completion's grant (1→0, also free of charge)
+/// releases at the same instant.
+#[test]
+fn a_zero_cost_start_by_a_lone_release_pops_before_the_completion() {
+    let rows = vec![
+        vec![0.0, 0.0, 0.0, 10.0],
+        vec![0.0, 0.0, 10.0, 10.0],
+        vec![30.0, 0.0, 0.0, 30.0],
+        vec![30.0, 0.0, 10.0, 0.0],
+    ];
+    let order = [vec![2, 1, 3], vec![3, 0, 2], vec![3, 0, 1], vec![0, 1, 2]];
+    let listed = assert_listed_matches(&rows, &order, "zero-cost start by a lone release");
+    assert_eq!(finish_of(&listed, 3, 2), 40.0);
+    assert_eq!(finish_of(&listed, 1, 2), 50.0);
+}
+
+/// Sender 2's release at 30 ms starts 2→1 before the completion of 2→0
+/// is handled, so the completion must name its own transfer: read off a
+/// per-sender "current transfer" it would free port 1 instead of port 0,
+/// and 1→0 would never start.
+#[test]
+fn a_sender_starting_its_next_transfer_first_completes_the_right_one() {
+    let rows = vec![
+        vec![0.0, 10.0, 5.0],
+        vec![5.0, 0.0, 20.0],
+        vec![30.0, 5.0, 0.0],
+    ];
+    let caterpillar = [vec![1, 2], vec![2, 0], vec![0, 1]];
+    let listed = assert_listed_matches(&rows, &caterpillar, "release before completion");
+    assert_eq!(finish_of(&listed, 2, 1), 35.0);
+    assert_eq!(finish_of(&listed, 1, 0), 35.0);
+}
+
+/// Two requests admitted together, priced by the slower of them: a
+/// fan-in batch whose releases share a key.
+struct Batched<'a>(&'a CommMatrix);
+
+impl Policy for Batched<'_> {
+    fn price(&mut self, _now: f64, senders: &[usize], dst: usize) -> f64 {
+        (senders.iter()).fold(0.0, |ms, &src| f64::max(ms, self.0.cost(src, dst).as_ms()))
+    }
+
+    fn fan_in(&self) -> usize {
+        2
+    }
+}
+
+/// Every transfer completes once, and sorting the completion sequence
+/// into `(finish, src, dst)` order moves no transfer to another instant.
+fn assert_completion_sequence_is_ordered_up_to_ties(run: &Outcome, what: &str) {
+    let mut seen = run.completions.clone();
+    seen.sort_unstable();
+    assert!(
+        seen.iter().copied().eq(0..run.events.len() as u32),
+        "{what}"
+    );
+    let key = |&k: &u32| {
+        let e = &run.events[k as usize];
+        (e.finish, e.src, e.dst)
+    };
+    let mut sorted = run.completions.clone();
+    completion_order(&mut sorted, key);
+    for (a, b) in run.completions.iter().zip(&sorted) {
+        let (a, b) = (key(a).0.as_ms(), key(b).0.as_ms());
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: a tie left its instant");
+    }
+}
+
+#[test]
+fn the_completion_sequence_is_completion_order_up_to_ties_on_every_grid() {
+    let mut rng = StdRng::seed_from_u64(0xc0de_0035);
+    let mut instances: Vec<(String, CommMatrix)> = Vec::new();
+    for p in 2..=14 {
+        for kind in 0..6 {
+            let sizes = uniform_sizes(p, Bytes::from_kb(100));
+            let matrix = CommMatrix::from_model(&quantized_net(kind, p), &sizes);
+            instances.push((format!("tied P={p} net {kind}"), matrix));
+        }
+    }
+    for p in [3usize, 5, 8, 13] {
+        let matrix = CommMatrix::from_model(&random_net(p, &mut rng), &random_sizes(p, &mut rng));
+        instances.push((format!("continuous P={p}"), matrix));
+        let net = NetParams::uniform(p, Millis::ZERO, Bandwidth::from_kbps(8.0));
+        let sizes = (0..p)
+            .map(|s| {
+                (0..p)
+                    .map(|d| {
+                        Bytes::new(if s == d || rng.random_range(0..4u32) == 0 {
+                            0
+                        } else {
+                            10
+                        })
+                    })
+                    .collect()
+            })
+            .collect::<Vec<_>>();
+        instances.push((
+            format!("zero cells P={p}"),
+            CommMatrix::from_model(&net, &sizes),
+        ));
+    }
+    for (what, matrix) in &instances {
+        for s in all_schedulers() {
+            let order = s.send_order(matrix);
+            let what = format!("{what} {}", s.name());
+            let mut cell = |src: usize, dst: usize| matrix.cost(src, dst).as_ms();
+            let run = kernel::run(&order.order, &mut cell).expect("finite prices");
+            assert_completion_sequence_is_ordered_up_to_ties(&run, &what);
+            let batched = kernel::run(&order.order, &mut Batched(matrix)).expect("finite prices");
+            assert_completion_sequence_is_ordered_up_to_ties(&batched, &format!("{what} fan-in 2"));
+        }
+    }
 }
