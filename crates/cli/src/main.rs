@@ -15,7 +15,6 @@
 
 mod args;
 mod csv;
-mod top;
 
 use adaptcomm_core::algorithms::{all_schedulers, Scheduler};
 use adaptcomm_core::matrix::CommMatrix;
@@ -72,8 +71,7 @@ USAGE:
                 [--drift <factor>] [--drift-at <ms>] [--threshold <frac>]
                 [--trigger <deviation|detector>]
                 [--replanner <openshop|matching-max|matching-min>]
-                [--threads <N>] [--status <path>]
-                [--pace <us-per-ms>] [--obs <path>]
+                [--threads <N>] [--pace <us-per-ms>] [--obs <path>]
                 [--metrics-port <port>]
       Execute a total exchange live: one OS thread per processor moving
       real bytes through the chosen transport under the paper's port
@@ -86,9 +84,8 @@ USAGE:
       and serves repeat replans via the paper's §6 incremental
       rescheduling); --threads parallelizes its LAP solves. --drift
       scales a few links' bandwidth by <factor> at --drift-at modeled
-      ms to provoke adaptation. --status publishes a live JSON status
-      file at every checkpoint for `adaptcomm top` to poll. --obs
-      captures every transfer as a span on its sender's track.
+      ms to provoke adaptation. --obs captures every transfer as a span
+      on its sender's track.
 
   adaptcomm chaos [--scenario <crash|partition|liar|mixed|spec>] [--p <N>]
                   [--seed <u64>] [--workload <name>] [--obs <path>]
@@ -106,21 +103,6 @@ USAGE:
       event window (injected faults, runtime fault/heal notes) to
       --flight (default chaos-flight.jsonl) for post-mortem replay
       through obs-summary.
-
-  adaptcomm top --input <status.json> [--interval <ms>] [--frames <N>]
-                [--once] [--capture <capture>]
-      Watch a running `run --adapt --status <path>` live in the
-      terminal: progress, replan events, grant-queue depth, and
-      per-link health with sparkline bandwidth history. Refreshes every
-      --interval ms (default 250) until the run reports `done`; --once
-      renders a single frame and exits (non-interactive / CI).
-      --capture points at an obs dump of the run; each frame then ends
-      with a `slowest link` blame line from the explain-plane analyzer.
-
-  adaptcomm report --input <capture> --html <out.html> [--title <text>]
-      Render a capture as a self-contained HTML dashboard: inline SVG
-      time-series charts, per-phase span table, and a link-health
-      matrix. No external assets — the file opens anywhere.
 
   adaptcomm obs-summary --input <capture>
       Summarize a capture in any format of the extension table below
@@ -141,7 +123,7 @@ USAGE:
       --k x (default 2) would move the completion, with realized port
       orders held fixed (no re-simulation). --capture writes the
       analyzed transfers back out as a deterministic capture
-      (bit-identical across runs; feed it to obs-diff or report).
+      (bit-identical across runs; feed it to obs-diff).
 
   adaptcomm obs-diff --base <capture> --head <capture> [--fail-over <pct>]
       Diff two captures. Spans are aligned per (phase, track) in start
@@ -208,7 +190,7 @@ plan-client) enables the in-process observability registry for the
 duration of the command and writes the collected metrics when it
 finishes. One extension table names a capture's format, for every
 write (--obs, --flight, explain --capture) and every read (--input,
---base/--head, --inputs, top --capture):
+--base/--head, --inputs):
   .jsonl          JSONL event stream (lossless)
   .json, .trace   Chrome trace_event JSON (Perfetto, chrome://tracing)
   .prom, .txt     Prometheus text (counters, gauges, histogram totals)
@@ -268,7 +250,6 @@ const COMMANDS: &[args::Command] = &[
             "trigger",
             "replanner",
             "threads",
-            "status",
             "pace",
             "obs",
             "metrics-port",
@@ -281,18 +262,6 @@ const COMMANDS: &[args::Command] = &[
         values: &["scenario", "p", "seed", "workload", "obs", "flight"],
         flags: &[],
         run: chaos_run,
-    },
-    args::Command {
-        name: "top",
-        values: &["input", "interval", "frames", "capture"],
-        flags: &["once"],
-        run: top_live,
-    },
-    args::Command {
-        name: "report",
-        values: &["input", "html", "title"],
-        flags: &[],
-        run: report_html,
     },
     args::Command {
         name: "explain",
@@ -471,67 +440,6 @@ fn obs_finish((path, format): (String, Format)) -> Result<(), String> {
         snap.instants().count(),
         snap.counters.len()
     );
-    Ok(())
-}
-
-/// `adaptcomm top`: poll a status file and render frames until the run
-/// reports `done` (or `--once` / `--frames` bounds the watch).
-fn top_live(opts: &args::Options) -> Result<(), String> {
-    let path = opts.require("input")?;
-    let once = opts.flag("once");
-    let interval_ms: u64 = opts.parsed_or("interval", 250)?;
-    let max_frames: u64 = opts.parsed_or("frames", 0)?; // 0 = until done
-                                                        // With --capture, every frame ends with a "slowest link" blame line
-                                                        // from the explain-plane analyzer (computed once; the capture is a
-                                                        // finished dump, not the live status file).
-    let blame = match opts.get("capture") {
-        Some(cpath) => Some(top::blame_line(&read_capture(&cpath)?)),
-        None => None,
-    };
-    let mut rendered = 0u64;
-    loop {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if once => return Err(format!("reading {path}: {e}")),
-            // The run may not have reached its first checkpoint yet.
-            Err(_) => {
-                std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-                continue;
-            }
-        };
-        let doc = adaptcomm_obs::json::Value::parse(&text)
-            .map_err(|e| format!("{path} is not a status document: {e}"))?;
-        let frame = top::render_frame(&doc)?;
-        if !once {
-            // Clear and home, so the frame repaints in place.
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{frame}");
-        if let Some(line) = &blame {
-            println!("{line}");
-        }
-        rendered += 1;
-        let done = doc
-            .get("state")
-            .and_then(adaptcomm_obs::json::Value::as_str)
-            == Some("done");
-        if once || done || (max_frames > 0 && rendered >= max_frames) {
-            return Ok(());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-    }
-}
-
-/// `adaptcomm report`: observability dump → self-contained HTML
-/// dashboard.
-fn report_html(opts: &args::Options) -> Result<(), String> {
-    let input = opts.require("input")?;
-    let out_path = opts.require("html")?;
-    let snap = read_capture(&input)?;
-    let title = opts.get("title").unwrap_or_else(|| input.clone());
-    let html = adaptcomm_obs::report::html_report(&snap, &title);
-    std::fs::write(&out_path, &html).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("wrote {out_path} ({} bytes)", html.len());
     Ok(())
 }
 
@@ -950,7 +858,7 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
     use adaptcomm_directory::DirectoryService;
     use adaptcomm_model::units::Millis;
     use adaptcomm_runtime::{
-        execute, execute_adaptive_monitored, AdaptSettings, BackendKind, ReplanTrigger, Replanner,
+        execute, execute_adaptive, AdaptSettings, BackendKind, ReplanTrigger, Replanner,
         ShapedConfig,
     };
     use adaptcomm_sim::{Fault, ScriptedFaults};
@@ -1028,9 +936,8 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         "detector" => ReplanTrigger::Detector,
         other => return Err(format!("unknown trigger `{other}` (deviation|detector)")),
     };
-    let status_path = opts.get("status");
-    if (status_path.is_some() || opts.get("trigger").is_some()) && !adapt {
-        return Err("--status and --trigger require --adapt".into());
+    if opts.get("trigger").is_some() && !adapt {
+        return Err("--trigger requires --adapt".into());
     }
     // The matching replanner is the default for adaptive runs: it
     // retains its plan and serves replans incrementally (§6). The
@@ -1065,14 +972,13 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
             threads,
             ..Default::default()
         };
-        execute_adaptive_monitored(
+        execute_adaptive(
             &order.order,
             &sizes,
             &mut evolution,
             &directory,
             backend,
             settings,
-            status_path.as_deref().map(std::path::Path::new),
         )
     } else {
         let config = ShapedConfig {

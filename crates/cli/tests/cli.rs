@@ -199,124 +199,8 @@ fn obs_dump_and_summary_round_trip() {
     let _ = std::fs::remove_file(jsonl_path);
 }
 
-/// A self-contained HTML sanity check: one document, inline SVG, no
-/// external fetches (every `http` occurrence is an SVG xmlns).
-fn assert_self_contained_html(html: &str) {
-    assert!(
-        html.starts_with("<!DOCTYPE html>"),
-        "must be a full document"
-    );
-    assert!(html.contains("</html>"));
-    assert!(html.contains("<svg"), "charts must be inline SVG");
-    assert_eq!(
-        html.matches("http").count(),
-        html.matches("http://www.w3.org/2000/svg").count(),
-        "no external links: every http occurrence must be the SVG xmlns"
-    );
-    assert!(!html.contains("<script src"));
-    assert!(!html.contains("<link "));
-}
-
 #[test]
-fn report_renders_html_from_both_jsonl_and_chrome_dumps() {
-    for (ext, name) in [("jsonl", "jsonl"), ("json", "chrome")] {
-        let dump = temp_path(&format!("report-dump-{name}.{ext}"));
-        let out = bin()
-            .args([
-                "run",
-                "--p",
-                "4",
-                "--adapt",
-                "--obs",
-                dump.to_str().unwrap(),
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-
-        let html_path = temp_path(&format!("report-{name}.html"));
-        let out = bin()
-            .args([
-                "report",
-                "--input",
-                dump.to_str().unwrap(),
-                "--html",
-                html_path.to_str().unwrap(),
-                "--title",
-                "smoke run",
-            ])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{name}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let html = std::fs::read_to_string(&html_path).unwrap();
-        assert_self_contained_html(&html);
-        assert!(html.contains("smoke run"));
-        // The adaptive run's prober feeds link series; both dump
-        // formats must carry them into the dashboard.
-        assert!(html.contains("link."), "{name}: link series missing");
-
-        let _ = std::fs::remove_file(dump);
-        let _ = std::fs::remove_file(html_path);
-    }
-}
-
-#[test]
-fn adaptive_run_publishes_a_status_file_top_can_render() {
-    let status = temp_path("status.json");
-    let out = bin()
-        .args([
-            "run",
-            "--p",
-            "4",
-            "--adapt",
-            "--trigger",
-            "detector",
-            "--status",
-            status.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8(out.stdout)
-        .unwrap()
-        .contains("trigger detector"));
-
-    // The finished run leaves a `done` status document behind; a single
-    // non-interactive frame renders from it.
-    let out = bin()
-        .args(["top", "--input", status.to_str().unwrap(), "--once"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let frame = String::from_utf8(out.stdout).unwrap();
-    assert!(frame.contains("done"));
-    assert!(frame.contains("12/12 transfers"));
-    assert!(frame.contains("100%"));
-    assert!(frame.contains("links"));
-    // --once must not emit terminal control sequences.
-    assert!(!frame.contains('\x1b'));
-
-    let _ = std::fs::remove_file(status);
-}
-
-#[test]
-fn status_and_trigger_require_adapt() {
+fn trigger_requires_adapt() {
     let out = bin()
         .args(["run", "--p", "4", "--trigger", "detector"])
         .output()
@@ -324,13 +208,7 @@ fn status_and_trigger_require_adapt() {
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr)
         .unwrap()
-        .contains("require --adapt"));
-
-    let out = bin()
-        .args(["top", "--input", "/definitely/missing.json", "--once"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+        .contains("--trigger requires --adapt"));
 }
 
 /// Kills a spawned server on panic so a failed assertion cannot leak a
@@ -740,6 +618,10 @@ fn errors_exit_nonzero_with_message() {
         "sweep --scenario transpose --pmin 70 --pmax 70 --trials 1",
         "explain --scenario mixed --p 4 --k NaN",
         "plan-client --addr 127.0.0.1:1 --scenario mixed --p 0",
+        // Unknown subcommands and an unknown `run` option.
+        "top",
+        "report --input run.jsonl --html run.html",
+        "run --adapt --status x",
     ] {
         let out = bin().args(args.split(' ')).output().unwrap();
         let err = String::from_utf8(out.stderr).unwrap();
@@ -747,6 +629,25 @@ fn errors_exit_nonzero_with_message() {
         assert!(err.starts_with("error:"), "{args}: {err}");
         assert!(!err.contains("panicked"), "{args}: {err}");
     }
+
+    // A capture line of a record type the codec does not read (here the
+    // `series` record older captures carry) is an error naming the line.
+    let capture = temp_path("unknown-type.jsonl");
+    std::fs::write(
+        &capture,
+        "{\"type\":\"counter\",\"name\":\"a\",\"value\":1}\n\
+         {\"type\":\"series\",\"name\":\"link.0-1.bandwidth_kbps\",\"capacity\":64,\"points\":[[0,1000]]}\n",
+    )
+    .unwrap();
+    let out = bin()
+        .args(["obs-summary", "--input", capture.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error:"), "{err}");
+    assert!(err.contains("line 2: unknown type \"series\""), "{err}");
+    let _ = std::fs::remove_file(capture);
 }
 
 #[test]
@@ -809,7 +710,7 @@ fn every_option_help_advertises_is_accepted_by_its_command() {
             }
         }
     }
-    assert!(advertised.len() >= 15, "parsed only {advertised:?}");
+    assert!(advertised.len() >= 14, "parsed only {advertised:?}");
     let mut checked = 0;
     let mut unlisted: Vec<String> = Vec::new();
     for (command, options) in advertised {

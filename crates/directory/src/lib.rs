@@ -12,7 +12,7 @@
 //! * [`snapshot`] — immutable, time-stamped [`adaptcomm_model::NetParams`]
 //!   snapshots;
 //! * [`service`] — the thread-safe [`service::DirectoryService`] with
-//!   query/publish, per-link health, and an optional attached
+//!   query/publish, the set of quarantined links, and an optional attached
 //!   [`adaptcomm_model::variation::VariationTrace`] so the directory can
 //!   evolve on its own clock;
 //! * [`load`] — a background-load injector that perturbs published
@@ -38,11 +38,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod health;
 pub mod load;
 pub mod service;
 pub mod snapshot;
 
-pub use health::{HealthView, LinkStatus};
 pub use service::{DirectoryService, PublishError};
 pub use snapshot::DirectorySnapshot;

@@ -9,13 +9,13 @@
 //! attached [`VariationTrace`] that evolves the network whenever the
 //! simulated clock advances.
 
-use crate::health::{HealthMonitor, HealthView};
 use crate::snapshot::DirectorySnapshot;
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::evolution::NetworkEvolution;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::Millis;
 use adaptcomm_model::variation::VariationTrace;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -93,7 +93,8 @@ struct Inner {
     current: DirectorySnapshot,
     clock: Millis,
     trace: Option<VariationTrace>,
-    health: HealthMonitor,
+    /// Directed links the trust layer caught lying, `(src, dst)`.
+    quarantined: BTreeSet<(usize, usize)>,
     /// Snapshots installed (trace advances, publishes, measurements).
     publishes: u64,
     /// Snapshot queries.
@@ -128,7 +129,7 @@ impl DirectoryService {
                 current: snapshot,
                 clock: Millis::ZERO,
                 trace: None,
-                health: HealthMonitor::new(),
+                quarantined: BTreeSet::new(),
                 publishes: 0,
                 queries: 0,
             }),
@@ -217,55 +218,33 @@ impl DirectoryService {
             inner.clock = now;
         }
         let taken_at = inner.clock;
-        inner
-            .health
-            .observe(src, dst, startup_ms, bandwidth_kbps, now);
         inner.install(params, taken_at);
         Ok(())
     }
 
-    /// Per-link health over everything fed through
-    /// [`DirectoryService::publish_measurement`]: a CUSUM on each link's
-    /// bandwidth log-ratio plus hysteresis (see [`crate::health`]).
-    /// Links never measured individually are absent — the directory only
-    /// vouches for what it has observed.
-    pub fn health_view(&self) -> HealthView {
-        self.lock().health.view()
-    }
-
-    /// Quarantines a directed link (see [`HealthMonitor::quarantine`]):
-    /// the trust layer caught the link's published estimates disagreeing
-    /// with realized transfer times. `startup_ms` / `bandwidth_kbps`
-    /// record the realized fit that contradicted the claim. Quarantined
-    /// links report [`adaptcomm_obs::HealthState::Dead`] in the health
-    /// view and stay so until the trust layer releases them; the obs
-    /// counter `directory.quarantine` tracks impositions.
-    pub fn quarantine_link(
-        &self,
-        src: usize,
-        dst: usize,
-        startup_ms: f64,
-        bandwidth_kbps: f64,
-        now: Millis,
-    ) {
-        let mut inner = self.lock();
-        inner
-            .health
-            .quarantine(src, dst, startup_ms, bandwidth_kbps, now);
+    /// Quarantines a directed link for good: the trust layer caught its
+    /// published estimates disagreeing with realized transfer times. A
+    /// link need not have been measured first (a liar may be caught on
+    /// its very first publish), and later clean measurements do not lift
+    /// it. Returns true when the link was not quarantined before; the obs
+    /// counter `directory.quarantine` counts those.
+    pub fn quarantine_link(&self, src: usize, dst: usize) -> bool {
+        let fresh = self.lock().quarantined.insert((src, dst));
         let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
+        if fresh && obs.is_enabled() {
             obs.add("directory.quarantine", 1);
         }
+        fresh
     }
 
     /// True if the directed link is currently quarantined.
     pub fn is_quarantined(&self, src: usize, dst: usize) -> bool {
-        self.lock().health.is_quarantined(src, dst)
+        self.lock().quarantined.contains(&(src, dst))
     }
 
     /// All currently quarantined links, ordered by `(src, dst)`.
     pub fn quarantined_links(&self) -> Vec<(usize, usize)> {
-        self.lock().health.quarantined()
+        self.lock().quarantined.iter().copied().collect()
     }
 
     /// The freshest snapshot.
@@ -382,30 +361,37 @@ mod tests {
     }
 
     #[test]
-    fn health_view_tracks_published_measurements() {
-        use adaptcomm_obs::HealthState;
+    fn quarantine_holds_a_link_never_measured_and_survives_clean_publishes() {
         let d = DirectoryService::new(params());
-        assert!(d.health_view().links.is_empty(), "nothing measured yet");
-        // Steady measurements on (0,1); a collapsing link on (2,3).
+        assert!(!d.is_quarantined(0, 1));
+        // Caught on its very first publish: nothing was measured yet.
+        assert!(d.quarantine_link(0, 1));
+        assert!(d.is_quarantined(0, 1));
+        assert_eq!(d.quarantined_links(), vec![(0, 1)]);
+        assert!(!d.quarantine_link(0, 1), "already quarantined");
+        // Clean measurements do not lift a quarantine.
         for i in 0..10 {
-            let t = Millis::new(i as f64 * 100.0);
-            d.publish_measurement(0, 1, 10.0, 500.0, t).unwrap();
-            let bw = if i < 3 { 500.0 } else { 50.0 };
-            d.publish_measurement(2, 3, 10.0, bw, t).unwrap();
+            let t = Millis::new(6.0 + i as f64);
+            d.publish_measurement(0, 1, 2.0, 300.0, t).unwrap();
         }
-        let view = d.health_view();
-        assert_eq!(view.links.len(), 2);
-        assert_eq!(view.link(0, 1).unwrap().state, HealthState::Healthy);
-        let bad = view.link(2, 3).unwrap();
-        assert_eq!(bad.state, HealthState::Dead);
-        assert_eq!(bad.bandwidth_kbps, 50.0);
-        assert_eq!(bad.updated_at_ms, 900.0);
-        // Worst link sorts first.
-        assert_eq!((view.links[0].src, view.links[0].dst), (2, 3));
-        // Rejected measurements never reach the monitor.
-        let before = d.health_view();
-        let _ = d.publish_measurement(0, 1, 1.0, f64::NAN, Millis::new(1_000.0));
-        assert_eq!(d.health_view(), before);
+        assert!(d.is_quarantined(0, 1));
+        assert!(!d.is_quarantined(1, 0), "quarantine is per directed link");
+    }
+
+    #[test]
+    fn a_link_with_a_clean_history_is_quarantined_and_listed_in_order() {
+        let d = DirectoryService::new(params());
+        // A long, clean history earns a link no credit against the
+        // trust cross-check's verdict.
+        for i in 0..50 {
+            d.publish_measurement(2, 3, 10.0, 500.0, Millis::new(i as f64))
+                .unwrap();
+        }
+        assert!(d.quarantined_links().is_empty());
+        d.quarantine_link(2, 3);
+        d.quarantine_link(0, 1);
+        assert!(d.is_quarantined(2, 3));
+        assert_eq!(d.quarantined_links(), vec![(0, 1), (2, 3)]);
     }
 
     #[test]

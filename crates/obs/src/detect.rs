@@ -1,5 +1,4 @@
-//! Online change detection: EWMA smoothing, two-sided CUSUM, and the
-//! per-link health state machine.
+//! Online change detection: a two-sided CUSUM.
 //!
 //! The paper's adaptive loop needs to know *when a link changed*, not
 //! just its latest sample. A [`Cusum`] accumulates standardized
@@ -8,46 +7,8 @@
 //! detects small sustained shifts far sooner than any single-sample
 //! rule, while a properly chosen threshold keeps the false-alarm rate on
 //! stationary noise near zero (property-tested in
-//! `tests/detect_prop.rs`). An [`Ewma`] smooths noisy series for
-//! display and scoring, and [`LinkHealth`] folds detector verdicts into
-//! a hysteresis-guarded healthy / degraded / dead state per link.
-
-/// Exponentially weighted moving average: `v ← α·x + (1-α)·v`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA with smoothing factor `alpha` in `(0, 1]` (1 = no
-    /// smoothing). The first sample seeds the average.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0 && alpha.is_finite(),
-            "alpha must be in (0, 1]"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds one sample, returning the updated average. Non-finite
-    /// samples are ignored (the current average is returned unchanged,
-    /// or the sample's NaN-free default 0 when nothing was seen yet).
-    pub fn update(&mut self, x: f64) -> f64 {
-        if x.is_finite() {
-            self.value = Some(match self.value {
-                None => x,
-                Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-            });
-        }
-        self.value.unwrap_or(0.0)
-    }
-
-    /// The current average, if any sample arrived.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
+//! `tests/detect_prop.rs`). The runtime's detector replan trigger is its
+//! one user.
 
 /// CUSUM tuning knobs, in units of the reference standard deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,166 +110,9 @@ impl Cusum {
     }
 }
 
-/// Discrete link condition, worst to best: `Dead < Degraded < Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum HealthState {
-    /// The link is effectively unusable.
-    Dead,
-    /// The link misbehaves but still moves bytes.
-    Degraded,
-    /// The link performs as modeled.
-    Healthy,
-}
-
-impl HealthState {
-    /// Short lowercase name (`healthy` / `degraded` / `dead`).
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::Dead => "dead",
-        }
-    }
-
-    /// Numeric encoding for gauges and dumps: 0 = healthy, 1 = degraded,
-    /// 2 = dead.
-    pub fn code(self) -> u8 {
-        match self {
-            HealthState::Healthy => 0,
-            HealthState::Degraded => 1,
-            HealthState::Dead => 2,
-        }
-    }
-
-    /// The inverse of [`HealthState::code`] (anything above 2 is dead).
-    pub fn from_code(code: u8) -> Self {
-        match code {
-            0 => HealthState::Healthy,
-            1 => HealthState::Degraded,
-            _ => HealthState::Dead,
-        }
-    }
-}
-
-/// Consecutive alarmed observations before `Healthy → Degraded`: one
-/// alarm is a warning, so it only degrades.
-pub const DEGRADE_AFTER: u32 = 1;
-/// Consecutive alarmed observations before `Degraded → Dead`, counted
-/// from the first alarm: a verdict needs three in a row.
-pub const DEAD_AFTER: u32 = 3;
-/// Consecutive quiet observations before stepping one level up
-/// (`Dead → Degraded → Healthy`): as many as it takes to die.
-pub const RECOVER_AFTER: u32 = 3;
-
-/// Per-link health: detector verdicts in, hysteresis-guarded state out.
-///
-/// Feed one boolean per observation window (`true` = the link's change
-/// detector fired / the link misbehaved). Demotion needs
-/// [`DEGRADE_AFTER`] / [`DEAD_AFTER`] *consecutive* bad observations,
-/// promotion needs [`RECOVER_AFTER`] consecutive good ones — so a single
-/// noisy sample can neither kill a link nor resurrect one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkHealth {
-    state: HealthState,
-    bad_streak: u32,
-    good_streak: u32,
-    score: Ewma,
-    quarantined: bool,
-}
-
-impl Default for LinkHealth {
-    /// A healthy link.
-    fn default() -> Self {
-        LinkHealth {
-            state: HealthState::Healthy,
-            bad_streak: 0,
-            good_streak: 0,
-            score: Ewma::new(0.3),
-            quarantined: false,
-        }
-    }
-}
-
-impl LinkHealth {
-    /// Quarantines the link for good: an out-of-band trust verdict (the
-    /// link's published estimates disagree with realized transfer times)
-    /// that pins the reported state at [`HealthState::Dead`] regardless
-    /// of subsequent detector observations. Unlike `observe`, this is not
-    /// a statistical input — hysteresis does not apply to a link caught
-    /// lying.
-    pub fn quarantine(&mut self) {
-        self.quarantined = true;
-    }
-
-    /// True while the link is quarantined.
-    pub fn quarantined(&self) -> bool {
-        self.quarantined
-    }
-
-    /// Feeds one observation (`alarmed` = the link misbehaved in this
-    /// window) and returns the possibly-updated state.
-    pub fn observe(&mut self, alarmed: bool) -> HealthState {
-        self.score.update(if alarmed { 1.0 } else { 0.0 });
-        if alarmed {
-            self.bad_streak += 1;
-            self.good_streak = 0;
-            if self.state == HealthState::Healthy && self.bad_streak >= DEGRADE_AFTER {
-                self.state = HealthState::Degraded;
-            }
-            if self.state == HealthState::Degraded && self.bad_streak >= DEAD_AFTER {
-                self.state = HealthState::Dead;
-            }
-        } else {
-            self.good_streak += 1;
-            self.bad_streak = 0;
-            if self.good_streak >= RECOVER_AFTER {
-                self.good_streak = 0;
-                self.state = match self.state {
-                    HealthState::Dead => HealthState::Degraded,
-                    _ => HealthState::Healthy,
-                };
-            }
-        }
-        self.state()
-    }
-
-    /// The current state. Quarantine overrides the hysteresis verdict.
-    pub fn state(&self) -> HealthState {
-        if self.quarantined {
-            HealthState::Dead
-        } else {
-            self.state
-        }
-    }
-
-    /// Smoothed badness in `[0, 1]`: an EWMA (α = 0.3) of the alarm
-    /// indicator. 0 = consistently quiet, 1 = consistently alarmed.
-    /// Quarantine pins the score to 1 — a link the trust cross-check
-    /// removed must never look healthier than its verdict, whatever
-    /// its pre-quarantine history smoothed to.
-    pub fn score(&self) -> f64 {
-        if self.quarantined {
-            return 1.0;
-        }
-        self.score.value().unwrap_or(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_smooths_toward_the_level() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.update(10.0), 10.0);
-        assert_eq!(e.update(0.0), 5.0);
-        assert_eq!(e.update(5.0), 5.0);
-        // Non-finite samples are ignored.
-        assert_eq!(e.update(f64::NAN), 5.0);
-        assert_eq!(e.value(), Some(5.0));
-    }
 
     #[test]
     fn cusum_fires_up_on_a_step_and_resets() {
@@ -358,81 +162,5 @@ mod tests {
         assert_eq!(c.update(f64::NAN), None);
         assert_eq!(c.update(f64::INFINITY), None);
         assert_eq!(c, Cusum::with_reference(CusumConfig::default(), 0.0, 1.0));
-    }
-
-    #[test]
-    fn health_degrades_and_dies_with_hysteresis() {
-        let mut h = LinkHealth::default();
-        assert_eq!(h.observe(true), HealthState::Degraded, "one alarm warns");
-        assert_eq!(h.observe(true), HealthState::Degraded);
-        assert_eq!(h.observe(true), HealthState::Dead);
-        // Recovery steps up one level per quiet streak.
-        for expected in [HealthState::Dead, HealthState::Dead, HealthState::Degraded] {
-            assert_eq!(h.observe(false), expected);
-        }
-        for expected in [
-            HealthState::Degraded,
-            HealthState::Degraded,
-            HealthState::Healthy,
-        ] {
-            assert_eq!(h.observe(false), expected);
-        }
-        assert!(h.score() < 0.5, "quiet streak must drain the score");
-    }
-
-    #[test]
-    fn an_interrupted_bad_streak_does_not_demote() {
-        let mut h = LinkHealth::default();
-        for _ in 0..5 {
-            assert_eq!(h.observe(true), HealthState::Degraded);
-            assert_eq!(h.observe(true), HealthState::Degraded);
-            assert_eq!(h.observe(false), HealthState::Degraded);
-        }
-    }
-
-    #[test]
-    fn quarantine_pins_the_state_dead() {
-        let mut h = LinkHealth::default();
-        assert_eq!(h.state(), HealthState::Healthy);
-        h.quarantine();
-        assert!(h.quarantined());
-        assert_eq!(h.state(), HealthState::Dead);
-        // Quiet observations cannot talk their way out of quarantine.
-        for _ in 0..10 {
-            assert_eq!(h.observe(false), HealthState::Dead);
-        }
-    }
-
-    #[test]
-    fn quarantine_pins_the_score_at_max_badness() {
-        let mut h = LinkHealth::default();
-        // A long healthy history smooths the badness EWMA to ~0.
-        for _ in 0..50 {
-            h.observe(false);
-        }
-        assert!(h.score() < 0.01);
-        h.quarantine();
-        // The report must reflect the trust verdict, not the healthy
-        // history: state Dead, score pinned to maximum badness.
-        assert_eq!(h.state(), HealthState::Dead);
-        assert_eq!(h.score(), 1.0);
-        // More quiet observations change neither while quarantined.
-        for _ in 0..10 {
-            h.observe(false);
-        }
-        assert_eq!(h.score(), 1.0);
-    }
-
-    #[test]
-    fn health_state_codes_round_trip() {
-        for s in [
-            HealthState::Healthy,
-            HealthState::Degraded,
-            HealthState::Dead,
-        ] {
-            assert_eq!(HealthState::from_code(s.code()), s);
-        }
-        assert_eq!(HealthState::Healthy.name(), "healthy");
-        assert!(HealthState::Dead < HealthState::Degraded);
     }
 }

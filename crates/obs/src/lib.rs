@@ -33,21 +33,18 @@ pub mod detect;
 pub mod flight;
 pub mod fnv;
 pub mod json;
-pub mod report;
-pub mod series;
 pub mod serve;
 pub mod snapshot;
 mod summary;
 pub mod trace;
 
-pub use detect::{Cusum, CusumConfig, DriftDirection, Ewma, HealthState, LinkHealth};
+pub use detect::{Cusum, CusumConfig, DriftDirection};
 pub use flight::{flight, FlightRecorder};
 pub use fnv::Fnv1a;
-pub use series::TimeSeries;
 pub use serve::{serve_metrics, serve_metrics_with, MetricsServer, ScrapeEndpoints};
 pub use snapshot::{
     merge_chrome_trace, prom_name, CounterSnapshot, Event, Format, GaugeSnapshot,
-    HistogramSnapshot, InstantRecord, SeriesSnapshot, Snapshot, SpanRecord, UnknownFormat,
+    HistogramSnapshot, InstantRecord, Snapshot, SpanRecord, UnknownFormat,
 };
 pub use summary::{PhaseTotal, Summary, SummaryWarning};
 pub use trace::TraceContext;
@@ -191,7 +188,6 @@ struct Inner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
-    series: Mutex<BTreeMap<String, Arc<Mutex<series::TimeSeries>>>>,
     events: Mutex<EventLog>,
 }
 
@@ -203,7 +199,6 @@ impl Inner {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            series: Mutex::new(BTreeMap::new()),
             events: Mutex::new(EventLog::default()),
         }
     }
@@ -318,26 +313,6 @@ impl Registry {
         self.histogram(name, bounds).observe(value);
     }
 
-    /// A time-series handle holding at most `capacity` recent points
-    /// (the capacity of the first registration wins). Disabled
-    /// registries hand out inert handles.
-    pub fn series(&self, name: &str, capacity: usize) -> Series {
-        if !self.is_enabled() {
-            return Series { cell: None };
-        }
-        let mut map = self.inner.series.lock().unwrap();
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(series::TimeSeries::new(capacity))))
-            .clone();
-        Series { cell: Some(cell) }
-    }
-
-    /// One-shot series append (`series(name, capacity).append(ts, v)`).
-    pub fn series_append(&self, name: &str, capacity: usize, ts: f64, value: f64) {
-        self.series(name, capacity).append(ts, value);
-    }
-
     /// Opens a wall-clock span; it records itself when dropped. Spans
     /// opened while another span on the same thread is live nest under
     /// it in the Chrome-trace view (RAII drop order guarantees proper
@@ -438,27 +413,11 @@ impl Registry {
                 }
             })
             .collect();
-        let series = self
-            .inner
-            .series
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| {
-                let s = cell.lock().unwrap();
-                SeriesSnapshot {
-                    name: name.clone(),
-                    capacity: s.capacity(),
-                    points: s.points().collect(),
-                }
-            })
-            .collect();
         let events = self.inner.events.lock().unwrap().events.clone();
         Snapshot {
             counters,
             gauges,
             histograms,
-            series,
             events,
             unclosed: Vec::new(),
         }
@@ -471,7 +430,6 @@ impl Registry {
         self.inner.counters.lock().unwrap().clear();
         self.inner.gauges.lock().unwrap().clear();
         self.inner.histograms.lock().unwrap().clear();
-        self.inner.series.lock().unwrap().clear();
         self.inner.events.lock().unwrap().events.clear();
     }
 }
@@ -524,28 +482,6 @@ impl Histogram {
         if let Some(cell) = &self.cell {
             cell.observe(value);
         }
-    }
-}
-
-/// A resolved time-series handle (inert if the registry was disabled).
-#[derive(Debug, Clone)]
-pub struct Series {
-    cell: Option<Arc<Mutex<series::TimeSeries>>>,
-}
-
-impl Series {
-    /// Appends a `(timestamp, value)` point, evicting the oldest when
-    /// the series is at capacity.
-    #[inline]
-    pub fn append(&self, ts: f64, value: f64) {
-        if let Some(cell) = &self.cell {
-            cell.lock().unwrap().push(ts, value);
-        }
-    }
-
-    /// The most recent point (`None` for inert or empty series).
-    pub fn last(&self) -> Option<(f64, f64)> {
-        self.cell.as_ref().and_then(|c| c.lock().unwrap().last())
     }
 }
 
@@ -634,34 +570,11 @@ mod tests {
     }
 
     #[test]
-    fn series_record_and_snapshot() {
-        let reg = Registry::new();
-        let s = reg.series("link.0-1.bandwidth_kbps", 4);
-        for i in 0..6 {
-            s.append(i as f64, 100.0 + i as f64);
-        }
-        assert_eq!(s.last(), Some((5.0, 105.0)));
-        let snap = reg.snapshot();
-        assert_eq!(snap.series.len(), 1);
-        let ss = &snap.series[0];
-        assert_eq!(ss.name, "link.0-1.bandwidth_kbps");
-        assert_eq!(ss.capacity, 4);
-        // The ring kept only the 4 most recent points.
-        assert_eq!(
-            ss.points,
-            vec![(2.0, 102.0), (3.0, 103.0), (4.0, 104.0), (5.0, 105.0)]
-        );
-        reg.clear();
-        assert!(reg.snapshot().series.is_empty());
-    }
-
-    #[test]
     fn disabled_registry_records_nothing() {
         let reg = Registry::disabled();
         reg.add("x", 5);
         reg.gauge_set("g", 1.0);
         reg.observe("h", MS_BUCKETS, 3.0);
-        reg.series_append("s.eries", 8, 0.0, 1.0);
         reg.span("s").attr("k", 1u64).end();
         reg.record_instant(InstantRecord {
             name: "m".into(),
@@ -673,7 +586,6 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
-        assert!(snap.series.is_empty());
         assert!(snap.events.is_empty());
         // Flipping it on starts recording.
         reg.set_enabled(true);

@@ -12,14 +12,14 @@
 //! * **Chrome `trace_event` JSON** (`.json`, `.trace`;
 //!   [`Snapshot::to_chrome_trace`]) — loadable in `chrome://tracing` /
 //!   Perfetto. Spans become balanced `B`/`E` duration events on their
-//!   track, instants become `i` events, series points `C` events;
+//!   track, instants become `i` events;
 //! * **Prometheus text** (`.prom`, `.txt`; [`Snapshot::to_prometheus`])
 //!   — the standard `# TYPE` + sample-line dump, names sanitized to
 //!   `[a-z0-9_]`. It carries counters, gauges and histogram totals only.
 //!
 //! [`Format::decode`] is the only reader of all three and the only
-//! `B`/`E`/`X`/`i`/`C` matcher in the workspace: the summary, explain,
-//! diff and report planes all work on the `Snapshot` it returns.
+//! `B`/`E`/`X`/`i` matcher in the workspace: the summary, explain and
+//! diff planes all work on the `Snapshot` it returns.
 
 use crate::json::Value;
 use crate::trace::{self, TraceContext};
@@ -139,17 +139,6 @@ pub struct HistogramSnapshot {
     pub sum: f64,
 }
 
-/// One time series at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSnapshot {
-    /// Dotted metric name.
-    pub name: String,
-    /// Ring-buffer capacity of the live series.
-    pub capacity: usize,
-    /// Retained `(timestamp, value)` points, oldest first.
-    pub points: Vec<(f64, f64)>,
-}
-
 /// A completed span: a named wall-clock interval on a thread track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
@@ -198,8 +187,6 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeSnapshot>,
     /// Histograms, name-ascending.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Time series, name-ascending.
-    pub series: Vec<SeriesSnapshot>,
     /// Spans and instants in commit order.
     pub events: Vec<Event>,
     /// `(name, tid)` of spans a Chrome capture opened and never closed
@@ -292,14 +279,9 @@ impl Snapshot {
         })
     }
 
-    /// Looks up a series by name.
-    pub fn series(&self, name: &str) -> Option<&SeriesSnapshot> {
-        self.series.iter().find(|s| s.name == name)
-    }
-
     /// Serializes as JSONL: one JSON object per line, each carrying a
-    /// `type` discriminator (`counter`, `gauge`, `histogram`, `series`,
-    /// `span`, `instant`).
+    /// `type` discriminator (`counter`, `gauge`, `histogram`, `span`,
+    /// `instant`).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for c in &self.counters {
@@ -340,26 +322,6 @@ impl Snapshot {
                     ("overflow".into(), Value::Num(h.overflow as f64)),
                     ("count".into(), Value::Num(h.count as f64)),
                     ("sum".into(), Value::Num(h.sum)),
-                ])
-                .to_json(),
-            );
-            out.push('\n');
-        }
-        for s in &self.series {
-            out.push_str(
-                &Value::Obj(vec![
-                    ("type".into(), Value::Str("series".into())),
-                    ("name".into(), Value::Str(s.name.clone())),
-                    ("capacity".into(), Value::Num(s.capacity as f64)),
-                    (
-                        "points".into(),
-                        Value::Arr(
-                            s.points
-                                .iter()
-                                .map(|&(t, v)| Value::Arr(vec![Value::Num(t), Value::Num(v)]))
-                                .collect(),
-                        ),
-                    ),
                 ])
                 .to_json(),
             );
@@ -450,26 +412,6 @@ impl Snapshot {
                         sum: num("sum")?,
                     });
                 }
-                "series" => {
-                    let points = v
-                        .get("points")
-                        .and_then(Value::as_arr)
-                        .ok_or_else(|| format!("line {}: missing array \"points\"", lineno + 1))?
-                        .iter()
-                        .map(|p| {
-                            let pair = p.as_arr().filter(|a| a.len() == 2)?;
-                            Some((pair[0].as_f64()?, pair[1].as_f64()?))
-                        })
-                        .collect::<Option<Vec<(f64, f64)>>>()
-                        .ok_or_else(|| {
-                            format!("line {}: points must be [ts, value] pairs", lineno + 1)
-                        })?;
-                    snap.series.push(SeriesSnapshot {
-                        name: name("name")?,
-                        capacity: uint("capacity")? as usize,
-                        points,
-                    });
-                }
                 "span" => snap.events.push(Event::Span(SpanRecord {
                     name: name("name")?,
                     tid: uint("tid")?,
@@ -551,8 +493,8 @@ impl Snapshot {
 
     /// Parses a Chrome `{"traceEvents": [...]}` document: `B`/`E` pairs
     /// matched per tid (innermost first) and complete `X` events become
-    /// spans in closing order, `i` events instants, `C` events series
-    /// points grouped by name. Timestamps are read as whole microseconds
+    /// spans in closing order, `i` events instants; other phases are
+    /// skipped. Timestamps are read as whole microseconds
     /// — what [`Snapshot::to_chrome_trace`] writes. An `E` with no open
     /// `B` on its tid is an error; a `B` that never closes lands in
     /// [`Snapshot::unclosed`].
@@ -606,29 +548,8 @@ impl Snapshot {
                     ts_us: ts as u64,
                     attrs: chrome_args(e.get("args")).0,
                 })),
-                "C" => {
-                    let value = e
-                        .get("args")
-                        .and_then(|a| a.get("value"))
-                        .and_then(Value::as_f64)
-                        .unwrap_or(0.0);
-                    let name = name();
-                    match snap.series.iter_mut().find(|s| s.name == name) {
-                        Some(s) => s.points.push((ts, value)),
-                        None => snap.series.push(SeriesSnapshot {
-                            name,
-                            capacity: 0,
-                            points: vec![(ts, value)],
-                        }),
-                    }
-                }
                 _ => {}
             }
-        }
-        // A Chrome dump does not carry ring capacities; what it retained
-        // is the best available answer.
-        for s in &mut snap.series {
-            s.capacity = s.points.len();
         }
         snap.unclosed = open.into_iter().map(|s| (s.name, s.tid)).collect();
         Ok(snap)
@@ -733,25 +654,6 @@ impl Snapshot {
                 ("s".into(), Value::Str("t".into())),
                 ("args".into(), attrs_to_json(&inst.attrs)),
             ]));
-        }
-        // Series points become Chrome counter ("C") events, so a trace
-        // viewer plots them as a track and `report` can recover the
-        // series from a Chrome dump (timestamps are carried verbatim —
-        // series clocks are caller-defined, not necessarily µs).
-        for s in &self.series {
-            for &(ts, value) in &s.points {
-                events.push(Value::Obj(vec![
-                    ("name".into(), Value::Str(s.name.clone())),
-                    ("ph".into(), Value::Str("C".into())),
-                    ("ts".into(), Value::Num(ts)),
-                    ("pid".into(), Value::Num(pid as f64)),
-                    ("tid".into(), Value::Num(0.0)),
-                    (
-                        "args".into(),
-                        Value::Obj(vec![("value".into(), Value::Num(value))]),
-                    ),
-                ]));
-            }
         }
         events
     }
@@ -899,11 +801,6 @@ mod tests {
                 count: 6,
                 sum: 17.0,
             }],
-            series: vec![SeriesSnapshot {
-                name: "link.0-1.bandwidth_kbps".into(),
-                capacity: 64,
-                points: vec![(0.0, 1000.0), (50.5, 980.25)],
-            }],
             events: vec![
                 Event::Span(SpanRecord {
                     name: "schedule".into(),
@@ -936,22 +833,9 @@ mod tests {
     fn jsonl_round_trips() {
         let snap = sample();
         let text = snap.to_jsonl();
-        assert_eq!(text.lines().count(), 7);
+        assert_eq!(text.lines().count(), 6);
         let back = Snapshot::from_jsonl(&text).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn series_lookup_and_lossless_points() {
-        let snap = sample();
-        let s = snap.series("link.0-1.bandwidth_kbps").unwrap();
-        assert_eq!(s.capacity, 64);
-        assert_eq!(s.points[1], (50.5, 980.25));
-        assert!(snap.series("nope").is_none());
-        // Fractional timestamps and values survive the JSONL round trip
-        // bit-exactly.
-        let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();
-        assert_eq!(back.series, snap.series);
     }
 
     #[test]
@@ -973,24 +857,12 @@ mod tests {
         let text = sample().to_chrome_trace();
         let v = Value::parse(&text).unwrap();
         let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
-        // Spans: B(schedule) B(round) E E, the instant, then the series'
-        // two counter samples.
+        // Spans: B(schedule) B(round) E E, then the instant.
         let phases: Vec<&str> = events
             .iter()
             .map(|e| e.get("ph").and_then(Value::as_str).unwrap())
             .collect();
-        assert_eq!(phases, ["B", "B", "E", "E", "i", "C", "C"]);
-        let c = &events[5];
-        assert_eq!(
-            c.get("name").and_then(Value::as_str),
-            Some("link.0-1.bandwidth_kbps")
-        );
-        assert_eq!(
-            c.get("args")
-                .and_then(|a| a.get("value"))
-                .and_then(Value::as_f64),
-            Some(1000.0)
-        );
+        assert_eq!(phases, ["B", "B", "E", "E", "i"]);
         assert_eq!(
             events[0].get("name").and_then(Value::as_str),
             Some("schedule")
@@ -1105,13 +977,6 @@ mod tests {
             chrome.instants().collect::<Vec<_>>(),
             jsonl.instants().collect::<Vec<_>>()
         );
-        let points = |s: &Snapshot| -> Vec<(String, Vec<(f64, f64)>)> {
-            s.series
-                .iter()
-                .map(|x| (x.name.clone(), x.points.clone()))
-                .collect()
-        };
-        assert_eq!(points(&chrome), points(&jsonl));
         let transfers = crate::causal::transfers_from_snapshot;
         assert_eq!(transfers(&chrome), transfers(&jsonl));
         assert_eq!(transfers(&jsonl).len(), 2);
@@ -1173,6 +1038,23 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_rejects_an_unknown_record_type_naming_its_line() {
+        // A `series` line is the record older captures carry.
+        let counter = r#"{"type":"counter","name":"a","value":1}"#;
+        for line in [
+            r#"{"type":"series","name":"link.0-1.bandwidth_kbps","capacity":64,"points":[[0,1000]]}"#,
+            r#"{"type":"gizmo","name":"x"}"#,
+        ] {
+            let err = Format::Jsonl
+                .decode(&format!("{counter}\n{line}\n"))
+                .unwrap_err();
+            let kind = Value::parse(line).unwrap();
+            let kind = kind.get("type").and_then(Value::as_str).unwrap();
+            assert_eq!(err, format!("line 2: unknown type {kind:?}"));
+        }
+    }
+
+    #[test]
     fn every_extension_reads_back_what_it_writes() {
         let snap = sample();
         for &(ext, format) in EXTENSIONS {
@@ -1183,7 +1065,6 @@ mod tests {
                 Format::Chrome => {
                     assert_eq!(back.spans().count(), 2, "{ext}");
                     assert_eq!(back.instants().count(), 1, "{ext}");
-                    assert_eq!(back.series.len(), 1, "{ext}");
                 }
                 Format::Prometheus => {
                     assert_eq!(back.counter("sched_matching_rounds"), Some(8));

@@ -3,9 +3,7 @@
 //! punish any unescaped emitter.
 
 use adaptcomm_obs::json::Value;
-use adaptcomm_obs::snapshot::{
-    CounterSnapshot, Event, GaugeSnapshot, InstantRecord, SeriesSnapshot, SpanRecord,
-};
+use adaptcomm_obs::snapshot::{CounterSnapshot, Event, GaugeSnapshot, InstantRecord, SpanRecord};
 use adaptcomm_obs::{AttrValue, Registry, Snapshot, MS_BUCKETS};
 
 #[test]
@@ -101,11 +99,6 @@ fn pathological_snapshot() -> Snapshot {
             name: name.into(),
             value: i as f64 + 0.5,
         });
-        snap.series.push(SeriesSnapshot {
-            name: name.into(),
-            capacity: 8,
-            points: vec![(i as f64, -1.25)],
-        });
         snap.events.push(Event::Span(SpanRecord {
             name: name.into(),
             tid: 1,
@@ -129,7 +122,7 @@ fn pathological_names_round_trip_through_jsonl() {
     let snap = pathological_snapshot();
     let text = snap.to_jsonl();
     // The format contract: one record per line, no raw control bytes.
-    assert_eq!(text.lines().count(), 5 * PATHOLOGICAL.len());
+    assert_eq!(text.lines().count(), 4 * PATHOLOGICAL.len());
     assert!(
         text.bytes().all(|b| b == b'\n' || !b.is_ascii_control()),
         "control characters must be escaped, never emitted raw"
@@ -144,15 +137,15 @@ fn pathological_names_survive_the_chrome_exporter() {
     let trace = snap.to_chrome_trace();
     let doc = Value::parse(&trace).expect("pathological trace must be valid JSON");
     let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
-    // Every span begin, instant, and series counter event carries its
-    // name verbatim — escaping must be lossless, not lossy.
+    // Every span begin and instant carries its name verbatim — escaping
+    // must be lossless, not lossy.
     for &name in PATHOLOGICAL {
         let carriers = events
             .iter()
             .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
             .count();
-        // One B event, one instant, one series point.
-        assert_eq!(carriers, 3, "name {name:?} mangled by the Chrome exporter");
+        // One B event, one instant.
+        assert_eq!(carriers, 2, "name {name:?} mangled by the Chrome exporter");
     }
     // Attribute keys and values survive too.
     let args_hit = events
@@ -194,7 +187,6 @@ fn registry_accepts_pathological_metric_names_end_to_end() {
     let reg = Registry::new();
     for &name in PATHOLOGICAL {
         reg.counter(name).incr();
-        reg.series_append(name, 4, 1.0, 2.0);
         reg.span(name).attr(name, name).end();
     }
     let snap = reg.snapshot();

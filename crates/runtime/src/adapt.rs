@@ -36,7 +36,6 @@
 use crate::channel::{run_shaped, CheckpointAction, FaultPolicy, ShapedConfig, ShapedOutcome};
 use crate::error::RuntimeError;
 use crate::prober::{MeasurementTamper, Prober};
-use crate::telemetry::Telemetry;
 use crate::transport::Transport;
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_directory::DirectoryService;
@@ -47,7 +46,6 @@ use adaptcomm_obs::{Cusum, CusumConfig};
 use adaptcomm_sim::dynamic::{openshop_replan, Replanner, Replanning};
 use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
-use std::path::PathBuf;
 
 /// Per-link CUSUM for [`ReplanTrigger::Detector`], in absolute log-ratio
 /// units (each transfer is standardized as `ln(observed / planned)`
@@ -306,7 +304,6 @@ pub struct CheckpointedRun<'a> {
     directory: &'a DirectoryService,
     sizes: &'a [Vec<Bytes>],
     settings: AdaptSettings,
-    status_path: Option<PathBuf>,
     tamper: Option<&'a dyn MeasurementTamper>,
 }
 
@@ -326,16 +323,8 @@ impl<'a> CheckpointedRun<'a> {
             directory,
             sizes,
             settings,
-            status_path: None,
             tamper: None,
         }
-    }
-
-    /// Publishes a live status file (see [`crate::telemetry`]) at every
-    /// checkpoint, for `adaptcomm top` to poll.
-    pub fn with_status_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.status_path = Some(path.into());
-        self
     }
 
     /// Routes every fitted measurement through a reporting agent before
@@ -356,7 +345,6 @@ impl<'a> CheckpointedRun<'a> {
         start_at: Millis,
         evolution: &mut E,
         transport: &T,
-        telemetry: &mut Option<Telemetry>,
     ) -> (
         Result<ShapedOutcome, crate::channel::ShapedFailure>,
         AttemptStats,
@@ -451,18 +439,7 @@ impl<'a> CheckpointedRun<'a> {
                     fired
                 }
             };
-            let queued: usize = (0..p).map(|src| view.remaining(src).len()).sum();
             if !replan {
-                if let Some(t) = telemetry.as_mut() {
-                    t.checkpoint(
-                        view.now.as_ms(),
-                        view.completed,
-                        view.total,
-                        queued,
-                        &self.directory.health_view(),
-                        None,
-                    );
-                }
                 return CheckpointAction::Continue;
             }
             stats_ref.first_replan.get_or_insert(stats_ref.checkpoints);
@@ -499,16 +476,6 @@ impl<'a> CheckpointedRun<'a> {
                 .attr("cost_delta_ms", seg_obs - seg_plan)
                 .attr("kind", kind)
                 .emit();
-            if let Some(t) = telemetry.as_mut() {
-                t.checkpoint(
-                    view.now.as_ms(),
-                    view.completed,
-                    view.total,
-                    queued,
-                    &self.directory.health_view(),
-                    Some(kind),
-                );
-            }
             // The old plan is gone: judge future transfers against the
             // estimates the new one was priced from, with fresh evidence.
             ref_params = fresh.params().clone();
@@ -529,8 +496,8 @@ impl<'a> CheckpointedRun<'a> {
     }
 
     /// Sorts records, computes the makespan, backfills measured
-    /// recovery times, snapshots quarantines, and closes telemetry.
-    fn finalize(&self, mut report: AdaptReport, telemetry: &mut Option<Telemetry>) -> AdaptReport {
+    /// recovery times, and snapshots quarantines.
+    fn finalize(&self, mut report: AdaptReport) -> AdaptReport {
         let run = SimRun::from_records(std::mem::take(&mut report.records));
         (report.records, report.makespan) = (run.records, run.makespan);
         // A fault's recovery time is measured, not assumed: the finish
@@ -555,9 +522,6 @@ impl<'a> CheckpointedRun<'a> {
             }
         }
         report.quarantined_links = self.directory.quarantined_links();
-        if let Some(t) = telemetry.as_mut() {
-            t.finish(report.makespan.as_ms(), &self.directory.health_view());
-        }
         report
     }
 
@@ -591,10 +555,6 @@ impl<'a> CheckpointedRun<'a> {
             recovery_events: Vec::new(),
             quarantined_links: Vec::new(),
         };
-        let mut telemetry = self
-            .status_path
-            .as_ref()
-            .map(|p| Telemetry::new(p, self.sizes.len()));
         let p = self.sizes.len();
         // Checkpoints seen by earlier (failed) attempts, so
         // first_replan_checkpoint is a global ordinal across retries.
@@ -606,8 +566,7 @@ impl<'a> CheckpointedRun<'a> {
         let obs = adaptcomm_obs::global();
         loop {
             report.attempts += 1;
-            let (result, stats) =
-                self.attempt(&lists, start_at, evolution, transport, &mut telemetry);
+            let (result, stats) = self.attempt(&lists, start_at, evolution, transport);
             if report.attempts == 1 {
                 report.planned_makespan = stats.planned_makespan;
             }
@@ -623,7 +582,7 @@ impl<'a> CheckpointedRun<'a> {
                     report.checkpoints_evaluated += out.checkpoints_evaluated;
                     report.reschedules += out.reschedules;
                     if parked.is_empty() {
-                        return Ok(self.finalize(report, &mut telemetry));
+                        return Ok(self.finalize(report));
                     }
                     // The reachable traffic has drained; probe the
                     // parked links with exponential backoff until every
@@ -959,7 +918,6 @@ mod tests {
     #[test]
     fn matching_replanner_serves_incremental_replans_under_drift() {
         use adaptcomm_core::algorithms::MatchingKind;
-        use adaptcomm_obs::json::Value;
         let p = 6;
         let net = hetero_net(p);
         let sz = sizes(p);
@@ -983,9 +941,6 @@ mod tests {
         );
         let directory = DirectoryService::new(net);
         let transport = ChannelTransport::new(p);
-        let dir = std::env::temp_dir().join("adaptcomm-adapt-incremental-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let status = dir.join("status.json");
         let driver = CheckpointedRun::new(
             &directory,
             &sz,
@@ -997,8 +952,7 @@ mod tests {
                 replanner: Replanner::Matching(MatchingKind::Max),
                 ..Default::default()
             },
-        )
-        .with_status_path(&status);
+        );
         let report = driver
             .execute(&lists, &mut evolution, &transport)
             .expect("drift without faults must complete");
@@ -1013,16 +967,6 @@ mod tests {
             report.incremental_reschedules
         );
         assert!(report.incremental_reschedules <= report.reschedules);
-        // The replan kind reaches the status file for `adaptcomm top`.
-        let doc = Value::parse(&std::fs::read_to_string(&status).unwrap()).unwrap();
-        let replans = doc.get("replans").and_then(Value::as_arr).unwrap();
-        assert!(
-            replans
-                .iter()
-                .any(|r| r.get("kind").and_then(Value::as_str) == Some("incremental")),
-            "status JSON must tag at least one replan as incremental"
-        );
-        std::fs::remove_file(&status).ok();
     }
 
     #[test]

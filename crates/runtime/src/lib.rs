@@ -20,11 +20,13 @@
 //!
 //! * [`transport`] — the physical byte path: in-process shaped channels
 //!   or genuinely concurrent loopback TCP ([`tcp`]);
-//! * [`prober`] — fits live `(T_ij, B_ij)` from completed transfers and
-//!   publishes them back into the `DirectoryService`;
+//! * [`prober`] — fits live `(T_ij, B_ij)` from completed transfers,
+//!   cross-checks each claim against them (quarantining a link that
+//!   lies) and publishes them back into the `DirectoryService`;
 //! * [`adapt`] — [`adapt::CheckpointedRun`] closes the measure →
 //!   schedule → execute → adapt loop of §6.4, replanning at checkpoints
-//!   with the simulator's own open-shop rule and retrying around typed
+//!   when progress slips past the deviation rule or the per-link CUSUM
+//!   detector fires ([`ReplanTrigger`]), and retrying around typed
 //!   link failures ([`error::RuntimeError`]);
 //! * [`run`] — a one-call facade (`execute` / `execute_adaptive`) over
 //!   either backend with receipt verification.
@@ -60,7 +62,6 @@ pub mod error;
 pub mod prober;
 pub mod run;
 pub mod tcp;
-pub mod telemetry;
 pub mod transport;
 
 pub use adapt::{
@@ -73,7 +74,6 @@ pub use channel::{
 };
 pub use error::RuntimeError;
 pub use prober::{LinkMeasurement, MeasurementTamper, Prober, PublishOutcome};
-pub use run::{execute, execute_adaptive, execute_adaptive_monitored, BackendKind, RunReport};
+pub use run::{execute, execute_adaptive, BackendKind, RunReport};
 pub use tcp::TcpTransport;
-pub use telemetry::Telemetry;
 pub use transport::{ChannelTransport, ReceiptSummary, Transport};

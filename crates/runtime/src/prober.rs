@@ -22,10 +22,6 @@ use adaptcomm_sim::executor::TransferRecord;
 const EPS_MS: f64 = 1e-6;
 const MIN_KBPS: f64 = 1e-3;
 
-/// Ring-buffer capacity of the per-link `link.<src>-<dst>.*` metric
-/// series published on every measurement.
-const SERIES_CAP: usize = 64;
-
 /// One fitted link observation, in the directory's publish units.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkMeasurement {
@@ -220,8 +216,7 @@ impl Prober {
             };
             let ratio = claimed.bandwidth_kbps / m.bandwidth_kbps;
             let lying = !ratio.is_finite() || ratio > TRUST_RATIO || ratio * TRUST_RATIO < 1.0;
-            if lying && !directory.is_quarantined(m.src, m.dst) {
-                directory.quarantine_link(m.src, m.dst, m.startup_ms, m.bandwidth_kbps, now);
+            if lying && directory.quarantine_link(m.src, m.dst) {
                 outcome.quarantined.push((m.src, m.dst));
                 if obs.is_enabled() {
                     obs.add("runtime.trust.quarantined", 1);
@@ -242,28 +237,6 @@ impl Prober {
                 now,
             )?;
             outcome.published += 1;
-            if obs.is_enabled() {
-                let ts = now.as_ms();
-                let link = format!("link.{}-{}", m.src, m.dst);
-                obs.series_append(
-                    &format!("{link}.startup_ms"),
-                    SERIES_CAP,
-                    ts,
-                    publish.startup_ms,
-                );
-                obs.series_append(
-                    &format!("{link}.bandwidth_kbps"),
-                    SERIES_CAP,
-                    ts,
-                    publish.bandwidth_kbps,
-                );
-                obs.series_append(
-                    &format!("{link}.residual_ms"),
-                    SERIES_CAP,
-                    ts,
-                    publish.residual_ms,
-                );
-            }
         }
         Ok(outcome)
     }

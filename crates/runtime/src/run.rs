@@ -141,35 +141,14 @@ pub fn execute_adaptive<E>(
 where
     E: NetworkEvolution,
 {
-    execute_adaptive_monitored(lists, sizes, evolution, directory, backend, settings, None)
-}
-
-/// [`execute_adaptive`], optionally publishing a live status file at
-/// every checkpoint (see [`crate::telemetry::Telemetry`]) for
-/// `adaptcomm top` to poll.
-pub fn execute_adaptive_monitored<E>(
-    lists: &[Vec<usize>],
-    sizes: &[Vec<Bytes>],
-    evolution: &mut E,
-    directory: &DirectoryService,
-    backend: BackendKind,
-    settings: AdaptSettings,
-    status_path: Option<&std::path::Path>,
-) -> Result<RunReport, RuntimeError>
-where
-    E: NetworkEvolution,
-{
     let p = evolution.processors();
     let (mut channel, mut tcp) = (None, None);
     let transport: &dyn Transport = match backend {
         BackendKind::Channel => channel.insert(ChannelTransport::new(p)),
         BackendKind::Tcp => tcp.insert(TcpTransport::new(p)?),
     };
-    let mut driver = CheckpointedRun::new(directory, sizes, settings);
-    if let Some(path) = status_path {
-        driver = driver.with_status_path(path);
-    }
-    let result = driver.execute(lists, evolution, transport);
+    let result =
+        CheckpointedRun::new(directory, sizes, settings).execute(lists, evolution, transport);
     let receipts = finish_transport(backend, channel, tcp)?;
     let report: AdaptReport = result?;
     let receipts_ok = receipts == expected_receipts(sizes, settings.payload_cap);

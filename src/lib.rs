@@ -61,8 +61,8 @@ pub mod prelude {
     pub use adaptcomm_model::units::{Bandwidth, Bytes, Millis};
     pub use adaptcomm_model::NetParams;
     pub use adaptcomm_runtime::{
-        execute, execute_adaptive, execute_adaptive_monitored, AdaptSettings, BackendKind,
-        CheckpointedRun, FrozenNetwork, ReplanTrigger, RunReport, RuntimeError, ShapedConfig,
+        execute, execute_adaptive, AdaptSettings, BackendKind, CheckpointedRun, FrozenNetwork,
+        ReplanTrigger, RunReport, RuntimeError, ShapedConfig,
     };
     pub use adaptcomm_workloads::{Scenario, SizeMatrix};
 }
