@@ -29,7 +29,7 @@ impl<T: Transport + ?Sized> Transport for ChaosTransport<'_, T> {
         "chaos"
     }
 
-    fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+    fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
         self.inner.deliver(src, dst, payload)
     }
 
@@ -37,7 +37,7 @@ impl<T: Transport + ?Sized> Transport for ChaosTransport<'_, T> {
         &self,
         src: usize,
         dst: usize,
-        payload: Vec<u8>,
+        payload: &[u8],
         start: Millis,
         finish: Millis,
     ) -> Result<(), RuntimeError> {
@@ -63,17 +63,17 @@ mod tests {
         let inner = ChannelTransport::new(4);
         let chaos = ChaosTransport::new(&inner, &plan);
         chaos
-            .deliver_timed(0, 2, vec![1; 8], Millis::new(50.0), Millis::new(90.0))
+            .deliver_timed(0, 2, &[1; 8], Millis::new(50.0), Millis::new(90.0))
             .expect("a delivery landing before the crash survives");
         let err = chaos
-            .deliver_timed(0, 2, vec![1; 8], Millis::new(90.0), Millis::new(110.0))
+            .deliver_timed(0, 2, &[1; 8], Millis::new(90.0), Millis::new(110.0))
             .expect_err("a delivery landing inside the crash is lost");
         assert!(matches!(
             err,
             RuntimeError::ProcessorCrashed { proc: 2, .. }
         ));
         chaos
-            .deliver_timed(3, 1, vec![1; 8], Millis::new(90.0), Millis::new(110.0))
+            .deliver_timed(3, 1, &[1; 8], Millis::new(90.0), Millis::new(110.0))
             .expect("links not touching the crashed node are unaffected");
         assert_eq!(
             chaos.receipts().iter().map(|r| r.messages).sum::<usize>(),

@@ -21,7 +21,37 @@ use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::timing::TimingDiagram;
 use adaptcomm_obs::{Event, Format, Snapshot};
 use adaptcomm_workloads::Scenario;
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// `println!` for command output, except that a closed stdout (its
+/// reader went away, as under `| head`) drops the output instead of
+/// panicking: the command still finishes its work, `--obs` dump
+/// included, and exits as it would have.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        output(writeln!(std::io::stdout(), $($arg)*))
+    };
+}
+
+/// `print!` under [`outln!`]'s rule.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        output(write!(std::io::stdout(), $($arg)*))
+    };
+}
+
+/// Ignores a hung-up reader of standard output; any other failure to
+/// write it ends the process with the usage-error code, 2.
+fn output(written: std::io::Result<()>) {
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("error: writing to standard output: {e}");
+            std::process::exit(2)
+        }
+        _ => {}
+    }
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -340,11 +370,11 @@ const COMMANDS: &[args::Command] = &[
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(name) = argv.first() else {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     };
     if matches!(name.as_str(), "help" | "--help" | "-h") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
     let command = COMMANDS
@@ -356,7 +386,7 @@ fn run() -> Result<(), String> {
 
 fn print_gusto() {
     use adaptcomm_model::gusto::{bandwidth_kbps, latency_ms, Site};
-    println!("Table 1: latency (ms)");
+    outln!("Table 1: latency (ms)");
     for a in Site::ALL {
         let row: Vec<String> = Site::ALL
             .iter()
@@ -368,9 +398,9 @@ fn print_gusto() {
                 }
             })
             .collect();
-        println!("{:>8}: {}", a.name(), row.join(", "));
+        outln!("{:>8}: {}", a.name(), row.join(", "));
     }
-    println!("Table 2: bandwidth (kbit/s)");
+    outln!("Table 2: bandwidth (kbit/s)");
     for a in Site::ALL {
         let row: Vec<String> = Site::ALL
             .iter()
@@ -382,7 +412,7 @@ fn print_gusto() {
                 }
             })
             .collect();
-        println!("{:>8}: {}", a.name(), row.join(", "));
+        outln!("{:>8}: {}", a.name(), row.join(", "));
     }
 }
 
@@ -434,7 +464,7 @@ fn obs_finish((path, format): (String, Format)) -> Result<(), String> {
     let snap = obs.snapshot();
     obs.set_enabled(false);
     std::fs::write(&path, format.encode(&snap)).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
+    outln!(
         "wrote {path} ({} span(s), {} instant(s), {} counter(s))",
         snap.spans().count(),
         snap.instants().count(),
@@ -489,7 +519,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         )
     };
 
-    println!(
+    outln!(
         "explain: {label} | {} transfer(s) | completion {:.3} ms",
         dag.transfers().len(),
         dag.completion_ms()
@@ -500,35 +530,49 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         } else {
             0.0
         };
-        println!("lower bound: {lb:.3} ms | gap above t_lb: {gap:.2}%");
+        outln!("lower bound: {lb:.3} ms | gap above t_lb: {gap:.2}%");
     }
 
     let path = dag.critical_path();
-    println!(
+    outln!(
         "critical path: {} hop(s) explaining all {:.3} ms",
         path.len(),
         dag.completion_ms()
     );
-    println!(
+    outln!(
         "  {:>4} {:>4} {:>12} {:>10} {:>10} {:>12}",
-        "src", "dst", "start(ms)", "dur(ms)", "wait(ms)", "contrib(ms)"
+        "src",
+        "dst",
+        "start(ms)",
+        "dur(ms)",
+        "wait(ms)",
+        "contrib(ms)"
     );
     for step in &path {
         let t = step.transfer;
-        println!(
+        outln!(
             "  {:>4} {:>4} {:>12.3} {:>10.3} {:>10.3} {:>12.3}",
-            t.src, t.dst, t.start_ms, t.dur_ms, step.wait_ms, step.contribution_ms
+            t.src,
+            t.dst,
+            t.start_ms,
+            t.dur_ms,
+            step.wait_ms,
+            step.contribution_ms
         );
     }
 
     let blame = dag.blame();
-    println!("blame (critical-path time per link):");
-    println!(
+    outln!("blame (critical-path time per link):");
+    outln!(
         "  {:>8} {:>10} {:>10} {:>5} {:>7}",
-        "link", "busy(ms)", "wait(ms)", "hops", "share%"
+        "link",
+        "busy(ms)",
+        "wait(ms)",
+        "hops",
+        "share%"
     );
     for l in &blame.links {
-        println!(
+        outln!(
             "  {:>8} {:>10.3} {:>10.3} {:>5} {:>7.1}",
             format!("{}->{}", l.src, l.dst),
             l.busy_ms,
@@ -541,21 +585,23 @@ fn explain(opts: &args::Options) -> Result<(), String> {
             }
         );
     }
-    println!("processors on the path:");
-    println!("  {:>5} {:>10} {:>10}", "proc", "send(ms)", "recv(ms)");
+    outln!("processors on the path:");
+    outln!("  {:>5} {:>10} {:>10}", "proc", "send(ms)", "recv(ms)");
     for p in &blame.procs {
-        println!("  {:>5} {:>10.3} {:>10.3}", p.proc, p.send_ms, p.recv_ms);
+        outln!("  {:>5} {:>10.3} {:>10.3}", p.proc, p.send_ms, p.recv_ms);
     }
 
-    print!("{}", render_slack_histogram(&dag));
+    out!("{}", render_slack_histogram(&dag));
 
-    println!("what-if (one link {k:.1}x faster, realized port orders fixed):");
-    println!(
+    outln!("what-if (one link {k:.1}x faster, realized port orders fixed):");
+    outln!(
         "  {:>8} {:>14} {:>11}",
-        "link", "predicted(ms)", "delta(ms)"
+        "link",
+        "predicted(ms)",
+        "delta(ms)"
     );
     for w in dag.interventions(k, top_k.max(1)) {
-        println!(
+        outln!(
             "  {:>8} {:>14.3} {:>11.3}",
             format!("{}->{}", w.src, w.dst),
             w.predicted_ms,
@@ -578,7 +624,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
             ..Default::default()
         };
         std::fs::write(&out, format.encode(&snap)).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out} ({} transfer span(s))", dag.transfers().len());
+        outln!("wrote {out} ({} transfer span(s))", dag.transfers().len());
     }
     Ok(())
 }
@@ -625,7 +671,7 @@ fn obs_diff(opts: &args::Options) -> Result<(), String> {
     let head = opts.require("head")?;
     let captures = read_captures(&[&base, &head])?;
     let diff = adaptcomm_obs::causal::diff_captures(&captures[0], &captures[1]);
-    print!("{}", diff.render());
+    out!("{}", diff.render());
     if let Some(threshold) = opts.get("fail-over") {
         let threshold: f64 = threshold
             .parse()
@@ -644,7 +690,7 @@ fn obs_diff(opts: &args::Options) -> Result<(), String> {
 fn obs_summary(opts: &args::Options) -> Result<(), String> {
     let path = opts.require("input")?;
     let summary = adaptcomm_obs::Summary::from_snapshot(&read_capture(&path)?);
-    print!("{}", summary.render());
+    out!("{}", summary.render());
     Ok(())
 }
 
@@ -666,7 +712,7 @@ fn obs_merge(opts: &args::Options) -> Result<(), String> {
     let parts: Vec<(String, Snapshot)> = labels.zip(read_captures(&paths)?).collect();
     let trace = adaptcomm_obs::merge_chrome_trace(&parts);
     std::fs::write(&out, &trace).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out} ({} process(es))", parts.len());
+    outln!("wrote {out} ({} process(es))", parts.len());
     Ok(())
 }
 
@@ -687,7 +733,7 @@ fn metrics_begin(
     obs.set_enabled(true);
     let server = adaptcomm_obs::serve_metrics_with(obs.clone(), ("127.0.0.1", port), endpoints)
         .map_err(|e| format!("binding metrics port {port}: {e}"))?;
-    println!("metrics on http://{}/metrics", server.local_addr());
+    outln!("metrics on http://{}/metrics", server.local_addr());
     Ok(Some(server))
 }
 
@@ -729,7 +775,7 @@ fn scenario_matrix(opts: &args::Options, name: &str) -> Result<CommMatrix, Strin
 
 fn generate(opts: &args::Options) -> Result<(), String> {
     let name = opts.require("scenario")?;
-    print!("{}", csv::to_csv(&scenario_matrix(opts, &name)?));
+    out!("{}", csv::to_csv(&scenario_matrix(opts, &name)?));
     Ok(())
 }
 
@@ -763,7 +809,7 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
     schedule
         .validate()
         .map_err(|e| format!("internal: invalid schedule: {e}"))?;
-    println!(
+    outln!(
         "{}: completion {} | lower bound {} | ratio {:.4}",
         scheduler.name(),
         schedule.completion_time(),
@@ -771,12 +817,15 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
         schedule.lb_ratio()
     );
     if opts.flag("events") {
-        println!(
+        outln!(
             "{:>6} {:>6} {:>12} {:>12}",
-            "src", "dst", "start(ms)", "finish(ms)"
+            "src",
+            "dst",
+            "start(ms)",
+            "finish(ms)"
         );
         for e in schedule.events() {
-            println!(
+            outln!(
                 "{:>6} {:>6} {:>12.2} {:>12.2}",
                 e.src,
                 e.dst,
@@ -786,17 +835,17 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
         }
     }
     if opts.flag("diagram") {
-        println!("{}", TimingDiagram::of_schedule(&schedule).render(24));
+        outln!("{}", TimingDiagram::of_schedule(&schedule).render(24));
     }
     if let Some(path) = opts.get("json") {
         let json = adaptcomm_core::export::schedule_to_json(&schedule);
         std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(path) = opts.get("svg") {
         let svg = TimingDiagram::of_schedule(&schedule).render_svg(900, 600);
         std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -839,8 +888,8 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
     let obs_path = obs_begin(opts)?;
     let clock = std::time::Instant::now();
     let stats = runner.stats(&grid);
-    print!("{}", stats.render());
-    println!(
+    out!("{}", stats.render());
+    outln!(
         "{} instances in {:.2} s on {} thread(s)",
         stats.instances,
         clock.elapsed().as_secs_f64(),
@@ -1007,11 +1056,15 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         });
     }
 
-    println!(
+    outln!(
         "live run: backend {} | {} | P = {} | algorithm {} | seed {}",
-        report.backend, scenario_name, p, algorithm, seed
+        report.backend,
+        scenario_name,
+        p,
+        algorithm,
+        seed
     );
-    println!(
+    outln!(
         "  messages {:>6}   bytes {:>12}   receipts {}",
         report.records.len(),
         report.receipts.iter().map(|r| r.bytes).sum::<u64>(),
@@ -1021,20 +1074,20 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
             "MISMATCH"
         }
     );
-    println!(
+    outln!(
         "  planned {:>10.2} ms   realized {:>10.2} ms   wall {:>8.2} ms",
         report.planned_makespan.as_ms(),
         report.makespan.as_ms(),
         wall_ms
     );
     if faulted {
-        println!(
+        outln!(
             "  drift: bandwidth x{drift:.2} on {} link(s) at {drift_at:.1} ms",
             p.div_ceil(3)
         );
     }
     if adapt {
-        println!(
+        outln!(
             "  loop: trigger {trigger_name} | replanner {replanner_name} | {} checkpoint(s), {} reschedule(s) ({} incremental), {} attempt(s), {} measurement(s) published",
             report.checkpoints_evaluated,
             report.reschedules,
@@ -1086,50 +1139,53 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
     let report = run_chaos(&inst.network, &sizes, &plan)
         .map_err(|e| format!("the run did not recover: {e}"))?;
 
-    println!("chaos run: scenario {scenario} | workload {workload_name} | P = {p} | seed {seed}");
+    outln!("chaos run: scenario {scenario} | workload {workload_name} | P = {p} | seed {seed}");
     let events: Vec<String> = plan.events.iter().map(|e| e.to_string()).collect();
-    println!("  plan: {}", events.join("; "));
-    println!(
+    outln!("  plan: {}", events.join("; "));
+    outln!(
         "  fault-free {:>10.2} ms   chaotic {:>10.2} ms   attempts {}   reschedules {}",
-        report.fault_free_ms, report.chaos_ms, report.attempts, report.reschedules
+        report.fault_free_ms,
+        report.chaos_ms,
+        report.attempts,
+        report.reschedules
     );
     if report.faults.is_empty() {
-        println!("  faults: none detected");
+        outln!("  faults: none detected");
     } else {
-        println!("  faults:");
+        outln!("  faults:");
         for f in &report.faults {
             let recovered = f
                 .recovery_ms
                 .map(|t| format!("{t:>10.2} ms"))
                 .unwrap_or_else(|| "   (never)".into());
-            println!(
+            outln!(
                 "    {:>9}  link {}->{}  detected {:>10.2} ms  recovered {recovered}  parked {:>3}  probes {}",
                 f.kind, f.link.0, f.link.1, f.detected_ms, f.parked, f.probes
             );
         }
     }
     if report.quarantined.is_empty() {
-        println!("  quarantined: none");
+        outln!("  quarantined: none");
     } else {
         let links: Vec<String> = report
             .quarantined
             .iter()
             .map(|(s, d)| format!("{s}->{d}"))
             .collect();
-        println!("  quarantined: {}", links.join(", "));
+        outln!("  quarantined: {}", links.join(", "));
     }
     let measured: usize = report.histogram.iter().map(|&(_, n)| n).sum();
     if measured > 0 {
-        println!("  recovery-time histogram (ms):");
+        outln!("  recovery-time histogram (ms):");
         for &(bound, n) in report.histogram.iter().filter(|&&(_, n)| n > 0) {
             if bound.is_finite() {
-                println!("    <= {bound:>8.2}: {n}");
+                outln!("    <= {bound:>8.2}: {n}");
             } else {
-                println!("    >  (last)  : {n}");
+                outln!("    >  (last)  : {n}");
             }
         }
     }
-    println!(
+    outln!(
         "  receipts: {}",
         if report.receipts_ok {
             "verified (every payload exactly once)"
@@ -1137,7 +1193,7 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
             "MISMATCH"
         }
     );
-    println!("{}", report.slo_line());
+    outln!("{}", report.slo_line());
     if let Some(path) = obs_path {
         obs_finish(path)?;
     }
@@ -1153,7 +1209,7 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
             report.slowdown()
         );
         match adaptcomm_obs::flight().dump(std::path::Path::new(&flight_path), &reason) {
-            Ok(()) => println!("  flight recorder dumped to {flight_path}"),
+            Ok(()) => outln!("  flight recorder dumped to {flight_path}"),
             Err(e) => eprintln!("  flight recorder: cannot write {flight_path}: {e}"),
         }
         return Err(format!(
@@ -1173,15 +1229,19 @@ fn compare(opts: &args::Options) -> Result<(), String> {
     }
     let obs_path = obs_begin(opts)?;
     let obs = adaptcomm_obs::global();
-    println!(
+    outln!(
         "P = {}, lower bound {}, {} solver thread(s)",
         matrix.len(),
         matrix.lower_bound(),
         threads
     );
-    println!(
+    outln!(
         "{:>14} {:>14} {:>8} {:>12} {:>12}",
-        "algorithm", "completion", "ratio", "sched-ms", "construction"
+        "algorithm",
+        "completion",
+        "ratio",
+        "sched-ms",
+        "construction"
     );
     for scheduler in all_schedulers_threaded(threads) {
         // Construction cost is reported alongside quality — the §6.2
@@ -1196,7 +1256,7 @@ fn compare(opts: &args::Options) -> Result<(), String> {
         // algorithms without one. A second `schedule` on the same
         // scheduler value would report "hit".
         let disposition = scheduler.construction_disposition().unwrap_or("-");
-        println!(
+        outln!(
             "{:>14} {:>14} {:>8.4} {:>12.3} {:>12}",
             scheduler.name(),
             format!("{}", s.completion_time()),
@@ -1250,15 +1310,14 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         threads: opts.parsed_or("threads", 1)?,
     };
     let server = PlanServer::bind(&addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
-    println!("plan server listening on {}", server.local_addr());
-    use std::io::Write as _;
+    outln!("plan server listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
 
     let service = std::sync::Arc::clone(server.service());
     server.join();
 
     let stats = service.cache_stats();
-    println!(
+    outln!(
         "plan server stopped: {} plan(s) cached, {} exact hit(s), {} incremental hit(s), \
          {} warm hit(s), {} miss(es), {} eviction(s)",
         stats.inserts,
@@ -1269,7 +1328,7 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         stats.evictions
     );
     for (tenant, epoch) in service.tenant_epochs() {
-        println!("tenant {tenant}: epoch {epoch}");
+        outln!("tenant {tenant}: epoch {epoch}");
     }
     drop(metrics);
     if let Some(path) = obs_path {
@@ -1336,7 +1395,7 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
 
     if shutdown {
         match client.shutdown().map_err(|e| e.to_string())? {
-            PlanResponse::Bye => println!("server acknowledged shutdown"),
+            PlanResponse::Bye => outln!("server acknowledged shutdown"),
             other => return Err(format!("unexpected shutdown reply: {other:?}")),
         }
     }
@@ -1370,7 +1429,7 @@ fn print_plan_response(response: &adaptcomm_plansrv::proto::PlanResponse) -> Res
     use adaptcomm_plansrv::proto::PlanResponse;
     match response {
         PlanResponse::Ok(ok) => {
-            println!(
+            outln!(
                 "cache: {}  epoch: {}  seq: {}  completion: {:.3} ms  service: {:.3} ms  \
                  round1: {} scan(s){}  total: {} scan(s){}",
                 ok.cache.as_str(),
@@ -1392,7 +1451,7 @@ fn print_plan_response(response: &adaptcomm_plansrv::proto::PlanResponse) -> Res
                     .iter()
                     .map(|(s, d)| format!("{s}->{d}"))
                     .collect();
-                println!(
+                outln!(
                     "quality: lb-gap {:.2}%  critical path: {}",
                     q.lb_gap_pct,
                     hops.join(" ")
@@ -1401,14 +1460,14 @@ fn print_plan_response(response: &adaptcomm_plansrv::proto::PlanResponse) -> Res
             Ok(())
         }
         PlanResponse::NeedMatrix => {
-            println!("cache: need-matrix  (resend with --matrix or --scenario)");
+            outln!("cache: need-matrix  (resend with --matrix or --scenario)");
             Ok(())
         }
         PlanResponse::Rejected {
             retry_after_ms,
             detail,
         } => {
-            println!("rejected: retry after {retry_after_ms:.3} ms  ({detail})");
+            outln!("rejected: retry after {retry_after_ms:.3} ms  ({detail})");
             Ok(())
         }
         PlanResponse::Error { detail } => Err(format!("server error: {detail}")),

@@ -34,6 +34,29 @@ fn gusto_prints_both_tables() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    // ~0.7 MB of CSV: far more than a pipe buffers, so the writer is
+    // still writing when its reader hangs up.
+    let mut child = bin()
+        .args(["generate", "--scenario", "fig12", "--p", "300"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut head = [0u8; 10];
+    let mut stdout = child.stdout.take().unwrap();
+    stdout.read_exact(&mut head).unwrap();
+    drop(stdout);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+}
+
+#[test]
 fn generate_schedule_compare_round_trip() {
     let out = bin()
         .args(["generate", "--scenario", "fig11", "--p", "6", "--seed", "2"])

@@ -1053,19 +1053,14 @@ mod tests {
             fn name(&self) -> &'static str {
                 "refuse-once"
             }
-            fn deliver(
-                &self,
-                src: usize,
-                dst: usize,
-                payload: Vec<u8>,
-            ) -> Result<(), RuntimeError> {
+            fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
                 self.inner.deliver(src, dst, payload)
             }
             fn deliver_timed(
                 &self,
                 src: usize,
                 dst: usize,
-                payload: Vec<u8>,
+                payload: &[u8],
                 start: Millis,
                 finish: Millis,
             ) -> Result<(), RuntimeError> {

@@ -28,7 +28,7 @@
 //! and no spans.
 
 use crate::error::RuntimeError;
-use crate::transport::{fill_payload, physical_len, Transport};
+use crate::transport::{physical_len, refill_payload, Transport};
 use adaptcomm_core::checkpointed::CheckpointPolicy;
 use adaptcomm_core::kernel::{self, Policy, Ports, RunError};
 use adaptcomm_model::cost::LinkEstimate;
@@ -177,6 +177,7 @@ fn worker<T: Transport + ?Sized>(
     jobs: Receiver<Job>,
     verdicts: Sender<Verdict>,
 ) {
+    let mut payload = Vec::new();
     for job in jobs {
         // Optional pacing so the wall-clock timeline tracks the modeled
         // one, then the real byte movement through the transport.
@@ -186,11 +187,11 @@ fn worker<T: Transport + ?Sized>(
                 std::thread::sleep(Duration::from_micros(us as u64));
             }
         }
-        let payload = fill_payload(src, job.dst, job.physical);
+        refill_payload(&mut payload, src, job.dst, job.physical);
         let delivered = transport.deliver_timed(
             src,
             job.dst,
-            payload,
+            &payload,
             Millis::new(job.start),
             Millis::new(job.finish),
         );
@@ -790,7 +791,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "refusing"
         }
-        fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+        fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
             if (src, dst) == self.refuse {
                 return Err(RuntimeError::LinkPartitioned {
                     src,
@@ -869,7 +870,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "panicking"
         }
-        fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+        fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
             assert_ne!((src, dst), self.panic_on, "the transport blew up");
             self.inner.deliver(src, dst, payload)
         }
@@ -925,14 +926,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "window"
         }
-        fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+        fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
             self.inner.deliver(src, dst, payload)
         }
         fn deliver_timed(
             &self,
             src: usize,
             dst: usize,
-            payload: Vec<u8>,
+            payload: &[u8],
             _start: Millis,
             finish: Millis,
         ) -> Result<(), RuntimeError> {

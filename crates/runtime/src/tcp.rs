@@ -17,7 +17,7 @@ use crate::error::RuntimeError;
 use crate::transport::{checksum, ReceiptSummary, Transport};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 const SHUTDOWN: u64 = u64::MAX;
@@ -142,9 +142,7 @@ impl TcpTransport {
                 .map_err(|_| RuntimeError::Transport {
                     detail: format!("acceptor {dst} panicked"),
                 })??;
-            self.receipts.lock().map_err(|_| RuntimeError::Transport {
-                detail: "receipts poisoned".into(),
-            })?[dst] = summary;
+            self.receipts.lock().unwrap_or_else(PoisonError::into_inner)[dst] = summary;
         }
         Ok(())
     }
@@ -165,9 +163,7 @@ fn accept_loop(listener: TcpListener) -> Result<ReceiptSummary, RuntimeError> {
             return Ok(summary);
         }
         let payload = read_payload(&mut stream, len, MAX_FRAME)?;
-        summary.messages += 1;
-        summary.bytes += len;
-        summary.checksum = summary.checksum.wrapping_add(checksum(&payload));
+        summary.add(payload.len(), checksum(&payload));
     }
 }
 
@@ -176,19 +172,22 @@ impl Transport for TcpTransport {
         "tcp"
     }
 
-    fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+    fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
         let addr = *self.addrs.get(dst).ok_or_else(|| RuntimeError::Transport {
             detail: format!("destination {dst} out of range"),
         })?;
         let mut stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
-        write_frame(&mut stream, src as u64, &payload)
+        write_frame(&mut stream, src as u64, payload)
     }
 
     /// Receipts folded in so far. Only complete after
     /// [`TcpTransport::shutdown`]; acceptors still running contribute
-    /// nothing yet.
+    /// nothing yet. A poisoned tally is read as it stands.
     fn receipts(&self) -> Vec<ReceiptSummary> {
-        self.receipts.lock().expect("receipts poisoned").clone()
+        self.receipts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -215,7 +214,7 @@ mod tests {
                     for dst in 0..3 {
                         if src != dst {
                             let len = physical_len(sizes[src][dst], None);
-                            t.deliver(src, dst, fill_payload(src, dst, len)).unwrap();
+                            t.deliver(src, dst, &fill_payload(src, dst, len)).unwrap();
                         }
                     }
                 });
@@ -234,9 +233,24 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_tally_is_read_as_it_stands() {
+        let t = TcpTransport::new(2).expect("bind loopback");
+        t.deliver(1, 0, &fill_payload(1, 0, 12)).unwrap();
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                let _tally = t.receipts.lock();
+                panic!("a reader died holding the tally");
+            });
+            assert!(died.join().is_err());
+        });
+        let receipts = t.finish().expect("shutdown folds into a poisoned tally");
+        assert_eq!((receipts[0].messages, receipts[0].bytes), (1, 12));
+    }
+
+    #[test]
     fn out_of_range_destination_is_a_transport_error() {
         let t = TcpTransport::new(2).expect("bind loopback");
-        assert!(t.deliver(0, 7, vec![1, 2, 3]).is_err());
+        assert!(t.deliver(0, 7, &[1, 2, 3]).is_err());
         t.shutdown().expect("shutdown");
     }
 }

@@ -17,7 +17,8 @@
 
 use crate::error::RuntimeError;
 use adaptcomm_model::units::{Bytes, Millis};
-use std::sync::Mutex;
+use adaptcomm_obs::Fnv1a;
+use std::sync::{Mutex, PoisonError};
 
 /// Physical delivery of one payload. Implementations must be safe to
 /// call from many sender threads at once.
@@ -27,7 +28,7 @@ pub trait Transport: Sync {
 
     /// Moves `payload` from `src` to `dst`, blocking until the bytes
     /// have been handed to the destination.
-    fn deliver(&self, src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError>;
+    fn deliver(&self, src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError>;
 
     /// Like [`Transport::deliver`], annotated with the modeled interval
     /// `[start, finish]` the transfer occupies. The shaped engine calls
@@ -38,7 +39,7 @@ pub trait Transport: Sync {
         &self,
         src: usize,
         dst: usize,
-        payload: Vec<u8>,
+        payload: &[u8],
         start: Millis,
         finish: Millis,
     ) -> Result<(), RuntimeError> {
@@ -63,33 +64,53 @@ pub struct ReceiptSummary {
 }
 
 impl ReceiptSummary {
-    fn absorb(&mut self, payload: &[u8]) {
+    /// Tallies one message of `len` bytes with checksum `checksum`.
+    pub(crate) fn add(&mut self, len: usize, checksum: u64) {
         self.messages += 1;
-        self.bytes += payload.len() as u64;
-        self.checksum = self.checksum.wrapping_add(checksum(payload));
+        self.bytes += len as u64;
+        self.checksum = self.checksum.wrapping_add(checksum);
     }
+}
+
+/// Bytes `8k..8k + 8` of the `(src, dst)` payload, little-endian: the one
+/// definition of a payload, eight bytes per multiply.
+fn word(src: usize, dst: usize, k: usize) -> u64 {
+    (src as u64)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(dst as u64)
+        .wrapping_add(k as u64)
+        .wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
 /// Deterministic payload for the `(src, dst)` message: the receiver (or
 /// a receipt audit) can recompute exactly what should have arrived.
 pub fn fill_payload(src: usize, dst: usize, len: usize) -> Vec<u8> {
-    let seed = (src as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(dst as u64);
-    (0..len)
-        .map(|i| {
-            (seed
-                .wrapping_add(i as u64)
-                .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                >> 56) as u8
-        })
-        .collect()
+    let mut payload = Vec::new();
+    refill_payload(&mut payload, src, dst, len);
+    payload
 }
 
-/// FNV-1a over the payload.
+/// [`fill_payload`] into `buf`, which a sender reuses for every message.
+pub(crate) fn refill_payload(buf: &mut Vec<u8>, src: usize, dst: usize, len: usize) {
+    buf.clear();
+    buf.resize(len, 0);
+    let (words, tail) = buf.as_chunks_mut::<8>();
+    for (k, w) in words.iter_mut().enumerate() {
+        *w = word(src, dst, k).to_le_bytes();
+    }
+    let last = word(src, dst, len / 8).to_le_bytes();
+    tail.copy_from_slice(&last[..tail.len()]);
+}
+
+/// FNV-1a over the payload's little-endian 64-bit words
+/// ([`Fnv1a::fold_word`]), then its last `len % 8` bytes one at a time.
 pub fn checksum(payload: &[u8]) -> u64 {
-    let mut h = adaptcomm_obs::Fnv1a::new();
-    h.write(payload);
+    let mut h = Fnv1a::new();
+    let (words, tail) = payload.as_chunks::<8>();
+    for w in words {
+        h.fold_word(u64::from_le_bytes(*w));
+    }
+    h.write(tail);
     h.finish()
 }
 
@@ -116,8 +137,14 @@ pub fn expected_receipts(sizes: &[Vec<Bytes>], cap: Option<u64>) -> Vec<ReceiptS
             if src == dst {
                 continue;
             }
-            let payload = fill_payload(src, dst, physical_len(b, cap));
-            out[dst].absorb(&payload);
+            // `checksum(&fill_payload(..))`, streamed: no payload is built.
+            let len = physical_len(b, cap);
+            let mut h = Fnv1a::new();
+            for k in 0..len / 8 {
+                h.fold_word(word(src, dst, k));
+            }
+            h.write(&word(src, dst, len / 8).to_le_bytes()[..len % 8]);
+            out[dst].add(len, h.finish());
         }
     }
     out
@@ -146,7 +173,7 @@ impl Transport for ChannelTransport {
         "channel"
     }
 
-    fn deliver(&self, _src: usize, dst: usize, payload: Vec<u8>) -> Result<(), RuntimeError> {
+    fn deliver(&self, _src: usize, dst: usize, payload: &[u8]) -> Result<(), RuntimeError> {
         let mut inbox = self
             .inboxes
             .get(dst)
@@ -157,14 +184,16 @@ impl Transport for ChannelTransport {
             .map_err(|_| RuntimeError::Transport {
                 detail: "inbox mutex poisoned".into(),
             })?;
-        inbox.absorb(&payload);
+        inbox.add(payload.len(), checksum(payload));
         Ok(())
     }
 
+    /// A poisoned inbox is read as it stands: a damaged tally fails the
+    /// receipt comparison instead of panicking here.
     fn receipts(&self) -> Vec<ReceiptSummary> {
         self.inboxes
             .iter()
-            .map(|m| *m.lock().expect("inbox mutex poisoned"))
+            .map(|m| *m.lock().unwrap_or_else(PoisonError::into_inner))
             .collect()
     }
 }
@@ -183,13 +212,13 @@ mod tests {
     #[test]
     fn channel_transport_tallies_receipts() {
         let t = ChannelTransport::new(3);
-        t.deliver(0, 2, fill_payload(0, 2, 10)).unwrap();
-        t.deliver(1, 2, fill_payload(1, 2, 5)).unwrap();
+        t.deliver(0, 2, &fill_payload(0, 2, 10)).unwrap();
+        t.deliver(1, 2, &fill_payload(1, 2, 5)).unwrap();
         let r = t.receipts();
         assert_eq!(r[2].messages, 2);
         assert_eq!(r[2].bytes, 15);
         assert_eq!(r[0].messages, 0);
-        assert!(t.deliver(0, 9, vec![1]).is_err());
+        assert!(t.deliver(0, 9, &[1]).is_err());
     }
 
     #[test]
@@ -204,12 +233,59 @@ mod tests {
             for dst in 0..3 {
                 let b = sizes[src][dst];
                 if src != dst {
-                    t.deliver(src, dst, fill_payload(src, dst, physical_len(b, None)))
+                    t.deliver(src, dst, &fill_payload(src, dst, physical_len(b, None)))
                         .unwrap();
                 }
             }
         }
         assert_eq!(t.receipts(), expected_receipts(&sizes, None));
+    }
+
+    #[test]
+    fn the_streamed_tally_is_the_tally_of_the_filled_bytes() {
+        let mut reused = fill_payload(3, 4, 70_000);
+        for len in (0..=24).chain([65_535, 65_536, 65_537]) {
+            for cap in [None, Some(64 * 1024)] {
+                let sizes = vec![
+                    vec![Bytes::ZERO, Bytes::new(len as u64)],
+                    vec![Bytes::new(len as u64 + 5), Bytes::ZERO],
+                ];
+                let mut by_filling = vec![ReceiptSummary::default(); 2];
+                for (src, dst) in [(0, 1), (1, 0)] {
+                    let n = physical_len(sizes[src][dst], cap);
+                    let payload = fill_payload(src, dst, n);
+                    // A worker's reused buffer holds the same bytes.
+                    refill_payload(&mut reused, src, dst, n);
+                    assert_eq!(reused, payload);
+                    by_filling[dst] = ReceiptSummary {
+                        messages: 1,
+                        bytes: n as u64,
+                        checksum: checksum(&payload),
+                    };
+                }
+                assert_eq!(
+                    expected_receipts(&sizes, cap),
+                    by_filling,
+                    "len {len}, cap {cap:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_inbox_is_read_as_it_stands() {
+        let t = ChannelTransport::new(2);
+        t.deliver(0, 1, &fill_payload(0, 1, 9)).unwrap();
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                let _inbox = t.inboxes[1].lock();
+                panic!("a sender died holding the inbox");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(t.inboxes[1].is_poisoned());
+        let r = t.receipts();
+        assert_eq!((r[1].messages, r[1].bytes), (1, 9));
     }
 
     #[test]

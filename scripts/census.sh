@@ -37,6 +37,12 @@
 # src/. The script exits 1 when a module has no row, a row is stale or
 # an edge is unused.
 #
+# `--panics` counts the panic sites instead, under the same non-test rule
+# and outside the shims: each `.unwrap()` / `.expect(` and each `panic!` /
+# `unreachable!` on a line that is not a comment, string literals and
+# trailing comments removed. It lists them (kind, file:line, sites on
+# the line), then the count, and always exits 0.
+#
 # Usage (from the repository root):
 #   scripts/census.sh            summary line only
 #   scripts/census.sh --zero     items with no caller, unowned modules,
@@ -44,17 +50,39 @@
 #                                then the summary
 #   scripts/census.sh --one      settings fields with one value in use
 #   scripts/census.sh --all      every item, then the summary
+#   scripts/census.sh --panics   every panic site, then their count
 #
 # Output rows are tab-separated: kind, item, file:line, callers, values.
 
 mode=${1:-summary}
 case "$mode" in
-summary | --zero | --one | --all) ;;
+summary | --zero | --one | --all | --panics) ;;
 *)
-    echo "usage: scripts/census.sh [--zero | --one | --all]" >&2
+    echo "usage: scripts/census.sh [--zero | --one | --all | --panics]" >&2
     exit 2
     ;;
 esac
+
+if [ "$mode" = --panics ]; then
+    find crates/*/src src -name '*.rs' -not -path 'crates/shims/*' | LC_ALL=C sort |
+        xargs awk '
+FNR == 1 { on = 1 }
+/^#\[cfg\(test\)\]/ { on = 0 }
+!on || /^[ \t]*\/\// { next }
+{
+    line = $0
+    gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+    sub(/\/\/.*$/, "", line)
+    k = gsub(/\.unwrap\(\)|\.expect\(/, "&", line)
+    if (k) printf "unwrap/expect\t%s:%d\t%d\n", FILENAME, FNR, k
+    unwraps += k
+    k = gsub(/(panic|unreachable)!\(/, "&", line)
+    if (k) printf "panic/unreachable\t%s:%d\t%d\n", FILENAME, FNR, k
+    panics += k
+}
+END { printf "panic sites: %d unwrap/expect, %d panic!/unreachable! in non-test source\n", unwraps, panics }'
+    exit 0
+fi
 
 manifest=$(find crates/*/src src -name '*.rs' | LC_ALL=C sort | awk -v mode="$mode" '
 FNR == 1 { design = (FILENAME == "DESIGN.md") }
