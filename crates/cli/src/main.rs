@@ -102,7 +102,6 @@ USAGE:
                 [--trigger <deviation|detector>]
                 [--replanner <openshop|matching-max|matching-min>]
                 [--threads <N>] [--pace <us-per-ms>] [--obs <path>]
-                [--metrics-port <port>]
       Execute a total exchange live: one OS thread per processor moving
       real bytes through the chosen transport under the paper's port
       model. --adapt attaches the measure -> schedule -> execute ->
@@ -175,8 +174,7 @@ USAGE:
   adaptcomm plan-server [--addr <host:port>] [--workers <N>]
                         [--cache <entries>] [--near-tolerance <frac>]
                         [--est-ms <ms>] [--threads <N>] [--pace-ms <ms>]
-                        [--obs <path>] [--metrics-port <port>]
-                        [--flight-dir <dir>]
+                        [--obs <path>] [--flight-dir <dir>]
       Run the multi-tenant scheduling service: a TCP plan server with a
       fingerprint-keyed plan cache (exact hits replay plans; near hits
       are re-solved incrementally from the cached plan, or warm-start
@@ -188,12 +186,9 @@ USAGE:
       statistics and each tenant's epoch on exit. --est-ms is the
       service time deadline admission assumes for an (algorithm, P) pair
       it has not timed yet (default 10). --pace-ms stretches every
-      cold/warm solve for deterministic queueing demos.
-      --metrics-port serves a live scrape surface on 127.0.0.1:
-      GET /metrics (Prometheus text), /healthz, and /tenants (per-tenant
-      JSON: requests, cache dispositions, deadline-hit ratio, rejects,
-      latency digest). A streak of deadline rejections auto-dumps the
-      flight recorder into --flight-dir (default: working directory).
+      cold/warm solve for deterministic queueing demos. A streak of
+      deadline rejections auto-dumps the flight recorder into
+      --flight-dir (default: working directory).
 
   adaptcomm plan-client --addr <host:port>
                         (--matrix <file.csv> | --scenario <name> --p <N>)
@@ -223,7 +218,6 @@ write (--obs, --flight, explain --capture) and every read (--input,
 --base/--head, --inputs):
   .jsonl          JSONL event stream (lossless)
   .json, .trace   Chrome trace_event JSON (Perfetto, chrome://tracing)
-  .prom, .txt     Prometheus text (counters, gauges, histogram totals)
 Any other extension is an error before the command starts.
 ";
 
@@ -282,7 +276,6 @@ const COMMANDS: &[args::Command] = &[
             "threads",
             "pace",
             "obs",
-            "metrics-port",
         ],
         flags: &["adapt"],
         run: run_live,
@@ -339,7 +332,6 @@ const COMMANDS: &[args::Command] = &[
             "threads",
             "pace-ms",
             "obs",
-            "metrics-port",
             "flight-dir",
         ],
         flags: &[],
@@ -494,7 +486,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         let transfers = transfers_from_snapshot(&read_capture(&path)?);
         if transfers.is_empty() {
             return Err(format!(
-                "{path} holds no transfer spans (spans with src/dst attrs); \
+                "{path} holds no transfer spans (spans whose src/dst attrs are processor ids); \
                  capture a run with --obs <path.jsonl> first"
             ));
         }
@@ -669,13 +661,19 @@ fn render_slack_histogram(dag: &adaptcomm_obs::causal::CausalDag) -> String {
 fn obs_diff(opts: &args::Options) -> Result<(), String> {
     let base = opts.require("base")?;
     let head = opts.require("head")?;
+    let threshold: Option<f64> = opts
+        .get("fail-over")
+        .map(|_| opts.require_parsed("fail-over"))
+        .transpose()?;
+    // A NaN threshold compares false against every regression, which
+    // would switch the gate off.
+    if threshold.is_some_and(f64::is_nan) {
+        return Err("--fail-over is a percentage and must be a number".into());
+    }
     let captures = read_captures(&[&base, &head])?;
     let diff = adaptcomm_obs::causal::diff_captures(&captures[0], &captures[1]);
     out!("{}", diff.render());
-    if let Some(threshold) = opts.get("fail-over") {
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| "`--fail-over` has an invalid value".to_string())?;
+    if let Some(threshold) = threshold {
         if let Some((label, pct)) = diff.worst_regression() {
             if pct > threshold {
                 return Err(format!(
@@ -714,27 +712,6 @@ fn obs_merge(opts: &args::Options) -> Result<(), String> {
     std::fs::write(&out, &trace).map_err(|e| format!("writing {out}: {e}"))?;
     outln!("wrote {out} ({} process(es))", parts.len());
     Ok(())
-}
-
-/// Starts the scrape server when `--metrics-port` was given. Serving
-/// implies an enabled registry — a scrape of a disabled one would read
-/// as "all quiet" — so this enables it (obs_begin may already have).
-fn metrics_begin(
-    opts: &args::Options,
-    endpoints: adaptcomm_obs::ScrapeEndpoints,
-) -> Result<Option<adaptcomm_obs::MetricsServer>, String> {
-    let Some(port) = opts.get("metrics-port") else {
-        return Ok(None);
-    };
-    let port: u16 = port
-        .parse()
-        .map_err(|_| "`--metrics-port` has an invalid value".to_string())?;
-    let obs = adaptcomm_obs::global();
-    obs.set_enabled(true);
-    let server = adaptcomm_obs::serve_metrics_with(obs.clone(), ("127.0.0.1", port), endpoints)
-        .map_err(|e| format!("binding metrics port {port}: {e}"))?;
-    outln!("metrics on http://{}/metrics", server.local_addr());
-    Ok(Some(server))
 }
 
 fn scenario_by_name(name: &str, n: usize) -> Result<Scenario, String> {
@@ -928,7 +905,6 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
     let algorithm = opts.get("algorithm").unwrap_or_else(|| "openshop".into());
 
     let obs_path = obs_begin(opts)?;
-    let metrics = metrics_begin(opts, adaptcomm_obs::ScrapeEndpoints::new())?;
     let obs = adaptcomm_obs::global();
     let run_start_us = obs.now_us();
 
@@ -1096,7 +1072,6 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
             report.measurements_published
         );
     }
-    drop(metrics);
     if let Some(path) = obs_path {
         obs_finish(path)?;
     }
@@ -1285,16 +1260,6 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         return Err("--near-tolerance must be a finite, non-negative fraction".into());
     }
     let obs_path = obs_begin(opts)?;
-    // The scrape surface: /metrics + /healthz plus the per-tenant JSON
-    // rollup, all read from the global registry the service records to.
-    let metrics = metrics_begin(
-        opts,
-        adaptcomm_obs::ScrapeEndpoints::new().json("/tenants", || {
-            let snap = adaptcomm_obs::global().snapshot();
-            adaptcomm_obs::json::Value::parse(&adaptcomm_plansrv::server::tenants_json(&snap))
-                .expect("tenants_json emits valid JSON")
-        }),
-    )?;
     // Arm the black box: a deadline-rejection streak dumps the recent
     // event window into --flight-dir (default: the working directory).
     let flight_dir = opts.get("flight-dir").unwrap_or_else(|| ".".into());
@@ -1330,7 +1295,6 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
     for (tenant, epoch) in service.tenant_epochs() {
         outln!("tenant {tenant}: epoch {epoch}");
     }
-    drop(metrics);
     if let Some(path) = obs_path {
         obs_finish(path)?;
     }

@@ -179,7 +179,7 @@ fn obs_dump_and_summary_round_trip() {
 
     // One extension table serves every write and every read: a `.trace`
     // dump is a Chrome trace that obs-summary, explain and obs-merge
-    // all take, and a `.prom` dump reads back through obs-summary.
+    // all take.
     let ok = |args: &[&str]| -> String {
         let out = bin().args(args).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
@@ -195,27 +195,24 @@ fn obs_dump_and_summary_round_trip() {
     let merged = merged.to_str().unwrap();
     let inputs = format!("{chrome},{}", jsonl_path.to_str().unwrap());
     assert!(ok(&["obs-merge", "--out", merged, "--inputs", &inputs]).contains("2 process(es)"));
-    let prom = temp_path("obs-run.prom");
-    let prom = prom.to_str().unwrap();
-    ok(&["run", "--p", "4", "--adapt", "--obs", prom]);
-    assert!(std::fs::read_to_string(prom).unwrap().contains("# TYPE"));
-    assert!(ok(&["obs-summary", "--input", prom]).contains("counters:"));
 
     // Any other extension is a usage error before the run starts.
-    let csv = temp_path("obs-run.csv");
-    let out = bin()
-        .args(["run", "--p", "4", "--obs", csv.to_str().unwrap()])
-        .output()
-        .unwrap();
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert_eq!(out.status.code(), Some(2), "{err}");
-    assert!(
-        err.starts_with("error: unsupported capture format"),
-        "{err}"
-    );
-    assert!(out.stdout.is_empty() && !csv.exists());
+    for ext in ["csv", "prom"] {
+        let path = temp_path(&format!("obs-run.{ext}"));
+        let out = bin()
+            .args(["run", "--p", "4", "--obs", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        assert!(
+            err.starts_with("error: unsupported capture format"),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty() && !path.exists());
+    }
 
-    for path in [chrome, merged, prom] {
+    for path in [chrome, merged] {
         let _ = std::fs::remove_file(path);
     }
     let _ = std::fs::remove_file(trace_path);
@@ -252,30 +249,6 @@ impl Drop for ChildGuard {
             let _ = child.wait();
         }
     }
-}
-
-/// One blocking HTTP/1.0 exchange against the scrape server, retrying
-/// the connect while it races its bind. Returns `(status_line, body)`.
-fn http_get(addr: &str, path: &str) -> (String, String) {
-    use std::io::{Read as _, Write as _};
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let mut stream = loop {
-        match std::net::TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) if std::time::Instant::now() >= deadline => {
-                panic!("connecting to metrics server {addr}: {e}")
-            }
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
-        }
-    };
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status = head.lines().next().unwrap_or_default().to_string();
-    (status, body.to_string())
 }
 
 /// The tentpole acceptance test: a real client process and a real
@@ -478,77 +451,6 @@ fn cross_process_trace_merges_into_one_request_tree() {
     let _ = std::fs::remove_file(merged);
 }
 
-#[test]
-fn metrics_endpoints_serve_wellformed_output() {
-    use adaptcomm_obs::json::Value;
-
-    let addr = "127.0.0.1:47911";
-    let metrics_addr = "127.0.0.1:47912";
-    let mut server = ChildGuard(Some(
-        bin()
-            .args(["plan-server", "--addr", addr, "--metrics-port", "47912"])
-            .stdout(std::process::Stdio::piped())
-            .spawn()
-            .unwrap(),
-    ));
-
-    let out = bin()
-        .args([
-            "plan-client",
-            "--addr",
-            addr,
-            "--scenario",
-            "fig9",
-            "--p",
-            "4",
-            "--tenant",
-            "mtr",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // /metrics: Prometheus text with the per-tenant counter under its
-    // sanitized name.
-    let (status, body) = http_get(metrics_addr, "/metrics");
-    assert!(status.contains("200"), "{status}");
-    assert!(
-        body.contains("plansrv_tenant_mtr_requests 1"),
-        "metrics body:\n{body}"
-    );
-    assert!(body.contains("# TYPE"), "metrics body:\n{body}");
-
-    let (status, body) = http_get(metrics_addr, "/healthz");
-    assert!(status.contains("200"), "{status}");
-    assert_eq!(body.trim(), "ok");
-
-    // /tenants: JSON that parses with the workspace's own parser.
-    let (status, body) = http_get(metrics_addr, "/tenants");
-    assert!(status.contains("200"), "{status}");
-    let doc = Value::parse(&body).expect("/tenants must be valid JSON");
-    let tenants = doc.get("tenants").and_then(Value::as_arr).unwrap();
-    let row = tenants
-        .iter()
-        .find(|t| t.get("name").and_then(Value::as_str) == Some("mtr"))
-        .expect("tenant row for mtr");
-    assert_eq!(row.get("requests").and_then(Value::as_u64), Some(1));
-
-    let (status, _) = http_get(metrics_addr, "/definitely-not-a-route");
-    assert!(status.contains("404"), "{status}");
-
-    let out = bin()
-        .args(["plan-client", "--addr", addr, "--shutdown"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let out = server.take().wait_with_output().unwrap();
-    assert!(out.status.success(), "server exit: {:?}", out.status);
-}
-
 /// The flight-recorder acceptance path: a chaos run that blows the SLO
 /// exits nonzero AND leaves a dump of the recent event window behind,
 /// containing the injected faults and the replans they provoked, and
@@ -645,6 +547,8 @@ fn errors_exit_nonzero_with_message() {
         "top",
         "report --input run.jsonl --html run.html",
         "run --adapt --status x",
+        "run --metrics-port 9100",
+        "plan-server --metrics-port 9100",
     ] {
         let out = bin().args(args.split(' ')).output().unwrap();
         let err = String::from_utf8(out.stderr).unwrap();
@@ -671,6 +575,52 @@ fn errors_exit_nonzero_with_message() {
     assert!(err.starts_with("error:"), "{err}");
     assert!(err.contains("line 2: unknown type \"series\""), "{err}");
     let _ = std::fs::remove_file(capture);
+
+    // A transfer whose sender no transfer track could hold is not a
+    // transfer: `explain` says so instead of indexing by it.
+    let capture = temp_path("huge-id.jsonl");
+    std::fs::write(
+        &capture,
+        "{\"type\":\"span\",\"name\":\"transfer\",\"tid\":4294967296,\"start_us\":0,\
+         \"dur_us\":10,\"attrs\":{\"src\":\"18446744073709551615\",\"dst\":1}}\n",
+    )
+    .unwrap();
+    let out = bin()
+        .args(["explain", "--input", capture.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error:"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_file(capture);
+
+    // A NaN regression threshold compares false against everything, so
+    // it would switch the gate off; it is rejected like `explain --k`.
+    let (base, head) = (temp_path("gate-base.jsonl"), temp_path("gate-head.jsonl"));
+    let span = |dur_us: u64| {
+        format!("{{\"type\":\"span\",\"name\":\"solve\",\"tid\":1,\"start_us\":0,\"dur_us\":{dur_us}}}\n")
+    };
+    std::fs::write(&base, span(1)).unwrap();
+    std::fs::write(&head, span(100_000_001)).unwrap();
+    for (threshold, why) in [
+        ("NaN", "--fail-over is a percentage"),
+        ("0", "regression over threshold"),
+    ] {
+        let out = bin()
+            .args(["obs-diff", "--base", base.to_str().unwrap()])
+            .args(["--head", head.to_str().unwrap(), "--fail-over", threshold])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{threshold}: {err}");
+        assert!(
+            err.starts_with("error:") && err.contains(why),
+            "{threshold}: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(base);
+    let _ = std::fs::remove_file(head);
 }
 
 #[test]

@@ -114,40 +114,16 @@ impl QosReport {
     }
 }
 
-/// How constrained messages are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QosPolicy {
-    /// Static order: priority descending, then earliest deadline (EDF).
-    #[default]
-    PriorityEdf,
-    /// Dynamic least-laxity-first: at each dispatch, commit the
-    /// constrained message whose slack — `deadline − (earliest start +
-    /// duration)` — is smallest given the *current* port availability.
-    /// Priorities still dominate (higher priority classes dispatch
-    /// first); laxity replaces the deadline tie-break.
-    LeastLaxity,
-}
-
 /// Deadline/priority-aware list scheduler.
 #[derive(Debug, Clone)]
 pub struct QosScheduler {
     qos: QosMatrix,
-    policy: QosPolicy,
 }
 
 impl QosScheduler {
-    /// Creates a scheduler for the given per-message requirements, with
-    /// the default static priority/EDF policy.
+    /// Creates a scheduler for the given per-message requirements.
     pub fn new(qos: QosMatrix) -> Self {
-        QosScheduler {
-            qos,
-            policy: QosPolicy::PriorityEdf,
-        }
-    }
-
-    /// Creates a scheduler with an explicit dispatch policy.
-    pub fn with_policy(qos: QosMatrix, policy: QosPolicy) -> Self {
-        QosScheduler { qos, policy }
+        QosScheduler { qos }
     }
 
     /// Builds the schedule in two phases.
@@ -184,10 +160,23 @@ impl QosScheduler {
                 }
             }
         }
+        constrained.sort_by(|&(sa, da), &(sb, db)| {
+            let qa = self.qos.get(sa, da);
+            let qb = self.qos.get(sb, db);
+            qb.priority
+                .cmp(&qa.priority)
+                .then_with(|| {
+                    let ta = qa.deadline.map(|d| d.as_ms()).unwrap_or(f64::INFINITY);
+                    let tb = qb.deadline.map(|d| d.as_ms()).unwrap_or(f64::INFINITY);
+                    ta.total_cmp(&tb)
+                })
+                .then(sa.cmp(&sb))
+                .then(da.cmp(&db))
+        });
         // `owes[src * p + dst]`: not yet scheduled — what phase 2 inherits.
         let mut owes: Vec<bool> = (0..p * p).map(|k| k / p != k % p).collect();
-        let mut commit = |src: usize, dst: usize, send: &mut [f64], recv: &mut [f64]| {
-            let start = send[src].max(recv[dst]);
+        for (src, dst) in constrained {
+            let start = send_avail[src].max(recv_avail[dst]);
             let fin = start + matrix.cost(src, dst).as_ms();
             events.push(ScheduledEvent {
                 src,
@@ -195,58 +184,9 @@ impl QosScheduler {
                 start: Millis::new(start),
                 finish: Millis::new(fin),
             });
-            send[src] = send[src].max(fin);
-            recv[dst] = recv[dst].max(fin);
+            send_avail[src] = send_avail[src].max(fin);
+            recv_avail[dst] = recv_avail[dst].max(fin);
             owes[src * p + dst] = false;
-        };
-        match self.policy {
-            QosPolicy::PriorityEdf => {
-                constrained.sort_by(|&(sa, da), &(sb, db)| {
-                    let qa = self.qos.get(sa, da);
-                    let qb = self.qos.get(sb, db);
-                    qb.priority
-                        .cmp(&qa.priority)
-                        .then_with(|| {
-                            let ta = qa.deadline.map(|d| d.as_ms()).unwrap_or(f64::INFINITY);
-                            let tb = qb.deadline.map(|d| d.as_ms()).unwrap_or(f64::INFINITY);
-                            ta.total_cmp(&tb)
-                        })
-                        .then(sa.cmp(&sb))
-                        .then(da.cmp(&db))
-                });
-                for (src, dst) in constrained {
-                    commit(src, dst, &mut send_avail, &mut recv_avail);
-                }
-            }
-            QosPolicy::LeastLaxity => {
-                // Dynamic dispatch: recompute laxity from the live port
-                // profile before every commit.
-                while !constrained.is_empty() {
-                    let best = constrained
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, &(sa, da)), (_, &(sb, db))| {
-                            let qa = self.qos.get(sa, da);
-                            let qb = self.qos.get(sb, db);
-                            let lax = |s: usize, d: usize, q: &QosRequirement| {
-                                let start = send_avail[s].max(recv_avail[d]);
-                                let fin = start + matrix.cost(s, d).as_ms();
-                                q.deadline
-                                    .map(|dl| dl.as_ms() - fin)
-                                    .unwrap_or(f64::INFINITY)
-                            };
-                            qb.priority
-                                .cmp(&qa.priority)
-                                .then_with(|| lax(sa, da, &qa).total_cmp(&lax(sb, db, &qb)))
-                                .then(sa.cmp(&sb))
-                                .then(da.cmp(&db))
-                        })
-                        .map(|(k, _)| k)
-                        .expect("non-empty");
-                    let (src, dst) = constrained.swap_remove(best);
-                    commit(src, dst, &mut send_avail, &mut recv_avail);
-                }
-            }
         }
 
         // Phase 2: the open shop rule over the best-effort remainder,
@@ -375,8 +315,7 @@ mod tests {
         // `heterogeneous(6)` with eight constrained messages that contend
         // for ports (so phase 1 leaves an uneven availability profile), as
         // emitted by the double linear scan phase 2 was before it became
-        // `OpenShop::list_schedule` (captured at 5d7b115; both policies
-        // order this instance alike).
+        // `OpenShop::list_schedule` (captured at 5d7b115).
         let req = |deadline: Option<f64>, priority| QosRequirement {
             deadline: deadline.map(Millis::new),
             priority,
@@ -422,15 +361,13 @@ mod tests {
             (5, 0, 46.0, 51.0),
             (2, 4, 49.0, 59.0),
         ];
-        for policy in [QosPolicy::PriorityEdf, QosPolicy::LeastLaxity] {
-            let s = QosScheduler::with_policy(qos.clone(), policy).build(&heterogeneous(6));
-            let got: Vec<_> = s
-                .events()
-                .iter()
-                .map(|e| (e.src, e.dst, e.start.as_ms(), e.finish.as_ms()))
-                .collect();
-            assert_eq!(got, expected, "{policy:?}");
-        }
+        let s = QosScheduler::new(qos).build(&heterogeneous(6));
+        let got: Vec<_> = s
+            .events()
+            .iter()
+            .map(|e| (e.src, e.dst, e.start.as_ms(), e.finish.as_ms()))
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -450,117 +387,5 @@ mod tests {
         assert_eq!(r.missed.len(), 1);
         assert!((r.total_tardiness.as_ms() - 6.0).abs() < 1e-9); // finishes at 10, deadline 4
         assert_eq!(r.max_tardiness, r.total_tardiness);
-    }
-}
-
-#[cfg(test)]
-mod llf_tests {
-    use super::*;
-    use crate::matrix::CommMatrix;
-
-    /// On a single contended resource EDF is provably optimal, so LLF
-    /// can only differ when several ports interact. Scan seeded random
-    /// contended instances: both policies must always be valid, they
-    /// diverge frequently, and each wins (strictly less total tardiness)
-    /// on some instances. Empirically EDF wins far more often — the
-    /// classic result that least-laxity dispatch thrashes when many
-    /// messages have similar slack — which is why [`QosPolicy`] defaults
-    /// to `PriorityEdf`.
-    #[test]
-    fn least_laxity_diverges_and_each_policy_wins_somewhere() {
-        let mut diverged = 0;
-        let mut llf_wins = 0;
-        let mut edf_wins = 0;
-        for seed in 0..500u64 {
-            let p = 6;
-            let m = CommMatrix::from_fn(p, |s, d| {
-                if s == d {
-                    0.0
-                } else {
-                    ((s as u64 * 13 + d as u64 * 29 + seed * 57) % 20 + 1) as f64
-                }
-            });
-            let mut qos = QosMatrix::best_effort(p);
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            let mut next = || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            for _ in 0..10 {
-                let s = (next() % p as u64) as usize;
-                let mut d = (next() % p as u64) as usize;
-                if d == s {
-                    d = (d + 1) % p;
-                }
-                let deadline = next() % 55 + 5;
-                qos.set(
-                    s,
-                    d,
-                    QosRequirement {
-                        deadline: Some(Millis::new(deadline as f64)),
-                        priority: 1,
-                    },
-                );
-            }
-            let edf = QosScheduler::new(qos.clone()).build(&m);
-            let llf = QosScheduler::with_policy(qos.clone(), QosPolicy::LeastLaxity).build(&m);
-            edf.validate().unwrap();
-            llf.validate().unwrap();
-            let te = QosReport::evaluate(&edf, &qos).total_tardiness.as_ms();
-            let tl = QosReport::evaluate(&llf, &qos).total_tardiness.as_ms();
-            if edf.events() != llf.events() {
-                diverged += 1;
-            }
-            if tl < te - 1e-9 {
-                llf_wins += 1;
-            }
-            if te < tl - 1e-9 {
-                edf_wins += 1;
-            }
-        }
-        assert!(
-            diverged > 100,
-            "policies diverged only {diverged}/500 times"
-        );
-        assert!(llf_wins > 0, "LLF never beat EDF across 500 instances");
-        assert!(edf_wins > llf_wins, "EDF should dominate on aggregate");
-    }
-
-    #[test]
-    fn policies_agree_when_slack_is_ample() {
-        let m = CommMatrix::from_fn(5, |s, d| if s == d { 0.0 } else { 2.0 });
-        let mut qos = QosMatrix::best_effort(5);
-        qos.set(
-            0,
-            1,
-            QosRequirement {
-                deadline: Some(Millis::new(1e6)),
-                priority: 3,
-            },
-        );
-        qos.set(
-            2,
-            3,
-            QosRequirement {
-                deadline: Some(Millis::new(1e6)),
-                priority: 3,
-            },
-        );
-        for policy in [QosPolicy::PriorityEdf, QosPolicy::LeastLaxity] {
-            let s = QosScheduler::with_policy(qos.clone(), policy).build(&m);
-            s.validate().unwrap();
-            assert!(QosReport::evaluate(&s, &qos).all_met());
-        }
-    }
-
-    #[test]
-    fn best_effort_only_is_unaffected_by_policy() {
-        let m = CommMatrix::from_fn(4, |s, d| if s == d { 0.0 } else { 3.0 });
-        let qos = QosMatrix::best_effort(4);
-        let a = QosScheduler::with_policy(qos.clone(), QosPolicy::PriorityEdf).build(&m);
-        let b = QosScheduler::with_policy(qos.clone(), QosPolicy::LeastLaxity).build(&m);
-        assert_eq!(a.events(), b.events());
     }
 }

@@ -21,9 +21,9 @@ use crate::units::Millis;
 ///   passes ([`crate::variation::VariationTrace`]'s random walk, a fault
 ///   script's cursor) is forward-only: asked about an instant earlier
 ///   than one it has already answered for, it reports the latest state it
-///   reached. An implementor that is a pure function of `t`
-///   ([`crate::trace_io::RecordedTrace`], a frozen table, a windowed
-///   fault plan) answers for the instant asked, in any order.
+///   reached. An implementor that is a pure function of `t` (a frozen
+///   table, a windowed fault plan) answers for the instant asked, in any
+///   order.
 /// * **Diagonal.** [`link_at`](Self::link_at) is total: `src == dst`
 ///   returns the implementor's diagonal entry and never panics. The cost
 ///   model never consults it (local copies are free).

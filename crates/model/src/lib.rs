@@ -49,7 +49,6 @@ pub mod generator;
 pub mod gusto;
 pub mod params;
 pub mod topology;
-pub mod trace_io;
 pub mod units;
 pub mod variation;
 

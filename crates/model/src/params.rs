@@ -82,17 +82,6 @@ impl NetParams {
         );
     }
 
-    /// Applies a multiplicative factor to every off-diagonal bandwidth.
-    pub fn scale_all_bandwidths(&mut self, factor: f64) {
-        for src in 0..self.p {
-            for dst in 0..self.p {
-                if src != dst {
-                    self.scale_bandwidth(src, dst, factor);
-                }
-            }
-        }
-    }
-
     /// Predicted message time for `m` bytes from `src` to `dst`
     /// (zero on the diagonal).
     #[inline]
@@ -171,15 +160,6 @@ mod tests {
         assert_eq!(p.estimate(0, 2).bandwidth.as_kbps(), 50.0);
         assert_eq!(p.estimate(2, 0).bandwidth.as_kbps(), 100.0);
         assert_eq!(p.estimate(0, 1).bandwidth.as_kbps(), 100.0);
-    }
-
-    #[test]
-    fn scale_all_bandwidths_scales_everything() {
-        let mut p = NetParams::uniform(3, Millis::new(1.0), Bandwidth::from_kbps(100.0));
-        p.scale_all_bandwidths(2.0);
-        for (_, _, e) in p.pairs() {
-            assert_eq!(e.bandwidth.as_kbps(), 200.0);
-        }
     }
 
     #[test]

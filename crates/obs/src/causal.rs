@@ -147,6 +147,14 @@ pub struct CausalDag {
     /// Realized finish times.
     finish: Vec<f64>,
     completion_ms: f64,
+    /// The processor ids that occur, ascending; an id's port is its
+    /// position here.
+    procs: Vec<usize>,
+}
+
+/// The port of processor `id` among the ascending ids `procs`.
+fn port(procs: &[usize], id: usize) -> usize {
+    procs.partition_point(|&p| p < id)
 }
 
 impl CausalDag {
@@ -158,12 +166,17 @@ impl CausalDag {
                 .then(a.src.cmp(&b.src))
                 .then(a.dst.cmp(&b.dst))
         });
-        let n = transfers
-            .iter()
-            .map(|t| t.src.max(t.dst) + 1)
-            .max()
-            .unwrap_or(0);
         let m = transfers.len();
+        // Ports are keyed by the id's rank among the ids that occur, so
+        // no table outgrows the run it describes, whatever ids a capture
+        // names.
+        let mut procs: Vec<usize> = Vec::with_capacity(2 * m);
+        for t in &transfers {
+            procs.extend([t.src, t.dst]);
+        }
+        procs.sort_unstable();
+        procs.dedup();
+        let n = procs.len();
         let mut send_last: Vec<Option<usize>> = vec![None; n];
         let mut recv_last: Vec<Option<usize>> = vec![None; n];
         let mut send_pred = vec![None; m];
@@ -173,10 +186,9 @@ impl CausalDag {
         let mut completion_ms = 0.0f64;
         for i in 0..m {
             let t = transfers[i];
-            send_pred[i] = send_last[t.src];
-            send_last[t.src] = Some(i);
-            recv_pred[i] = recv_last[t.dst];
-            recv_last[t.dst] = Some(i);
+            let (src, dst) = (port(&procs, t.src), port(&procs, t.dst));
+            send_pred[i] = send_last[src].replace(i);
+            recv_pred[i] = recv_last[dst].replace(i);
             let ready = f64::max(
                 send_pred[i].map(|p| finish[p]).unwrap_or(0.0),
                 recv_pred[i].map(|p| finish[p]).unwrap_or(0.0),
@@ -194,6 +206,7 @@ impl CausalDag {
             extra_delay,
             finish,
             completion_ms,
+            procs,
         }
     }
 
@@ -279,16 +292,12 @@ impl CausalDag {
     /// Attributes the completion time to links and processors: the time
     /// each resource spends on the critical path.
     pub fn blame(&self) -> Blame {
-        let n = self
-            .transfers
-            .iter()
-            .map(|t| t.src.max(t.dst) + 1)
-            .max()
-            .unwrap_or(0);
         let mut links: Vec<LinkBlame> = Vec::new();
-        let mut procs: Vec<ProcBlame> = (0..n)
-            .map(|p| ProcBlame {
-                proc: p,
+        let mut procs: Vec<ProcBlame> = self
+            .procs
+            .iter()
+            .map(|&proc| ProcBlame {
+                proc,
                 send_ms: 0.0,
                 recv_ms: 0.0,
             })
@@ -311,8 +320,8 @@ impl CausalDag {
             row.busy_ms += t.dur_ms;
             row.wait_ms += step.wait_ms.max(0.0);
             row.hops += 1;
-            procs[t.src].send_ms += t.dur_ms;
-            procs[t.dst].recv_ms += t.dur_ms;
+            procs[port(&self.procs, t.src)].send_ms += t.dur_ms;
+            procs[port(&self.procs, t.dst)].recv_ms += t.dur_ms;
         }
         links.sort_by(|a, b| {
             b.busy_ms
@@ -413,16 +422,22 @@ impl CausalDag {
 // Capture extraction
 // ---------------------------------------------------------------------
 
+/// A processor id attribute. Ids that no transfer track could hold
+/// (see [`transfer_span`]) are not processor ids, like negative or
+/// fractional numbers.
 fn attr_usize(attrs: &[(String, AttrValue)], key: &str) -> Option<usize> {
-    attrs
+    let id = attrs
         .iter()
         .find(|(k, _)| k == key)
         .and_then(|(_, v)| match v {
-            AttrValue::U64(x) => Some(*x as usize),
-            AttrValue::F64(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as usize),
+            AttrValue::U64(x) => Some(*x),
+            AttrValue::F64(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
             AttrValue::F64(_) => None,
             AttrValue::Str(s) => s.parse().ok(),
-        })
+        })?;
+    usize::try_from(id)
+        .ok()
+        .filter(|_| id <= u64::MAX - TRANSFER_TRACKS)
 }
 
 /// The link a span is attributed to, when it carried `src`/`dst` attrs.
@@ -840,6 +855,87 @@ mod tests {
         assert_eq!((top[0].src, top[0].dst), (3, 2));
         assert_eq!(top[0].delta_ms, 10.0);
         assert!(top.windows(2).all(|w| w[0].delta_ms >= w[1].delta_ms));
+    }
+
+    #[test]
+    fn sparse_ids_analyze_like_their_dense_relabelling() {
+        // The pipeline's processors {0, 1, 2, 3} renamed, order kept.
+        let ids = [0, 7, 1_000_000, usize::MAX];
+        let sparse: Vec<Transfer> = pipeline()
+            .into_iter()
+            .map(|t| Transfer {
+                src: ids[t.src],
+                dst: ids[t.dst],
+                ..t
+            })
+            .collect();
+        let (dense, sparse) = (CausalDag::new(pipeline()), CausalDag::new(sparse));
+        let rename = |(src, dst): (usize, usize)| (ids[src], ids[dst]);
+        let hops = |dag: &CausalDag| -> Vec<_> {
+            let path = dag.critical_path();
+            path.iter()
+                .map(|s| (s.transfer.src, s.transfer.dst, s.wait_ms, s.contribution_ms))
+                .collect()
+        };
+        let dense_hops: Vec<_> = hops(&dense)
+            .into_iter()
+            .map(|(s, d, w, c)| (ids[s], ids[d], w, c))
+            .collect();
+        assert_eq!(hops(&sparse), dense_hops);
+        assert_eq!(sparse.slack(), dense.slack());
+        let (sb, db) = (sparse.blame(), dense.blame());
+        assert_eq!(sb.completion_ms, db.completion_ms);
+        let links: Vec<_> = db
+            .links
+            .iter()
+            .map(|l| {
+                let (src, dst) = rename((l.src, l.dst));
+                LinkBlame { src, dst, ..*l }
+            })
+            .collect();
+        assert_eq!(sb.links, links);
+        let procs: Vec<_> = db
+            .procs
+            .iter()
+            .map(|p| ProcBlame {
+                proc: ids[p.proc],
+                ..*p
+            })
+            .collect();
+        assert_eq!(sb.procs, procs);
+        let what_if: Vec<_> = dense
+            .interventions(2.0, 10)
+            .into_iter()
+            .map(|w| {
+                let (src, dst) = rename((w.src, w.dst));
+                WhatIf { src, dst, ..w }
+            })
+            .collect();
+        assert_eq!(sparse.interventions(2.0, 10), what_if);
+    }
+
+    #[test]
+    fn ids_no_transfer_track_could_hold_are_not_transfers() {
+        let span = |src: AttrValue| {
+            let mut s = transfer_span(0, 1, 0, 10);
+            s.attrs[0].1 = src;
+            Event::Span(s)
+        };
+        let largest = u64::MAX - TRANSFER_TRACKS;
+        let snap = Snapshot {
+            events: vec![
+                span(AttrValue::Str(u64::MAX.to_string())),
+                span(AttrValue::U64(largest + 1)),
+                span(AttrValue::F64(1e300)),
+                span(AttrValue::F64(-1.0)),
+                span(AttrValue::F64(0.5)),
+                span(AttrValue::U64(largest)),
+            ],
+            ..Default::default()
+        };
+        let transfers = transfers_from_snapshot(&snap);
+        assert_eq!(transfers.len(), 1);
+        assert_eq!(transfers[0].src as u64, largest);
     }
 
     #[test]

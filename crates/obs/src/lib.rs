@@ -6,9 +6,9 @@
 //! scheduler rounds, directory staleness, warm-start hits, and runtime
 //! replans all flow into one [`Registry`] of counters, gauges,
 //! fixed-bucket histograms, and nested wall-clock spans, written and
-//! read back by one codec as a JSONL event stream, a Prometheus-style
-//! text dump, or a Chrome `trace_event` file loadable in
-//! `chrome://tracing` / Perfetto (see [`Format`]).
+//! read back by one codec as a JSONL event stream or a Chrome
+//! `trace_event` file loadable in `chrome://tracing` / Perfetto (see
+//! [`Format`]).
 //!
 //! # Global or local
 //!
@@ -24,16 +24,14 @@
 //!
 //! Metric names are lowercase dotted paths, `<layer>.<thing>.<aspect>`:
 //! `sched.matching.rounds`, `directory.publish`,
-//! `runtime.replan.triggered`. The Prometheus exporter maps `.` and `-`
-//! to `_`. Span names are the phase names shown in trace viewers:
-//! `schedule`, `replan`, `transfer`.
+//! `runtime.replan.triggered`. Span names are the phase names shown in
+//! trace viewers: `schedule`, `replan`, `transfer`.
 
 pub mod causal;
 pub mod detect;
 pub mod flight;
 pub mod fnv;
 pub mod json;
-pub mod serve;
 pub mod snapshot;
 mod summary;
 pub mod trace;
@@ -41,10 +39,9 @@ pub mod trace;
 pub use detect::{Cusum, CusumConfig, DriftDirection};
 pub use flight::{flight, FlightRecorder};
 pub use fnv::Fnv1a;
-pub use serve::{serve_metrics, serve_metrics_with, MetricsServer, ScrapeEndpoints};
 pub use snapshot::{
-    merge_chrome_trace, prom_name, CounterSnapshot, Event, Format, GaugeSnapshot,
-    HistogramSnapshot, InstantRecord, Snapshot, SpanRecord, UnknownFormat,
+    merge_chrome_trace, CounterSnapshot, Event, Format, GaugeSnapshot, HistogramSnapshot,
+    InstantRecord, Snapshot, SpanRecord, UnknownFormat,
 };
 pub use summary::{PhaseTotal, Summary, SummaryWarning};
 pub use trace::TraceContext;

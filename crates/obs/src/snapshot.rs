@@ -2,7 +2,7 @@
 //!
 //! A [`Snapshot`] is everything a [`crate::Registry`] recorded, frozen:
 //! counters, gauges, histograms, and the ordered event log of spans and
-//! instants. A capture file holds one in one of three [`Format`]s, and
+//! instants. A capture file holds one in one of two [`Format`]s, and
 //! [`Format::of_path`] picks it from the file name by one extension
 //! table, for writing and reading alike:
 //!
@@ -12,12 +12,9 @@
 //! * **Chrome `trace_event` JSON** (`.json`, `.trace`;
 //!   [`Snapshot::to_chrome_trace`]) — loadable in `chrome://tracing` /
 //!   Perfetto. Spans become balanced `B`/`E` duration events on their
-//!   track, instants become `i` events;
-//! * **Prometheus text** (`.prom`, `.txt`; [`Snapshot::to_prometheus`])
-//!   — the standard `# TYPE` + sample-line dump, names sanitized to
-//!   `[a-z0-9_]`. It carries counters, gauges and histogram totals only.
+//!   track, instants become `i` events.
 //!
-//! [`Format::decode`] is the only reader of all three and the only
+//! [`Format::decode`] is the only reader of both and the only
 //! `B`/`E`/`X`/`i` matcher in the workspace: the summary, explain and
 //! diff planes all work on the `Snapshot` it returns.
 
@@ -32,8 +29,6 @@ pub enum Format {
     Jsonl,
     /// A Chrome `trace_event` document ([`Snapshot::to_chrome_trace`]).
     Chrome,
-    /// Prometheus exposition text ([`Snapshot::to_prometheus`]).
-    Prometheus,
 }
 
 /// The one extension table: which format a capture file name means,
@@ -42,8 +37,6 @@ const EXTENSIONS: &[(&str, Format)] = &[
     (".jsonl", Format::Jsonl),
     (".json", Format::Chrome),
     (".trace", Format::Chrome),
-    (".prom", Format::Prometheus),
-    (".txt", Format::Prometheus),
 ];
 
 /// A capture file name whose extension is not in the table.
@@ -88,18 +81,14 @@ impl Format {
         match self {
             Format::Jsonl => snap.to_jsonl(),
             Format::Chrome => snap.to_chrome_trace(),
-            Format::Prometheus => snap.to_prometheus(),
         }
     }
 
-    /// Reads this format's text back. A Prometheus dump has no events:
-    /// its counters and gauges come back by their sanitized names, and a
-    /// histogram as its `_count` counter and `_sum` gauge.
+    /// Reads this format's text back.
     pub fn decode(self, text: &str) -> Result<Snapshot, String> {
         match self {
             Format::Jsonl => Snapshot::from_jsonl(text),
             Format::Chrome => Snapshot::from_chrome_trace(text),
-            Format::Prometheus => Snapshot::from_prometheus(text),
         }
     }
 }
@@ -433,64 +422,6 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Parses a Prometheus text dump (see [`Format::decode`]).
-    fn from_prometheus(text: &str) -> Result<Snapshot, String> {
-        let mut snap = Snapshot::default();
-        let mut kinds: Vec<(&str, &str)> = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix('#') {
-                if let ["TYPE", name, kind, ..] = rest.split_whitespace().collect::<Vec<_>>()[..] {
-                    kinds.push((name, kind));
-                }
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            let (name, value) = line
-                .rsplit_once(char::is_whitespace)
-                .ok_or_else(|| format!("line {}: expected \"name value\"", lineno + 1))?;
-            let value: f64 = value
-                .parse()
-                .map_err(|_| format!("line {}: bad sample value {value:?}", lineno + 1))?;
-            let name = name.split_once('{').map_or(name, |(n, _)| n);
-            let kind_of = |name| kinds.iter().find(|(n, _)| *n == name).map(|&(_, k)| k);
-            // A histogram's expansion rolls up under its declared base
-            // name: `_count` as a counter, `_sum` as a gauge, and the
-            // cumulative buckets are skipped.
-            let histogram =
-                |suffix| name.strip_suffix(suffix).and_then(kind_of) == Some("histogram");
-            let kind = match kind_of(name) {
-                _ if histogram("_bucket") => continue,
-                _ if histogram("_count") => "counter",
-                _ if histogram("_sum") => "gauge",
-                Some(kind) => kind,
-                // Lenient on undeclared samples, like real scrapers:
-                // integral values read as counters, the rest as gauges.
-                None if value >= 0.0 && value.fract() == 0.0 => "counter",
-                None => "gauge",
-            };
-            let name = name.to_string();
-            match kind {
-                "counter" => snap.counters.push(CounterSnapshot {
-                    name,
-                    value: value as u64,
-                }),
-                "gauge" => snap.gauges.push(GaugeSnapshot { name, value }),
-                other => {
-                    return Err(format!(
-                        "line {}: unsupported sample type {other:?} for {name:?}",
-                        lineno + 1
-                    ))
-                }
-            }
-        }
-        snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(snap)
-    }
-
     /// Parses a Chrome `{"traceEvents": [...]}` document: `B`/`E` pairs
     /// matched per tid (innermost first) and complete `X` events become
     /// spans in closing order, `i` events instants; other phases are
@@ -553,43 +484,6 @@ impl Snapshot {
         }
         snap.unclosed = open.into_iter().map(|s| (s.name, s.tid)).collect();
         Ok(snap)
-    }
-
-    /// Serializes as a Prometheus-style text dump. Counter and gauge
-    /// names are sanitized (`.`/`-` → `_`); histograms use the standard
-    /// `_bucket{le=…}` / `_sum` / `_count` expansion with a `+Inf`
-    /// bucket absorbing the overflow.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for c in &self.counters {
-            let name = prom_name(&c.name);
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {}", c.value);
-        }
-        for g in &self.gauges {
-            let name = prom_name(&g.name);
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {}", fmt_f64(g.value));
-        }
-        for h in &self.histograms {
-            let name = prom_name(&h.name);
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cumulative = 0u64;
-            for (bound, count) in h.bounds.iter().zip(&h.buckets) {
-                cumulative += count;
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                    fmt_f64(*bound)
-                );
-            }
-            cumulative += h.overflow;
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            let _ = writeln!(out, "{name}_sum {}", fmt_f64(h.sum));
-            let _ = writeln!(out, "{name}_count {}", h.count);
-        }
-        out
     }
 
     /// Serializes the event log as a Chrome `trace_event` JSON document
@@ -753,32 +647,6 @@ fn chrome_end(s: &SpanRecord, pid: u64) -> Value {
     ])
 }
 
-/// Sanitizes a dotted metric name to the Prometheus charset. Never
-/// returns an empty name: a nameless metric would produce an
-/// unparsable exposition line.
-pub fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| match c {
-            'a'..='z' | 'A'..='Z' | '0'..='9' | '_' => c,
-            _ => '_',
-        })
-        .collect();
-    if out.is_empty() || out.starts_with(|c: char| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-/// Prometheus sample formatting: shortest f64 form that round-trips.
-fn fmt_f64(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{x}")
-    } else {
-        format!("{x:?}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,20 +704,6 @@ mod tests {
         assert_eq!(text.lines().count(), 6);
         let back = Snapshot::from_jsonl(&text).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn prometheus_dump_shape() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE sched_matching_rounds counter"));
-        assert!(text.contains("sched_matching_rounds 8"));
-        assert!(text.contains("directory_epoch_age_ms 12.5"));
-        // Cumulative buckets: 3, 3+2, 3+2+1.
-        assert!(text.contains("sim_grant_queue_depth_bucket{le=\"1\"} 3"));
-        assert!(text.contains("sim_grant_queue_depth_bucket{le=\"4\"} 5"));
-        assert!(text.contains("sim_grant_queue_depth_bucket{le=\"+Inf\"} 6"));
-        assert!(text.contains("sim_grant_queue_depth_sum 17"));
-        assert!(text.contains("sim_grant_queue_depth_count 6"));
     }
 
     #[test]
@@ -1031,7 +885,11 @@ mod tests {
         assert_eq!(Format::of_path("noextension").unwrap_err().extension, "");
         // The table is case-insensitive and reads the last extension.
         assert_eq!(Format::of_path("dir.v2/RUN.Trace"), Ok(Format::Chrome));
-        assert_eq!(Format::of_path("metrics.prom.txt"), Ok(Format::Prometheus));
+        assert_eq!(Format::of_path("run.trace.jsonl"), Ok(Format::Jsonl));
+        assert_eq!(
+            Format::of_path("metrics.prom").unwrap_err().extension,
+            ".prom"
+        );
         // A recognized extension still surfaces parse failures.
         let jsonl = Format::of_path("x.jsonl").unwrap();
         assert!(jsonl.decode("{\"type\":\"nope\"}").is_err());
@@ -1066,27 +924,7 @@ mod tests {
                     assert_eq!(back.spans().count(), 2, "{ext}");
                     assert_eq!(back.instants().count(), 1, "{ext}");
                 }
-                Format::Prometheus => {
-                    assert_eq!(back.counter("sched_matching_rounds"), Some(8));
-                    assert!(back.events.is_empty());
-                }
             }
         }
-    }
-
-    #[test]
-    fn prometheus_rejects_malformed_samples() {
-        assert!(Format::Prometheus.decode("name_only\n").is_err());
-        assert!(Format::Prometheus.decode("metric not_a_number\n").is_err());
-        assert!(Format::Prometheus
-            .decode("# TYPE h summary\nh 1\n")
-            .is_err());
-    }
-
-    #[test]
-    fn prom_name_sanitization() {
-        assert_eq!(prom_name("a.b-c"), "a_b_c");
-        assert_eq!(prom_name("9lives"), "_9lives");
-        assert_eq!(prom_name(""), "_");
     }
 }

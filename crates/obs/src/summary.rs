@@ -58,11 +58,9 @@ pub struct PhaseTotal {
 pub struct Summary {
     /// Per-phase totals, descending by total time.
     pub phases: Vec<PhaseTotal>,
-    /// Counters carried by the trace (JSONL and Prometheus),
-    /// name-ascending.
+    /// Counters carried by the capture (JSONL only), name-ascending.
     pub counters: Vec<(String, u64)>,
-    /// Gauges carried by the trace (JSONL and Prometheus),
-    /// name-ascending.
+    /// Gauges carried by the capture (JSONL only), name-ascending.
     pub gauges: Vec<(String, f64)>,
     /// Instant-event counts by name, name-ascending.
     pub instants: Vec<(String, u64)>,
@@ -346,27 +344,5 @@ mod tests {
         let summary = Summary::from_snapshot(&Format::Jsonl.decode("").unwrap());
         assert!(summary.phases.is_empty());
         assert_eq!(summary.render(), "no spans recorded\n");
-    }
-
-    #[test]
-    fn summarizes_prometheus_dump() {
-        let reg = sample_registry();
-        reg.gauge_set("queue.depth", 2.5);
-        reg.observe("latency.ms", &[1.0, 10.0], 3.0);
-        let text = reg.snapshot().to_prometheus();
-        let summary = Summary::from_snapshot(&Format::Prometheus.decode(&text).unwrap());
-        assert!(summary.phases.is_empty());
-        assert!(summary.counters.contains(&("sched_rounds".to_string(), 4)));
-        assert!(summary.gauges.contains(&("queue_depth".to_string(), 2.5)));
-        // The histogram rolls up as its _count counter + _sum gauge.
-        assert!(summary
-            .counters
-            .contains(&("latency_ms_count".to_string(), 1)));
-        assert!(summary
-            .gauges
-            .contains(&("latency_ms_sum".to_string(), 3.0)));
-        let rendered = summary.render();
-        assert!(rendered.contains("sched_rounds: 4"));
-        assert!(rendered.contains("queue_depth: 2.5"));
     }
 }

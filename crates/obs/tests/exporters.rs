@@ -1,16 +1,18 @@
 //! Exporter edge cases: empty registries, overflow buckets, concurrent
-//! writers, Chrome-trace well-formedness, and pathological names that
-//! punish any unescaped emitter.
+//! writers, Chrome-trace well-formedness, pathological names that
+//! punish any unescaped emitter, and damaged captures that must never
+//! panic the reader or the analysis behind it.
 
+use adaptcomm_obs::causal::{diff_captures, transfers_from_snapshot, CausalDag, TRANSFER_TRACKS};
 use adaptcomm_obs::json::Value;
 use adaptcomm_obs::snapshot::{CounterSnapshot, Event, GaugeSnapshot, InstantRecord, SpanRecord};
-use adaptcomm_obs::{AttrValue, Registry, Snapshot, MS_BUCKETS};
+use adaptcomm_obs::{AttrValue, Format, Registry, Snapshot, MS_BUCKETS};
+use proptest::prelude::*;
 
 #[test]
 fn empty_registry_exports_cleanly() {
     let snap = Registry::new().snapshot();
     assert_eq!(snap.to_jsonl(), "");
-    assert_eq!(snap.to_prometheus(), "");
     let trace = snap.to_chrome_trace();
     let doc = Value::parse(&trace).expect("empty trace must still be valid JSON");
     assert_eq!(
@@ -36,11 +38,6 @@ fn histogram_overflow_bucket_survives_export() {
     let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();
     assert_eq!(back.histograms[0].overflow, 2);
     assert_eq!(back.histograms[0].count, 3);
-
-    // Prometheus folds it into the +Inf cumulative bucket.
-    let prom = snap.to_prometheus();
-    assert!(prom.contains("lat_bucket{le=\"+Inf\"} 3"));
-    assert!(prom.contains("lat_bucket{le=\"10\"} 1"));
 }
 
 #[test]
@@ -157,30 +154,6 @@ fn pathological_names_survive_the_chrome_exporter() {
 }
 
 #[test]
-fn pathological_names_keep_prometheus_line_discipline() {
-    let text = pathological_snapshot().to_prometheus();
-    // Prometheus is not a round-trip format — names are sanitized — but
-    // a hostile metric name must never smuggle a newline or control
-    // byte into the exposition, and every sample line must scan.
-    assert!(text
-        .bytes()
-        .all(|b| b == b'\n' || (!b.is_ascii_control() && b.is_ascii())));
-    for line in text.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let (name, value) = line.rsplit_once(' ').expect("sample = `name value`");
-        assert!(!name.is_empty());
-        assert!(
-            name.chars()
-                .all(|c| c.is_ascii_alphanumeric() || "_{}=\"+.".contains(c)),
-            "unsanitized sample name {name:?}"
-        );
-        assert!(value.parse::<f64>().is_ok(), "bad sample value {value:?}");
-    }
-}
-
-#[test]
 fn registry_accepts_pathological_metric_names_end_to_end() {
     // The same hostile names pushed through the public Registry API
     // rather than hand-built snapshots.
@@ -245,4 +218,75 @@ fn chrome_trace_has_balanced_phases_per_tid() {
     assert_eq!(begins, ends);
     assert_eq!(instants, 1);
     assert!(depth.values().all(|&d| d == 0), "unclosed span at EOF");
+}
+
+/// Processor-id attribute values a capture may carry: ordinary ids,
+/// and ones no processor has — `u64::MAX` as a string, a huge float, a
+/// negative and a fraction.
+const IDS: [fn() -> AttrValue; 8] = [
+    || AttrValue::U64(0),
+    || AttrValue::U64(1),
+    || AttrValue::U64(3),
+    || AttrValue::Str("2".into()),
+    || AttrValue::Str("18446744073709551615".into()),
+    || AttrValue::F64(1e300),
+    || AttrValue::F64(-3.0),
+    || AttrValue::F64(2.5),
+];
+
+/// Bytes a one-byte flip writes: digits, signs and JSON punctuation.
+const FLIPS: &[u8] = b"09-+.e\"{}[],: x";
+
+/// Everything `explain` and `obs-diff` do with a capture.
+fn analyze(base: &Snapshot, head: &Snapshot) {
+    let dag = CausalDag::new(transfers_from_snapshot(head));
+    let _ = (dag.critical_path(), dag.slack(), dag.blame());
+    let _ = dag.interventions(2.0, 5);
+    diff_captures(base, head).render();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A capture of transfer spans, cut at every byte or with one byte
+    /// flipped, either fails to decode or analyzes without a panic.
+    #[test]
+    fn damaged_captures_decode_or_fail_and_never_panic_the_analysis(
+        spans in proptest::collection::vec((0usize..8, 0usize..8, 0u64..1_000_000, 1u64..100_000), 5),
+        flip in 0usize..16,
+    ) {
+        let transfer = |src: AttrValue, dst: AttrValue, start_us, dur_us| {
+            Event::Span(SpanRecord {
+                name: "transfer".into(),
+                tid: TRANSFER_TRACKS,
+                start_us,
+                dur_us,
+                attrs: vec![("src".into(), src), ("dst".into(), dst)],
+                trace: None,
+            })
+        };
+        // The out-of-range sender always rides along.
+        let mut events = vec![transfer(IDS[4](), AttrValue::U64(1), 0, 10)];
+        events.extend(spans.into_iter().map(|(s, d, start, dur)| {
+            transfer(IDS[s](), IDS[d](), start, dur)
+        }));
+        let snap = Snapshot { events, ..Default::default() };
+        for format in [Format::Jsonl, Format::Chrome] {
+            let text = format.encode(&snap);
+            let whole = format.decode(&text).expect("an undamaged capture decodes");
+            analyze(&whole, &whole);
+            for i in 0..text.len() {
+                if let Ok(cut) = format.decode(&text[..i]) {
+                    analyze(&whole, &cut);
+                }
+                let mut bytes = text.clone().into_bytes();
+                bytes[i] = FLIPS[(i + flip) % FLIPS.len()];
+                if let Ok(flipped) = String::from_utf8(bytes) {
+                    if let Ok(head) = format.decode(&flipped) {
+                        analyze(&whole, &head);
+                    }
+                }
+            }
+        }
+    }
 }

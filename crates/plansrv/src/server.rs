@@ -18,8 +18,6 @@
 use crate::cache::CacheStats;
 use crate::proto::{self, PlanRequest, PlanResponse, ProtocolError, Request};
 use crate::service::{contained, error, Action, Job, Service};
-use adaptcomm_obs::json::Value;
-use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -324,82 +322,4 @@ fn idle(e: &std::io::Error) -> bool {
 fn respond(stream: &mut TcpStream, response: &PlanResponse) {
     let payload = proto::encode_response(response);
     let _ = adaptcomm_runtime::tcp::write_frame(stream, proto::PROTO_VERSION, &payload);
-}
-
-/// Renders the `/tenants` scrape document from a registry snapshot:
-/// one JSON object per tenant with request/reject counters, cache
-/// dispositions, the deadline-hit ratio, and a latency digest.
-///
-/// Tenant names in metric keys are [`adaptcomm_obs::prom_name`]
-/// sanitized by the core that records them, so the segment between
-/// `plansrv.tenant.` and the final `.aspect` never contains a dot and
-/// parses back unambiguously. The document is built as an
-/// [`adaptcomm_obs::json::Value`], so it always re-parses with the same
-/// crate's parser.
-pub fn tenants_json(snap: &adaptcomm_obs::Snapshot) -> String {
-    fn split_key(name: &str) -> Option<(&str, &str)> {
-        name.strip_prefix("plansrv.tenant.")?.split_once('.')
-    }
-    type Latency = Option<(u64, f64, f64)>; // count, sum_ms, p95_ms
-    let mut tenants: BTreeMap<&str, (BTreeMap<&str, u64>, Latency)> = BTreeMap::new();
-    for c in &snap.counters {
-        if let Some((tenant, aspect)) = split_key(&c.name) {
-            tenants.entry(tenant).or_default().0.insert(aspect, c.value);
-        }
-    }
-    for h in &snap.histograms {
-        let Some((tenant, "latency_ms")) = split_key(&h.name) else {
-            continue;
-        };
-        // p95 from the cumulative buckets: the first bound covering
-        // 95% of observations, saturating at the last bound when the
-        // mass sits in the overflow bucket.
-        let want = (0.95 * h.count as f64).ceil() as u64;
-        let mut cum = 0;
-        let mut buckets = h.bounds.iter().zip(&h.buckets);
-        let covering = buckets.find(|&(_, n)| {
-            cum += n;
-            cum >= want
-        });
-        let p95 = covering.map_or(*h.bounds.last().unwrap_or(&0.0), |(bound, _)| *bound);
-        tenants.entry(tenant).or_default().1 = Some((h.count, h.sum, p95));
-    }
-
-    let num = |v: u64| Value::Num(v as f64);
-    let obj = |pairs: Vec<(&str, Value)>| {
-        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    };
-    let rows = tenants.into_iter().map(|(name, (counters, latency))| {
-        let count = |aspect: &str| counters.get(aspect).copied().unwrap_or(0);
-        let (dl_hit, dl_miss) = (count("deadline_hit"), count("deadline_miss"));
-        // No deadline-bound requests: no verdict.
-        let hit_ratio =
-            (dl_hit + dl_miss > 0).then(|| Value::Num(dl_hit as f64 / (dl_hit + dl_miss) as f64));
-        let latency = latency.filter(|&(n, ..)| n > 0).map(|(n, sum, p95)| {
-            let mean = Value::Num(sum / n as f64);
-            obj(vec![
-                ("count", num(n)),
-                ("mean_ms", mean),
-                ("p95_ms", Value::Num(p95)),
-            ])
-        });
-        let cache = ["hit", "incremental", "warm", "miss"]
-            .map(|key| (key, num(count(&format!("cache_{key}")))));
-        obj(vec![
-            ("name", Value::Str(name.to_string())),
-            ("requests", num(count("requests"))),
-            ("rejected", num(count("rejected"))),
-            ("cache", obj(cache.to_vec())),
-            (
-                "deadline",
-                obj(vec![
-                    ("hit", num(dl_hit)),
-                    ("miss", num(dl_miss)),
-                    ("hit_ratio", hit_ratio.unwrap_or(Value::Null)),
-                ]),
-            ),
-            ("latency_ms", latency.unwrap_or(Value::Null)),
-        ])
-    });
-    Value::Obj(vec![("tenants".into(), Value::Arr(rows.collect()))]).to_json()
 }

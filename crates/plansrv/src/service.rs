@@ -49,26 +49,6 @@ const SLOT_WORKER: u64 = 2;
 const SLOT_CACHE: u64 = 1;
 const SLOT_SOLVE: u64 = 2;
 
-/// Per-tenant metric key. The tenant segment goes through
-/// [`adaptcomm_obs::prom_name`] so a hostile tenant name cannot smuggle
-/// dots or control characters into the metric namespace — which also
-/// makes the key parseable again: `server::tenants_json` splits on the
-/// dots *around* the sanitized segment.
-fn tenant_metric(tenant: &str, aspect: &str) -> String {
-    let tenant = adaptcomm_obs::prom_name(tenant);
-    format!("plansrv.tenant.{tenant}.{aspect}")
-}
-
-/// Bumps a per-tenant counter. The key is formatted only while the
-/// registry records, so with observability off a request builds no
-/// metric names at all.
-fn tenant_add(tenant: &str, aspect: &str) {
-    let obs = adaptcomm_obs::global();
-    if obs.is_enabled() {
-        obs.add(&tenant_metric(tenant, aspect), 1);
-    }
-}
-
 /// `span` placed in the request's trace tree, when the request has one.
 fn traced(span: adaptcomm_obs::Span, ctx: Option<TraceContext>) -> adaptcomm_obs::Span {
     match ctx {
@@ -124,7 +104,6 @@ pub struct Job<R> {
     fingerprint: u64,
     work: Work,
     est_ms: f64,
-    arrived_ms: f64,
     dispatched_ms: f64,
     threads: usize,
     pace: Option<Duration>,
@@ -317,7 +296,6 @@ impl<R> Service<R> {
             fingerprint,
             work,
             est_ms,
-            arrived_ms: now_ms,
             dispatched_ms: now_ms,
             threads: self.config.threads,
             pace: self.config.pace,
@@ -340,7 +318,6 @@ impl<R> Service<R> {
             retry_after_ms,
             projected_ms,
         } = rejected;
-        tenant_add(&request.tenant, "rejected");
         adaptcomm_obs::flight()
             .note("plansrv.reject")
             .attr("tenant", request.tenant.as_str())
@@ -375,7 +352,6 @@ impl<R> Service<R> {
             return Err(error(why));
         }
         let (tenant, algorithm) = (request.tenant.as_str(), request.algorithm.as_str());
-        tenant_add(tenant, "requests");
         let obs = adaptcomm_obs::global();
         let span = obs.span("plansrv.admission").attr("tenant", tenant);
         let ctx = request.trace.map(|t| t.child(SLOT_ADMISSION));
@@ -418,10 +394,8 @@ impl<R> Service<R> {
         // An exact hit without pins: answered without a worker. It
         // bypasses the EDF queue — a replay is never rejected on
         // deadline and never waits behind a solve — but draws
-        // `served_seq` from the same counter and leaves the same
-        // counters and deadline verdict a worker's reply would.
+        // `served_seq` from the same counter a worker's reply would.
         self.reject_streak = 0;
-        self.account(&request, 0.0, 0.0);
         let plan = plan_ok(&request, replay.order, replay.outcome, None);
         Err(self.finish(&request, fingerprint, plan))
     }
@@ -440,7 +414,6 @@ impl<R> Service<R> {
         self.idle.push(worker);
         self.queue.complete(job.est_ms);
         let (request, service_ms) = (&job.request, now_ms - job.dispatched_ms);
-        self.account(request, service_ms, now_ms - job.arrived_ms);
         let response = match (result, job.matrix()) {
             (Ok(Computed { plan, fresh }), Some(matrix)) => {
                 if let Some((solved, outcome)) = fresh {
@@ -509,13 +482,6 @@ impl<R> Service<R> {
         fingerprint: u64,
         mut plan: Box<PlanOk>,
     ) -> PlanResponse {
-        let metric = match plan.cache {
-            CacheDisposition::Hit => "cache_hit",
-            CacheDisposition::Incremental => "cache_incremental",
-            CacheDisposition::Warm => "cache_warm",
-            CacheDisposition::Cold => "cache_miss",
-        };
-        tenant_add(&request.tenant, metric);
         plan.epoch = self.tenant_epoch(&request.tenant, fingerprint);
         plan.served_seq = self.queue.serve();
         PlanResponse::Ok(plan)
@@ -527,22 +493,6 @@ impl<R> Service<R> {
         let prior = self.config.default_est_ms.max(pace_ms);
         let learnt = self.estimates.get(&(algorithm.to_string(), p));
         learnt.copied().unwrap_or(prior)
-    }
-
-    /// The per-tenant record of one served request: service latency,
-    /// and the deadline verdict on `total_ms` — queue wait plus service,
-    /// what the client experiences, not service time alone.
-    fn account(&self, request: &PlanRequest, service_ms: f64, total_ms: f64) {
-        let obs = adaptcomm_obs::global();
-        if !obs.is_enabled() {
-            return;
-        }
-        let latency = tenant_metric(&request.tenant, "latency_ms");
-        obs.observe(&latency, adaptcomm_obs::MS_BUCKETS, service_ms);
-        if let Some(deadline) = request.qos.deadline_ms {
-            let verdict = ["deadline_miss", "deadline_hit"][usize::from(total_ms <= deadline)];
-            tenant_add(&request.tenant, verdict);
-        }
     }
 
     /// The tenant's epoch after serving it `fingerprint`: unchanged for

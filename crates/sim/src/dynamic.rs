@@ -9,9 +9,8 @@
 //!
 //! [`run_adaptive`] executes an initial send order while the ground-truth
 //! network follows any [`NetworkEvolution`] — a stochastic
-//! [`adaptcomm_model::variation::VariationTrace`], a scripted
-//! [`crate::faults::ScriptedFaults`], or a replayed
-//! [`adaptcomm_model::trace_io::RecordedTrace`]; each transfer is priced
+//! [`adaptcomm_model::variation::VariationTrace`] or a scripted
+//! [`crate::faults::ScriptedFaults`]; each transfer is priced
 //! from the state of *its own link* at its start
 //! ([`NetworkEvolution::link_at`] — one read, one multiply-add). After the
 //! `c`-th transfer completes, if
@@ -648,56 +647,5 @@ mod tests {
             wins * 2 >= total,
             "adaptive won only {wins}/{total} runs on degrading networks"
         );
-    }
-}
-
-#[cfg(test)]
-mod recorded_trace_tests {
-    use super::*;
-    use adaptcomm_core::algorithms::{OpenShop, Scheduler};
-    use adaptcomm_core::execution::execute_listed;
-    use adaptcomm_model::trace_io::{RecordedTrace, TraceRecorder};
-    use adaptcomm_model::units::Bandwidth;
-
-    /// A recorded directory session replays into the adaptive executor
-    /// and is fully reproducible after a serialize→parse round trip.
-    #[test]
-    fn recorded_traces_drive_the_adaptive_executor() {
-        let p = 5;
-        let base = NetParams::uniform(p, Millis::new(10.0), Bandwidth::from_kbps(1_000.0));
-        let mut degraded = base.clone();
-        degraded.scale_all_bandwidths(0.25);
-
-        let mut rec = TraceRecorder::new();
-        rec.record(Millis::ZERO, base.clone());
-        rec.record(Millis::new(1_500.0), degraded);
-        let text = rec.serialize();
-
-        let sizes: Vec<Vec<Bytes>> = (0..p)
-            .map(|s| {
-                (0..p)
-                    .map(|d| {
-                        if s == d {
-                            Bytes::ZERO
-                        } else {
-                            Bytes::from_kb(200)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let matrix = CommMatrix::from_model(&base, &sizes);
-        let order = OpenShop.send_order(&matrix);
-
-        let mut t1 = RecordedTrace::parse(&text).unwrap();
-        let a = run_adaptive(&order, &sizes, &mut t1, &AdaptiveConfig::oblivious());
-        let mut t2 = RecordedTrace::parse(&text).unwrap();
-        let b = run_adaptive(&order, &sizes, &mut t2, &AdaptiveConfig::oblivious());
-        assert_eq!(a.records, b.records, "replay must be bit-identical");
-        // The mid-run degradation is visible: makespan exceeds the
-        // all-clean plan.
-        let clean_plan = execute_listed(&order, &matrix).completion_time();
-        assert!(a.makespan.as_ms() > clean_plan.as_ms());
-        assert_eq!(a.records.len(), p * (p - 1));
     }
 }

@@ -16,7 +16,6 @@
 use adaptcomm::chaos::evolution::{ChaosEvolution, DEAD_SCALE};
 use adaptcomm::model::cost::LinkEstimate;
 use adaptcomm::model::evolution::NetworkEvolution;
-use adaptcomm::model::trace_io::{RecordedTrace, TraceRecorder};
 use adaptcomm::model::variation::{VariationConfig, VariationTrace};
 use adaptcomm::prelude::*;
 use adaptcomm::runtime::channel::{price_frozen, run_shaped, CheckpointAction};
@@ -181,20 +180,6 @@ fn chaos_reference(base: &NetParams, plan: &ChaosPlan, t: Millis) -> NetParams {
     })
 }
 
-/// The pre-change `RecordedTrace::state_at` scan, over the recorded
-/// session itself.
-fn recorded_reference(session: &[(f64, NetParams)], t: Millis) -> NetParams {
-    let mut current = &session[0].1;
-    for (st, params) in session {
-        if *st <= t.as_ms() + 1e-12 {
-            current = params;
-        } else {
-            break;
-        }
-    }
-    current.clone()
-}
-
 /// At every instant: a few scattered per-link reads (diagonal included),
 /// then the derived table, then every link again — all equal to
 /// `reference(t)`, which is called exactly once per instant.
@@ -281,22 +266,6 @@ fn per_link_reads_the_derived_table_and_the_old_loops_agree_for_every_implemento
                 chaos_reference(&base, &plan, t)
             });
 
-            // RecordedTrace: a session of a few snapshots.
-            let mut session = vec![(0.0, base.clone())];
-            let mut recorder = TraceRecorder::new();
-            recorder.record(Millis::ZERO, base.clone());
-            for k in 1..5 {
-                let at = k as f64 * rng.random_range(100.0..=700.0);
-                let at = at.max(session[session.len() - 1].0);
-                let snap = random_net(p, &mut rng);
-                recorder.record(Millis::new(at), snap.clone());
-                session.push((at, snap));
-            }
-            let mut replay = recorder.finish();
-            assert_reads_agree("recorded", &mut replay, &times, &mut rng, |t| {
-                recorded_reference(&session, t)
-            });
-
             // FrozenNetwork: the table, whenever asked.
             let mut frozen = FrozenNetwork(base.clone());
             assert_reads_agree("frozen", &mut frozen, &times, &mut rng, |_| base.clone());
@@ -336,15 +305,6 @@ fn a_rewinding_query_reads_the_latest_state_or_the_instant_asked() {
     let mut chaos = ChaosEvolution::new(base.clone(), plan);
     assert_ne!(chaos.table_at(late), base);
     assert_eq!(chaos.table_at(early), base);
-
-    let mut degraded = base.clone();
-    degraded.scale_all_bandwidths(0.5);
-    let mut recorder = TraceRecorder::new();
-    recorder.record(Millis::ZERO, base.clone());
-    recorder.record(Millis::new(1_000.0), degraded.clone());
-    let mut replay: RecordedTrace = recorder.finish();
-    assert_eq!(replay.link_at(late, 1, 3), degraded.estimate(1, 3));
-    assert_eq!(replay.link_at(early, 1, 3), base.estimate(1, 3));
 }
 
 // ---------------------------------------------------------------------
