@@ -1,10 +1,9 @@
 //! `adaptcomm` — command-line front end.
 //!
 //! ```text
-//! adaptcomm gusto
 //! adaptcomm generate --scenario fig11 --p 20 --seed 1 > matrix.csv
 //! adaptcomm schedule --algorithm openshop --matrix matrix.csv --diagram
-//! adaptcomm schedule --algorithm matching-max --matrix matrix.csv --svg out.svg
+//! adaptcomm schedule --algorithm matching-max --matrix matrix.csv --json out.json
 //! adaptcomm compare --matrix matrix.csv
 //! adaptcomm sweep --scenario all --trials 5 --threads 4
 //! adaptcomm run --backend channel --p 8 --adapt
@@ -68,16 +67,13 @@ const HELP: &str = "\
 adaptcomm — adaptive communication scheduling (HPDC 1998)
 
 USAGE:
-  adaptcomm gusto
-      Print the GUSTO latency/bandwidth tables (paper Tables 1-2).
-
   adaptcomm generate --scenario <fig9|fig10|fig11|fig12|transpose> --p <N>
                      [--seed <u64>] [--n <dim>]
       Emit a communication-cost matrix (CSV, ms) for a paper scenario
       over a random GUSTO-guided network.
 
   adaptcomm schedule --matrix <file.csv> [--algorithm <name>]
-                     [--diagram] [--svg <out.svg>] [--json <out.json>] [--events]
+                     [--diagram] [--json <out.json>] [--events]
       Schedule a total exchange. Algorithms: baseline, matching-max,
       matching-min, greedy, openshop (default).
 
@@ -130,13 +126,8 @@ USAGE:
       nonzero when the SLO is blown or a message was lost or duplicated.
       On an SLO breach the always-on flight recorder dumps its recent
       event window (injected faults, runtime fault/heal notes) to
-      --flight (default chaos-flight.jsonl) for post-mortem replay
-      through obs-summary.
-
-  adaptcomm obs-summary --input <capture>
-      Summarize a capture in any format of the extension table below
-      (flight-recorder dumps included): per-phase span totals,
-      instants, counters and gauges.
+      --flight (default chaos-flight.jsonl), a capture for post-mortem
+      reading.
 
   adaptcomm explain (--input <capture> | --matrix <file.csv> |
                      --scenario <name> --p <N>) [--seed <u64>] [--n <dim>]
@@ -162,14 +153,6 @@ USAGE:
       With --fail-over, exits nonzero when the worst regression
       exceeds <pct> percent — wire it under perfgate to say *where* a
       regression lives, not just that one exists.
-
-  adaptcomm obs-merge --out <trace.json> --inputs <a.jsonl,b.trace,..>
-      Merge per-process captures, each in any format, into one Chrome
-      trace, one process lane per input (labeled by file stem). Spans
-      that carry the same propagated trace id — e.g. a plan-client
-      request and the server-side admission/worker/solve spans it
-      fanned into — line up as one cross-process request tree in
-      Perfetto.
 
   adaptcomm plan-server [--addr <host:port>] [--workers <N>]
                         [--cache <entries>] [--near-tolerance <frac>]
@@ -204,8 +187,8 @@ USAGE:
       the server to drain and stop after the requests. --critical pins
       the listed src-dst links to the front of their senders' orders.
       Every request carries a deterministic trace context; --obs captures
-      the client-side spans so `obs-merge` can stitch them with the
-      server's capture into one cross-process trace.
+      the client-side spans, which share its trace id with the spans of
+      the server's capture.
 
   adaptcomm help
       This text.
@@ -215,7 +198,7 @@ plan-client) enables the in-process observability registry for the
 duration of the command and writes the collected metrics when it
 finishes. One extension table names a capture's format, for every
 write (--obs, --flight, explain --capture) and every read (--input,
---base/--head, --inputs):
+--base/--head):
   .jsonl          JSONL event stream (lossless)
   .json, .trace   Chrome trace_event JSON (Perfetto, chrome://tracing)
 Any other extension is an error before the command starts.
@@ -226,15 +209,6 @@ Any other extension is an error before the command starts.
 /// handler does not read cannot be passed silently.
 const COMMANDS: &[args::Command] = &[
     args::Command {
-        name: "gusto",
-        values: &[],
-        flags: &[],
-        run: |_| {
-            print_gusto();
-            Ok(())
-        },
-    },
-    args::Command {
         name: "generate",
         values: &["scenario", "p", "seed", "n"],
         flags: &[],
@@ -242,7 +216,7 @@ const COMMANDS: &[args::Command] = &[
     },
     args::Command {
         name: "schedule",
-        values: &["matrix", "algorithm", "svg", "json"],
+        values: &["matrix", "algorithm", "json"],
         flags: &["diagram", "events"],
         run: schedule,
     },
@@ -310,18 +284,6 @@ const COMMANDS: &[args::Command] = &[
         run: obs_diff,
     },
     args::Command {
-        name: "obs-summary",
-        values: &["input"],
-        flags: &[],
-        run: obs_summary,
-    },
-    args::Command {
-        name: "obs-merge",
-        values: &["out", "inputs"],
-        flags: &[],
-        run: obs_merge,
-    },
-    args::Command {
         name: "plan-server",
         values: &[
             "addr",
@@ -374,38 +336,6 @@ fn run() -> Result<(), String> {
         .find(|c| c.name == name)
         .ok_or_else(|| format!("unknown command `{name}`"))?;
     (command.run)(&args::Options::parse(command, &argv[1..])?)
-}
-
-fn print_gusto() {
-    use adaptcomm_model::gusto::{bandwidth_kbps, latency_ms, Site};
-    outln!("Table 1: latency (ms)");
-    for a in Site::ALL {
-        let row: Vec<String> = Site::ALL
-            .iter()
-            .map(|b| {
-                if a == *b {
-                    "-".into()
-                } else {
-                    format!("{}", latency_ms(a.index(), b.index()))
-                }
-            })
-            .collect();
-        outln!("{:>8}: {}", a.name(), row.join(", "));
-    }
-    outln!("Table 2: bandwidth (kbit/s)");
-    for a in Site::ALL {
-        let row: Vec<String> = Site::ALL
-            .iter()
-            .map(|b| {
-                if a == *b {
-                    "-".into()
-                } else {
-                    format!("{}", bandwidth_kbps(a.index(), b.index()))
-                }
-            })
-            .collect();
-        outln!("{:>8}: {}", a.name(), row.join(", "));
-    }
 }
 
 /// The capture format `path`'s extension names, as a CLI error.
@@ -685,35 +615,6 @@ fn obs_diff(opts: &args::Options) -> Result<(), String> {
     Ok(())
 }
 
-fn obs_summary(opts: &args::Options) -> Result<(), String> {
-    let path = opts.require("input")?;
-    let summary = adaptcomm_obs::Summary::from_snapshot(&read_capture(&path)?);
-    out!("{}", summary.render());
-    Ok(())
-}
-
-/// `adaptcomm obs-merge`: stitch per-process captures into one Chrome
-/// trace, one process lane per input. Spans that share a propagated
-/// trace id line up as a single cross-process request tree.
-fn obs_merge(opts: &args::Options) -> Result<(), String> {
-    let out = opts.require("out")?;
-    let inputs = opts.require("inputs")?;
-    let paths: Vec<&str> = inputs.split(',').filter(|p| !p.is_empty()).collect();
-    if paths.is_empty() {
-        return Err("`--inputs` needs at least one comma-separated capture path".into());
-    }
-    // The process label is the file stem: client.jsonl -> "client".
-    let labels = paths.iter().map(|path| {
-        let stem = std::path::Path::new(path).file_stem().unwrap_or_default();
-        stem.to_string_lossy().into_owned()
-    });
-    let parts: Vec<(String, Snapshot)> = labels.zip(read_captures(&paths)?).collect();
-    let trace = adaptcomm_obs::merge_chrome_trace(&parts);
-    std::fs::write(&out, &trace).map_err(|e| format!("writing {out}: {e}"))?;
-    outln!("wrote {out} ({} process(es))", parts.len());
-    Ok(())
-}
-
 fn scenario_by_name(name: &str, n: usize) -> Result<Scenario, String> {
     Ok(match name {
         "fig9" | "small" => Scenario::Small,
@@ -817,11 +718,6 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
     if let Some(path) = opts.get("json") {
         let json = adaptcomm_core::export::schedule_to_json(&schedule);
         std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        outln!("wrote {path}");
-    }
-    if let Some(path) = opts.get("svg") {
-        let svg = TimingDiagram::of_schedule(&schedule).render_svg(900, 600);
-        std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
         outln!("wrote {path}");
     }
     Ok(())
@@ -1323,8 +1219,8 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
     };
 
     // With --obs, the client records its own `plansrv.client` spans
-    // (each carrying the request's trace context); merging that dump
-    // with the server's via `obs-merge` yields one cross-process tree.
+    // (each carrying the request's trace context), whose ids the
+    // server's spans for the same request share.
     let obs_path = obs_begin(opts)?;
     let mut client = PlanClient::connect_retry(addr.as_str(), std::time::Duration::from_secs(5))
         .map_err(|e| format!("connecting to {addr}: {e}"))?;

@@ -3,8 +3,8 @@
 //! The paper's `TOT_EXCH` formulation uses a matrix **C** where `C_{i,j}`
 //! is the time of the event *from `P_j` to `P_i`* (receivers index rows).
 //! That orientation invites off-by-transposition bugs, so [`CommMatrix`]
-//! stores costs sender-major and exposes both views: [`CommMatrix::cost`]
-//! `(src, dst)` and the paper-faithful [`CommMatrix::paper_c`] `(i, j)`.
+//! stores costs sender-major, read as [`CommMatrix::cost`] `(src, dst)`;
+//! [`CommMatrix::from_paper_c`] takes a table in the paper's `(i, j)`.
 
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::units::{Bytes, Millis};
@@ -134,12 +134,6 @@ impl CommMatrix {
         &self.costs[src * self.p..(src + 1) * self.p]
     }
 
-    /// The paper's `C_{i,j}`: time of the event from `P_j` to `P_i`.
-    #[inline]
-    pub fn paper_c(&self, i: usize, j: usize) -> Millis {
-        self.cost(j, i)
-    }
-
     /// Overwrites one entry.
     pub fn set_cost(&mut self, src: usize, dst: usize, v: Millis) {
         assert!(
@@ -222,11 +216,11 @@ mod tests {
         let m = sample();
         // cost(src=1, dst=2) = 4.0; paper C_{i=2, j=1} is the same event.
         assert_eq!(m.cost(1, 2).as_ms(), 4.0);
-        assert_eq!(m.paper_c(2, 1).as_ms(), 4.0);
-        // Round-trip through the paper orientation.
+        // The paper's table is the transpose: receivers index its rows.
         let c: Vec<Vec<f64>> = (0..3)
-            .map(|i| (0..3).map(|j| m.paper_c(i, j).as_ms()).collect())
+            .map(|i| (0..3).map(|j| m.cost(j, i).as_ms()).collect())
             .collect();
+        assert_eq!(c[2][1], 4.0);
         assert_eq!(CommMatrix::from_paper_c(&c), m);
     }
 

@@ -151,93 +151,6 @@ impl TimingDiagram {
     }
 }
 
-impl TimingDiagram {
-    /// Renders the diagram as a self-contained SVG document — the
-    /// publication-style counterpart of [`TimingDiagram::render`]'s ASCII
-    /// art. Columns are senders; each block is labeled with its
-    /// destination and colored by destination (stable palette), with a
-    /// time axis on the left.
-    pub fn render_svg(&self, width: u32, height: u32) -> String {
-        const MARGIN_LEFT: f64 = 70.0;
-        const MARGIN_TOP: f64 = 30.0;
-        const MARGIN_BOTTOM: f64 = 15.0;
-        const COLUMN_GAP: f64 = 8.0;
-        // A colorblind-friendly qualitative palette (Okabe–Ito).
-        const PALETTE: [&str; 8] = [
-            "#E69F00", "#56B4E9", "#009E73", "#F0E442", "#0072B2", "#D55E00", "#CC79A7", "#999999",
-        ];
-
-        let p = self.columns.len();
-        let horizon = self.horizon.as_ms().max(1e-12);
-        let plot_w = width as f64 - MARGIN_LEFT - 10.0;
-        let plot_h = height as f64 - MARGIN_TOP - MARGIN_BOTTOM;
-        let col_w = (plot_w / p as f64 - COLUMN_GAP).max(4.0);
-        let y_of = |t: f64| MARGIN_TOP + t / horizon * plot_h;
-
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            r##"<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">"##
-        );
-        let _ = write!(
-            s,
-            r##"<rect width="{width}" height="{height}" fill="white"/>"##
-        );
-
-        // Time axis with 5 ticks.
-        for k in 0..=5 {
-            let t = horizon * k as f64 / 5.0;
-            let y = y_of(t);
-            let _ = write!(
-                s,
-                r##"<line x1="{:.1}" y1="{y:.1}" x2="{:.1}" y2="{y:.1}" stroke="#ddd"/>"##,
-                MARGIN_LEFT,
-                width as f64 - 10.0
-            );
-            let _ = write!(
-                s,
-                r##"<text x="{:.1}" y="{:.1}" text-anchor="end" fill="#555">{t:.0} ms</text>"##,
-                MARGIN_LEFT - 5.0,
-                y + 4.0
-            );
-        }
-
-        for (src, col) in self.columns.iter().enumerate() {
-            let x = MARGIN_LEFT + src as f64 * (col_w + COLUMN_GAP);
-            let _ = write!(
-                s,
-                r##"<text x="{:.1}" y="{:.1}" text-anchor="middle" font-weight="bold">P{src}</text>"##,
-                x + col_w / 2.0,
-                MARGIN_TOP - 8.0
-            );
-            for b in col {
-                let y0 = y_of(b.start.as_ms());
-                let y1 = y_of(b.finish.as_ms());
-                let h = (y1 - y0).max(1.0);
-                let fill = PALETTE[b.dst % PALETTE.len()];
-                let _ = write!(
-                    s,
-                    r##"<rect x="{x:.1}" y="{y0:.1}" width="{col_w:.1}" height="{h:.1}" fill="{fill}" stroke="#333" stroke-width="0.8"><title>P{src} → P{dst}: {start:.1}–{finish:.1} ms</title></rect>"##,
-                    dst = b.dst,
-                    start = b.start.as_ms(),
-                    finish = b.finish.as_ms(),
-                );
-                if h >= 12.0 {
-                    let _ = write!(
-                        s,
-                        r##"<text x="{:.1}" y="{:.1}" text-anchor="middle" fill="#222">{}</text>"##,
-                        x + col_w / 2.0,
-                        (y0 + y1) / 2.0 + 4.0,
-                        b.dst
-                    );
-                }
-            }
-        }
-        s.push_str("</svg>");
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,33 +213,6 @@ mod tests {
         let d = TimingDiagram::unscheduled(&matrix());
         let art = d.render(1);
         assert!(art.contains("time(ms)"));
-    }
-
-    #[test]
-    fn svg_renders_all_blocks() {
-        let s = OpenShop.schedule(&matrix());
-        let d = TimingDiagram::of_schedule(&s);
-        let svg = d.render_svg(640, 480);
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.ends_with("</svg>"));
-        // One rect per event plus the background.
-        assert_eq!(svg.matches("<rect").count(), 1 + s.events().len());
-        assert_eq!(svg.matches("<title>").count(), s.events().len());
-        assert!(svg.contains("P0"));
-        assert!(svg.contains("ms</text>"), "time axis labels present");
-        // Balanced tags.
-        assert_eq!(
-            svg.matches("<rect").count(),
-            svg.matches("/>").count() + svg.matches("</rect>").count()
-                - svg.matches("<line").count()
-        );
-    }
-
-    #[test]
-    fn svg_handles_tiny_canvas() {
-        let s = Baseline.schedule(&matrix());
-        let svg = TimingDiagram::of_schedule(&s).render_svg(80, 60);
-        assert!(svg.contains("</svg>"));
     }
 
     #[test]

@@ -267,18 +267,6 @@ pub fn solve(costs: &DenseCost) -> Assignment {
     solve_warm(costs, &mut duals)
 }
 
-/// Like [`solve`], but sharding the phase-1 column scans across
-/// `threads` workers. Bit-identical to the serial solve at any thread
-/// count: each worker computes per-column `(min, argmin)` pairs for a
-/// disjoint column range with the serial tie-break (lowest row index
-/// wins), and the pairs are applied sequentially in the serial scan
-/// order, so the reduce introduces no reordering. `threads == 1` (or
-/// `0`) is exactly the serial path.
-pub fn solve_par(costs: &DenseCost, threads: usize) -> Assignment {
-    let mut duals = Duals::new();
-    solve_warm_par(costs, &mut duals, threads)
-}
-
 /// Solves the minimum-cost assignment problem, reusing the dual
 /// potentials and scratch buffers in `duals` when they match the
 /// instance dimension; otherwise runs a cold solve that initialises
@@ -287,11 +275,16 @@ pub fn solve_warm(costs: &DenseCost, duals: &mut Duals) -> Assignment {
     solve_warm_par(costs, duals, 1)
 }
 
-/// Like [`solve_warm`], but cold solves shard phase 1 across `threads`
-/// workers (see [`solve_par`] for the determinism argument). The warm
-/// path is unaffected: augmenting row reduction and the shortest-path
-/// searches are price cascades where each step reads the potentials the
-/// previous step wrote, so they stay sequential at any thread count —
+/// Like [`solve_warm`], but cold solves shard the phase-1 column scans
+/// across `threads` workers. Bit-identical to the serial solve at any
+/// thread count: each worker computes per-column `(min, argmin)` pairs
+/// for a disjoint column range with the serial tie-break (lowest row
+/// index wins), and the pairs are applied sequentially in the serial
+/// scan order, so the reduce introduces no reordering. `threads == 1`
+/// (or `0`) is exactly the serial path. The warm path is unaffected:
+/// augmenting row reduction and the shortest-path searches are price
+/// cascades where each step reads the potentials the previous step
+/// wrote, so they stay sequential at any thread count —
 /// per-worker scans on the parallel path land in
 /// [`SolveStats::worker_scans`] instead of [`SolveStats::col_scans`].
 pub fn solve_warm_par(costs: &DenseCost, duals: &mut Duals, threads: usize) -> Assignment {
@@ -1053,7 +1046,7 @@ mod tests {
                 let serial = solve(&costs);
                 assert!(serial.is_permutation());
                 for threads in [1usize, 2, 4, 8] {
-                    let par = solve_par(&costs, threads);
+                    let par = solve_warm_par(&costs, &mut Duals::new(), threads);
                     assert_eq!(
                         par.row_to_col, serial.row_to_col,
                         "n={n} seed={seed} threads={threads}"

@@ -113,7 +113,7 @@ pub fn solve_min_warm(costs: &DenseCost, duals: &mut Duals) -> Assignment {
 /// [`solve_min_warm`], sharding the cold solve's phase-1 column scans
 /// across `threads` workers. Bit-identical at any thread count —
 /// per-column minima are computed independently with the serial
-/// tie-break and applied in the serial order (see [`jv::solve_par`]);
+/// tie-break and applied in the serial order (see [`jv::solve_warm_par`]);
 /// sharded scans are counted in [`SolveStats::worker_scans`]. Warm
 /// rounds are inherently sequential (each augmentation reads the
 /// potentials the previous one wrote), so `threads` only accelerates the

@@ -9,8 +9,8 @@
 //! fires: a chaos run breaching its SLO, the runtime detecting a
 //! fault, the plan server rejecting a deadline streak. The dump is an
 //! ordinary capture in the format its extension names
-//! ([`crate::snapshot::Format`]), so `obs-summary` replays it like any
-//! other.
+//! ([`crate::snapshot::Format`]), so `explain --input` and `obs-diff`
+//! read it like any other.
 //!
 //! Two feeds fill the ring:
 //!

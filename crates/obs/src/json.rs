@@ -2,8 +2,8 @@
 //!
 //! The build environment has no serde_json, so the exporters emit JSON
 //! by hand. The obs formats (JSONL event streams, Chrome `trace_event`
-//! files) need a *generic* value model on both sides: the summary
-//! command parses traces it did not write, and round-trip tests compare
+//! files) need a *generic* value model on both sides: the capture
+//! readers parse traces they did not write, and round-trip tests compare
 //! full documents. It is the workspace's one JSON codec — the plan
 //! server's wire format and `BENCH_sched.json` go through it too.
 //!

@@ -33,17 +33,15 @@ pub mod flight;
 pub mod fnv;
 pub mod json;
 pub mod snapshot;
-mod summary;
 pub mod trace;
 
 pub use detect::{Cusum, CusumConfig, DriftDirection};
 pub use flight::{flight, FlightRecorder};
 pub use fnv::Fnv1a;
 pub use snapshot::{
-    merge_chrome_trace, CounterSnapshot, Event, Format, GaugeSnapshot, HistogramSnapshot,
-    InstantRecord, Snapshot, SpanRecord, UnknownFormat,
+    CounterSnapshot, Event, Format, GaugeSnapshot, HistogramSnapshot, InstantRecord, Snapshot,
+    SpanRecord, UnknownFormat,
 };
-pub use summary::{PhaseTotal, Summary, SummaryWarning};
 pub use trace::TraceContext;
 
 use std::collections::BTreeMap;
@@ -416,7 +414,6 @@ impl Registry {
             gauges,
             histograms,
             events,
-            unclosed: Vec::new(),
         }
     }
 
@@ -510,8 +507,8 @@ impl Span {
     }
 
     /// Places the span in a cross-process request tree: the recorded
-    /// span carries `ctx`'s trace/span/parent ids, so merged traces
-    /// can stitch it to its parent in another process.
+    /// span carries `ctx`'s trace/span/parent ids, so a reader of two
+    /// processes' captures can stitch it to its parent in the other.
     pub fn trace(mut self, ctx: TraceContext) -> Self {
         if let Some(live) = &mut self.live {
             live.trace = Some(ctx);

@@ -15,8 +15,8 @@
 //!   track, instants become `i` events.
 //!
 //! [`Format::decode`] is the only reader of both and the only
-//! `B`/`E`/`X`/`i` matcher in the workspace: the summary, explain and
-//! diff planes all work on the `Snapshot` it returns.
+//! `B`/`E`/`X`/`i` matcher in the workspace: the explain and diff planes
+//! both work on the `Snapshot` it returns.
 
 use crate::json::Value;
 use crate::trace::{self, TraceContext};
@@ -145,6 +145,15 @@ pub struct SpanRecord {
     pub trace: Option<TraceContext>,
 }
 
+impl SpanRecord {
+    /// The span's end in µs, saturating at `u64::MAX`: the decoders reject
+    /// an end that overflows, but a re-derived timestamp (`explain
+    /// --capture` rounds f64 ms back to µs) can still reach the top.
+    fn end_us(&self) -> u64 {
+        self.start_us.saturating_add(self.dur_us)
+    }
+}
+
 /// A point-in-time event on a thread track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstantRecord {
@@ -178,10 +187,6 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSnapshot>,
     /// Spans and instants in commit order.
     pub events: Vec<Event>,
-    /// `(name, tid)` of spans a Chrome capture opened and never closed
-    /// (a truncated capture). Their durations are unknowable, so they
-    /// are kept out of `events`; no exporter writes them.
-    pub unclosed: Vec<(String, u64)>,
 }
 
 fn attrs_to_json(attrs: &[(String, AttrValue)]) -> Value {
@@ -241,6 +246,13 @@ fn trace_from_json(v: Option<&Value>) -> Result<Option<TraceContext>, String> {
         span_id: id("span")?,
         parent_id,
     }))
+}
+
+/// A decoded span's end, or an error when it overflows a `u64`: no
+/// recorder writes one, and every reader lays spans out by their end.
+fn checked_span_end(start_us: u64, dur_us: u64) -> Result<u64, String> {
+    (start_us.checked_add(dur_us))
+        .ok_or_else(|| format!("span end {start_us} + {dur_us} us overflows u64"))
 }
 
 impl Snapshot {
@@ -401,15 +413,20 @@ impl Snapshot {
                         sum: num("sum")?,
                     });
                 }
-                "span" => snap.events.push(Event::Span(SpanRecord {
-                    name: name("name")?,
-                    tid: uint("tid")?,
-                    start_us: uint("start_us")?,
-                    dur_us: uint("dur_us")?,
-                    attrs: attrs_from_json(v.get("attrs"))?,
-                    trace: trace_from_json(v.get("trace"))
-                        .map_err(|e| format!("line {}: {e}", lineno + 1))?,
-                })),
+                "span" => {
+                    let (start_us, dur_us) = (uint("start_us")?, uint("dur_us")?);
+                    checked_span_end(start_us, dur_us)
+                        .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                    snap.events.push(Event::Span(SpanRecord {
+                        name: name("name")?,
+                        tid: uint("tid")?,
+                        start_us,
+                        dur_us,
+                        attrs: attrs_from_json(v.get("attrs"))?,
+                        trace: trace_from_json(v.get("trace"))
+                            .map_err(|e| format!("line {}: {e}", lineno + 1))?,
+                    }))
+                }
                 "instant" => snap.events.push(Event::Instant(InstantRecord {
                     name: name("name")?,
                     tid: uint("tid")?,
@@ -427,8 +444,9 @@ impl Snapshot {
     /// spans in closing order, `i` events instants; other phases are
     /// skipped. Timestamps are read as whole microseconds
     /// — what [`Snapshot::to_chrome_trace`] writes. An `E` with no open
-    /// `B` on its tid is an error; a `B` that never closes lands in
-    /// [`Snapshot::unclosed`].
+    /// `B` on its tid is an error, and so is an `X` whose end overflows a
+    /// `u64`; a `B` that never closes (a truncated capture) has no
+    /// knowable duration and is left out of `events`.
     fn from_chrome_trace(text: &str) -> Result<Snapshot, String> {
         let doc = Value::parse(text)?;
         let events = doc
@@ -437,7 +455,7 @@ impl Snapshot {
             .ok_or("missing \"traceEvents\" array")?;
         let mut snap = Snapshot::default();
         let mut open: Vec<SpanRecord> = Vec::new();
-        for e in events {
+        for (index, e) in events.iter().enumerate() {
             let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
             let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
             let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
@@ -470,8 +488,10 @@ impl Snapshot {
                     snap.events.push(Event::Span(closed));
                 }
                 "X" => {
-                    let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                    snap.events.push(Event::Span(span(dur as u64)));
+                    let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0) as u64;
+                    checked_span_end(ts as u64, dur)
+                        .map_err(|e| format!("traceEvents[{index}]: {e}"))?;
+                    snap.events.push(Event::Span(span(dur)));
                 }
                 "i" | "I" => snap.events.push(Event::Instant(InstantRecord {
                     name: name(),
@@ -482,7 +502,6 @@ impl Snapshot {
                 _ => {}
             }
         }
-        snap.unclosed = open.into_iter().map(|s| (s.name, s.tid)).collect();
         Ok(snap)
     }
 
@@ -497,16 +516,14 @@ impl Snapshot {
     /// well-formed `B…B…E…E` sequence.
     pub fn to_chrome_trace(&self) -> String {
         Value::Obj(vec![
-            ("traceEvents".into(), Value::Arr(self.chrome_events(1))),
+            ("traceEvents".into(), Value::Arr(self.chrome_events())),
             ("displayTimeUnit".into(), Value::Str("ms".into())),
         ])
         .to_json()
     }
 
-    /// The event list of [`Snapshot::to_chrome_trace`], attributed to an
-    /// explicit Chrome process id — the building block of
-    /// [`merge_chrome_trace`].
-    fn chrome_events(&self, pid: u64) -> Vec<Value> {
+    /// The event list of [`Snapshot::to_chrome_trace`].
+    fn chrome_events(&self) -> Vec<Value> {
         let mut events: Vec<Value> = Vec::new();
         // Group span intervals per tid, preserving u64 precision.
         let mut spans: Vec<&SpanRecord> = self.spans().collect();
@@ -514,7 +531,7 @@ impl Snapshot {
             a.tid
                 .cmp(&b.tid)
                 .then(a.start_us.cmp(&b.start_us))
-                .then((b.start_us + b.dur_us).cmp(&(a.start_us + a.dur_us)))
+                .then(b.end_us().cmp(&a.end_us()))
         });
         let mut i = 0usize;
         while i < spans.len() {
@@ -523,19 +540,19 @@ impl Snapshot {
             while i < spans.len() && spans[i].tid == tid {
                 let s = spans[i];
                 while let Some(top) = stack.last() {
-                    if top.start_us + top.dur_us <= s.start_us {
-                        events.push(chrome_end(top, pid));
+                    if top.end_us() <= s.start_us {
+                        events.push(chrome_end(top));
                         stack.pop();
                     } else {
                         break;
                     }
                 }
-                events.push(chrome_begin(s, pid));
+                events.push(chrome_begin(s));
                 stack.push(s);
                 i += 1;
             }
             while let Some(top) = stack.pop() {
-                events.push(chrome_end(top, pid));
+                events.push(chrome_end(top));
             }
         }
         for inst in self.instants() {
@@ -543,7 +560,7 @@ impl Snapshot {
                 ("name".into(), Value::Str(inst.name.clone())),
                 ("ph".into(), Value::Str("i".into())),
                 ("ts".into(), Value::Num(inst.ts_us as f64)),
-                ("pid".into(), Value::Num(pid as f64)),
+                ("pid".into(), Value::Num(1.0)),
                 ("tid".into(), Value::Num(inst.tid as f64)),
                 ("s".into(), Value::Str("t".into())),
                 ("args".into(), attrs_to_json(&inst.attrs)),
@@ -551,35 +568,6 @@ impl Snapshot {
         }
         events
     }
-}
-
-/// Merges per-process snapshots into one Chrome trace document: part
-/// `i` becomes Chrome process `i + 1`, labelled with its name via a
-/// `process_name` metadata event. Timestamps are carried verbatim —
-/// each process keeps its own registry epoch, so tracks align only
-/// loosely; cross-process causality lives in the span `trace` ids, not
-/// the clock.
-pub fn merge_chrome_trace(parts: &[(String, Snapshot)]) -> String {
-    let mut events: Vec<Value> = Vec::new();
-    for (i, (label, snap)) in parts.iter().enumerate() {
-        let pid = i as u64 + 1;
-        events.push(Value::Obj(vec![
-            ("name".into(), Value::Str("process_name".into())),
-            ("ph".into(), Value::Str("M".into())),
-            ("pid".into(), Value::Num(pid as f64)),
-            ("tid".into(), Value::Num(0.0)),
-            (
-                "args".into(),
-                Value::Obj(vec![("name".into(), Value::Str(label.clone()))]),
-            ),
-        ]));
-        events.extend(snap.chrome_events(pid));
-    }
-    Value::Obj(vec![
-        ("traceEvents".into(), Value::Arr(events)),
-        ("displayTimeUnit".into(), Value::Str("ms".into())),
-    ])
-    .to_json()
 }
 
 /// The inverse of what [`chrome_begin`] does to a span's attributes:
@@ -613,7 +601,7 @@ fn chrome_args(args: Option<&Value>) -> (Vec<(String, AttrValue)>, Option<TraceC
     (attrs, trace)
 }
 
-fn chrome_begin(s: &SpanRecord, pid: u64) -> Value {
+fn chrome_begin(s: &SpanRecord) -> Value {
     let mut args = s.attrs.clone();
     if let Some(t) = &s.trace {
         args.push((
@@ -632,17 +620,17 @@ fn chrome_begin(s: &SpanRecord, pid: u64) -> Value {
         ("name".into(), Value::Str(s.name.clone())),
         ("ph".into(), Value::Str("B".into())),
         ("ts".into(), Value::Num(s.start_us as f64)),
-        ("pid".into(), Value::Num(pid as f64)),
+        ("pid".into(), Value::Num(1.0)),
         ("tid".into(), Value::Num(s.tid as f64)),
         ("args".into(), attrs_to_json(&args)),
     ])
 }
 
-fn chrome_end(s: &SpanRecord, pid: u64) -> Value {
+fn chrome_end(s: &SpanRecord) -> Value {
     Value::Obj(vec![
         ("ph".into(), Value::Str("E".into())),
-        ("ts".into(), Value::Num((s.start_us + s.dur_us) as f64)),
-        ("pid".into(), Value::Num(pid as f64)),
+        ("ts".into(), Value::Num(s.end_us() as f64)),
+        ("pid".into(), Value::Num(1.0)),
         ("tid".into(), Value::Num(s.tid as f64)),
     ])
 }
@@ -693,7 +681,6 @@ mod tests {
                     attrs: vec![("deviation".into(), AttrValue::F64(0.25))],
                 }),
             ],
-            unclosed: vec![],
         }
     }
 
@@ -834,39 +821,76 @@ mod tests {
         let transfers = crate::causal::transfers_from_snapshot;
         assert_eq!(transfers(&chrome), transfers(&jsonl));
         assert_eq!(transfers(&jsonl).len(), 2);
-        assert!(chrome.unclosed.is_empty() && jsonl.unclosed.is_empty());
     }
 
     #[test]
-    fn merged_traces_get_distinct_labelled_pids() {
-        let client = sample();
-        let server = sample();
-        let text = merge_chrome_trace(&[
-            ("client".to_string(), client),
-            ("server".to_string(), server),
-        ]);
-        let v = Value::parse(&text).unwrap();
-        let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
-        // Two process_name metadata events with the part labels.
-        let meta: Vec<(&str, f64)> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
-            .map(|e| {
-                (
-                    e.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Value::as_str)
-                        .unwrap(),
-                    e.get("pid").and_then(Value::as_f64).unwrap(),
-                )
+    fn truncated_chrome_trace_drops_the_unclosed_span() {
+        let text = r#"{"traceEvents":[
+            {"name":"a","ph":"B","ts":0,"pid":1,"tid":1},
+            {"ph":"E","ts":50,"pid":1,"tid":1},
+            {"name":"b","ph":"B","ts":60,"pid":1,"tid":1}]}"#;
+        // The closed span decodes; the one that never closed has no
+        // duration to report and is left out, not a hard error.
+        let snap = Format::Chrome.decode(text).unwrap();
+        let names: Vec<&str> = snap.spans().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a"]);
+        assert_eq!(snap.spans().next().unwrap().dur_us, 50);
+        // A genuinely malformed trace (E with no B) still errors.
+        let bad = r#"{"traceEvents":[{"ph":"E","ts":5,"pid":1,"tid":9}]}"#;
+        assert!(Format::Chrome.decode(bad).is_err());
+    }
+
+    #[test]
+    fn a_span_ending_past_u64_is_a_decode_error_naming_its_line() {
+        let start = u64::MAX - 2047;
+        let jsonl = format!(
+            "{{\"type\":\"counter\",\"name\":\"a\",\"value\":1}}\n\
+             {{\"type\":\"span\",\"name\":\"transfer\",\"tid\":1,\"start_us\":{start},\"dur_us\":4096}}\n"
+        );
+        let err = Format::Jsonl.decode(&jsonl).unwrap_err();
+        assert!(err.starts_with("line 2: span end"), "{err}");
+        // The same span one microsecond short of the top still decodes.
+        let fits = jsonl.replace("4096", "2047");
+        assert_eq!(Format::Jsonl.decode(&fits).unwrap().spans().count(), 1);
+        let chrome = r#"{"traceEvents":[
+            {"name":"a","ph":"X","ts":0,"dur":5,"pid":1,"tid":1},
+            {"name":"b","ph":"X","ts":1.8446744073709552e19,"dur":4096,"pid":1,"tid":1}]}"#;
+        let err = Format::Chrome.decode(chrome).unwrap_err();
+        assert!(err.starts_with("traceEvents[1]: span end"), "{err}");
+    }
+
+    #[test]
+    fn the_chrome_encoder_saturates_span_ends() {
+        // An end at the top of the range, as a re-derived timestamp can
+        // produce: the `E` events sit at `u64::MAX`, in nesting order.
+        let span = |name: &str, start_us, dur_us| {
+            Event::Span(SpanRecord {
+                name: name.into(),
+                tid: 1,
+                start_us,
+                dur_us,
+                attrs: vec![],
+                trace: None,
             })
+        };
+        let snap = Snapshot {
+            events: vec![
+                span("outer", u64::MAX - 10, 10),
+                span("inner", u64::MAX - 5, 20),
+            ],
+            ..Default::default()
+        };
+        let v = Value::parse(&snap.to_chrome_trace()).unwrap();
+        let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let phases: Vec<&str> = events
+            .iter()
+            .map(|e| e.get("ph").and_then(Value::as_str).unwrap())
             .collect();
-        assert_eq!(meta, [("client", 1.0), ("server", 2.0)]);
-        // Every non-metadata event belongs to pid 1 or 2.
-        assert!(events.iter().all(
-            |e| matches!(e.get("pid").and_then(Value::as_f64), Some(p) if p == 1.0
-                || p == 2.0)
-        ));
+        assert_eq!(phases, ["B", "B", "E", "E"]);
+        assert_eq!(
+            events[3].get("ts").and_then(Value::as_f64),
+            Some(u64::MAX as f64)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! of `(tenant, seq)` and every child id is a hash of `(trace_id,
 //! parent span_id, slot)`, so the same request always produces the
 //! same tree on every run — a test (or a human) can recompute the ids
-//! a merged trace must contain without any side channel.
+//! two processes' captures must contain without any side channel.
 //!
 //! On the wire ids travel as 16-hex-digit strings (the same convention
 //! as plan fingerprints): JSON numbers are f64 and silently lose u64

@@ -34,8 +34,8 @@
 # And it checks the dependency edges: every `adaptcomm-*` entry under
 # `[dependencies]` in the root Cargo.toml or a crates/*/Cargo.toml must
 # be named (as `adaptcomm_*`) on a non-comment line of that crate's
-# src/. The script exits 1 when a module has no row, a row is stale or
-# an edge is unused.
+# src/. The script exits 1 when a module has no row, a row is stale, an
+# edge is unused or a public item has no caller.
 #
 # `--panics` counts the panic sites instead, under the same non-test rule
 # and outside the shims: each `.unwrap()` / `.expect(` and each `panic!` /
@@ -306,10 +306,14 @@ END {
             printf "%s\t%s::%s\t%s\t%d\t%s\n", k_kind[i], k_owner[i], w, k_where[i], callers, v
     }
     printf "census: %d public items, %d with no caller; %d settings fields, %d with one value in use; %s\n", n, zero, settings, single, manifest
+    exit (zero > 0)
 }
 ' manifest="$summary; $edges dependency edges, $unused unused"
+# xargs reports awk's exit 1 (an item with no caller) as 123.
+uncalled=$?
 case "$summary" in
 *" 0 without a manifest row, 0 stale rows") ;;
 *) exit 1 ;;
 esac
 [ "$unused" -eq 0 ] || exit 1
+[ "$uncalled" -eq 0 ] || exit 1

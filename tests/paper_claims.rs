@@ -11,6 +11,7 @@
 use adaptcomm::prelude::*;
 use adaptcomm::scheduling::bounds;
 use adaptcomm::scheduling::depgraph;
+use adaptcomm::scheduling::reduction::{gonzalez_sahni_two_machine, OpenShopInstance};
 use adaptcomm_bench::sweep::{InstanceResult, SweepGrid, SweepRunner};
 use adaptcomm_model::generator::GeneratorConfig;
 
@@ -138,6 +139,61 @@ fn theorem_2_bound_holds_and_is_tight() {
     let m = bounds::theorem2_tightness_instance(1e-9);
     let ratio = depgraph::baseline_step_ordered_completion(&m).as_ms() / m.lower_bound().as_ms();
     assert!((ratio - 2.0).abs() < 1e-6);
+}
+
+/// Theorem 1's reduction, checked against the exact 2-machine open shop
+/// optimum (Gonzalez & Sahni 1976).
+#[test]
+fn scheduling_the_reduction_solves_the_open_shop() {
+    let i = OpenShopInstance::new(vec![vec![3.0, 5.0], vec![4.0, 1.0], vec![2.0, 6.0]]);
+    let c = i.to_comm_matrix();
+    let schedule = OpenShop.schedule(&c);
+    schedule.validate().unwrap();
+    // Filler events are free, so the schedule's completion time *is*
+    // the open shop makespan.
+    let makespan = schedule.completion_time().as_ms();
+    let optimum = gonzalez_sahni_two_machine(&i);
+    assert!(
+        makespan >= optimum - 1e-9,
+        "no schedule can beat the GS optimum"
+    );
+    assert!(
+        makespan <= 2.0 * optimum + 1e-9,
+        "Theorem 3 carries over through the reduction"
+    );
+    // No filler event outlasts the real ones.
+    let n = i.jobs();
+    let real = schedule.events().iter().filter(|e| e.src < n && e.dst >= n);
+    let last_real = real.map(|e| e.finish.as_ms()).fold(0.0, f64::max);
+    assert_eq!(makespan, last_real);
+}
+
+#[test]
+fn heuristic_achieves_the_two_machine_optimum_often() {
+    // Across random 2-machine instances the list heuristic hits the
+    // GS optimum in the majority of cases (it is only guaranteed 2×).
+    let mut hits = 0;
+    let total = 20;
+    for seed in 0..total {
+        let inst = OpenShopInstance::new(
+            (0..5)
+                .map(|j| {
+                    (0..2)
+                        .map(|i| ((j * 7 + i * 13 + seed * 31) % 9 + 1) as f64)
+                        .collect()
+                })
+                .collect(),
+        );
+        let sched = OpenShop.schedule(&inst.to_comm_matrix());
+        let makespan = sched.completion_time().as_ms();
+        if (makespan - gonzalez_sahni_two_machine(&inst)).abs() < 1e-9 {
+            hits += 1;
+        }
+    }
+    assert!(
+        hits * 2 > total,
+        "heuristic optimal in only {hits}/{total} cases"
+    );
 }
 
 #[test]
