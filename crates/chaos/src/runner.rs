@@ -4,8 +4,8 @@
 //! closed loop — once fault-free as the control, once under the plan —
 //! and grades the chaotic run against the control: completion-time SLO
 //! (at most [`SLO_FACTOR`] × the fault-free makespan), exactly-once
-//! delivery via FNV receipt verification, per-fault recovery times and
-//! their histogram, and the quarantine roster.
+//! delivery via FNV receipt verification, per-fault recovery times,
+//! and the quarantine roster.
 
 use crate::evolution::ChaosEvolution;
 use crate::plan::ChaosPlan;
@@ -79,9 +79,6 @@ pub struct ChaosReport {
     /// True when the chaotic run's receipts are bit-identical to a
     /// clean exchange: every payload arrived exactly once.
     pub receipts_ok: bool,
-    /// Recovery-time histogram: `(upper_bound_ms, count)` per bucket,
-    /// with a final `(inf, count)` overflow bucket.
-    pub histogram: Vec<(f64, usize)>,
 }
 
 impl ChaosReport {
@@ -190,18 +187,6 @@ pub fn run_chaos(
             probes: ev.probes,
         })
         .collect();
-    let mut histogram: Vec<(f64, usize)> = adaptcomm_obs::MS_BUCKETS
-        .iter()
-        .map(|&b| (b, 0))
-        .chain(std::iter::once((f64::INFINITY, 0)))
-        .collect();
-    for t in faults.iter().filter_map(|f| f.recovery_ms) {
-        let slot = histogram
-            .iter()
-            .position(|&(bound, _)| t <= bound)
-            .unwrap_or(histogram.len() - 1);
-        histogram[slot].1 += 1;
-    }
     Ok(ChaosReport {
         p: net.len(),
         fault_free_ms,
@@ -211,6 +196,5 @@ pub fn run_chaos(
         faults,
         quarantined: report.quarantined_links.clone(),
         receipts_ok: receipts == expected_receipts(sizes, None),
-        histogram,
     })
 }

@@ -86,7 +86,6 @@ USAGE:
 
   adaptcomm sweep [--scenario <all|fig9|fig10|fig11|fig12>] [--pmin <N>]
                   [--pmax <N>] [--pstep <N>] [--trials <N>] [--threads <N>]
-                  [--obs <path>]
       Evaluate every algorithm over the (scenario x P x trial) grid on
       the parallel sweep engine and print lb-ratio statistics. Seeds are
       derived from grid coordinates, so any --threads value produces the
@@ -121,8 +120,8 @@ USAGE:
       plan spec: `;`-separated `crash:PROC@AT..RESTART`,
       `partition:N,N,..@AT..HEAL`, `liar:SRC-DST@FROMxFACTOR` with times
       in modeled ms (e.g. 'crash:2@120..400;liar:1-3@50x4'). Prints the
-      per-fault recovery report, the quarantine roster, the
-      recovery-time histogram, and a final `SLO:` verdict line; exits
+      per-fault recovery report, the quarantine roster, and a final
+      `SLO:` verdict line; exits
       nonzero when the SLO is blown or a message was lost or duplicated.
       On an SLO breach the always-on flight recorder dumps its recent
       event window (injected faults, runtime fault/heal notes) to
@@ -193,10 +192,10 @@ USAGE:
   adaptcomm help
       This text.
 
-The --obs <path> option (run, compare, sweep, chaos, plan-server,
+The --obs <path> option (run, compare, chaos, plan-server,
 plan-client) enables the in-process observability registry for the
-duration of the command and writes the collected metrics when it
-finishes. One extension table names a capture's format, for every
+duration of the command and writes the spans and instants it recorded
+when it finishes. One extension table names a capture's format, for every
 write (--obs, --flight, explain --capture) and every read (--input,
 --base/--head):
   .jsonl          JSONL event stream (lossless)
@@ -228,9 +227,7 @@ const COMMANDS: &[args::Command] = &[
     },
     args::Command {
         name: "sweep",
-        values: &[
-            "scenario", "pmin", "pmax", "pstep", "trials", "threads", "obs",
-        ],
+        values: &["scenario", "pmin", "pmax", "pstep", "trials", "threads"],
         flags: &[],
         run: sweep,
     },
@@ -387,10 +384,9 @@ fn obs_finish((path, format): (String, Format)) -> Result<(), String> {
     obs.set_enabled(false);
     std::fs::write(&path, format.encode(&snap)).map_err(|e| format!("writing {path}: {e}"))?;
     outln!(
-        "wrote {path} ({} span(s), {} instant(s), {} counter(s))",
+        "wrote {path} ({} span(s), {} instant(s))",
         snap.spans().count(),
-        snap.instants().count(),
-        snap.counters.len()
+        snap.instants().count()
     );
     Ok(())
 }
@@ -543,7 +539,6 @@ fn explain(opts: &args::Options) -> Result<(), String> {
                 .iter()
                 .map(|t| Event::Span(transfer_span(t.src, t.dst, us(t.start_ms), us(t.dur_ms))))
                 .collect(),
-            ..Default::default()
         };
         std::fs::write(&out, format.encode(&snap)).map_err(|e| format!("writing {out}: {e}"))?;
         outln!("wrote {out} ({} transfer span(s))", dag.transfers().len());
@@ -758,7 +753,6 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
         cfg: GeneratorConfig::default(),
         seed_fn: summary_seed,
     };
-    let obs_path = obs_begin(opts)?;
     let clock = std::time::Instant::now();
     let stats = runner.stats(&grid);
     out!("{}", stats.render());
@@ -768,9 +762,6 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
         clock.elapsed().as_secs_f64(),
         runner.threads()
     );
-    if let Some(path) = obs_path {
-        obs_finish(path)?;
-    }
     Ok(())
 }
 
@@ -1044,17 +1035,6 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
             .map(|(s, d)| format!("{s}->{d}"))
             .collect();
         outln!("  quarantined: {}", links.join(", "));
-    }
-    let measured: usize = report.histogram.iter().map(|&(_, n)| n).sum();
-    if measured > 0 {
-        outln!("  recovery-time histogram (ms):");
-        for &(bound, n) in report.histogram.iter().filter(|&&(_, n)| n > 0) {
-            if bound.is_finite() {
-                outln!("    <= {bound:>8.2}: {n}");
-            } else {
-                outln!("    >  (last)  : {n}");
-            }
-        }
     }
     outln!(
         "  receipts: {}",

@@ -48,8 +48,6 @@ impl Greedy {
 
         let mut priority: Vec<usize> = (0..p).collect();
         let mut steps = Vec::new();
-        // Aggregate in locals; one obs record after the loop.
-        let (mut rank_scans, mut idle_slots) = (0u64, 0u64);
 
         while rank_left.iter().any(|l| !l.is_empty()) {
             let mut step: Vec<Option<usize>> = vec![None; p];
@@ -64,17 +62,12 @@ impl Greedy {
                 let pick = rank_left[src].iter().position(|&d| !claimed[d]);
                 match pick {
                     Some(pos) => {
-                        rank_scans += pos as u64 + 1;
                         let d = rank_left[src].remove(pos);
                         step[src] = Some(d);
                         claimed[d] = true;
                         last_picker = Some(src);
                     }
-                    None => {
-                        rank_scans += rank_left[src].len() as u64;
-                        idle_slots += 1;
-                        idled.push(src);
-                    }
+                    None => idled.push(src),
                 }
             }
 
@@ -103,12 +96,6 @@ impl Greedy {
                 "greedy step made no progress; scheduling stuck"
             );
             steps.push(step);
-        }
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add("sched.greedy.steps", steps.len() as u64);
-            obs.add("sched.greedy.rank_scans", rank_scans);
-            obs.add("sched.greedy.idle_slots", idle_slots);
         }
         steps
     }

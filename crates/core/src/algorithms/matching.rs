@@ -172,15 +172,12 @@ impl Clone for MatchingScheduler {
     }
 }
 
-/// Counters accumulated by one run of the round loop.
+/// What one run of the round loop reports: its first solve's stats
+/// and the column scans of all its solves.
 #[derive(Debug, Clone, Copy, Default)]
 struct RoundLoopStats {
     first: SolveStats,
-    warm_hits: u64,
-    cold_solves: u64,
-    aug_paths: u64,
     col_scans: u64,
-    worker_scans: u64,
 }
 
 impl MatchingScheduler {
@@ -262,20 +259,7 @@ impl MatchingScheduler {
             }
             _ => self.plan_seeded(matrix, None),
         };
-        let plan = slot.insert(plan);
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add(
-                match plan.disposition {
-                    "hit" => "sched.matching.plan_hits",
-                    "incremental" => "sched.matching.plan_incremental",
-                    "warm" => "sched.matching.plan_warm",
-                    _ => "sched.matching.plan_cold",
-                },
-                1,
-            );
-        }
-        f(plan)
+        f(slot.insert(plan))
     }
 
     /// The deletion sentinel written into the work matrix: matching the
@@ -332,14 +316,7 @@ impl MatchingScheduler {
             if round == start {
                 out.first = stats;
             }
-            if stats.warm {
-                out.warm_hits += 1;
-            } else {
-                out.cold_solves += 1;
-            }
-            out.aug_paths += stats.aug_paths;
             out.col_scans += stats.col_scans;
-            out.worker_scans += stats.worker_scans;
             let base = rounds.v.len();
             rounds.v.extend_from_slice(duals.potentials());
             let mut step = Vec::with_capacity(p);
@@ -359,18 +336,6 @@ impl MatchingScheduler {
             steps.push(step);
         }
         out
-    }
-
-    fn record_obs(&self, p: usize, out: &RoundLoopStats) {
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add("sched.matching.rounds", p as u64);
-            obs.add("sched.matching.lap_warm_hits", out.warm_hits);
-            obs.add("sched.matching.lap_cold_solves", out.cold_solves);
-            obs.add("sched.matching.lap_aug_paths", out.aug_paths);
-            obs.add("sched.matching.lap_col_scans", out.col_scans);
-            obs.add("sched.matching.lap_worker_scans", out.worker_scans);
-        }
     }
 
     /// Like [`MatchingScheduler::steps`], but optionally seeding the
@@ -403,7 +368,6 @@ impl MatchingScheduler {
             &mut steps,
             &mut rounds,
         );
-        self.record_obs(p, &out);
         MatchingPlan {
             steps,
             // Retained from the round-1 state *before* later rounds
@@ -540,12 +504,6 @@ impl MatchingScheduler {
             &mut steps,
             &mut rounds,
         );
-        self.record_obs(p - kept, &out);
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add("sched.matching.replan_spliced_rounds", kept as u64);
-            obs.add("sched.matching.replan_solved_rounds", (p - kept) as u64);
-        }
         MatchingPlan {
             steps,
             seed_potentials: rounds.v[..p].to_vec(),

@@ -142,25 +142,15 @@ impl OpenShop {
             .map(|j| (recv_avail[j].to_bits(), j))
             .collect();
         let mut events = Vec::with_capacity(left.iter().sum());
-        // Aggregate in locals; one obs record after the loop.
-        let (mut heap_rekeys, mut walk_skips) = (0u64, 0u64);
 
         while let Some(Reverse(AvailKey { id: i, .. })) = senders.pop() {
             // Earliest-available receiver i still owes: first in global
             // (avail, id) order that i owes.
-            let mut skipped = 0u64;
             let j = avail_order
                 .iter()
                 .map(|&(_, j)| j)
-                .find(|&j| {
-                    let ok = owes[i * p + j];
-                    if !ok {
-                        skipped += 1;
-                    }
-                    ok
-                })
+                .find(|&j| owes[i * p + j])
                 .expect("sender with owed receivers should find one");
-            walk_skips += skipped;
 
             let t = send_avail[i].max(recv_avail[j]);
             let finish = t + cost(i, j);
@@ -172,7 +162,6 @@ impl OpenShop {
             });
             send_avail[i] = finish;
             avail_order.remove(&(recv_avail[j].to_bits(), j));
-            heap_rekeys += 1;
             owed_to[j] -= 1;
             if owed_to[j] > 0 {
                 avail_order.insert((finish.to_bits(), j));
@@ -186,12 +175,6 @@ impl OpenShop {
                     id: i,
                 }));
             }
-        }
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add("sched.openshop.events", events.len() as u64);
-            obs.add("sched.openshop.rekeys", heap_rekeys);
-            obs.add("sched.openshop.walk_skips", walk_skips);
         }
         events
     }

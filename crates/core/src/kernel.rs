@@ -239,10 +239,6 @@ pub struct Ports {
     batch: Vec<usize>,
     /// Requests made at the current instant, not yet served.
     instant: Vec<usize>,
-    // Aggregated in fields, recorded once after the drain.
-    popped: u64,
-    grants_queued: u64,
-    max_queue_depth: usize,
 }
 
 impl Ports {
@@ -265,9 +261,6 @@ impl Ports {
             completions: Vec::with_capacity(messages),
             batch: Vec::new(),
             instant: Vec::new(),
-            popped: 0,
-            grants_queued: 0,
-            max_queue_depth: 0,
         };
         ports.set_queues(lists.iter().map(Vec::as_slice));
         ports
@@ -367,7 +360,6 @@ impl Ports {
     fn pop(&mut self) -> Option<Entry> {
         let Reverse(e) = self.heap.pop()?;
         self.clock = self.clock.max(e.time);
-        self.popped += 1;
         Some(e)
     }
 
@@ -464,8 +456,6 @@ impl Ports {
             let after = |&(t, s): &(f64, usize)| t.total_cmp(&now).then(s.cmp(&src)).is_lt();
             let at = queue.iter().rposition(after).map_or(0, |k| k + 1);
             queue.insert(at, (now, src));
-            self.grants_queued += 1;
-            self.max_queue_depth = self.max_queue_depth.max(self.pending[dst].len());
             if port_free {
                 policy.refused(now, src);
             }
@@ -553,23 +543,6 @@ pub fn run_from<P: Policy>(
     );
     let mut ports = Ports::new(lists, start_at);
     let end = ports.drain(policy, start_at);
-
-    let obs = adaptcomm_obs::global();
-    if obs.is_enabled() {
-        // Calendar pops: one per transfer, plus a completion sent back.
-        obs.add("sim.events", ports.popped);
-        let started = ports.events.len() as u64;
-        obs.add("sim.grants.queued", ports.grants_queued);
-        obs.add(
-            "sim.grants.immediate",
-            started.saturating_sub(ports.grants_queued),
-        );
-        obs.observe(
-            "sim.grant_queue.max_depth",
-            adaptcomm_obs::DEPTH_BUCKETS,
-            ports.max_queue_depth as f64,
-        );
-    }
     (ports, end)
 }
 

@@ -108,10 +108,6 @@ impl Inner {
         let seq = self.current.sequence() + 1;
         self.current = DirectorySnapshot::new(params, taken_at, seq);
         self.publishes += 1;
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add("directory.publish", 1);
-        }
     }
 }
 
@@ -226,15 +222,9 @@ impl DirectoryService {
     /// published estimates disagreeing with realized transfer times. A
     /// link need not have been measured first (a liar may be caught on
     /// its very first publish), and later clean measurements do not lift
-    /// it. Returns true when the link was not quarantined before; the obs
-    /// counter `directory.quarantine` counts those.
+    /// it. Returns true when the link was not quarantined before.
     pub fn quarantine_link(&self, src: usize, dst: usize) -> bool {
-        let fresh = self.lock().quarantined.insert((src, dst));
-        let obs = adaptcomm_obs::global();
-        if fresh && obs.is_enabled() {
-            obs.add("directory.quarantine", 1);
-        }
-        fresh
+        self.lock().quarantined.insert((src, dst))
     }
 
     /// True if the directed link is currently quarantined.

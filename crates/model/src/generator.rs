@@ -15,13 +15,11 @@ use crate::units::{Bandwidth, Millis};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Configuration for random network generation.
+/// Configuration for random network generation. Start-up costs are
+/// always drawn from Table 1's latency range
+/// ([`gusto::MIN_LATENCY_MS`]..=[`gusto::MAX_LATENCY_MS`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GeneratorConfig {
-    /// Lower bound of the start-up cost range (ms).
-    pub startup_min_ms: f64,
-    /// Upper bound of the start-up cost range (ms).
-    pub startup_max_ms: f64,
     /// Lower bound of the bandwidth range (kbit/s).
     pub bandwidth_min_kbps: f64,
     /// Upper bound of the bandwidth range (kbit/s).
@@ -36,8 +34,6 @@ impl Default for GeneratorConfig {
     /// The GUSTO-guided defaults: ranges exactly as spanned by Tables 1–2.
     fn default() -> Self {
         GeneratorConfig {
-            startup_min_ms: gusto::MIN_LATENCY_MS,
-            startup_max_ms: gusto::MAX_LATENCY_MS,
             bandwidth_min_kbps: gusto::MIN_BANDWIDTH_KBPS,
             bandwidth_max_kbps: gusto::MAX_BANDWIDTH_KBPS,
             symmetric: true,
@@ -61,10 +57,6 @@ impl GeneratorConfig {
     }
 
     fn validate(&self) {
-        assert!(
-            self.startup_min_ms >= 0.0 && self.startup_min_ms <= self.startup_max_ms,
-            "invalid startup range"
-        );
         assert!(
             self.bandwidth_min_kbps > 0.0 && self.bandwidth_min_kbps <= self.bandwidth_max_kbps,
             "invalid bandwidth range"
@@ -97,7 +89,9 @@ impl NetGenerator {
     /// Draws one link estimate.
     fn draw(&mut self) -> LinkEstimate {
         let c = &self.config;
-        let startup = self.rng.random_range(c.startup_min_ms..=c.startup_max_ms);
+        let startup = self
+            .rng
+            .random_range(gusto::MIN_LATENCY_MS..=gusto::MAX_LATENCY_MS);
         let (lo, hi) = (c.bandwidth_min_kbps.ln(), c.bandwidth_max_kbps.ln());
         let bw = if lo == hi {
             c.bandwidth_min_kbps
@@ -185,22 +179,6 @@ mod tests {
         assert_eq!(a, b);
         let c = NetGenerator::gusto_guided(43).generate(12);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn metacomputing_preset_uses_10_to_50ms() {
-        // The paper's metacomputing start-up costs of 10–50 ms, written
-        // as the config literal a caller would pass.
-        let cfg = GeneratorConfig {
-            startup_min_ms: 10.0,
-            startup_max_ms: 50.0,
-            ..GeneratorConfig::default()
-        };
-        let mut g = NetGenerator::new(cfg, 3);
-        let p = g.generate(15);
-        for (_, _, e) in p.pairs() {
-            assert!(e.startup.as_ms() >= 10.0 && e.startup.as_ms() <= 50.0);
-        }
     }
 
     #[test]

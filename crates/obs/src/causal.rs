@@ -472,17 +472,24 @@ pub fn transfer_span(src: usize, dst: usize, start_us: u64, dur_us: u64) -> Span
 }
 
 /// The realized transfers of a capture: every span carrying `src`/`dst`
-/// attrs (the inverse of [`transfer_span`]).
+/// attrs (the inverse of [`transfer_span`]). Start times are measured
+/// from the earliest transfer's start, rebased in whole microseconds
+/// before the conversion to f64 milliseconds: an absolute timestamp
+/// near the top of the u64 range would leave an f64 no bits for the
+/// transfer's own scale.
 pub fn transfers_from_snapshot(snap: &Snapshot) -> Vec<Transfer> {
-    snap.spans()
-        .filter_map(|s| {
-            let (src, dst) = link_of(s)?;
-            Some(Transfer {
-                src,
-                dst,
-                start_ms: s.start_us as f64 / 1_000.0,
-                dur_ms: dur_ms(s),
-            })
+    let spans: Vec<(&SpanRecord, (usize, usize))> = snap
+        .spans()
+        .filter_map(|s| Some((s, link_of(s)?)))
+        .collect();
+    let base_us = spans.iter().map(|(s, _)| s.start_us).min().unwrap_or(0);
+    spans
+        .into_iter()
+        .map(|(s, (src, dst))| Transfer {
+            src,
+            dst,
+            start_ms: (s.start_us - base_us) as f64 / 1_000.0,
+            dur_ms: dur_ms(s),
         })
         .collect()
 }
@@ -931,7 +938,6 @@ mod tests {
                 span(AttrValue::F64(0.5)),
                 span(AttrValue::U64(largest)),
             ],
-            ..Default::default()
         };
         let transfers = transfers_from_snapshot(&snap);
         assert_eq!(transfers.len(), 1);
@@ -958,7 +964,6 @@ mod tests {
                 span(3, 1, 35_000, 2_000),
                 span(1, 3, 0, 4_000),
             ],
-            ..Default::default()
         }
     }
 
@@ -974,6 +979,21 @@ mod tests {
             let blame = dag.blame();
             assert_eq!((blame.links[0].src, blame.links[0].dst), (3, 2));
         }
+    }
+
+    #[test]
+    fn a_capture_near_the_top_of_u64_keeps_its_transfer_scale() {
+        // One 2.047 ms transfer starting 2047 us short of u64::MAX: made
+        // 2x faster it saves half its time, as it would at any start.
+        let snap = Snapshot {
+            events: vec![Event::Span(transfer_span(0, 1, u64::MAX - 2047, 2047))],
+        };
+        let transfers = transfers_from_snapshot(&snap);
+        assert_eq!(transfers[0].start_ms, 0.0);
+        let dag = CausalDag::new(transfers);
+        assert_eq!(dag.completion_ms(), 2.047);
+        let w = dag.interventions(2.0, 1);
+        assert_eq!((w[0].src, w[0].dst, w[0].delta_ms), (0, 1, 1.0235));
     }
 
     #[test]

@@ -132,42 +132,39 @@ impl FlightRecorder {
         self.ring.lock().unwrap().overwritten
     }
 
-    /// Freezes the ring as a snapshot: events oldest-first plus
-    /// `flight.captured` / `flight.overwritten` counters.
+    /// Freezes the ring as a snapshot: events oldest-first.
     pub fn snapshot(&self) -> Snapshot {
-        let ring = self.ring.lock().unwrap();
-        let mut snap = Snapshot {
-            events: ring.ordered(),
-            ..Snapshot::default()
-        };
-        snap.counters.push(crate::snapshot::CounterSnapshot {
-            name: "flight.captured".into(),
-            value: ring.slots.len() as u64,
-        });
-        snap.counters.push(crate::snapshot::CounterSnapshot {
-            name: "flight.overwritten".into(),
-            value: ring.overwritten,
-        });
-        snap
+        Snapshot {
+            events: self.ring.lock().unwrap().ordered(),
+        }
     }
 
     /// Writes the ring to `path` in the format its extension names,
-    /// prefixed with a `flight.dump` instant naming the `reason`. The
-    /// ring keeps its contents (a later trigger can dump again).
+    /// prefixed with a `flight.dump` instant naming the `reason` and
+    /// how many events the ring holds (`captured`) and has overwritten
+    /// (`overwritten`). The ring keeps its contents (a later trigger
+    /// can dump again).
     pub fn dump(&self, path: &Path, reason: &str) -> std::io::Result<()> {
         let format = Format::of_path(path)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let mut snap = self.snapshot();
-        snap.events.insert(
+        let (mut events, captured, overwritten) = {
+            let ring = self.ring.lock().unwrap();
+            (ring.ordered(), ring.slots.len(), ring.overwritten)
+        };
+        events.insert(
             0,
             Event::Instant(InstantRecord {
                 name: "flight.dump".into(),
                 tid: current_tid(),
                 ts_us: self.epoch.elapsed().as_micros() as u64,
-                attrs: vec![("reason".into(), AttrValue::Str(reason.to_string()))],
+                attrs: vec![
+                    ("reason".into(), AttrValue::Str(reason.to_string())),
+                    ("captured".into(), captured.into()),
+                    ("overwritten".into(), overwritten.into()),
+                ],
             }),
         );
-        std::fs::write(path, format.encode(&snap))
+        std::fs::write(path, format.encode(&Snapshot { events }))
     }
 
     /// Arms (or with `None` disarms) automatic dumps into `dir`.
@@ -263,26 +260,30 @@ mod tests {
             })
             .collect();
         assert_eq!(order, [2, 3, 4, 5]);
-        assert_eq!(snap.counter("flight.overwritten"), Some(2));
-        assert_eq!(snap.counter("flight.captured"), Some(4));
     }
 
     #[test]
     fn dump_replays_through_snapshot_jsonl() {
-        let rec = FlightRecorder::new(8);
-        rec.note("chaos.fault").attr("kind", "crash").emit();
+        let rec = FlightRecorder::new(2);
+        for _ in 0..3 {
+            rec.note("chaos.fault").attr("kind", "crash").emit();
+        }
         let path = std::env::temp_dir().join(format!("flight-test-{}.jsonl", std::process::id()));
         rec.dump(&path, "unit-test").unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let snap = Snapshot::from_jsonl(&text).unwrap();
         let names: Vec<&str> = snap.instants().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, ["flight.dump", "chaos.fault"]);
-        let reason = snap
-            .instants()
-            .next()
-            .and_then(|i| i.attrs.iter().find(|(k, _)| k == "reason"))
-            .map(|(_, v)| v.clone());
-        assert_eq!(reason, Some(AttrValue::Str("unit-test".into())));
+        assert_eq!(names, ["flight.dump", "chaos.fault", "chaos.fault"]);
+        // The dump instant names its reason and what the ring held.
+        let dump = snap.instants().next().unwrap();
+        assert_eq!(
+            dump.attrs,
+            [
+                ("reason".into(), AttrValue::Str("unit-test".into())),
+                ("captured".into(), AttrValue::U64(2)),
+                ("overwritten".into(), AttrValue::U64(1)),
+            ]
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -3,12 +3,13 @@
 //! The paper's premise is *run-time network awareness* (§2, §6.4):
 //! decisions are only as good as the measurements behind them. This
 //! crate makes the stack's own decisions observable the same way —
-//! scheduler rounds, directory staleness, warm-start hits, and runtime
-//! replans all flow into one [`Registry`] of counters, gauges,
-//! fixed-bucket histograms, and nested wall-clock spans, written and
-//! read back by one codec as a JSONL event stream or a Chrome
-//! `trace_event` file loadable in `chrome://tracing` / Perfetto (see
-//! [`Format`]).
+//! schedule construction, runtime replans, faults and every delivered
+//! transfer flow into one [`Registry`] event log of nested wall-clock
+//! spans and instants, written and read back by one codec as a JSONL
+//! event stream or a Chrome `trace_event` file loadable in
+//! `chrome://tracing` / Perfetto (see [`Format`]). What the registry
+//! records is what `explain` and `obs-diff` read; a count the caller
+//! needs travels in a typed field (`SolveStats`, `AdaptReport`, …).
 //!
 //! # Global or local
 //!
@@ -22,10 +23,9 @@
 //!
 //! # Naming conventions
 //!
-//! Metric names are lowercase dotted paths, `<layer>.<thing>.<aspect>`:
-//! `sched.matching.rounds`, `directory.publish`,
-//! `runtime.replan.triggered`. Span names are the phase names shown in
-//! trace viewers: `schedule`, `replan`, `transfer`.
+//! Span names are the phase names shown in trace viewers: `schedule`,
+//! `replan`, `transfer`. Instant names are lowercase dotted paths,
+//! `<layer>.<event>`: `runtime.replan`, `chaos.inject`, `flight.dump`.
 
 pub mod causal;
 pub mod detect;
@@ -38,25 +38,12 @@ pub mod trace;
 pub use detect::{Cusum, CusumConfig, DriftDirection};
 pub use flight::{flight, FlightRecorder};
 pub use fnv::Fnv1a;
-pub use snapshot::{
-    CounterSnapshot, Event, Format, GaugeSnapshot, HistogramSnapshot, InstantRecord, Snapshot,
-    SpanRecord, UnknownFormat,
-};
+pub use snapshot::{Event, Format, InstantRecord, Snapshot, SpanRecord, UnknownFormat};
 pub use trace::TraceContext;
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-/// Default duration buckets (milliseconds) for timing histograms:
-/// roughly logarithmic from 10 µs to 10 s.
-pub const MS_BUCKETS: &[f64] = &[
-    0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1_000.0, 10_000.0,
-];
-
-/// Default small-count buckets (queue depths, heap sizes).
-pub const DEPTH_BUCKETS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
 /// One key/value attribute on a span or instant event.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,71 +106,11 @@ impl AttrValue {
     }
 }
 
-/// A histogram's shared storage: fixed upper bounds plus an overflow
-/// bucket, all lock-free.
-#[derive(Debug)]
-struct HistogramCell {
-    /// Ascending inclusive upper bounds; values above the last land in
-    /// the overflow bucket.
-    bounds: Vec<f64>,
-    /// `bounds.len() + 1` buckets, the last one being overflow.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum of observed values, stored as f64 bits (CAS loop).
-    sum_bits: AtomicU64,
-}
-
-impl HistogramCell {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        HistogramCell {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct EventLog {
-    events: Vec<Event>,
-}
-
 #[derive(Debug)]
 struct Inner {
     enabled: AtomicBool,
     epoch: Instant,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
-    histograms: Mutex<BTreeMap<String, Arc<HistogramCell>>>,
-    events: Mutex<EventLog>,
+    events: Mutex<Vec<Event>>,
 }
 
 impl Inner {
@@ -191,10 +118,7 @@ impl Inner {
         Inner {
             enabled: AtomicBool::new(enabled),
             epoch: Instant::now(),
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(EventLog::default()),
+            events: Mutex::new(Vec::new()),
         }
     }
 }
@@ -256,58 +180,6 @@ impl Registry {
         self.inner.epoch.elapsed().as_micros() as u64
     }
 
-    /// A counter handle for hot loops: the name is resolved once, each
-    /// [`Counter::add`] is then one atomic op. Disabled registries hand
-    /// out inert handles.
-    pub fn counter(&self, name: &str) -> Counter {
-        if !self.is_enabled() {
-            return Counter { cell: None };
-        }
-        let mut map = self.inner.counters.lock().unwrap();
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
-        Counter { cell: Some(cell) }
-    }
-
-    /// One-shot counter increment (`counter(name).add(delta)`).
-    pub fn add(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-
-    /// Sets a gauge to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.inner
-            .gauges
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), value);
-    }
-
-    /// A histogram handle with the given bucket bounds (ascending upper
-    /// bounds; an overflow bucket is implicit). The bounds of the first
-    /// registration win.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        if !self.is_enabled() {
-            return Histogram { cell: None };
-        }
-        let mut map = self.inner.histograms.lock().unwrap();
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramCell::new(bounds)))
-            .clone();
-        Histogram { cell: Some(cell) }
-    }
-
-    /// One-shot histogram observation.
-    pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
-        self.histogram(name, bounds).observe(value);
-    }
-
     /// Opens a wall-clock span; it records itself when dropped. Spans
     /// opened while another span on the same thread is live nest under
     /// it in the Chrome-trace view (RAII drop order guarantees proper
@@ -338,12 +210,7 @@ impl Registry {
         // Mirror into the always-on flight recorder so the last seconds
         // before a trigger are replayable post-mortem.
         flight::flight().record(Event::Span(record.clone()));
-        self.inner
-            .events
-            .lock()
-            .unwrap()
-            .events
-            .push(Event::Span(record));
+        self.inner.events.lock().unwrap().push(Event::Span(record));
     }
 
     /// Records an instant event with explicit timestamps.
@@ -356,75 +223,22 @@ impl Registry {
             .events
             .lock()
             .unwrap()
-            .events
             .push(Event::Instant(record));
     }
 
     /// A point-in-time copy of everything recorded so far, ready for the
     /// exporters.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .inner
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| CounterSnapshot {
-                name: name.clone(),
-                value: cell.load(Ordering::Relaxed),
-            })
-            .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, &value)| GaugeSnapshot {
-                name: name.clone(),
-                value,
-            })
-            .collect();
-        let histograms = self
-            .inner
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(name, cell)| {
-                let buckets: Vec<u64> = cell
-                    .buckets
-                    .iter()
-                    .take(cell.bounds.len())
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect();
-                HistogramSnapshot {
-                    name: name.clone(),
-                    bounds: cell.bounds.clone(),
-                    buckets,
-                    overflow: cell.buckets[cell.bounds.len()].load(Ordering::Relaxed),
-                    count: cell.count.load(Ordering::Relaxed),
-                    sum: f64::from_bits(cell.sum_bits.load(Ordering::Relaxed)),
-                }
-            })
-            .collect();
-        let events = self.inner.events.lock().unwrap().events.clone();
         Snapshot {
-            counters,
-            gauges,
-            histograms,
-            events,
+            events: self.inner.events.lock().unwrap().clone(),
         }
     }
 
-    /// Drops everything recorded so far (counter values, gauges,
-    /// histograms, events). The enabled flag and epoch are kept, so a
-    /// driver can emit one trace per work item from one registry.
+    /// Drops every event recorded so far. The enabled flag and epoch
+    /// are kept, so a driver can emit one trace per work item from one
+    /// registry.
     pub fn clear(&self) {
-        self.inner.counters.lock().unwrap().clear();
-        self.inner.gauges.lock().unwrap().clear();
-        self.inner.histograms.lock().unwrap().clear();
-        self.inner.events.lock().unwrap().events.clear();
+        self.inner.events.lock().unwrap().clear();
     }
 }
 
@@ -433,50 +247,6 @@ impl Registry {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::disabled)
-}
-
-/// A resolved counter handle (inert if the registry was disabled at
-/// resolution time).
-#[derive(Debug, Clone)]
-pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl Counter {
-    /// Adds `delta`.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// The current value (0 for inert handles).
-    pub fn value(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// A resolved histogram handle (inert if the registry was disabled).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    cell: Option<Arc<HistogramCell>>,
-}
-
-impl Histogram {
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, value: f64) {
-        if let Some(cell) = &self.cell {
-            cell.observe(value);
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -541,34 +311,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms_record() {
-        let reg = Registry::new();
-        let c = reg.counter("a.b");
-        c.add(2);
-        c.incr();
-        reg.add("a.b", 1);
-        reg.gauge_set("g", 1.5);
-        reg.gauge_set("g", 2.5);
-        let h = reg.histogram("h", &[1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        h.observe(100.0); // overflow
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("a.b"), Some(4));
-        assert_eq!(snap.gauges[0].value, 2.5);
-        let hist = &snap.histograms[0];
-        assert_eq!(hist.buckets, vec![1, 1]);
-        assert_eq!(hist.overflow, 1);
-        assert_eq!(hist.count, 3);
-        assert!((hist.sum - 105.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn disabled_registry_records_nothing() {
         let reg = Registry::disabled();
-        reg.add("x", 5);
-        reg.gauge_set("g", 1.0);
-        reg.observe("h", MS_BUCKETS, 3.0);
         reg.span("s").attr("k", 1u64).end();
         reg.record_instant(InstantRecord {
             name: "m".into(),
@@ -576,16 +320,12 @@ mod tests {
             ts_us: reg.now_us(),
             attrs: vec![],
         });
-        let snap = reg.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
-        assert!(snap.events.is_empty());
+        assert!(reg.snapshot().events.is_empty());
         // Flipping it on starts recording.
         reg.set_enabled(true);
         assert!(reg.is_enabled());
-        reg.add("x", 5);
-        assert_eq!(reg.snapshot().counter("x"), Some(5));
+        reg.span("s").end();
+        assert_eq!(reg.snapshot().spans().count(), 1);
     }
 
     #[test]
@@ -612,12 +352,9 @@ mod tests {
     #[test]
     fn clear_resets_state() {
         let reg = Registry::new();
-        reg.add("x", 1);
         reg.span("s").end();
         reg.clear();
-        let snap = reg.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.events.is_empty());
+        assert!(reg.snapshot().events.is_empty());
         assert!(reg.is_enabled(), "clear keeps the enabled flag");
     }
 

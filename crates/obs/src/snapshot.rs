@@ -1,8 +1,8 @@
 //! Point-in-time registry state and the one capture codec.
 //!
 //! A [`Snapshot`] is everything a [`crate::Registry`] recorded, frozen:
-//! counters, gauges, histograms, and the ordered event log of spans and
-//! instants. A capture file holds one in one of two [`Format`]s, and
+//! the ordered event log of spans and instants. A capture file holds
+//! one in one of two [`Format`]s, and
 //! [`Format::of_path`] picks it from the file name by one extension
 //! table, for writing and reading alike:
 //!
@@ -93,41 +93,6 @@ impl Format {
     }
 }
 
-/// One counter at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterSnapshot {
-    /// Dotted metric name.
-    pub name: String,
-    /// Accumulated value.
-    pub value: u64,
-}
-
-/// One gauge at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSnapshot {
-    /// Dotted metric name.
-    pub name: String,
-    /// Last written value.
-    pub value: f64,
-}
-
-/// One histogram at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Dotted metric name.
-    pub name: String,
-    /// Ascending inclusive upper bounds.
-    pub bounds: Vec<f64>,
-    /// Per-bound bucket counts (`buckets[i]` ≤ `bounds[i]`).
-    pub buckets: Vec<u64>,
-    /// Observations above the last bound.
-    pub overflow: u64,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-}
-
 /// A completed span: a named wall-clock interval on a thread track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
@@ -179,12 +144,6 @@ pub enum Event {
 /// Everything a registry recorded, frozen for export.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// Counters, name-ascending.
-    pub counters: Vec<CounterSnapshot>,
-    /// Gauges, name-ascending.
-    pub gauges: Vec<GaugeSnapshot>,
-    /// Histograms, name-ascending.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Spans and instants in commit order.
     pub events: Vec<Event>,
 }
@@ -256,14 +215,6 @@ fn checked_span_end(start_us: u64, dur_us: u64) -> Result<u64, String> {
 }
 
 impl Snapshot {
-    /// Looks up a counter by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-    }
-
     /// The span records of the event log, in commit order.
     pub fn spans(&self) -> impl Iterator<Item = &SpanRecord> {
         self.events.iter().filter_map(|e| match e {
@@ -281,53 +232,9 @@ impl Snapshot {
     }
 
     /// Serializes as JSONL: one JSON object per line, each carrying a
-    /// `type` discriminator (`counter`, `gauge`, `histogram`, `span`,
-    /// `instant`).
+    /// `type` discriminator (`span` or `instant`).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for c in &self.counters {
-            out.push_str(
-                &Value::Obj(vec![
-                    ("type".into(), Value::Str("counter".into())),
-                    ("name".into(), Value::Str(c.name.clone())),
-                    ("value".into(), Value::Num(c.value as f64)),
-                ])
-                .to_json(),
-            );
-            out.push('\n');
-        }
-        for g in &self.gauges {
-            out.push_str(
-                &Value::Obj(vec![
-                    ("type".into(), Value::Str("gauge".into())),
-                    ("name".into(), Value::Str(g.name.clone())),
-                    ("value".into(), Value::Num(g.value)),
-                ])
-                .to_json(),
-            );
-            out.push('\n');
-        }
-        for h in &self.histograms {
-            out.push_str(
-                &Value::Obj(vec![
-                    ("type".into(), Value::Str("histogram".into())),
-                    ("name".into(), Value::Str(h.name.clone())),
-                    (
-                        "bounds".into(),
-                        Value::Arr(h.bounds.iter().map(|&b| Value::Num(b)).collect()),
-                    ),
-                    (
-                        "buckets".into(),
-                        Value::Arr(h.buckets.iter().map(|&c| Value::Num(c as f64)).collect()),
-                    ),
-                    ("overflow".into(), Value::Num(h.overflow as f64)),
-                    ("count".into(), Value::Num(h.count as f64)),
-                    ("sum".into(), Value::Num(h.sum)),
-                ])
-                .to_json(),
-            );
-            out.push('\n');
-        }
         for e in &self.events {
             let obj = match e {
                 Event::Span(s) => {
@@ -359,8 +266,9 @@ impl Snapshot {
     }
 
     /// Parses a document produced by [`Snapshot::to_jsonl`]. Lossless:
-    /// `from_jsonl(snap.to_jsonl()) == snap` up to f64 representability
-    /// of counter values.
+    /// `from_jsonl(snap.to_jsonl()) == snap`. A line of any other `type`
+    /// — the `counter`, `gauge`, `histogram` and `series` records older
+    /// captures carry — is an error naming the line.
     pub fn from_jsonl(text: &str) -> Result<Snapshot, String> {
         let mut snap = Snapshot::default();
         for (lineno, line) in text.lines().enumerate() {
@@ -378,41 +286,12 @@ impl Snapshot {
                     .map(str::to_string)
                     .ok_or_else(|| format!("line {}: missing {field:?}", lineno + 1))
             };
-            let num = |field: &str| -> Result<f64, String> {
-                v.get(field)
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("line {}: missing number {field:?}", lineno + 1))
-            };
             let uint = |field: &str| -> Result<u64, String> {
                 v.get(field)
                     .and_then(Value::as_u64)
                     .ok_or_else(|| format!("line {}: missing integer {field:?}", lineno + 1))
             };
             match kind {
-                "counter" => snap.counters.push(CounterSnapshot {
-                    name: name("name")?,
-                    value: uint("value")?,
-                }),
-                "gauge" => snap.gauges.push(GaugeSnapshot {
-                    name: name("name")?,
-                    value: num("value")?,
-                }),
-                "histogram" => {
-                    let arr = |field: &str| -> Result<Vec<f64>, String> {
-                        v.get(field)
-                            .and_then(Value::as_arr)
-                            .map(|xs| xs.iter().filter_map(Value::as_f64).collect())
-                            .ok_or_else(|| format!("line {}: missing array {field:?}", lineno + 1))
-                    };
-                    snap.histograms.push(HistogramSnapshot {
-                        name: name("name")?,
-                        bounds: arr("bounds")?,
-                        buckets: arr("buckets")?.into_iter().map(|x| x as u64).collect(),
-                        overflow: uint("overflow")?,
-                        count: uint("count")?,
-                        sum: num("sum")?,
-                    });
-                }
                 "span" => {
                     let (start_us, dur_us) = (uint("start_us")?, uint("dur_us")?);
                     checked_span_end(start_us, dur_us)
@@ -641,22 +520,6 @@ mod tests {
 
     fn sample() -> Snapshot {
         Snapshot {
-            counters: vec![CounterSnapshot {
-                name: "sched.matching.rounds".into(),
-                value: 8,
-            }],
-            gauges: vec![GaugeSnapshot {
-                name: "directory.epoch_age_ms".into(),
-                value: 12.5,
-            }],
-            histograms: vec![HistogramSnapshot {
-                name: "sim.grant_queue.depth".into(),
-                bounds: vec![1.0, 4.0],
-                buckets: vec![3, 2],
-                overflow: 1,
-                count: 6,
-                sum: 17.0,
-            }],
             events: vec![
                 Event::Span(SpanRecord {
                     name: "schedule".into(),
@@ -688,7 +551,7 @@ mod tests {
     fn jsonl_round_trips() {
         let snap = sample();
         let text = snap.to_jsonl();
-        assert_eq!(text.lines().count(), 6);
+        assert_eq!(text.lines().count(), 3);
         let back = Snapshot::from_jsonl(&text).unwrap();
         assert_eq!(back, snap);
     }
@@ -735,7 +598,6 @@ mod tests {
                     trace: None,
                 }),
             ],
-            ..Default::default()
         };
         let v = Value::parse(&snap.to_chrome_trace()).unwrap();
         let phases: Vec<&str> = v
@@ -771,7 +633,6 @@ mod tests {
                     trace: Some(child),
                 }),
             ],
-            ..Default::default()
         };
         // Lossless JSONL round trip, trace ids included.
         let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();
@@ -844,7 +705,7 @@ mod tests {
     fn a_span_ending_past_u64_is_a_decode_error_naming_its_line() {
         let start = u64::MAX - 2047;
         let jsonl = format!(
-            "{{\"type\":\"counter\",\"name\":\"a\",\"value\":1}}\n\
+            "{{\"type\":\"instant\",\"name\":\"a\",\"tid\":1,\"ts_us\":0}}\n\
              {{\"type\":\"span\",\"name\":\"transfer\",\"tid\":1,\"start_us\":{start},\"dur_us\":4096}}\n"
         );
         let err = Format::Jsonl.decode(&jsonl).unwrap_err();
@@ -878,7 +739,6 @@ mod tests {
                 span("outer", u64::MAX - 10, 10),
                 span("inner", u64::MAX - 5, 20),
             ],
-            ..Default::default()
         };
         let v = Value::parse(&snap.to_chrome_trace()).unwrap();
         let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
@@ -921,14 +781,15 @@ mod tests {
 
     #[test]
     fn jsonl_rejects_an_unknown_record_type_naming_its_line() {
-        // A `series` line is the record older captures carry.
-        let counter = r#"{"type":"counter","name":"a","value":1}"#;
+        // `counter` and `series` lines are records older captures carry.
+        let instant = r#"{"type":"instant","name":"a","tid":1,"ts_us":0}"#;
         for line in [
+            r#"{"type":"counter","name":"sched.matching.rounds","value":8}"#,
             r#"{"type":"series","name":"link.0-1.bandwidth_kbps","capacity":64,"points":[[0,1000]]}"#,
             r#"{"type":"gizmo","name":"x"}"#,
         ] {
             let err = Format::Jsonl
-                .decode(&format!("{counter}\n{line}\n"))
+                .decode(&format!("{instant}\n{line}\n"))
                 .unwrap_err();
             let kind = Value::parse(line).unwrap();
             let kind = kind.get("type").and_then(Value::as_str).unwrap();
@@ -938,17 +799,24 @@ mod tests {
 
     #[test]
     fn every_extension_reads_back_what_it_writes() {
+        // The Chrome document lays spans out per track and closes them
+        // innermost first, so its decode may order spans differently:
+        // compare both decodes with every span in (track, start) order.
+        let by_track = |s: Snapshot| {
+            let mut events = s.events;
+            events.sort_by_key(|e| match e {
+                Event::Span(s) => (0, s.tid, s.start_us),
+                Event::Instant(i) => (1, i.tid, i.ts_us),
+            });
+            events
+        };
         let snap = sample();
+        let jsonl = Format::Jsonl.decode(&snap.to_jsonl()).unwrap();
+        assert_eq!(jsonl, snap);
         for &(ext, format) in EXTENSIONS {
             assert_eq!(Format::of_path(format!("capture{ext}")), Ok(format));
             let back = format.decode(&format.encode(&snap)).unwrap();
-            match format {
-                Format::Jsonl => assert_eq!(back, snap),
-                Format::Chrome => {
-                    assert_eq!(back.spans().count(), 2, "{ext}");
-                    assert_eq!(back.instants().count(), 1, "{ext}");
-                }
-            }
+            assert_eq!(by_track(back), by_track(jsonl.clone()), "{ext}");
         }
     }
 }

@@ -1,12 +1,11 @@
-//! Exporter edge cases: empty registries, overflow buckets, concurrent
-//! writers, Chrome-trace well-formedness, pathological names that
+//! Exporter edge cases: empty registries, concurrent writers, Chrome-trace well-formedness, pathological names that
 //! punish any unescaped emitter, and damaged captures that must never
 //! panic the reader or the analysis behind it.
 
 use adaptcomm_obs::causal::{diff_captures, transfers_from_snapshot, CausalDag, TRANSFER_TRACKS};
 use adaptcomm_obs::json::Value;
-use adaptcomm_obs::snapshot::{CounterSnapshot, Event, GaugeSnapshot, InstantRecord, SpanRecord};
-use adaptcomm_obs::{AttrValue, Format, Registry, Snapshot, MS_BUCKETS};
+use adaptcomm_obs::snapshot::{Event, InstantRecord, SpanRecord};
+use adaptcomm_obs::{current_tid, AttrValue, Format, Registry, Snapshot};
 use proptest::prelude::*;
 
 #[test]
@@ -25,50 +24,38 @@ fn empty_registry_exports_cleanly() {
 }
 
 #[test]
-fn histogram_overflow_bucket_survives_export() {
-    let reg = Registry::new();
-    let h = reg.histogram("lat", &[1.0, 10.0]);
-    h.observe(0.5);
-    h.observe(11.0);
-    h.observe(1e9); // far past the last bound
-    let snap = reg.snapshot();
-    assert_eq!(snap.histograms[0].overflow, 2);
-
-    // JSONL round-trips the overflow count.
-    let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();
-    assert_eq!(back.histograms[0].overflow, 2);
-    assert_eq!(back.histograms[0].count, 3);
-}
-
-#[test]
-fn concurrent_counter_increments_do_not_lose_updates() {
+fn concurrent_recording_loses_no_event() {
     const THREADS: usize = 8;
-    const PER_THREAD: u64 = 10_000;
+    const PER_THREAD: usize = 1_000;
     let reg = Registry::new();
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let reg = reg.clone();
             scope.spawn(move || {
-                let c = reg.counter("shared.hits");
-                let h = reg.histogram("shared.lat", MS_BUCKETS);
                 for i in 0..PER_THREAD {
-                    c.incr();
+                    reg.span("shared").attr("i", i).end();
                     if i % 100 == 0 {
-                        h.observe(1.0);
+                        reg.record_instant(InstantRecord {
+                            name: "tick".into(),
+                            tid: current_tid(),
+                            ts_us: reg.now_us(),
+                            attrs: vec![],
+                        });
                     }
                 }
             });
         }
     });
     let snap = reg.snapshot();
-    assert_eq!(
-        snap.counter("shared.hits"),
-        Some(THREADS as u64 * PER_THREAD)
-    );
-    assert_eq!(
-        snap.histograms[0].count,
-        THREADS as u64 * (PER_THREAD / 100)
-    );
+    assert_eq!(snap.spans().count(), THREADS * PER_THREAD);
+    assert_eq!(snap.instants().count(), THREADS * (PER_THREAD / 100));
+    // Each thread's spans land on its own track, all of them.
+    let mut per_track = std::collections::BTreeMap::<u64, usize>::new();
+    for span in snap.spans() {
+        *per_track.entry(span.tid).or_default() += 1;
+    }
+    assert_eq!(per_track.len(), THREADS);
+    assert!(per_track.values().all(|&n| n == PER_THREAD));
 }
 
 /// Names chosen to punish naive emitters: quotes, backslashes, every
@@ -88,14 +75,6 @@ const PATHOLOGICAL: &[&str] = &[
 fn pathological_snapshot() -> Snapshot {
     let mut snap = Snapshot::default();
     for (i, &name) in PATHOLOGICAL.iter().enumerate() {
-        snap.counters.push(CounterSnapshot {
-            name: name.into(),
-            value: i as u64,
-        });
-        snap.gauges.push(GaugeSnapshot {
-            name: name.into(),
-            value: i as f64 + 0.5,
-        });
         snap.events.push(Event::Span(SpanRecord {
             name: name.into(),
             tid: 1,
@@ -119,7 +98,7 @@ fn pathological_names_round_trip_through_jsonl() {
     let snap = pathological_snapshot();
     let text = snap.to_jsonl();
     // The format contract: one record per line, no raw control bytes.
-    assert_eq!(text.lines().count(), 4 * PATHOLOGICAL.len());
+    assert_eq!(text.lines().count(), 2 * PATHOLOGICAL.len());
     assert!(
         text.bytes().all(|b| b == b'\n' || !b.is_ascii_control()),
         "control characters must be escaped, never emitted raw"
@@ -154,15 +133,21 @@ fn pathological_names_survive_the_chrome_exporter() {
 }
 
 #[test]
-fn registry_accepts_pathological_metric_names_end_to_end() {
+fn registry_accepts_pathological_event_names_end_to_end() {
     // The same hostile names pushed through the public Registry API
     // rather than hand-built snapshots.
     let reg = Registry::new();
     for &name in PATHOLOGICAL {
-        reg.counter(name).incr();
         reg.span(name).attr(name, name).end();
+        reg.record_instant(InstantRecord {
+            name: name.into(),
+            tid: current_tid(),
+            ts_us: reg.now_us(),
+            attrs: vec![(name.into(), AttrValue::Str(name.into()))],
+        });
     }
     let snap = reg.snapshot();
+    assert_eq!(snap.events.len(), 2 * PATHOLOGICAL.len());
     let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();
     assert_eq!(back, snap);
     assert!(Value::parse(&snap.to_chrome_trace()).is_ok());
@@ -185,7 +170,7 @@ fn chrome_trace_has_balanced_phases_per_tid() {
     });
     reg.record_instant(InstantRecord {
         name: "tick".into(),
-        tid: adaptcomm_obs::current_tid(),
+        tid: current_tid(),
         ts_us: reg.now_us(),
         attrs: vec![],
     });
@@ -270,7 +255,7 @@ proptest! {
         events.extend(spans.into_iter().map(|(s, d, start, dur)| {
             transfer(IDS[s](), IDS[d](), start, dur)
         }));
-        let snap = Snapshot { events, ..Default::default() };
+        let snap = Snapshot { events };
         for format in [Format::Jsonl, Format::Chrome] {
             let text = format.encode(&snap);
             let whole = format.decode(&text).expect("an undamaged capture decodes");

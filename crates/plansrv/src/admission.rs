@@ -146,11 +146,6 @@ impl<T> AdmissionQueue<T> {
         self.served += 1;
         self.served
     }
-
-    /// Queued (not yet claimed) request count, for gauges.
-    pub fn depth(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]

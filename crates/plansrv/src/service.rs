@@ -469,7 +469,6 @@ impl<R> Service<R> {
             }
             actions.push(Action::Solve(worker, Box::new(job)));
         }
-        adaptcomm_obs::global().gauge_set("plansrv.queue_depth", self.queue.depth() as f64);
         actions
     }
 

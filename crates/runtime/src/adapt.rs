@@ -392,9 +392,6 @@ impl<'a> CheckpointedRun<'a> {
         let stats_ref = &mut stats;
         let result = run_shaped(lists, self.sizes, evolution, transport, config, |view| {
             stats_ref.checkpoints += 1;
-            if obs.is_enabled() {
-                obs.add("runtime.checkpoints", 1);
-            }
             // 1. measure + 2. publish: every completed transfer so far is
             //    a free probe of its link, cross-checked against the
             //    realized timings before the directory trusts it.
@@ -464,9 +461,6 @@ impl<'a> CheckpointedRun<'a> {
             if kind == "incremental" {
                 stats_ref.incremental += 1;
             }
-            if obs.is_enabled() {
-                obs.add("runtime.replans", 1);
-            }
             // Replans are the adaptation signal for faults that degrade
             // rather than kill (lying links, drift): the black box
             // records them even with observability disabled.
@@ -503,7 +497,6 @@ impl<'a> CheckpointedRun<'a> {
         // A fault's recovery time is measured, not assumed: the finish
         // of the first transfer that actually crossed the failed link
         // after detection.
-        let obs = adaptcomm_obs::global();
         for ev in &mut report.recovery_events {
             ev.recovered_at = report
                 .records
@@ -511,15 +504,6 @@ impl<'a> CheckpointedRun<'a> {
                 .filter(|r| (r.src, r.dst) == ev.link && r.finish.as_ms() > ev.detected_at.as_ms())
                 .map(|r| r.finish)
                 .min_by(|a, b| a.as_ms().total_cmp(&b.as_ms()));
-            if obs.is_enabled() {
-                if let Some(t) = ev.recovery_time() {
-                    obs.observe(
-                        "runtime.recovery.time_ms",
-                        adaptcomm_obs::MS_BUCKETS,
-                        t.as_ms(),
-                    );
-                }
-            }
         }
         report.quarantined_links = self.directory.quarantined_links();
         report
@@ -563,7 +547,6 @@ impl<'a> CheckpointedRun<'a> {
         // error that parked them — returned verbatim if they never heal.
         let mut parked: Vec<(usize, usize)> = Vec::new();
         let mut parked_error: Option<RuntimeError> = None;
-        let obs = adaptcomm_obs::global();
         loop {
             report.attempts += 1;
             let (result, stats) = self.attempt(&lists, start_at, evolution, transport);
@@ -636,9 +619,6 @@ impl<'a> CheckpointedRun<'a> {
                             .take()
                             .expect("parked traffic implies a parking error"));
                     };
-                    if obs.is_enabled() {
-                        obs.add("runtime.recovery.heals", 1);
-                    }
                     adaptcomm_obs::flight()
                         .note("runtime.heal")
                         .attr("at_ms", wake)
@@ -769,9 +749,6 @@ impl<'a> CheckpointedRun<'a> {
                         parked: newly_parked,
                         probes: 0,
                     });
-                    if obs.is_enabled() {
-                        obs.add("runtime.recovery.events", 1);
-                    }
                     // The black box records the fault even when nobody
                     // enabled observability, and dumps if a driver
                     // armed auto-dumps (chaos CLI, plan server).

@@ -113,14 +113,6 @@ impl Prober {
                 }
             }
         }
-        let obs = adaptcomm_obs::global();
-        if obs.is_enabled() {
-            obs.add("runtime.prober.fits", out.len() as u64);
-            let hist = obs.histogram("runtime.prober.residual_ms", adaptcomm_obs::MS_BUCKETS);
-            for m in &out {
-                hist.observe(m.residual_ms);
-            }
-        }
         out
     }
 
@@ -207,7 +199,6 @@ impl Prober {
         tamper: Option<&dyn MeasurementTamper>,
     ) -> Result<PublishOutcome, PublishError> {
         let honest = self.fit(records);
-        let obs = adaptcomm_obs::global();
         let mut outcome = PublishOutcome::default();
         for m in &honest {
             let claimed = match tamper {
@@ -218,9 +209,6 @@ impl Prober {
             let lying = !ratio.is_finite() || ratio > TRUST_RATIO || ratio * TRUST_RATIO < 1.0;
             if lying && directory.quarantine_link(m.src, m.dst) {
                 outcome.quarantined.push((m.src, m.dst));
-                if obs.is_enabled() {
-                    obs.add("runtime.trust.quarantined", 1);
-                }
             }
             // A quarantined link's claims are distrusted for good: only
             // the realized fit reaches the directory.

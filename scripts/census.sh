@@ -35,7 +35,11 @@
 # `[dependencies]` in the root Cargo.toml or a crates/*/Cargo.toml must
 # be named (as `adaptcomm_*`) on a non-comment line of that crate's
 # src/. The script exits 1 when a module has no row, a row is stale, an
-# edge is unused or a public item has no caller.
+# edge is unused, a public item has no caller or a settings field has
+# one value in use.
+#
+# A settings field with one value in use fails the census as well: a
+# knob nobody turns is a constant, and belongs in the code as one.
 #
 # `--panics` counts the panic sites instead, under the same non-test rule
 # and outside the shims: each `.unwrap()` / `.expect(` and each `panic!` /
@@ -45,7 +49,8 @@
 #
 # Usage (from the repository root):
 #   scripts/census.sh            summary line only
-#   scripts/census.sh --zero     items with no caller, unowned modules,
+#   scripts/census.sh --zero     items with no caller, settings fields
+#                                with one value in use, unowned modules,
 #                                stale rows and unused dependency edges,
 #                                then the summary
 #   scripts/census.sh --one      settings fields with one value in use
@@ -300,16 +305,18 @@ END {
             if (count <= 1) single++
         }
         if (callers <= 0) zero++
-        show = (mode == "--all") || (mode == "--zero" && callers <= 0) ||
+        show = (mode == "--all") ||
+            (mode == "--zero" && (callers <= 0 || (setting && count <= 1))) ||
             (mode == "--one" && setting && count <= 1)
         if (show)
             printf "%s\t%s::%s\t%s\t%d\t%s\n", k_kind[i], k_owner[i], w, k_where[i], callers, v
     }
     printf "census: %d public items, %d with no caller; %d settings fields, %d with one value in use; %s\n", n, zero, settings, single, manifest
-    exit (zero > 0)
+    exit (zero > 0 || single > 0)
 }
 ' manifest="$summary; $edges dependency edges, $unused unused"
-# xargs reports awk's exit 1 (an item with no caller) as 123.
+# xargs reports awk's exit 1 (an item with no caller, or a settings
+# field with one value in use) as 123.
 uncalled=$?
 case "$summary" in
 *" 0 without a manifest row, 0 stale rows") ;;
