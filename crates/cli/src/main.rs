@@ -18,7 +18,8 @@ mod csv;
 use adaptcomm_core::algorithms::{all_schedulers, Scheduler};
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::timing::TimingDiagram;
-use adaptcomm_obs::{Event, Format, Snapshot};
+use adaptcomm_obs::snapshot::check_capture_path;
+use adaptcomm_obs::{Event, Snapshot};
 use adaptcomm_workloads::Scenario;
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -195,12 +196,10 @@ USAGE:
 The --obs <path> option (run, compare, chaos, plan-server,
 plan-client) enables the in-process observability registry for the
 duration of the command and writes the spans and instants it recorded
-when it finishes. One extension table names a capture's format, for every
-write (--obs, --flight, explain --capture) and every read (--input,
---base/--head):
-  .jsonl          JSONL event stream (lossless)
-  .json, .trace   Chrome trace_event JSON (Perfetto, chrome://tracing)
-Any other extension is an error before the command starts.
+when it finishes. Every capture written (--obs, --flight, explain
+--capture) or read (--input, --base/--head) is a JSONL event stream,
+one JSON object per line, that reads back exactly. A capture path must
+end in .jsonl; any other is an error before the command starts.
 ";
 
 /// Every subcommand with the options it reads: `run()` dispatches on
@@ -335,24 +334,17 @@ fn run() -> Result<(), String> {
     (command.run)(&args::Options::parse(command, &argv[1..])?)
 }
 
-/// The capture format `path`'s extension names, as a CLI error.
-fn capture_format(path: &str) -> Result<Format, String> {
-    Format::of_path(path).map_err(|e| e.to_string())
-}
-
-/// Reads captures, each in the format its extension names; every
-/// extension is checked before any file is opened.
+/// Reads JSONL captures; every path is checked before any file is
+/// opened.
 fn read_captures(paths: &[&str]) -> Result<Vec<Snapshot>, String> {
-    let formats = paths
-        .iter()
-        .map(|path| capture_format(path))
-        .collect::<Result<Vec<_>, _>>()?;
+    for path in paths {
+        check_capture_path(path).map_err(|e| e.to_string())?;
+    }
     paths
         .iter()
-        .zip(formats)
-        .map(|(path, format)| {
+        .map(|path| {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            format.decode(&text).map_err(|e| format!("{path}: {e}"))
+            Snapshot::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))
         })
         .collect()
 }
@@ -362,27 +354,26 @@ fn read_capture(path: &str) -> Result<Snapshot, String> {
 }
 
 /// Arms the global observability registry when `--obs <path>` was
-/// given, returning the export path and its format (an unknown
-/// extension fails here, before the command does any work). The
-/// registry starts from a clean slate so the dump covers exactly this
-/// command.
-fn obs_begin(opts: &args::Options) -> Result<Option<(String, Format)>, String> {
+/// given, returning the export path (a path not ending in `.jsonl`
+/// fails here, before the command does any work). The registry starts
+/// from a clean slate so the dump covers exactly this command.
+fn obs_begin(opts: &args::Options) -> Result<Option<String>, String> {
     let Some(path) = opts.get("obs") else {
         return Ok(None);
     };
-    let format = capture_format(&path)?;
+    check_capture_path(&path).map_err(|e| e.to_string())?;
     let obs = adaptcomm_obs::global();
     obs.clear();
     obs.set_enabled(true);
-    Ok(Some((path, format)))
+    Ok(Some(path))
 }
 
 /// Snapshots the global registry, disables it, and writes the dump.
-fn obs_finish((path, format): (String, Format)) -> Result<(), String> {
+fn obs_finish(path: String) -> Result<(), String> {
     let obs = adaptcomm_obs::global();
     let snap = obs.snapshot();
     obs.set_enabled(false);
-    std::fs::write(&path, format.encode(&snap)).map_err(|e| format!("writing {path}: {e}"))?;
+    std::fs::write(&path, snap.to_jsonl()).map_err(|e| format!("writing {path}: {e}"))?;
     outln!(
         "wrote {path} ({} span(s), {} instant(s))",
         snap.spans().count(),
@@ -401,10 +392,10 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         return Err("--k is a speedup factor and must be >= 1".into());
     }
     let top_k: usize = opts.parsed_or("top", 5)?;
-    let capture = match opts.get("capture") {
-        Some(out) => Some((capture_format(&out)?, out)),
-        None => None,
-    };
+    let capture = opts.get("capture");
+    if let Some(out) = &capture {
+        check_capture_path(out).map_err(|e| e.to_string())?;
+    }
 
     // The run under analysis: a capture, or an analytic schedule (which
     // also knows the matrix lower bound, so the gap can be reported).
@@ -531,7 +522,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
     // are rounded to whole microseconds from the modeled times, so two
     // generations of the same run are bit-identical (the committed
     // self-diff fixtures depend on this).
-    if let Some((format, out)) = capture {
+    if let Some(out) = capture {
         let us = |ms: f64| (ms * 1_000.0).round() as u64;
         let snap = Snapshot {
             events: dag
@@ -540,7 +531,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
                 .map(|t| Event::Span(transfer_span(t.src, t.dst, us(t.start_ms), us(t.dur_ms))))
                 .collect(),
         };
-        std::fs::write(&out, format.encode(&snap)).map_err(|e| format!("writing {out}: {e}"))?;
+        std::fs::write(&out, snap.to_jsonl()).map_err(|e| format!("writing {out}: {e}"))?;
         outln!("wrote {out} ({} transfer span(s))", dag.transfers().len());
     }
     Ok(())
@@ -795,8 +786,8 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
     let obs = adaptcomm_obs::global();
     let run_start_us = obs.now_us();
 
-    // The initial schedule, as its own driver-track span so a Chrome
-    // trace shows scheduling next to the transfers it produced.
+    // The initial schedule, as its own driver-track span so a capture
+    // shows scheduling next to the transfers it produced.
     let sched_start_us = obs.now_us();
     let order = scheduler_by_name(&algorithm)?.send_order(&inst.matrix);
     if obs.is_enabled() {
@@ -987,7 +978,7 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
     let flight_path = opts
         .get("flight")
         .unwrap_or_else(|| "chaos-flight.jsonl".into());
-    capture_format(&flight_path)?;
+    check_capture_path(&flight_path).map_err(|e| e.to_string())?;
 
     let obs_path = obs_begin(opts)?;
     let horizon = fault_free_makespan(&inst.network, &sizes)

@@ -107,7 +107,7 @@ fn generate_schedule_compare_round_trip() {
 
 #[test]
 fn obs_dump_and_summary_round_trip() {
-    let trace_path = temp_path("obs-trace.json");
+    let trace_path = temp_path("obs-trace.jsonl");
     let out = bin()
         .args([
             "run",
@@ -129,9 +129,9 @@ fn obs_dump_and_summary_round_trip() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("wrote"));
 
-    // The dump is a Chrome trace document with the driver-track spans.
+    // The dump is a JSONL capture with the driver-track spans.
     let text = std::fs::read_to_string(&trace_path).unwrap();
-    assert!(text.contains("traceEvents"));
+    assert!(text.lines().all(|l| l.starts_with("{\"type\":")));
     assert!(text.contains("\"schedule\""));
     assert!(text.contains("\"transfer\""));
 
@@ -141,8 +141,8 @@ fn obs_dump_and_summary_round_trip() {
         assert!(out.status.success(), "{args:?}: {err}");
         String::from_utf8(out.stdout).unwrap()
     };
-    // The Chrome dump reads back through explain, and through obs-diff,
-    // whose per-phase roll-up names the run's phases.
+    // The dump reads back through explain, and through obs-diff, whose
+    // per-phase roll-up names the run's phases.
     let trace = trace_path.to_str().unwrap();
     assert!(ok(&["explain", "--input", trace]).contains("critical path:"));
     let phases = ok(&["obs-diff", "--base", trace, "--head", trace]);
@@ -150,23 +150,9 @@ fn obs_dump_and_summary_round_trip() {
     assert!(phases.contains("transfer"), "{phases}");
     assert!(phases.contains("schedule"), "{phases}");
 
-    // JSONL export of the same run reads back too.
-    let jsonl_path = temp_path("obs-trace.jsonl");
-    let jsonl = jsonl_path.to_str().unwrap();
-    ok(&["run", "--p", "4", "--obs", jsonl]);
-    assert!(ok(&["explain", "--input", jsonl]).contains("critical path:"));
-
-    // One extension table serves every write and every read: a `.trace`
-    // dump is a Chrome trace that explain and obs-diff both take, the
-    // latter beside a JSONL capture.
-    let chrome = temp_path("obs-run.trace");
-    let chrome = chrome.to_str().unwrap();
-    ok(&["run", "--p", "4", "--adapt", "--obs", chrome]);
-    assert!(ok(&["explain", "--input", chrome]).contains("critical path:"));
-    assert!(ok(&["obs-diff", "--base", chrome, "--head", jsonl]).contains("transfer"));
-
-    // Any other extension is a usage error before the run starts.
-    for ext in ["csv", "prom"] {
+    // Any other extension is a usage error before the run starts,
+    // `.json` and `.trace` (Chrome trace names) included.
+    for ext in ["json", "trace", "csv", "prom"] {
         let path = temp_path(&format!("obs-run.{ext}"));
         let out = bin()
             .args(["run", "--p", "4", "--obs", path.to_str().unwrap()])
@@ -179,11 +165,21 @@ fn obs_dump_and_summary_round_trip() {
             "{err}"
         );
         assert!(out.stdout.is_empty() && !path.exists());
+        // Nor does a reader open one.
+        let out = bin()
+            .args([
+                "obs-diff",
+                "--base",
+                trace,
+                "--head",
+                path.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{ext}");
     }
 
-    let _ = std::fs::remove_file(chrome);
     let _ = std::fs::remove_file(trace_path);
-    let _ = std::fs::remove_file(jsonl_path);
 }
 
 #[test]
@@ -226,7 +222,7 @@ impl Drop for ChildGuard {
 #[test]
 fn cross_process_trace_merges_into_one_request_tree() {
     use adaptcomm_obs::trace::TraceContext;
-    use adaptcomm_obs::{Format, Snapshot, SpanRecord};
+    use adaptcomm_obs::{Snapshot, SpanRecord};
 
     let addr = "127.0.0.1:47907";
     let server_jsonl = temp_path("xproc-server.jsonl");
@@ -328,9 +324,7 @@ fn cross_process_trace_merges_into_one_request_tree() {
     // asserted via parent ids, not timestamps — each process keeps its
     // own clock epoch.
     let decode = |path: &std::path::Path| -> Snapshot {
-        Format::Jsonl
-            .decode(&std::fs::read_to_string(path).unwrap())
-            .unwrap()
+        Snapshot::from_jsonl(&std::fs::read_to_string(path).unwrap()).unwrap()
     };
     let (client, server) = (decode(&client_jsonl), decode(&server_jsonl));
     let trace_of = |snap: &Snapshot, name: &str| -> TraceContext {
@@ -424,7 +418,7 @@ fn chaos_slo_breach_dumps_flight_recorder() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let snap = adaptcomm_obs::Format::Jsonl.decode(&text).unwrap();
+    let snap = adaptcomm_obs::Snapshot::from_jsonl(&text).unwrap();
     assert!(snap.instants().any(|i| i.name == "chaos.inject"));
 
     let _ = std::fs::remove_file(flight);
@@ -513,7 +507,7 @@ fn errors_exit_nonzero_with_message() {
     // A span whose end does not fit in a u64 is a decode error naming
     // its line, not an overflow in the analysis or the capture encoder.
     let capture = temp_path("overflow.jsonl");
-    let out_path = temp_path("overflow-out.json");
+    let out_path = temp_path("overflow-out.jsonl");
     std::fs::write(
         &capture,
         "{\"type\":\"span\",\"name\":\"transfer\",\"tid\":1,\

@@ -13,9 +13,11 @@
 //! A processor takes part in at most one send and one receive at a time,
 //! so in any realized run each transfer has at most two blocking
 //! predecessors: the previous transfer on its *sender's* send port and
-//! the previous transfer on its *receiver's* receive port. Any start
-//! time beyond the latest predecessor finish is recorded as the event's
-//! *extra delay* (scheduler-imposed idling; zero under ASAP execution).
+//! the previous transfer on its *receiver's* receive port. The gap
+//! between its start and the latest predecessor finish is the event's
+//! *realized gap*: scheduler-imposed idling when positive (zero under
+//! ASAP execution), clock skew between a wall-clock capture's threads
+//! when negative.
 //! Walking back from the last-finishing event along the *binding*
 //! predecessor (the later-finishing one) yields the critical path; its
 //! per-hop contributions `finish(e) − finish(pred)` telescope to the
@@ -30,9 +32,12 @@
 //! A real re-execution could reorder FCFS receive grants and do better
 //! (or worse), so the projection is a lower bound on achievable change
 //! only in the fixed-order sense; the acceptance tests check that at
-//! least half the predicted delta survives re-simulation. Two exact
-//! guarantees do hold: predicted deltas are never negative and never
-//! decrease with `k`, and a link with zero blame projects a zero delta.
+//! least half the predicted delta survives re-simulation. Each event
+//! keeps its signed realized gap, so at `k = 1` the projection is the
+//! realized completion bit for bit, on captures as on schedules. Two
+//! more exact guarantees hold: predicted deltas are never negative and
+//! never decrease with `k`, and a link with zero blame projects a zero
+//! delta.
 //!
 //! [`Schedule`]: ../../adaptcomm_core/schedule/struct.Schedule.html
 
@@ -141,9 +146,10 @@ pub struct CausalDag {
     send_pred: Vec<Option<usize>>,
     /// Previous transfer on the receiver's receive port.
     recv_pred: Vec<Option<usize>>,
-    /// `max(0, start − latest predecessor finish)`: scheduler-imposed
-    /// idling beyond what the port model forces.
-    extra_delay: Vec<f64>,
+    /// The latest predecessor finish (0 with none). `start − ready` is
+    /// the realized gap: scheduler-imposed idling when positive, a
+    /// wall-clock capture's overlap when negative.
+    ready: Vec<f64>,
     /// Realized finish times.
     finish: Vec<f64>,
     completion_ms: f64,
@@ -181,7 +187,7 @@ impl CausalDag {
         let mut recv_last: Vec<Option<usize>> = vec![None; n];
         let mut send_pred = vec![None; m];
         let mut recv_pred = vec![None; m];
-        let mut extra_delay = vec![0.0; m];
+        let mut ready = vec![0.0; m];
         let mut finish = vec![0.0; m];
         let mut completion_ms = 0.0f64;
         for i in 0..m {
@@ -189,13 +195,10 @@ impl CausalDag {
             let (src, dst) = (port(&procs, t.src), port(&procs, t.dst));
             send_pred[i] = send_last[src].replace(i);
             recv_pred[i] = recv_last[dst].replace(i);
-            let ready = f64::max(
+            ready[i] = f64::max(
                 send_pred[i].map(|p| finish[p]).unwrap_or(0.0),
                 recv_pred[i].map(|p| finish[p]).unwrap_or(0.0),
             );
-            // Valid schedules never start before the port is free; noisy
-            // wall-clock captures can overlap by a few µs, so clamp.
-            extra_delay[i] = (t.start_ms - ready).max(0.0);
             finish[i] = t.finish_ms();
             completion_ms = completion_ms.max(finish[i]);
         }
@@ -203,7 +206,7 @@ impl CausalDag {
             transfers,
             send_pred,
             recv_pred,
-            extra_delay,
+            ready,
             finish,
             completion_ms,
             procs,
@@ -276,7 +279,11 @@ impl CausalDag {
         // duration by the successor's own latest finish.
         let mut lf = vec![self.completion_ms; m];
         for i in (0..m).rev() {
-            let bound = lf[i] - self.extra_delay[i] - self.transfers[i].dur_ms;
+            let t = self.transfers[i];
+            // Noisy wall-clock captures can overlap a predecessor by a
+            // few µs; the bound takes no credit for that.
+            let extra_delay = (t.start_ms - self.ready[i]).max(0.0);
+            let bound = lf[i] - extra_delay - t.dur_ms;
             if let Some(p) = self.send_pred[i] {
                 lf[p] = lf[p].min(bound);
             }
@@ -343,7 +350,10 @@ impl CausalDag {
     }
 
     /// Re-propagates finish times with link `src→dst` durations scaled
-    /// by `dur_scale` (port orders and extra delays held fixed).
+    /// by `dur_scale`, port orders and each event's signed realized gap
+    /// held fixed: an event starts as much later or earlier than it did
+    /// as its new ready time moved. At `dur_scale = 1` every finish is
+    /// the realized one bit for bit, so the baseline is the completion.
     fn propagate(&self, src: usize, dst: usize, dur_scale: f64) -> f64 {
         let m = self.transfers.len();
         let mut nf = vec![0.0f64; m];
@@ -359,7 +369,7 @@ impl CausalDag {
                 .map(|p| nf[p])
                 .unwrap_or(0.0)
                 .max(self.recv_pred[i].map(|p| nf[p]).unwrap_or(0.0));
-            nf[i] = ready + self.extra_delay[i] + dur;
+            nf[i] = t.start_ms + (ready - self.ready[i]) + dur;
             completion = completion.max(nf[i]);
         }
         completion
@@ -367,20 +377,19 @@ impl CausalDag {
 
     /// Projects the completion time if link `src→dst` ran `speedup`
     /// times faster, with the realized port orders held fixed (see the
-    /// module docs for the caveat). `delta_ms` is measured against the
-    /// same propagation at `speedup = 1`, so it is exactly zero for
-    /// links off the critical path, never negative, and non-decreasing
-    /// in `speedup`.
+    /// module docs for the caveat). At `speedup = 1` the projection is
+    /// the realized completion exactly, and `delta_ms` is measured
+    /// against it, so it is exactly zero for links off the critical
+    /// path, never negative, and non-decreasing in `speedup`.
     pub fn what_if(&self, src: usize, dst: usize, speedup: f64) -> WhatIf {
         assert!(speedup >= 1.0, "speedup must be ≥ 1");
-        let baseline = self.propagate(usize::MAX, usize::MAX, 1.0);
         let predicted = self.propagate(src, dst, 1.0 / speedup);
         WhatIf {
             src,
             dst,
             speedup,
             predicted_ms: predicted,
-            delta_ms: baseline - predicted,
+            delta_ms: self.completion_ms - predicted,
         }
     }
 
@@ -390,22 +399,11 @@ impl CausalDag {
     /// fixed-order model a link off the critical path projects a zero
     /// delta, so skipping the other `O(P²)` links loses nothing.
     pub fn interventions(&self, speedup: f64, limit: usize) -> Vec<WhatIf> {
-        assert!(speedup >= 1.0, "speedup must be ≥ 1");
-        let baseline = self.propagate(usize::MAX, usize::MAX, 1.0);
         let mut out: Vec<WhatIf> = self
             .blame()
             .links
             .iter()
-            .map(|l| {
-                let predicted = self.propagate(l.src, l.dst, 1.0 / speedup);
-                WhatIf {
-                    src: l.src,
-                    dst: l.dst,
-                    speedup,
-                    predicted_ms: predicted,
-                    delta_ms: baseline - predicted,
-                }
-            })
+            .map(|l| self.what_if(l.src, l.dst, speedup))
             .collect();
         out.sort_by(|a, b| {
             b.delta_ms
@@ -740,7 +738,7 @@ pub fn diff_captures(base: &Snapshot, head: &Snapshot) -> CaptureDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{Event, Format};
+    use crate::snapshot::Event;
 
     /// A hand-built four-hop chain with one slack event:
     ///
@@ -969,10 +967,19 @@ mod tests {
 
     #[test]
     fn transfers_extract_from_both_exporter_formats() {
+        // The JSONL the codec writes (integers) and the `3.0`-style
+        // numbers older captures carry.
         let snap = capture_snapshot();
-        for format in [Format::Jsonl, Format::Chrome] {
-            let back = format.decode(&format.encode(&snap)).unwrap();
-            let transfers = transfers_from_snapshot(&back);
+        let text = snap.to_jsonl();
+        let older = text
+            .replace(",\"start_us\"", ".0,\"start_us\"")
+            .replace(",\"dur_us\"", ".0,\"dur_us\"")
+            .replace(",\"attrs\"", ".0,\"attrs\"")
+            .replace(",\"dst\"", ".0,\"dst\"")
+            .replace("}}", ".0}}");
+        assert_ne!(older, text);
+        for text in [text.as_str(), &older] {
+            let transfers = transfers_from_snapshot(&Snapshot::from_jsonl(text).unwrap());
             assert_eq!(transfers.len(), 5);
             let dag = CausalDag::new(transfers);
             assert_eq!(dag.completion_ms(), 37.0);
@@ -1061,5 +1068,35 @@ mod tests {
         let total: f64 = path.iter().map(|s| s.contribution_ms).sum();
         assert_eq!(total, dag.completion_ms());
         assert!(dag.what_if(0, 1, 2.0).delta_ms >= 0.0);
+    }
+
+    #[test]
+    fn what_if_at_speedup_one_is_the_realized_completion() {
+        // The overlapping pair above: the successor's 1 µs head start is
+        // kept, so nothing sped means nothing moves.
+        let t = |src, dst, start_ms: f64, dur_ms: f64| Transfer {
+            src,
+            dst,
+            start_ms,
+            dur_ms,
+        };
+        let dag = CausalDag::new(vec![t(0, 1, 0.0, 10.0), t(2, 1, 9.999, 5.0)]);
+        assert_eq!(dag.completion_ms(), 14.999);
+        for (src, dst) in [(0, 1), (2, 1), (5, 5)] {
+            let w = dag.what_if(src, dst, 1.0);
+            assert_eq!((w.predicted_ms, w.delta_ms), (14.999, 0.0), "{src}->{dst}");
+        }
+        // Sped 2x, 0->1 ends at 5 and pulls its successor 5 ms earlier.
+        assert_eq!(dag.what_if(0, 1, 2.0).predicted_ms, 9.999);
+        // The same on a capture and on the pipeline schedule.
+        let capture = CausalDag::new(transfers_from_snapshot(&capture_snapshot()));
+        for dag in [capture, CausalDag::new(pipeline())] {
+            for t in dag.transfers() {
+                assert_eq!(
+                    dag.what_if(t.src, t.dst, 1.0).predicted_ms,
+                    dag.completion_ms()
+                );
+            }
+        }
     }
 }

@@ -8,9 +8,8 @@
 //! retention policy is needed) and only touches disk when a trigger
 //! fires: a chaos run breaching its SLO, the runtime detecting a
 //! fault, the plan server rejecting a deadline streak. The dump is an
-//! ordinary capture in the format its extension names
-//! ([`crate::snapshot::Format`]), so `explain --input` and `obs-diff`
-//! read it like any other.
+//! ordinary JSONL capture ([`Snapshot::to_jsonl`]), so `explain --input`
+//! and `obs-diff` read it like any other.
 //!
 //! Two feeds fill the ring:
 //!
@@ -27,7 +26,7 @@
 //! for mirrored events, recorder epoch for direct notes); the dump is
 //! ring order, i.e. commit order, which is what a post-mortem reads.
 
-use crate::snapshot::{Event, Format, InstantRecord, Snapshot};
+use crate::snapshot::{check_capture_path, Event, InstantRecord, Snapshot};
 use crate::{current_tid, AttrValue};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,14 +138,13 @@ impl FlightRecorder {
         }
     }
 
-    /// Writes the ring to `path` in the format its extension names,
+    /// Writes the ring to `path` (which must end in `.jsonl`) as JSONL,
     /// prefixed with a `flight.dump` instant naming the `reason` and
     /// how many events the ring holds (`captured`) and has overwritten
     /// (`overwritten`). The ring keeps its contents (a later trigger
     /// can dump again).
     pub fn dump(&self, path: &Path, reason: &str) -> std::io::Result<()> {
-        let format = Format::of_path(path)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        check_capture_path(path)?;
         let (mut events, captured, overwritten) = {
             let ring = self.ring.lock().unwrap();
             (ring.ordered(), ring.slots.len(), ring.overwritten)
@@ -164,7 +162,7 @@ impl FlightRecorder {
                 ],
             }),
         );
-        std::fs::write(path, format.encode(&Snapshot { events }))
+        std::fs::write(path, Snapshot { events }.to_jsonl())
     }
 
     /// Arms (or with `None` disarms) automatic dumps into `dir`.

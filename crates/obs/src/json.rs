@@ -1,11 +1,16 @@
 //! A minimal JSON value model with a hand-rolled writer and parser.
 //!
 //! The build environment has no serde_json, so the exporters emit JSON
-//! by hand. The obs formats (JSONL event streams, Chrome `trace_event`
-//! files) need a *generic* value model on both sides: the capture
-//! readers parse traces they did not write, and round-trip tests compare
-//! full documents. It is the workspace's one JSON codec — the plan
-//! server's wire format and `BENCH_sched.json` go through it too.
+//! by hand. The JSONL capture codec needs a *generic* value model on
+//! both sides: the capture reader parses files it did not write, and
+//! round-trip tests compare full documents. It is the workspace's one
+//! JSON codec — the plan server's wire format and `BENCH_sched.json` go
+//! through it too.
+//!
+//! Integers are exact: a number token of digits alone that fits a `u64`
+//! parses as [`Value::Int`], so what a writer put down as `Value::Int`
+//! reads back bit for bit above 2^53 too. Every other number is a
+//! [`Value::Num`].
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map): the
 //! exporters emit keys in a canonical order and the round-trip tests
@@ -20,11 +25,12 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`; written in the shortest form
-    /// that round-trips, `3.0` for an integral value).
+    /// A JSON number that is not an all-digit `u64` token (parsed as
+    /// `f64`; written in the shortest form that round-trips, `3.0` for an
+    /// integral value).
     Num(f64),
-    /// An integer to write without a fraction (`3`). Writers only: the
-    /// reader returns every number as [`Value::Num`].
+    /// An integer without sign, fraction or exponent (`3`), written and
+    /// read back exactly.
     Int(u64),
     /// A string.
     Str(String),
@@ -59,7 +65,8 @@ impl Value {
             return Some(*n);
         }
         let x = self.as_f64()?;
-        (x.is_finite() && x >= 0.0 && x <= u64::MAX as f64 && x.fract() == 0.0).then_some(x as u64)
+        // `u64::MAX as f64` is 2^64 itself, one past the range.
+        (x >= 0.0 && x < u64::MAX as f64 && x.fract() == 0.0).then_some(x as u64)
     }
 
     /// The string behind a `Str`, if that is what this is.
@@ -298,7 +305,7 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Value::Obj(pairs))
             }
-            Some(_) => self.number().map(Value::Num),
+            Some(_) => self.number(),
         }
     }
 
@@ -354,27 +361,32 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A number. Short all-digit tokens — every index on the plan wire —
-    /// are exact in `f64` and skip the general float parser.
-    fn number(&mut self) -> Result<f64, String> {
+    /// A number: an all-digit token that fits a `u64` — every index on
+    /// the plan wire, every timestamp in a capture — is a [`Value::Int`]
+    /// and skips the general float parser; any other a [`Value::Num`].
+    fn number(&mut self) -> Result<Value, String> {
         self.skip_ws();
         let start = self.pos;
-        let (mut n, mut digits_only) = (0u64, true);
+        // `None` once the token has a non-digit or outgrows a `u64`.
+        let mut n = Some(0u64);
         while let Some(&b) = self.bytes().get(self.pos) {
             match b {
-                b'0'..=b'9' => n = n.wrapping_mul(10).wrapping_add((b - b'0') as u64),
-                b'.' | b'-' | b'+' | b'e' | b'E' => digits_only = false,
+                b'0'..=b'9' => {
+                    n = n.and_then(|n| n.checked_mul(10)?.checked_add((b - b'0') as u64))
+                }
+                b'.' | b'-' | b'+' | b'e' | b'E' => n = None,
                 _ => break,
             }
             self.pos += 1;
         }
         let token = &self.text[start..self.pos];
-        if digits_only && (1..=15).contains(&token.len()) {
-            return Ok(n as f64);
+        match n {
+            Some(n) if !token.is_empty() => Ok(Value::Int(n)),
+            _ => token
+                .parse()
+                .map(Value::Num)
+                .map_err(|_| format!("bad number {token:?} at byte {start}")),
         }
-        token
-            .parse()
-            .map_err(|_| format!("bad number {token:?} at byte {start}"))
     }
 }
 
@@ -401,19 +413,26 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let v = Value::parse(r#"{"a": 3, "b": "x", "c": [1], "d": -1, "e": 1.5}"#).unwrap();
+        let v = Value::parse(
+            r#"{"a": 3, "b": "x", "c": [1], "d": -1, "e": 1.5,
+                "f": 18446744073709551615, "g": 18446744073709551616}"#,
+        )
+        .unwrap();
         assert_eq!(v.get("a").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("b").and_then(Value::as_str), Some("x"));
         assert_eq!(v.get("c").and_then(Value::as_arr).map(|a| a.len()), Some(1));
         assert_eq!(v.get("d").and_then(Value::as_u64), None);
         assert_eq!(v.get("e").and_then(Value::as_u64), None);
+        // `u64::MAX` is an integer; 2^64 reads as a float no `u64` holds.
+        assert_eq!(v.get("f").and_then(Value::as_u64), Some(u64::MAX));
+        assert_eq!(v.get("g").and_then(Value::as_u64), None);
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Num(1.0).get("a"), None);
-        // Writers' integers: no fraction on the wire, read back as `Num`.
+        // Integers: no fraction on the wire, read back as `Int`.
         let n = Value::Int(3);
         assert_eq!((n.as_u64(), n.as_f64()), (Some(3), Some(3.0)));
         assert_eq!(n.to_json(), "3");
-        assert_eq!(Value::parse(&n.to_json()).unwrap(), Value::Num(3.0));
+        assert_eq!(Value::parse(&n.to_json()).unwrap(), n);
     }
 
     #[test]
@@ -466,19 +485,28 @@ mod tests {
 
     #[test]
     fn numbers_take_the_same_value_on_either_path() {
-        // All-digit tokens skip the float parser; both must agree, and
-        // the long ones must fall back rather than wrap.
+        // All-digit tokens that fit a `u64` are exact integers; the ones
+        // that do not fall back to the float parser rather than wrap.
         for token in [
             "0",
             "7",
             "007",
             "123456789012345",
-            "1234567890123456",
+            "9007199254740993",
+            "18446744073709551615",
+        ] {
+            let int = Parser::new(token).number().unwrap();
+            assert_eq!(int, Value::Int(token.parse().unwrap()), "{token}");
+        }
+        for token in [
             "18446744073709551616",
             "99999999999999999999",
+            "3.0",
+            "-1",
+            "1e2",
         ] {
-            let fast = Parser::new(token).number().unwrap();
-            assert_eq!(fast, token.parse::<f64>().unwrap(), "{token}");
+            let num = Parser::new(token).number().unwrap();
+            assert_eq!(num, Value::Num(token.parse().unwrap()), "{token}");
         }
         for bad in ["", "-", "1e", "--1", "1.2.3"] {
             assert!(Parser::new(bad).number().is_err(), "{bad:?}");

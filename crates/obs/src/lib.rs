@@ -5,9 +5,9 @@
 //! crate makes the stack's own decisions observable the same way —
 //! schedule construction, runtime replans, faults and every delivered
 //! transfer flow into one [`Registry`] event log of nested wall-clock
-//! spans and instants, written and read back by one codec as a JSONL
-//! event stream or a Chrome `trace_event` file loadable in
-//! `chrome://tracing` / Perfetto (see [`Format`]). What the registry
+//! spans and instants, written and read back exactly by one codec, a
+//! JSONL event stream ([`Snapshot::to_jsonl`] / [`Snapshot::from_jsonl`]).
+//! What the registry
 //! records is what `explain` and `obs-diff` read; a count the caller
 //! needs travels in a typed field (`SolveStats`, `AdaptReport`, …).
 //!
@@ -38,7 +38,7 @@ pub mod trace;
 pub use detect::{Cusum, CusumConfig, DriftDirection};
 pub use flight::{flight, FlightRecorder};
 pub use fnv::Fnv1a;
-pub use snapshot::{Event, Format, InstantRecord, Snapshot, SpanRecord, UnknownFormat};
+pub use snapshot::{Event, InstantRecord, Snapshot, SpanRecord};
 pub use trace::TraceContext;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -83,23 +83,23 @@ impl From<String> for AttrValue {
 }
 
 impl AttrValue {
-    /// The attribute as a JSON value.
+    /// The attribute as a JSON value: a `U64` is a [`json::Value::Int`],
+    /// an `F64` a [`json::Value::Num`] (written with a fraction or an
+    /// exponent, `12.0`), so each reads back as what it was.
     pub fn to_json(&self) -> json::Value {
         match self {
-            AttrValue::U64(v) => json::Value::Num(*v as f64),
+            AttrValue::U64(v) => json::Value::Int(*v),
             AttrValue::F64(v) => json::Value::Num(*v),
             AttrValue::Str(s) => json::Value::Str(s.clone()),
         }
     }
 
-    /// The inverse of [`AttrValue::to_json`]. Integral non-negative
-    /// numbers come back as `U64` (the exporters' convention).
+    /// The inverse of [`AttrValue::to_json`]: `Int` → `U64`, `Num` →
+    /// `F64`, `Str` → `Str`.
     pub fn from_json(v: &json::Value) -> Option<AttrValue> {
         match v {
-            json::Value::Num(_) => Some(match v.as_u64() {
-                Some(u) => AttrValue::U64(u),
-                None => AttrValue::F64(v.as_f64().unwrap()),
-            }),
+            json::Value::Int(u) => Some(AttrValue::U64(*u)),
+            json::Value::Num(x) => Some(AttrValue::F64(*x)),
             json::Value::Str(s) => Some(AttrValue::Str(s.clone())),
             _ => None,
         }
@@ -181,9 +181,8 @@ impl Registry {
     }
 
     /// Opens a wall-clock span; it records itself when dropped. Spans
-    /// opened while another span on the same thread is live nest under
-    /// it in the Chrome-trace view (RAII drop order guarantees proper
-    /// nesting per thread).
+    /// opened while another span on the same thread is live nest inside
+    /// it (RAII drop order guarantees proper nesting per thread).
     pub fn span(&self, name: &str) -> Span {
         if !self.is_enabled() {
             return Span { live: None };

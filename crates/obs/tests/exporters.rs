@@ -1,25 +1,17 @@
-//! Exporter edge cases: empty registries, concurrent writers, Chrome-trace well-formedness, pathological names that
-//! punish any unescaped emitter, and damaged captures that must never
-//! panic the reader or the analysis behind it.
+//! Capture codec edge cases: empty registries, concurrent writers,
+//! pathological names that punish any unescaped emitter, snapshots that
+//! must read back exactly, and damaged captures that must never panic
+//! the reader or the analysis behind it.
 
 use adaptcomm_obs::causal::{diff_captures, transfers_from_snapshot, CausalDag, TRANSFER_TRACKS};
-use adaptcomm_obs::json::Value;
 use adaptcomm_obs::snapshot::{Event, InstantRecord, SpanRecord};
-use adaptcomm_obs::{current_tid, AttrValue, Format, Registry, Snapshot};
+use adaptcomm_obs::{current_tid, AttrValue, Registry, Snapshot};
 use proptest::prelude::*;
 
 #[test]
 fn empty_registry_exports_cleanly() {
     let snap = Registry::new().snapshot();
     assert_eq!(snap.to_jsonl(), "");
-    let trace = snap.to_chrome_trace();
-    let doc = Value::parse(&trace).expect("empty trace must still be valid JSON");
-    assert_eq!(
-        doc.get("traceEvents")
-            .and_then(Value::as_arr)
-            .map(<[_]>::len),
-        Some(0)
-    );
     assert_eq!(Snapshot::from_jsonl("").unwrap(), snap);
 }
 
@@ -108,31 +100,6 @@ fn pathological_names_round_trip_through_jsonl() {
 }
 
 #[test]
-fn pathological_names_survive_the_chrome_exporter() {
-    let snap = pathological_snapshot();
-    let trace = snap.to_chrome_trace();
-    let doc = Value::parse(&trace).expect("pathological trace must be valid JSON");
-    let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
-    // Every span begin and instant carries its name verbatim — escaping
-    // must be lossless, not lossy.
-    for &name in PATHOLOGICAL {
-        let carriers = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
-            .count();
-        // One B event, one instant.
-        assert_eq!(carriers, 2, "name {name:?} mangled by the Chrome exporter");
-    }
-    // Attribute keys and values survive too.
-    let args_hit = events
-        .iter()
-        .filter_map(|e| e.get("args"))
-        .filter(|a| a.get(PATHOLOGICAL[0]).and_then(Value::as_str) == Some(PATHOLOGICAL[0]))
-        .count();
-    assert_eq!(args_hit, 2, "span + instant args must carry the attr");
-}
-
-#[test]
 fn registry_accepts_pathological_event_names_end_to_end() {
     // The same hostile names pushed through the public Registry API
     // rather than hand-built snapshots.
@@ -150,59 +117,6 @@ fn registry_accepts_pathological_event_names_end_to_end() {
     assert_eq!(snap.events.len(), 2 * PATHOLOGICAL.len());
     let back = Snapshot::from_jsonl(&snap.to_jsonl()).unwrap();
     assert_eq!(back, snap);
-    assert!(Value::parse(&snap.to_chrome_trace()).is_ok());
-}
-
-#[test]
-fn chrome_trace_has_balanced_phases_per_tid() {
-    let reg = Registry::new();
-    // Spans from several threads, nested on each.
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let reg = reg.clone();
-            scope.spawn(move || {
-                let _outer = reg.span("outer");
-                for _ in 0..3 {
-                    reg.span("inner").end();
-                }
-            });
-        }
-    });
-    reg.record_instant(InstantRecord {
-        name: "tick".into(),
-        tid: current_tid(),
-        ts_us: reg.now_us(),
-        attrs: vec![],
-    });
-
-    let trace = reg.snapshot().to_chrome_trace();
-    let doc = Value::parse(&trace).expect("trace must be valid JSON");
-    let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
-
-    // Every tid's B/E sequence must be balanced and never go negative.
-    let mut depth: std::collections::BTreeMap<u64, i64> = Default::default();
-    let (mut begins, mut ends, mut instants) = (0, 0, 0);
-    for e in events {
-        let tid = e.get("tid").and_then(Value::as_u64).unwrap();
-        match e.get("ph").and_then(Value::as_str).unwrap() {
-            "B" => {
-                begins += 1;
-                *depth.entry(tid).or_default() += 1;
-            }
-            "E" => {
-                ends += 1;
-                let d = depth.entry(tid).or_default();
-                *d -= 1;
-                assert!(*d >= 0, "E without matching B on tid {tid}");
-            }
-            "i" => instants += 1,
-            other => panic!("unexpected phase {other:?}"),
-        }
-    }
-    assert_eq!(begins, 16); // 4 threads x (1 outer + 3 inner)
-    assert_eq!(begins, ends);
-    assert_eq!(instants, 1);
-    assert!(depth.values().all(|&d| d == 0), "unclosed span at EOF");
 }
 
 /// Processor-id attribute values a capture may carry: ordinary ids,
@@ -230,16 +144,60 @@ fn analyze(base: &Snapshot, head: &Snapshot) {
     diff_captures(base, head).render();
 }
 
+/// `x` shifted right by its own low six bits: draws of `any::<u64>()`
+/// spread over every magnitude, not just the top few bits.
+fn scaled(x: u64) -> u64 {
+    x >> (x % 64)
+}
+
+/// A snapshot of one span and one instant per draw, with `u64` fields
+/// across the whole range (above 2^53 included), `U64` attributes above
+/// 2^53 and `F64` attributes holding integral values — what a codec
+/// that reads integers through an `f64` loses.
+fn wide_snapshot(draws: Vec<(u64, u64, u64, u64)>) -> Snapshot {
+    let mut snap = Snapshot::default();
+    for (a, b, c, d) in draws {
+        let start_us = scaled(b);
+        let attrs = vec![
+            ("count".into(), AttrValue::U64(a)),
+            ("small".into(), AttrValue::U64(scaled(d))),
+            ("whole".into(), AttrValue::F64((d >> 11) as f64)),
+            ("huge".into(), AttrValue::F64(-(b as f64))),
+            ("frac".into(), AttrValue::F64(a as f64 / 7.0)),
+        ];
+        snap.events.push(Event::Span(SpanRecord {
+            name: "wide".into(),
+            tid: scaled(a),
+            start_us,
+            dur_us: scaled(c).min(u64::MAX - start_us),
+            attrs: attrs.clone(),
+            trace: None,
+        }));
+        snap.events.push(Event::Instant(InstantRecord {
+            name: "wide".into(),
+            tid: scaled(d),
+            ts_us: scaled(c),
+            attrs,
+        }));
+    }
+    snap
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A capture of transfer spans, cut at every byte or with one byte
+    /// An undamaged capture decodes back equal, whatever its numbers; a
+    /// capture of transfer spans, cut at every byte or with one byte
     /// flipped, either fails to decode or analyzes without a panic.
     #[test]
     fn damaged_captures_decode_or_fail_and_never_panic_the_analysis(
         spans in proptest::collection::vec((0usize..8, 0usize..8, 0u64..1_000_000, 1u64..100_000), 5),
         flip in 0usize..16,
+        wide in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 6),
     ) {
+        let wide = wide_snapshot(wide);
+        prop_assert_eq!(Snapshot::from_jsonl(&wide.to_jsonl()), Ok(wide));
+
         let transfer = |src: AttrValue, dst: AttrValue, start_us, dur_us| {
             Event::Span(SpanRecord {
                 name: "transfer".into(),
@@ -256,20 +214,19 @@ proptest! {
             transfer(IDS[s](), IDS[d](), start, dur)
         }));
         let snap = Snapshot { events };
-        for format in [Format::Jsonl, Format::Chrome] {
-            let text = format.encode(&snap);
-            let whole = format.decode(&text).expect("an undamaged capture decodes");
-            analyze(&whole, &whole);
-            for i in 0..text.len() {
-                if let Ok(cut) = format.decode(&text[..i]) {
-                    analyze(&whole, &cut);
-                }
-                let mut bytes = text.clone().into_bytes();
-                bytes[i] = FLIPS[(i + flip) % FLIPS.len()];
-                if let Ok(flipped) = String::from_utf8(bytes) {
-                    if let Ok(head) = format.decode(&flipped) {
-                        analyze(&whole, &head);
-                    }
+        let text = snap.to_jsonl();
+        let whole = Snapshot::from_jsonl(&text).expect("an undamaged capture decodes");
+        prop_assert_eq!(&whole, &snap);
+        analyze(&whole, &whole);
+        for i in 0..text.len() {
+            if let Ok(cut) = Snapshot::from_jsonl(&text[..i]) {
+                analyze(&whole, &cut);
+            }
+            let mut bytes = text.clone().into_bytes();
+            bytes[i] = FLIPS[(i + flip) % FLIPS.len()];
+            if let Ok(flipped) = String::from_utf8(bytes) {
+                if let Ok(head) = Snapshot::from_jsonl(&flipped) {
+                    analyze(&whole, &head);
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! that state across threads.
 
 use adaptcomm_core::matrix::CommMatrix;
-use adaptcomm_obs::{AttrValue, Format};
+use adaptcomm_obs::{AttrValue, Snapshot};
 use adaptcomm_plansrv::proto::{PlanResponse, QosSpec};
 use adaptcomm_plansrv::{PlanClient, PlanServer, PlanServerConfig};
 
@@ -27,9 +27,7 @@ fn a_hostile_tenant_name_is_served_and_reads_back_from_a_capture() {
     let snap = obs.snapshot();
     obs.set_enabled(false);
 
-    let back = Format::Jsonl
-        .decode(&snap.to_jsonl())
-        .expect("capture reads back");
+    let back = Snapshot::from_jsonl(&snap.to_jsonl()).expect("capture reads back");
     let hostile = AttrValue::Str(HOSTILE.into());
     let served = |name: &str| {
         back.spans()

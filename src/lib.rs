@@ -7,7 +7,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`obs`] | `adaptcomm-obs` | spans and instants; one JSONL and Chrome-trace capture codec; the explain plane |
+//! | [`obs`] | `adaptcomm-obs` | spans and instants; one exact JSONL capture codec; the explain plane |
 //! | [`model`] | `adaptcomm-model` | cost model `T_ij + m/B_ij`, GUSTO data, topology, drift traces |
 //! | [`lap`] | `adaptcomm-lap` | Jonker–Volgenant / Hungarian assignment solvers |
 //! | [`directory`] | `adaptcomm-directory` | MDS-style directory service |

@@ -5,7 +5,7 @@
 //! as clean.
 
 use adaptcomm::obs::causal::diff_captures;
-use adaptcomm::obs::Format;
+use adaptcomm::obs::Snapshot;
 use adaptcomm::prelude::*;
 use adaptcomm::scheduling::analyze::{apply_speedup, dag_of};
 use adaptcomm::scheduling::execution::execute_listed;
@@ -132,12 +132,8 @@ fn what_if_is_monotone_and_zero_off_the_critical_path() {
 /// acceptance criterion).
 #[test]
 fn committed_captures_self_diff_to_zero() {
-    let base = Format::Jsonl
-        .decode(include_str!("data/explain_base.jsonl"))
-        .unwrap();
-    let head = Format::Jsonl
-        .decode(include_str!("data/explain_head.jsonl"))
-        .unwrap();
+    let base = Snapshot::from_jsonl(include_str!("data/explain_base.jsonl")).unwrap();
+    let head = Snapshot::from_jsonl(include_str!("data/explain_head.jsonl")).unwrap();
 
     let transfers = adaptcomm::obs::causal::transfers_from_snapshot(&base);
     assert!(!transfers.is_empty(), "fixture must hold transfer spans");
