@@ -87,6 +87,12 @@ pub struct MatchingPlan {
     pub round1: SolveStats,
     /// Total column scans across the rounds actually solved.
     pub total_col_scans: u64,
+    /// Total augmenting-row-reduction row-steps across the rounds
+    /// actually solved ([`SolveStats::arr_steps`]).
+    pub total_arr_steps: u64,
+    /// Total phase-4 relaxed cells across the rounds actually solved
+    /// ([`SolveStats::relaxed_cells`]).
+    pub total_relaxed_cells: u64,
     /// How the plan was produced: `"cold"` (full unseeded build),
     /// `"warm"` (full build seeded from retained potentials),
     /// `"incremental"` (a certified prefix kept, the rest re-solved —
@@ -173,11 +179,13 @@ impl Clone for MatchingScheduler {
 }
 
 /// What one run of the round loop reports: its first solve's stats
-/// and the column scans of all its solves.
+/// and the work counters summed over all its solves.
 #[derive(Debug, Clone, Copy, Default)]
 struct RoundLoopStats {
     first: SolveStats,
     col_scans: u64,
+    arr_steps: u64,
+    relaxed_cells: u64,
 }
 
 impl MatchingScheduler {
@@ -317,6 +325,8 @@ impl MatchingScheduler {
                 out.first = stats;
             }
             out.col_scans += stats.col_scans;
+            out.arr_steps += stats.arr_steps;
+            out.relaxed_cells += stats.relaxed_cells;
             let base = rounds.v.len();
             rounds.v.extend_from_slice(duals.potentials());
             let mut step = Vec::with_capacity(p);
@@ -377,6 +387,8 @@ impl MatchingScheduler {
             seed_potentials: rounds.v[..p].to_vec(),
             round1: out.first,
             total_col_scans: out.col_scans,
+            total_arr_steps: out.arr_steps,
+            total_relaxed_cells: out.relaxed_cells,
             disposition: if seeded { "warm" } else { "cold" },
             spliced_rounds: 0,
             certified_gap: 0.0,
@@ -432,6 +444,8 @@ impl MatchingScheduler {
             plan.spliced_rounds = p;
             plan.round1 = SolveStats::default();
             plan.total_col_scans = 0;
+            plan.total_arr_steps = 0;
+            plan.total_relaxed_cells = 0;
             return plan;
         }
         // Diffing raw costs is equivalent to diffing work cells only
@@ -509,6 +523,8 @@ impl MatchingScheduler {
             seed_potentials: rounds.v[..p].to_vec(),
             round1: out.first,
             total_col_scans: out.col_scans,
+            total_arr_steps: out.arr_steps,
+            total_relaxed_cells: out.relaxed_cells,
             disposition: "incremental",
             spliced_rounds: kept,
             certified_gap,
