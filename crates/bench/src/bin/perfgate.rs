@@ -15,7 +15,10 @@
 //! (`plan_seeded(m, None)`), `.one-link` (`replan_incremental` after one link costs
 //! ×1.3: the diff, the per-round dual-gap certificate — which keeps
 //! every round here — and the re-solved suffix, if any) and `.replay`
-//! (`send_order` on a scheduler that retains the plan); plus, at `P = 256`, `obs-overhead` (the
+//! (`send_order` on a scheduler that retains the plan); plus, at `P = 256`,
+//! `matching-max.cold.servers` and `matching-min.cold.servers` (the cold
+//! plan on the Figure-12 instance, `Scenario::Servers`, seed `42 + P`,
+//! where the LAP's shortest-path phase dominates), `obs-overhead` (the
 //! matching-max replay with the registry and flight recorder recording)
 //! and `explain` (the causal analyzer over a realized run). One untimed
 //! warm-up, then the upper quartile of five repeats (sorted rank
@@ -198,6 +201,13 @@ fn measure_table(sizes: &[usize], repeats: usize) -> Vec<Row> {
         }
     }
     if sizes.contains(&256) {
+        let servers = Scenario::Servers.instance(256, 42 + 256).matrix;
+        assert_theorems(&servers);
+        for kind in [MatchingKind::Max, MatchingKind::Min] {
+            let sched = MatchingScheduler::new(kind);
+            let ms = measure(repeats, || sched.plan_seeded(&servers, None).steps.len());
+            emit(&format!("{}.cold.servers", sched.name()), 256, ms, "");
+        }
         let m = Scenario::Large.instance(256, 42 + 256).matrix;
         let sched = MatchingScheduler::new(MatchingKind::Max);
         obs.clear();
@@ -287,7 +297,7 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let rows = parse_rows(&text).unwrap();
         assert_eq!(render_rows(&rows), text);
-        assert_eq!(rows.len(), 32);
+        assert_eq!(rows.len(), 34);
         assert!(rows.iter().all(|r| r.ms > 0.0 && r.ms <= r.target_ms));
         assert!(parse_rows("[{\"name\":\"x\",\"p\":4,\"ms\":1}]").is_err());
         assert!(parse_rows("{}").is_err());
