@@ -518,17 +518,22 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         );
     }
 
-    // A deterministic re-emission of the analyzed transfers: timestamps
-    // are rounded to whole microseconds from the modeled times, so two
-    // generations of the same run are bit-identical (the committed
-    // self-diff fixtures depend on this).
+    // A deterministic re-emission of the analyzed transfers: start and
+    // finish are rounded to whole microseconds from the modeled times,
+    // so two generations of the same run are bit-identical (the
+    // committed self-diff fixtures depend on this), and a transfer that
+    // starts when its port's previous one finishes still does.
     if let Some(out) = capture {
         let us = |ms: f64| (ms * 1_000.0).round() as u64;
+        let span = |t: &adaptcomm_obs::causal::Transfer| {
+            let start = us(t.start_ms);
+            transfer_span(t.src, t.dst, start, us(t.finish_ms()) - start)
+        };
         let snap = Snapshot {
             events: dag
                 .transfers()
                 .iter()
-                .map(|t| Event::Span(transfer_span(t.src, t.dst, us(t.start_ms), us(t.dur_ms))))
+                .map(|t| Event::Span(span(t)))
                 .collect(),
         };
         std::fs::write(&out, snap.to_jsonl()).map_err(|e| format!("writing {out}: {e}"))?;
